@@ -39,14 +39,13 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, default=40, help="number of benchmark seeds")
     ap.add_argument("--master", type=int, default=4242, help="root of the per-seed stream")
-    ap.add_argument("--jobs", type=int, default=1, help="worker threads for the ranking")
     args = ap.parse_args()
 
     acc = {mode: [] for mode in pipeline.ABLATION_MODES}
     t0 = time.perf_counter()
     for s in range(args.seeds):
         train, test, spec, cfg = setting(args.master, s)
-        reports = pipeline.ablation_comparison(train, test, spec, cfg, jobs=args.jobs)
+        reports = pipeline.ablation_comparison(train, test, spec, cfg)
         for mode in pipeline.ABLATION_MODES:
             acc[mode].append(reports[mode].fewshot_accuracy_mean)
         print(

@@ -76,6 +76,7 @@ def _pipeline_cfg(job: cfgmod.PipelineJob) -> pipeline.PipelineConfig:
         n_eval_episodes=job.n_eval_episodes,
         softmax_temperature=job.softmax_temperature,
         master_seed=job.master_seed,
+        verbose_fisher=job.verbose_fisher,
     )
 
 
@@ -94,27 +95,12 @@ def _label_freq_csv(freq: dict[int, int]) -> str:
 
 
 def _scores_doc(
-    ordered: list[pipeline.RankedTask],
-    related: pipeline.RelatedSet,
-    run_id: str,
-    echo: dict,
-    diagnostics: dict[int, dict] | None,
+    ordered: list[pipeline.RankedTask], related: pipeline.RelatedSet, run_id: str, echo: dict
 ) -> dict:
-    rows = []
-    for r in ordered:
-        row = {
-            "task_id": r.task_id,
-            "score": r.score.value,
-            "mapping": list(r.assignment.mapping),
-            "total_cost": r.assignment.total_cost,
-        }
-        if diagnostics is not None:
-            row["fisher"] = diagnostics[r.task_id]
-        rows.append(row)
     return {
         "run_id": run_id,
         "config": echo,
-        "scores": rows,
+        "scores": [pipeline.score_row(r) for r in ordered],
         "selected": {
             "label_set": list(related.label_set),
             "row_indices": list(related.row_indices),
@@ -122,28 +108,11 @@ def _scores_doc(
     }
 
 
-def _rank_phases(job: cfgmod.PipelineJob, jobs: int):
-    """Shared phases 1-2 for the tas and fewshot commands."""
+def _setup(job: cfgmod.PipelineJob):
+    """Data, network spec and pipeline config of a tas or fewshot job."""
     train, test = _load_data(job.data)
     spec = NetworkSpec(job.layer_widths, len(train.class_ids), job.activation)
-    cfg = _pipeline_cfg(job)
-    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    source_tasks, target = pipeline.prepare_tasks(train, test, cfg)
-    diagnostics = None
-    if job.verbose_fisher:
-        diagnostics = {}
-        ranked = []
-        for t in source_tasks:
-            d = pipeline.mtas_diagnostics(t, target, train, test, whole, cfg)
-            ranked.append(d.pop("ranked"))
-            diagnostics[t.task_id] = d
-    else:
-        ranked = pipeline.rank_all_sources(
-            source_tasks, target, train, test, whole, cfg, jobs=jobs
-        )
-    ordered = pipeline.sort_ranked(ranked)
-    related = pipeline.related_training_set(ordered[: cfg.top_r], source_tasks, train)
-    return train, test, spec, cfg, whole, source_tasks, ordered, related, diagnostics
+    return train, test, spec, _pipeline_cfg(job)
 
 
 def cmd_synth(doc: dict, out: str, seed: int | None) -> int:
@@ -152,28 +121,22 @@ def cmd_synth(doc: dict, out: str, seed: int | None) -> int:
         job = cfgmod.override_synth_seed(job, seed)
     data = tasks.make_synthetic(job.synthetic)
     path = os.path.join(out, job.filename)
-    fd, tmp = tempfile.mkstemp(dir=out, prefix=".tmp-", suffix="~")
-    os.close(fd)
-    try:
-        tasks.save_csv(data, tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, tasks.csv_text(data))
     print(f"wrote {path} ({data.n} rows, {len(data.class_ids)} classes)")
     return 0
 
 
-def cmd_tas(doc: dict, out: str, seed: int | None, jobs: int) -> int:
+def cmd_tas(doc: dict, out: str, seed: int | None) -> int:
     job = cfgmod.parse_pipeline(doc)
     if seed is not None:
         job = cfgmod.override_pipeline_seeds(job, seed)
     echo = asdict(job)
     run_id = _run_id("tas", echo)
     t0 = time.perf_counter()
-    _, _, _, cfg, _, source_tasks, ordered, related, diagnostics = _rank_phases(job, jobs)
-    doc_out = _scores_doc(ordered, related, run_id, echo, diagnostics)
+    train, test, spec, cfg = _setup(job)
+    _, source_tasks, ordered, _ = pipeline.phases_1_2(train, test, spec, cfg)
+    related = pipeline.related_training_set(ordered[: cfg.top_r], source_tasks, train)
+    doc_out = _scores_doc(ordered, related, run_id, echo)
     doc_out["timings"] = {"total_s": time.perf_counter() - t0}
     _write_json(os.path.join(out, "scores.json"), doc_out)
     edges, counts = pipeline.tas_histogram(ordered)
@@ -184,24 +147,22 @@ def cmd_tas(doc: dict, out: str, seed: int | None, jobs: int) -> int:
     return 0
 
 
-def cmd_fewshot(doc: dict, out: str, seed: int | None, jobs: int, ablation: str) -> int:
+def cmd_fewshot(doc: dict, out: str, seed: int | None, ablation: str) -> int:
     job = cfgmod.parse_pipeline(doc)
     if seed is not None:
         job = cfgmod.override_pipeline_seeds(job, seed)
     echo = asdict(job)
     echo["ablation"] = ablation
     run_id = _run_id("fewshot", echo)
-    train, test = _load_data(job.data)
-    spec = NetworkSpec(job.layer_widths, len(train.class_ids), job.activation)
-    cfg = _pipeline_cfg(job)
-    report = pipeline.ablation_run(train, test, spec, cfg, mode=ablation, jobs=jobs)
+    train, test, spec, cfg = _setup(job)
+    report = pipeline.ablation_run(train, test, spec, cfg, mode=ablation)
     report_doc = pipeline.report_to_doc(report)
     report_doc["run_id"] = run_id
     report_doc["config"] = echo
     _write_json(os.path.join(out, "report.json"), report_doc)
     _write_json(
         os.path.join(out, "scores.json"),
-        _scores_doc(list(report.scores), report.selected_labels, run_id, echo, None),
+        _scores_doc(list(report.scores), report.selected_labels, run_id, echo),
     )
     edges, counts = report.tas_histogram
     _atomic_write(os.path.join(out, "tas_hist.csv"), _hist_csv(edges, counts))
@@ -275,7 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="re-derive all embedded seeds")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="parallel source-task evaluations")
         p.add_argument(
             "--ablation",
             choices=pipeline.ABLATION_MODES,
@@ -293,14 +253,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "synth":
             return cmd_synth(doc, args.out, args.seed)
         if args.command == "tas":
-            return cmd_tas(doc, args.out, args.seed, args.jobs)
+            return cmd_tas(doc, args.out, args.seed)
         if args.command == "fewshot":
-            return cmd_fewshot(doc, args.out, args.seed, args.jobs, args.ablation)
+            return cmd_fewshot(doc, args.out, args.seed, args.ablation)
         return cmd_theorem1(doc, args.out, args.seed)
-    except (cfgmod.ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except theorem.DivergenceError as exc:
+    except (
+        cfgmod.ConfigError,
+        ValueError,
+        OSError,
+        json.JSONDecodeError,
+        theorem.DivergenceError,
+        theorem.SolverError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -58,6 +57,7 @@ class PipelineConfig:
     n_eval_episodes: int
     softmax_temperature: float
     master_seed: int
+    verbose_fisher: bool = False  # keep each task's diagnostics on its RankedTask
 
     def __post_init__(self) -> None:
         if self.s_count < 1:
@@ -76,9 +76,15 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class RankedTask:
+    """One source task's score.  With verbose_fisher, diagnostics holds the
+    JSON form of its epsilon-approximation record and both unit-trace Fisher
+    diagonals (keys f_aa, f_ab, achieved_epsilon, approx_epochs,
+    reached_target); otherwise it is None."""
+
     task_id: int
     score: fisher.AffinityScore
     assignment: matching.Assignment
+    diagnostics: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -187,39 +193,10 @@ def mtas(
     whole: nnet.Network,
     cfg: PipelineConfig,
 ) -> RankedTask:
-    """Affinity score of one source task against the target task."""
-    ranked, _, _, _ = _mtas_full(source, target, train_data, test_data, whole, cfg)
-    return ranked
+    """Affinity score of one source task against the target task.
 
-
-def mtas_diagnostics(
-    source: tasks.TaskSpec,
-    target: tasks.TaskSpec,
-    train_data: tasks.Dataset,
-    test_data: tasks.Dataset,
-    whole: nnet.Network,
-    cfg: PipelineConfig,
-) -> dict:
-    """Scoring plus the intermediate Fisher diagonals, for verbose debug output."""
-    ranked, f_aa, f_ab, record = _mtas_full(source, target, train_data, test_data, whole, cfg)
-    return {
-        "ranked": ranked,
-        "f_aa": fisher.to_doc(f_aa),
-        "f_ab": fisher.to_doc(f_ab),
-        "achieved_epsilon": record.achieved_epsilon,
-        "approx_epochs": record.epochs_used,
-        "reached_target": record.reached_target,
-    }
-
-
-def _mtas_full(
-    source: tasks.TaskSpec,
-    target: tasks.TaskSpec,
-    train_data: tasks.Dataset,
-    test_data: tasks.Dataset,
-    whole: nnet.Network,
-    cfg: PipelineConfig,
-) -> tuple[RankedTask, fisher.FisherDiagonal, fisher.FisherDiagonal, EpsApproxRecord]:
+    With cfg.verbose_fisher the result also carries the task's diagnostics.
+    """
     if len(source.class_ids) != cfg.n_test or len(target.class_ids) != cfg.n_test:
         raise ValueError("source and target must both have n_test classes")
 
@@ -261,8 +238,16 @@ def _mtas_full(
     )
 
     # 6. the score
-    ranked = RankedTask(source.task_id, fisher.tas(f_aa, f_ab), assignment)
-    return ranked, f_aa, f_ab, record
+    diagnostics = None
+    if cfg.verbose_fisher:
+        diagnostics = {
+            "f_aa": fisher.to_doc(f_aa),
+            "f_ab": fisher.to_doc(f_ab),
+            "achieved_epsilon": record.achieved_epsilon,
+            "approx_epochs": record.epochs_used,
+            "reached_target": record.reached_target,
+        }
+    return RankedTask(source.task_id, fisher.tas(f_aa, f_ab), assignment, diagnostics)
 
 
 def prepare_tasks(
@@ -282,20 +267,9 @@ def rank_all_sources(
     test_data: tasks.Dataset,
     whole: nnet.Network,
     cfg: PipelineConfig,
-    jobs: int = 1,
 ) -> list[RankedTask]:
-    """Score every source task; tasks are independent, so workers never interact.
-
-    Results are merged by ascending task_id, making the output identical for
-    any worker count or scheduling order.
-    """
-    if jobs <= 1:
-        results = [mtas(t, target, train_data, test_data, whole, cfg) for t in source_tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            results = list(
-                ex.map(lambda t: mtas(t, target, train_data, test_data, whole, cfg), source_tasks)
-            )
+    """Score every source task, in ascending task_id order."""
+    results = [mtas(t, target, train_data, test_data, whole, cfg) for t in source_tasks]
     return sorted(results, key=lambda r: r.task_id)
 
 
@@ -482,14 +456,34 @@ def _pick_ablation_set(
     raise ValueError(f"unknown ablation mode {mode!r}; expected one of {ABLATION_MODES}")
 
 
-def _phases_1_2(
+def _check_episode_sizes(test: tasks.Dataset, cfg: PipelineConfig) -> None:
+    """Fail before any training if evaluation could not sample an episode."""
+    need = cfg.k_shot + cfg.q_query
+    eligible = len(tasks.episode_classes(test, need))
+    if eligible < cfg.m_way:
+        raise ValueError(
+            f"insufficient samples: only {eligible} test classes have >= {need} rows "
+            f"(k_shot + q_query), need m_way={cfg.m_way}"
+        )
+
+
+def phases_1_2(
     train: tasks.Dataset,
     test: tasks.Dataset,
     spec: nnet.NetworkSpec,
     cfg: PipelineConfig,
-    jobs: int,
 ) -> tuple[nnet.Network, list[tasks.TaskSpec], list[RankedTask], dict[str, float]]:
-    """Whole-classification training plus the full affinity ranking."""
+    """Whole-classification training plus the full affinity ranking.
+
+    Returns the whole network, the source tasks, the scores sorted by
+    sort_ranked, and the whole_train_s / rank_s timings.  The target task is
+    every test class, so a test set without exactly n_test classes is
+    rejected before training starts.
+    """
+    if len(test.class_ids) != cfg.n_test:
+        raise ValueError(
+            f"n_test={cfg.n_test} but the test set has {len(test.class_ids)} classes"
+        )
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     whole = train_whole_classifier(train, spec, cfg.whole_schedule)
@@ -497,7 +491,7 @@ def _phases_1_2(
 
     t0 = time.perf_counter()
     source_tasks, target = prepare_tasks(train, test, cfg)
-    ranked = rank_all_sources(source_tasks, target, train, test, whole, cfg, jobs=jobs)
+    ranked = rank_all_sources(source_tasks, target, train, test, whole, cfg)
     ordered = sort_ranked(ranked)
     timings["rank_s"] = time.perf_counter() - t0
     return whole, source_tasks, ordered, timings
@@ -543,7 +537,6 @@ def ablation_run(
     spec: nnet.NetworkSpec,
     cfg: PipelineConfig,
     mode: str = "related",
-    jobs: int = 1,
 ) -> RunReport:
     """Full three-phase run with the fine-tuning label set chosen by mode.
 
@@ -554,7 +547,8 @@ def ablation_run(
     """
     if mode not in ABLATION_MODES:
         raise ValueError(f"unknown ablation mode {mode!r}; expected one of {ABLATION_MODES}")
-    whole, source_tasks, ordered, timings = _phases_1_2(train, test, spec, cfg, jobs)
+    _check_episode_sizes(test, cfg)
+    whole, source_tasks, ordered, timings = phases_1_2(train, test, spec, cfg)
     return _phase_3_report(whole, source_tasks, ordered, train, test, cfg, mode, timings)
 
 
@@ -563,7 +557,6 @@ def ablation_comparison(
     test: tasks.Dataset,
     spec: nnet.NetworkSpec,
     cfg: PipelineConfig,
-    jobs: int = 1,
 ) -> dict[str, RunReport]:
     """Reports for all three ablation modes off one shared phase-1/2 pass.
 
@@ -571,7 +564,8 @@ def ablation_comparison(
     shared phases would come out bitwise-equal anyway) but trains and ranks
     only once, which is what makes multi-seed mode comparisons affordable.
     """
-    whole, source_tasks, ordered, timings = _phases_1_2(train, test, spec, cfg, jobs)
+    _check_episode_sizes(test, cfg)
+    whole, source_tasks, ordered, timings = phases_1_2(train, test, spec, cfg)
     return {
         mode: _phase_3_report(whole, source_tasks, ordered, train, test, cfg, mode, timings)
         for mode in ABLATION_MODES
@@ -583,29 +577,33 @@ def run_full(
     test: tasks.Dataset,
     spec: nnet.NetworkSpec,
     cfg: PipelineConfig,
-    jobs: int = 1,
 ) -> RunReport:
     """The standard three-phase run (ablation mode "related")."""
-    return ablation_run(train, test, spec, cfg, mode="related", jobs=jobs)
+    return ablation_run(train, test, spec, cfg, mode="related")
 
 
 # ---------------------------------------------------------------------------
 # report serialization
 
 
+def score_row(r: RankedTask) -> dict:
+    """The JSON row of one score; the diagnostics go under "fisher" when kept."""
+    row = {
+        "task_id": r.task_id,
+        "score": r.score.value,
+        "mapping": list(r.assignment.mapping),
+        "total_cost": r.assignment.total_cost,
+    }
+    if r.diagnostics is not None:
+        row["fisher"] = r.diagnostics
+    return row
+
+
 def report_to_doc(report: RunReport) -> dict:
     edges, counts = report.tas_histogram
     return {
         "ablation_mode": report.ablation_mode,
-        "scores": [
-            {
-                "task_id": r.task_id,
-                "score": r.score.value,
-                "mapping": list(r.assignment.mapping),
-                "total_cost": r.assignment.total_cost,
-            }
-            for r in report.scores
-        ],
+        "scores": [score_row(r) for r in report.scores],
         "selected_labels": {
             "label_set": list(report.selected_labels.label_set),
             "row_indices": list(report.selected_labels.row_indices),
@@ -625,6 +623,7 @@ def report_from_doc(doc: dict) -> RunReport:
                 int(s["task_id"]),
                 fisher.AffinityScore(float(s["score"])),
                 matching.Assignment(tuple(int(j) for j in s["mapping"]), float(s["total_cost"])),
+                s.get("fisher"),
             )
             for s in doc["scores"]
         ),

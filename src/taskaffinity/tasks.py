@@ -171,14 +171,19 @@ def make_synthetic(cfg: SyntheticConfig) -> Dataset:
 # load/save round trip is bit-exact.
 
 
+def csv_text(data: Dataset) -> str:
+    """Header f0,...,f{d-1},label then one row per sample; floats round-trip exactly."""
+    lines = [",".join([f"f{j}" for j in range(data.dim)] + ["label"])]
+    for i in range(data.n):
+        cells = [repr(float(x)) for x in data.features[i]]
+        cells.append(str(int(data.labels[i])))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 def save_csv(data: Dataset, path: str) -> None:
-    d = data.dim
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join([f"f{j}" for j in range(d)] + ["label"]) + "\n")
-        for i in range(data.n):
-            cells = [repr(float(x)) for x in data.features[i]]
-            cells.append(str(int(data.labels[i])))
-            fh.write(",".join(cells) + "\n")
+        fh.write(csv_text(data))
 
 
 def load_csv(path: str) -> Dataset:
@@ -258,6 +263,11 @@ def build_target_task(test: Dataset) -> TaskSpec:
     return TaskSpec(-1, tuple(test.class_ids), rows, ())
 
 
+def episode_classes(data: Dataset, min_rows: int) -> list[int]:
+    """Class ids, ascending, with at least min_rows rows: the ones an episode may draw."""
+    return [cid for cid in data.class_ids if data.class_index[cid].size >= min_rows]
+
+
 def sample_episode(data: Dataset, m_way: int, k_shot: int, q_query: int, seed: int) -> Episode:
     """m_way classes, k_shot support and q_query query rows per class, disjoint.
 
@@ -267,7 +277,7 @@ def sample_episode(data: Dataset, m_way: int, k_shot: int, q_query: int, seed: i
     """
     if min(m_way, k_shot, q_query) < 1:
         raise ValueError("m_way, k_shot and q_query must be positive")
-    eligible = [cid for cid in data.class_ids if data.class_index[cid].size >= k_shot + q_query]
+    eligible = episode_classes(data, k_shot + q_query)
     if len(eligible) < m_way:
         raise ValueError(
             f"insufficient samples: only {len(eligible)} classes have "

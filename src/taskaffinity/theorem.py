@@ -35,6 +35,10 @@ class DivergenceError(RuntimeError):
         self.step = step
 
 
+class SolverError(RuntimeError):
+    """solve_optimum ran out of budget or its line search collapsed."""
+
+
 @dataclass(frozen=True, eq=False)
 class ConvexProblem:
     """Binary logistic regression data with an L2 penalty coefficient."""
@@ -182,7 +186,8 @@ def solve_optimum(
     """Full-batch gradient descent to gradient norm < tol.
 
     Default uses Armijo backtracking; passing fixed_step runs plain descent
-    at that rate (the cross-check route).  Raises if the budget runs out.
+    at that rate (the cross-check route).  Raises SolverError if the budget
+    runs out.
     """
     theta = np.zeros(p.dim)
     for _ in range(max_iters):
@@ -198,9 +203,9 @@ def solve_optimum(
         while loss_value(p, theta - step * g) > base - 0.25 * step * gnorm * gnorm:
             step *= 0.5
             if step < 1e-20:
-                raise RuntimeError("line search collapsed; gradient may be inconsistent")
+                raise SolverError("line search collapsed; gradient may be inconsistent")
         theta = theta - step * g
-    raise RuntimeError(f"optimizer did not reach tol={tol} within {max_iters} iterations")
+    raise SolverError(f"optimizer did not reach tol={tol} within {max_iters} iterations")
 
 
 def checkpoint_times(total_steps: int) -> np.ndarray:

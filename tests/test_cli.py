@@ -251,6 +251,9 @@ def test_tas_command_outputs_and_ranking(tmp_path):
     assert {int(r.split(",")[0]): int(r.split(",")[1]) for r in freq_rows} == freq
 
 
+FISHER_KEYS = {"f_aa", "f_ab", "achieved_epsilon", "approx_epochs", "reached_target"}
+
+
 def test_tas_verbose_fisher_embeds_diagnostics(tmp_path):
     doc = pipeline_doc()
     doc["pipeline"]["verbose_fisher"] = True
@@ -260,8 +263,28 @@ def test_tas_verbose_fisher_embeds_diagnostics(tmp_path):
     scores = _read_json(os.path.join(out, "scores.json"))["scores"]
     for row in scores:
         fish = row["fisher"]
-        assert set(fish) == {"f_aa", "f_ab", "achieved_epsilon", "approx_epochs", "reached_target"}
+        assert set(fish) == FISHER_KEYS
         assert len(fish["f_aa"]["entries"]) > 0
+
+
+def test_fewshot_verbose_fisher_embeds_diagnostics(tmp_path):
+    doc = pipeline_doc()
+    doc["pipeline"]["verbose_fisher"] = True
+    out = str(tmp_path / "out")
+    assert cli.main(["fewshot", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+    scores = _read_json(os.path.join(out, "scores.json"))["scores"]
+    assert [set(row["fisher"]) for row in scores] == [FISHER_KEYS] * len(scores)
+    rep = _read_json(os.path.join(out, "report.json"))
+    assert rep["scores"] == scores
+    # the verbose block survives the library round trip
+    back = pipeline.report_from_doc({k: v for k, v in rep.items() if k not in ("run_id", "config")})
+    assert pipeline.report_to_doc(back)["scores"] == scores
+    # and the scores themselves match a run without it
+    plain = str(tmp_path / "plain")
+    assert cli.main(["fewshot", "--config", write_config(tmp_path, pipeline_doc(), "p.json"),
+                     "--out", plain]) == 0
+    plain_scores = _read_json(os.path.join(plain, "scores.json"))["scores"]
+    assert [{k: v for k, v in row.items() if k != "fisher"} for row in scores] == plain_scores
 
 
 def test_tas_rerun_is_byte_identical_modulo_timings(tmp_path):
@@ -281,14 +304,43 @@ def test_tas_rerun_is_byte_identical_modulo_timings(tmp_path):
         assert a == b, name
 
 
-def test_tas_jobs_flag_does_not_change_results(tmp_path):
-    cfg = write_config(tmp_path, pipeline_doc())
-    out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert cli.main(["tas", "--config", cfg, "--out", out_a, "--jobs", "1"]) == 0
-    assert cli.main(["tas", "--config", cfg, "--out", out_b, "--jobs", "3"]) == 0
-    da = _read_json(os.path.join(out_a, "scores.json"))
-    db = _read_json(os.path.join(out_b, "scores.json"))
-    assert da["scores"] == db["scores"]
+def _spy_whole_training(monkeypatch):
+    """Record each whole-classifier training the commands start."""
+    calls = []
+    real = pipeline.train_whole_classifier
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pipeline, "train_whole_classifier", spy)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["tas", "fewshot"])
+def test_wrong_n_test_fails_before_training(tmp_path, monkeypatch, capsys, command):
+    doc = pipeline_doc()
+    doc["pipeline"]["n_test"] = 3  # the target family holds 2 test classes
+    calls = _spy_whole_training(monkeypatch)
+    cfg = write_config(tmp_path, doc)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "n_test=3 but the test set has 2 classes" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_oversized_episodes_fail_fewshot_before_training_but_not_tas(
+    tmp_path, monkeypatch, capsys
+):
+    doc = pipeline_doc()
+    doc["pipeline"]["q_query"] = 60  # test classes hold 12 rows each
+    calls = _spy_whole_training(monkeypatch)
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["fewshot", "--config", cfg, "--out", str(tmp_path / "f")]) == 1
+    assert "insufficient samples" in capsys.readouterr().err
+    assert calls == []
+    # tas never samples an episode, so the same config still ranks
+    assert cli.main(["tas", "--config", cfg, "--out", str(tmp_path / "t")]) == 0
+    assert len(calls) == 1
 
 
 def test_fewshot_command_report(tmp_path):
@@ -370,6 +422,16 @@ def test_theorem1_command_fails_on_impossible_tolerance(tmp_path):
     assert os.path.exists(os.path.join(out, "theorem1_series.csv"))
 
 
+def test_theorem1_solver_failure_is_an_error_line(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise theorem.SolverError("optimizer did not reach tol=1e-10 within 3 iterations")
+
+    monkeypatch.setattr(theorem, "solve_optimum", fail)
+    cfg = write_config(tmp_path, theorem_doc())
+    assert cli.main(["theorem1", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "error: optimizer did not reach" in capsys.readouterr().err
+
+
 def test_theorem1_rerun_identical_modulo_timings(tmp_path):
     cfg = write_config(tmp_path, theorem_doc(noise=0.1))
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -401,6 +463,19 @@ def test_cli_error_paths(tmp_path, capsys):
     doc["bogus"] = 1
     assert cli.main(["tas", "--config", write_config(tmp_path, doc)]) == 1
     assert "unknown keys" in capsys.readouterr().err
+
+
+def test_synth_failed_rename_exits_1_and_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    out = str(tmp_path / "out")
+    os.makedirs(out)
+    cfg = write_config(tmp_path, {"synthetic": synth_block()})
+    assert cli.main(["synth", "--config", cfg, "--out", out]) == 1
+    assert "error: rename refused" in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_commands_leave_no_temp_files(tmp_path):

@@ -1,6 +1,7 @@
 """Three-phase pipeline: affinity scoring, selection, episodic fine-tuning."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,12 +148,17 @@ def test_mtas_deterministic_and_diagnostics_agree(tiny):
     a = pipeline.mtas(source_tasks[0], target, train, test, whole, cfg)
     b = pipeline.mtas(source_tasks[0], target, train, test, whole, cfg)
     assert a == b
-    diag = pipeline.mtas_diagnostics(source_tasks[0], target, train, test, whole, cfg)
-    assert diag["ranked"] == a
+    assert a.diagnostics is None
     assert 0.0 <= a.score.value <= 1.0 + 1e-12
-    f_aa = fisher.from_doc(diag["f_aa"])
-    f_ab = fisher.from_doc(diag["f_ab"])
-    assert fisher.tas(f_aa, f_ab).value == a.score.value
+    verbose_cfg = replace(cfg, verbose_fisher=True)
+    ranked = pipeline.rank_all_sources(source_tasks, target, train, test, whole, verbose_cfg)
+    assert [r.task_id for r in ranked] == list(range(cfg.s_count))
+    assert replace(ranked[0], diagnostics=None) == a
+    for r in ranked:
+        # the kept unit-trace diagonals give back the very same score
+        f_aa = fisher.from_doc(r.diagnostics["f_aa"])
+        f_ab = fisher.from_doc(r.diagnostics["f_ab"])
+        assert fisher.tas(f_aa, f_ab).value == r.score.value
 
 
 def test_mtas_self_task_scores_low():
@@ -174,10 +180,13 @@ def test_mtas_self_task_scores_low():
     source = tasks.task_from_classes(data, ids, 0, derive_seed(606, 1))
     test_data, _ = tasks.subset_by_classes(data, ids)
     target = tasks.build_target_task(test_data)
-    diag = pipeline.mtas_diagnostics(source, target, data, test_data, whole, cfg)
+    ranked = pipeline.mtas(
+        source, target, data, test_data, whole, replace(cfg, verbose_fisher=True)
+    )
+    diag = ranked.diagnostics
     assert diag["reached_target"], "eps-approximation must genuinely reach its target"
     assert diag["achieved_epsilon"] <= cfg.epsilon
-    assert diag["ranked"].score.value < 0.05
+    assert ranked.score.value < 0.05
 
 
 def test_mtas_bitwise_invariant_under_class_relabeling():
@@ -262,16 +271,6 @@ def test_mtas_is_directional():
     ).score.value
     assert abs(s_ab - s_ba) > 0.01
     assert 0.0 <= s_ab <= 1.0 and 0.0 <= s_ba <= 1.0
-
-
-def test_rank_all_sources_parallel_equals_serial(tiny):
-    train, test, spec, cfg = tiny
-    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    source_tasks, target = pipeline.prepare_tasks(train, test, cfg)
-    serial = pipeline.rank_all_sources(source_tasks, target, train, test, whole, cfg, jobs=1)
-    parallel = pipeline.rank_all_sources(source_tasks, target, train, test, whole, cfg, jobs=4)
-    assert serial == parallel
-    assert [r.task_id for r in serial] == list(range(cfg.s_count))
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +578,22 @@ def test_ablation_comparison_matches_individual_runs(tiny):
         assert combined[mode].fewshot_accuracy_mean == single.fewshot_accuracy_mean
         assert combined[mode].fewshot_ci95 == single.fewshot_ci95
         assert combined[mode].label_frequency == single.label_frequency
+
+
+@pytest.mark.parametrize(
+    "run", [pipeline.ablation_run, pipeline.ablation_comparison], ids=["run", "comparison"]
+)
+def test_ablation_bad_sizes_fail_before_phase_1(tiny, monkeypatch, run):
+    train, test, spec, cfg = tiny
+
+    def never(*args):
+        raise AssertionError("whole-classifier training started")
+
+    monkeypatch.setattr(pipeline, "train_whole_classifier", never)
+    with pytest.raises(ValueError, match="insufficient samples"):
+        run(train, test, spec, replace(cfg, q_query=60))
+    with pytest.raises(ValueError, match="n_test=3"):
+        run(train, test, spec, replace(cfg, n_test=3))
 
 
 def test_ablation_random_mode_is_deterministic_and_sized(tiny):
