@@ -14,7 +14,7 @@ from typing import Any, Optional
 from .nnet import TrainSchedule
 from .seeding import derive_seed
 from .tasks import SyntheticConfig
-from .theorem import NoisySGDConfig, StepSchedule
+from .theorem import MIN_SEEDS, NoisySGDConfig, StepSchedule
 
 
 class ConfigError(ValueError):
@@ -241,8 +241,8 @@ def parse_theorem(doc: Any) -> TheoremJob:
     )
     _done(fd, "fixture")
     _done(d, "")
-    if job.n_seeds < 1:
-        raise ConfigError("n_seeds must be >= 1")
+    if job.n_seeds < MIN_SEEDS:
+        raise ConfigError(f"n_seeds must be >= {MIN_SEEDS}")
     return job
 
 

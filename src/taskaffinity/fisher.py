@@ -59,7 +59,7 @@ def fisher_from_grads(per_sample: np.ndarray) -> FisherDiagonal:
 
 def empirical_fisher_diag(net: nnet.Network, data: nnet.Batch) -> FisherDiagonal:
     """Fisher diagonal of a network over a batch; covers all parameters, head included."""
-    return fisher_from_grads(nnet.per_sample_grads(net, data))
+    return FisherDiagonal(nnet.fisher_diag(net, data))
 
 
 def normalize_unit_trace(f: FisherDiagonal) -> FisherDiagonal:

@@ -150,7 +150,10 @@ class TrainSchedule:
 # parameter packing
 
 
-def _unpack(spec: NetworkSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+_Layers = list[tuple[np.ndarray, np.ndarray]]
+
+
+def _unpack(spec: NetworkSpec, params: np.ndarray) -> _Layers:
     """Views (W, b) per layer, encoder layers first, head last."""
     out = []
     off = 0
@@ -196,14 +199,15 @@ def _act_deriv(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - a * a
 
 
-def _encoder_pass(net: Network, features: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _encoder_pass(
+    net: Network, layers: _Layers, features: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """All encoder pre-activations and activations; activations[0] is the input."""
     x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.spec.input_dim:
         raise ValueError(f"features must be (n, {net.spec.input_dim})")
-    layers = _unpack(net.spec, net.params)[:-1]
     pre, acts = [], [x]
-    for w, b in layers:
+    for w, b in layers[:-1]:
         z = acts[-1] @ w + b
         pre.append(z)
         acts.append(_act(z, net.spec.activation))
@@ -212,7 +216,7 @@ def _encoder_pass(net: Network, features: np.ndarray) -> tuple[list[np.ndarray],
 
 def encode(net: Network, features: np.ndarray) -> np.ndarray:
     """Embeddings: forward through encoder layers only (head untouched)."""
-    _, acts = _encoder_pass(net, features)
+    _, acts = _encoder_pass(net, _unpack(net.spec, net.params), features)
     return acts[-1]
 
 
@@ -247,81 +251,77 @@ def loss(net: Network, data: Batch) -> float:
     return float(np.mean(lse - picked))
 
 
-def _backprop(
-    net: Network, data: Batch, per_sample: bool
-) -> np.ndarray:
-    """Shared exact-backprop core.
+def _backward(
+    net: Network, layers: _Layers, pre: list[np.ndarray], acts: list[np.ndarray],
+    top: int, g: np.ndarray,
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The one backward loop, from layer `top` down to layer 0.
 
-    per_sample=False returns the mean-loss gradient (flat, length P).
-    per_sample=True returns one row per sample (n x P), each the gradient of
-    that sample's own loss.
+    g is the upstream gradient on layer `top`'s output (logits for the head,
+    embeddings for the last encoder layer), one row per sample.  Yields
+    (flat offset, weight size, layer input a, gradient g on a @ W + b) per
+    layer; a sample's weight gradient is the outer product of its rows of a
+    and g, so callers reduce over samples with products of a and g.
     """
-    _check_labels(net, data)
-    spec = net.spec
-    pre, acts = _encoder_pass(net, data.features)
-    layers = _unpack(spec, net.params)
-    wh, bh = layers[-1]
-    logits = acts[-1] @ wh + bh
-    n = data.n
-
-    delta = softmax(logits)
-    delta[np.arange(n), data.labels] -= 1.0
-    if not per_sample:
-        delta /= n
-
-    if per_sample:
-        grads = np.empty((n, net.param_count))
-    else:
-        grads = np.empty(net.param_count)
-
-    def put(offset: int, dw: np.ndarray, db: np.ndarray, size_w: int, size_b: int) -> None:
-        if per_sample:
-            grads[:, offset : offset + size_w] = dw.reshape(n, size_w)
-            grads[:, offset + size_w : offset + size_w + size_b] = db
-        else:
-            grads[offset : offset + size_w] = dw.ravel()
-            grads[offset + size_w : offset + size_w + size_b] = db
-
-    # head
-    off = encoder_slice(spec).stop
-    if per_sample:
-        dwh = np.einsum("ni,nj->nij", acts[-1], delta)
-        dbh = delta
-    else:
-        dwh = acts[-1].T @ delta
-        dbh = delta.sum(axis=0)
-    put(off, dwh, dbh, wh.size, bh.size)
-
-    # encoder, last layer first
-    g = delta @ wh.T
-    offsets = []
-    o = 0
-    for fan_in, fan_out in spec.layer_shapes():
-        offsets.append(o)
-        o += fan_in * fan_out + fan_out
-    for li in range(len(layers) - 2, -1, -1):
-        w, b = layers[li]
-        g = g * _act_deriv(pre[li], acts[li + 1], spec.activation)
-        if per_sample:
-            dw = np.einsum("ni,nj->nij", acts[li], g)
-            db = g
-        else:
-            dw = acts[li].T @ g
-            db = g.sum(axis=0)
-        put(offsets[li], dw, db, w.size, b.size)
+    offsets, off = [], 0
+    for w, b in layers:
+        offsets.append(off)
+        off += w.size + b.size
+    for li in range(top, -1, -1):
+        w, _ = layers[li]
+        if li < len(pre):
+            g = g * _act_deriv(pre[li], acts[li + 1], net.spec.activation)
+        yield offsets[li], w.size, acts[li], g
         if li > 0:
             g = g @ w.T
-    return grads
+
+
+def _sum_into(
+    out: np.ndarray, walk: Iterator[tuple[int, int, np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """Write each layer's gradient summed over samples: a^T g for W, column sums of g for b."""
+    for off, size_w, a, g in walk:
+        out[off : off + size_w] = (a.T @ g).ravel()
+        out[off + size_w : off + size_w + g.shape[1]] = g.sum(axis=0)
+    return out
+
+
+def _output_delta(
+    net: Network, layers: _Layers, data: Batch
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Forward pass, plus each sample's own cross-entropy gradient on the logits."""
+    _check_labels(net, data)
+    pre, acts = _encoder_pass(net, layers, data.features)
+    wh, bh = layers[-1]
+    delta = softmax(acts[-1] @ wh + bh)
+    delta[np.arange(data.n), data.labels] -= 1.0
+    return pre, acts, delta
 
 
 def grad(net: Network, data: Batch) -> np.ndarray:
     """Exact gradient of the mean cross-entropy over the batch (flat, length P)."""
-    return _backprop(net, data, per_sample=False)
+    layers = _unpack(net.spec, net.params)
+    pre, acts, delta = _output_delta(net, layers, data)
+    delta /= data.n
+    walk = _backward(net, layers, pre, acts, len(layers) - 1, delta)
+    return _sum_into(np.empty(net.param_count), walk)
 
 
-def per_sample_grads(net: Network, data: Batch) -> np.ndarray:
-    """Gradient of each sample's own loss, one row per sample (n x P)."""
-    return _backprop(net, data, per_sample=True)
+def fisher_diag(net: Network, data: Batch) -> np.ndarray:
+    """Mean over the batch of each sample's squared loss gradient (flat, length P).
+
+    A sample's weight gradient is the outer product of its layer input a and
+    pre-activation gradient g, so the mean of its square is (a*a)^T (g*g) / n;
+    no per-sample gradient is ever formed.
+    """
+    layers = _unpack(net.spec, net.params)
+    pre, acts, delta = _output_delta(net, layers, data)
+    out = np.empty(net.param_count)
+    for off, size_w, a, g in _backward(net, layers, pre, acts, len(layers) - 1, delta):
+        gg = g * g
+        out[off : off + size_w] = ((a * a).T @ gg).ravel() / data.n
+        out[off + size_w : off + size_w + g.shape[1]] = gg.sum(axis=0) / data.n
+    return out
 
 
 def encoder_pullback(net: Network, features: np.ndarray, grad_embeddings: np.ndarray) -> np.ndarray:
@@ -330,27 +330,12 @@ def encoder_pullback(net: Network, features: np.ndarray, grad_embeddings: np.nda
     Head entries of the result are zero.  This is the hook the episodic
     nearest-centroid loss uses to train the encoder without a linear head.
     """
-    spec = net.spec
-    pre, acts = _encoder_pass(net, features)
+    layers = _unpack(net.spec, net.params)
+    pre, acts = _encoder_pass(net, layers, features)
     g = np.ascontiguousarray(grad_embeddings, dtype=np.float64)
     if g.shape != acts[-1].shape:
         raise ValueError("grad_embeddings must match the embedding matrix shape")
-    layers = _unpack(spec, net.params)[:-1]
-    out = np.zeros(net.param_count)
-    off = 0
-    offsets = []
-    for w, b in layers:
-        offsets.append(off)
-        off += w.size + b.size
-    for li in range(len(layers) - 1, -1, -1):
-        w, b = layers[li]
-        g = g * _act_deriv(pre[li], acts[li + 1], spec.activation)
-        o = offsets[li]
-        out[o : o + w.size] = (acts[li].T @ g).ravel()
-        out[o + w.size : o + w.size + b.size] = g.sum(axis=0)
-        if li > 0:
-            g = g @ w.T
-    return out
+    return _sum_into(np.zeros(net.param_count), _backward(net, layers, pre, acts, len(pre) - 1, g))
 
 
 # ---------------------------------------------------------------------------

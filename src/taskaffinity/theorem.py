@@ -24,6 +24,7 @@ from . import fisher
 from .nnet import Batch
 
 GUARD_NORM = 1e8
+MIN_SEEDS = 5  # fewest SGD seeds whose median gap convergence_check trusts
 _SOLVER_CAP = 200_000
 
 
@@ -281,8 +282,8 @@ def tas_trajectory(
 def convergence_check(series: list[TasSeries], abs_tol: float) -> ConvergenceReport:
     """Pass iff the median |s_t - s*| over seeds is below abs_tol at the final
     checkpoint and the median gap is non-increasing over the last three."""
-    if len(series) < 5:
-        raise ValueError("need at least 5 seeds for a stable median")
+    if len(series) < MIN_SEEDS:
+        raise ValueError(f"need at least {MIN_SEEDS} seeds for a stable median")
     times = series[0].times
     for s in series[1:]:
         if not np.array_equal(s.times, times):

@@ -60,8 +60,8 @@ def min_abs_preactivation(spec, params, x):
     return min(float(np.min(np.abs(z))) for z in pre)
 
 
-def draw_generic_case(rng):
-    """Random (net, batch) with generic parameters, redrawn away from relu kinks."""
+def draw_generic_case(rng, n=6):
+    """Random (net, batch of n rows) with generic parameters, redrawn away from relu kinks."""
     while True:
         n_layers = int(rng.integers(2, 4))
         widths = tuple(int(w) for w in rng.integers(2, 9, size=n_layers))
@@ -69,11 +69,22 @@ def draw_generic_case(rng):
         act = ("relu", "tanh")[int(rng.integers(0, 2))]
         spec = nnet.NetworkSpec(widths, n_classes, act)
         params = rng.standard_normal(spec.param_count) * 0.7
-        x = rng.standard_normal((6, widths[0]))
-        y = rng.integers(0, n_classes, size=6)
+        x = rng.standard_normal((n, widths[0]))
+        y = rng.integers(0, n_classes, size=n)
         if act == "relu" and min_abs_preactivation(spec, params, x) < KINK_GUARD:
             continue
         return nnet.Network(spec, params), nnet.Batch(x, y)
+
+
+def per_sample_grads(net, batch):
+    """Each sample's own loss gradient, one row per sample (n x P), by calling
+    nnet.grad on one row at a time."""
+    return np.stack(
+        [
+            nnet.grad(net, nnet.Batch(batch.features[i : i + 1], batch.labels[i : i + 1]))
+            for i in range(batch.n)
+        ]
+    )
 
 
 def fd_gradient(net, batch, h=FD_STEP):

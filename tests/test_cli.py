@@ -144,10 +144,11 @@ def test_parse_theorem():
     assert job.sgd.step_schedule.kind == "constant"
     assert job.sgd.step_schedule.exponent == 0.75  # default kept
     assert job.optimum_tol == 1e-10
-    doc = theorem_doc()
-    doc["n_seeds"] = 0
-    with pytest.raises(cfgmod.ConfigError, match="n_seeds"):
-        cfgmod.parse_theorem(doc)
+    for n_seeds in (0, theorem.MIN_SEEDS - 1):
+        doc = theorem_doc()
+        doc["n_seeds"] = n_seeds
+        with pytest.raises(cfgmod.ConfigError, match="n_seeds"):
+            cfgmod.parse_theorem(doc)
     doc = theorem_doc()
     doc["sgd"]["schedule"]["kind"] = "polynomial"
     doc["sgd"]["schedule"]["exponent"] = 0.6
@@ -432,6 +433,17 @@ def test_theorem1_solver_failure_is_an_error_line(tmp_path, monkeypatch, capsys)
     assert "error: optimizer did not reach" in capsys.readouterr().err
 
 
+def test_theorem1_too_few_seeds_fails_before_sgd(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(theorem, "noisy_sgd", lambda *args, **kwargs: calls.append(args))
+    doc = theorem_doc()
+    doc["n_seeds"] = theorem.MIN_SEEDS - 1
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["theorem1", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert f"n_seeds must be >= {theorem.MIN_SEEDS}" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_theorem1_rerun_identical_modulo_timings(tmp_path):
     cfg = write_config(tmp_path, theorem_doc(noise=0.1))
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -476,6 +488,22 @@ def test_synth_failed_rename_exits_1_and_leaves_no_temp_file(tmp_path, monkeypat
     assert cli.main(["synth", "--config", cfg, "--out", out]) == 1
     assert "error: rename refused" in capsys.readouterr().err
     assert os.listdir(out) == []
+
+
+def test_outputs_honour_the_umask(tmp_path):
+    out = str(tmp_path / "out")
+    old = os.umask(0o022)
+    try:
+        scfg = write_config(tmp_path, {"synthetic": synth_block()}, "s.json")
+        assert cli.main(["synth", "--config", scfg, "--out", out]) == 0
+        assert cli.main(["tas", "--config", write_config(tmp_path, pipeline_doc()),
+                         "--out", out]) == 0
+    finally:
+        os.umask(old)
+    modes = {n: os.stat(os.path.join(out, n)).st_mode & 0o777 for n in os.listdir(out)}
+    assert modes == {
+        n: 0o644 for n in ("dataset.csv", "label_freq.csv", "scores.json", "tas_hist.csv")
+    }
 
 
 def test_commands_leave_no_temp_files(tmp_path):

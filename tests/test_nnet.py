@@ -257,34 +257,24 @@ def test_grad_replicated_batch_equals_single_sample():
     np.testing.assert_allclose(rep, one, rtol=1e-12, atol=1e-14)
 
 
-def test_per_sample_grads_shape_and_mean():
+def test_fisher_diag_shape_and_oracle_mean():
     rng = np.random.default_rng(10)
     net, batch = helpers.draw_generic_case(rng)
-    rows = nnet.per_sample_grads(net, batch)
+    rows = helpers.per_sample_grads(net, batch)
     assert rows.shape == (batch.n, net.param_count)
-    mean = rows.mean(axis=0)
-    g = nnet.grad(net, batch)
-    np.testing.assert_allclose(mean, g, rtol=1e-10, atol=1e-13)
+    np.testing.assert_allclose(rows.mean(axis=0), nnet.grad(net, batch), rtol=1e-10, atol=1e-13)
+    f = nnet.fisher_diag(net, batch)
+    assert f.shape == (net.param_count,)
+    np.testing.assert_allclose(f, np.mean(rows * rows, axis=0), rtol=1e-12, atol=0)
 
 
-def test_per_sample_grads_single_row_is_grad():
+def test_fisher_diag_single_row_is_squared_oracle_row():
     rng = np.random.default_rng(12)
     net, batch = helpers.draw_generic_case(rng)
-    first = nnet.Batch(batch.features[:1], batch.labels[:1])
-    np.testing.assert_allclose(
-        nnet.per_sample_grads(net, first)[0], nnet.grad(net, first), rtol=1e-12
-    )
-
-
-def test_per_sample_grads_match_central_differences():
-    rng = np.random.default_rng(13)
-    net, batch = helpers.draw_generic_case(rng)
-    rows = nnet.per_sample_grads(net, batch)
+    rows = helpers.per_sample_grads(net, batch)
     for i in range(batch.n):
-        single = nnet.Batch(batch.features[i : i + 1], batch.labels[i : i + 1])
-        fd = helpers.fd_gradient(net, single)
-        denom = np.maximum(1.0, np.maximum(np.abs(rows[i]), np.abs(fd)))
-        assert np.max(np.abs(rows[i] - fd) / denom) < 1e-6
+        one = nnet.Batch(batch.features[i : i + 1], batch.labels[i : i + 1])
+        np.testing.assert_allclose(nnet.fisher_diag(net, one), rows[i] * rows[i], rtol=1e-12, atol=0)
 
 
 def test_encoder_pullback_matches_central_differences():
