@@ -2,6 +2,8 @@
 
 Source classes are matched to target classes by the Hungarian algorithm on
 the Euclidean distance matrix between class centroids in embedding space.
+Classes are named by slot, their index among the task's ascending class ids
+(tasks.batch_of labels rows that way).
 The solver is the O(n^3) potentials formulation; on top of it a
 lexicographic refinement guarantees a canonical answer when several
 assignments tie on total cost (smallest mapping tuple wins).  A factorial
@@ -14,29 +16,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import nnet
-
-
-@dataclass(frozen=True, eq=False)
-class CentroidSet:
-    """Per-class embedding means, one row per class, ids ascending by construction."""
-
-    class_ids: tuple[int, ...]
-    centroids: np.ndarray
-
-    def __post_init__(self) -> None:
-        ids = tuple(int(c) for c in self.class_ids)
-        c = np.ascontiguousarray(self.centroids, dtype=np.float64)
-        if c.ndim != 2 or c.shape[0] != len(ids) or len(ids) < 1:
-            raise ValueError("centroids must be one finite row per class id")
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate class ids")
-        if np.any(~np.isfinite(c)):
-            raise ValueError("centroid rows must be finite")
-        c.setflags(write=False)
-        object.__setattr__(self, "class_ids", ids)
-        object.__setattr__(self, "centroids", c)
 
 
 @dataclass(frozen=True)
@@ -53,17 +32,18 @@ class Assignment:
         object.__setattr__(self, "mapping", m)
 
 
-def class_centroids(net: nnet.Network, data: nnet.Batch) -> CentroidSet:
-    """Mean embedding per class present in the batch, classes in ascending id order."""
-    emb = nnet.encode(net, data.features)
-    ids = np.unique(data.labels)
-    cents = np.stack([emb[data.labels == cid].mean(axis=0) for cid in ids])
-    return CentroidSet(tuple(int(c) for c in ids), cents)
+def class_centroids(emb: np.ndarray, slots: np.ndarray, n: int) -> np.ndarray:
+    """Mean embedding of each class slot 0..n-1, shape (n, d).
+
+    Every slot needs at least one row; an empty slot's row is NaN, which
+    the solvers reject.
+    """
+    return np.stack([emb[slots == k].mean(axis=0) for k in range(n)])
 
 
-def cost_matrix(a: CentroidSet, b: CentroidSet) -> np.ndarray:
-    """Pairwise Euclidean distances, shape (len(a), len(b))."""
-    diff = a.centroids[:, None, :] - b.centroids[None, :, :]
+def cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances between the rows of a and b, shape (len(a), len(b))."""
+    diff = a[:, None, :] - b[None, :, :]
     return np.sqrt(np.sum(diff * diff, axis=2))
 
 
@@ -182,32 +162,3 @@ def brute_force_assignment(cost: np.ndarray) -> Assignment:
     best = int(np.argmin(totals))
     mapping = tuple(int(j) for j in perms[best])
     return Assignment(mapping, total_cost_of(c, perms[best]))
-
-
-def remap_labels(
-    data: nnet.Batch,
-    source_class_ids: tuple[int, ...] | list[int],
-    assignment: Assignment,
-    target_slot_order: tuple[int, ...] | list[int],
-) -> nnet.Batch:
-    """Rewrite each sample's label to the target-side value its class was matched to.
-
-    source_class_ids fixes the slot of each source class; target_slot_order
-    gives the label value to emit for each target slot.  Passing
-    range(n_classes) emits raw slot indices, which is what head training
-    wants; passing the original id list of the other side round-trips labels.
-    """
-    ids = [int(c) for c in source_class_ids]
-    slots = {cid: k for k, cid in enumerate(ids)}
-    if len(slots) != len(ids):
-        raise ValueError("duplicate source class ids")
-    if len(ids) != len(assignment.mapping) or len(ids) != len(target_slot_order):
-        raise ValueError("class list, assignment and slot order must agree in length")
-    lut = {
-        cid: int(target_slot_order[assignment.mapping[slot]]) for cid, slot in slots.items()
-    }
-    unknown = set(int(v) for v in np.unique(data.labels)) - set(lut)
-    if unknown:
-        raise ValueError(f"labels {sorted(unknown)} not present in source_class_ids")
-    new_labels = np.array([lut[int(v)] for v in data.labels], dtype=np.int64)
-    return nnet.Batch(data.features, new_labels)

@@ -88,8 +88,7 @@ class Batch:
     """Feature matrix (n x d) with one integer label per row.
 
     Label range against a particular head is checked at the ops that involve
-    the head; a Batch may legitimately carry arbitrary nonnegative class ids
-    when only the encoder touches it (centroid extraction).
+    the head.
     """
 
     features: np.ndarray

@@ -120,13 +120,6 @@ class RunReport:
 # phase 1
 
 
-def whole_train_batch(train: tasks.Dataset) -> nnet.Batch:
-    """Training batch with labels compressed to slots 0..C-1 in ascending id order."""
-    ids = np.array(train.class_ids, dtype=np.int64)
-    slots = np.searchsorted(ids, train.labels)
-    return nnet.Batch(train.features, slots)
-
-
 def train_whole_classifier(
     train: tasks.Dataset, spec: nnet.NetworkSpec, schedule: nnet.TrainSchedule
 ) -> nnet.Network:
@@ -137,7 +130,8 @@ def train_whole_classifier(
             f"head_classes={spec.head_classes} but the training set has {n_classes} classes"
         )
     net = nnet.init_network(spec, derive_seed(schedule.seed, 0))
-    trained, history = nnet.train(net, whole_train_batch(train), schedule)
+    batch = tasks.batch_of(train, range(train.n), train.class_ids)
+    trained, history = nnet.train(net, batch, schedule)
     log.debug("whole classifier trained, final loss %.4f", history[-1] if history else np.nan)
     return trained
 
@@ -178,13 +172,6 @@ def build_eps_approx(
     return trained, record
 
 
-def _target_slot_batch(test: tasks.Dataset, target: tasks.TaskSpec) -> nnet.Batch:
-    """Target support rows with labels rewritten to slot indices (ascending id order)."""
-    ids = np.array(sorted(target.class_ids), dtype=np.int64)
-    batch = tasks.batch_of(test, target.support_rows)
-    return nnet.Batch(batch.features, np.searchsorted(ids, batch.labels))
-
-
 def mtas(
     source: tasks.TaskSpec,
     target: tasks.TaskSpec,
@@ -200,22 +187,21 @@ def mtas(
     if len(source.class_ids) != cfg.n_test or len(target.class_ids) != cfg.n_test:
         raise ValueError("source and target must both have n_test classes")
 
-    # 1. class centroids of both tasks under the whole-classification encoder
-    src_all = tasks.batch_of(train_data, source.support_rows + source.query_rows)
-    src_cent = matching.class_centroids(whole, src_all)
-    tgt_cent = matching.class_centroids(whole, tasks.batch_of(test_data, target.support_rows))
+    # 1. both tasks' rows labelled by class slot, and their class centroids
+    #    under the whole-classification encoder
+    src = tasks.batch_of(train_data, source.support_rows + source.query_rows, source.class_ids)
+    tgt = tasks.batch_of(test_data, target.support_rows, target.class_ids)
+    src_cent = matching.class_centroids(nnet.encode(whole, src.features), src.labels, cfg.n_test)
+    tgt_cent = matching.class_centroids(nnet.encode(whole, tgt.features), tgt.labels, cfg.n_test)
 
-    # 2. minimum-cost matching of source classes onto target slots
+    # 2. minimum-cost matching of source slots onto target slots
     assignment = matching.hungarian(matching.cost_matrix(src_cent, tgt_cent))
 
     # 3. rewrite source labels into matched target slots
-    slots = tuple(range(cfg.n_test))
-    sup = matching.remap_labels(
-        tasks.batch_of(train_data, source.support_rows), src_cent.class_ids, assignment, slots
-    )
-    qry = matching.remap_labels(
-        tasks.batch_of(train_data, source.query_rows), src_cent.class_ids, assignment, slots
-    )
+    labels = np.asarray(assignment.mapping)[src.labels]
+    k = len(source.support_rows)
+    sup = nnet.Batch(src.features[:k], labels[:k])
+    qry = nnet.Batch(src.features[k:], labels[k:])
 
     # 4. epsilon-approximation network for the source task
     approx, record = build_eps_approx(
@@ -233,9 +219,7 @@ def mtas(
 
     # 5. unit-trace Fisher diagonals on source query and target support
     f_aa = fisher.normalize_unit_trace(fisher.empirical_fisher_diag(approx, qry))
-    f_ab = fisher.normalize_unit_trace(
-        fisher.empirical_fisher_diag(approx, _target_slot_batch(test_data, target))
-    )
+    f_ab = fisher.normalize_unit_trace(fisher.empirical_fisher_diag(approx, tgt))
 
     # 6. the score
     diagnostics = None
@@ -278,13 +262,6 @@ def sort_ranked(ranked: list[RankedTask]) -> list[RankedTask]:
     return sorted(ranked, key=lambda r: (r.score.value, r.task_id))
 
 
-def rank_sources(ranked: list[RankedTask], top_r: int) -> list[RankedTask]:
-    """The top_r most related tasks (lowest affinity scores)."""
-    if not 1 <= top_r <= len(ranked):
-        raise ValueError("top_r out of range")
-    return sort_ranked(ranked)[:top_r]
-
-
 def related_training_set(
     selected: list[RankedTask], source_tasks: list[tasks.TaskSpec], train: tasks.Dataset
 ) -> RelatedSet:
@@ -311,10 +288,9 @@ def episode_loss_grad(
     The gradient flows through both the query embeddings and the support
     centroids, since both move with the encoder.
     """
-    m = episode.m_way
     es = nnet.encode(net, episode.support.features)
     eq = nnet.encode(net, episode.query.features)
-    cents = np.stack([es[episode.support.labels == c].mean(axis=0) for c in range(m)])
+    cents = matching.class_centroids(es, episode.support.labels, episode.m_way)
 
     diff = eq[:, None, :] - cents[None, :, :]
     d2 = np.sum(diff * diff, axis=2)
@@ -342,7 +318,7 @@ def episode_accuracy(net: nnet.Network, episode: tasks.Episode) -> float:
     """Hard nearest-centroid prediction accuracy; distance ties go to the lowest class."""
     es = nnet.encode(net, episode.support.features)
     eq = nnet.encode(net, episode.query.features)
-    cents = np.stack([es[episode.support.labels == c].mean(axis=0) for c in range(episode.m_way)])
+    cents = matching.class_centroids(es, episode.support.labels, episode.m_way)
     diff = eq[:, None, :] - cents[None, :, :]
     d2 = np.sum(diff * diff, axis=2)
     preds = np.argmin(d2, axis=1)
@@ -572,16 +548,6 @@ def ablation_comparison(
     }
 
 
-def run_full(
-    train: tasks.Dataset,
-    test: tasks.Dataset,
-    spec: nnet.NetworkSpec,
-    cfg: PipelineConfig,
-) -> RunReport:
-    """The standard three-phase run (ablation mode "related")."""
-    return ablation_run(train, test, spec, cfg, mode="related")
-
-
 # ---------------------------------------------------------------------------
 # report serialization
 
@@ -600,10 +566,12 @@ def score_row(r: RankedTask) -> dict:
 
 
 def report_to_doc(report: RunReport) -> dict:
+    """The report as JSON; its score rows leave out the diagnostics, which
+    scores.json carries."""
     edges, counts = report.tas_histogram
     return {
         "ablation_mode": report.ablation_mode,
-        "scores": [score_row(r) for r in report.scores],
+        "scores": [score_row(replace(r, diagnostics=None)) for r in report.scores],
         "selected_labels": {
             "label_set": list(report.selected_labels.label_set),
             "row_indices": list(report.selected_labels.row_indices),
@@ -623,7 +591,6 @@ def report_from_doc(doc: dict) -> RunReport:
                 int(s["task_id"]),
                 fisher.AffinityScore(float(s["score"])),
                 matching.Assignment(tuple(int(j) for j in s["mapping"]), float(s["total_cost"])),
-                s.get("fisher"),
             )
             for s in doc["scores"]
         ),

@@ -213,9 +213,26 @@ def load_csv(path: str) -> Dataset:
 # task construction
 
 
-def batch_of(data: Dataset, rows) -> Batch:
+def batch_of(data: Dataset, rows, class_ids) -> Batch:
+    """The given rows with each label replaced by its class slot.
+
+    A class's slot is its index in class_ids, which must be strictly
+    ascending; every row's label must be one of them and every class must
+    have at least one row.
+    """
+    ids = np.asarray(class_ids, dtype=np.int64)
     idx = np.asarray(rows, dtype=np.int64)
-    return Batch(data.features[idx], data.labels[idx])
+    labels = data.labels[idx]
+    present = np.unique(labels)
+    if not np.array_equal(present, ids):
+        unknown = np.setdiff1d(present, ids)
+        if unknown.size:
+            raise ValueError(f"row labels {unknown.tolist()} are not in class_ids")
+        missing = np.setdiff1d(ids, present)
+        if missing.size:
+            raise ValueError(f"classes {missing.tolist()} have no rows")
+        raise ValueError("class_ids must be strictly ascending")
+    return Batch(data.features[idx], np.searchsorted(ids, labels))
 
 
 def task_from_classes(data: Dataset, class_ids, task_id: int, seed: int) -> TaskSpec:

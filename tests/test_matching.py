@@ -21,42 +21,30 @@ def identity_net(d):
 
 def test_centroids_identity_encoder_mean():
     net = identity_net(2)
-    batch = nnet.Batch(
-        np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 6.0]]), np.array([3, 3, 7])
-    )
-    cs = matching.class_centroids(net, batch)
-    assert cs.class_ids == (3, 7)
-    np.testing.assert_allclose(cs.centroids, [[1.0, 1.0], [4.0, 6.0]], atol=1e-15)
+    x = np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 6.0]])
+    cents = matching.class_centroids(nnet.encode(net, x), np.array([0, 0, 1]), 2)
+    np.testing.assert_allclose(cents, [[1.0, 1.0], [4.0, 6.0]], atol=1e-15)
 
 
 def test_centroids_single_sample_class_is_embedding():
     net = identity_net(3)
     x = np.abs(np.random.default_rng(0).standard_normal((1, 3)))
-    cs = matching.class_centroids(net, nnet.Batch(x, np.array([5])))
-    np.testing.assert_array_equal(cs.centroids, x)
+    cents = matching.class_centroids(nnet.encode(net, x), np.array([0]), 1)
+    np.testing.assert_array_equal(cents, x)
 
 
 def test_centroids_match_loop_means():
     rng = np.random.default_rng(4)
     spec = nnet.NetworkSpec((4, 3), 2, activation="tanh")
     net = nnet.Network(spec, rng.standard_normal(spec.param_count))
-    batch = nnet.Batch(rng.standard_normal((30, 4)), rng.integers(0, 4, 30))
-    cs = matching.class_centroids(net, batch)
-    emb = nnet.encode(net, batch.features)
-    for k, cid in enumerate(cs.class_ids):
-        rows = [i for i in range(30) if batch.labels[i] == cid]
-        np.testing.assert_allclose(
-            cs.centroids[k], np.mean(emb[rows], axis=0), rtol=1e-12
-        )
-
-
-def test_centroid_set_validation():
-    with pytest.raises(ValueError):
-        matching.CentroidSet((1, 1), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        matching.CentroidSet((1, 2), np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        matching.CentroidSet((1,), np.array([[np.inf, 0.0]]))
+    slots = rng.integers(0, 4, 30)
+    assert set(slots.tolist()) == {0, 1, 2, 3}
+    emb = nnet.encode(net, rng.standard_normal((30, 4)))
+    cents = matching.class_centroids(emb, slots, 4)
+    assert cents.shape == (4, 3)
+    for k in range(4):
+        rows = [i for i in range(30) if slots[i] == k]
+        np.testing.assert_allclose(cents[k], np.mean(emb[rows], axis=0), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +52,8 @@ def test_centroid_set_validation():
 
 
 def test_cost_matrix_hand_example():
-    a = matching.CentroidSet((0, 1), np.array([[0.0, 0.0], [3.0, 4.0]]))
-    b = matching.CentroidSet((0, 1), np.array([[0.0, 0.0], [6.0, 8.0]]))
+    a = np.array([[0.0, 0.0], [3.0, 4.0]])
+    b = np.array([[0.0, 0.0], [6.0, 8.0]])
     np.testing.assert_allclose(
         matching.cost_matrix(a, b), [[0.0, 10.0], [5.0, 5.0]], atol=1e-12
     )
@@ -73,8 +61,8 @@ def test_cost_matrix_hand_example():
 
 def test_cost_matrix_transpose_symmetry():
     rng = np.random.default_rng(5)
-    a = matching.CentroidSet(tuple(range(3)), rng.standard_normal((3, 6)))
-    b = matching.CentroidSet(tuple(range(4)), rng.standard_normal((4, 6)))
+    a = rng.standard_normal((3, 6))
+    b = rng.standard_normal((4, 6))
     np.testing.assert_allclose(
         matching.cost_matrix(a, b), matching.cost_matrix(b, a).T, rtol=1e-15
     )
@@ -122,10 +110,8 @@ def test_hungarian_recovers_permutation():
         n = int(rng.integers(2, 7))
         pts = rng.standard_normal((n, 5)) * 3
         perm = rng.permutation(n)
-        a = matching.CentroidSet(tuple(range(n)), pts)
-        b = matching.CentroidSet(tuple(range(n)), pts[perm])
-        # row i of b is pts[perm[i]], so matching b onto a recovers perm
-        out = matching.hungarian(matching.cost_matrix(b, a))
+        # row i of pts[perm] is pts[perm[i]], so matching it onto pts recovers perm
+        out = matching.hungarian(matching.cost_matrix(pts[perm], pts))
         assert out.mapping == tuple(int(j) for j in perm)
         assert out.total_cost == pytest.approx(0.0, abs=1e-12)
 
@@ -140,14 +126,27 @@ def test_hungarian_equals_brute_force_property(seed, n):
     assert h.total_cost == b.total_cost
 
 
+@pytest.mark.parametrize(
+    "solver", [matching.hungarian, matching.brute_force_assignment], ids=["hungarian", "brute"]
+)
+@pytest.mark.parametrize(
+    "cost",
+    [
+        np.array([[1.0, np.nan], [0.0, 1.0]]),
+        np.array([[1.0, 0.0], [np.inf, 1.0]]),
+        np.array([[-1.0, 0.0], [0.0, 1.0]]),
+        np.zeros((2, 3)),
+        np.zeros((0, 0)),
+    ],
+    ids=["nan", "inf", "negative", "non_square", "empty"],
+)
+def test_check_cost_rejects(solver, cost):
+    with pytest.raises(ValueError, match="cost"):
+        solver(cost)
+
+
 def test_cost_validation():
-    with pytest.raises(ValueError):
-        matching.hungarian(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        matching.hungarian(np.array([[1.0, np.nan], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        matching.hungarian(np.array([[-1.0, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="brute force capped"):
         matching.brute_force_assignment(np.zeros((9, 9)))
 
 
@@ -157,42 +156,3 @@ def test_assignment_validation():
     with pytest.raises(ValueError):
         matching.Assignment((1, 2), 1.0)
     assert matching.Assignment((1, 0), 0.5).mapping == (1, 0)
-
-
-# ---------------------------------------------------------------------------
-# label remapping
-
-
-def test_remap_identity_assignment_to_slot_indices():
-    batch = nnet.Batch(np.zeros((4, 2)), np.array([10, 30, 10, 20]))
-    out = matching.remap_labels(
-        batch, [10, 20, 30], matching.Assignment((0, 1, 2), 0.0), [0, 1, 2]
-    )
-    np.testing.assert_array_equal(out.labels, [0, 2, 0, 1])
-    assert out.features is batch.features
-
-
-def test_remap_swap_assignment():
-    batch = nnet.Batch(np.zeros((3, 2)), np.array([5, 6, 5]))
-    out = matching.remap_labels(
-        batch, [5, 6], matching.Assignment((1, 0), 0.0), [0, 1]
-    )
-    np.testing.assert_array_equal(out.labels, [1, 0, 1])
-
-
-def test_remap_into_target_ids_round_trip():
-    batch = nnet.Batch(np.zeros((3, 2)), np.array([7, 9, 7]))
-    asg = matching.Assignment((1, 0), 0.0)
-    # source ids (7, 9) matched onto target ids (40, 50): 7 -> slot 1 -> 50
-    out = matching.remap_labels(batch, [7, 9], asg, [40, 50])
-    np.testing.assert_array_equal(out.labels, [50, 40, 50])
-
-
-def test_remap_errors():
-    batch = nnet.Batch(np.zeros((2, 2)), np.array([1, 4]))
-    with pytest.raises(ValueError):
-        matching.remap_labels(batch, [1, 2], matching.Assignment((0, 1), 0.0), [0, 1])
-    with pytest.raises(ValueError):
-        matching.remap_labels(batch, [1, 1], matching.Assignment((0, 1), 0.0), [0, 1])
-    with pytest.raises(ValueError):
-        matching.remap_labels(batch, [1, 4, 5], matching.Assignment((0, 1), 0.0), [0, 1])

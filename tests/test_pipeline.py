@@ -33,7 +33,7 @@ def tiny():
 @pytest.fixture(scope="module")
 def tiny_run(tiny):
     train, test, spec, cfg = tiny
-    return pipeline.run_full(train, test, spec, cfg)
+    return pipeline.ablation_run(train, test, spec, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +69,7 @@ def test_whole_train_batch_compresses_labels_to_slots():
     data = tasks.Dataset.from_arrays(
         np.zeros((6, 2)), np.array([5, 9, 5, 7, 9, 7])
     )
-    batch = pipeline.whole_train_batch(data)
+    batch = tasks.batch_of(data, range(data.n), data.class_ids)
     np.testing.assert_array_equal(batch.labels, [0, 2, 0, 1, 2, 1])
     np.testing.assert_array_equal(batch.features, data.features)
 
@@ -79,7 +79,7 @@ def test_train_whole_classifier_fits_and_is_deterministic(tiny):
     a = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
     b = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
     assert np.array_equal(a.params, b.params)
-    acc = nnet.evaluate(a, pipeline.whole_train_batch(train))
+    acc = nnet.evaluate(a, tasks.batch_of(train, range(train.n), train.class_ids))
     assert acc > 0.9, f"whole classifier underfits its own training set: {acc}"
 
 
@@ -98,9 +98,8 @@ def _approx_inputs(tiny):
     train, test, spec, cfg = tiny
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
     task = tasks.task_from_classes(train, [0, 1], 0, seed=derive_seed(1005, 1, 0))
-    sup = tasks.batch_of(train, task.support_rows)
-    qry = tasks.batch_of(train, task.query_rows)
-    # labels into slots 0/1 by ascending id (already 0/1 here)
+    sup = tasks.batch_of(train, task.support_rows, task.class_ids)
+    qry = tasks.batch_of(train, task.query_rows, task.class_ids)
     return whole, sup, qry, cfg
 
 
@@ -139,6 +138,55 @@ def test_mtas_requires_matching_class_counts(tiny):
     bad = tasks.task_from_classes(train, [0, 1, 2], 0, seed=5)
     with pytest.raises(ValueError, match="n_test"):
         pipeline.mtas(bad, target, train, test, whole, cfg)
+
+
+def test_mtas_rejects_source_class_without_rows(tiny, monkeypatch):
+    train, test, spec, cfg = tiny
+    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+    rows = train.class_index[0]
+    empty_class = tasks.TaskSpec(0, (0, 1), tuple(rows[:6]), tuple(rows[6:]))
+
+    def never(*args, **kwargs):
+        raise AssertionError("epsilon-approximation training started")
+
+    monkeypatch.setattr(pipeline, "build_eps_approx", never)
+    with pytest.raises(ValueError, match=r"classes \[1\] have no rows"):
+        pipeline.mtas(empty_class, tasks.build_target_task(test), train, test, whole, cfg)
+
+
+def test_mtas_labels_follow_assignment(monkeypatch):
+    # each source row's label is the target slot its class was matched to,
+    # the class's slot being its index in source.class_ids
+    scfg = tasks.SyntheticConfig(4, 6, 40, 16, 6.0, 1.5, 0.8, seed=derive_seed(707, 9))
+    train, test = tasks.family_holdout(scfg, 0, 3)
+    spec = nnet.NetworkSpec((16, 32, 8), 21, "relu")
+    cfg = pipeline.PipelineConfig(
+        s_count=8, n_test=3, top_r=1, m_way=3, k_shot=5, q_query=5, epsilon=0.2,
+        whole_schedule=nnet.TrainSchedule(0.05, 0.9, 10, 32, seed=derive_seed(707, 0)),
+        approx_schedule=nnet.TrainSchedule(0.02, 0.9, 3, 16, seed=derive_seed(707, 3)),
+        finetune_schedule=nnet.TrainSchedule(0.02, 0.9, 1, 1, seed=derive_seed(707, 4)),
+        n_eval_episodes=1, softmax_temperature=1.0, master_seed=707,
+    )
+    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+    source_tasks, target = pipeline.prepare_tasks(train, test, cfg)
+    seen = []
+    build = pipeline.build_eps_approx
+
+    def spy(whole, sup, qry, *args, **kwargs):
+        seen.append((sup, qry))
+        return build(whole, sup, qry, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_eps_approx", spy)
+    mappings = set()
+    for source in source_tasks:
+        mapping = pipeline.mtas(source, target, train, test, whole, cfg).assignment.mapping
+        mappings.add(mapping)
+        sup, qry = seen.pop()
+        for batch, rows in ((sup, source.support_rows), (qry, source.query_rows)):
+            want = [mapping[source.class_ids.index(train.labels[r])] for r in rows]
+            np.testing.assert_array_equal(batch.labels, want)
+            np.testing.assert_array_equal(batch.features, train.features[list(rows)])
+    assert len(mappings) > 1, "every task got the same mapping; the check is too weak"
 
 
 def test_mtas_deterministic_and_diagnostics_agree(tiny):
@@ -286,22 +334,13 @@ def _rt(task_id, value):
 
 def test_rank_sources_lowest_scores_win():
     ranked = [_rt(0, 0.3), _rt(1, 0.1), _rt(2, 0.2)]
-    top = pipeline.rank_sources(ranked, 2)
+    top = pipeline.sort_ranked(ranked)[:2]
     assert [r.task_id for r in top] == [1, 2]
 
 
 def test_rank_sources_tie_breaks_by_task_id():
     ranked = [_rt(2, 0.5), _rt(0, 0.5), _rt(1, 0.2)]
-    top = pipeline.rank_sources(ranked, 3)
-    assert [r.task_id for r in top] == [1, 0, 2]
-
-
-def test_rank_sources_range_errors():
-    ranked = [_rt(0, 0.3), _rt(1, 0.1)]
-    with pytest.raises(ValueError):
-        pipeline.rank_sources(ranked, 0)
-    with pytest.raises(ValueError):
-        pipeline.rank_sources(ranked, 3)
+    assert [r.task_id for r in pipeline.sort_ranked(ranked)] == [1, 0, 2]
 
 
 def test_related_training_set_unions_and_dedupes(tiny):
@@ -549,15 +588,6 @@ def test_run_full_report_structure(tiny, tiny_run):
     )
     for key in ("whole_train_s", "rank_s", "finetune_s", "eval_s"):
         assert rep.timings[key] >= 0.0
-
-
-def test_run_full_equals_related_ablation(tiny, tiny_run):
-    train, test, spec, cfg = tiny
-    rep = pipeline.ablation_run(train, test, spec, cfg, mode="related")
-    assert rep.scores == tiny_run.scores
-    assert rep.selected_labels == tiny_run.selected_labels
-    assert rep.fewshot_accuracy_mean == tiny_run.fewshot_accuracy_mean
-    assert rep.fewshot_ci95 == tiny_run.fewshot_ci95
 
 
 def test_ablation_run_rejects_unknown_mode(tiny):

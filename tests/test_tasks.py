@@ -241,9 +241,21 @@ def test_build_target_task_covers_everything():
 
 def test_batch_of_picks_rows():
     data = tasks.make_synthetic(small_cfg())
-    b = tasks.batch_of(data, [3, 0])
-    np.testing.assert_array_equal(b.features, data.features[[3, 0]])
-    np.testing.assert_array_equal(b.labels, data.labels[[3, 0]])
+    rows = [data.class_index[2][0], data.class_index[0][1], data.class_index[2][1]]
+    b = tasks.batch_of(data, rows, [0, 2])
+    np.testing.assert_array_equal(b.features, data.features[rows])
+    np.testing.assert_array_equal(b.labels, [1, 0, 1])
+
+
+def test_batch_of_rejects_bad_class_ids():
+    data = tasks.make_synthetic(small_cfg())
+    rows = [data.class_index[0][0], data.class_index[2][0]]
+    with pytest.raises(ValueError, match=r"row labels \[2\] are not in class_ids"):
+        tasks.batch_of(data, rows, [0, 1])
+    with pytest.raises(ValueError, match=r"classes \[1\] have no rows"):
+        tasks.batch_of(data, rows, [0, 1, 2])
+    with pytest.raises(ValueError, match="strictly ascending"):
+        tasks.batch_of(data, rows, [2, 0])
 
 
 # ---------------------------------------------------------------------------
