@@ -39,11 +39,11 @@ def main() -> None:
             n_eval_episodes=100, softmax_temperature=1.0, master_seed=m,
         )
         whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-        target = tasks.build_target_task(test)
+        target = pipeline.view_target(tasks.build_target_task(test), test, whole, cfg)
         same = tasks.task_from_classes(train, [0, 1, 2], 100, derive_seed(m, 1, 0))
         disj = tasks.task_from_classes(train, [12, 13, 14], 101, derive_seed(m, 1, 1))
-        s_same = pipeline.mtas(same, target, train, test, whole, cfg).score.value
-        s_disj = pipeline.mtas(disj, target, train, test, whole, cfg).score.value
+        s_same = pipeline.mtas(same, target, train, whole, cfg).score.value
+        s_disj = pipeline.mtas(disj, target, train, whole, cfg).score.value
         won = s_same < s_disj
         wins += won
         print(

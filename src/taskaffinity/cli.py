@@ -17,7 +17,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from . import config as cfgmod
 from . import pipeline, tasks, theorem
@@ -190,9 +190,9 @@ def cmd_theorem1(doc: dict, out: str, seed: int | None) -> int:
         job.dim, job.n_support, job.n_query, job.l2_lambda, job.data_seed
     )
     theta_star = theorem.solve_optimum(problem, tol=job.optimum_tol)
+    seeds = [derive_seed(job.sgd.seed, i) for i in range(job.n_seeds)]
     series = []
-    for i in range(job.n_seeds):
-        traj = theorem.noisy_sgd(problem, replace(job.sgd, seed=derive_seed(job.sgd.seed, i)))
+    for traj in theorem.noisy_sgd(problem, job.sgd, seeds):
         traj.theta_star = theta_star
         series.append(theorem.tas_trajectory(traj, a_query, b_support, problem))
     verdict = theorem.convergence_check(series, job.abs_tol)

@@ -88,6 +88,16 @@ class RankedTask:
 
 
 @dataclass(frozen=True)
+class TargetView:
+    """The target task's support rows labelled by class slot, and their class
+    centroids under the whole-classification encoder: the target side of
+    every source task's score."""
+
+    batch: nnet.Batch
+    centroids: np.ndarray
+
+
+@dataclass(frozen=True)
 class RelatedSet:
     """Union of class labels from selected tasks plus every training row carrying them."""
 
@@ -172,30 +182,39 @@ def build_eps_approx(
     return trained, record
 
 
+def view_target(
+    target: tasks.TaskSpec, test_data: tasks.Dataset, whole: nnet.Network, cfg: PipelineConfig
+) -> TargetView:
+    """The target side of mtas, built once for all source tasks."""
+    if len(target.class_ids) != cfg.n_test:
+        raise ValueError("target must have n_test classes")
+    tgt = tasks.batch_of(test_data, target.support_rows, target.class_ids)
+    cents = matching.class_centroids(nnet.encode(whole, tgt.features), tgt.labels, cfg.n_test)
+    return TargetView(tgt, cents)
+
+
 def mtas(
     source: tasks.TaskSpec,
-    target: tasks.TaskSpec,
+    target: TargetView,
     train_data: tasks.Dataset,
-    test_data: tasks.Dataset,
     whole: nnet.Network,
     cfg: PipelineConfig,
 ) -> RankedTask:
-    """Affinity score of one source task against the target task.
+    """Affinity score of one source task against the target task, whose side
+    view_target has built under the same whole network and config.
 
     With cfg.verbose_fisher the result also carries the task's diagnostics.
     """
-    if len(source.class_ids) != cfg.n_test or len(target.class_ids) != cfg.n_test:
-        raise ValueError("source and target must both have n_test classes")
+    if len(source.class_ids) != cfg.n_test:
+        raise ValueError("source must have n_test classes")
 
-    # 1. both tasks' rows labelled by class slot, and their class centroids
+    # 1. the source rows labelled by class slot, and their class centroids
     #    under the whole-classification encoder
     src = tasks.batch_of(train_data, source.support_rows + source.query_rows, source.class_ids)
-    tgt = tasks.batch_of(test_data, target.support_rows, target.class_ids)
     src_cent = matching.class_centroids(nnet.encode(whole, src.features), src.labels, cfg.n_test)
-    tgt_cent = matching.class_centroids(nnet.encode(whole, tgt.features), tgt.labels, cfg.n_test)
 
     # 2. minimum-cost matching of source slots onto target slots
-    assignment = matching.hungarian(matching.cost_matrix(src_cent, tgt_cent))
+    assignment = matching.hungarian(matching.cost_matrix(src_cent, target.centroids))
 
     # 3. rewrite source labels into matched target slots
     labels = np.asarray(assignment.mapping)[src.labels]
@@ -219,7 +238,7 @@ def mtas(
 
     # 5. unit-trace Fisher diagonals on source query and target support
     f_aa = fisher.normalize_unit_trace(fisher.empirical_fisher_diag(approx, qry))
-    f_ab = fisher.normalize_unit_trace(fisher.empirical_fisher_diag(approx, tgt))
+    f_ab = fisher.normalize_unit_trace(fisher.empirical_fisher_diag(approx, target.batch))
 
     # 6. the score
     diagnostics = None
@@ -253,7 +272,8 @@ def rank_all_sources(
     cfg: PipelineConfig,
 ) -> list[RankedTask]:
     """Score every source task, in ascending task_id order."""
-    results = [mtas(t, target, train_data, test_data, whole, cfg) for t in source_tasks]
+    view = view_target(target, test_data, whole, cfg)
+    results = [mtas(t, view, train_data, whole, cfg) for t in source_tasks]
     return sorted(results, key=lambda r: r.task_id)
 
 

@@ -16,7 +16,7 @@ optimum: the gap should shrink toward zero as steps accumulate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -26,14 +26,21 @@ from .nnet import Batch
 GUARD_NORM = 1e8
 MIN_SEEDS = 5  # fewest SGD seeds whose median gap convergence_check trusts
 _SOLVER_CAP = 200_000
+# Noise vectors (steps x seeds) noisy_sgd draws per chunk: its noise buffer
+# stays at 8192 * d floats however many seeds run.
+_NOISE_CHUNK = 8192
 
 
 class DivergenceError(RuntimeError):
-    """Noisy SGD left the guard ball; .step is the offending step index."""
+    """Noisy SGD left the guard ball; .step is the offending step index and
+    .seed the index, in noisy_sgd's seeds, of the run that left it."""
 
-    def __init__(self, step: int, norm: float):
-        super().__init__(f"iterate norm {norm:.3e} exceeded {GUARD_NORM:.0e} at step {step}")
+    def __init__(self, step: int, seed: int, norm: float):
+        super().__init__(
+            f"seed {seed}: iterate norm {norm:.3e} exceeded {GUARD_NORM:.0e} at step {step}"
+        )
         self.step = step
+        self.seed = seed
 
 
 class SolverError(RuntimeError):
@@ -83,14 +90,19 @@ class StepSchedule:
         if self.kind == "polynomial" and not 0.5 < self.exponent < 1:
             raise ValueError("polynomial exponent must be in (0.5, 1)")
 
-    def eta(self, t: int) -> float:
+    def etas(self, first: int, count: int) -> np.ndarray:
+        """eta_t for t = first .. first + count - 1."""
         if self.kind == "constant":
-            return self.eta0
+            return np.full(count, self.eta0)
+        t = np.arange(first, first + count, dtype=np.float64)
         return self.eta0 * t ** (-self.exponent)
 
 
 @dataclass(frozen=True)
 class NoisySGDConfig:
+    """One noisy-SGD run's settings.  seed is the master seed a caller derives
+    the per-run seeds it passes to noisy_sgd from."""
+
     step_schedule: StepSchedule
     noise_sigma: float
     total_steps: int
@@ -110,7 +122,6 @@ class Trajectory:
     times: np.ndarray
     theta_bars: np.ndarray
     theta_star: Optional[np.ndarray] = None
-    iterates: Optional[np.ndarray] = None  # full history, kept only on request
 
 
 @dataclass
@@ -186,10 +197,14 @@ def solve_optimum(
 ) -> np.ndarray:
     """Full-batch gradient descent to gradient norm < tol.
 
-    Default uses Armijo backtracking; passing fixed_step runs plain descent
-    at that rate (the cross-check route).  Raises SolverError if the budget
-    runs out.
+    Default uses Armijo backtracking, and the step 1/L of the loss's
+    smoothness bound L = ||X||_2^2 / (4n) + 2 lambda once the decrease Armijo
+    asks for is within a few ulps of the loss, where it cannot be resolved.
+    Passing fixed_step runs plain descent at that rate (the cross-check
+    route).  Raises SolverError if the budget runs out.
     """
+    n = p.features.shape[0]
+    smooth_step = 1.0 / (np.linalg.norm(p.features, 2) ** 2 / (4.0 * n) + 2.0 * p.l2_lambda)
     theta = np.zeros(p.dim)
     for _ in range(max_iters):
         g = gradient(p, theta)
@@ -199,8 +214,11 @@ def solve_optimum(
         if fixed_step is not None:
             theta = theta - fixed_step * g
             continue
-        step = 1.0
         base = loss_value(p, theta)
+        if 0.25 * gnorm * gnorm <= 4.0 * np.spacing(base):
+            theta = theta - smooth_step * g
+            continue
+        step = 1.0
         while loss_value(p, theta - step * g) > base - 0.25 * step * gnorm * gnorm:
             step *= 0.5
             if step < 1e-20:
@@ -222,39 +240,69 @@ def checkpoint_times(total_steps: int) -> np.ndarray:
     return np.array(sorted(ts), dtype=np.int64)
 
 
-def noisy_sgd(p: ConvexProblem, cfg: NoisySGDConfig, keep_iterates: bool = False) -> Trajectory:
-    """theta_{t+1} = theta_t - eta_t * (grad L(theta_t) + eps_t), eps_t ~ N(0, sigma^2 I).
+def noisy_sgd(p: ConvexProblem, cfg: NoisySGDConfig, seeds: Sequence[int]) -> list[Trajectory]:
+    """theta_{t+1} = theta_t - eta_t * (grad L(theta_t) + eps_t), eps_t ~ N(0, sigma^2 I),
+    for every seed at once.
 
-    Starts at the origin.  The running mean of iterates theta_1..theta_t is
-    recorded at the checkpoint times.  keep_iterates stores the raw iterates
-    too (tests recompute the running means from them).
+    Row i of the (S, d) iterate block is the run seeded by seeds[i]: it
+    starts at the origin and draws its noise, in chunks, from its own
+    np.random.default_rng(seeds[i]), so its values do not depend on the
+    other seeds beyond rounding (the block's matmuls sum in another order).
+    Returns one Trajectory per seed: the running mean of its iterates
+    theta_1..theta_t at the checkpoint times.  Raises DivergenceError at the
+    first step where an iterate leaves the guard ball, naming the lowest
+    seed index that left it.
     """
-    rng = np.random.default_rng(cfg.seed)
-    theta = np.zeros(p.dim)
-    running_sum = np.zeros(p.dim)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if not rngs:
+        raise ValueError("noisy_sgd needs at least one seed")
+    n_runs, n = len(rngs), p.features.shape[0]
+    # With sign-folded rows z_i = s_i x_i, grad L = c + tanh(theta @ a) @ h + 2 lambda theta,
+    # from sigmoid(-m) = (1 + tanh(-m / 2)) / 2; tanh needs no sign masks.
+    z = _signs(p.labels)[:, None] * p.features
+    a = np.ascontiguousarray(-0.5 * z.T)
+    h = z / (-2.0 * n)
+    c = h.sum(axis=0)
+    two_lambda = 2.0 * p.l2_lambda
+    guard_sq = GUARD_NORM * GUARD_NORM
+
+    theta = np.zeros((n_runs, p.dim))
+    flat = theta.reshape(-1)
+    running_sum = np.zeros_like(theta)
+    u = np.empty((n_runs, n))
+    g = np.empty_like(theta)
     ckpts = checkpoint_times(cfg.total_steps)
-    bars = np.empty((ckpts.size, p.dim))
-    raw = np.empty((cfg.total_steps, p.dim)) if keep_iterates else None
-    next_idx = 0
-    chunk = 8192
+    ckpt_list = ckpts.tolist()
+    bars = np.empty((n_runs, ckpts.size, p.dim))
+    k = 0
+    noise = np.empty((n_runs, max(1, _NOISE_CHUNK // n_runs), p.dim))
     t = 0
     while t < cfg.total_steps:
-        block = min(chunk, cfg.total_steps - t)
-        noise = rng.standard_normal((block, p.dim)) * cfg.noise_sigma
+        block = min(noise.shape[1], cfg.total_steps - t)
+        for rng, rows in zip(rngs, noise):
+            rng.standard_normal(out=rows[:block])
+        noise[:, :block] *= cfg.noise_sigma
+        etas = cfg.step_schedule.etas(t + 1, block)
         for b in range(block):
             t += 1
-            g = gradient(p, theta) + noise[b]
-            theta = theta - cfg.step_schedule.eta(t) * g
-            nrm = float(np.linalg.norm(theta))
-            if nrm > GUARD_NORM:
-                raise DivergenceError(t, nrm)
+            np.matmul(theta, a, out=u)
+            np.tanh(u, out=u)
+            np.matmul(u, h, out=g)
+            g += c
+            g += two_lambda * theta
+            g += noise[:, b]
+            g *= etas[b]
+            theta -= g
+            if flat @ flat > guard_sq:  # the whole block's squared norm bounds each row's
+                sq = np.einsum("ij,ij->i", theta, theta)
+                left = np.flatnonzero(sq > guard_sq)
+                if left.size:
+                    raise DivergenceError(t, int(left[0]), float(np.sqrt(sq[left[0]])))
             running_sum += theta
-            if raw is not None:
-                raw[t - 1] = theta
-            if next_idx < ckpts.size and t == int(ckpts[next_idx]):
-                bars[next_idx] = running_sum / t
-                next_idx += 1
-    return Trajectory(times=ckpts, theta_bars=bars, iterates=raw)
+            if k < len(ckpt_list) and t == ckpt_list[k]:
+                np.divide(running_sum, t, out=bars[:, k])
+                k += 1
+    return [Trajectory(times=ckpts.copy(), theta_bars=run_bars) for run_bars in bars]
 
 
 def tas_trajectory(

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from taskaffinity import nnet
+from taskaffinity import nnet, theorem
 
 FD_STEP = 1e-5
 KINK_GUARD = 10 * FD_STEP
@@ -112,3 +112,34 @@ def fd_worst_relative_error(net, batch):
     fd = fd_gradient(net, batch)
     denom = np.maximum(1.0, np.maximum(np.abs(g), np.abs(fd)))
     return float(np.max(np.abs(g - fd) / denom))
+
+
+def serial_noisy_sgd(p, cfg, seed):
+    """One seed's noisy SGD, one step at a time: theorem.gradient per step,
+    the step size worked out in Python per step, and every iterate kept.
+    Noise comes from np.random.default_rng(seed) in chunks of 8192 rows.
+
+    Returns (checkpoint times, running means at them, (total_steps, d) iterates).
+    """
+    sched = cfg.step_schedule
+    rng = np.random.default_rng(seed)
+    theta = np.zeros(p.dim)
+    running_sum = np.zeros(p.dim)
+    ckpts = theorem.checkpoint_times(cfg.total_steps)
+    bars = np.empty((ckpts.size, p.dim))
+    raw = np.empty((cfg.total_steps, p.dim))
+    next_idx = 0
+    t = 0
+    while t < cfg.total_steps:
+        block = min(8192, cfg.total_steps - t)
+        noise = rng.standard_normal((block, p.dim)) * cfg.noise_sigma
+        for b in range(block):
+            t += 1
+            eta = sched.eta0 if sched.kind == "constant" else sched.eta0 * t ** (-sched.exponent)
+            theta = theta - eta * (theorem.gradient(p, theta) + noise[b])
+            running_sum += theta
+            raw[t - 1] = theta
+            if next_idx < ckpts.size and t == int(ckpts[next_idx]):
+                bars[next_idx] = running_sum / t
+                next_idx += 1
+    return ckpts, bars, raw

@@ -117,10 +117,10 @@ def test_criterion_4_label_permutation_invariance():
         n_eval_episodes=10, softmax_temperature=1.0, master_seed=505,
     )
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    target = tasks.build_target_task(test)
+    target = pipeline.view_target(tasks.build_target_task(test), test, whole, cfg)
     ids = [6, 7, 8, 9]
     source = tasks.task_from_classes(train, ids, 0, derive_seed(505, 1))
-    base = pipeline.mtas(source, target, train, test, whole, cfg).score.value
+    base = pipeline.mtas(source, target, train, whole, cfg).score.value
 
     rng = np.random.default_rng(derive_seed(505, 8))
     perms = set()
@@ -131,7 +131,7 @@ def test_criterion_4_label_permutation_invariance():
         lut = {ids[k]: ids[perm[k]] for k in range(len(ids))}
         new_labels = np.array([lut.get(int(v), int(v)) for v in train.labels])
         relabeled = tasks.Dataset.from_arrays(train.features, new_labels)
-        score = pipeline.mtas(source, target, relabeled, test, whole, cfg).score.value
+        score = pipeline.mtas(source, target, relabeled, whole, cfg).score.value
         exact += score == base
     elapsed = time.perf_counter() - t0
     ok = exact == 20 and elapsed < 120.0
@@ -150,10 +150,9 @@ def test_criterion_5_averaged_sgd_affinity_converges():
     problem, a_query, b_support = theorem.make_logistic_fixture(10, 200, 200, 0.1, 42)
     theta_star = theorem.solve_optimum(problem, tol=1e-10)
     schedule = theorem.StepSchedule("polynomial", 0.1, 0.6)
+    cfg = theorem.NoisySGDConfig(schedule, 0.1, 100_000, 7)
     series = []
-    for i in range(20):
-        cfg = theorem.NoisySGDConfig(schedule, 0.1, 100_000, derive_seed(7, 15, i))
-        traj = theorem.noisy_sgd(problem, cfg)
+    for traj in theorem.noisy_sgd(problem, cfg, [derive_seed(7, 15, i) for i in range(20)]):
         traj.theta_star = theta_star
         series.append(theorem.tas_trajectory(traj, a_query, b_support, problem))
     verdict = theorem.convergence_check(series, 1e-2)
@@ -189,11 +188,11 @@ def test_criterion_6_same_family_scores_lower():
             n_eval_episodes=100, softmax_temperature=1.0, master_seed=m,
         )
         whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-        target = tasks.build_target_task(test)
+        target = pipeline.view_target(tasks.build_target_task(test), test, whole, cfg)
         same = tasks.task_from_classes(train, [0, 1, 2], 100, derive_seed(m, 1, 0))
         disj = tasks.task_from_classes(train, [12, 13, 14], 101, derive_seed(m, 1, 1))
-        s_same = pipeline.mtas(same, target, train, test, whole, cfg).score.value
-        s_disj = pipeline.mtas(disj, target, train, test, whole, cfg).score.value
+        s_same = pipeline.mtas(same, target, train, whole, cfg).score.value
+        s_disj = pipeline.mtas(disj, target, train, whole, cfg).score.value
         wins += s_same < s_disj
     elapsed = time.perf_counter() - t0
     ok = wins >= 8 and elapsed < 300.0

@@ -433,6 +433,16 @@ def test_theorem1_solver_failure_is_an_error_line(tmp_path, monkeypatch, capsys)
     assert "error: optimizer did not reach" in capsys.readouterr().err
 
 
+def test_theorem1_divergence_is_an_error_line(tmp_path, capsys):
+    doc = theorem_doc()
+    doc["sgd"]["schedule"]["eta0"] = 1e6
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["theorem1", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed 0: iterate norm ")
+    assert f"exceeded {theorem.GUARD_NORM:.0e} at step " in err
+
+
 def test_theorem1_too_few_seeds_fails_before_sgd(tmp_path, monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(theorem, "noisy_sgd", lambda *args, **kwargs: calls.append(args))

@@ -135,9 +135,12 @@ def test_mtas_requires_matching_class_counts(tiny):
     train, test, spec, cfg = tiny
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
     target = tasks.build_target_task(test)
+    view = pipeline.view_target(target, test, whole, cfg)
     bad = tasks.task_from_classes(train, [0, 1, 2], 0, seed=5)
-    with pytest.raises(ValueError, match="n_test"):
-        pipeline.mtas(bad, target, train, test, whole, cfg)
+    with pytest.raises(ValueError, match="source must have n_test"):
+        pipeline.mtas(bad, view, train, whole, cfg)
+    with pytest.raises(ValueError, match="target must have n_test"):
+        pipeline.view_target(target, test, whole, replace(cfg, n_test=3))
 
 
 def test_mtas_rejects_source_class_without_rows(tiny, monkeypatch):
@@ -151,7 +154,8 @@ def test_mtas_rejects_source_class_without_rows(tiny, monkeypatch):
 
     monkeypatch.setattr(pipeline, "build_eps_approx", never)
     with pytest.raises(ValueError, match=r"classes \[1\] have no rows"):
-        pipeline.mtas(empty_class, tasks.build_target_task(test), train, test, whole, cfg)
+        view = pipeline.view_target(tasks.build_target_task(test), test, whole, cfg)
+        pipeline.mtas(empty_class, view, train, whole, cfg)
 
 
 def test_mtas_labels_follow_assignment(monkeypatch):
@@ -169,6 +173,7 @@ def test_mtas_labels_follow_assignment(monkeypatch):
     )
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
     source_tasks, target = pipeline.prepare_tasks(train, test, cfg)
+    view = pipeline.view_target(target, test, whole, cfg)
     seen = []
     build = pipeline.build_eps_approx
 
@@ -179,7 +184,7 @@ def test_mtas_labels_follow_assignment(monkeypatch):
     monkeypatch.setattr(pipeline, "build_eps_approx", spy)
     mappings = set()
     for source in source_tasks:
-        mapping = pipeline.mtas(source, target, train, test, whole, cfg).assignment.mapping
+        mapping = pipeline.mtas(source, view, train, whole, cfg).assignment.mapping
         mappings.add(mapping)
         sup, qry = seen.pop()
         for batch, rows in ((sup, source.support_rows), (qry, source.query_rows)):
@@ -193,8 +198,9 @@ def test_mtas_deterministic_and_diagnostics_agree(tiny):
     train, test, spec, cfg = tiny
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
     source_tasks, target = pipeline.prepare_tasks(train, test, cfg)
-    a = pipeline.mtas(source_tasks[0], target, train, test, whole, cfg)
-    b = pipeline.mtas(source_tasks[0], target, train, test, whole, cfg)
+    view = pipeline.view_target(target, test, whole, cfg)
+    a = pipeline.mtas(source_tasks[0], view, train, whole, cfg)
+    b = pipeline.mtas(source_tasks[0], view, train, whole, cfg)
     assert a == b
     assert a.diagnostics is None
     assert 0.0 <= a.score.value <= 1.0 + 1e-12
@@ -207,6 +213,24 @@ def test_mtas_deterministic_and_diagnostics_agree(tiny):
         f_aa = fisher.from_doc(r.diagnostics["f_aa"])
         f_ab = fisher.from_doc(r.diagnostics["f_ab"])
         assert fisher.tas(f_aa, f_ab).value == r.score.value
+
+
+def test_rank_all_sources_builds_the_target_once(tiny, monkeypatch):
+    train, test, spec, cfg = tiny
+    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+    source_tasks, target = pipeline.prepare_tasks(train, test, cfg)
+    want = pipeline.rank_all_sources(source_tasks, target, train, test, whole, cfg)
+    gathered = []
+    batch_of = tasks.batch_of
+
+    def spy(data, rows, class_ids):
+        gathered.append(data is test)
+        return batch_of(data, rows, class_ids)
+
+    monkeypatch.setattr(tasks, "batch_of", spy)
+    assert pipeline.rank_all_sources(source_tasks, target, train, test, whole, cfg) == want
+    # the target's support rows are gathered once, then each source task's rows
+    assert gathered == [True] + [False] * len(source_tasks)
 
 
 def test_mtas_self_task_scores_low():
@@ -227,10 +251,8 @@ def test_mtas_self_task_scores_low():
     ids = [6, 7, 8]
     source = tasks.task_from_classes(data, ids, 0, derive_seed(606, 1))
     test_data, _ = tasks.subset_by_classes(data, ids)
-    target = tasks.build_target_task(test_data)
-    ranked = pipeline.mtas(
-        source, target, data, test_data, whole, replace(cfg, verbose_fisher=True)
-    )
+    target = pipeline.view_target(tasks.build_target_task(test_data), test_data, whole, cfg)
+    ranked = pipeline.mtas(source, target, data, whole, replace(cfg, verbose_fisher=True))
     diag = ranked.diagnostics
     assert diag["reached_target"], "eps-approximation must genuinely reach its target"
     assert diag["achieved_epsilon"] <= cfg.epsilon
@@ -251,10 +273,10 @@ def test_mtas_bitwise_invariant_under_class_relabeling():
         n_eval_episodes=10, softmax_temperature=1.0, master_seed=505,
     )
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    target = tasks.build_target_task(test)
+    target = pipeline.view_target(tasks.build_target_task(test), test, whole, cfg)
     ids = [6, 7, 8, 9]
     source = tasks.task_from_classes(train, ids, 0, derive_seed(505, 1))
-    base = pipeline.mtas(source, target, train, test, whole, cfg).score.value
+    base = pipeline.mtas(source, target, train, whole, cfg).score.value
 
     rng = np.random.default_rng(derive_seed(505, 8))
     seen = set()
@@ -264,7 +286,7 @@ def test_mtas_bitwise_invariant_under_class_relabeling():
         lut = {ids[k]: ids[perm[k]] for k in range(len(ids))}
         new_labels = np.array([lut.get(int(v), int(v)) for v in train.labels])
         relabeled = tasks.Dataset.from_arrays(train.features, new_labels)
-        score = pipeline.mtas(source, target, relabeled, test, whole, cfg).score.value
+        score = pipeline.mtas(source, target, relabeled, whole, cfg).score.value
         assert score == base, f"perm {perm}: {score!r} != {base!r}"
 
 
@@ -284,11 +306,11 @@ def test_mtas_same_family_beats_disjoint_family():
             n_eval_episodes=100, softmax_temperature=1.0, master_seed=m,
         )
         whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-        target = tasks.build_target_task(test)
+        target = pipeline.view_target(tasks.build_target_task(test), test, whole, cfg)
         same = tasks.task_from_classes(train, [0, 1, 2], 100, derive_seed(m, 1, 0))
         disj = tasks.task_from_classes(train, [12, 13, 14], 101, derive_seed(m, 1, 1))
-        s_same = pipeline.mtas(same, target, train, test, whole, cfg).score.value
-        s_disj = pipeline.mtas(disj, target, train, test, whole, cfg).score.value
+        s_same = pipeline.mtas(same, target, train, whole, cfg).score.value
+        s_disj = pipeline.mtas(disj, target, train, whole, cfg).score.value
         assert s_same < s_disj, f"trial {trial}: {s_same:.4f} !< {s_disj:.4f}"
 
 
@@ -311,12 +333,10 @@ def test_mtas_is_directional():
     task_b = tasks.task_from_classes(data, ids_b, 1, derive_seed(606, 1))
     sub_a, _ = tasks.subset_by_classes(data, ids_a)
     sub_b, _ = tasks.subset_by_classes(data, ids_b)
-    s_ab = pipeline.mtas(
-        task_a, tasks.build_target_task(sub_b), data, sub_b, whole, cfg
-    ).score.value
-    s_ba = pipeline.mtas(
-        task_b, tasks.build_target_task(sub_a), data, sub_a, whole, cfg
-    ).score.value
+    view_a = pipeline.view_target(tasks.build_target_task(sub_a), sub_a, whole, cfg)
+    view_b = pipeline.view_target(tasks.build_target_task(sub_b), sub_b, whole, cfg)
+    s_ab = pipeline.mtas(task_a, view_b, data, whole, cfg).score.value
+    s_ba = pipeline.mtas(task_b, view_a, data, whole, cfg).score.value
     assert abs(s_ab - s_ba) > 0.01
     assert 0.0 <= s_ab <= 1.0 and 0.0 <= s_ba <= 1.0
 

@@ -1,11 +1,18 @@
 """Strongly convex logistic model, noisy SGD averaging, and the gap check."""
 
+import json
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import helpers
 from taskaffinity import theorem
 from taskaffinity.nnet import Batch
 from taskaffinity.seeding import derive_seed
+
+THEOREM_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "theorem1.json")
 
 
 def tiny_problem(seed=0, n=40, dim=4, lam=0.2):
@@ -30,10 +37,13 @@ def test_problem_validation():
 
 def test_step_schedule_validation_and_values():
     s = theorem.StepSchedule("constant", 0.3)
-    assert s.eta(1) == s.eta(1000) == 0.3
+    np.testing.assert_array_equal(s.etas(1, 1000), 0.3)
     p = theorem.StepSchedule("polynomial", 0.5, 0.75)
-    assert p.eta(1) == 0.5
-    assert p.eta(16) == pytest.approx(0.5 * 16 ** -0.75)
+    etas = p.etas(1, 16)
+    assert etas.shape == (16,)
+    assert etas[0] == 0.5
+    assert etas[15] == pytest.approx(0.5 * 16 ** -0.75)
+    np.testing.assert_array_equal(p.etas(9, 8), etas[8:])
     with pytest.raises(ValueError):
         theorem.StepSchedule("linear", 0.1)
     with pytest.raises(ValueError):
@@ -127,6 +137,14 @@ def test_solve_optimum_fixed_step_agrees_with_armijo():
     assert np.linalg.norm(a - b) < 1e-9
 
 
+def test_solve_optimum_resolves_gradients_below_the_loss_rounding():
+    # the fixture of `theorem1 --seed derive_seed(1, 0)`: Armijo alone stalls
+    # near |g| = 1e-10, where the decrease it asks for is below the loss's ulp
+    p, _, _ = theorem.make_logistic_fixture(10, 200, 200, 0.1, derive_seed(derive_seed(1, 0), 15))
+    theta = theorem.solve_optimum(p, tol=1e-10, max_iters=3000)
+    assert np.linalg.norm(theorem.gradient(p, theta)) < 1e-10
+
+
 def test_solve_optimum_budget_error():
     p = tiny_problem(11)
     with pytest.raises(RuntimeError, match="did not reach"):
@@ -151,7 +169,7 @@ def test_noisy_sgd_noiseless_average_approaches_optimum():
     p = tiny_problem(12, lam=0.3)
     star = theorem.solve_optimum(p)
     cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.2), 0.0, 4000, seed=1)
-    traj = theorem.noisy_sgd(p, cfg)
+    traj = theorem.noisy_sgd(p, cfg, [1])[0]
     # iterates converge geometrically; the running average lags at O(1/t)
     assert np.linalg.norm(traj.theta_bars[-1] - star) < 1e-2
     gaps = np.linalg.norm(traj.theta_bars - star, axis=1)
@@ -163,7 +181,7 @@ def test_noisy_sgd_at_optimum_stays_put_when_noiseless():
     x = np.array([[1.0, -2.0], [1.0, -2.0]])
     p = theorem.ConvexProblem(x, np.array([1, 0]), 0.3)
     cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.1), 0.0, 50, seed=2)
-    traj = theorem.noisy_sgd(p, cfg)
+    traj = theorem.noisy_sgd(p, cfg, [2])[0]
     np.testing.assert_allclose(traj.theta_bars, 0.0, atol=1e-15)
 
 
@@ -172,27 +190,113 @@ def test_noisy_sgd_running_mean_matches_kept_iterates():
     cfg = theorem.NoisySGDConfig(
         theorem.StepSchedule("polynomial", 0.1, 0.75), 0.2, 500, seed=3
     )
-    traj = theorem.noisy_sgd(p, cfg, keep_iterates=True)
-    assert traj.iterates.shape == (500, p.dim)
+    traj = theorem.noisy_sgd(p, cfg, [3])[0]
+    _, _, iterates = helpers.serial_noisy_sgd(p, cfg, 3)
+    assert iterates.shape == (500, p.dim)
     for idx, t in enumerate(traj.times):
-        recomputed = traj.iterates[: int(t)].mean(axis=0)
+        recomputed = iterates[: int(t)].mean(axis=0)
         np.testing.assert_allclose(traj.theta_bars[idx], recomputed, rtol=1e-12, atol=1e-14)
+
+
+SCHEDULES = [
+    theorem.StepSchedule("constant", 0.05),
+    theorem.StepSchedule("polynomial", 0.1, 0.6),
+]
+
+
+@pytest.mark.parametrize("n_seeds", [1, 2, 5, 7])
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=["constant", "polynomial"])
+def test_noisy_sgd_matches_serial_oracle(n_seeds, schedule, monkeypatch):
+    # a 40-value noise chunk makes 500 steps cross 13 to 88 chunks per seed,
+    # with a short final chunk; each seed's stream must not notice
+    monkeypatch.setattr(theorem, "_NOISE_CHUNK", 40)
+    p = tiny_problem(16)
+    cfg = theorem.NoisySGDConfig(schedule, 0.3, 500, seed=5)
+    seeds = [derive_seed(5, i) for i in range(n_seeds)]
+    trajs = theorem.noisy_sgd(p, cfg, seeds)
+    assert len(trajs) == n_seeds
+    for seed, traj in zip(seeds, trajs):
+        times, bars, _ = helpers.serial_noisy_sgd(p, cfg, seed)
+        np.testing.assert_array_equal(traj.times, times)
+        np.testing.assert_allclose(traj.theta_bars, bars, rtol=0, atol=1e-12)
+
+
+def test_noisy_sgd_matches_serial_oracle_across_full_chunks():
+    # 7 seeds share the 8192-value chunk as 1170 steps each: 2500 steps take 3 chunks
+    p, _, _ = theorem.make_logistic_fixture(10, 200, 200, 0.1, seed=42)
+    cfg = theorem.NoisySGDConfig(theorem.StepSchedule("polynomial", 0.1, 0.6), 0.1, 2500, seed=7)
+    seeds = [derive_seed(7, 15, i) for i in range(7)]
+    for seed, traj in zip(seeds, theorem.noisy_sgd(p, cfg, seeds)):
+        _, bars, _ = helpers.serial_noisy_sgd(p, cfg, seed)
+        np.testing.assert_allclose(traj.theta_bars, bars, rtol=0, atol=1e-12)
 
 
 def test_noisy_sgd_deterministic():
     p = tiny_problem(14)
     cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.05), 0.3, 300, seed=9)
-    a = theorem.noisy_sgd(p, cfg)
-    b = theorem.noisy_sgd(p, cfg)
-    np.testing.assert_array_equal(a.theta_bars, b.theta_bars)
+    a = theorem.noisy_sgd(p, cfg, [9, 10, 11])
+    b = theorem.noisy_sgd(p, cfg, [9, 10, 11])
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x.theta_bars, y.theta_bars)
+    # a seed's run does not depend on the seeds beside it, up to rounding
+    alone = theorem.noisy_sgd(p, cfg, [10])[0].theta_bars
+    np.testing.assert_allclose(alone, a[1].theta_bars, rtol=0, atol=1e-12)
+
+
+def test_noisy_sgd_needs_a_seed():
+    cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.05), 0.3, 10, seed=0)
+    with pytest.raises(ValueError, match="at least one seed"):
+        theorem.noisy_sgd(tiny_problem(14), cfg, [])
 
 
 def test_noisy_sgd_divergence_guard():
     p = tiny_problem(15, lam=0.5)
     cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 1e6), 0.0, 1000, seed=0)
     with pytest.raises(theorem.DivergenceError) as exc:
-        theorem.noisy_sgd(p, cfg)
+        theorem.noisy_sgd(p, cfg, [0, 1])
+    # noiseless runs are identical, so both leave at the same step: the lower index is named
     assert exc.value.step >= 1
+    assert exc.value.seed == 0
+    assert str(exc.value).startswith("seed 0: ")
+
+
+def test_noisy_sgd_divergence_names_the_earliest_seed():
+    # a stable step with huge noise: each seed's iterate norm first passes the
+    # guard at a step set by its own noise, read off the serial oracle
+    p = tiny_problem(15, lam=0.5)
+    cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.5), 5e7, 60, seed=0)
+    seeds = [derive_seed(17, i) for i in range(6)]
+    first = []
+    for seed in seeds:
+        _, _, iterates = helpers.serial_noisy_sgd(p, cfg, seed)
+        over = np.flatnonzero(np.linalg.norm(iterates, axis=1) > theorem.GUARD_NORM)
+        first.append(int(over[0]) + 1 if over.size else cfg.total_steps + 1)
+    step = min(first)
+    want = first.index(step)
+    assert step <= cfg.total_steps and want > 0, "no seed but the first leaves; the check is too weak"
+    # the same seed twice leaves at the same step, and the lower index is named
+    with pytest.raises(theorem.DivergenceError) as exc:
+        theorem.noisy_sgd(p, cfg, seeds[: want + 1] + seeds[want:])
+    assert (exc.value.step, exc.value.seed) == (step, want)
+    assert f"seed {want}:" in str(exc.value)
+
+
+def test_noisy_sgd_noise_buffer_stays_small():
+    # the noise buffer is one chunk shared by all seeds, not one chunk per seed
+    with open(THEOREM_CONFIG) as fh:
+        doc = json.load(fh)
+    fx = doc["fixture"]
+    p, _, _ = theorem.make_logistic_fixture(
+        fx["dim"], fx["n_support"], fx["n_query"], fx["l2_lambda"], fx["data_seed"]
+    )
+    cfg = theorem.NoisySGDConfig(theorem.StepSchedule("polynomial", 0.1, 0.6), 0.1, 20_000, seed=7)
+    tracemalloc.start()
+    try:
+        theorem.noisy_sgd(p, cfg, [derive_seed(7, i) for i in range(20)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"traced peak {peak} B"
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +306,11 @@ def test_noisy_sgd_divergence_guard():
 def _fixture_series(n_seeds=10, total_steps=2000):
     p, qa, sb = theorem.make_logistic_fixture(10, 200, 200, 0.1, seed=42)
     star = theorem.solve_optimum(p, tol=1e-10)
+    cfg = theorem.NoisySGDConfig(
+        theorem.StepSchedule("polynomial", 0.1, 0.6), 0.1, total_steps, seed=7
+    )
     out = []
-    for i in range(n_seeds):
-        cfg = theorem.NoisySGDConfig(
-            theorem.StepSchedule("polynomial", 0.1, 0.6), 0.1, total_steps,
-            seed=derive_seed(7, 15, i),
-        )
-        traj = theorem.noisy_sgd(p, cfg)
+    for traj in theorem.noisy_sgd(p, cfg, [derive_seed(7, 15, i) for i in range(n_seeds)]):
         traj.theta_star = star
         out.append(theorem.tas_trajectory(traj, qa, sb, p))
     return out
@@ -218,7 +320,7 @@ def test_tas_trajectory_identical_datasets_give_zero():
     p, qa, _ = theorem.make_logistic_fixture(6, 50, 50, 0.1, seed=1)
     star = theorem.solve_optimum(p, tol=1e-8)
     cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.1), 0.05, 100, seed=4)
-    traj = theorem.noisy_sgd(p, cfg)
+    traj = theorem.noisy_sgd(p, cfg, [4])[0]
     traj.theta_star = star
     series = theorem.tas_trajectory(traj, qa, qa, p)
     np.testing.assert_allclose(series.values, 0.0, atol=1e-12)
@@ -235,7 +337,7 @@ def test_tas_trajectory_values_in_range():
 def test_tas_trajectory_requires_theta_star():
     p, qa, sb = theorem.make_logistic_fixture(4, 30, 30, 0.1, seed=2)
     cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.1), 0.0, 10, seed=0)
-    traj = theorem.noisy_sgd(p, cfg)
+    traj = theorem.noisy_sgd(p, cfg, [0])[0]
     with pytest.raises(ValueError, match="theta_star"):
         theorem.tas_trajectory(traj, qa, sb, p)
 
@@ -265,12 +367,9 @@ def test_s_star_matches_single_checkpoint_at_optimum():
 def test_convergence_check_noiseless_passes_tight():
     p, qa, sb = theorem.make_logistic_fixture(8, 100, 100, 0.2, seed=5)
     star = theorem.solve_optimum(p, tol=1e-12)
+    cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.2), 0.0, 3000, seed=0)
     out = []
-    for i in range(5):
-        cfg = theorem.NoisySGDConfig(
-            theorem.StepSchedule("constant", 0.2), 0.0, 3000, seed=i
-        )
-        traj = theorem.noisy_sgd(p, cfg)
+    for traj in theorem.noisy_sgd(p, cfg, range(5)):
         traj.theta_star = star
         out.append(theorem.tas_trajectory(traj, qa, sb, p))
     report = theorem.convergence_check(out, abs_tol=1e-3)
