@@ -65,25 +65,6 @@ def _load_data(src: cfgmod.DataSource) -> tuple[tasks.Dataset, tasks.Dataset]:
     return tasks.load_csv(src.train_csv), tasks.load_csv(src.test_csv)
 
 
-def _pipeline_cfg(job: cfgmod.PipelineJob) -> pipeline.PipelineConfig:
-    return pipeline.PipelineConfig(
-        s_count=job.s_count,
-        n_test=job.n_test,
-        top_r=job.top_r,
-        m_way=job.m_way,
-        k_shot=job.k_shot,
-        q_query=job.q_query,
-        epsilon=job.epsilon,
-        whole_schedule=job.whole_schedule,
-        approx_schedule=job.approx_schedule,
-        finetune_schedule=job.finetune_schedule,
-        n_eval_episodes=job.n_eval_episodes,
-        softmax_temperature=job.softmax_temperature,
-        master_seed=job.master_seed,
-        verbose_fisher=job.verbose_fisher,
-    )
-
-
 def _hist_csv(edges: tuple[float, ...], counts: tuple[int, ...]) -> str:
     lines = ["bin_lo,bin_hi,count"]
     for lo, hi, c in zip(edges[:-1], edges[1:], counts):
@@ -112,11 +93,19 @@ def _scores_doc(
     }
 
 
+def _echo(job: cfgmod.PipelineJob) -> dict:
+    """The config echo of a tas or fewshot job: one flat dict, the pipeline
+    settings beside the data and network fields."""
+    echo = asdict(job)
+    echo.update(echo.pop("pipeline"))
+    return echo
+
+
 def _setup(job: cfgmod.PipelineJob):
     """Data, network spec and pipeline config of a tas or fewshot job."""
     train, test = _load_data(job.data)
     spec = NetworkSpec(job.layer_widths, len(train.class_ids), job.activation)
-    return train, test, spec, _pipeline_cfg(job)
+    return train, test, spec, job.pipeline
 
 
 def cmd_synth(doc: dict, out: str, seed: int | None) -> int:
@@ -134,7 +123,7 @@ def cmd_tas(doc: dict, out: str, seed: int | None) -> int:
     job = cfgmod.parse_pipeline(doc)
     if seed is not None:
         job = cfgmod.override_pipeline_seeds(job, seed)
-    echo = asdict(job)
+    echo = _echo(job)
     run_id = _run_id("tas", echo)
     t0 = time.perf_counter()
     train, test, spec, cfg = _setup(job)
@@ -155,7 +144,7 @@ def cmd_fewshot(doc: dict, out: str, seed: int | None, ablation: str) -> int:
     job = cfgmod.parse_pipeline(doc)
     if seed is not None:
         job = cfgmod.override_pipeline_seeds(job, seed)
-    echo = asdict(job)
+    echo = _echo(job)
     echo["ablation"] = ablation
     run_id = _run_id("fewshot", echo)
     train, test, spec, cfg = _setup(job)
@@ -191,16 +180,16 @@ def cmd_theorem1(doc: dict, out: str, seed: int | None) -> int:
     )
     theta_star = theorem.solve_optimum(problem, tol=job.optimum_tol)
     seeds = [derive_seed(job.sgd.seed, i) for i in range(job.n_seeds)]
-    series = []
-    for traj in theorem.noisy_sgd(problem, job.sgd, seeds):
-        traj.theta_star = theta_star
-        series.append(theorem.tas_trajectory(traj, a_query, b_support, problem))
+    series = [
+        theorem.tas_trajectory(traj, theta_star, a_query, b_support, problem)
+        for traj in theorem.noisy_sgd(problem, job.sgd, seeds)
+    ]
     verdict = theorem.convergence_check(series, job.abs_tol)
 
     lines = ["seed,t,s_t,gap"]
     for i, s in enumerate(series):
         for t, v in zip(s.times, s.values):
-            lines.append(f"{i},{int(t)},{v!r},{abs(v - s.s_star)!r}")
+            lines.append(f"{i},{int(t)},{float(v)!r},{float(abs(v - s.s_star))!r}")
     _atomic_write(os.path.join(out, "theorem1_series.csv"), "\n".join(lines) + "\n")
     _write_json(
         os.path.join(out, "report.json"),
@@ -240,12 +229,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="re-derive all embedded seeds")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument(
-            "--ablation",
-            choices=pipeline.ABLATION_MODES,
-            default="related",
-            help="label-set choice for the fewshot command",
-        )
+        if name == "fewshot":
+            p.add_argument(
+                "--ablation",
+                choices=pipeline.ABLATION_MODES,
+                default="related",
+                help="label-set choice for fine-tuning",
+            )
     return parser
 
 

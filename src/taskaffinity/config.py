@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Optional
 
 from .nnet import TrainSchedule
+from .pipeline import PipelineConfig
 from .seeding import derive_seed
 from .tasks import SyntheticConfig
 from .theorem import MIN_SEEDS, NoisySGDConfig, StepSchedule
@@ -109,20 +110,7 @@ class PipelineJob:
     data: DataSource
     layer_widths: tuple[int, ...]
     activation: str
-    s_count: int
-    n_test: int
-    top_r: int
-    m_way: int
-    k_shot: int
-    q_query: int
-    epsilon: float
-    whole_schedule: TrainSchedule
-    approx_schedule: TrainSchedule
-    finetune_schedule: TrainSchedule
-    n_eval_episodes: int
-    softmax_temperature: float
-    master_seed: int
-    verbose_fisher: bool = False
+    pipeline: PipelineConfig
 
 
 @dataclass(frozen=True)
@@ -181,10 +169,7 @@ def parse_pipeline(doc: Any) -> PipelineJob:
     _done(nd, "network")
     pl = _take(d, "pipeline", "", dict)
     pd = dict(pl)
-    job = PipelineJob(
-        data=data,
-        layer_widths=widths,
-        activation=activation,
+    cfg = PipelineConfig(
         s_count=_take(pd, "s_count", "pipeline", int),
         n_test=_take(pd, "n_test", "pipeline", int),
         top_r=_take(pd, "top_r", "pipeline", int),
@@ -202,7 +187,7 @@ def parse_pipeline(doc: Any) -> PipelineJob:
     )
     _done(pd, "pipeline")
     _done(d, "")
-    return job
+    return PipelineJob(data, widths, activation, cfg)
 
 
 def parse_theorem(doc: Any) -> TheoremJob:
@@ -258,13 +243,17 @@ def override_pipeline_seeds(job: PipelineJob, master: int) -> PipelineJob:
     data = job.data
     if data.synthetic is not None:
         data = replace(data, synthetic=replace(data.synthetic, seed=derive_seed(master, 10)))
+    cfg = job.pipeline
     return replace(
         job,
         data=data,
-        master_seed=derive_seed(master, 11),
-        whole_schedule=replace(job.whole_schedule, seed=derive_seed(master, 12)),
-        approx_schedule=replace(job.approx_schedule, seed=derive_seed(master, 13)),
-        finetune_schedule=replace(job.finetune_schedule, seed=derive_seed(master, 14)),
+        pipeline=replace(
+            cfg,
+            master_seed=derive_seed(master, 11),
+            whole_schedule=replace(cfg.whole_schedule, seed=derive_seed(master, 12)),
+            approx_schedule=replace(cfg.approx_schedule, seed=derive_seed(master, 13)),
+            finetune_schedule=replace(cfg.finetune_schedule, seed=derive_seed(master, 14)),
+        ),
     )
 
 

@@ -7,9 +7,9 @@ trace, the affinity score between them is
     s = (1/sqrt(2)) * || sqrt(F_aa) - sqrt(F_ab) ||_F
 
 taken entrywise over the diagonals.  For unit-trace inputs the score lands in
-[0, 1]: 0 for identical diagonals, 1 for disjoint support.  A trace-form
-oracle (sum of f_a + f_b - 2*sqrt(f_a*f_b)) is kept alongside as an
-independent route to the same number.
+[0, 1]: 0 for identical diagonals, 1 for disjoint support.  The tests
+check it against an independent trace-form route to the same number
+(sum of f_a + f_b - 2*sqrt(f_a*f_b)).
 """
 
 from __future__ import annotations
@@ -49,14 +49,6 @@ class AffinityScore:
     value: float
 
 
-def fisher_from_grads(per_sample: np.ndarray) -> FisherDiagonal:
-    """Diagonal from a stack of per-sample gradients: mean of squares per column."""
-    g = np.ascontiguousarray(per_sample, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] < 1:
-        raise ValueError("need a nonempty (n_samples, n_params) gradient stack")
-    return FisherDiagonal(np.mean(g * g, axis=0))
-
-
 def empirical_fisher_diag(net: nnet.Network, data: nnet.Batch) -> FisherDiagonal:
     """Fisher diagonal of a network over a batch; covers all parameters, head included."""
     return FisherDiagonal(nnet.fisher_diag(net, data))
@@ -84,19 +76,7 @@ def tas(f_aa: FisherDiagonal, f_ab: FisherDiagonal) -> AffinityScore:
     return AffinityScore(float(np.sqrt(np.sum(d * d)) / np.sqrt(2.0)))
 
 
-def frechet_diag_oracle(f_a: FisherDiagonal, f_b: FisherDiagonal) -> AffinityScore:
-    """Independent trace-form route to the same score, for cross-checking."""
-    _check_pair(f_a, f_b)
-    a, b = f_a.entries, f_b.entries
-    inner = np.sum(a + b - 2.0 * np.sqrt(a * b))
-    # tiny negative residue from rounding would NaN the sqrt
-    return AffinityScore(float(np.sqrt(max(inner, 0.0)) / np.sqrt(2.0)))
-
-
 def to_doc(f: FisherDiagonal) -> dict:
     """JSON-able form, used by the verbose debugging output."""
     return {"entries": f.entries.tolist(), "normalized": f.normalized}
 
-
-def from_doc(doc: dict) -> FisherDiagonal:
-    return FisherDiagonal(np.asarray(doc["entries"], dtype=np.float64), bool(doc["normalized"]))

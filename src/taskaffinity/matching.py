@@ -6,13 +6,12 @@ Classes are named by slot, their index among the task's ascending class ids
 (tasks.batch_of labels rows that way).
 The solver is the O(n^3) potentials formulation; on top of it a
 lexicographic refinement guarantees a canonical answer when several
-assignments tie on total cost (smallest mapping tuple wins).  A factorial
-brute-force oracle with the identical tie-break is kept for cross-checking.
+assignments tie on total cost (smallest mapping tuple wins).  The tests
+check it against a factorial brute-force scan with the same tie-break.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,25 +139,3 @@ def hungarian(cost: np.ndarray) -> Assignment:
         free_cols.remove(best_j)
     return Assignment(tuple(int(j) for j in chosen), total_cost_of(c, chosen))
 
-
-_BRUTE_FORCE_CAP = 8
-
-
-def brute_force_assignment(cost: np.ndarray) -> Assignment:
-    """Exhaustive oracle (n <= 8): scan all permutations in lexicographic order,
-    keep the first one attaining the minimum total.
-
-    itertools emits permutations of range(n) in lexicographic order and
-    np.argmin returns the first minimum, so the tie-break matches hungarian.
-    The batched axis-1 sums are bitwise equal to total_cost_of's per-row sum
-    (same pairwise reduction over the same n contiguous values).
-    """
-    c = _check_cost(cost)
-    n = c.shape[0]
-    if n > _BRUTE_FORCE_CAP:
-        raise ValueError(f"brute force capped at n <= {_BRUTE_FORCE_CAP}")
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    totals = c[np.arange(n)[None, :], perms].sum(axis=1)
-    best = int(np.argmin(totals))
-    mapping = tuple(int(j) for j in perms[best])
-    return Assignment(mapping, total_cost_of(c, perms[best]))

@@ -2,8 +2,8 @@
 
 A network is an encoder (stack of fully connected layers, each followed by
 the configured activation) plus a linear classification head.  Parameters
-live in one flat float64 vector so that Fisher diagonals, serialization and
-optimizer state are trivial to handle.  Everything is deterministic given a
+live in one flat float64 vector so that Fisher diagonals and optimizer
+state are trivial to handle.  Everything is deterministic given a
 seed, and minibatch order is keyed to sample indices only, never to label
 values.
 
@@ -13,8 +13,7 @@ layer 1 W then bias, ..., head W (embedding x classes) then head bias.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -393,33 +392,3 @@ def replace_head(net: Network, n_classes: int, seed: int) -> Network:
     head_w = rng.uniform(-scale, scale, size=new_spec.embedding_dim * n_classes)
     enc = net.params[encoder_slice(net.spec)]
     return Network(new_spec, np.concatenate([enc, head_w, np.zeros(n_classes)]))
-
-
-# ---------------------------------------------------------------------------
-# serialization (JSON; float64 round-trips bit-exactly through repr)
-
-
-def to_json_doc(net: Network) -> dict:
-    return {
-        "layer_widths": list(net.spec.layer_widths),
-        "head_classes": net.spec.head_classes,
-        "activation": net.spec.activation,
-        "params": net.params.tolist(),
-    }
-
-
-def from_json_doc(doc: dict) -> Network:
-    spec = NetworkSpec(
-        tuple(doc["layer_widths"]), int(doc["head_classes"]), str(doc["activation"])
-    )
-    return Network(spec, np.asarray(doc["params"], dtype=np.float64))
-
-
-def save_network(net: Network, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_doc(net), fh)
-
-
-def load_network(path: str) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_json_doc(json.load(fh))

@@ -603,28 +603,3 @@ def report_to_doc(report: RunReport) -> dict:
         "timings": dict(report.timings),
     }
 
-
-def report_from_doc(doc: dict) -> RunReport:
-    return RunReport(
-        scores=tuple(
-            RankedTask(
-                int(s["task_id"]),
-                fisher.AffinityScore(float(s["score"])),
-                matching.Assignment(tuple(int(j) for j in s["mapping"]), float(s["total_cost"])),
-            )
-            for s in doc["scores"]
-        ),
-        selected_labels=RelatedSet(
-            tuple(int(c) for c in doc["selected_labels"]["label_set"]),
-            tuple(int(r) for r in doc["selected_labels"]["row_indices"]),
-        ),
-        tas_histogram=(
-            tuple(float(e) for e in doc["tas_histogram"]["edges"]),
-            tuple(int(c) for c in doc["tas_histogram"]["counts"]),
-        ),
-        label_frequency={int(k): int(v) for k, v in doc["label_frequency"].items()},
-        fewshot_accuracy_mean=float(doc["fewshot_accuracy_mean"]),
-        fewshot_ci95=float(doc["fewshot_ci95"]),
-        timings={str(k): float(v) for k, v in doc["timings"].items()},
-        ablation_mode=str(doc["ablation_mode"]),
-    )

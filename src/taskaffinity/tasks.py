@@ -167,8 +167,7 @@ def make_synthetic(cfg: SyntheticConfig) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# CSV interchange: header f0,...,f{d-1},label; floats written with repr so a
-# load/save round trip is bit-exact.
+# CSV interchange
 
 
 def csv_text(data: Dataset) -> str:
@@ -179,11 +178,6 @@ def csv_text(data: Dataset) -> str:
         cells.append(str(int(data.labels[i])))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def save_csv(data: Dataset, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(csv_text(data))
 
 
 def load_csv(path: str) -> Dataset:

@@ -121,7 +121,6 @@ class Trajectory:
 
     times: np.ndarray
     theta_bars: np.ndarray
-    theta_star: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -170,19 +169,23 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def per_sample_gradients(
-    features: np.ndarray, labels: np.ndarray, theta: np.ndarray, l2_lambda: float
-) -> np.ndarray:
-    """Row i is the gradient of sample i's regularized loss; the mean recovers gradient()."""
-    s = _signs(np.asarray(labels, dtype=np.int64))
-    w = -s * _sigmoid(-s * (np.asarray(features) @ theta))
-    return np.asarray(features) * w[:, None] + 2.0 * l2_lambda * theta[None, :]
-
-
 def fisher_diag_at(theta: np.ndarray, data: Batch, l2_lambda: float) -> fisher.FisherDiagonal:
-    """Unit-trace Fisher diagonal of the logistic model at theta over a dataset."""
-    g = per_sample_gradients(data.features, data.labels, theta, l2_lambda)
-    return fisher.normalize_unit_trace(fisher.fisher_from_grads(g))
+    """Unit-trace Fisher diagonal of the logistic model at theta over a dataset.
+
+    Sample i's gradient is w_i x_i + 2 lambda theta, so the mean of its square
+    is (X*X)^T (w*w) / n + 4 lambda theta * (X^T w) / n + 4 lambda^2 theta*theta;
+    no per-sample gradient is formed.
+    """
+    x = data.features
+    s = _signs(data.labels)
+    w = -s * _sigmoid(-s * (x @ theta))
+    n = x.shape[0]
+    entries = (
+        (x * x).T @ (w * w) / n
+        + 4.0 * l2_lambda * theta * (x.T @ w) / n
+        + 4.0 * l2_lambda * l2_lambda * theta * theta
+    )
+    return fisher.normalize_unit_trace(fisher.FisherDiagonal(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +309,14 @@ def noisy_sgd(p: ConvexProblem, cfg: NoisySGDConfig, seeds: Sequence[int]) -> li
 
 
 def tas_trajectory(
-    traj: Trajectory, data_a_query: Batch, data_b_support: Batch, p: ConvexProblem
+    traj: Trajectory,
+    theta_star: np.ndarray,
+    data_a_query: Batch,
+    data_b_support: Batch,
+    p: ConvexProblem,
 ) -> TasSeries:
     """Affinity between the two datasets' Fisher diagonals at each averaged
-    checkpoint, plus the same quantity at the optimum stored on the trajectory."""
-    if traj.theta_star is None:
-        raise ValueError("trajectory needs theta_star; run solve_optimum first")
+    checkpoint, plus the same quantity at the optimum theta_star."""
 
     def score_at(theta: np.ndarray, where: str) -> float:
         try:
@@ -324,7 +329,7 @@ def tas_trajectory(
     values = np.array(
         [score_at(tb, f"checkpoint t={int(t)}") for t, tb in zip(traj.times, traj.theta_bars)]
     )
-    return TasSeries(traj.times.copy(), values, score_at(traj.theta_star, "the optimum"))
+    return TasSeries(traj.times.copy(), values, score_at(theta_star, "the optimum"))
 
 
 def convergence_check(series: list[TasSeries], abs_tol: float) -> ConvergenceReport:

@@ -1,5 +1,9 @@
 """Hand-rolled oracles shared by the unit and acceptance suites.
 
+Reference routes the package itself no longer carries live here: the
+brute-force assignment scan, the trace-form affinity score, and the
+logistic model's per-sample gradient rows.
+
 The forward oracle re-derives the flat parameter layout with plain Python
 loops, so a layout or indexing bug in the production code cannot cancel out.
 The finite-difference harness probes the production loss at generic points:
@@ -9,11 +13,12 @@ finite-difference straddle is redrawn -- central differences are only a
 derivative oracle on the smooth region.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from taskaffinity import nnet, theorem
+from taskaffinity import fisher, matching, nnet, theorem
 
 FD_STEP = 1e-5
 KINK_GUARD = 10 * FD_STEP
@@ -143,3 +148,43 @@ def serial_noisy_sgd(p, cfg, seed):
                 bars[next_idx] = running_sum / t
                 next_idx += 1
     return ckpts, bars, raw
+
+
+BRUTE_FORCE_CAP = 8
+
+
+def brute_force_assignment(cost):
+    """Exhaustive oracle (n <= 8): scan all permutations in lexicographic order,
+    keep the first one attaining the minimum total.
+
+    itertools emits permutations of range(n) in lexicographic order and
+    np.argmin returns the first minimum, so the tie-break matches hungarian.
+    The batched axis-1 sums are bitwise equal to total_cost_of's per-row sum
+    (same pairwise reduction over the same n contiguous values).
+    """
+    c = matching._check_cost(cost)
+    n = c.shape[0]
+    if n > BRUTE_FORCE_CAP:
+        raise ValueError(f"brute force capped at n <= {BRUTE_FORCE_CAP}")
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    totals = c[np.arange(n)[None, :], perms].sum(axis=1)
+    best = int(np.argmin(totals))
+    mapping = tuple(int(j) for j in perms[best])
+    return matching.Assignment(mapping, matching.total_cost_of(c, perms[best]))
+
+
+def frechet_diag_oracle(f_a, f_b):
+    """Trace-form route to the affinity score: sqrt(sum(a + b - 2 sqrt(ab)) / 2)."""
+    fisher._check_pair(f_a, f_b)
+    a, b = f_a.entries, f_b.entries
+    inner = np.sum(a + b - 2.0 * np.sqrt(a * b))
+    # tiny negative residue from rounding would NaN the sqrt
+    return fisher.AffinityScore(float(np.sqrt(max(inner, 0.0)) / np.sqrt(2.0)))
+
+
+def per_sample_gradients(features, labels, theta, l2_lambda):
+    """Row i is the gradient of sample i's L2-regularized logistic loss; the
+    mean recovers theorem.gradient()."""
+    s = 2.0 * np.asarray(labels, dtype=np.int64) - 1.0
+    w = -s * theorem._sigmoid(-s * (np.asarray(features) @ theta))
+    return np.asarray(features) * w[:, None] + 2.0 * l2_lambda * theta[None, :]

@@ -89,7 +89,7 @@ def test_criterion_3_matching_is_exactly_optimal():
         for _ in range(200):
             cost = rng.random((n, n)) * 10.0
             got = matching.hungarian(cost)
-            want = matching.brute_force_assignment(cost)
+            want = helpers.brute_force_assignment(cost)
             if sorted(got.mapping) != list(range(n)) or got.total_cost != want.total_cost:
                 bad += 1
     elapsed = time.perf_counter() - t0
@@ -151,10 +151,10 @@ def test_criterion_5_averaged_sgd_affinity_converges():
     theta_star = theorem.solve_optimum(problem, tol=1e-10)
     schedule = theorem.StepSchedule("polynomial", 0.1, 0.6)
     cfg = theorem.NoisySGDConfig(schedule, 0.1, 100_000, 7)
-    series = []
-    for traj in theorem.noisy_sgd(problem, cfg, [derive_seed(7, 15, i) for i in range(20)]):
-        traj.theta_star = theta_star
-        series.append(theorem.tas_trajectory(traj, a_query, b_support, problem))
+    series = [
+        theorem.tas_trajectory(traj, theta_star, a_query, b_support, problem)
+        for traj in theorem.noisy_sgd(problem, cfg, [derive_seed(7, 15, i) for i in range(20)])
+    ]
     verdict = theorem.convergence_check(series, 1e-2)
     elapsed = time.perf_counter() - t0
     ok = verdict.passed and elapsed < 120.0

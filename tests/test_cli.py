@@ -63,9 +63,9 @@ def test_parse_pipeline_valid_doc():
     assert job.activation == "relu"
     assert job.data.synthetic.n_families == 3
     assert job.data.target_family == 2
-    assert job.whole_schedule.epochs == 30
-    assert job.verbose_fisher is False
-    assert job.master_seed == 1005
+    assert job.pipeline.whole_schedule.epochs == 30
+    assert job.pipeline.verbose_fisher is False
+    assert job.pipeline.master_seed == 1005
 
 
 def test_parse_pipeline_csv_variant():
@@ -119,8 +119,8 @@ def test_parse_pipeline_coerces_int_to_float():
     doc = pipeline_doc()
     doc["pipeline"]["softmax_temperature"] = 2  # int in JSON, float field
     job = cfgmod.parse_pipeline(doc)
-    assert job.softmax_temperature == 2.0
-    assert isinstance(job.softmax_temperature, float)
+    assert job.pipeline.softmax_temperature == 2.0
+    assert isinstance(job.pipeline.softmax_temperature, float)
 
 
 def test_parse_pipeline_rejects_string_widths():
@@ -164,13 +164,13 @@ def test_override_pipeline_seeds_rederives_every_stream():
     job = cfgmod.parse_pipeline(pipeline_doc())
     out = cfgmod.override_pipeline_seeds(job, 77)
     assert out.data.synthetic.seed == derive_seed(77, 10)
-    assert out.master_seed == derive_seed(77, 11)
-    assert out.whole_schedule.seed == derive_seed(77, 12)
-    assert out.approx_schedule.seed == derive_seed(77, 13)
-    assert out.finetune_schedule.seed == derive_seed(77, 14)
+    assert out.pipeline.master_seed == derive_seed(77, 11)
+    assert out.pipeline.whole_schedule.seed == derive_seed(77, 12)
+    assert out.pipeline.approx_schedule.seed == derive_seed(77, 13)
+    assert out.pipeline.finetune_schedule.seed == derive_seed(77, 14)
     # everything else untouched
-    assert out.whole_schedule.epochs == job.whole_schedule.epochs
-    assert out.s_count == job.s_count
+    assert out.pipeline.whole_schedule.epochs == job.pipeline.whole_schedule.epochs
+    assert out.pipeline.s_count == job.pipeline.s_count
 
 
 def test_override_synth_and_theorem_seeds():
@@ -223,12 +223,12 @@ def test_tas_command_outputs_and_ranking(tmp_path):
 
     values = [row["score"] for row in doc["scores"]]
     assert values == sorted(values)
-    assert len(values) == job.s_count
+    assert len(values) == job.pipeline.s_count
 
     # histogram csv counts sum to the task count
     with open(os.path.join(out, "tas_hist.csv")) as fh:
         hist_rows = fh.read().splitlines()[1:]
-    assert sum(int(r.split(",")[2]) for r in hist_rows) == job.s_count
+    assert sum(int(r.split(",")[2]) for r in hist_rows) == job.pipeline.s_count
 
     # scores match an in-process recomputation of the same job
     train, test = tasks.family_holdout(
@@ -236,7 +236,7 @@ def test_tas_command_outputs_and_ranking(tmp_path):
     )
     from taskaffinity.nnet import NetworkSpec
     spec = NetworkSpec(job.layer_widths, len(train.class_ids), job.activation)
-    cfgp = cli._pipeline_cfg(job)
+    cfgp = job.pipeline
     whole = pipeline.train_whole_classifier(train, spec, cfgp.whole_schedule)
     source_tasks, target = pipeline.prepare_tasks(train, test, cfgp)
     ordered = pipeline.sort_ranked(
@@ -279,8 +279,6 @@ def test_fewshot_verbose_fisher_embeds_diagnostics(tmp_path):
     bare = [{k: v for k, v in row.items() if k != "fisher"} for row in scores]
     rep = _read_json(os.path.join(out, "report.json"))
     assert rep["scores"] == bare
-    back = pipeline.report_from_doc({k: v for k, v in rep.items() if k not in ("run_id", "config")})
-    assert pipeline.report_to_doc(back)["scores"] == bare
     # and the scores themselves match a run without it
     plain = str(tmp_path / "plain")
     assert cli.main(["fewshot", "--config", write_config(tmp_path, pipeline_doc(), "p.json"),
@@ -354,10 +352,6 @@ def test_fewshot_command_report(tmp_path):
     assert rep["fewshot_ci95"] >= 0.0
     assert sum(rep["tas_histogram"]["counts"]) == 4
     assert rep["run_id"] == _read_json(os.path.join(out, "scores.json"))["run_id"]
-    # round-trips through the library loader (after dropping CLI-only keys)
-    doc = {k: v for k, v in rep.items() if k not in ("run_id", "config")}
-    back = pipeline.report_from_doc(doc)
-    assert back.fewshot_accuracy_mean == rep["fewshot_accuracy_mean"]
 
 
 def test_fewshot_ablation_mode_recorded(tmp_path):
@@ -376,6 +370,14 @@ def test_fewshot_rejects_unknown_ablation(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["synth", "tas", "theorem1"])
+def test_ablation_is_a_fewshot_only_flag(tmp_path, command):
+    cfg = write_config(tmp_path, pipeline_doc())
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg, "--ablation", "random"])
+    assert exc.value.code == 2
+
+
 def test_fewshot_csv_data_variant_matches_synthetic(tmp_path):
     # write the same split to CSVs, run both variants, compare the rankings
     doc = pipeline_doc()
@@ -384,8 +386,9 @@ def test_fewshot_csv_data_variant_matches_synthetic(tmp_path):
         job.data.synthetic, job.data.target_family, job.data.n_test_classes
     )
     train_csv, test_csv = str(tmp_path / "train.csv"), str(tmp_path / "test.csv")
-    tasks.save_csv(train, train_csv)
-    tasks.save_csv(test, test_csv)
+    for data, path in ((train, train_csv), (test, test_csv)):
+        with open(path, "w") as fh:
+            fh.write(tasks.csv_text(data))
     csv_doc = pipeline_doc()
     csv_doc["data"] = {"train_csv": train_csv, "test_csv": test_csv}
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -412,6 +415,17 @@ def test_theorem1_command_passes_and_writes_series(tmp_path):
     assert len(rows) == 1 + 5 * n_ckpt
     last = rows[-1].split(",")
     assert int(last[0]) == 4 and int(last[1]) == 300
+
+
+def test_theorem1_series_cells_are_plain_floats(tmp_path):
+    cfg = write_config(tmp_path, theorem_doc(noise=0.1))
+    out = str(tmp_path / "out")
+    assert cli.main(["theorem1", "--config", cfg, "--out", out]) == 0
+    s_star = _read_json(os.path.join(out, "report.json"))["s_star"]
+    with open(os.path.join(out, "theorem1_series.csv")) as fh:
+        rows = [r.split(",") for r in fh.read().splitlines()[1:]]
+    for _, _, s_t, gap in rows:
+        assert float(gap) == abs(float(s_t) - s_star)
 
 
 def test_theorem1_command_fails_on_impossible_tolerance(tmp_path):

@@ -1,5 +1,6 @@
 """Fisher diagonals and the affinity score against hand-built oracles."""
 
+import json
 import math
 
 import numpy as np
@@ -64,13 +65,6 @@ def test_fisher_equals_mean_of_squared_oracle_rows(seed, n):
     rows = helpers.per_sample_grads(net, batch)
     f = fisher.empirical_fisher_diag(net, batch)
     np.testing.assert_allclose(f.entries, np.mean(rows * rows, axis=0), rtol=1e-12, atol=0)
-
-
-def test_fisher_from_grads_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        fisher.fisher_from_grads(np.zeros(4))
-    with pytest.raises(ValueError):
-        fisher.fisher_from_grads(np.zeros((0, 4)))
 
 
 def test_diagonal_validation():
@@ -153,7 +147,7 @@ def test_tas_matches_trace_oracle_many_pairs():
         n = int(rng.integers(2, 40))
         a, b = _random_unit(rng, n), _random_unit(rng, n)
         s = fisher.tas(a, b).value
-        o = fisher.frechet_diag_oracle(a, b).value
+        o = helpers.frechet_diag_oracle(a, b).value
         assert abs(s - o) <= 1e-12
         assert -1e-12 <= s <= 1.0 + 1e-12
 
@@ -164,13 +158,13 @@ def test_tas_oracle_and_range_property(seed, n):
     rng = np.random.default_rng(seed)
     a, b = _random_unit(rng, n), _random_unit(rng, n)
     s = fisher.tas(a, b).value
-    assert abs(s - fisher.frechet_diag_oracle(a, b).value) <= 1e-12
+    assert abs(s - helpers.frechet_diag_oracle(a, b).value) <= 1e-12
     assert -1e-12 <= s <= 1.0 + 1e-12
     assert fisher.tas(a, a).value <= 1e-12
 
 
 def test_doc_round_trip():
     f = unit([0.125, 0.875])
-    back = fisher.from_doc(fisher.to_doc(f))
+    back = fisher.FisherDiagonal(**json.loads(json.dumps(fisher.to_doc(f))))
     assert back.normalized
     np.testing.assert_array_equal(back.entries, f.entries)

@@ -412,14 +412,3 @@ def test_replace_head_fresh_head_deterministic_and_bias_zero():
     head = a.params[nnet.encoder_slice(a.spec).stop :]
     assert np.all(head[-5:] == 0.0)
     assert np.max(np.abs(head[:-5])) <= 1.0 / 2.0  # embedding_dim 4
-
-
-def test_json_round_trip_bit_exact(tmp_path):
-    rng = np.random.default_rng(60)
-    spec = nnet.NetworkSpec((5, 4, 3), 7, activation="relu")
-    net = nnet.Network(spec, rng.standard_normal(spec.param_count) * 1e3)
-    path = str(tmp_path / "net.json")
-    nnet.save_network(net, path)
-    back = nnet.load_network(path)
-    assert back.spec == net.spec
-    assert np.array_equal(back.params, net.params)

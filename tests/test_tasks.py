@@ -119,14 +119,11 @@ def test_synthetic_config_validation():
 # CSV
 
 
-def test_csv_two_row_layout(tmp_path):
+def test_csv_two_row_layout():
     data = tasks.Dataset.from_arrays(
         np.array([[1.5, -2.0], [0.25, 3.0]]), np.array([7, 7])
     )
-    path = str(tmp_path / "tiny.csv")
-    tasks.save_csv(data, path)
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = tasks.csv_text(data).splitlines()
     assert lines[0] == "f0,f1,label"
     assert lines[1] == "1.5,-2.0,7"
     assert lines[2] == "0.25,3.0,7"
@@ -135,7 +132,8 @@ def test_csv_two_row_layout(tmp_path):
 def test_csv_round_trip_bit_exact(tmp_path):
     data = tasks.make_synthetic(small_cfg(seed=9))
     path = str(tmp_path / "round.csv")
-    tasks.save_csv(data, path)
+    with open(path, "w") as fh:
+        fh.write(tasks.csv_text(data))
     back = tasks.load_csv(path)
     np.testing.assert_array_equal(back.features, data.features)
     np.testing.assert_array_equal(back.labels, data.labels)

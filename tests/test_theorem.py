@@ -98,9 +98,23 @@ def test_strong_convexity_certificate():
 def test_per_sample_gradients_mean_is_gradient():
     p = tiny_problem(5)
     theta = np.random.default_rng(6).standard_normal(p.dim)
-    rows = theorem.per_sample_gradients(p.features, p.labels, theta, p.l2_lambda)
+    rows = helpers.per_sample_gradients(p.features, p.labels, theta, p.l2_lambda)
     assert rows.shape == (p.features.shape[0], p.dim)
     np.testing.assert_allclose(rows.mean(axis=0), theorem.gradient(p, theta), rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fisher_diag_at_equals_mean_of_squared_oracle_rows(seed):
+    rng = np.random.default_rng(derive_seed(70, seed))
+    n, d = int(rng.integers(1, 200)), int(rng.integers(1, 12))
+    x = rng.standard_normal((n, d)) * rng.uniform(0.1, 5.0)
+    y = rng.integers(0, 2, size=n)
+    theta = rng.standard_normal(d) * rng.uniform(0.0, 3.0)
+    lam = float(rng.uniform(0.01, 1.0))
+    rows = helpers.per_sample_gradients(x, y, theta, lam)
+    want = np.mean(rows * rows, axis=0)
+    f = theorem.fisher_diag_at(theta, Batch(x, y), lam)
+    np.testing.assert_allclose(f.entries, want / want.sum(), rtol=1e-12, atol=0)
 
 
 def test_fisher_diag_at_is_unit_trace():
@@ -311,8 +325,7 @@ def _fixture_series(n_seeds=10, total_steps=2000):
     )
     out = []
     for traj in theorem.noisy_sgd(p, cfg, [derive_seed(7, 15, i) for i in range(n_seeds)]):
-        traj.theta_star = star
-        out.append(theorem.tas_trajectory(traj, qa, sb, p))
+        out.append(theorem.tas_trajectory(traj, star, qa, sb, p))
     return out
 
 
@@ -321,8 +334,7 @@ def test_tas_trajectory_identical_datasets_give_zero():
     star = theorem.solve_optimum(p, tol=1e-8)
     cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.1), 0.05, 100, seed=4)
     traj = theorem.noisy_sgd(p, cfg, [4])[0]
-    traj.theta_star = star
-    series = theorem.tas_trajectory(traj, qa, qa, p)
+    series = theorem.tas_trajectory(traj, star, qa, qa, p)
     np.testing.assert_allclose(series.values, 0.0, atol=1e-12)
     assert series.s_star == pytest.approx(0.0, abs=1e-12)
 
@@ -334,33 +346,21 @@ def test_tas_trajectory_values_in_range():
     assert 0 <= series.s_star <= 1 + 1e-12
 
 
-def test_tas_trajectory_requires_theta_star():
-    p, qa, sb = theorem.make_logistic_fixture(4, 30, 30, 0.1, seed=2)
-    cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.1), 0.0, 10, seed=0)
-    traj = theorem.noisy_sgd(p, cfg, [0])[0]
-    with pytest.raises(ValueError, match="theta_star"):
-        theorem.tas_trajectory(traj, qa, sb, p)
-
-
 def test_tas_trajectory_degenerate_fisher_message():
     # all-zero features make every per-sample gradient the penalty term, and
     # at theta = 0 that is identically zero -> unnormalizable diagonal
     x = np.zeros((4, 3))
     p = theorem.ConvexProblem(x, np.array([0, 1, 0, 1]), 0.1)
-    traj = theorem.Trajectory(
-        times=np.array([1]), theta_bars=np.zeros((1, 3)), theta_star=np.zeros(3)
-    )
+    traj = theorem.Trajectory(times=np.array([1]), theta_bars=np.zeros((1, 3)))
     with pytest.raises(ValueError, match="degenerate Fisher at checkpoint t=1"):
-        theorem.tas_trajectory(traj, Batch(x, np.array([0, 1, 0, 1])), Batch(x, np.array([0, 1, 0, 1])), p)
+        theorem.tas_trajectory(traj, np.zeros(3), Batch(x, np.array([0, 1, 0, 1])), Batch(x, np.array([0, 1, 0, 1])), p)
 
 
 def test_s_star_matches_single_checkpoint_at_optimum():
     p, qa, sb = theorem.make_logistic_fixture(6, 80, 80, 0.1, seed=3)
     star = theorem.solve_optimum(p, tol=1e-10)
-    traj = theorem.Trajectory(
-        times=np.array([1]), theta_bars=star[None, :].copy(), theta_star=star
-    )
-    series = theorem.tas_trajectory(traj, qa, sb, p)
+    traj = theorem.Trajectory(times=np.array([1]), theta_bars=star[None, :].copy())
+    series = theorem.tas_trajectory(traj, star, qa, sb, p)
     assert series.values[0] == series.s_star
 
 
@@ -370,8 +370,7 @@ def test_convergence_check_noiseless_passes_tight():
     cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.2), 0.0, 3000, seed=0)
     out = []
     for traj in theorem.noisy_sgd(p, cfg, range(5)):
-        traj.theta_star = star
-        out.append(theorem.tas_trajectory(traj, qa, sb, p))
+        out.append(theorem.tas_trajectory(traj, star, qa, sb, p))
     report = theorem.convergence_check(out, abs_tol=1e-3)
     assert report.passed
     assert report.final_gap_median < 1e-3
