@@ -5,6 +5,8 @@ under --out atomically (temp file + rename, so readers never see partial
 files), and derive every random stream from seeds in the config; --seed
 re-derives them all from one master value.  Nothing reads the wall clock
 except the timing fields, which deterministic-output comparisons exclude.
+--log-level sends the package's log records at or above that level to
+stderr; it changes no output file.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from . import config as cfgmod
 from . import pipeline, tasks, theorem
 from .nnet import NetworkSpec
 from .seeding import derive_seed
-
-log = logging.getLogger(__name__)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -229,6 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="re-derive all embedded seeds")
         p.add_argument("--out", default=".", help="output directory")
+        p.add_argument("--log-level", choices=("debug", "info", "warning", "error"),
+                       default="warning", help="log records at this level and above go to stderr")
         if name == "fewshot":
             p.add_argument(
                 "--ablation",
@@ -241,6 +243,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # the package logger reports to stderr for this command only
+    logger = logging.getLogger(__package__)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    old_level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(args.log_level.upper())
     try:
         doc = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
@@ -261,6 +270,9 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(old_level)
 
 
 if __name__ == "__main__":

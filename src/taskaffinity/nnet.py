@@ -149,6 +149,7 @@ class TrainSchedule:
 
 
 _Layers = list[tuple[np.ndarray, np.ndarray]]
+_Pass = tuple[list[np.ndarray], list[np.ndarray]]  # pre-activations, activations
 
 
 def _unpack(spec: NetworkSpec, params: np.ndarray) -> _Layers:
@@ -197,13 +198,12 @@ def _act_deriv(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 - a * a
 
 
-def _encoder_pass(
-    net: Network, layers: _Layers, features: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """All encoder pre-activations and activations; activations[0] is the input."""
+def _encoder_pass(net: Network, layers: _Layers, features: np.ndarray) -> _Pass:
+    """All encoder pre-activations and activations; activations[0] is the input.
+    features is (..., n, input_dim): each leading index is a batch of its own."""
     x = np.ascontiguousarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.spec.input_dim:
-        raise ValueError(f"features must be (n, {net.spec.input_dim})")
+    if x.ndim < 2 or x.shape[-1] != net.spec.input_dim:
+        raise ValueError(f"features must be (..., n, {net.spec.input_dim})")
     pre, acts = [], [x]
     for w, b in layers[:-1]:
         z = acts[-1] @ w + b
@@ -212,10 +212,15 @@ def _encoder_pass(
     return pre, acts
 
 
+def encoder_forward(net: Network, features: np.ndarray) -> _Pass:
+    """_encoder_pass on the network's own layers, kept for encoder_pullback;
+    the embeddings are its last activation."""
+    return _encoder_pass(net, _unpack(net.spec, net.params), features)
+
+
 def encode(net: Network, features: np.ndarray) -> np.ndarray:
     """Embeddings: forward through encoder layers only (head untouched)."""
-    _, acts = _encoder_pass(net, _unpack(net.spec, net.params), features)
-    return acts[-1]
+    return encoder_forward(net, features)[1][-1]
 
 
 def forward(net: Network, features: np.ndarray) -> np.ndarray:
@@ -226,9 +231,9 @@ def forward(net: Network, features: np.ndarray) -> np.ndarray:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, shifted by the row max so huge logits stay finite."""
-    z = logits - np.max(logits, axis=1, keepdims=True)
+    z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / np.sum(e, axis=1, keepdims=True)
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def _check_labels(net: Network, batch: Batch) -> None:
@@ -256,7 +261,8 @@ def _backward(
     """The one backward loop, from layer `top` down to layer 0.
 
     g is the upstream gradient on layer `top`'s output (logits for the head,
-    embeddings for the last encoder layer), one row per sample.  Yields
+    embeddings for the last encoder layer), one row per sample, with the
+    same leading stack dimensions as the activations.  Yields
     (flat offset, weight size, layer input a, gradient g on a @ W + b) per
     layer; a sample's weight gradient is the outer product of its rows of a
     and g, so callers reduce over samples with products of a and g.
@@ -277,10 +283,11 @@ def _backward(
 def _sum_into(
     out: np.ndarray, walk: Iterator[tuple[int, int, np.ndarray, np.ndarray]]
 ) -> np.ndarray:
-    """Write each layer's gradient summed over samples: a^T g for W, column sums of g for b."""
+    """Write each layer's gradient summed over samples into out (..., P): a^T g
+    for W, column sums of g for b."""
     for off, size_w, a, g in walk:
-        out[off : off + size_w] = (a.T @ g).ravel()
-        out[off + size_w : off + size_w + g.shape[1]] = g.sum(axis=0)
+        out[..., off : off + size_w] = (a.swapaxes(-1, -2) @ g).reshape(*g.shape[:-2], size_w)
+        out[..., off + size_w : off + size_w + g.shape[-1]] = g.sum(axis=-2)
     return out
 
 
@@ -322,18 +329,20 @@ def fisher_diag(net: Network, data: Batch) -> np.ndarray:
     return out
 
 
-def encoder_pullback(net: Network, features: np.ndarray, grad_embeddings: np.ndarray) -> np.ndarray:
-    """Backprop an upstream gradient on the embeddings down to the flat vector.
+def encoder_pullback(net: Network, forward_pass: _Pass, grad_embeddings: np.ndarray) -> np.ndarray:
+    """Backprop an upstream gradient on the embeddings of encoder_forward's
+    pass down to the flat vector, (..., P) with zero head entries.
 
-    Head entries of the result are zero.  This is the hook the episodic
-    nearest-centroid loss uses to train the encoder without a linear head.
+    This is the hook the episodic nearest-centroid loss uses to train the
+    encoder without a linear head.
     """
-    layers = _unpack(net.spec, net.params)
-    pre, acts = _encoder_pass(net, layers, features)
+    pre, acts = forward_pass
     g = np.ascontiguousarray(grad_embeddings, dtype=np.float64)
     if g.shape != acts[-1].shape:
         raise ValueError("grad_embeddings must match the embedding matrix shape")
-    return _sum_into(np.zeros(net.param_count), _backward(net, layers, pre, acts, len(pre) - 1, g))
+    layers = _unpack(net.spec, net.params)
+    out = np.zeros(g.shape[:-2] + (net.param_count,))
+    return _sum_into(out, _backward(net, layers, pre, acts, len(pre) - 1, g))
 
 
 # ---------------------------------------------------------------------------

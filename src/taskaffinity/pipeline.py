@@ -299,50 +299,49 @@ def related_training_set(
 # phase 3: episodic fine-tuning with a soft nearest-centroid head
 
 
-def episode_loss_grad(
-    net: nnet.Network, episode: tasks.Episode, temperature: float
-) -> tuple[float, np.ndarray]:
-    """Cross-entropy of softmax(-||query - centroid||^2 / temperature) and its
-    exact gradient with respect to the flat parameter vector (head entries zero).
-
-    The gradient flows through both the query embeddings and the support
-    centroids, since both move with the encoder.
+def nearest_centroid(
+    es: np.ndarray, eq: np.ndarray, k_shot: int, temperature: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The nearest-centroid head on a stack of episodes: each one's cross-entropy
+    of softmax(-||query - centroid||^2 / temperature), its gradients on es
+    (E, m * k_shot, d) and eq (E, m * q, d), whose rows are grouped by class
+    slot, and its hard accuracy, where distance ties go to the lowest class.
     """
-    es = nnet.encode(net, episode.support.features)
-    eq = nnet.encode(net, episode.query.features)
-    cents = matching.class_centroids(es, episode.support.labels, episode.m_way)
-
-    diff = eq[:, None, :] - cents[None, :, :]
-    d2 = np.sum(diff * diff, axis=2)
+    m = es.shape[1] // k_shot
+    nq = eq.shape[1]
+    y = np.repeat(np.arange(m), nq // m)
+    rows = np.arange(nq)
+    cents = es.reshape(es.shape[0], m, k_shot, -1).mean(axis=2)
+    diff = eq[:, :, None, :] - cents[:, None, :, :]
+    d2 = np.sum(diff * diff, axis=3)
+    acc = np.mean(np.argmin(d2, axis=2) == y, axis=1)
     logits = -d2 / temperature
-    zmax = logits.max(axis=1, keepdims=True)
-    lse = zmax[:, 0] + np.log(np.sum(np.exp(logits - zmax), axis=1))
-    nq = eq.shape[0]
-    y = episode.query.labels
-    loss_val = float(np.mean(lse - logits[np.arange(nq), y]))
+    zmax = logits.max(axis=2, keepdims=True)
+    lse = zmax[..., 0] + np.log(np.sum(np.exp(logits - zmax), axis=2))
+    losses = np.mean(lse - logits[:, rows, y], axis=1)
 
     dlogits = nnet.softmax(logits)
-    dlogits[np.arange(nq), y] -= 1.0
+    dlogits[:, rows, y] -= 1.0
     dlogits /= nq
     dd = -dlogits / temperature
-    g_query = 2.0 * (dd.sum(axis=1, keepdims=True) * eq - dd @ cents)
-    g_cent = -2.0 * (dd.T @ eq - dd.sum(axis=0)[:, None] * cents)
-    g_support = g_cent[episode.support.labels] / episode.k_shot
-
-    grad_flat = nnet.encoder_pullback(net, episode.support.features, g_support)
-    grad_flat += nnet.encoder_pullback(net, episode.query.features, g_query)
-    return loss_val, grad_flat
+    g_query = 2.0 * (dd.sum(axis=2, keepdims=True) * eq - dd @ cents)
+    g_cent = -2.0 * (dd.swapaxes(1, 2) @ eq - dd.sum(axis=1)[:, :, None] * cents)
+    g_support = np.repeat(g_cent, k_shot, axis=1) / k_shot
+    return losses, g_support, g_query, acc
 
 
-def episode_accuracy(net: nnet.Network, episode: tasks.Episode) -> float:
-    """Hard nearest-centroid prediction accuracy; distance ties go to the lowest class."""
-    es = nnet.encode(net, episode.support.features)
-    eq = nnet.encode(net, episode.query.features)
-    cents = matching.class_centroids(es, episode.support.labels, episode.m_way)
-    diff = eq[:, None, :] - cents[None, :, :]
-    d2 = np.sum(diff * diff, axis=2)
-    preds = np.argmin(d2, axis=1)
-    return float(np.mean(preds == episode.query.labels))
+def episode_loss_grad(
+    net: nnet.Network, support: np.ndarray, query: np.ndarray, k_shot: int, temperature: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """nearest_centroid's losses (E,) for stacked support and query features,
+    and their gradients on the flat vector (E, P), through one encoder pass
+    per stack whose activations the pullbacks reuse."""
+    fwd_s = nnet.encoder_forward(net, support)
+    fwd_q = nnet.encoder_forward(net, query)
+    losses, g_s, g_q, _ = nearest_centroid(fwd_s[1][-1], fwd_q[1][-1], k_shot, temperature)
+    grads = nnet.encoder_pullback(net, fwd_s, g_s)
+    grads += nnet.encoder_pullback(net, fwd_q, g_q)
+    return losses, grads
 
 
 def episodic_finetune(
@@ -354,8 +353,10 @@ def episodic_finetune(
     """Encoder-only episodic fine-tuning restricted to the related rows.
 
     Each meta-update averages the loss gradient of finetune_schedule.batch_size
-    episodes; finetune_schedule.epochs counts meta-updates.  Episodes are
-    sampled exclusively from the related subset of the training data.
+    episodes, which run as one stack; finetune_schedule.epochs counts
+    meta-updates.  Episodes are sampled exclusively from the related subset of
+    the training data.  A meta-step that leaves a non-finite loss or
+    parameter raises ValueError.
     """
     sub, _ = tasks.subset_by_classes(train, related.label_set)
     sched = cfg.finetune_schedule
@@ -367,45 +368,48 @@ def episodic_finetune(
     for step in range(sched.epochs):
         if step in decay_at:
             lr *= sched.lr_decay_factor
-        total_grad = np.zeros_like(params)
-        losses = []
         current = nnet.Network(whole.spec, params)
-        for j in range(sched.batch_size):
-            ep = tasks.sample_episode(
-                sub,
-                cfg.m_way,
-                cfg.k_shot,
-                cfg.q_query,
-                derive_seed(sched.seed, _STREAM_FINETUNE, step, j),
-            )
-            l, g = episode_loss_grad(current, ep, cfg.softmax_temperature)
+        seeds = [
+            derive_seed(sched.seed, _STREAM_FINETUNE, step, j) for j in range(sched.batch_size)
+        ]
+        sup, qry = tasks.draw_episodes(sub, cfg.m_way, cfg.k_shot, cfg.q_query, seeds)
+        losses, per_episode = episode_loss_grad(
+            current, sub.features[sup], sub.features[qry], cfg.k_shot, cfg.softmax_temperature
+        )
+        # episode by episode, in seed order, so the sum is the serial loop's
+        total_grad = np.zeros_like(params)
+        for g in per_episode:
             total_grad += g
-            losses.append(l)
         velocity = sched.momentum * velocity + total_grad / sched.batch_size
         params = params - lr * velocity
         history.append(float(np.mean(losses)))
+        if not (np.isfinite(history[-1]) and np.all(np.isfinite(params))):
+            raise ValueError(f"phase-3 meta-step {step} left a non-finite loss or parameters")
+    log.debug("episodic fine-tune done, final loss %.4f", history[-1] if history else np.nan)
     return nnet.Network(whole.spec, params), history
+
+
+EVAL_CHUNK = 50  # evaluation episodes per stack; bounds the memory one stack holds
 
 
 def evaluate_fewshot(
     net: nnet.Network, test: tasks.Dataset, cfg: PipelineConfig
 ) -> tuple[float, float]:
     """Mean hard nearest-centroid accuracy over fresh episodes, with 1.96*sd/sqrt(n)."""
-    accs = np.empty(cfg.n_eval_episodes)
-    for i in range(cfg.n_eval_episodes):
-        ep = tasks.sample_episode(
-            test,
-            cfg.m_way,
-            cfg.k_shot,
-            cfg.q_query,
-            derive_seed(cfg.master_seed, _STREAM_EVAL, i),
-        )
-        accs[i] = episode_accuracy(net, ep)
+    n = cfg.n_eval_episodes
+    accs = np.empty(n)
+    for lo in range(0, n, EVAL_CHUNK):
+        stop = min(lo + EVAL_CHUNK, n)
+        seeds = [derive_seed(cfg.master_seed, _STREAM_EVAL, i) for i in range(lo, stop)]
+        sup, qry = tasks.draw_episodes(test, cfg.m_way, cfg.k_shot, cfg.q_query, seeds)
+        es = nnet.encode(net, test.features[sup])
+        eq = nnet.encode(net, test.features[qry])
+        accs[lo:stop] = nearest_centroid(es, eq, cfg.k_shot, cfg.softmax_temperature)[3]
     mean = float(np.mean(accs))
-    if cfg.n_eval_episodes < 2:
+    if n < 2:
         return mean, 0.0
     sd = float(np.std(accs, ddof=1))
-    return mean, 1.96 * sd / np.sqrt(cfg.n_eval_episodes)
+    return mean, 1.96 * sd / np.sqrt(n)
 
 
 # ---------------------------------------------------------------------------

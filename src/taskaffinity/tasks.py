@@ -84,16 +84,6 @@ class TaskSpec:
             raise ValueError("support and query must be disjoint")
 
 
-@dataclass(frozen=True, eq=False)
-class Episode:
-    """m_way x k_shot support plus a query set, labels re-indexed to 0..m_way-1."""
-
-    m_way: int
-    k_shot: int
-    support: Batch
-    query: Batch
-
-
 @dataclass(frozen=True)
 class SyntheticConfig:
     n_families: int
@@ -279,12 +269,17 @@ def episode_classes(data: Dataset, min_rows: int) -> list[int]:
     return [cid for cid in data.class_ids if data.class_index[cid].size >= min_rows]
 
 
-def sample_episode(data: Dataset, m_way: int, k_shot: int, q_query: int, seed: int) -> Episode:
-    """m_way classes, k_shot support and q_query query rows per class, disjoint.
+def draw_episodes(
+    data: Dataset, m_way: int, k_shot: int, q_query: int, seeds
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of one episode per seed: support (E, m_way * k_shot) and
+    disjoint query (E, m_way * q_query) rows of m_way classes.
 
-    Chosen classes are sorted ascending and re-indexed 0..m_way-1; support and
-    query share that indexing.  Classes with fewer than k_shot + q_query rows
-    are not eligible; it is an error if fewer than m_way classes qualify.
+    The chosen classes, sorted ascending, take slots 0..m_way-1 and the rows
+    are grouped by slot, so the labels are np.repeat(np.arange(m_way), k_shot)
+    and np.repeat(np.arange(m_way), q_query).  Classes with fewer than
+    k_shot + q_query rows are not eligible; it is an error if fewer than m_way
+    classes qualify.
     """
     if min(m_way, k_shot, q_query) < 1:
         raise ValueError("m_way, k_shot and q_query must be positive")
@@ -294,24 +289,18 @@ def sample_episode(data: Dataset, m_way: int, k_shot: int, q_query: int, seed: i
             f"insufficient samples: only {len(eligible)} classes have "
             f">= {k_shot + q_query} rows, need {m_way}"
         )
-    rng = np.random.default_rng(seed)
-    picked = sorted(int(k) for k in rng.choice(len(eligible), size=m_way, replace=False))
-    sup_feat, sup_lab, qry_feat, qry_lab = [], [], [], []
-    for new_label, k in enumerate(picked):
-        rows = data.class_index[eligible[k]]
-        order = rows[rng.permutation(rows.size)]
-        sup = order[:k_shot]
-        qry = order[k_shot : k_shot + q_query]
-        sup_feat.append(data.features[sup])
-        sup_lab.append(np.full(k_shot, new_label, dtype=np.int64))
-        qry_feat.append(data.features[qry])
-        qry_lab.append(np.full(q_query, new_label, dtype=np.int64))
-    return Episode(
-        m_way,
-        k_shot,
-        Batch(np.concatenate(sup_feat), np.concatenate(sup_lab)),
-        Batch(np.concatenate(qry_feat), np.concatenate(qry_lab)),
-    )
+    n_ep = len(seeds)
+    support = np.empty((n_ep, m_way, k_shot), dtype=np.int64)
+    query = np.empty((n_ep, m_way, q_query), dtype=np.int64)
+    for e, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        picked = sorted(int(k) for k in rng.choice(len(eligible), size=m_way, replace=False))
+        for slot, k in enumerate(picked):
+            rows = data.class_index[eligible[k]]
+            order = rows[rng.permutation(rows.size)[: k_shot + q_query]]
+            support[e, slot] = order[:k_shot]
+            query[e, slot] = order[k_shot:]
+    return support.reshape(n_ep, m_way * k_shot), query.reshape(n_ep, m_way * q_query)
 
 
 def subset_by_classes(data: Dataset, class_ids) -> tuple[Dataset, np.ndarray]:

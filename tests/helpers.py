@@ -1,8 +1,10 @@
 """Hand-rolled oracles shared by the unit and acceptance suites.
 
 Reference routes the package itself no longer carries live here: the
-brute-force assignment scan, the trace-form affinity score, and the
-logistic model's per-sample gradient rows.
+brute-force assignment scan, the trace-form affinity score, the logistic
+model's per-sample gradient rows, and the serial phase-3 path (one episode
+at a time, as validated Batches) that the stacked meta-steps must reproduce
+bit for bit.
 
 The forward oracle re-derives the flat parameter layout with plain Python
 loops, so a layout or indexing bug in the production code cannot cancel out.
@@ -15,10 +17,12 @@ derivative oracle on the smooth region.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from taskaffinity import fisher, matching, nnet, theorem
+from taskaffinity import fisher, matching, nnet, pipeline, tasks, theorem
+from taskaffinity.seeding import derive_seed
 
 FD_STEP = 1e-5
 KINK_GUARD = 10 * FD_STEP
@@ -188,3 +192,137 @@ def per_sample_gradients(features, labels, theta, l2_lambda):
     s = 2.0 * np.asarray(labels, dtype=np.int64) - 1.0
     w = -s * theorem._sigmoid(-s * (np.asarray(features) @ theta))
     return np.asarray(features) * w[:, None] + 2.0 * l2_lambda * theta[None, :]
+
+
+# ---------------------------------------------------------------------------
+# serial phase 3: one episode, one Batch pair and two pullbacks at a time
+
+
+@dataclass(frozen=True, eq=False)
+class Episode:
+    """m_way x k_shot support plus a query set, labels re-indexed to 0..m_way-1."""
+
+    m_way: int
+    k_shot: int
+    support: nnet.Batch
+    query: nnet.Batch
+
+
+def sample_episode(data, m_way, k_shot, q_query, seed):
+    """m_way classes, k_shot support and q_query query rows per class, disjoint,
+    as Batches labelled by the chosen classes' ascending order."""
+    if min(m_way, k_shot, q_query) < 1:
+        raise ValueError("m_way, k_shot and q_query must be positive")
+    eligible = tasks.episode_classes(data, k_shot + q_query)
+    if len(eligible) < m_way:
+        raise ValueError(
+            f"insufficient samples: only {len(eligible)} classes have "
+            f">= {k_shot + q_query} rows, need {m_way}"
+        )
+    rng = np.random.default_rng(seed)
+    picked = sorted(int(k) for k in rng.choice(len(eligible), size=m_way, replace=False))
+    sup_feat, sup_lab, qry_feat, qry_lab = [], [], [], []
+    for new_label, k in enumerate(picked):
+        rows = data.class_index[eligible[k]]
+        order = rows[rng.permutation(rows.size)]
+        sup = order[:k_shot]
+        qry = order[k_shot : k_shot + q_query]
+        sup_feat.append(data.features[sup])
+        sup_lab.append(np.full(k_shot, new_label, dtype=np.int64))
+        qry_feat.append(data.features[qry])
+        qry_lab.append(np.full(q_query, new_label, dtype=np.int64))
+    return Episode(
+        m_way,
+        k_shot,
+        nnet.Batch(np.concatenate(sup_feat), np.concatenate(sup_lab)),
+        nnet.Batch(np.concatenate(qry_feat), np.concatenate(qry_lab)),
+    )
+
+
+def _pullback(net, features, grad_embeddings):
+    return nnet.encoder_pullback(net, nnet.encoder_forward(net, features), grad_embeddings)
+
+
+def episode_loss_grad(net, episode, temperature):
+    """One episode's soft nearest-centroid loss and its flat gradient, from
+    two encodes and two pullbacks that each run the encoder again."""
+    es = nnet.encode(net, episode.support.features)
+    eq = nnet.encode(net, episode.query.features)
+    cents = matching.class_centroids(es, episode.support.labels, episode.m_way)
+
+    diff = eq[:, None, :] - cents[None, :, :]
+    d2 = np.sum(diff * diff, axis=2)
+    logits = -d2 / temperature
+    zmax = logits.max(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.sum(np.exp(logits - zmax), axis=1))
+    nq = eq.shape[0]
+    y = episode.query.labels
+    loss_val = float(np.mean(lse - logits[np.arange(nq), y]))
+
+    dlogits = nnet.softmax(logits)
+    dlogits[np.arange(nq), y] -= 1.0
+    dlogits /= nq
+    dd = -dlogits / temperature
+    g_query = 2.0 * (dd.sum(axis=1, keepdims=True) * eq - dd @ cents)
+    g_cent = -2.0 * (dd.T @ eq - dd.sum(axis=0)[:, None] * cents)
+    g_support = g_cent[episode.support.labels] / episode.k_shot
+
+    grad_flat = _pullback(net, episode.support.features, g_support)
+    grad_flat += _pullback(net, episode.query.features, g_query)
+    return loss_val, grad_flat
+
+
+def episode_accuracy(net, episode):
+    """Hard nearest-centroid accuracy of one episode; ties go to the lowest class."""
+    es = nnet.encode(net, episode.support.features)
+    eq = nnet.encode(net, episode.query.features)
+    cents = matching.class_centroids(es, episode.support.labels, episode.m_way)
+    diff = eq[:, None, :] - cents[None, :, :]
+    d2 = np.sum(diff * diff, axis=2)
+    preds = np.argmin(d2, axis=1)
+    return float(np.mean(preds == episode.query.labels))
+
+
+def serial_episodic_finetune(whole, related, train, cfg):
+    """pipeline.episodic_finetune with one episode per inner iteration."""
+    sub, _ = tasks.subset_by_classes(train, related.label_set)
+    sched = cfg.finetune_schedule
+    params = whole.params.copy()
+    velocity = np.zeros_like(params)
+    lr = sched.learning_rate
+    decay_at = set(sched.lr_decay_epochs)
+    history = []
+    for step in range(sched.epochs):
+        if step in decay_at:
+            lr *= sched.lr_decay_factor
+        total_grad = np.zeros_like(params)
+        losses = []
+        current = nnet.Network(whole.spec, params)
+        for j in range(sched.batch_size):
+            ep = sample_episode(
+                sub, cfg.m_way, cfg.k_shot, cfg.q_query,
+                derive_seed(sched.seed, pipeline._STREAM_FINETUNE, step, j),
+            )
+            l, g = episode_loss_grad(current, ep, cfg.softmax_temperature)
+            total_grad += g
+            losses.append(l)
+        velocity = sched.momentum * velocity + total_grad / sched.batch_size
+        params = params - lr * velocity
+        history.append(float(np.mean(losses)))
+    return nnet.Network(whole.spec, params), history
+
+
+def serial_evaluate_fewshot(net, test, cfg):
+    """pipeline.evaluate_fewshot with one episode per iteration."""
+    accs = np.empty(cfg.n_eval_episodes)
+    for i in range(cfg.n_eval_episodes):
+        ep = sample_episode(
+            test, cfg.m_way, cfg.k_shot, cfg.q_query,
+            derive_seed(cfg.master_seed, pipeline._STREAM_EVAL, i),
+        )
+        accs[i] = episode_accuracy(net, ep)
+    mean = float(np.mean(accs))
+    if cfg.n_eval_episodes < 2:
+        return mean, 0.0
+    sd = float(np.std(accs, ddof=1))
+    return mean, 1.96 * sd / np.sqrt(cfg.n_eval_episodes)

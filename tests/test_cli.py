@@ -342,6 +342,58 @@ def test_oversized_episodes_fail_fewshot_before_training_but_not_tas(
     assert len(calls) == 1
 
 
+def test_fewshot_non_finite_fine_tune_is_an_error_line(tmp_path, capsys):
+    # the shipped fewshot config at learning rate 1e4 overflows within a few
+    # meta-steps; it must not report an accuracy from NaN parameters
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    doc = _read_json(os.path.join(root, "configs", "fewshot.json"))
+    doc["pipeline"].update(s_count=4, top_r=3, n_eval_episodes=10)
+    doc["pipeline"]["finetune_schedule"].update(learning_rate=1e4, epochs=50)
+    out = str(tmp_path / "out")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["fewshot", "--config", write_config(tmp_path, doc), "--out", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: phase-3 meta-step 4 left a non-finite loss or parameters")
+    assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+@pytest.mark.parametrize("command", ["tas", "fewshot"])
+def test_log_level_debug_reaches_stderr_and_leaves_outputs_unchanged(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, pipeline_doc())
+    quiet, loud = str(tmp_path / "quiet"), str(tmp_path / "loud")
+    assert cli.main([command, "--config", cfg, "--out", quiet]) == 0
+    assert capsys.readouterr().err == ""
+    assert cli.main([command, "--config", cfg, "--out", loud, "--log-level", "debug"]) == 0
+    err = capsys.readouterr().err
+    assert "DEBUG taskaffinity.pipeline: whole classifier trained" in err
+    assert err.count("eps-approx") == 4  # one line per source task
+    assert sorted(os.listdir(quiet)) == sorted(os.listdir(loud))
+    for name in os.listdir(quiet):
+        with open(os.path.join(quiet, name), "rb") as fh:
+            a = fh.read()
+        with open(os.path.join(loud, name), "rb") as fh:
+            b = fh.read()
+        if name.endswith(".json"):  # timings are wall-clock, everything else is not
+            a, b = json.loads(a), json.loads(b)
+            a.pop("timings", None), b.pop("timings", None)
+        assert a == b, name
+    # the handler is gone once the command returns
+    pipeline.log.debug("after the command")
+    assert capsys.readouterr().err == ""
+
+
+def test_log_level_is_on_every_subcommand_and_checked(capsys):
+    parser = cli._build_parser()
+    for command in ("synth", "tas", "fewshot", "theorem1"):
+        args = parser.parse_args([command, "--config", "c.json", "--log-level", "info"])
+        assert args.log_level == "info"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tas", "--config", "c.json", "--log-level", "verbose"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_fewshot_command_report(tmp_path):
     cfg = write_config(tmp_path, pipeline_doc())
     out = str(tmp_path / "out")

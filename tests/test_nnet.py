@@ -283,7 +283,7 @@ def test_encoder_pullback_matches_central_differences():
     net = nnet.Network(spec, rng.standard_normal(spec.param_count) * 0.6)
     x = rng.standard_normal((5, 4))
     up = rng.standard_normal((5, 3))
-    got = nnet.encoder_pullback(net, x, up)
+    got = nnet.encoder_pullback(net, nnet.encoder_forward(net, x), up)
     enc_stop = nnet.encoder_slice(spec).stop
     assert np.all(got[enc_stop:] == 0.0)
     h = 1e-6
@@ -301,7 +301,31 @@ def test_encoder_pullback_matches_central_differences():
 def test_encoder_pullback_rejects_wrong_shape():
     net = nnet.init_network(nnet.NetworkSpec((3, 4), 2), 0)
     with pytest.raises(ValueError):
-        nnet.encoder_pullback(net, np.zeros((2, 3)), np.zeros((2, 3)))
+        nnet.encoder_pullback(net, nnet.encoder_forward(net, np.zeros((2, 3))), np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        nnet.encoder_forward(net, np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_encoder_pass_and_pullback_equal_each_slice_bitwise(seed):
+    # a leading stack dimension must reproduce every slice's own 2-D
+    # computation bit for bit: same matmul per slice, same reduction order
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        widths = tuple(int(w) for w in rng.integers(1, 12, size=int(rng.integers(2, 5))))
+        act = ("relu", "tanh")[int(rng.integers(0, 2))]
+        spec = nnet.NetworkSpec(widths, 2, act)
+        net = nnet.Network(spec, rng.standard_normal(spec.param_count))
+        n_ep, n = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+        x = rng.standard_normal((n_ep, n, widths[0]))
+        up = rng.standard_normal((n_ep, n, widths[-1]))
+        fwd = nnet.encoder_forward(net, x)
+        stacked = nnet.encoder_pullback(net, fwd, up)
+        assert stacked.shape == (n_ep, spec.param_count)
+        for e in range(n_ep):
+            one = nnet.encoder_forward(net, x[e])
+            assert np.array_equal(fwd[1][-1][e], one[1][-1])
+            assert np.array_equal(stacked[e], nnet.encoder_pullback(net, one, up[e]))
 
 
 # ---------------------------------------------------------------------------

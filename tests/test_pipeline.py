@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import helpers
 from taskaffinity import fisher, matching, nnet, pipeline, tasks
 from taskaffinity.seeding import derive_seed
 
@@ -403,56 +404,59 @@ def test_tas_histogram_counts_sum_to_task_count():
 # phase 3: episodic loss and fine-tuning
 
 
-def _toy_episode(rng, dim=4, m=2, k=2, q=3):
-    sup_x = rng.standard_normal((m * k, dim))
-    sup_y = np.repeat(np.arange(m), k)
-    qry_x = rng.standard_normal((q, dim))
-    qry_y = rng.integers(0, m, q)
-    return tasks.Episode(m, k, nnet.Batch(sup_x, sup_y), nnet.Batch(qry_x, qry_y))
+def _toy_stack(rng, dim=4, m=2, k=2, q=3, n_ep=2):
+    """Support (E, m*k, dim) and query (E, m*q, dim) features, rows grouped by slot."""
+    return rng.standard_normal((n_ep, m * k, dim)), rng.standard_normal((n_ep, m * q, dim))
 
 
 def test_episode_loss_matches_manual_computation():
     rng = np.random.default_rng(70)
     spec = nnet.NetworkSpec((4, 5, 3), 2, activation="tanh")
     net = nnet.Network(spec, rng.standard_normal(spec.param_count) * 0.6)
-    ep = _toy_episode(rng)
+    m, k, q = 2, 2, 3
+    xs, xq = _toy_stack(rng, m=m, k=k, q=q)
     tau = 1.7
-    loss_val, _ = pipeline.episode_loss_grad(net, ep, tau)
+    losses, _ = pipeline.episode_loss_grad(net, xs, xq, k, tau)
+    assert losses.shape == (2,)
 
-    es = nnet.encode(net, ep.support.features)
-    eq = nnet.encode(net, ep.query.features)
-    total = 0.0
-    for i in range(ep.query.n):
-        d2 = []
-        for c in range(ep.m_way):
-            cent = es[ep.support.labels == c].mean(axis=0)
-            d2.append(float(np.sum((eq[i] - cent) ** 2)))
-        logits = -np.array(d2) / tau
-        p = np.exp(logits - logits.max())
-        p /= p.sum()
-        total += -np.log(p[ep.query.labels[i]])
-    assert loss_val == pytest.approx(total / ep.query.n, rel=1e-12)
+    y = np.repeat(np.arange(m), q)
+    for e in range(2):
+        es = nnet.encode(net, xs[e])
+        eq = nnet.encode(net, xq[e])
+        total = 0.0
+        for i in range(m * q):
+            d2 = []
+            for c in range(m):
+                cent = es[c * k : (c + 1) * k].mean(axis=0)
+                d2.append(float(np.sum((eq[i] - cent) ** 2)))
+            logits = -np.array(d2) / tau
+            p = np.exp(logits - logits.max())
+            p /= p.sum()
+            total += -np.log(p[y[i]])
+        assert losses[e] == pytest.approx(total / (m * q), rel=1e-12)
 
 
 def test_episode_grad_matches_central_differences():
     rng = np.random.default_rng(71)
     spec = nnet.NetworkSpec((3, 4, 3), 2, activation="tanh")
     net = nnet.Network(spec, rng.standard_normal(spec.param_count) * 0.5)
-    ep = _toy_episode(rng, dim=3)
+    k = 2
+    xs, xq = _toy_stack(rng, dim=3, k=k)
     tau = 2.0
-    loss_val, g = pipeline.episode_loss_grad(net, ep, tau)
-    assert np.isfinite(loss_val) and loss_val > 0
-    assert np.all(g[nnet.encoder_slice(spec).stop :] == 0.0)
+    losses, g = pipeline.episode_loss_grad(net, xs, xq, k, tau)
+    assert np.all(np.isfinite(losses)) and np.all(losses > 0)
+    assert np.all(g[:, nnet.encoder_slice(spec).stop :] == 0.0)
     h = 1e-6
     p = net.params.copy()
     for i in range(p.shape[0]):
         p[i] += h
-        lp, _ = pipeline.episode_loss_grad(nnet.Network(spec, p), ep, tau)
+        lp, _ = pipeline.episode_loss_grad(nnet.Network(spec, p), xs, xq, k, tau)
         p[i] -= 2 * h
-        lm, _ = pipeline.episode_loss_grad(nnet.Network(spec, p), ep, tau)
+        lm, _ = pipeline.episode_loss_grad(nnet.Network(spec, p), xs, xq, k, tau)
         p[i] += h
-        fd = (lp - lm) / (2 * h)
-        assert abs(g[i] - fd) / max(1.0, abs(g[i]), abs(fd)) < 1e-6, f"param {i}"
+        for e in range(2):
+            fd = (lp[e] - lm[e]) / (2 * h)
+            assert abs(g[e, i] - fd) / max(1.0, abs(g[e, i]), abs(fd)) < 1e-6, f"param {i}"
 
 
 def test_episode_accuracy_perfect_and_tied():
@@ -461,14 +465,54 @@ def test_episode_accuracy_perfect_and_tied():
     params = np.zeros(spec.param_count)
     params[:4] = np.eye(2).ravel()
     net = nnet.Network(spec, params)
-    sup = nnet.Batch(np.array([[5.0, 0.0], [5.0, 1.0], [0.0, 5.0], [1.0, 5.0]]),
-                     np.array([0, 0, 1, 1]))
-    qry = nnet.Batch(np.array([[4.0, 0.5], [0.5, 4.0]]), np.array([0, 1]))
-    ep = tasks.Episode(2, 2, sup, qry)
-    assert pipeline.episode_accuracy(net, ep) == 1.0
+    sup = np.array([[[5.0, 0.0], [5.0, 1.0], [0.0, 5.0], [1.0, 5.0]]])  # slots 0, 0, 1, 1
+    qry = np.array([[[4.0, 0.5], [0.5, 4.0]]])  # slots 0, 1
+
+    def accuracy(n):
+        return pipeline.nearest_centroid(nnet.encode(n, sup), nnet.encode(n, qry), 2, 1.0)[3][0]
+
+    assert accuracy(net) == 1.0
     # all-zero params collapse every embedding; ties resolve to class 0
     zero = nnet.Network(spec, np.zeros(spec.param_count))
-    assert pipeline.episode_accuracy(zero, ep) == 0.5  # only the label-0 query counts
+    assert accuracy(zero) == 0.5  # only the label-0 query counts
+
+
+@pytest.fixture(scope="module")
+def overlapping():
+    # the criterion-7 data: classes overlap, so the episodic loss and its
+    # gradient stay far from zero and every meta-step moves the encoder
+    m = derive_seed(4242, 0)
+    scfg = tasks.SyntheticConfig(8, 6, 40, 16, 6.0, 2.0, 0.7, seed=derive_seed(m, 9))
+    train, test = tasks.family_holdout(scfg, 0, 3)
+    cfg = pipeline.PipelineConfig(
+        s_count=1, n_test=3, top_r=1, m_way=3, k_shot=5, q_query=10, epsilon=0.2,
+        whole_schedule=nnet.TrainSchedule(0.05, 0.9, 6, 32, seed=derive_seed(m, 0)),
+        approx_schedule=nnet.TrainSchedule(0.02, 0.9, 30, 16, seed=derive_seed(m, 3)),
+        finetune_schedule=nnet.TrainSchedule(0.02, 0.9, 20, 4, seed=derive_seed(m, 4)),
+        n_eval_episodes=300, softmax_temperature=4.0, master_seed=m,
+    )
+    labels = (0, 1, 2, 6, 7, 8)
+    rows = np.flatnonzero(np.isin(train.labels, labels))
+    return train, test, cfg, pipeline.RelatedSet(labels, tuple(int(r) for r in rows))
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 4])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_stacked_phase_3_equals_serial_oracle_bitwise(overlapping, activation, batch_size):
+    train, test, cfg, related = overlapping
+    spec = nnet.NetworkSpec((16, 32, 8), len(train.class_ids), activation)
+    cfg = replace(cfg, finetune_schedule=replace(cfg.finetune_schedule, batch_size=batch_size))
+    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+    tuned, history = pipeline.episodic_finetune(whole, related, train, cfg)
+    ref, ref_history = helpers.serial_episodic_finetune(whole, related, train, cfg)
+    assert np.mean(history) > 0.05  # a live loss, not a vacuous comparison
+    assert np.array_equal(tuned.params, ref.params)
+    assert history == ref_history
+    for n_eval in (1, 7, 51):  # 51 spans two evaluation stacks
+        ev = replace(cfg, n_eval_episodes=n_eval)
+        assert pipeline.evaluate_fewshot(tuned, test, ev) == helpers.serial_evaluate_fewshot(
+            tuned, test, ev
+        )
 
 
 def test_episodic_finetune_restricted_to_related_labels(tiny):

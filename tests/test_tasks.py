@@ -9,6 +9,8 @@ from scipy import stats
 from taskaffinity import tasks
 from taskaffinity.seeding import derive_seed
 
+import helpers
+
 
 def small_cfg(**kw):
     base = dict(
@@ -260,51 +262,90 @@ def test_batch_of_rejects_bad_class_ids():
 # episodes
 
 
+def _slot_classes(data, rows, m_way):
+    """Each slot's class id, checking every row of a slot carries it."""
+    labels = data.labels[rows].reshape(m_way, -1)
+    assert np.all(labels == labels[:, :1])
+    return labels[:, 0]
+
+
 def test_sample_episode_shapes_and_reindexed_labels():
     data = tasks.make_synthetic(small_cfg(samples_per_class=12))
-    ep = tasks.sample_episode(data, m_way=3, k_shot=4, q_query=5, seed=8)
-    assert ep.support.n == 12 and ep.query.n == 15
-    np.testing.assert_array_equal(np.unique(ep.support.labels), [0, 1, 2])
-    np.testing.assert_array_equal(np.unique(ep.query.labels), [0, 1, 2])
-    for lab in range(3):
-        assert np.sum(ep.support.labels == lab) == 4
-        assert np.sum(ep.query.labels == lab) == 5
+    sup, qry = tasks.draw_episodes(data, m_way=3, k_shot=4, q_query=5, seeds=[8])
+    assert sup.shape == (1, 12) and qry.shape == (1, 15)
+    # rows come grouped by slot, the slots in ascending class id order, so
+    # the labels are np.repeat(np.arange(3), 4) and np.repeat(np.arange(3), 5)
+    classes = _slot_classes(data, sup[0], 3)
+    assert np.all(np.diff(classes) > 0)
+    np.testing.assert_array_equal(_slot_classes(data, qry[0], 3), classes)
 
 
 def test_sample_episode_support_query_disjoint_rows():
     data = tasks.make_synthetic(small_cfg(samples_per_class=12, noise_sigma=0.5))
-    ep = tasks.sample_episode(data, 2, 3, 3, seed=1)
-    sup = {tuple(row) for row in ep.support.features}
-    qry = {tuple(row) for row in ep.query.features}
-    assert not sup & qry  # continuous features collide with probability 0
+    sup, qry = tasks.draw_episodes(data, 2, 3, 3, seeds=[1])
+    assert not set(sup[0].tolist()) & set(qry[0].tolist())
+    assert len(set(sup[0].tolist())) == 6 and len(set(qry[0].tolist())) == 6
+    sup_f = {tuple(row) for row in data.features[sup[0]]}
+    qry_f = {tuple(row) for row in data.features[qry[0]]}
+    assert not sup_f & qry_f  # continuous features collide with probability 0
 
 
 def test_sample_episode_minimal_and_deterministic():
     data = tasks.make_synthetic(small_cfg())
-    ep = tasks.sample_episode(data, 1, 1, 1, seed=0)
-    assert ep.support.n == 1 and ep.query.n == 1
-    a = tasks.sample_episode(data, 2, 2, 2, seed=42)
-    b = tasks.sample_episode(data, 2, 2, 2, seed=42)
-    np.testing.assert_array_equal(a.support.features, b.support.features)
-    np.testing.assert_array_equal(a.query.features, b.query.features)
+    sup, qry = tasks.draw_episodes(data, 1, 1, 1, seeds=[0])
+    assert sup.shape == (1, 1) and qry.shape == (1, 1)
+    a = tasks.draw_episodes(data, 2, 2, 2, seeds=[42])
+    b = tasks.draw_episodes(data, 2, 2, 2, seeds=[42])
+    np.testing.assert_array_equal(a[0], b[0])
+    np.testing.assert_array_equal(a[1], b[1])
+    # a stack of seeds draws each episode as that seed alone does
+    both = tasks.draw_episodes(data, 2, 2, 2, seeds=[7, 42])
+    np.testing.assert_array_equal(both[0][1], a[0][0])
+    np.testing.assert_array_equal(both[1][1], a[1][0])
 
 
 def test_sample_episode_insufficient_rows():
     data = tasks.make_synthetic(small_cfg(samples_per_class=4))
     with pytest.raises(ValueError, match="insufficient"):
-        tasks.sample_episode(data, 2, 3, 3, seed=0)
+        tasks.draw_episodes(data, 2, 3, 3, seeds=[0])
     with pytest.raises(ValueError):
-        tasks.sample_episode(data, 0, 1, 1, seed=0)
+        tasks.draw_episodes(data, 0, 1, 1, seeds=[0])
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_sample_episode_never_leaks_support_into_query(seed):
     data = tasks.make_synthetic(small_cfg(samples_per_class=8, seed=3))
-    ep = tasks.sample_episode(data, 2, 3, 3, seed=seed)
-    sup = {tuple(row) for row in ep.support.features}
-    for row in ep.query.features:
-        assert tuple(row) not in sup
+    sup, qry = tasks.draw_episodes(data, 2, 3, 3, seeds=[seed])
+    sup_f = {tuple(row) for row in data.features[sup[0]]}
+    for row in data.features[qry[0]]:
+        assert tuple(row) not in sup_f
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+def test_draw_episodes_returns_the_serial_sampler_rows(seed, m_way, k_shot, q_query):
+    # uneven class sizes, so eligibility and the permutation lengths vary
+    rng = np.random.default_rng(5)
+    labels = np.repeat(np.arange(5), [3, 9, 5, 8, 6])
+    data = tasks.Dataset.from_arrays(rng.standard_normal((labels.size, 3)), labels)
+    if len(tasks.episode_classes(data, k_shot + q_query)) < m_way:
+        with pytest.raises(ValueError, match="insufficient"):
+            tasks.draw_episodes(data, m_way, k_shot, q_query, seeds=[seed])
+        with pytest.raises(ValueError, match="insufficient"):
+            helpers.sample_episode(data, m_way, k_shot, q_query, seed)
+        return
+    sup, qry = tasks.draw_episodes(data, m_way, k_shot, q_query, seeds=[seed])
+    ep = helpers.sample_episode(data, m_way, k_shot, q_query, seed)
+    np.testing.assert_array_equal(data.features[sup[0]], ep.support.features)
+    np.testing.assert_array_equal(data.features[qry[0]], ep.query.features)
+    np.testing.assert_array_equal(ep.support.labels, np.repeat(np.arange(m_way), k_shot))
+    np.testing.assert_array_equal(ep.query.labels, np.repeat(np.arange(m_way), q_query))
 
 
 # ---------------------------------------------------------------------------
