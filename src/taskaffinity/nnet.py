@@ -13,8 +13,8 @@ layer 1 W then bias, ..., head W (embedding x classes) then head bias.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -124,7 +124,7 @@ class TrainSchedule:
     batch_size: int
     lr_decay_epochs: tuple[int, ...] = ()
     lr_decay_factor: float = 1.0
-    seed: int = 0
+    seed: int = field(kw_only=True)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lr_decay_epochs", tuple(int(e) for e in self.lr_decay_epochs))
@@ -321,12 +321,9 @@ def fisher_diag(net: Network, data: Batch) -> np.ndarray:
     """
     layers = _unpack(net.spec, net.params)
     pre, acts, delta = _output_delta(net, layers, data)
-    out = np.empty(net.param_count)
-    for off, size_w, a, g in _backward(net, layers, pre, acts, len(layers) - 1, delta):
-        gg = g * g
-        out[off : off + size_w] = ((a * a).T @ gg).ravel() / data.n
-        out[off + size_w : off + size_w + g.shape[1]] = gg.sum(axis=0) / data.n
-    return out
+    walk = _backward(net, layers, pre, acts, len(layers) - 1, delta)
+    squares = ((off, size_w, a * a, g * g) for off, size_w, a, g in walk)
+    return _sum_into(np.empty(net.param_count), squares) / data.n
 
 
 def encoder_pullback(net: Network, forward_pass: _Pass, grad_embeddings: np.ndarray) -> np.ndarray:
@@ -349,41 +346,34 @@ def encoder_pullback(net: Network, forward_pass: _Pass, grad_embeddings: np.ndar
 # training / evaluation
 
 
-def train(
-    net: Network,
-    data: Batch,
-    schedule: TrainSchedule,
-    stop_fn: Optional[Callable[[Network, int, list[float]], bool]] = None,
-) -> tuple[Network, list[float]]:
-    """Minibatch SGD with momentum; returns the trained network and per-epoch loss.
+def train(net: Network, data: Batch, schedule: TrainSchedule) -> Iterator[Network]:
+    """Minibatch SGD with momentum; yields the network after each epoch.
 
     Shuffling uses a generator seeded by schedule.seed and permutes sample
-    indices; labels never influence batch composition.  stop_fn, if given, is
-    called after each epoch with the current network and may end training
-    early (used for epsilon-approximation fine-tuning).
+    indices; labels never influence batch composition.  A caller that stops
+    iterating ends training there (the epsilon-approximation fine-tune does).
+    An epoch that leaves a non-finite parameter raises ValueError.
     """
     _check_labels(net, data)
     rng = np.random.default_rng(schedule.seed)
     params = net.params.copy()
     velocity = np.zeros_like(params)
     lr = schedule.learning_rate
-    history: list[float] = []
     decay_at = set(schedule.lr_decay_epochs)
     for epoch in range(schedule.epochs):
         if epoch in decay_at:
             lr *= schedule.lr_decay_factor
         order = rng.permutation(data.n)
-        for lo in range(0, data.n, schedule.batch_size):
-            idx = order[lo : lo + schedule.batch_size]
-            mb = Batch(data.features[idx], data.labels[idx])
-            g = grad(Network(net.spec, params), mb)
-            velocity = schedule.momentum * velocity + g
-            params = params - lr * velocity
-        current = Network(net.spec, params)
-        history.append(loss(current, data))
-        if stop_fn is not None and stop_fn(current, epoch, history):
-            return current, history
-    return Network(net.spec, params), history
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for lo in range(0, data.n, schedule.batch_size):
+                idx = order[lo : lo + schedule.batch_size]
+                mb = Batch(data.features[idx], data.labels[idx])
+                g = grad(Network(net.spec, params), mb)
+                velocity = schedule.momentum * velocity + g
+                params = params - lr * velocity
+        if not np.all(np.isfinite(params)):
+            raise ValueError(f"training left non-finite parameters in epoch {epoch}")
+        yield Network(net.spec, params)
 
 
 def evaluate(net: Network, data: Batch) -> float:

@@ -141,9 +141,13 @@ def train_whole_classifier(
         )
     net = nnet.init_network(spec, derive_seed(schedule.seed, 0))
     batch = tasks.batch_of(train, range(train.n), train.class_ids)
-    trained, history = nnet.train(net, batch, schedule)
-    log.debug("whole classifier trained, final loss %.4f", history[-1] if history else np.nan)
-    return trained
+    try:
+        for net in nnet.train(net, batch, schedule):
+            pass
+    except ValueError as exc:
+        raise ValueError(f"whole classifier: {exc}") from None
+    log.debug("whole classifier trained, final loss %.4f", nnet.loss(net, batch))
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +169,18 @@ def build_eps_approx(
     net = nnet.replace_head(whole, cfg.n_test, head_seed)
     sched = replace(cfg.approx_schedule, seed=train_seed)
     target_acc = 1.0 - cfg.epsilon
-    seen: list[float] = []
-
-    def stop(current: nnet.Network, epoch: int, history: list[float]) -> bool:
-        acc = nnet.evaluate(current, remapped_query)
-        seen.append(acc)
-        return acc >= target_acc
-
-    trained, _ = nnet.train(net, remapped_support, sched, stop_fn=stop)
-    final_acc = seen[-1] if seen else nnet.evaluate(trained, remapped_query)
+    accs: list[float] = []
+    for net in nnet.train(net, remapped_support, sched):
+        accs.append(nnet.evaluate(net, remapped_query))
+        if accs[-1] >= target_acc:
+            break
+    final_acc = accs[-1] if accs else nnet.evaluate(net, remapped_query)
     record = EpsApproxRecord(
         achieved_epsilon=1.0 - final_acc,
-        epochs_used=len(seen),
+        epochs_used=len(accs),
         reached_target=final_acc >= target_acc,
     )
-    return trained, record
+    return net, record
 
 
 def view_target(
@@ -222,23 +223,31 @@ def mtas(
     sup = nnet.Batch(src.features[:k], labels[:k])
     qry = nnet.Batch(src.features[k:], labels[k:])
 
-    # 4. epsilon-approximation network for the source task
-    approx, record = build_eps_approx(
-        whole,
-        sup,
-        qry,
-        cfg,
-        head_seed=derive_seed(cfg.approx_schedule.seed, _STREAM_HEAD, source.task_id),
-        train_seed=derive_seed(cfg.approx_schedule.seed, _STREAM_APPROX_TRAIN, source.task_id),
-    )
+    # 4. epsilon-approximation network for the source task, and 5. its
+    #    unit-trace Fisher diagonals on source query and target support.  A
+    #    diverged approximation overflows; the checks, not numpy, report it.
+    seed = cfg.approx_schedule.seed
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            approx, record = build_eps_approx(
+                whole, sup, qry, cfg,
+                head_seed=derive_seed(seed, _STREAM_HEAD, source.task_id),
+                train_seed=derive_seed(seed, _STREAM_APPROX_TRAIN, source.task_id),
+            )
+        except ValueError as exc:
+            raise ValueError(f"source task {source.task_id} eps-approximation: {exc}") from None
+        try:
+            f_aa = fisher.normalize_unit_trace(fisher.empirical_fisher_diag(approx, qry))
+            f_ab = fisher.normalize_unit_trace(fisher.empirical_fisher_diag(approx, target.batch))
+        except ValueError as exc:
+            raise ValueError(
+                f"source task {source.task_id} Fisher diagonal after "
+                f"{record.epochs_used} eps-approximation epochs: {exc}"
+            ) from None
     log.debug(
         "task %d eps-approx: achieved_eps=%.3f epochs=%d reached=%s",
         source.task_id, record.achieved_epsilon, record.epochs_used, record.reached_target,
     )
-
-    # 5. unit-trace Fisher diagonals on source query and target support
-    f_aa = fisher.normalize_unit_trace(fisher.empirical_fisher_diag(approx, qry))
-    f_ab = fisher.normalize_unit_trace(fisher.empirical_fisher_diag(approx, target.batch))
 
     # 6. the score
     diagnostics = None
@@ -373,15 +382,16 @@ def episodic_finetune(
             derive_seed(sched.seed, _STREAM_FINETUNE, step, j) for j in range(sched.batch_size)
         ]
         sup, qry = tasks.draw_episodes(sub, cfg.m_way, cfg.k_shot, cfg.q_query, seeds)
-        losses, per_episode = episode_loss_grad(
-            current, sub.features[sup], sub.features[qry], cfg.k_shot, cfg.softmax_temperature
-        )
-        # episode by episode, in seed order, so the sum is the serial loop's
-        total_grad = np.zeros_like(params)
-        for g in per_episode:
-            total_grad += g
-        velocity = sched.momentum * velocity + total_grad / sched.batch_size
-        params = params - lr * velocity
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            losses, per_episode = episode_loss_grad(
+                current, sub.features[sup], sub.features[qry], cfg.k_shot, cfg.softmax_temperature
+            )
+            # episode by episode, in seed order, so the sum is the serial loop's
+            total_grad = np.zeros_like(params)
+            for g in per_episode:
+                total_grad += g
+            velocity = sched.momentum * velocity + total_grad / sched.batch_size
+            params = params - lr * velocity
         history.append(float(np.mean(losses)))
         if not (np.isfinite(history[-1]) and np.all(np.isfinite(params))):
             raise ValueError(f"phase-3 meta-step {step} left a non-finite loss or parameters")

@@ -16,7 +16,7 @@ optimum: the gap should shrink toward zero as steps accumulate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -192,19 +192,13 @@ def fisher_diag_at(theta: np.ndarray, data: Batch, l2_lambda: float) -> fisher.F
 # optimization
 
 
-def solve_optimum(
-    p: ConvexProblem,
-    tol: float = 1e-10,
-    fixed_step: Optional[float] = None,
-    max_iters: int = _SOLVER_CAP,
-) -> np.ndarray:
+def solve_optimum(p: ConvexProblem, tol: float, max_iters: int = _SOLVER_CAP) -> np.ndarray:
     """Full-batch gradient descent to gradient norm < tol.
 
-    Default uses Armijo backtracking, and the step 1/L of the loss's
-    smoothness bound L = ||X||_2^2 / (4n) + 2 lambda once the decrease Armijo
-    asks for is within a few ulps of the loss, where it cannot be resolved.
-    Passing fixed_step runs plain descent at that rate (the cross-check
-    route).  Raises SolverError if the budget runs out.
+    Uses Armijo backtracking, and the step 1/L of the loss's smoothness bound
+    L = ||X||_2^2 / (4n) + 2 lambda once the decrease Armijo asks for is
+    within a few ulps of the loss, where it cannot be resolved.  Raises
+    SolverError if the budget runs out.
     """
     n = p.features.shape[0]
     smooth_step = 1.0 / (np.linalg.norm(p.features, 2) ** 2 / (4.0 * n) + 2.0 * p.l2_lambda)
@@ -214,9 +208,6 @@ def solve_optimum(
         gnorm = float(np.linalg.norm(g))
         if gnorm < tol:
             return theta
-        if fixed_step is not None:
-            theta = theta - fixed_step * g
-            continue
         base = loss_value(p, theta)
         if 0.25 * gnorm * gnorm <= 4.0 * np.spacing(base):
             theta = theta - smooth_step * g

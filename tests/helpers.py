@@ -2,7 +2,8 @@
 
 Reference routes the package itself no longer carries live here: the
 brute-force assignment scan, the trace-form affinity score, the logistic
-model's per-sample gradient rows, and the serial phase-3 path (one episode
+model's per-sample gradient rows, fixed-step descent to the logistic optimum,
+the per-layer Fisher diagonal loop, and the serial phase-3 path (one episode
 at a time, as validated Batches) that the stacked meta-steps must reproduce
 bit for bit.
 
@@ -152,6 +153,31 @@ def serial_noisy_sgd(p, cfg, seed):
                 bars[next_idx] = running_sum / t
                 next_idx += 1
     return ckpts, bars, raw
+
+
+def fixed_step_descent(p, step, tol, max_iters=200_000):
+    """Plain full-batch gradient descent at a fixed step to gradient norm <
+    tol: the cross-check route for theorem.solve_optimum's line search."""
+    theta = np.zeros(p.dim)
+    for _ in range(max_iters):
+        g = theorem.gradient(p, theta)
+        if np.linalg.norm(g) < tol:
+            return theta
+        theta = theta - step * g
+    raise AssertionError(f"fixed-step descent did not reach tol={tol} in {max_iters} steps")
+
+
+def layerwise_fisher_diag(net, batch):
+    """nnet.fisher_diag as a loop over the backward walk that divides each
+    layer's block by n on its own: the route it replaced, bit for bit."""
+    layers = nnet._unpack(net.spec, net.params)
+    pre, acts, delta = nnet._output_delta(net, layers, batch)
+    out = np.empty(net.param_count)
+    for off, size_w, a, g in nnet._backward(net, layers, pre, acts, len(layers) - 1, delta):
+        gg = g * g
+        out[off : off + size_w] = ((a * a).T @ gg).ravel() / batch.n
+        out[off + size_w : off + size_w + g.shape[1]] = gg.sum(axis=0) / batch.n
+    return out
 
 
 BRUTE_FORCE_CAP = 8

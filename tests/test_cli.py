@@ -2,6 +2,9 @@
 
 import json
 import os
+import re
+import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -46,6 +49,21 @@ def theorem_doc(noise=0.0, total_steps=300, abs_tol=0.05):
     }
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def shipped_config(name):
+    with open(os.path.join(ROOT, "configs", name)) as fh:
+        return json.load(fh)
+
+
+def delete_key(doc, path):
+    *parents, last = path.split(".")
+    for key in parents:
+        doc = doc[key]
+    del doc[last]
+
+
 def write_config(tmp_path, doc, name="cfg.json"):
     path = str(tmp_path / name)
     with open(path, "w") as fh:
@@ -66,6 +84,11 @@ def test_parse_pipeline_valid_doc():
     assert job.pipeline.whole_schedule.epochs == 30
     assert job.pipeline.verbose_fisher is False
     assert job.pipeline.master_seed == 1005
+    assert job.pipeline.approx_schedule.lr_decay_epochs == ()
+    assert job.pipeline.approx_schedule.lr_decay_factor == 1.0
+    doc = pipeline_doc()
+    del doc["network"]["activation"]
+    assert cfgmod.parse_pipeline(doc).activation == "relu"
 
 
 def test_parse_pipeline_csv_variant():
@@ -94,11 +117,50 @@ def test_parse_pipeline_rejects_unknown_keys(mutate, where):
         cfgmod.parse_pipeline(doc)
 
 
-def test_parse_pipeline_missing_key_names_path():
+# Every key a pipeline config must give, written out by hand: a setting that
+# gains a default on its dataclass becomes optional and fails its case.
+SCHEDULE_KEYS = ("learning_rate", "momentum", "epochs", "batch_size", "seed")
+PIPELINE_REQUIRED = [
+    "data", "network", "pipeline", "data.target_family", "data.n_test_classes",
+    "data.train_csv", "data.test_csv", "network.layer_widths",
+    *(f"data.synthetic.{k}" for k in (
+        "n_families", "classes_per_family", "samples_per_class", "input_dim",
+        "family_spread", "class_spread", "noise_sigma", "seed",
+    )),
+    *(f"pipeline.{k}" for k in (
+        "s_count", "n_test", "top_r", "m_way", "k_shot", "q_query", "epsilon",
+        "whole_schedule", "approx_schedule", "finetune_schedule", "n_eval_episodes",
+        "softmax_temperature", "master_seed",
+    )),
+    *(f"pipeline.{s}.{k}" for s in ("whole_schedule", "approx_schedule", "finetune_schedule")
+      for k in SCHEDULE_KEYS),
+]
+
+
+@pytest.mark.parametrize("path", PIPELINE_REQUIRED)
+def test_parse_pipeline_missing_key_names_path(path):
     doc = pipeline_doc()
-    del doc["pipeline"]["whole_schedule"]["momentum"]
-    with pytest.raises(cfgmod.ConfigError, match="pipeline.whole_schedule.momentum"):
+    if path.endswith("_csv"):
+        doc["data"] = {"train_csv": "a.csv", "test_csv": "b.csv"}
+    delete_key(doc, path)
+    with pytest.raises(cfgmod.ConfigError, match=re.escape(f"missing key {path!r}")):
         cfgmod.parse_pipeline(doc)
+
+
+THEOREM_REQUIRED = [
+    "fixture", "sgd", "n_seeds", "abs_tol",
+    *(f"fixture.{k}" for k in ("dim", "n_support", "n_query", "l2_lambda", "data_seed")),
+    *(f"sgd.{k}" for k in ("schedule", "noise_sigma", "total_steps", "seed")),
+    "sgd.schedule.kind", "sgd.schedule.eta0",
+]
+
+
+@pytest.mark.parametrize("path", THEOREM_REQUIRED)
+def test_parse_theorem_missing_key_names_path(path):
+    doc = theorem_doc()
+    delete_key(doc, path)
+    with pytest.raises(cfgmod.ConfigError, match=re.escape(f"missing key {path!r}")):
+        cfgmod.parse_theorem(doc)
 
 
 def test_parse_pipeline_rejects_bool_for_int():
@@ -137,6 +199,11 @@ def test_parse_synth():
     assert job.filename == "dataset.csv"
     with pytest.raises(cfgmod.ConfigError):
         cfgmod.parse_synth({"synthetic": synth_block(), "oops": 1})
+    for path in ("synthetic", "synthetic.seed", "synthetic.noise_sigma"):
+        doc = {"synthetic": synth_block()}
+        delete_key(doc, path)
+        with pytest.raises(cfgmod.ConfigError, match=re.escape(f"missing key {path!r}")):
+            cfgmod.parse_synth(doc)
 
 
 def test_parse_theorem():
@@ -154,6 +221,50 @@ def test_parse_theorem():
     doc["sgd"]["schedule"]["exponent"] = 0.6
     job = cfgmod.parse_theorem(doc)
     assert job.sgd.step_schedule.exponent == 0.6
+
+
+# run ids of the shipped configs; the echo is the config document with every
+# default filled in, so a change to the schema or a default shows here
+SHIPPED_RUN_IDS = {
+    ("tas", "tas.json", None): "f01c836de3a5",
+    ("fewshot", "fewshot.json", "related"): "9e6a192e1307",
+    ("fewshot", "fewshot.json", "non_related"): "a58db0493cee",
+    ("fewshot", "fewshot.json", "random"): "743ce52a8607",
+    ("theorem1", "theorem1.json", None): "d4543714298c",
+}
+
+
+@pytest.mark.parametrize("command,name,ablation", list(SHIPPED_RUN_IDS))
+def test_shipped_configs_keep_their_run_id_and_echo(command, name, ablation):
+    doc = shipped_config(name)
+    if command == "theorem1":
+        echo = asdict(cfgmod.parse_theorem(doc))
+        sgd = dict(doc["sgd"])
+        sgd["step_schedule"] = sgd.pop("schedule")
+        expected = {
+            **doc["fixture"], "n_seeds": doc["n_seeds"], "abs_tol": doc["abs_tol"],
+            "optimum_tol": 1e-10, "sgd": sgd,
+        }
+    else:
+        echo = cli._echo(cfgmod.parse_pipeline(doc))
+        defaults = {"lr_decay_epochs": [], "lr_decay_factor": 1.0}
+        expected = {
+            "data": {**doc["data"], "train_csv": None, "test_csv": None},
+            **doc["network"],
+            **doc["pipeline"],
+            "verbose_fisher": False,
+            **{s: {**doc["pipeline"][s], **defaults}
+               for s in ("whole_schedule", "approx_schedule", "finetune_schedule")},
+        }
+        if command == "fewshot":
+            echo["ablation"] = expected["ablation"] = ablation
+    assert json.loads(json.dumps(echo)) == expected
+    assert cli._run_id(command, echo) == SHIPPED_RUN_IDS[command, name, ablation]
+
+
+def test_shipped_synth_config_parses_to_itself():
+    doc = shipped_config("synth.json")
+    assert asdict(cfgmod.parse_synth(doc)) == doc
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +453,44 @@ def test_oversized_episodes_fail_fewshot_before_training_but_not_tas(
     assert len(calls) == 1
 
 
+def _main_without_warnings(argv):
+    """cli.main, failing the test if numpy warns: a RuntimeWarning would reach stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    return rc
+
+
 def test_fewshot_non_finite_fine_tune_is_an_error_line(tmp_path, capsys):
     # the shipped fewshot config at learning rate 1e4 overflows within a few
     # meta-steps; it must not report an accuracy from NaN parameters
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    doc = _read_json(os.path.join(root, "configs", "fewshot.json"))
+    doc = shipped_config("fewshot.json")
     doc["pipeline"].update(s_count=4, top_r=3, n_eval_episodes=10)
     doc["pipeline"]["finetune_schedule"].update(learning_rate=1e4, epochs=50)
     out = str(tmp_path / "out")
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = cli.main(["fewshot", "--config", write_config(tmp_path, doc), "--out", out])
+    rc = _main_without_warnings(["fewshot", "--config", write_config(tmp_path, doc), "--out", out])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: phase-3 meta-step 4 left a non-finite loss or parameters")
+    assert err == "error: phase-3 meta-step 4 left a non-finite loss or parameters\n"
     assert not os.path.exists(os.path.join(out, "report.json"))
+
+
+def test_tas_non_finite_eps_approximation_is_an_error_line(tmp_path, capsys):
+    # at learning rate 1e8 the first source task's approximation overflows in
+    # its first epoch; the error names the task and the epoch
+    doc = shipped_config("tas.json")
+    doc["pipeline"].update(s_count=4, top_r=3)
+    doc["pipeline"]["approx_schedule"]["learning_rate"] = 1e8
+    out = str(tmp_path / "out")
+    rc = _main_without_warnings(["tas", "--config", write_config(tmp_path, doc), "--out", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: source task 0 eps-approximation: "
+        "training left non-finite parameters in epoch 0\n"
+    )
+    assert os.listdir(out) == []
 
 
 @pytest.mark.parametrize("command", ["tas", "fewshot"])

@@ -1,6 +1,8 @@
 """Network substrate: forward oracles, exact-gradient checks, training basics."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -70,19 +72,21 @@ def test_batch_validation():
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        nnet.TrainSchedule(-0.1, 0.0, 1, 1)
+        nnet.TrainSchedule(-0.1, 0.0, 1, 1, seed=0)
     with pytest.raises(ValueError):
-        nnet.TrainSchedule(0.1, 1.0, 1, 1)
+        nnet.TrainSchedule(0.1, 1.0, 1, 1, seed=0)
     with pytest.raises(ValueError):
-        nnet.TrainSchedule(0.1, 0.0, -1, 1)
+        nnet.TrainSchedule(0.1, 0.0, -1, 1, seed=0)
     with pytest.raises(ValueError):
-        nnet.TrainSchedule(0.1, 0.0, 1, 0)
+        nnet.TrainSchedule(0.1, 0.0, 1, 0, seed=0)
     with pytest.raises(ValueError):
-        nnet.TrainSchedule(0.1, 0.0, 5, 1, lr_decay_epochs=(3, 3))
+        nnet.TrainSchedule(0.1, 0.0, 5, 1, lr_decay_epochs=(3, 3), seed=0)
     with pytest.raises(ValueError):
-        nnet.TrainSchedule(0.1, 0.0, 5, 1, lr_decay_epochs=(5,))
+        nnet.TrainSchedule(0.1, 0.0, 5, 1, lr_decay_epochs=(5,), seed=0)
     with pytest.raises(ValueError):
-        nnet.TrainSchedule(0.1, 0.0, 5, 1, lr_decay_factor=0.0)
+        nnet.TrainSchedule(0.1, 0.0, 5, 1, lr_decay_factor=0.0, seed=0)
+    with pytest.raises(TypeError, match="seed"):  # every schedule names its seed
+        nnet.TrainSchedule(0.1, 0.0, 5, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +272,12 @@ def test_fisher_diag_shape_and_oracle_mean():
     np.testing.assert_allclose(f, np.mean(rows * rows, axis=0), rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("seed", [10, 11, 12])
+def test_fisher_diag_equals_the_layerwise_loop_bitwise(seed):
+    net, batch = helpers.draw_generic_case(np.random.default_rng(seed))
+    assert np.array_equal(nnet.fisher_diag(net, batch), helpers.layerwise_fisher_diag(net, batch))
+
+
 def test_fisher_diag_single_row_is_squared_oracle_row():
     rng = np.random.default_rng(12)
     net, batch = helpers.draw_generic_case(rng)
@@ -343,9 +353,9 @@ def _blob_batch(rng, n_per=40):
 def test_train_zero_lr_leaves_params_unchanged():
     net = nnet.init_network(nnet.NetworkSpec((2, 4), 2), 1)
     batch = _blob_batch(np.random.default_rng(2))
-    out, hist = nnet.train(net, batch, nnet.TrainSchedule(0.0, 0.9, 3, 16, seed=5))
-    assert np.array_equal(out.params, net.params)
-    assert len(hist) == 3
+    nets = list(nnet.train(net, batch, nnet.TrainSchedule(0.0, 0.9, 3, 16, seed=5)))
+    assert len(nets) == 3  # one network per epoch
+    assert all(np.array_equal(n.params, net.params) for n in nets)
 
 
 def test_train_separates_blobs():
@@ -353,9 +363,9 @@ def test_train_separates_blobs():
     batch = _blob_batch(rng)
     net = nnet.init_network(nnet.NetworkSpec((2, 8), 2, activation="tanh"), 3)
     sched = nnet.TrainSchedule(0.1, 0.9, 20, 16, seed=4)
-    out, hist = nnet.train(net, batch, sched)
+    *_, out = nnet.train(net, batch, sched)
     assert nnet.evaluate(out, batch) > 0.95
-    assert hist[-1] < hist[0]
+    assert nnet.loss(out, batch) < nnet.loss(net, batch)
 
 
 def test_train_same_seed_bitwise_reproducible():
@@ -363,25 +373,34 @@ def test_train_same_seed_bitwise_reproducible():
     net = nnet.init_network(nnet.NetworkSpec((2, 6), 2), 7)
     sched = nnet.TrainSchedule(0.05, 0.8, 6, 8, lr_decay_epochs=(3,),
                                lr_decay_factor=0.5, seed=9)
-    a, ha = nnet.train(net, batch, sched)
-    b, hb = nnet.train(net, batch, sched)
-    assert np.array_equal(a.params, b.params)
-    assert ha == hb
+    a = list(nnet.train(net, batch, sched))
+    b = list(nnet.train(net, batch, sched))
+    assert len(a) == len(b) == 6
+    assert all(np.array_equal(x.params, y.params) for x, y in zip(a, b))
 
 
 def test_train_stop_fn_halts_early():
+    # a caller that stops iterating after epoch k holds exactly the network a
+    # k-epoch schedule ends with
     batch = _blob_batch(np.random.default_rng(31))
     net = nnet.init_network(nnet.NetworkSpec((2, 6), 2), 7)
-    sched = nnet.TrainSchedule(0.05, 0.0, 50, 16, seed=2)
-    calls = []
+    sched = nnet.TrainSchedule(0.05, 0.9, 50, 16, seed=2)
+    for epoch, stopped in enumerate(nnet.train(net, batch, sched)):
+        if epoch == 2:
+            break
+    *_, short = nnet.train(net, batch, dataclasses.replace(sched, epochs=3))
+    assert np.array_equal(stopped.params, short.params)
+    assert not np.array_equal(stopped.params, net.params)
 
-    def stop(current, epoch, history):
-        calls.append(epoch)
-        return epoch >= 2
 
-    _, hist = nnet.train(net, batch, sched, stop_fn=stop)
-    assert calls == [0, 1, 2]
-    assert len(hist) == 3
+def test_train_non_finite_epoch_is_an_error_without_warnings():
+    batch = _blob_batch(np.random.default_rng(32))
+    net = nnet.init_network(nnet.NetworkSpec((2, 6), 2), 7)
+    sched = nnet.TrainSchedule(1e200, 0.9, 50, 16, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        with pytest.raises(ValueError, match="non-finite parameters in epoch 0"):
+            list(nnet.train(net, batch, sched))
 
 
 def test_evaluate_exact_and_complement():

@@ -1,6 +1,7 @@
 """Three-phase pipeline: affinity scoring, selection, episodic fine-tuning."""
 
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -157,6 +158,29 @@ def test_mtas_rejects_source_class_without_rows(tiny, monkeypatch):
     with pytest.raises(ValueError, match=r"classes \[1\] have no rows"):
         view = pipeline.view_target(tasks.build_target_task(test), test, whole, cfg)
         pipeline.mtas(empty_class, view, train, whole, cfg)
+
+
+def test_mtas_overflowing_fisher_names_the_task_and_epochs(tiny, monkeypatch):
+    # a diverged approximation can keep finite parameters and still overflow
+    # in its Fisher diagonal; the error names the task and its epoch count
+    train, test, spec, cfg = tiny
+    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+    source_tasks, target = pipeline.prepare_tasks(train, test, cfg)
+    view = pipeline.view_target(target, test, whole, cfg)
+    build = pipeline.build_eps_approx
+
+    def diverged(*args, **kwargs):
+        net, record = build(*args, **kwargs)
+        return nnet.Network(net.spec, net.params * 1e120), record
+
+    monkeypatch.setattr(pipeline, "build_eps_approx", diverged)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the check reports, not numpy
+        with pytest.raises(ValueError, match=(
+            r"^source task 1 Fisher diagonal after \d+ eps-approximation epochs: "
+            r"entries must be finite"
+        )):
+            pipeline.mtas(source_tasks[1], view, train, whole, cfg)
 
 
 def test_mtas_labels_follow_assignment(monkeypatch):

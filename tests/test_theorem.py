@@ -134,7 +134,7 @@ def test_solve_optimum_symmetric_data_gives_origin():
     # logistic term, and the penalty pins the optimum at the origin
     x = np.array([[1.0, -2.0], [1.0, -2.0]])
     p = theorem.ConvexProblem(x, np.array([1, 0]), 0.3)
-    theta = theorem.solve_optimum(p)
+    theta = theorem.solve_optimum(p, tol=1e-10)
     np.testing.assert_allclose(theta, np.zeros(2), atol=1e-9)
 
 
@@ -147,7 +147,7 @@ def test_solve_optimum_reaches_tolerance():
 def test_solve_optimum_fixed_step_agrees_with_armijo():
     p = tiny_problem(10)
     a = theorem.solve_optimum(p, tol=1e-10)
-    b = theorem.solve_optimum(p, tol=1e-10, fixed_step=0.5)
+    b = helpers.fixed_step_descent(p, 0.5, tol=1e-10)
     assert np.linalg.norm(a - b) < 1e-9
 
 
@@ -162,7 +162,7 @@ def test_solve_optimum_resolves_gradients_below_the_loss_rounding():
 def test_solve_optimum_budget_error():
     p = tiny_problem(11)
     with pytest.raises(RuntimeError, match="did not reach"):
-        theorem.solve_optimum(p, tol=1e-12, fixed_step=1e-6, max_iters=5)
+        theorem.solve_optimum(p, tol=1e-12, max_iters=5)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +181,7 @@ def test_checkpoint_times_structure():
 
 def test_noisy_sgd_noiseless_average_approaches_optimum():
     p = tiny_problem(12, lam=0.3)
-    star = theorem.solve_optimum(p)
+    star = theorem.solve_optimum(p, tol=1e-10)
     cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.2), 0.0, 4000, seed=1)
     traj = theorem.noisy_sgd(p, cfg, [1])[0]
     # iterates converge geometrically; the running average lags at O(1/t)
