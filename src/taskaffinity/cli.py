@@ -1,4 +1,4 @@
-"""Command-line entry points: synth, tas, fewshot, theorem1.
+"""Command-line entry points (synth, tas, fewshot, theorem1) and every output format.
 
 All commands take --config (JSON, strictly validated), write their artifacts
 under --out atomically (temp file + rename, so readers never see partial
@@ -19,7 +19,8 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict
+from collections.abc import Sequence
+from dataclasses import asdict, replace
 
 from . import config as cfgmod
 from . import pipeline, tasks, theorem
@@ -65,32 +66,65 @@ def _load_data(src: cfgmod.DataSource) -> tuple[tasks.Dataset, tasks.Dataset]:
     return tasks.load_csv(src.train_csv), tasks.load_csv(src.test_csv)
 
 
-def _hist_csv(edges: tuple[float, ...], counts: tuple[int, ...]) -> str:
-    lines = ["bin_lo,bin_hi,count"]
-    for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-        lines.append(f"{lo!r},{hi!r},{c}")
-    return "\n".join(lines) + "\n"
+def score_row(r: pipeline.RankedTask) -> dict:
+    """The JSON row of one score; the diagnostics go under "fisher" when kept."""
+    row = {
+        "task_id": r.task_id,
+        "score": r.score.value,
+        "mapping": list(r.assignment.mapping),
+        "total_cost": r.assignment.total_cost,
+    }
+    if r.diagnostics is not None:
+        row["fisher"] = r.diagnostics
+    return row
 
 
-def _label_freq_csv(freq: dict[int, int]) -> str:
-    lines = ["class_id,count"]
-    for cid in sorted(freq):
-        lines.append(f"{cid},{freq[cid]}")
-    return "\n".join(lines) + "\n"
+def _label_set_doc(chosen: pipeline.RelatedSet) -> dict:
+    return {"label_set": list(chosen.label_set), "row_indices": list(chosen.row_indices)}
 
 
-def _scores_doc(
-    ordered: list[pipeline.RankedTask], related: pipeline.RelatedSet, run_id: str, echo: dict
-) -> dict:
+def report_to_doc(report: pipeline.RunReport) -> dict:
+    """The report as JSON; its score rows leave out the diagnostics, which
+    scores.json carries."""
+    edges, counts = report.tas_histogram
     return {
+        "ablation_mode": report.ablation_mode,
+        "scores": [score_row(replace(r, diagnostics=None)) for r in report.scores],
+        "selected_labels": _label_set_doc(report.selected_labels),
+        "tas_histogram": {"edges": list(edges), "counts": list(counts)},
+        "label_frequency": {str(k): v for k, v in report.label_frequency.items()},
+        "fewshot_accuracy_mean": report.fewshot_accuracy_mean,
+        "fewshot_ci95": report.fewshot_ci95,
+        "timings": dict(report.timings),
+    }
+
+
+def _write_ranking(
+    out: str,
+    run_id: str,
+    echo: dict,
+    ordered: Sequence[pipeline.RankedTask],
+    selected: pipeline.RelatedSet,
+    histogram: tuple[tuple[float, ...], tuple[int, ...]],
+    frequency: dict[int, int],
+    timings: dict[str, float] | None = None,
+) -> None:
+    """scores.json, tas_hist.csv and label_freq.csv of a tas or fewshot run."""
+    doc = {
         "run_id": run_id,
         "config": echo,
-        "scores": [pipeline.score_row(r) for r in ordered],
-        "selected": {
-            "label_set": list(related.label_set),
-            "row_indices": list(related.row_indices),
-        },
+        "scores": [score_row(r) for r in ordered],
+        "selected": _label_set_doc(selected),
     }
+    if timings is not None:
+        doc["timings"] = timings
+    _write_json(os.path.join(out, "scores.json"), doc)
+    edges, counts = histogram
+    hist = ["bin_lo,bin_hi,count"]
+    hist += [f"{lo!r},{hi!r},{c}" for lo, hi, c in zip(edges[:-1], edges[1:], counts)]
+    _atomic_write(os.path.join(out, "tas_hist.csv"), "\n".join(hist) + "\n")
+    freq = ["class_id,count"] + [f"{cid},{frequency[cid]}" for cid in sorted(frequency)]
+    _atomic_write(os.path.join(out, "label_freq.csv"), "\n".join(freq) + "\n")
 
 
 def _echo(job: cfgmod.PipelineJob) -> dict:
@@ -128,14 +162,14 @@ def cmd_tas(doc: dict, out: str, seed: int | None) -> int:
     t0 = time.perf_counter()
     train, test, spec, cfg = _setup(job)
     _, source_tasks, ordered, _ = pipeline.phases_1_2(train, test, spec, cfg)
-    related = pipeline.related_training_set(ordered[: cfg.top_r], source_tasks, train)
-    doc_out = _scores_doc(ordered, related, run_id, echo)
-    doc_out["timings"] = {"total_s": time.perf_counter() - t0}
-    _write_json(os.path.join(out, "scores.json"), doc_out)
-    edges, counts = pipeline.tas_histogram(ordered)
-    _atomic_write(os.path.join(out, "tas_hist.csv"), _hist_csv(edges, counts))
-    freq = pipeline.label_frequency(ordered[: cfg.top_r], source_tasks)
-    _atomic_write(os.path.join(out, "label_freq.csv"), _label_freq_csv(freq))
+    top = ordered[: cfg.top_r]
+    _write_ranking(
+        out, run_id, echo, ordered,
+        pipeline.related_training_set(top, source_tasks, train),
+        pipeline.tas_histogram(ordered),
+        pipeline.label_frequency(top, source_tasks),
+        timings={"total_s": time.perf_counter() - t0},
+    )
     print(f"wrote scores.json tas_hist.csv label_freq.csv (run {run_id})")
     return 0
 
@@ -148,18 +182,15 @@ def cmd_fewshot(doc: dict, out: str, seed: int | None, ablation: str) -> int:
     echo["ablation"] = ablation
     run_id = _run_id("fewshot", echo)
     train, test, spec, cfg = _setup(job)
-    report = pipeline.ablation_run(train, test, spec, cfg, mode=ablation)
-    report_doc = pipeline.report_to_doc(report)
+    report = pipeline.ablation_comparison(train, test, spec, cfg, (ablation,))[ablation]
+    report_doc = report_to_doc(report)
     report_doc["run_id"] = run_id
     report_doc["config"] = echo
     _write_json(os.path.join(out, "report.json"), report_doc)
-    _write_json(
-        os.path.join(out, "scores.json"),
-        _scores_doc(list(report.scores), report.selected_labels, run_id, echo),
+    _write_ranking(
+        out, run_id, echo, report.scores, report.selected_labels,
+        report.tas_histogram, report.label_frequency,
     )
-    edges, counts = report.tas_histogram
-    _atomic_write(os.path.join(out, "tas_hist.csv"), _hist_csv(edges, counts))
-    _atomic_write(os.path.join(out, "label_freq.csv"), _label_freq_csv(report.label_frequency))
     print(
         f"wrote report.json scores.json tas_hist.csv label_freq.csv "
         f"(run {run_id}, mode {report.ablation_mode}, "

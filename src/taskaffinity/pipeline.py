@@ -146,7 +146,8 @@ def train_whole_classifier(
             pass
     except ValueError as exc:
         raise ValueError(f"whole classifier: {exc}") from None
-    log.debug("whole classifier trained, final loss %.4f", nnet.loss(net, batch))
+    if log.isEnabledFor(logging.DEBUG):  # the loss is a full forward pass
+        log.debug("whole classifier trained, final loss %.4f", nnet.loss(net, batch))
     return net
 
 
@@ -296,10 +297,12 @@ def related_training_set(
 ) -> RelatedSet:
     """Union of the selected tasks' class labels, with every training row carrying them."""
     by_id = {t.task_id: t for t in source_tasks}
-    labels: set[int] = set()
-    for r in selected:
-        labels.update(by_id[r.task_id].class_ids)
-    label_set = tuple(sorted(labels))
+    return _related_set(train, {cid for r in selected for cid in by_id[r.task_id].class_ids})
+
+
+def _related_set(train: tasks.Dataset, ids) -> RelatedSet:
+    """The class ids in ascending order, with every training row carrying one."""
+    label_set = tuple(sorted(ids))
     rows = np.flatnonzero(np.isin(train.labels, label_set))
     return RelatedSet(label_set, tuple(int(r) for r in rows))
 
@@ -455,26 +458,12 @@ def _pick_ablation_set(
         return related
     if mode == "non_related":
         return related_training_set(ordered[-cfg.top_r :], source_tasks, train)
-    if mode == "random":
-        rng = np.random.default_rng(derive_seed(cfg.master_seed, _STREAM_ABLATION))
-        size = len(related.label_set)
-        all_ids = train.class_ids
-        picked = rng.choice(len(all_ids), size=min(size, len(all_ids)), replace=False)
-        ids = tuple(sorted(all_ids[int(k)] for k in picked))
-        rows = np.flatnonzero(np.isin(train.labels, ids))
-        return RelatedSet(ids, tuple(int(r) for r in rows))
-    raise ValueError(f"unknown ablation mode {mode!r}; expected one of {ABLATION_MODES}")
-
-
-def _check_episode_sizes(test: tasks.Dataset, cfg: PipelineConfig) -> None:
-    """Fail before any training if evaluation could not sample an episode."""
-    need = cfg.k_shot + cfg.q_query
-    eligible = len(tasks.episode_classes(test, need))
-    if eligible < cfg.m_way:
-        raise ValueError(
-            f"insufficient samples: only {eligible} test classes have >= {need} rows "
-            f"(k_shot + q_query), need m_way={cfg.m_way}"
-        )
+    # random
+    rng = np.random.default_rng(derive_seed(cfg.master_seed, _STREAM_ABLATION))
+    all_ids = train.class_ids
+    size = min(len(related.label_set), len(all_ids))
+    picked = rng.choice(len(all_ids), size=size, replace=False)
+    return _related_set(train, (all_ids[int(k)] for k in picked))
 
 
 def phases_1_2(
@@ -507,113 +496,53 @@ def phases_1_2(
     return whole, source_tasks, ordered, timings
 
 
-def _phase_3_report(
-    whole: nnet.Network,
-    source_tasks: list[tasks.TaskSpec],
-    ordered: list[RankedTask],
-    train: tasks.Dataset,
-    test: tasks.Dataset,
-    cfg: PipelineConfig,
-    mode: str,
-    timings_shared: dict[str, float],
-) -> RunReport:
-    """Fine-tune on the mode's label set, evaluate, and assemble the report."""
-    timings = dict(timings_shared)
-    chosen = _pick_ablation_set(mode, ordered, source_tasks, train, cfg)
-
-    t0 = time.perf_counter()
-    tuned, _ = episodic_finetune(whole, chosen, train, cfg)
-    timings["finetune_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    acc_mean, ci95 = evaluate_fewshot(tuned, test, cfg)
-    timings["eval_s"] = time.perf_counter() - t0
-
-    return RunReport(
-        scores=tuple(ordered),
-        selected_labels=chosen,
-        tas_histogram=tas_histogram(ordered),
-        label_frequency=label_frequency(ordered[: cfg.top_r], source_tasks),
-        fewshot_accuracy_mean=acc_mean,
-        fewshot_ci95=ci95,
-        timings=timings,
-        ablation_mode=mode,
-    )
-
-
-def ablation_run(
-    train: tasks.Dataset,
-    test: tasks.Dataset,
-    spec: nnet.NetworkSpec,
-    cfg: PipelineConfig,
-    mode: str = "related",
-) -> RunReport:
-    """Full three-phase run with the fine-tuning label set chosen by mode.
-
-    related: union of the top_r lowest-score tasks.  non_related: union of
-    the top_r highest-score tasks.  random: a uniformly drawn label set of
-    the same size as the related one.  Seeds and budgets are identical across
-    modes, so when the label sets coincide the runs are bitwise identical.
-    """
-    if mode not in ABLATION_MODES:
-        raise ValueError(f"unknown ablation mode {mode!r}; expected one of {ABLATION_MODES}")
-    _check_episode_sizes(test, cfg)
-    whole, source_tasks, ordered, timings = phases_1_2(train, test, spec, cfg)
-    return _phase_3_report(whole, source_tasks, ordered, train, test, cfg, mode, timings)
-
-
 def ablation_comparison(
     train: tasks.Dataset,
     test: tasks.Dataset,
     spec: nnet.NetworkSpec,
     cfg: PipelineConfig,
+    modes: tuple[str, ...] = ABLATION_MODES,
 ) -> dict[str, RunReport]:
-    """Reports for all three ablation modes off one shared phase-1/2 pass.
+    """Phases 1-2 once, then phase 3 and evaluation for each mode, in order.
 
-    Identical to calling ablation_run per mode (everything is seeded, so the
-    shared phases would come out bitwise-equal anyway) but trains and ranks
-    only once, which is what makes multi-seed mode comparisons affordable.
+    related fine-tunes on the labels of the top_r lowest-score tasks,
+    non_related on those of the top_r highest-score tasks, random on a drawn
+    label set the size of the related one.  Seeds and budgets are shared, so
+    a mode's report does not depend on which other modes run.  Unknown modes
+    and test sets too small for evaluation episodes fail before any training.
     """
-    _check_episode_sizes(test, cfg)
-    whole, source_tasks, ordered, timings = phases_1_2(train, test, spec, cfg)
-    return {
-        mode: _phase_3_report(whole, source_tasks, ordered, train, test, cfg, mode, timings)
-        for mode in ABLATION_MODES
-    }
+    for mode in modes:
+        if mode not in ABLATION_MODES:
+            raise ValueError(f"unknown ablation mode {mode!r}; expected one of {ABLATION_MODES}")
+    need = cfg.k_shot + cfg.q_query
+    eligible = len(tasks.episode_classes(test, need))
+    if eligible < cfg.m_way:
+        raise ValueError(
+            f"insufficient samples: only {eligible} test classes have >= {need} rows "
+            f"(k_shot + q_query), need m_way={cfg.m_way}"
+        )
+    whole, source_tasks, ordered, shared = phases_1_2(train, test, spec, cfg)
+    reports: dict[str, RunReport] = {}
+    for mode in modes:
+        timings = dict(shared)
+        chosen = _pick_ablation_set(mode, ordered, source_tasks, train, cfg)
 
+        t0 = time.perf_counter()
+        tuned, _ = episodic_finetune(whole, chosen, train, cfg)
+        timings["finetune_s"] = time.perf_counter() - t0
 
-# ---------------------------------------------------------------------------
-# report serialization
+        t0 = time.perf_counter()
+        acc_mean, ci95 = evaluate_fewshot(tuned, test, cfg)
+        timings["eval_s"] = time.perf_counter() - t0
 
-
-def score_row(r: RankedTask) -> dict:
-    """The JSON row of one score; the diagnostics go under "fisher" when kept."""
-    row = {
-        "task_id": r.task_id,
-        "score": r.score.value,
-        "mapping": list(r.assignment.mapping),
-        "total_cost": r.assignment.total_cost,
-    }
-    if r.diagnostics is not None:
-        row["fisher"] = r.diagnostics
-    return row
-
-
-def report_to_doc(report: RunReport) -> dict:
-    """The report as JSON; its score rows leave out the diagnostics, which
-    scores.json carries."""
-    edges, counts = report.tas_histogram
-    return {
-        "ablation_mode": report.ablation_mode,
-        "scores": [score_row(replace(r, diagnostics=None)) for r in report.scores],
-        "selected_labels": {
-            "label_set": list(report.selected_labels.label_set),
-            "row_indices": list(report.selected_labels.row_indices),
-        },
-        "tas_histogram": {"edges": list(edges), "counts": list(counts)},
-        "label_frequency": {str(k): v for k, v in report.label_frequency.items()},
-        "fewshot_accuracy_mean": report.fewshot_accuracy_mean,
-        "fewshot_ci95": report.fewshot_ci95,
-        "timings": dict(report.timings),
-    }
-
+        reports[mode] = RunReport(
+            scores=tuple(ordered),
+            selected_labels=chosen,
+            tas_histogram=tas_histogram(ordered),
+            label_frequency=label_frequency(ordered[: cfg.top_r], source_tasks),
+            fewshot_accuracy_mean=acc_mean,
+            fewshot_ci95=ci95,
+            timings=timings,
+            ablation_mode=mode,
+        )
+    return reports

@@ -363,6 +363,22 @@ def test_tas_command_outputs_and_ranking(tmp_path):
     assert {int(r.split(",")[0]): int(r.split(",")[1]) for r in freq_rows} == freq
 
 
+def test_tas_and_fewshot_write_the_same_ranking_files(tmp_path):
+    cfg = write_config(tmp_path, pipeline_doc())
+    tas, few = str(tmp_path / "tas"), str(tmp_path / "fewshot")
+    assert cli.main(["tas", "--config", cfg, "--out", tas]) == 0
+    assert cli.main(["fewshot", "--config", cfg, "--out", few, "--ablation", "related"]) == 0
+    a = _read_json(os.path.join(tas, "scores.json"))
+    b = _read_json(os.path.join(few, "scores.json"))
+    assert a["scores"] == b["scores"]
+    assert a["selected"] == b["selected"]
+    assert set(a) - set(b) == {"timings"} and set(b) <= set(a)
+    assert set(a["timings"]) == {"total_s"}
+    for name in ("tas_hist.csv", "label_freq.csv"):
+        with open(os.path.join(tas, name), "rb") as fh, open(os.path.join(few, name), "rb") as gh:
+            assert fh.read() == gh.read(), name
+
+
 FISHER_KEYS = {"f_aa", "f_ab", "achieved_epsilon", "approx_epochs", "reached_target"}
 
 

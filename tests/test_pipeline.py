@@ -1,6 +1,7 @@
 """Three-phase pipeline: affinity scoring, selection, episodic fine-tuning."""
 
 import json
+import logging
 import warnings
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import helpers
-from taskaffinity import fisher, matching, nnet, pipeline, tasks
+from taskaffinity import cli, fisher, matching, nnet, pipeline, tasks
 from taskaffinity.seeding import derive_seed
 
 
@@ -35,7 +36,7 @@ def tiny():
 @pytest.fixture(scope="module")
 def tiny_run(tiny):
     train, test, spec, cfg = tiny
-    return pipeline.ablation_run(train, test, spec, cfg)
+    return pipeline.ablation_comparison(train, test, spec, cfg, ("related",))["related"]
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +84,20 @@ def test_train_whole_classifier_fits_and_is_deterministic(tiny):
     assert np.array_equal(a.params, b.params)
     acc = nnet.evaluate(a, tasks.batch_of(train, range(train.n), train.class_ids))
     assert acc > 0.9, f"whole classifier underfits its own training set: {acc}"
+
+
+def test_train_whole_classifier_skips_the_debug_loss_below_debug(tiny, monkeypatch):
+    # the final-loss line is a full forward pass; it runs only when logged
+    train, _, spec, cfg = tiny
+    expected = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+
+    def never(*args):
+        raise AssertionError("nnet.loss evaluated for a debug line nobody sees")
+
+    monkeypatch.setattr(nnet, "loss", never)
+    assert not pipeline.log.isEnabledFor(logging.DEBUG)
+    net = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+    assert np.array_equal(net.params, expected.params)
 
 
 def test_train_whole_classifier_head_mismatch(tiny):
@@ -678,49 +693,49 @@ def test_run_full_report_structure(tiny, tiny_run):
         assert rep.timings[key] >= 0.0
 
 
-def test_ablation_run_rejects_unknown_mode(tiny):
-    train, test, spec, cfg = tiny
-    with pytest.raises(ValueError, match="ablation mode"):
-        pipeline.ablation_run(train, test, spec, cfg, mode="shuffled")
-
-
 def test_ablation_comparison_matches_individual_runs(tiny):
     train, test, spec, cfg = tiny
     combined = pipeline.ablation_comparison(train, test, spec, cfg)
-    assert set(combined) == set(pipeline.ABLATION_MODES)
+    assert list(combined) == list(pipeline.ABLATION_MODES)
     for mode in pipeline.ABLATION_MODES:
-        single = pipeline.ablation_run(train, test, spec, cfg, mode=mode)
-        assert combined[mode].ablation_mode == mode
+        single = pipeline.ablation_comparison(train, test, spec, cfg, (mode,))
+        assert list(single) == [mode]
+        single = single[mode]
+        assert combined[mode].ablation_mode == single.ablation_mode == mode
         assert combined[mode].scores == single.scores
         assert combined[mode].selected_labels == single.selected_labels
         assert combined[mode].fewshot_accuracy_mean == single.fewshot_accuracy_mean
         assert combined[mode].fewshot_ci95 == single.fewshot_ci95
         assert combined[mode].label_frequency == single.label_frequency
+        assert combined[mode].tas_histogram == single.tas_histogram
 
 
 @pytest.mark.parametrize(
-    "run", [pipeline.ablation_run, pipeline.ablation_comparison], ids=["run", "comparison"]
+    "change,modes,match",
+    [
+        ({}, ("related", "shuffled"), "unknown ablation mode 'shuffled'"),
+        ({"q_query": 60}, ("related",), "insufficient samples"),
+        ({"n_test": 3}, pipeline.ABLATION_MODES, "n_test=3"),
+    ],
+    ids=["unknown_mode", "oversized_episodes", "wrong_n_test"],
 )
-def test_ablation_bad_sizes_fail_before_phase_1(tiny, monkeypatch, run):
+def test_ablation_bad_inputs_fail_before_phase_1(tiny, monkeypatch, change, modes, match):
     train, test, spec, cfg = tiny
 
     def never(*args):
         raise AssertionError("whole-classifier training started")
 
     monkeypatch.setattr(pipeline, "train_whole_classifier", never)
-    with pytest.raises(ValueError, match="insufficient samples"):
-        run(train, test, spec, replace(cfg, q_query=60))
-    with pytest.raises(ValueError, match="n_test=3"):
-        run(train, test, spec, replace(cfg, n_test=3))
+    with pytest.raises(ValueError, match=match):
+        pipeline.ablation_comparison(train, test, spec, replace(cfg, **change), modes)
 
 
 def test_ablation_random_mode_is_deterministic_and_sized(tiny):
     train, test, spec, cfg = tiny
-    a = pipeline.ablation_run(train, test, spec, cfg, mode="random")
-    b = pipeline.ablation_run(train, test, spec, cfg, mode="random")
-    assert a.selected_labels == b.selected_labels
-    related = pipeline.ablation_run(train, test, spec, cfg, mode="related")
-    assert len(a.selected_labels.label_set) == len(related.selected_labels.label_set)
+    a = pipeline.ablation_comparison(train, test, spec, cfg, ("random",))["random"]
+    b = pipeline.ablation_comparison(train, test, spec, cfg, ("random", "related"))
+    assert a.selected_labels == b["random"].selected_labels
+    assert len(a.selected_labels.label_set) == len(b["related"].selected_labels.label_set)
 
 
 def test_ablation_modes_coincide_when_every_task_uses_all_classes():
@@ -747,13 +762,13 @@ def test_ablation_modes_coincide_when_every_task_uses_all_classes():
 
 
 def test_report_doc_round_trip(tiny_run):
-    doc = pipeline.report_to_doc(tiny_run)
+    doc = cli.report_to_doc(tiny_run)
     wire = json.loads(json.dumps(doc, sort_keys=True))
     assert wire == doc
     # every field of the report, and nothing else, is in its JSON form
     assert wire == {
         "ablation_mode": tiny_run.ablation_mode,
-        "scores": [pipeline.score_row(r) for r in tiny_run.scores],
+        "scores": [cli.score_row(r) for r in tiny_run.scores],
         "selected_labels": {
             "label_set": list(tiny_run.selected_labels.label_set),
             "row_indices": list(tiny_run.selected_labels.row_indices),
