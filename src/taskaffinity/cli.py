@@ -161,13 +161,13 @@ def cmd_tas(doc: dict, out: str, seed: int | None) -> int:
     run_id = _run_id("tas", echo)
     t0 = time.perf_counter()
     train, test, spec, cfg = _setup(job)
-    _, source_tasks, ordered, _ = pipeline.phases_1_2(train, test, spec, cfg)
+    _, ordered, _ = pipeline.phases_1_2(train, test, spec, cfg)
     top = ordered[: cfg.top_r]
     _write_ranking(
         out, run_id, echo, ordered,
-        pipeline.related_training_set(top, source_tasks, train),
+        pipeline.related_training_set(top, train),
         pipeline.tas_histogram(ordered),
-        pipeline.label_frequency(top, source_tasks),
+        pipeline.label_frequency(top),
         timings={"total_s": time.perf_counter() - t0},
     )
     print(f"wrote scores.json tas_hist.csv label_freq.csv (run {run_id})")

@@ -9,6 +9,12 @@ values.
 
 Flat layout: encoder layer 0 W (fan_in x fan_out, C-order) then bias, encoder
 layer 1 W then bias, ..., head W (embedding x classes) then head bias.
+
+Validation happens once, at the boundary: `Network`, `Batch` and the public
+functions check shapes and labels on every call.  The underscore kernels
+(`_unpack`, `_forward`, `_cross_entropy`, `_backward`) work on plain arrays
+and check nothing, so `train` runs every minibatch on layer views of one
+parameter buffer without building a `Batch` or `Network` for it.
 """
 
 from __future__ import annotations
@@ -143,26 +149,111 @@ class TrainSchedule:
         if any(not 0 <= e < self.epochs for e in self.lr_decay_epochs):
             raise ValueError("lr_decay_epochs must lie in [0, epochs)")
 
+    def learning_rates(self) -> Iterator[float]:
+        """Each epoch's learning rate: learning_rate, times lr_decay_factor
+        from each of lr_decay_epochs on."""
+        lr = self.learning_rate
+        for epoch in range(self.epochs):
+            if epoch in self.lr_decay_epochs:
+                lr *= self.lr_decay_factor
+            yield lr
+
 
 # ---------------------------------------------------------------------------
-# parameter packing
+# unchecked kernels on plain arrays
 
 
 _Layers = list[tuple[np.ndarray, np.ndarray]]
-_Pass = tuple[list[np.ndarray], list[np.ndarray]]  # pre-activations, activations
+_Pass = tuple[list[np.ndarray], list[np.ndarray]]  # pre-activations, layer inputs
 
 
 def _unpack(spec: NetworkSpec, params: np.ndarray) -> _Layers:
-    """Views (W, b) per layer, encoder layers first, head last."""
-    out = []
-    off = 0
+    """Views (W, b) per layer of a (..., P) array, encoder layers first, head
+    last; writing to a view writes to params."""
+    out, off = [], 0
     for fan_in, fan_out in spec.layer_shapes():
-        w = params[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = params[..., off : off + fan_in * fan_out].reshape(*params.shape[:-1], fan_in, fan_out)
         off += fan_in * fan_out
-        b = params[off : off + fan_out]
+        out.append((w, params[..., off : off + fan_out]))
         off += fan_out
-        out.append((w, b))
     return out
+
+
+def _act(z: np.ndarray, kind: str) -> np.ndarray:
+    if kind == "relu":
+        return np.maximum(z, 0.0)
+    return np.tanh(z)
+
+
+def _act_deriv(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
+    if kind == "relu":
+        return (z > 0.0).astype(np.float64)
+    return 1.0 - a * a
+
+
+def _forward(spec: NetworkSpec, layers: _Layers, x: np.ndarray) -> _Pass:
+    """Pre-activations of the encoder layers in layers, and every layer's input
+    for x (..., n, input_dim), where each leading index is a batch of its own.
+    activations[0] is x and activations[-1] the output: embeddings, or logits
+    when layers ends with the head, which applies no activation."""
+    pre, acts = [], [x]
+    for li, (w, b) in enumerate(layers):
+        z = acts[-1] @ w + b
+        if li < len(spec.layer_widths) - 1:
+            pre.append(z)
+            z = _act(z, spec.activation)
+        acts.append(z)
+    return pre, acts
+
+
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's cross-entropy, through log-sum-exp so it is finite for finite
+    logits, and its gradient on the logits, softmax minus one-hot.  logits is
+    (..., n, classes) and labels (n,)."""
+    zmax = logits.max(axis=-1, keepdims=True)
+    lse = zmax[..., 0] + np.log(np.sum(np.exp(logits - zmax), axis=-1))
+    rows = np.arange(labels.shape[0])
+    delta = softmax(logits)
+    delta[..., rows, labels] -= 1.0
+    return lse - logits[..., rows, labels], delta
+
+
+def _backward(
+    spec: NetworkSpec, layers: _Layers, pre: list[np.ndarray], acts: list[np.ndarray],
+    g: np.ndarray, grads: _Layers, square: bool = False,
+) -> None:
+    """The one backward loop, from the last layer in layers down to layer 0.
+
+    g is the gradient on _forward's output, one row per sample, with the same
+    leading stack dimensions as the activations.  Each layer writes into its
+    (W, b) views in grads, _unpack of an output buffer (..., P), a^T g and
+    the column sums of g, for its input a and the gradient g on a @ W + b:
+    its gradient summed over samples.  With square it writes (a*a)^T (g*g)
+    and the column sums of g*g, each sample's squared gradient summed, since
+    a sample's weight gradient is the outer product of its rows of a and g.
+    """
+    for li in range(len(layers) - 1, -1, -1):
+        if li < len(pre):
+            g = g * _act_deriv(pre[li], acts[li + 1], spec.activation)
+        a, gs = (acts[li] * acts[li], g * g) if square else (acts[li], g)
+        grads[li][0][...] = a.swapaxes(-1, -2) @ gs
+        grads[li][1][...] = gs.sum(axis=-2)
+        if li > 0:
+            g = g @ layers[li][0].T
+
+
+def _grad(
+    spec: NetworkSpec, layers: _Layers, x: np.ndarray, y: np.ndarray, grads: _Layers
+) -> None:
+    """The mean cross-entropy gradient over the rows of x, written into grads."""
+    pre, acts = _forward(spec, layers, x)
+    delta = _cross_entropy(acts[-1], y)[1]
+    delta /= y.shape[0]
+    _backward(spec, layers, pre, acts, delta, grads)
+
+
+# ---------------------------------------------------------------------------
+# the checked boundary: each public function validates its inputs once
 
 
 def encoder_slice(spec: NetworkSpec) -> slice:
@@ -182,40 +273,30 @@ def init_network(spec: NetworkSpec, seed: int) -> Network:
     return Network(spec, np.concatenate(chunks))
 
 
-# ---------------------------------------------------------------------------
-# forward / loss / gradients
-
-
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
-
-
-def _act_deriv(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    return 1.0 - a * a
-
-
-def _encoder_pass(net: Network, layers: _Layers, features: np.ndarray) -> _Pass:
-    """All encoder pre-activations and activations; activations[0] is the input.
-    features is (..., n, input_dim): each leading index is a batch of its own."""
+def _features(spec: NetworkSpec, features: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(features, dtype=np.float64)
-    if x.ndim < 2 or x.shape[-1] != net.spec.input_dim:
-        raise ValueError(f"features must be (..., n, {net.spec.input_dim})")
-    pre, acts = [], [x]
-    for w, b in layers[:-1]:
-        z = acts[-1] @ w + b
-        pre.append(z)
-        acts.append(_act(z, net.spec.activation))
-    return pre, acts
+    if x.ndim < 2 or x.shape[-1] != spec.input_dim:
+        raise ValueError(f"features must be (..., n, {spec.input_dim})")
+    return x
+
+
+def _check_batch(net: Network, batch: Batch) -> None:
+    _features(net.spec, batch.features)
+    if np.any(batch.labels >= net.spec.head_classes):
+        raise ValueError(
+            f"labels must be < head_classes ({net.spec.head_classes}), "
+            f"got max {int(batch.labels.max())}"
+        )
+
+
+def _logits(net: Network, x: np.ndarray) -> np.ndarray:
+    return _forward(net.spec, _unpack(net.spec, net.params), x)[1][-1]
 
 
 def encoder_forward(net: Network, features: np.ndarray) -> _Pass:
-    """_encoder_pass on the network's own layers, kept for encoder_pullback;
-    the embeddings are its last activation."""
-    return _encoder_pass(net, _unpack(net.spec, net.params), features)
+    """The encoder's pass, kept for encoder_pullback; the embeddings are its
+    last activation."""
+    return _forward(net.spec, _unpack(net.spec, net.params)[:-1], _features(net.spec, features))
 
 
 def encode(net: Network, features: np.ndarray) -> np.ndarray:
@@ -225,8 +306,7 @@ def encode(net: Network, features: np.ndarray) -> np.ndarray:
 
 def forward(net: Network, features: np.ndarray) -> np.ndarray:
     """Logits: encoder followed by the linear head."""
-    wh, bh = _unpack(net.spec, net.params)[-1]
-    return encode(net, features) @ wh + bh
+    return _logits(net, _features(net.spec, features))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -236,94 +316,30 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _check_labels(net: Network, batch: Batch) -> None:
-    if np.any(batch.labels >= net.spec.head_classes):
-        raise ValueError(
-            f"labels must be < head_classes ({net.spec.head_classes}), "
-            f"got max {int(batch.labels.max())}"
-        )
-
-
 def loss(net: Network, data: Batch) -> float:
-    """Mean cross-entropy, computed through log-sum-exp so it is finite for finite logits."""
-    _check_labels(net, data)
-    logits = forward(net, data.features)
-    zmax = np.max(logits, axis=1)
-    lse = zmax + np.log(np.sum(np.exp(logits - zmax[:, None]), axis=1))
-    picked = logits[np.arange(data.n), data.labels]
-    return float(np.mean(lse - picked))
-
-
-def _backward(
-    net: Network, layers: _Layers, pre: list[np.ndarray], acts: list[np.ndarray],
-    top: int, g: np.ndarray,
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """The one backward loop, from layer `top` down to layer 0.
-
-    g is the upstream gradient on layer `top`'s output (logits for the head,
-    embeddings for the last encoder layer), one row per sample, with the
-    same leading stack dimensions as the activations.  Yields
-    (flat offset, weight size, layer input a, gradient g on a @ W + b) per
-    layer; a sample's weight gradient is the outer product of its rows of a
-    and g, so callers reduce over samples with products of a and g.
-    """
-    offsets, off = [], 0
-    for w, b in layers:
-        offsets.append(off)
-        off += w.size + b.size
-    for li in range(top, -1, -1):
-        w, _ = layers[li]
-        if li < len(pre):
-            g = g * _act_deriv(pre[li], acts[li + 1], net.spec.activation)
-        yield offsets[li], w.size, acts[li], g
-        if li > 0:
-            g = g @ w.T
-
-
-def _sum_into(
-    out: np.ndarray, walk: Iterator[tuple[int, int, np.ndarray, np.ndarray]]
-) -> np.ndarray:
-    """Write each layer's gradient summed over samples into out (..., P): a^T g
-    for W, column sums of g for b."""
-    for off, size_w, a, g in walk:
-        out[..., off : off + size_w] = (a.swapaxes(-1, -2) @ g).reshape(*g.shape[:-2], size_w)
-        out[..., off + size_w : off + size_w + g.shape[-1]] = g.sum(axis=-2)
-    return out
-
-
-def _output_delta(
-    net: Network, layers: _Layers, data: Batch
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Forward pass, plus each sample's own cross-entropy gradient on the logits."""
-    _check_labels(net, data)
-    pre, acts = _encoder_pass(net, layers, data.features)
-    wh, bh = layers[-1]
-    delta = softmax(acts[-1] @ wh + bh)
-    delta[np.arange(data.n), data.labels] -= 1.0
-    return pre, acts, delta
+    """Mean cross-entropy over the batch."""
+    _check_batch(net, data)
+    return float(np.mean(_cross_entropy(_logits(net, data.features), data.labels)[0]))
 
 
 def grad(net: Network, data: Batch) -> np.ndarray:
     """Exact gradient of the mean cross-entropy over the batch (flat, length P)."""
-    layers = _unpack(net.spec, net.params)
-    pre, acts, delta = _output_delta(net, layers, data)
-    delta /= data.n
-    walk = _backward(net, layers, pre, acts, len(layers) - 1, delta)
-    return _sum_into(np.empty(net.param_count), walk)
+    _check_batch(net, data)
+    spec, out = net.spec, np.empty(net.param_count)
+    _grad(spec, _unpack(spec, net.params), data.features, data.labels, _unpack(spec, out))
+    return out
 
 
 def fisher_diag(net: Network, data: Batch) -> np.ndarray:
-    """Mean over the batch of each sample's squared loss gradient (flat, length P).
-
-    A sample's weight gradient is the outer product of its layer input a and
-    pre-activation gradient g, so the mean of its square is (a*a)^T (g*g) / n;
-    no per-sample gradient is ever formed.
-    """
+    """Mean over the batch of each sample's squared loss gradient (flat, length P),
+    from _backward's squares; no per-sample gradient is ever formed."""
+    _check_batch(net, data)
     layers = _unpack(net.spec, net.params)
-    pre, acts, delta = _output_delta(net, layers, data)
-    walk = _backward(net, layers, pre, acts, len(layers) - 1, delta)
-    squares = ((off, size_w, a * a, g * g) for off, size_w, a, g in walk)
-    return _sum_into(np.empty(net.param_count), squares) / data.n
+    pre, acts = _forward(net.spec, layers, data.features)
+    delta = _cross_entropy(acts[-1], data.labels)[1]
+    out = np.empty(net.param_count)
+    _backward(net.spec, layers, pre, acts, delta, _unpack(net.spec, out), square=True)
+    return out / data.n
 
 
 def encoder_pullback(net: Network, forward_pass: _Pass, grad_embeddings: np.ndarray) -> np.ndarray:
@@ -337,9 +353,9 @@ def encoder_pullback(net: Network, forward_pass: _Pass, grad_embeddings: np.ndar
     g = np.ascontiguousarray(grad_embeddings, dtype=np.float64)
     if g.shape != acts[-1].shape:
         raise ValueError("grad_embeddings must match the embedding matrix shape")
-    layers = _unpack(net.spec, net.params)
     out = np.zeros(g.shape[:-2] + (net.param_count,))
-    return _sum_into(out, _backward(net, layers, pre, acts, len(pre) - 1, g))
+    _backward(net.spec, _unpack(net.spec, net.params)[:-1], pre, acts, g, _unpack(net.spec, out))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -352,25 +368,24 @@ def train(net: Network, data: Batch, schedule: TrainSchedule) -> Iterator[Networ
     Shuffling uses a generator seeded by schedule.seed and permutes sample
     indices; labels never influence batch composition.  A caller that stops
     iterating ends training there (the epsilon-approximation fine-tune does).
-    An epoch that leaves a non-finite parameter raises ValueError.
+    An epoch that leaves a non-finite parameter raises ValueError.  The batch
+    is checked once; the minibatches step one parameter buffer in place
+    through its layer views.
     """
-    _check_labels(net, data)
+    _check_batch(net, data)
     rng = np.random.default_rng(schedule.seed)
     params = net.params.copy()
-    velocity = np.zeros_like(params)
-    lr = schedule.learning_rate
-    decay_at = set(schedule.lr_decay_epochs)
-    for epoch in range(schedule.epochs):
-        if epoch in decay_at:
-            lr *= schedule.lr_decay_factor
+    velocity, g = np.zeros_like(params), np.empty_like(params)
+    layers, grads = _unpack(net.spec, params), _unpack(net.spec, g)
+    for epoch, lr in enumerate(schedule.learning_rates()):
         order = rng.permutation(data.n)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for lo in range(0, data.n, schedule.batch_size):
                 idx = order[lo : lo + schedule.batch_size]
-                mb = Batch(data.features[idx], data.labels[idx])
-                g = grad(Network(net.spec, params), mb)
-                velocity = schedule.momentum * velocity + g
-                params = params - lr * velocity
+                _grad(net.spec, layers, data.features[idx], data.labels[idx], grads)
+                velocity *= schedule.momentum
+                velocity += g
+                params -= lr * velocity
         if not np.all(np.isfinite(params)):
             raise ValueError(f"training left non-finite parameters in epoch {epoch}")
         yield Network(net.spec, params)
@@ -378,8 +393,8 @@ def train(net: Network, data: Batch, schedule: TrainSchedule) -> Iterator[Networ
 
 def evaluate(net: Network, data: Batch) -> float:
     """Accuracy under argmax prediction; logit ties go to the lowest class index."""
-    _check_labels(net, data)
-    preds = np.argmax(forward(net, data.features), axis=1)
+    _check_batch(net, data)
+    preds = np.argmax(_logits(net, data.features), axis=1)
     return float(np.mean(preds == data.labels))
 
 

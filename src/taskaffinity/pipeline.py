@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,14 +77,15 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class RankedTask:
-    """One source task's score.  With verbose_fisher, diagnostics holds the
-    JSON form of its epsilon-approximation record and both unit-trace Fisher
-    diagonals (keys f_aa, f_ab, achieved_epsilon, approx_epochs,
-    reached_target); otherwise it is None."""
+    """One source task's score and class ids.  With verbose_fisher,
+    diagnostics holds the JSON form of its epsilon-approximation record and
+    both unit-trace Fisher diagonals (keys f_aa, f_ab, achieved_epsilon,
+    approx_epochs, reached_target); otherwise it is None."""
 
     task_id: int
     score: fisher.AffinityScore
     assignment: matching.Assignment
+    class_ids: tuple[int, ...]
     diagnostics: dict | None = None
 
 
@@ -260,7 +262,9 @@ def mtas(
             "approx_epochs": record.epochs_used,
             "reached_target": record.reached_target,
         }
-    return RankedTask(source.task_id, fisher.tas(f_aa, f_ab), assignment, diagnostics)
+    return RankedTask(
+        source.task_id, fisher.tas(f_aa, f_ab), assignment, source.class_ids, diagnostics
+    )
 
 
 def prepare_tasks(
@@ -292,12 +296,9 @@ def sort_ranked(ranked: list[RankedTask]) -> list[RankedTask]:
     return sorted(ranked, key=lambda r: (r.score.value, r.task_id))
 
 
-def related_training_set(
-    selected: list[RankedTask], source_tasks: list[tasks.TaskSpec], train: tasks.Dataset
-) -> RelatedSet:
+def related_training_set(selected: list[RankedTask], train: tasks.Dataset) -> RelatedSet:
     """Union of the selected tasks' class labels, with every training row carrying them."""
-    by_id = {t.task_id: t for t in source_tasks}
-    return _related_set(train, {cid for r in selected for cid in by_id[r.task_id].class_ids})
+    return _related_set(train, {cid for r in selected for cid in r.class_ids})
 
 
 def _related_set(train: tasks.Dataset, ids) -> RelatedSet:
@@ -322,18 +323,12 @@ def nearest_centroid(
     m = es.shape[1] // k_shot
     nq = eq.shape[1]
     y = np.repeat(np.arange(m), nq // m)
-    rows = np.arange(nq)
     cents = es.reshape(es.shape[0], m, k_shot, -1).mean(axis=2)
     diff = eq[:, :, None, :] - cents[:, None, :, :]
     d2 = np.sum(diff * diff, axis=3)
     acc = np.mean(np.argmin(d2, axis=2) == y, axis=1)
-    logits = -d2 / temperature
-    zmax = logits.max(axis=2, keepdims=True)
-    lse = zmax[..., 0] + np.log(np.sum(np.exp(logits - zmax), axis=2))
-    losses = np.mean(lse - logits[:, rows, y], axis=1)
-
-    dlogits = nnet.softmax(logits)
-    dlogits[:, rows, y] -= 1.0
+    per_query, dlogits = nnet._cross_entropy(-d2 / temperature, y)
+    losses = np.mean(per_query, axis=1)
     dlogits /= nq
     dd = -dlogits / temperature
     g_query = 2.0 * (dd.sum(axis=2, keepdims=True) * eq - dd @ cents)
@@ -374,12 +369,8 @@ def episodic_finetune(
     sched = cfg.finetune_schedule
     params = whole.params.copy()
     velocity = np.zeros_like(params)
-    lr = sched.learning_rate
-    decay_at = set(sched.lr_decay_epochs)
     history: list[float] = []
-    for step in range(sched.epochs):
-        if step in decay_at:
-            lr *= sched.lr_decay_factor
+    for step, lr in enumerate(sched.learning_rates()):
         current = nnet.Network(whole.spec, params)
         seeds = [
             derive_seed(sched.seed, _STREAM_FINETUNE, step, j) for j in range(sched.batch_size)
@@ -436,28 +427,19 @@ def tas_histogram(ranked: list[RankedTask]) -> tuple[tuple[float, ...], tuple[in
     return tuple(float(e) for e in edges), tuple(int(c) for c in counts)
 
 
-def label_frequency(selected: list[RankedTask], source_tasks: list[tasks.TaskSpec]) -> dict[int, int]:
+def label_frequency(selected: list[RankedTask]) -> dict[int, int]:
     """How many selected tasks contain each class label."""
-    by_id = {t.task_id: t for t in source_tasks}
-    freq: dict[int, int] = {}
-    for r in selected:
-        for cid in by_id[r.task_id].class_ids:
-            freq[cid] = freq.get(cid, 0) + 1
-    return dict(sorted(freq.items()))
+    return dict(sorted(Counter(cid for r in selected for cid in r.class_ids).items()))
 
 
 def _pick_ablation_set(
-    mode: str,
-    ordered: list[RankedTask],
-    source_tasks: list[tasks.TaskSpec],
-    train: tasks.Dataset,
-    cfg: PipelineConfig,
+    mode: str, ordered: list[RankedTask], train: tasks.Dataset, cfg: PipelineConfig
 ) -> RelatedSet:
-    related = related_training_set(ordered[: cfg.top_r], source_tasks, train)
+    related = related_training_set(ordered[: cfg.top_r], train)
     if mode == "related":
         return related
     if mode == "non_related":
-        return related_training_set(ordered[-cfg.top_r :], source_tasks, train)
+        return related_training_set(ordered[-cfg.top_r :], train)
     # random
     rng = np.random.default_rng(derive_seed(cfg.master_seed, _STREAM_ABLATION))
     all_ids = train.class_ids
@@ -471,13 +453,13 @@ def phases_1_2(
     test: tasks.Dataset,
     spec: nnet.NetworkSpec,
     cfg: PipelineConfig,
-) -> tuple[nnet.Network, list[tasks.TaskSpec], list[RankedTask], dict[str, float]]:
+) -> tuple[nnet.Network, list[RankedTask], dict[str, float]]:
     """Whole-classification training plus the full affinity ranking.
 
-    Returns the whole network, the source tasks, the scores sorted by
-    sort_ranked, and the whole_train_s / rank_s timings.  The target task is
-    every test class, so a test set without exactly n_test classes is
-    rejected before training starts.
+    Returns the whole network, the scores sorted by sort_ranked, and the
+    whole_train_s / rank_s timings.  The target task is every test class, so
+    a test set without exactly n_test classes is rejected before training
+    starts.
     """
     if len(test.class_ids) != cfg.n_test:
         raise ValueError(
@@ -493,7 +475,7 @@ def phases_1_2(
     ranked = rank_all_sources(source_tasks, target, train, test, whole, cfg)
     ordered = sort_ranked(ranked)
     timings["rank_s"] = time.perf_counter() - t0
-    return whole, source_tasks, ordered, timings
+    return whole, ordered, timings
 
 
 def ablation_comparison(
@@ -521,11 +503,11 @@ def ablation_comparison(
             f"insufficient samples: only {eligible} test classes have >= {need} rows "
             f"(k_shot + q_query), need m_way={cfg.m_way}"
         )
-    whole, source_tasks, ordered, shared = phases_1_2(train, test, spec, cfg)
+    whole, ordered, shared = phases_1_2(train, test, spec, cfg)
     reports: dict[str, RunReport] = {}
     for mode in modes:
         timings = dict(shared)
-        chosen = _pick_ablation_set(mode, ordered, source_tasks, train, cfg)
+        chosen = _pick_ablation_set(mode, ordered, train, cfg)
 
         t0 = time.perf_counter()
         tuned, _ = episodic_finetune(whole, chosen, train, cfg)
@@ -539,7 +521,7 @@ def ablation_comparison(
             scores=tuple(ordered),
             selected_labels=chosen,
             tas_histogram=tas_histogram(ordered),
-            label_frequency=label_frequency(ordered[: cfg.top_r], source_tasks),
+            label_frequency=label_frequency(ordered[: cfg.top_r]),
             fewshot_accuracy_mean=acc_mean,
             fewshot_ci95=ci95,
             timings=timings,

@@ -3,9 +3,10 @@
 Reference routes the package itself no longer carries live here: the
 brute-force assignment scan, the trace-form affinity score, the logistic
 model's per-sample gradient rows, fixed-step descent to the logistic optimum,
-the per-layer Fisher diagonal loop, and the serial phase-3 path (one episode
-at a time, as validated Batches) that the stacked meta-steps must reproduce
-bit for bit.
+the per-layer Fisher diagonal loop, the per-minibatch training loop that
+nnet.train must reproduce bit for bit, and the serial phase-3 path (one
+episode at a time, as validated Batches) that the stacked meta-steps must
+reproduce bit for bit.
 
 The forward oracle re-derives the flat parameter layout with plain Python
 loops, so a layout or indexing bug in the production code cannot cancel out.
@@ -18,6 +19,7 @@ derivative oracle on the smooth region.
 
 import itertools
 import math
+import platform
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,16 +170,65 @@ def fixed_step_descent(p, step, tol, max_iters=200_000):
 
 
 def layerwise_fisher_diag(net, batch):
-    """nnet.fisher_diag as a loop over the backward walk that divides each
-    layer's block by n on its own: the route it replaced, bit for bit."""
-    layers = nnet._unpack(net.spec, net.params)
-    pre, acts, delta = nnet._output_delta(net, layers, batch)
+    """nnet.fisher_diag as its own backward loop over the layer views, dividing
+    each layer's block by n on its own: the route it replaced, bit for bit."""
+    spec = net.spec
+    layers = nnet._unpack(spec, net.params)
+    pre, acts = nnet._forward(spec, layers, batch.features)
+    g = nnet._cross_entropy(acts[-1], batch.labels)[1]
     out = np.empty(net.param_count)
-    for off, size_w, a, g in nnet._backward(net, layers, pre, acts, len(layers) - 1, delta):
+    for li, (gw, gb) in reversed(list(enumerate(nnet._unpack(spec, out)))):
+        if li < len(pre):
+            g = g * nnet._act_deriv(pre[li], acts[li + 1], spec.activation)
         gg = g * g
-        out[off : off + size_w] = ((a * a).T @ gg).ravel() / batch.n
-        out[off + size_w : off + size_w + g.shape[1]] = gg.sum(axis=0) / batch.n
+        gw[...] = (acts[li] * acts[li]).T @ gg / batch.n
+        gb[...] = gg.sum(axis=0) / batch.n
+        g = g @ layers[li][0].T
     return out
+
+
+def serial_train(net, data, schedule):
+    """nnet.train as a per-minibatch loop: a validated Batch and Network and one
+    nnet.grad per minibatch, fresh velocity and parameter arrays per step, and
+    its own learning-rate decay; yields the network after each epoch."""
+    rng = np.random.default_rng(schedule.seed)
+    params = net.params.copy()
+    velocity = np.zeros_like(params)
+    lr = schedule.learning_rate
+    for epoch in range(schedule.epochs):
+        if epoch in schedule.lr_decay_epochs:
+            lr *= schedule.lr_decay_factor
+        order = rng.permutation(data.n)
+        for lo in range(0, data.n, schedule.batch_size):
+            idx = order[lo : lo + schedule.batch_size]
+            mb = nnet.Batch(data.features[idx], data.labels[idx])
+            g = nnet.grad(nnet.Network(net.spec, params), mb)
+            velocity = schedule.momentum * velocity + g
+            params = params - lr * velocity
+        yield nnet.Network(net.spec, params)
+
+
+def host_signature():
+    """numpy version, BLAS build and CPU of this host: what decides how the
+    pinned outputs round."""
+    try:
+        cfg = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 can only print its config
+        cfg = {}
+    blas = cfg.get("Build Dependencies", {}).get("blas", {})
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            names = [ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")]
+        cpu = names[0] if names else cpu
+    except OSError:
+        pass
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+        "cpu": f"{platform.machine()} {cpu}",
+        "simd": cfg.get("SIMD Extensions", {}).get("found", []),
+    }
 
 
 BRUTE_FORCE_CAP = 8

@@ -233,7 +233,7 @@ def test_criterion_7_related_set_wins_the_ablation():
         for mode, rep in reports.items():
             acc[mode].append(rep.fewshot_accuracy_mean)
         if s == 0:
-            _ABLATION_CACHE["ranked"] = list(reports["related"].scores)
+            _ABLATION_CACHE["reports"] = reports
     means = {mode: 100.0 * float(np.mean(v)) for mode, v in acc.items()}
     d_rand = means["related"] - means["random"]
     d_non = means["related"] - means["non_related"]
@@ -248,17 +248,18 @@ def test_criterion_7_related_set_wins_the_ablation():
     assert ok
 
 
+def _seed_0_reports() -> dict:
+    """Criterion 7's reports for its first seed: cached when criterion 7 ran,
+    rebuilt otherwise."""
+    if "reports" not in _ABLATION_CACHE:
+        _ABLATION_CACHE["reports"] = pipeline.ablation_comparison(*_ablation_setting(0))
+    return _ABLATION_CACHE["reports"]
+
+
 def test_criterion_8_score_distribution_has_spread():
-    ranked = _ABLATION_CACHE.get("ranked")
-    note = "reusing the first ablation seed"
-    if ranked is None:  # running standalone: rebuild that seed's ranking only
-        train, test, spec, cfg = _ablation_setting(0)
-        whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-        source_tasks, target = pipeline.prepare_tasks(train, test, cfg)
-        ranked = pipeline.sort_ranked(
-            pipeline.rank_all_sources(source_tasks, target, train, test, whole, cfg)
-        )
-        note = "standalone rebuild of the first ablation seed"
+    note = "reusing" if "reports" in _ABLATION_CACHE else "standalone rebuild of"
+    note += " the first ablation seed"
+    ranked = _seed_0_reports()["related"].scores
     values = np.array([r.score.value for r in ranked])
     _, counts = pipeline.tas_histogram(ranked)
     occupied = int(sum(c > 0 for c in counts))
@@ -362,3 +363,108 @@ def test_criterion_9_reruns_are_byte_identical(tmp_path):
     )
     record_criterion(9, ok, detail)
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# the shipped-shape outputs against the ones recorded at a trusted commit
+
+
+REFERENCE_OUTPUTS = os.path.join(os.path.dirname(__file__), "data", "reference_outputs.json")
+
+# On a host whose numpy, BLAS or CPU differs from the recording one, rounding
+# may differ in the last bits, so floats are compared to the tolerances of the
+# perfbench reference check instead of by repr; everything else stays exact.
+FOREIGN_HOST_TOL = {
+    "score": 1e-12, "total_cost": 1e-12, "accuracy": 1e-3, "ci95": 1e-3,
+    "finetune_loss": 1e-6, "theorem1 s_t": 1e-9, "theorem1 gap": 1e-9,
+}
+
+
+def shipped_shape_outputs(workdir: str) -> dict:
+    """What tests/data/reference_outputs.json pins: criterion 7's first seed
+    (every score row, each mode's label set, accuracy and ci95, and the
+    related mode's phase-3 loss per meta-step) and the theorem1 series on
+    criterion 9's config, floats as repr strings.
+
+    The accuracies alone would miss a one-ulp change to phase 3, which
+    rarely flips a prediction; the loss history does not."""
+    reports = _seed_0_reports()
+    train, _, spec, cfg = _ablation_setting(0)
+    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+    _, history = pipeline.episodic_finetune(whole, reports["related"].selected_labels, train, cfg)
+    path = os.path.join(workdir, "theorem.json")
+    with open(path, "w") as fh:
+        json.dump(_theorem_doc(), fh)
+    assert cli.main(["theorem1", "--config", path, "--out", workdir]) == 0
+    with open(os.path.join(workdir, "theorem1_series.csv")) as fh:
+        series = fh.read().splitlines()[1:]
+    return {
+        "criterion_7_seed_0": {
+            "scores": [
+                {"task_id": r.task_id, "score": repr(float(r.score.value)),
+                 "mapping": list(r.assignment.mapping),
+                 "total_cost": repr(float(r.assignment.total_cost))}
+                for r in reports["related"].scores
+            ],
+            "modes": {
+                mode: {"label_set": list(rep.selected_labels.label_set),
+                       "accuracy": repr(float(rep.fewshot_accuracy_mean)),
+                       "ci95": repr(float(rep.fewshot_ci95))}
+                for mode, rep in reports.items()
+            },
+            "finetune_loss": [repr(v) for v in history],
+        },
+        "theorem1_series": series,
+    }
+
+
+def _pinned_fields(doc: dict) -> tuple[dict, dict]:
+    """(fields compared exactly, float fields as repr strings) of a pinned document."""
+    rows = doc["criterion_7_seed_0"]["scores"]
+    modes = doc["criterion_7_seed_0"]["modes"]
+    series = [line.split(",") for line in doc["theorem1_series"]]
+    exact = {
+        "task_id order": [r["task_id"] for r in rows],
+        "mapping": [r["mapping"] for r in rows],
+        "modes": list(modes),
+        "label_set": [m["label_set"] for m in modes.values()],
+        "theorem1 seed,t": [s[:2] for s in series],
+    }
+    floats = {
+        "score": [r["score"] for r in rows],
+        "total_cost": [r["total_cost"] for r in rows],
+        "accuracy": [m["accuracy"] for m in modes.values()],
+        "ci95": [m["ci95"] for m in modes.values()],
+        "finetune_loss": doc["criterion_7_seed_0"]["finetune_loss"],
+        "theorem1 s_t": [s[2] for s in series],
+        "theorem1 gap": [s[3] for s in series],
+    }
+    return exact, floats
+
+
+def _pinned_mismatches(got: dict, want: dict, tol: dict | None) -> list[str]:
+    """One line per field of got that differs from want, with the largest
+    float difference; floats compare by repr when tol is None."""
+    (got_exact, got_floats), (want_exact, want_floats) = _pinned_fields(got), _pinned_fields(want)
+    bad = [f"{k} differs" for k in want_exact if got_exact[k] != want_exact[k]]
+    for k, want_vals in want_floats.items():
+        got_vals = got_floats[k]
+        if len(got_vals) != len(want_vals):
+            bad.append(f"{k}: {len(got_vals)} values, {len(want_vals)} recorded")
+            continue
+        worst = max(abs(float(a) - float(b)) for a, b in zip(got_vals, want_vals))
+        n_diff = sum(a != b for a, b in zip(got_vals, want_vals))
+        if n_diff > 0 if tol is None else worst > tol[k]:
+            bad.append(f"{k}: {n_diff}/{len(want_vals)} differ, largest difference {worst:.3e}")
+    return bad
+
+
+def test_shipped_shape_outputs_match_the_recorded_reference(tmp_path):
+    with open(REFERENCE_OUTPUTS, encoding="utf-8") as fh:
+        want = json.load(fh)
+    same_host = want["host"] == helpers.host_signature()
+    bad = _pinned_mismatches(
+        shipped_shape_outputs(str(tmp_path)), want, None if same_host else FOREIGN_HOST_TOL
+    )
+    compared = "by repr" if same_host else f"to {FOREIGN_HOST_TOL} (host {want['host']})"
+    assert not bad, f"floats compared {compared}:\n" + "\n".join(bad)

@@ -357,7 +357,7 @@ def test_tas_command_outputs_and_ranking(tmp_path):
     assert [r.score.value for r in ordered] == values
 
     # label_freq matches the library's top-R tally
-    freq = pipeline.label_frequency(ordered[: cfgp.top_r], source_tasks)
+    freq = pipeline.label_frequency(ordered[: cfgp.top_r])
     with open(os.path.join(out, "label_freq.csv")) as fh:
         freq_rows = fh.read().splitlines()[1:]
     assert {int(r.split(",")[0]): int(r.split(",")[1]) for r in freq_rows} == freq

@@ -393,6 +393,43 @@ def test_train_stop_fn_halts_early():
     assert not np.array_equal(stopped.params, net.params)
 
 
+@pytest.mark.parametrize("act", ["relu", "tanh"])
+def test_train_equals_the_per_minibatch_loop_bitwise(act):
+    # 80 rows in minibatches of 12 leave a short last one of 8; the learning
+    # rate halves from epoch 2 on
+    batch = _blob_batch(np.random.default_rng(33))
+    net = nnet.init_network(nnet.NetworkSpec((2, 6, 4), 2, act), 5)
+    sched = nnet.TrainSchedule(0.05, 0.9, 5, 12, lr_decay_epochs=(2,),
+                               lr_decay_factor=0.5, seed=8)
+    got = list(nnet.train(net, batch, sched))
+    want = list(helpers.serial_train(net, batch, sched))
+    assert len(got) == len(want) == 5
+    for a, b in zip(got, want):
+        assert np.array_equal(a.params, b.params)
+    assert not np.array_equal(got[-1].params, net.params)
+
+
+def test_train_builds_no_batch_and_one_network_per_epoch(monkeypatch):
+    batch = _blob_batch(np.random.default_rng(34))
+    net = nnet.init_network(nnet.NetworkSpec((2, 6), 2), 7)
+    built = {"Batch": 0, "Network": 0}
+    for cls in (nnet.Batch, nnet.Network):
+        def counted(obj, post_init=cls.__post_init__, name=cls.__name__):
+            built[name] += 1
+            post_init(obj)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    nets = list(nnet.train(net, batch, nnet.TrainSchedule(0.05, 0.9, 4, 16, seed=3)))
+    assert len(nets) == 4  # 5 minibatches per epoch
+    assert built == {"Batch": 0, "Network": 4}
+
+
+def test_learning_rates_decay_from_each_listed_epoch():
+    sched = nnet.TrainSchedule(0.4, 0.0, 5, 1, lr_decay_epochs=(1, 3),
+                               lr_decay_factor=0.5, seed=0)
+    assert list(sched.learning_rates()) == [0.4, 0.2, 0.2, 0.1, 0.1]
+    assert list(nnet.TrainSchedule(0.4, 0.0, 0, 1, seed=0).learning_rates()) == []
+
+
 def test_train_non_finite_epoch_is_an_error_without_warnings():
     batch = _blob_batch(np.random.default_rng(32))
     net = nnet.init_network(nnet.NetworkSpec((2, 6), 2), 7)

@@ -224,7 +224,9 @@ def test_mtas_labels_follow_assignment(monkeypatch):
     monkeypatch.setattr(pipeline, "build_eps_approx", spy)
     mappings = set()
     for source in source_tasks:
-        mapping = pipeline.mtas(source, view, train, whole, cfg).assignment.mapping
+        ranked = pipeline.mtas(source, view, train, whole, cfg)
+        assert ranked.class_ids == source.class_ids
+        mapping = ranked.assignment.mapping
         mappings.add(mapping)
         sup, qry = seen.pop()
         for batch, rows in ((sup, source.support_rows), (qry, source.query_rows)):
@@ -385,10 +387,9 @@ def test_mtas_is_directional():
 # ranking / selection
 
 
-def _rt(task_id, value):
-    n = 2
+def _rt(task_id, value, class_ids=(0, 1)):
     return pipeline.RankedTask(
-        task_id, fisher.AffinityScore(value), matching.Assignment(tuple(range(n)), 0.0)
+        task_id, fisher.AffinityScore(value), matching.Assignment((0, 1), 0.0), class_ids
     )
 
 
@@ -405,25 +406,17 @@ def test_rank_sources_tie_breaks_by_task_id():
 
 def test_related_training_set_unions_and_dedupes(tiny):
     train, _, _, _ = tiny
-    specs = [
-        tasks.task_from_classes(train, [0, 1], 0, seed=1),
-        tasks.task_from_classes(train, [1, 2], 1, seed=2),
-    ]
-    selected = [_rt(0, 0.1), _rt(1, 0.2)]
-    rel = pipeline.related_training_set(selected, specs, train)
+    selected = [_rt(0, 0.1, (0, 1)), _rt(1, 0.2, (1, 2))]
+    rel = pipeline.related_training_set(selected, train)
     assert rel.label_set == (0, 1, 2)
     expect_rows = np.flatnonzero(np.isin(train.labels, [0, 1, 2]))
     np.testing.assert_array_equal(np.array(rel.row_indices), expect_rows)
 
 
-def test_label_frequency_counts_memberships(tiny):
-    train, _, _, _ = tiny
-    specs = [
-        tasks.task_from_classes(train, [0, 1], 0, seed=1),
-        tasks.task_from_classes(train, [1, 2], 1, seed=2),
-    ]
-    freq = pipeline.label_frequency([_rt(0, 0.1), _rt(1, 0.2)], specs)
+def test_label_frequency_counts_memberships():
+    freq = pipeline.label_frequency([_rt(0, 0.1, (1, 2)), _rt(1, 0.2, (0, 1))])
     assert freq == {0: 1, 1: 2, 2: 1}
+    assert list(freq) == [0, 1, 2]
 
 
 def test_tas_histogram_counts_sum_to_task_count():
