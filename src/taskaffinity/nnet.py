@@ -11,10 +11,12 @@ Flat layout: encoder layer 0 W (fan_in x fan_out, C-order) then bias, encoder
 layer 1 W then bias, ..., head W (embedding x classes) then head bias.
 
 Validation happens once, at the boundary: `Network`, `Batch` and the public
-functions check shapes and labels on every call.  The underscore kernels
-(`_unpack`, `_forward`, `_cross_entropy`, `_backward`) work on plain arrays
-and check nothing, so `train` runs every minibatch on layer views of one
-parameter buffer without building a `Batch` or `Network` for it.
+functions check shapes and labels on every call.  The kernels (`_unpack`,
+`_forward`, `_cross_entropy`, `_backward`) and the nearest-centroid head
+work on plain arrays and check nothing.  `train` (under the linear head) and
+`train_episodic` (the encoder under the nearest-centroid head) step one
+parameter buffer through the one momentum-SGD loop, `_descend`, building no
+`Batch` or `Network` per step.
 """
 
 from __future__ import annotations
@@ -242,14 +244,64 @@ def _backward(
             g = g @ layers[li][0].T
 
 
-def _grad(
-    spec: NetworkSpec, layers: _Layers, x: np.ndarray, y: np.ndarray, grads: _Layers
-) -> None:
-    """The mean cross-entropy gradient over the rows of x, written into grads."""
-    pre, acts = _forward(spec, layers, x)
-    delta = _cross_entropy(acts[-1], y)[1]
-    delta /= y.shape[0]
-    _backward(spec, layers, pre, acts, delta, grads)
+def nearest_centroid(
+    es: np.ndarray, eq: np.ndarray, k_shot: int, temperature: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The nearest-centroid head on a stack of episodes: each one's cross-entropy
+    of softmax(-||query - centroid||^2 / temperature), its gradients on es
+    (E, m * k_shot, d) and eq (E, m * q, d), whose rows are grouped by class
+    slot, and its hard accuracy, where distance ties go to the lowest class.
+    """
+    m = es.shape[1] // k_shot
+    nq = eq.shape[1]
+    y = np.repeat(np.arange(m), nq // m)
+    cents = es.reshape(es.shape[0], m, k_shot, -1).mean(axis=2)
+    diff = eq[:, :, None, :] - cents[:, None, :, :]
+    d2 = np.sum(diff * diff, axis=3)
+    acc = np.mean(np.argmin(d2, axis=2) == y, axis=1)
+    per_query, dlogits = _cross_entropy(-d2 / temperature, y)
+    losses = np.mean(per_query, axis=1)
+    dlogits /= nq
+    dd = -dlogits / temperature
+    g_query = 2.0 * (dd.sum(axis=2, keepdims=True) * eq - dd @ cents)
+    g_cent = -2.0 * (dd.swapaxes(1, 2) @ eq - dd.sum(axis=1)[:, :, None] * cents)
+    g_support = np.repeat(g_cent, k_shot, axis=1) / k_shot
+    return losses, g_support, g_query, acc
+
+
+def _episode_grads(spec: NetworkSpec, params: np.ndarray, xs: np.ndarray, xq: np.ndarray,
+                   k_shot: int, temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """nearest_centroid's losses (E,) for stacked support and query features,
+    and their gradients on the flat vector (E, P), zero on the head, through
+    one encoder pass per stack whose activations the backward pass reuses."""
+    encoder = _unpack(spec, params)[:-1]
+    pass_s, pass_q = _forward(spec, encoder, xs), _forward(spec, encoder, xq)
+    losses, g_s, g_q, _ = nearest_centroid(pass_s[1][-1], pass_q[1][-1], k_shot, temperature)
+    out = np.zeros((2,) + xs.shape[:-2] + params.shape)
+    _backward(spec, encoder, *pass_s, g_s, _unpack(spec, out[0]))
+    _backward(spec, encoder, *pass_q, g_q, _unpack(spec, out[1]))
+    out[0] += out[1]
+    return losses, out[0]
+
+
+def _descend(params: np.ndarray, g: np.ndarray, schedule: TrainSchedule, unit: str, updates):
+    """The one momentum-SGD loop, stepping params in place; yields after each epoch.
+
+    In each of the schedule's epochs, updates() yields once per update,
+    after writing that update's gradient into g.  Overflow inside an epoch
+    is left to one check after it: an epoch that leaves a non-finite
+    parameter raises ValueError, naming the epoch by unit.
+    """
+    velocity = np.zeros_like(params)
+    for epoch, lr in enumerate(schedule.learning_rates()):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for _ in updates():
+                velocity *= schedule.momentum
+                velocity += g
+                params -= lr * velocity
+        if not np.all(np.isfinite(params)):
+            raise ValueError(f"training left non-finite parameters in {unit} {epoch}")
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -293,20 +345,10 @@ def _logits(net: Network, x: np.ndarray) -> np.ndarray:
     return _forward(net.spec, _unpack(net.spec, net.params), x)[1][-1]
 
 
-def encoder_forward(net: Network, features: np.ndarray) -> _Pass:
-    """The encoder's pass, kept for encoder_pullback; the embeddings are its
-    last activation."""
-    return _forward(net.spec, _unpack(net.spec, net.params)[:-1], _features(net.spec, features))
-
-
 def encode(net: Network, features: np.ndarray) -> np.ndarray:
     """Embeddings: forward through encoder layers only (head untouched)."""
-    return encoder_forward(net, features)[1][-1]
-
-
-def forward(net: Network, features: np.ndarray) -> np.ndarray:
-    """Logits: encoder followed by the linear head."""
-    return _logits(net, _features(net.spec, features))
+    encoder = _unpack(net.spec, net.params)[:-1]
+    return _forward(net.spec, encoder, _features(net.spec, features))[1][-1]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -322,14 +364,6 @@ def loss(net: Network, data: Batch) -> float:
     return float(np.mean(_cross_entropy(_logits(net, data.features), data.labels)[0]))
 
 
-def grad(net: Network, data: Batch) -> np.ndarray:
-    """Exact gradient of the mean cross-entropy over the batch (flat, length P)."""
-    _check_batch(net, data)
-    spec, out = net.spec, np.empty(net.param_count)
-    _grad(spec, _unpack(spec, net.params), data.features, data.labels, _unpack(spec, out))
-    return out
-
-
 def fisher_diag(net: Network, data: Batch) -> np.ndarray:
     """Mean over the batch of each sample's squared loss gradient (flat, length P),
     from _backward's squares; no per-sample gradient is ever formed."""
@@ -342,53 +376,63 @@ def fisher_diag(net: Network, data: Batch) -> np.ndarray:
     return out / data.n
 
 
-def encoder_pullback(net: Network, forward_pass: _Pass, grad_embeddings: np.ndarray) -> np.ndarray:
-    """Backprop an upstream gradient on the embeddings of encoder_forward's
-    pass down to the flat vector, (..., P) with zero head entries.
-
-    This is the hook the episodic nearest-centroid loss uses to train the
-    encoder without a linear head.
-    """
-    pre, acts = forward_pass
-    g = np.ascontiguousarray(grad_embeddings, dtype=np.float64)
-    if g.shape != acts[-1].shape:
-        raise ValueError("grad_embeddings must match the embedding matrix shape")
-    out = np.zeros(g.shape[:-2] + (net.param_count,))
-    _backward(net.spec, _unpack(net.spec, net.params)[:-1], pre, acts, g, _unpack(net.spec, out))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # training / evaluation
 
 
 def train(net: Network, data: Batch, schedule: TrainSchedule) -> Iterator[Network]:
-    """Minibatch SGD with momentum; yields the network after each epoch.
+    """Minibatch SGD with momentum on the mean cross-entropy; yields the
+    network after each epoch.
 
     Shuffling uses a generator seeded by schedule.seed and permutes sample
     indices; labels never influence batch composition.  A caller that stops
     iterating ends training there (the epsilon-approximation fine-tune does).
-    An epoch that leaves a non-finite parameter raises ValueError.  The batch
-    is checked once; the minibatches step one parameter buffer in place
-    through its layer views.
+    An epoch that leaves a non-finite parameter raises ValueError.
     """
     _check_batch(net, data)
-    rng = np.random.default_rng(schedule.seed)
-    params = net.params.copy()
-    velocity, g = np.zeros_like(params), np.empty_like(params)
-    layers, grads = _unpack(net.spec, params), _unpack(net.spec, g)
-    for epoch, lr in enumerate(schedule.learning_rates()):
+    spec, rng = net.spec, np.random.default_rng(schedule.seed)
+    params, g = net.params.copy(), np.empty(net.param_count)
+    layers, grads = _unpack(spec, params), _unpack(spec, g)
+
+    def minibatches():
         order = rng.permutation(data.n)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for lo in range(0, data.n, schedule.batch_size):
-                idx = order[lo : lo + schedule.batch_size]
-                _grad(net.spec, layers, data.features[idx], data.labels[idx], grads)
-                velocity *= schedule.momentum
-                velocity += g
-                params -= lr * velocity
-        if not np.all(np.isfinite(params)):
-            raise ValueError(f"training left non-finite parameters in epoch {epoch}")
-        yield Network(net.spec, params)
+        for lo in range(0, data.n, schedule.batch_size):
+            idx = order[lo : lo + schedule.batch_size]
+            pre, acts = _forward(spec, layers, data.features[idx])
+            delta = _cross_entropy(acts[-1], data.labels[idx])[1] / idx.shape[0]
+            _backward(spec, layers, pre, acts, delta, grads)
+            yield
+
+    for _ in _descend(params, g, schedule, "epoch", minibatches):
+        yield Network(spec, params)
+
+
+def train_episodic(
+    net: Network, episodes: Iterator[tuple[np.ndarray, np.ndarray]], schedule: TrainSchedule,
+    k_shot: int, temperature: float,
+) -> tuple[Network, list[float]]:
+    """Momentum SGD of the encoder under the soft nearest-centroid head.
+
+    Each of the schedule's epochs is one meta-update on the next item of
+    episodes, support (E, m * k_shot, d) and query (E, m * q, d) features
+    with rows grouped by class slot, and averages the E episodes' gradients.
+    Returns the network and each meta-update's mean loss.  A meta-update
+    that leaves a non-finite parameter raises ValueError.
+    """
+    spec, history = net.spec, []
+    params, g = net.params.copy(), np.empty(net.param_count)
+
+    def meta_update():
+        xs, xq = (_features(spec, x) for x in next(episodes))
+        losses, per_episode = _episode_grads(spec, params, xs, xq, k_shot, temperature)
+        # numpy sums the leading axis row by row, in episode order
+        np.divide(per_episode.sum(axis=0), len(per_episode), out=g)
+        history.append(float(np.mean(losses)))
+        yield
+
+    for _ in _descend(params, g, schedule, "meta-step", meta_update):
+        pass
+    return Network(spec, params), history
 
 
 def evaluate(net: Network, data: Batch) -> float:

@@ -312,85 +312,35 @@ def _related_set(train: tasks.Dataset, ids) -> RelatedSet:
 # phase 3: episodic fine-tuning with a soft nearest-centroid head
 
 
-def nearest_centroid(
-    es: np.ndarray, eq: np.ndarray, k_shot: int, temperature: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The nearest-centroid head on a stack of episodes: each one's cross-entropy
-    of softmax(-||query - centroid||^2 / temperature), its gradients on es
-    (E, m * k_shot, d) and eq (E, m * q, d), whose rows are grouped by class
-    slot, and its hard accuracy, where distance ties go to the lowest class.
-    """
-    m = es.shape[1] // k_shot
-    nq = eq.shape[1]
-    y = np.repeat(np.arange(m), nq // m)
-    cents = es.reshape(es.shape[0], m, k_shot, -1).mean(axis=2)
-    diff = eq[:, :, None, :] - cents[:, None, :, :]
-    d2 = np.sum(diff * diff, axis=3)
-    acc = np.mean(np.argmin(d2, axis=2) == y, axis=1)
-    per_query, dlogits = nnet._cross_entropy(-d2 / temperature, y)
-    losses = np.mean(per_query, axis=1)
-    dlogits /= nq
-    dd = -dlogits / temperature
-    g_query = 2.0 * (dd.sum(axis=2, keepdims=True) * eq - dd @ cents)
-    g_cent = -2.0 * (dd.swapaxes(1, 2) @ eq - dd.sum(axis=1)[:, :, None] * cents)
-    g_support = np.repeat(g_cent, k_shot, axis=1) / k_shot
-    return losses, g_support, g_query, acc
-
-
-def episode_loss_grad(
-    net: nnet.Network, support: np.ndarray, query: np.ndarray, k_shot: int, temperature: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """nearest_centroid's losses (E,) for stacked support and query features,
-    and their gradients on the flat vector (E, P), through one encoder pass
-    per stack whose activations the pullbacks reuse."""
-    fwd_s = nnet.encoder_forward(net, support)
-    fwd_q = nnet.encoder_forward(net, query)
-    losses, g_s, g_q, _ = nearest_centroid(fwd_s[1][-1], fwd_q[1][-1], k_shot, temperature)
-    grads = nnet.encoder_pullback(net, fwd_s, g_s)
-    grads += nnet.encoder_pullback(net, fwd_q, g_q)
-    return losses, grads
-
-
 def episodic_finetune(
-    whole: nnet.Network,
-    related: RelatedSet,
-    train: tasks.Dataset,
-    cfg: PipelineConfig,
+    whole: nnet.Network, related: RelatedSet, train: tasks.Dataset, cfg: PipelineConfig
 ) -> tuple[nnet.Network, list[float]]:
     """Encoder-only episodic fine-tuning restricted to the related rows.
 
     Each meta-update averages the loss gradient of finetune_schedule.batch_size
-    episodes, which run as one stack; finetune_schedule.epochs counts
-    meta-updates.  Episodes are sampled exclusively from the related subset of
-    the training data.  A meta-step that leaves a non-finite loss or
-    parameter raises ValueError.
+    episodes, drawn from the related subset of the training data only, one
+    meta-step at a time; finetune_schedule.epochs counts meta-updates.
+    Returns the network and each meta-update's mean loss.
     """
     sub, _ = tasks.subset_by_classes(train, related.label_set)
     sched = cfg.finetune_schedule
-    params = whole.params.copy()
-    velocity = np.zeros_like(params)
-    history: list[float] = []
-    for step, lr in enumerate(sched.learning_rates()):
-        current = nnet.Network(whole.spec, params)
-        seeds = [
-            derive_seed(sched.seed, _STREAM_FINETUNE, step, j) for j in range(sched.batch_size)
-        ]
-        sup, qry = tasks.draw_episodes(sub, cfg.m_way, cfg.k_shot, cfg.q_query, seeds)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            losses, per_episode = episode_loss_grad(
-                current, sub.features[sup], sub.features[qry], cfg.k_shot, cfg.softmax_temperature
-            )
-            # episode by episode, in seed order, so the sum is the serial loop's
-            total_grad = np.zeros_like(params)
-            for g in per_episode:
-                total_grad += g
-            velocity = sched.momentum * velocity + total_grad / sched.batch_size
-            params = params - lr * velocity
-        history.append(float(np.mean(losses)))
-        if not (np.isfinite(history[-1]) and np.all(np.isfinite(params))):
-            raise ValueError(f"phase-3 meta-step {step} left a non-finite loss or parameters")
+
+    def episodes():
+        for step in range(sched.epochs):
+            seeds = [
+                derive_seed(sched.seed, _STREAM_FINETUNE, step, j) for j in range(sched.batch_size)
+            ]
+            sup, qry = tasks.draw_episodes(sub, cfg.m_way, cfg.k_shot, cfg.q_query, seeds)
+            yield sub.features[sup], sub.features[qry]
+
+    try:
+        tuned, history = nnet.train_episodic(
+            whole, episodes(), sched, cfg.k_shot, cfg.softmax_temperature
+        )
+    except ValueError as exc:
+        raise ValueError(f"phase-3 fine-tune: {exc}") from None
     log.debug("episodic fine-tune done, final loss %.4f", history[-1] if history else np.nan)
-    return nnet.Network(whole.spec, params), history
+    return tuned, history
 
 
 EVAL_CHUNK = 50  # evaluation episodes per stack; bounds the memory one stack holds
@@ -408,7 +358,7 @@ def evaluate_fewshot(
         sup, qry = tasks.draw_episodes(test, cfg.m_way, cfg.k_shot, cfg.q_query, seeds)
         es = nnet.encode(net, test.features[sup])
         eq = nnet.encode(net, test.features[qry])
-        accs[lo:stop] = nearest_centroid(es, eq, cfg.k_shot, cfg.softmax_temperature)[3]
+        accs[lo:stop] = nnet.nearest_centroid(es, eq, cfg.k_shot, cfg.softmax_temperature)[3]
     mean = float(np.mean(accs))
     if n < 2:
         return mean, 0.0

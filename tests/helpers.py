@@ -1,9 +1,10 @@
 """Hand-rolled oracles shared by the unit and acceptance suites.
 
 Reference routes the package itself no longer carries live here: the
-brute-force assignment scan, the trace-form affinity score, the logistic
-model's per-sample gradient rows, fixed-step descent to the logistic optimum,
-the per-layer Fisher diagonal loop, the per-minibatch training loop that
+logits, the mean cross-entropy gradient and the encoder pullback of one
+batch, each from nnet's kernels, the brute-force assignment scan, the
+trace-form affinity score, the logistic model's per-sample gradient rows,
+fixed-step descent to the logistic optimum, the per-layer Fisher diagonal loop, the per-minibatch training loop that
 nnet.train must reproduce bit for bit, and the serial phase-3 path (one
 episode at a time, as validated Batches) that the stacked meta-steps must
 reproduce bit for bit.
@@ -88,12 +89,39 @@ def draw_generic_case(rng, n=6):
         return nnet.Network(spec, params), nnet.Batch(x, y)
 
 
+def logits(net, features):
+    """The head's outputs for features (n x d)."""
+    return nnet._forward(net.spec, nnet._unpack(net.spec, net.params), features)[1][-1]
+
+
+def loss_grad(net, batch):
+    """Exact gradient of the mean cross-entropy over the batch (flat, length P)."""
+    spec = net.spec
+    layers = nnet._unpack(spec, net.params)
+    pre, acts = nnet._forward(spec, layers, batch.features)
+    delta = nnet._cross_entropy(acts[-1], batch.labels)[1] / batch.n
+    out = np.empty(net.param_count)
+    nnet._backward(spec, layers, pre, acts, delta, nnet._unpack(spec, out))
+    return out
+
+
+def encoder_pullback(net, features, grad_embeddings):
+    """Backprop an upstream gradient on the embeddings of features (..., n, d)
+    down to the flat vector, (..., P) with zero head entries."""
+    spec = net.spec
+    encoder = nnet._unpack(spec, net.params)[:-1]
+    pre, acts = nnet._forward(spec, encoder, features)
+    out = np.zeros(grad_embeddings.shape[:-2] + (net.param_count,))
+    nnet._backward(spec, encoder, pre, acts, grad_embeddings, nnet._unpack(spec, out))
+    return out
+
+
 def per_sample_grads(net, batch):
     """Each sample's own loss gradient, one row per sample (n x P), by calling
-    nnet.grad on one row at a time."""
+    loss_grad on one row at a time."""
     return np.stack(
         [
-            nnet.grad(net, nnet.Batch(batch.features[i : i + 1], batch.labels[i : i + 1]))
+            loss_grad(net, nnet.Batch(batch.features[i : i + 1], batch.labels[i : i + 1]))
             for i in range(batch.n)
         ]
     )
@@ -120,7 +148,7 @@ def fd_worst_relative_error(net, batch):
     pure roundoff) from dividing roundoff by roundoff; for O(1) entries it is
     plain relative error.
     """
-    g = nnet.grad(net, batch)
+    g = loss_grad(net, batch)
     fd = fd_gradient(net, batch)
     denom = np.maximum(1.0, np.maximum(np.abs(g), np.abs(fd)))
     return float(np.max(np.abs(g - fd) / denom))
@@ -189,7 +217,7 @@ def layerwise_fisher_diag(net, batch):
 
 def serial_train(net, data, schedule):
     """nnet.train as a per-minibatch loop: a validated Batch and Network and one
-    nnet.grad per minibatch, fresh velocity and parameter arrays per step, and
+    loss_grad per minibatch, fresh velocity and parameter arrays per step, and
     its own learning-rate decay; yields the network after each epoch."""
     rng = np.random.default_rng(schedule.seed)
     params = net.params.copy()
@@ -202,7 +230,7 @@ def serial_train(net, data, schedule):
         for lo in range(0, data.n, schedule.batch_size):
             idx = order[lo : lo + schedule.batch_size]
             mb = nnet.Batch(data.features[idx], data.labels[idx])
-            g = nnet.grad(nnet.Network(net.spec, params), mb)
+            g = loss_grad(nnet.Network(net.spec, params), mb)
             velocity = schedule.momentum * velocity + g
             params = params - lr * velocity
         yield nnet.Network(net.spec, params)
@@ -316,10 +344,6 @@ def sample_episode(data, m_way, k_shot, q_query, seed):
     )
 
 
-def _pullback(net, features, grad_embeddings):
-    return nnet.encoder_pullback(net, nnet.encoder_forward(net, features), grad_embeddings)
-
-
 def episode_loss_grad(net, episode, temperature):
     """One episode's soft nearest-centroid loss and its flat gradient, from
     two encodes and two pullbacks that each run the encoder again."""
@@ -344,8 +368,8 @@ def episode_loss_grad(net, episode, temperature):
     g_cent = -2.0 * (dd.T @ eq - dd.sum(axis=0)[:, None] * cents)
     g_support = g_cent[episode.support.labels] / episode.k_shot
 
-    grad_flat = _pullback(net, episode.support.features, g_support)
-    grad_flat += _pullback(net, episode.query.features, g_query)
+    grad_flat = encoder_pullback(net, episode.support.features, g_support)
+    grad_flat += encoder_pullback(net, episode.query.features, g_query)
     return loss_val, grad_flat
 
 

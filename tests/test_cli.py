@@ -488,7 +488,9 @@ def test_fewshot_non_finite_fine_tune_is_an_error_line(tmp_path, capsys):
     rc = _main_without_warnings(["fewshot", "--config", write_config(tmp_path, doc), "--out", out])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == "error: phase-3 meta-step 4 left a non-finite loss or parameters\n"
+    assert err == (
+        "error: phase-3 fine-tune: training left non-finite parameters in meta-step 4\n"
+    )
     assert not os.path.exists(os.path.join(out, "report.json"))
 
 

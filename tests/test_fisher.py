@@ -24,7 +24,7 @@ def test_fisher_single_sample_is_squared_gradient():
     rng = np.random.default_rng(1)
     net, batch = helpers.draw_generic_case(rng)
     one = nnet.Batch(batch.features[:1], batch.labels[:1])
-    g = nnet.grad(net, one)
+    g = helpers.loss_grad(net, one)
     f = fisher.empirical_fisher_diag(net, one)
     np.testing.assert_allclose(f.entries, g * g, rtol=1e-12, atol=0)
 
@@ -47,7 +47,7 @@ def test_fisher_explicit_three_sample_loop():
     three = nnet.Batch(batch.features[:3], batch.labels[:3])
     acc = np.zeros(net.param_count)
     for i in range(3):
-        gi = nnet.grad(net, nnet.Batch(three.features[i : i + 1], three.labels[i : i + 1]))
+        gi = helpers.loss_grad(net, nnet.Batch(three.features[i : i + 1], three.labels[i : i + 1]))
         acc += gi * gi
     f = fisher.empirical_fisher_diag(net, three)
     np.testing.assert_allclose(f.entries, acc / 3.0, rtol=1e-10, atol=1e-300)

@@ -1,0 +1,49 @@
+"""The package holds one copy of each thing a command runs: every public
+function in src/taskaffinity is referenced from the package, the scripts or
+the benchmark, not only from the tests."""
+
+import ast
+import os
+from collections import Counter
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+PACKAGE = os.path.join(ROOT, "src", "taskaffinity")
+CALLERS = [PACKAGE, os.path.join(ROOT, "scripts"), os.path.join(ROOT, "perfbench")]
+
+
+def _parse(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+def _python_files(directory):
+    for dirpath, _, files in os.walk(directory):
+        yield from (os.path.join(dirpath, f) for f in sorted(files) if f.endswith(".py"))
+
+
+def _names(node):
+    """Every identifier node uses: names, attributes and imported names."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name.rsplit(".", 1)[-1]] += 1
+    return out
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    used = Counter()
+    for directory in CALLERS:
+        for path in _python_files(directory):
+            used += _names(_parse(path))
+    unused = []
+    for path in _python_files(PACKAGE):
+        for node in _parse(path).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                # a function's calls to itself do not count as a caller
+                if used[node.name] - _names(node)[node.name] <= 0:
+                    unused.append(f"{os.path.basename(path)}:{node.name}")
+    assert unused == []

@@ -140,7 +140,7 @@ def test_forward_matches_straight_line_oracle(act):
     x = rng.standard_normal((9, 4))
     _, emb, logits = helpers.manual_layer_outputs(spec, net.params, x)
     np.testing.assert_allclose(nnet.encode(net, x), emb, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(nnet.forward(net, x), logits, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(helpers.logits(net, x), logits, rtol=1e-12, atol=1e-12)
 
 
 def test_forward_hand_arithmetic_2_2_2():
@@ -152,13 +152,15 @@ def test_forward_hand_arithmetic_2_2_2():
     e0 = math.tanh(1.25)
     e1 = math.tanh(-1.5)
     expect = np.array([[e0 + 3 * e1 + 0.5, 2 * e0 + 4 * e1 - 0.5]])
-    np.testing.assert_allclose(nnet.forward(net, x), expect, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(helpers.logits(net, x), expect, rtol=0, atol=1e-15)
 
 
 def test_forward_rejects_wrong_input_width():
     net = nnet.init_network(small_spec(), 0)
     with pytest.raises(ValueError):
-        nnet.forward(net, np.zeros((2, 5)))
+        nnet.encode(net, np.zeros((2, 5)))
+    with pytest.raises(ValueError):
+        nnet.loss(net, nnet.Batch(np.zeros((2, 5)), np.zeros(2)))
 
 
 def test_zero_head_gives_zero_logits():
@@ -166,7 +168,7 @@ def test_zero_head_gives_zero_logits():
     rng = np.random.default_rng(2)
     params = rng.standard_normal(spec.param_count)
     params[nnet.encoder_slice(spec).stop :] = 0.0
-    logits = nnet.forward(nnet.Network(spec, params), rng.standard_normal((4, 3)))
+    logits = helpers.logits(nnet.Network(spec, params), rng.standard_normal((4, 3)))
     assert np.all(logits == 0.0)
 
 
@@ -203,7 +205,7 @@ def test_loss_matches_per_sample_log_softmax():
     spec = nnet.NetworkSpec((4, 5), 3, activation="tanh")
     net = nnet.Network(spec, rng.standard_normal(spec.param_count))
     batch = nnet.Batch(rng.standard_normal((6, 4)), rng.integers(0, 3, 6))
-    logits = nnet.forward(net, batch.features)
+    logits = helpers.logits(net, batch.features)
     expect = 0.0
     for i in range(6):
         row = np.exp(logits[i] - logits[i].max())
@@ -238,7 +240,7 @@ def test_grad_zero_at_constructed_stationary_point():
     spec = nnet.NetworkSpec((3, 4), 2, activation="tanh")
     net = nnet.Network(spec, np.zeros(spec.param_count))
     x = np.tile(np.array([[0.3, -1.2, 0.7]]), (2, 1))
-    g = nnet.grad(net, nnet.Batch(x, np.array([0, 1])))
+    g = helpers.loss_grad(net, nnet.Batch(x, np.array([0, 1])))
     np.testing.assert_array_equal(g, np.zeros(spec.param_count))
 
 
@@ -256,8 +258,8 @@ def test_grad_replicated_batch_equals_single_sample():
     spec = nnet.NetworkSpec((4, 6, 3), 4, activation="tanh")
     net = nnet.Network(spec, rng.standard_normal(spec.param_count) * 0.5)
     x = rng.standard_normal((1, 4))
-    one = nnet.grad(net, nnet.Batch(x, np.array([2])))
-    rep = nnet.grad(net, nnet.Batch(np.tile(x, (5, 1)), np.full(5, 2)))
+    one = helpers.loss_grad(net, nnet.Batch(x, np.array([2])))
+    rep = helpers.loss_grad(net, nnet.Batch(np.tile(x, (5, 1)), np.full(5, 2)))
     np.testing.assert_allclose(rep, one, rtol=1e-12, atol=1e-14)
 
 
@@ -266,7 +268,8 @@ def test_fisher_diag_shape_and_oracle_mean():
     net, batch = helpers.draw_generic_case(rng)
     rows = helpers.per_sample_grads(net, batch)
     assert rows.shape == (batch.n, net.param_count)
-    np.testing.assert_allclose(rows.mean(axis=0), nnet.grad(net, batch), rtol=1e-10, atol=1e-13)
+    mean = helpers.loss_grad(net, batch)
+    np.testing.assert_allclose(rows.mean(axis=0), mean, rtol=1e-10, atol=1e-13)
     f = nnet.fisher_diag(net, batch)
     assert f.shape == (net.param_count,)
     np.testing.assert_allclose(f, np.mean(rows * rows, axis=0), rtol=1e-12, atol=0)
@@ -293,7 +296,7 @@ def test_encoder_pullback_matches_central_differences():
     net = nnet.Network(spec, rng.standard_normal(spec.param_count) * 0.6)
     x = rng.standard_normal((5, 4))
     up = rng.standard_normal((5, 3))
-    got = nnet.encoder_pullback(net, nnet.encoder_forward(net, x), up)
+    got = helpers.encoder_pullback(net, x, up)
     enc_stop = nnet.encoder_slice(spec).stop
     assert np.all(got[enc_stop:] == 0.0)
     h = 1e-6
@@ -308,12 +311,12 @@ def test_encoder_pullback_matches_central_differences():
         assert abs(got[i] - fd) / max(1.0, abs(got[i]), abs(fd)) < 1e-6
 
 
-def test_encoder_pullback_rejects_wrong_shape():
+def test_train_episodic_rejects_wrong_feature_width():
     net = nnet.init_network(nnet.NetworkSpec((3, 4), 2), 0)
-    with pytest.raises(ValueError):
-        nnet.encoder_pullback(net, nnet.encoder_forward(net, np.zeros((2, 3))), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        nnet.encoder_forward(net, np.zeros((2, 4)))
+    sched = nnet.TrainSchedule(0.1, 0.9, 2, 1, seed=0)
+    episodes = iter([(np.zeros((1, 4, 4)), np.zeros((1, 4, 3)))])
+    with pytest.raises(ValueError, match=r"features must be \(\.\.\., n, 3\)"):
+        nnet.train_episodic(net, episodes, sched, 2, 1.0)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -329,13 +332,12 @@ def test_stacked_encoder_pass_and_pullback_equal_each_slice_bitwise(seed):
         n_ep, n = int(rng.integers(1, 6)), int(rng.integers(1, 40))
         x = rng.standard_normal((n_ep, n, widths[0]))
         up = rng.standard_normal((n_ep, n, widths[-1]))
-        fwd = nnet.encoder_forward(net, x)
-        stacked = nnet.encoder_pullback(net, fwd, up)
+        emb = nnet.encode(net, x)
+        stacked = helpers.encoder_pullback(net, x, up)
         assert stacked.shape == (n_ep, spec.param_count)
         for e in range(n_ep):
-            one = nnet.encoder_forward(net, x[e])
-            assert np.array_equal(fwd[1][-1][e], one[1][-1])
-            assert np.array_equal(stacked[e], nnet.encoder_pullback(net, one, up[e]))
+            assert np.array_equal(emb[e], nnet.encode(net, x[e]))
+            assert np.array_equal(stacked[e], helpers.encoder_pullback(net, x[e], up[e]))
 
 
 # ---------------------------------------------------------------------------

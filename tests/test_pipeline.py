@@ -448,7 +448,7 @@ def test_episode_loss_matches_manual_computation():
     m, k, q = 2, 2, 3
     xs, xq = _toy_stack(rng, m=m, k=k, q=q)
     tau = 1.7
-    losses, _ = pipeline.episode_loss_grad(net, xs, xq, k, tau)
+    losses, _ = nnet._episode_grads(spec, net.params, xs, xq, k, tau)
     assert losses.shape == (2,)
 
     y = np.repeat(np.arange(m), q)
@@ -475,16 +475,16 @@ def test_episode_grad_matches_central_differences():
     k = 2
     xs, xq = _toy_stack(rng, dim=3, k=k)
     tau = 2.0
-    losses, g = pipeline.episode_loss_grad(net, xs, xq, k, tau)
+    losses, g = nnet._episode_grads(spec, net.params, xs, xq, k, tau)
     assert np.all(np.isfinite(losses)) and np.all(losses > 0)
     assert np.all(g[:, nnet.encoder_slice(spec).stop :] == 0.0)
     h = 1e-6
     p = net.params.copy()
     for i in range(p.shape[0]):
         p[i] += h
-        lp, _ = pipeline.episode_loss_grad(nnet.Network(spec, p), xs, xq, k, tau)
+        lp, _ = nnet._episode_grads(spec, p, xs, xq, k, tau)
         p[i] -= 2 * h
-        lm, _ = pipeline.episode_loss_grad(nnet.Network(spec, p), xs, xq, k, tau)
+        lm, _ = nnet._episode_grads(spec, p, xs, xq, k, tau)
         p[i] += h
         for e in range(2):
             fd = (lp[e] - lm[e]) / (2 * h)
@@ -501,7 +501,7 @@ def test_episode_accuracy_perfect_and_tied():
     qry = np.array([[[4.0, 0.5], [0.5, 4.0]]])  # slots 0, 1
 
     def accuracy(n):
-        return pipeline.nearest_centroid(nnet.encode(n, sup), nnet.encode(n, qry), 2, 1.0)[3][0]
+        return nnet.nearest_centroid(nnet.encode(n, sup), nnet.encode(n, qry), 2, 1.0)[3][0]
 
     assert accuracy(net) == 1.0
     # all-zero params collapse every embedding; ties resolve to class 0
@@ -563,6 +563,32 @@ def test_episodic_finetune_restricted_to_related_labels(tiny):
     assert np.all(np.isfinite(tuned.params))
     assert len(history) == cfg.finetune_schedule.epochs
     assert all(np.isfinite(h) for h in history)
+
+
+@pytest.mark.parametrize("meta_steps", [1, 7])
+def test_episodic_finetune_builds_one_network_and_draws_per_meta_step(
+    overlapping, monkeypatch, meta_steps
+):
+    train, _, cfg, related = overlapping
+    spec = nnet.NetworkSpec((16, 32, 8), len(train.class_ids), "relu")
+    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+    cfg = replace(cfg, finetune_schedule=replace(cfg.finetune_schedule, epochs=meta_steps))
+    built, drawn = [], []
+
+    def counted(obj, post_init=nnet.Network.__post_init__):
+        built.append(obj)
+        post_init(obj)
+
+    def draw(data, m_way, k_shot, q_query, seeds, original=tasks.draw_episodes):
+        drawn.append(len(seeds))
+        return original(data, m_way, k_shot, q_query, seeds)
+
+    monkeypatch.setattr(nnet.Network, "__post_init__", counted)
+    monkeypatch.setattr(tasks, "draw_episodes", draw)
+    tuned, history = pipeline.episodic_finetune(whole, related, train, cfg)
+    assert built == [tuned]
+    assert drawn == [cfg.finetune_schedule.batch_size] * meta_steps
+    assert len(history) == meta_steps
 
 
 def test_episodic_finetune_deterministic(tiny):

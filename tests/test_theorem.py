@@ -379,6 +379,48 @@ def test_convergence_check_noiseless_passes_tight():
     assert not theorem.convergence_check(out, abs_tol=0.0).passed
 
 
+def _gap_series(medians, n_seeds=5):
+    """Series on log-spaced checkpoints up to 10**4 whose median gap over
+    n_seeds seeds is medians(times); the seeds straddle it evenly."""
+    times = theorem.checkpoint_times(10_000)
+    gaps = medians(times.astype(np.float64))
+    spread = np.linspace(0.5, 1.5, n_seeds)
+    return [theorem.TasSeries(times, 0.3 + f * gaps, 0.3) for f in spread]
+
+
+def test_convergence_check_passes_a_wiggling_floor():
+    # the median falls like 1/sqrt(t) and then wiggles at 1e-5: the last
+    # three checkpoints rise, but the final gap is far below its value a
+    # decade of steps earlier
+    def medians(t):
+        return 1e-3 / np.sqrt(t) + 1e-5 * (1.0 + 0.3 * np.sin(3.0 * np.arange(t.size)))
+
+    report = theorem.convergence_check(_gap_series(medians), abs_tol=1e-2)
+    assert report.passed
+    assert np.any(np.diff(report.trend) > 0)  # the old non-increasing rule failed it
+
+
+def test_convergence_check_fails_a_gap_above_the_tolerance():
+    report = theorem.convergence_check(_gap_series(lambda t: 1.0 / np.sqrt(t)), abs_tol=1e-3)
+    assert report.final_gap_median > 1e-3
+    assert not report.passed
+
+
+def test_convergence_check_fails_a_gap_that_grew_over_the_last_decade():
+    # below the tolerance at the end, but larger than at t = 1000
+    report = theorem.convergence_check(_gap_series(lambda t: 1e-6 * np.sqrt(t)), abs_tol=1e-2)
+    assert report.final_gap_median < 1e-2
+    assert not report.passed
+
+
+def test_convergence_check_compares_with_the_first_checkpoint_below_ten_steps():
+    times = np.array([3, 5, 8])
+    falls = [theorem.TasSeries(times, np.array([0.4, 0.35, 0.31]), 0.3)] * 5
+    rises = [theorem.TasSeries(times, np.array([0.301, 0.35, 0.302]), 0.3)] * 5
+    assert theorem.convergence_check(falls, abs_tol=0.05).passed
+    assert not theorem.convergence_check(rises, abs_tol=0.05).passed
+
+
 def test_convergence_check_validation():
     series = _fixture_series(n_seeds=5, total_steps=100)
     with pytest.raises(ValueError, match="5 seeds"):
