@@ -211,28 +211,23 @@ def cmd_theorem1(doc: dict, out: str, seed: int | None) -> int:
     )
     theta_star = theorem.solve_optimum(problem, tol=job.optimum_tol)
     seeds = [derive_seed(job.sgd.seed, i) for i in range(job.n_seeds)]
-    series = [
-        theorem.tas_trajectory(traj, theta_star, a_query, b_support, problem)
-        for traj in theorem.noisy_sgd(problem, job.sgd, seeds)
-    ]
-    verdict = theorem.convergence_check(series, job.abs_tol)
+    times, bars = theorem.noisy_sgd(problem, job.sgd, seeds)
+    values, s_star = theorem.tas_trajectory(times, bars, theta_star, a_query, b_support, problem)
+    gaps = abs(values - s_star)
+    verdict = theorem.convergence_check(times, gaps, job.abs_tol)
 
     lines = ["seed,t,s_t,gap"]
-    for i, s in enumerate(series):
-        for t, v in zip(s.times, s.values):
-            lines.append(f"{i},{int(t)},{float(v)!r},{float(abs(v - s.s_star))!r}")
+    for i, (run_values, run_gaps) in enumerate(zip(values.tolist(), gaps.tolist())):
+        for t, v, g in zip(times.tolist(), run_values, run_gaps):
+            lines.append(f"{i},{t},{v!r},{g!r}")
     _atomic_write(os.path.join(out, "theorem1_series.csv"), "\n".join(lines) + "\n")
     _write_json(
         os.path.join(out, "report.json"),
         {
             "run_id": run_id,
             "config": echo,
-            "passed": verdict.passed,
-            "final_gap_median": verdict.final_gap_median,
-            "trend": list(verdict.trend),
-            "abs_tol": verdict.abs_tol,
-            "n_seeds": verdict.n_seeds,
-            "s_star": series[0].s_star,
+            **asdict(verdict),
+            "s_star": s_star,
             "timings": {"total_s": time.perf_counter() - t0},
         },
     )

@@ -213,9 +213,11 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, 
     logits, and its gradient on the logits, softmax minus one-hot.  logits is
     (..., n, classes) and labels (n,)."""
     zmax = logits.max(axis=-1, keepdims=True)
-    lse = zmax[..., 0] + np.log(np.sum(np.exp(logits - zmax), axis=-1))
+    delta = np.exp(logits - zmax)
+    total = delta.sum(axis=-1, keepdims=True)
+    lse = zmax[..., 0] + np.log(total[..., 0])
+    delta /= total
     rows = np.arange(labels.shape[0])
-    delta = softmax(logits)
     delta[..., rows, labels] -= 1.0
     return lse - logits[..., rows, labels], delta
 
@@ -349,13 +351,6 @@ def encode(net: Network, features: np.ndarray) -> np.ndarray:
     """Embeddings: forward through encoder layers only (head untouched)."""
     encoder = _unpack(net.spec, net.params)[:-1]
     return _forward(net.spec, encoder, _features(net.spec, features))[1][-1]
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted by the row max so huge logits stay finite."""
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def loss(net: Network, data: Batch) -> float:

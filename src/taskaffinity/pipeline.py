@@ -440,19 +440,21 @@ def ablation_comparison(
     related fine-tunes on the labels of the top_r lowest-score tasks,
     non_related on those of the top_r highest-score tasks, random on a drawn
     label set the size of the related one.  Seeds and budgets are shared, so
-    a mode's report does not depend on which other modes run.  Unknown modes
-    and test sets too small for evaluation episodes fail before any training.
+    a mode's report does not depend on which other modes run.  Unknown modes,
+    and test or training sets with fewer than m_way classes that hold an
+    episode's k_shot + q_query rows, fail before any training.
     """
     for mode in modes:
         if mode not in ABLATION_MODES:
             raise ValueError(f"unknown ablation mode {mode!r}; expected one of {ABLATION_MODES}")
     need = cfg.k_shot + cfg.q_query
-    eligible = len(tasks.episode_classes(test, need))
-    if eligible < cfg.m_way:
-        raise ValueError(
-            f"insufficient samples: only {eligible} test classes have >= {need} rows "
-            f"(k_shot + q_query), need m_way={cfg.m_way}"
-        )
+    for split, data in (("test", test), ("training", train)):
+        eligible = len(tasks.episode_classes(data, need))
+        if eligible < cfg.m_way:
+            raise ValueError(
+                f"insufficient samples: only {eligible} {split} classes have >= {need} rows "
+                f"(k_shot + q_query), need m_way={cfg.m_way}"
+            )
     whole, ordered, shared = phases_1_2(train, test, spec, cfg)
     reports: dict[str, RunReport] = {}
     for mode in modes:

@@ -115,23 +115,6 @@ class NoisySGDConfig:
             raise ValueError("total_steps must be >= 1")
 
 
-@dataclass
-class Trajectory:
-    """Running Polyak averages at strictly increasing checkpoint times."""
-
-    times: np.ndarray
-    theta_bars: np.ndarray
-
-
-@dataclass
-class TasSeries:
-    """Affinity values at the checkpoints plus the score at the optimum."""
-
-    times: np.ndarray
-    values: np.ndarray
-    s_star: float
-
-
 @dataclass(frozen=True)
 class ConvergenceReport:
     passed: bool
@@ -234,7 +217,9 @@ def checkpoint_times(total_steps: int) -> np.ndarray:
     return np.array(sorted(ts), dtype=np.int64)
 
 
-def noisy_sgd(p: ConvexProblem, cfg: NoisySGDConfig, seeds: Sequence[int]) -> list[Trajectory]:
+def noisy_sgd(
+    p: ConvexProblem, cfg: NoisySGDConfig, seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
     """theta_{t+1} = theta_t - eta_t * (grad L(theta_t) + eps_t), eps_t ~ N(0, sigma^2 I),
     for every seed at once.
 
@@ -242,10 +227,10 @@ def noisy_sgd(p: ConvexProblem, cfg: NoisySGDConfig, seeds: Sequence[int]) -> li
     starts at the origin and draws its noise, in chunks, from its own
     np.random.default_rng(seeds[i]), so its values do not depend on the
     other seeds beyond rounding (the block's matmuls sum in another order).
-    Returns one Trajectory per seed: the running mean of its iterates
-    theta_1..theta_t at the checkpoint times.  Raises DivergenceError at the
-    first step where an iterate leaves the guard ball, naming the lowest
-    seed index that left it.
+    Returns the checkpoint times (K,) and the (S, K, d) block whose [i, k]
+    is run i's running mean of its iterates theta_1..theta_t at checkpoint
+    time t = times[k].  Raises DivergenceError at the first step where an
+    iterate leaves the guard ball, naming the lowest seed index that left it.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     if not rngs:
@@ -296,18 +281,20 @@ def noisy_sgd(p: ConvexProblem, cfg: NoisySGDConfig, seeds: Sequence[int]) -> li
             if k < len(ckpt_list) and t == ckpt_list[k]:
                 np.divide(running_sum, t, out=bars[:, k])
                 k += 1
-    return [Trajectory(times=ckpts.copy(), theta_bars=run_bars) for run_bars in bars]
+    return ckpts, bars
 
 
 def tas_trajectory(
-    traj: Trajectory,
+    times: np.ndarray,
+    bars: np.ndarray,
     theta_star: np.ndarray,
     data_a_query: Batch,
     data_b_support: Batch,
     p: ConvexProblem,
-) -> TasSeries:
+) -> tuple[np.ndarray, float]:
     """Affinity between the two datasets' Fisher diagonals at each averaged
-    checkpoint, plus the same quantity at the optimum theta_star."""
+    checkpoint of noisy_sgd's (S, K, d) block, as an (S, K) array, plus the
+    same quantity at the optimum theta_star."""
 
     def score_at(theta: np.ndarray, where: str) -> float:
         try:
@@ -318,24 +305,20 @@ def tas_trajectory(
         return fisher.tas(f_a, f_b).value
 
     values = np.array(
-        [score_at(tb, f"checkpoint t={int(t)}") for t, tb in zip(traj.times, traj.theta_bars)]
+        [[score_at(tb, f"checkpoint t={int(t)}") for t, tb in zip(times, run)] for run in bars]
     )
-    return TasSeries(traj.times.copy(), values, score_at(theta_star, "the optimum"))
+    return values, score_at(theta_star, "the optimum")
 
 
-def convergence_check(series: list[TasSeries], abs_tol: float) -> ConvergenceReport:
-    """Pass iff the median |s_t - s*| over seeds is below abs_tol at the final
-    checkpoint and no larger than at the last checkpoint one decade of steps
-    earlier (t <= final t // 10, else the first checkpoint).  Comparing across
-    a decade, not between neighbouring checkpoints, keeps noise at the floor
+def convergence_check(times: np.ndarray, gaps: np.ndarray, abs_tol: float) -> ConvergenceReport:
+    """Pass iff the median over seeds of the (S, K) gaps |s_t - s*| at the
+    checkpoint times (K,) is below abs_tol at the final checkpoint and no
+    larger than at the last checkpoint one decade of steps earlier
+    (t <= final t // 10, else the first checkpoint).  Comparing across a
+    decade, not between neighbouring checkpoints, keeps noise at the floor
     from reading as divergence."""
-    if len(series) < MIN_SEEDS:
+    if gaps.shape[0] < MIN_SEEDS:
         raise ValueError(f"need at least {MIN_SEEDS} seeds for a stable median")
-    times = series[0].times
-    for s in series[1:]:
-        if not np.array_equal(s.times, times):
-            raise ValueError("all series must share checkpoint times")
-    gaps = np.stack([np.abs(s.values - s.s_star) for s in series])
     medians = np.median(gaps, axis=0)
     earlier = float(medians[max(np.searchsorted(times, times[-1] // 10, side="right") - 1, 0)])
     final = float(medians[-1])
@@ -344,7 +327,7 @@ def convergence_check(series: list[TasSeries], abs_tol: float) -> ConvergenceRep
         final_gap_median=final,
         trend=tuple(float(x) for x in medians[-3:]),
         abs_tol=abs_tol,
-        n_seeds=len(series),
+        n_seeds=gaps.shape[0],
     )
 
 

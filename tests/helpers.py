@@ -360,7 +360,8 @@ def episode_loss_grad(net, episode, temperature):
     y = episode.query.labels
     loss_val = float(np.mean(lse - logits[np.arange(nq), y]))
 
-    dlogits = nnet.softmax(logits)
+    dlogits = np.exp(logits - zmax)
+    dlogits /= np.sum(dlogits, axis=1, keepdims=True)
     dlogits[np.arange(nq), y] -= 1.0
     dlogits /= nq
     dd = -dlogits / temperature

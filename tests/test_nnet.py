@@ -175,16 +175,26 @@ def test_zero_head_gives_zero_logits():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(2, 5))
 def test_softmax_rows_are_distributions(seed, n, c):
-    z = np.random.default_rng(seed).standard_normal((n, c)) * 50
-    p = nnet.softmax(z)
+    # _cross_entropy's gradient is softmax minus one-hot: adding the one-hot
+    # back gives distributions, so each gradient row sums to 0
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, c)) * 50
+    labels = rng.integers(0, c, size=n)
+    losses, delta = nnet._cross_entropy(z, labels)
+    p = delta.copy()
+    p[np.arange(n), labels] += 1.0
     assert np.all(p >= 0)
     np.testing.assert_allclose(p.sum(axis=1), np.ones(n), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(delta.sum(axis=1), np.zeros(n), rtol=0, atol=1e-12)
+    assert np.all(np.isfinite(losses)) and np.all(losses >= 0)
 
 
 def test_softmax_survives_huge_logits():
-    p = nnet.softmax(np.array([[1e4, 0.0], [-1e4, 0.0]]))
-    assert np.all(np.isfinite(p))
-    np.testing.assert_allclose(p[0], [1.0, 0.0], atol=1e-12)
+    losses, delta = nnet._cross_entropy(np.array([[1e4, 0.0], [-1e4, 0.0]]), np.array([1, 1]))
+    assert np.all(np.isfinite(losses)) and np.all(np.isfinite(delta))
+    np.testing.assert_allclose(losses, [1e4, 0.0], atol=1e-12)
+    np.testing.assert_allclose(delta, [[1.0, -1.0], [0.0, 0.0]], atol=1e-12)
+    np.testing.assert_allclose(delta.sum(axis=1), 0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

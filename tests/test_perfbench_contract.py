@@ -9,8 +9,16 @@ task and returns `(network, record)` with `.reached_target` and
 `.epochs_used`; `fisher.empirical_fisher_diag` takes `(net, batch)`
 positionally.  A traced `rank` run that breaks one of them still exits 0,
 but its health check reads no epsilon records.
+
+The workloads' readers are part of it too: `Ablation.output` reads
+`pipeline.ablation_comparison`'s reports (`score.value`, accuracies, label
+sets, timings), and `Theorem1` runs the theorem1 command and reads its
+`report.json`; the tracer reads `theorem.noisy_sgd`'s `cfg.total_steps`
+from its second positional argument.
 """
 
+import dataclasses
+import math
 import os
 
 import numpy as np
@@ -48,3 +56,51 @@ def test_tracer_health_check_sees_every_source_task(tmp_path, monkeypatch):
     for counter in spans.COUNTED_CLASSES:
         assert tracer.counters.get((counter, perlayer.HEALTH_ID), 0) > 0
     assert nnet.Batch.__post_init__.__qualname__ == "Batch.__post_init__"  # uninstalled
+
+
+def test_ablation_workload_reads_its_reports(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    train, test, spec, cfg = workloads.ablation_setting(0)
+    small = dataclasses.replace(  # the workload's warm-up size
+        cfg,
+        s_count=4,
+        finetune_schedule=dataclasses.replace(cfg.finetune_schedule, epochs=10),
+        n_eval_episodes=10,
+    )
+    out = workloads.Ablation().output(
+        {"reports": pipeline.ablation_comparison(train, test, spec, small)}
+    )
+    assert len(out["task_ids"]) == len(out["scores"]) == 4
+    assert all(isinstance(v, float) and 0.0 <= v <= 1.0 for v in out["scores"])
+    assert sorted(out["accuracy"]) == sorted(out["label_sets"]) == sorted(pipeline.ABLATION_MODES)
+    assert all(0.0 <= acc <= 1.0 for acc in out["accuracy"].values())
+    assert all(labels for labels in out["label_sets"].values())
+    assert sorted(out["phases"]) == ["eval_s", "finetune_s", "rank_s", "whole_train_s"]
+    assert all(t > 0.0 for t in out["phases"].values())
+    assert workloads.Ablation().check(out, out) == []
+
+
+def test_theorem1_workload_runs_and_reads_its_report(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import spans
+    import workloads
+
+    w = workloads.Theorem1()
+    w.total_steps = 200
+    tracer = spans.Tracer()
+    tracer.install({"cli": cli, "pipeline": pipeline, "nnet": nnet, "fisher": fisher,
+                    "matching": matching, "tasks": tasks, "theorem": theorem})
+    try:
+        out = w.output(w.run(0, str(tmp_path)))
+    finally:
+        tracer.uninstall()
+    assert isinstance(out["passed"], bool)
+    assert out["exit_code"] == (0 if out["passed"] else 1)
+    assert math.isfinite(out["final_gap_median"]) and out["final_gap_median"] >= 0.0
+    assert out["phases"]["total_s"] > 0.0
+    assert [steps for _, steps in tracer.sgd_steps] == [200]
+    a = tracer.arrays()
+    scoring = a["name_id"] == tracer.name_ids["theorem.tas_trajectory"]
+    assert scoring.sum() == 1 and a["self"][scoring].sum() > 0.0

@@ -730,16 +730,23 @@ def test_ablation_comparison_matches_individual_runs(tiny):
 
 
 @pytest.mark.parametrize(
-    "change,modes,match",
+    "change,train_rows,modes,match",
     [
-        ({}, ("related", "shuffled"), "unknown ablation mode 'shuffled'"),
-        ({"q_query": 60}, ("related",), "insufficient samples"),
-        ({"n_test": 3}, pipeline.ABLATION_MODES, "n_test=3"),
+        ({}, None, ("related", "shuffled"), "unknown ablation mode 'shuffled'"),
+        ({"q_query": 60}, None, ("related",), "insufficient samples"),
+        ({"n_test": 3}, None, pipeline.ABLATION_MODES, "n_test=3"),
+        # the test split still holds 12 rows per class, phase 3 needs 6
+        ({}, 5, ("related",), "only 0 training classes have >= 6 rows"),
     ],
-    ids=["unknown_mode", "oversized_episodes", "wrong_n_test"],
+    ids=["unknown_mode", "oversized_episodes", "wrong_n_test", "short_training_classes"],
 )
-def test_ablation_bad_inputs_fail_before_phase_1(tiny, monkeypatch, change, modes, match):
+def test_ablation_bad_inputs_fail_before_phase_1(
+    tiny, monkeypatch, change, train_rows, modes, match
+):
     train, test, spec, cfg = tiny
+    if train_rows is not None:
+        rows = np.concatenate([train.class_index[c][:train_rows] for c in train.class_ids])
+        train = tasks.Dataset.from_arrays(train.features[rows], train.labels[rows])
 
     def never(*args):
         raise AssertionError("whole-classifier training started")

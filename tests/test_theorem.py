@@ -183,10 +183,10 @@ def test_noisy_sgd_noiseless_average_approaches_optimum():
     p = tiny_problem(12, lam=0.3)
     star = theorem.solve_optimum(p, tol=1e-10)
     cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.2), 0.0, 4000, seed=1)
-    traj = theorem.noisy_sgd(p, cfg, [1])[0]
+    _, bars = theorem.noisy_sgd(p, cfg, [1])
     # iterates converge geometrically; the running average lags at O(1/t)
-    assert np.linalg.norm(traj.theta_bars[-1] - star) < 1e-2
-    gaps = np.linalg.norm(traj.theta_bars - star, axis=1)
+    assert np.linalg.norm(bars[0, -1] - star) < 1e-2
+    gaps = np.linalg.norm(bars[0] - star, axis=1)
     assert gaps[-1] < gaps[0]
 
 
@@ -195,8 +195,8 @@ def test_noisy_sgd_at_optimum_stays_put_when_noiseless():
     x = np.array([[1.0, -2.0], [1.0, -2.0]])
     p = theorem.ConvexProblem(x, np.array([1, 0]), 0.3)
     cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.1), 0.0, 50, seed=2)
-    traj = theorem.noisy_sgd(p, cfg, [2])[0]
-    np.testing.assert_allclose(traj.theta_bars, 0.0, atol=1e-15)
+    _, bars = theorem.noisy_sgd(p, cfg, [2])
+    np.testing.assert_allclose(bars, 0.0, atol=1e-15)
 
 
 def test_noisy_sgd_running_mean_matches_kept_iterates():
@@ -204,12 +204,12 @@ def test_noisy_sgd_running_mean_matches_kept_iterates():
     cfg = theorem.NoisySGDConfig(
         theorem.StepSchedule("polynomial", 0.1, 0.75), 0.2, 500, seed=3
     )
-    traj = theorem.noisy_sgd(p, cfg, [3])[0]
+    times, bars = theorem.noisy_sgd(p, cfg, [3])
     _, _, iterates = helpers.serial_noisy_sgd(p, cfg, 3)
     assert iterates.shape == (500, p.dim)
-    for idx, t in enumerate(traj.times):
+    for idx, t in enumerate(times):
         recomputed = iterates[: int(t)].mean(axis=0)
-        np.testing.assert_allclose(traj.theta_bars[idx], recomputed, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(bars[0, idx], recomputed, rtol=1e-12, atol=1e-14)
 
 
 SCHEDULES = [
@@ -227,12 +227,12 @@ def test_noisy_sgd_matches_serial_oracle(n_seeds, schedule, monkeypatch):
     p = tiny_problem(16)
     cfg = theorem.NoisySGDConfig(schedule, 0.3, 500, seed=5)
     seeds = [derive_seed(5, i) for i in range(n_seeds)]
-    trajs = theorem.noisy_sgd(p, cfg, seeds)
-    assert len(trajs) == n_seeds
-    for seed, traj in zip(seeds, trajs):
-        times, bars, _ = helpers.serial_noisy_sgd(p, cfg, seed)
-        np.testing.assert_array_equal(traj.times, times)
-        np.testing.assert_allclose(traj.theta_bars, bars, rtol=0, atol=1e-12)
+    times, bars = theorem.noisy_sgd(p, cfg, seeds)
+    assert bars.shape == (n_seeds, times.size, p.dim)
+    for seed, run in zip(seeds, bars):
+        serial_times, serial_bars, _ = helpers.serial_noisy_sgd(p, cfg, seed)
+        np.testing.assert_array_equal(times, serial_times)
+        np.testing.assert_allclose(run, serial_bars, rtol=0, atol=1e-12)
 
 
 def test_noisy_sgd_matches_serial_oracle_across_full_chunks():
@@ -240,21 +240,20 @@ def test_noisy_sgd_matches_serial_oracle_across_full_chunks():
     p, _, _ = theorem.make_logistic_fixture(10, 200, 200, 0.1, seed=42)
     cfg = theorem.NoisySGDConfig(theorem.StepSchedule("polynomial", 0.1, 0.6), 0.1, 2500, seed=7)
     seeds = [derive_seed(7, 15, i) for i in range(7)]
-    for seed, traj in zip(seeds, theorem.noisy_sgd(p, cfg, seeds)):
+    for seed, run in zip(seeds, theorem.noisy_sgd(p, cfg, seeds)[1]):
         _, bars, _ = helpers.serial_noisy_sgd(p, cfg, seed)
-        np.testing.assert_allclose(traj.theta_bars, bars, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(run, bars, rtol=0, atol=1e-12)
 
 
 def test_noisy_sgd_deterministic():
     p = tiny_problem(14)
     cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.05), 0.3, 300, seed=9)
-    a = theorem.noisy_sgd(p, cfg, [9, 10, 11])
-    b = theorem.noisy_sgd(p, cfg, [9, 10, 11])
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x.theta_bars, y.theta_bars)
+    _, a = theorem.noisy_sgd(p, cfg, [9, 10, 11])
+    _, b = theorem.noisy_sgd(p, cfg, [9, 10, 11])
+    np.testing.assert_array_equal(a, b)
     # a seed's run does not depend on the seeds beside it, up to rounding
-    alone = theorem.noisy_sgd(p, cfg, [10])[0].theta_bars
-    np.testing.assert_allclose(alone, a[1].theta_bars, rtol=0, atol=1e-12)
+    _, alone = theorem.noisy_sgd(p, cfg, [10])
+    np.testing.assert_allclose(alone[0], a[1], rtol=0, atol=1e-12)
 
 
 def test_noisy_sgd_needs_a_seed():
@@ -318,32 +317,32 @@ def test_noisy_sgd_noise_buffer_stays_small():
 
 
 def _fixture_series(n_seeds=10, total_steps=2000):
+    """(times (K,), values (S, K), s_star) on the criterion-5 fixture."""
     p, qa, sb = theorem.make_logistic_fixture(10, 200, 200, 0.1, seed=42)
     star = theorem.solve_optimum(p, tol=1e-10)
     cfg = theorem.NoisySGDConfig(
         theorem.StepSchedule("polynomial", 0.1, 0.6), 0.1, total_steps, seed=7
     )
-    out = []
-    for traj in theorem.noisy_sgd(p, cfg, [derive_seed(7, 15, i) for i in range(n_seeds)]):
-        out.append(theorem.tas_trajectory(traj, star, qa, sb, p))
-    return out
+    times, bars = theorem.noisy_sgd(p, cfg, [derive_seed(7, 15, i) for i in range(n_seeds)])
+    return (times, *theorem.tas_trajectory(times, bars, star, qa, sb, p))
 
 
 def test_tas_trajectory_identical_datasets_give_zero():
     p, qa, _ = theorem.make_logistic_fixture(6, 50, 50, 0.1, seed=1)
     star = theorem.solve_optimum(p, tol=1e-8)
     cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.1), 0.05, 100, seed=4)
-    traj = theorem.noisy_sgd(p, cfg, [4])[0]
-    series = theorem.tas_trajectory(traj, star, qa, qa, p)
-    np.testing.assert_allclose(series.values, 0.0, atol=1e-12)
-    assert series.s_star == pytest.approx(0.0, abs=1e-12)
+    times, bars = theorem.noisy_sgd(p, cfg, [4])
+    values, s_star = theorem.tas_trajectory(times, bars, star, qa, qa, p)
+    assert values.shape == (1, times.size)
+    np.testing.assert_allclose(values, 0.0, atol=1e-12)
+    assert s_star == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tas_trajectory_values_in_range():
-    series = _fixture_series(n_seeds=1, total_steps=200)[0]
-    assert np.all(np.isfinite(series.values))
-    assert np.all((series.values >= 0) & (series.values <= 1 + 1e-12))
-    assert 0 <= series.s_star <= 1 + 1e-12
+    _, values, s_star = _fixture_series(n_seeds=1, total_steps=200)
+    assert np.all(np.isfinite(values))
+    assert np.all((values >= 0) & (values <= 1 + 1e-12))
+    assert 0 <= s_star <= 1 + 1e-12
 
 
 def test_tas_trajectory_degenerate_fisher_message():
@@ -351,41 +350,39 @@ def test_tas_trajectory_degenerate_fisher_message():
     # at theta = 0 that is identically zero -> unnormalizable diagonal
     x = np.zeros((4, 3))
     p = theorem.ConvexProblem(x, np.array([0, 1, 0, 1]), 0.1)
-    traj = theorem.Trajectory(times=np.array([1]), theta_bars=np.zeros((1, 3)))
+    data = Batch(x, np.array([0, 1, 0, 1]))
     with pytest.raises(ValueError, match="degenerate Fisher at checkpoint t=1"):
-        theorem.tas_trajectory(traj, np.zeros(3), Batch(x, np.array([0, 1, 0, 1])), Batch(x, np.array([0, 1, 0, 1])), p)
+        theorem.tas_trajectory(np.array([1]), np.zeros((1, 1, 3)), np.zeros(3), data, data, p)
 
 
 def test_s_star_matches_single_checkpoint_at_optimum():
     p, qa, sb = theorem.make_logistic_fixture(6, 80, 80, 0.1, seed=3)
     star = theorem.solve_optimum(p, tol=1e-10)
-    traj = theorem.Trajectory(times=np.array([1]), theta_bars=star[None, :].copy())
-    series = theorem.tas_trajectory(traj, star, qa, sb, p)
-    assert series.values[0] == series.s_star
+    values, s_star = theorem.tas_trajectory(np.array([1]), star[None, None, :], star, qa, sb, p)
+    assert values[0, 0] == s_star
 
 
 def test_convergence_check_noiseless_passes_tight():
     p, qa, sb = theorem.make_logistic_fixture(8, 100, 100, 0.2, seed=5)
     star = theorem.solve_optimum(p, tol=1e-12)
     cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.2), 0.0, 3000, seed=0)
-    out = []
-    for traj in theorem.noisy_sgd(p, cfg, range(5)):
-        out.append(theorem.tas_trajectory(traj, star, qa, sb, p))
-    report = theorem.convergence_check(out, abs_tol=1e-3)
+    times, bars = theorem.noisy_sgd(p, cfg, range(5))
+    values, s_star = theorem.tas_trajectory(times, bars, star, qa, sb, p)
+    gaps = np.abs(values - s_star)
+    report = theorem.convergence_check(times, gaps, abs_tol=1e-3)
     assert report.passed
     assert report.final_gap_median < 1e-3
     assert len(report.trend) == 3
     # the same series cannot beat an impossible tolerance
-    assert not theorem.convergence_check(out, abs_tol=0.0).passed
+    assert not theorem.convergence_check(times, gaps, abs_tol=0.0).passed
 
 
 def _gap_series(medians, n_seeds=5):
-    """Series on log-spaced checkpoints up to 10**4 whose median gap over
-    n_seeds seeds is medians(times); the seeds straddle it evenly."""
+    """(times, gaps (n_seeds, K)) on log-spaced checkpoints up to 10**4 whose
+    median gap over the seeds is medians(times); the seeds straddle it evenly."""
     times = theorem.checkpoint_times(10_000)
-    gaps = medians(times.astype(np.float64))
     spread = np.linspace(0.5, 1.5, n_seeds)
-    return [theorem.TasSeries(times, 0.3 + f * gaps, 0.3) for f in spread]
+    return times, spread[:, None] * medians(times.astype(np.float64))
 
 
 def test_convergence_check_passes_a_wiggling_floor():
@@ -395,46 +392,42 @@ def test_convergence_check_passes_a_wiggling_floor():
     def medians(t):
         return 1e-3 / np.sqrt(t) + 1e-5 * (1.0 + 0.3 * np.sin(3.0 * np.arange(t.size)))
 
-    report = theorem.convergence_check(_gap_series(medians), abs_tol=1e-2)
+    report = theorem.convergence_check(*_gap_series(medians), abs_tol=1e-2)
     assert report.passed
     assert np.any(np.diff(report.trend) > 0)  # the old non-increasing rule failed it
 
 
 def test_convergence_check_fails_a_gap_above_the_tolerance():
-    report = theorem.convergence_check(_gap_series(lambda t: 1.0 / np.sqrt(t)), abs_tol=1e-3)
+    report = theorem.convergence_check(*_gap_series(lambda t: 1.0 / np.sqrt(t)), abs_tol=1e-3)
     assert report.final_gap_median > 1e-3
     assert not report.passed
 
 
 def test_convergence_check_fails_a_gap_that_grew_over_the_last_decade():
     # below the tolerance at the end, but larger than at t = 1000
-    report = theorem.convergence_check(_gap_series(lambda t: 1e-6 * np.sqrt(t)), abs_tol=1e-2)
+    report = theorem.convergence_check(*_gap_series(lambda t: 1e-6 * np.sqrt(t)), abs_tol=1e-2)
     assert report.final_gap_median < 1e-2
     assert not report.passed
 
 
 def test_convergence_check_compares_with_the_first_checkpoint_below_ten_steps():
     times = np.array([3, 5, 8])
-    falls = [theorem.TasSeries(times, np.array([0.4, 0.35, 0.31]), 0.3)] * 5
-    rises = [theorem.TasSeries(times, np.array([0.301, 0.35, 0.302]), 0.3)] * 5
-    assert theorem.convergence_check(falls, abs_tol=0.05).passed
-    assert not theorem.convergence_check(rises, abs_tol=0.05).passed
+    falls = np.tile(np.abs(np.array([0.4, 0.35, 0.31]) - 0.3), (5, 1))
+    rises = np.tile(np.abs(np.array([0.301, 0.35, 0.302]) - 0.3), (5, 1))
+    assert theorem.convergence_check(times, falls, abs_tol=0.05).passed
+    assert not theorem.convergence_check(times, rises, abs_tol=0.05).passed
 
 
 def test_convergence_check_validation():
-    series = _fixture_series(n_seeds=5, total_steps=100)
+    times, values, s_star = _fixture_series(n_seeds=5, total_steps=100)
     with pytest.raises(ValueError, match="5 seeds"):
-        theorem.convergence_check(series[:4], abs_tol=0.1)
-    other = _fixture_series(n_seeds=1, total_steps=200)[0]
-    with pytest.raises(ValueError, match="checkpoint times"):
-        theorem.convergence_check(series[:4] + [other], abs_tol=0.1)
+        theorem.convergence_check(times, np.abs(values[:4] - s_star), abs_tol=0.1)
 
 
 def test_gap_shrinks_on_reference_fixture():
     # frozen small-scale version of the full empirical run
-    series = _fixture_series(n_seeds=10, total_steps=2000)
-    gaps = np.stack([np.abs(s.values - s.s_star) for s in series])
-    medians = np.median(gaps, axis=0)
+    _, values, s_star = _fixture_series(n_seeds=10, total_steps=2000)
+    medians = np.median(np.abs(values - s_star), axis=0)
     assert medians[-1] < medians[0]
     assert medians[-1] < 0.02
 
