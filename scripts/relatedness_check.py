@@ -39,7 +39,7 @@ def main() -> None:
             n_eval_episodes=100, softmax_temperature=1.0, master_seed=m,
         )
         whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-        target = pipeline.view_target(tasks.build_target_task(test), test, whole, cfg)
+        target = pipeline.view_target(test, whole, cfg)
         same = tasks.task_from_classes(train, [0, 1, 2], 100, derive_seed(m, 1, 0))
         disj = tasks.task_from_classes(train, [12, 13, 14], 101, derive_seed(m, 1, 1))
         s_same = pipeline.mtas(same, target, train, whole, cfg).score.value

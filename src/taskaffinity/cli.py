@@ -6,7 +6,8 @@ files), and derive every random stream from seeds in the config; --seed
 re-derives them all from one master value.  Nothing reads the wall clock
 except the timing fields, which deterministic-output comparisons exclude.
 --log-level sends the package's log records at or above that level to
-stderr; it changes no output file.
+stderr; it changes no output file.  tas and fewshot log one warning when
+source tasks miss their epsilon-approximation target or score exactly 0 or 1.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ import sys
 import tempfile
 import time
 from collections.abc import Sequence
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from . import config as cfgmod
 from . import pipeline, tasks, theorem
 from .nnet import NetworkSpec
 from .seeding import derive_seed
+
+log = logging.getLogger(__name__)
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -66,16 +69,24 @@ def _load_data(src: cfgmod.DataSource) -> tuple[tasks.Dataset, tasks.Dataset]:
     return tasks.load_csv(src.train_csv), tasks.load_csv(src.test_csv)
 
 
-def score_row(r: pipeline.RankedTask) -> dict:
-    """The JSON row of one score; the diagnostics go under "fisher" when kept."""
+def score_row(r: pipeline.RankedTask, with_fisher: bool = True) -> dict:
+    """The JSON row of one score.  When the task kept its Fisher diagonals
+    (verbose_fisher), with_fisher adds them and its epsilon-approximation
+    record under "fisher"."""
     row = {
         "task_id": r.task_id,
         "score": r.score.value,
         "mapping": list(r.assignment.mapping),
         "total_cost": r.assignment.total_cost,
     }
-    if r.diagnostics is not None:
-        row["fisher"] = r.diagnostics
+    if with_fisher and r.f_aa is not None:
+        row["fisher"] = {
+            "f_aa": {"entries": r.f_aa.entries.tolist(), "normalized": r.f_aa.normalized},
+            "f_ab": {"entries": r.f_ab.entries.tolist(), "normalized": r.f_ab.normalized},
+            "achieved_epsilon": r.record.achieved_epsilon,
+            "approx_epochs": r.record.epochs_used,
+            "reached_target": r.record.reached_target,
+        }
     return row
 
 
@@ -84,12 +95,12 @@ def _label_set_doc(chosen: pipeline.RelatedSet) -> dict:
 
 
 def report_to_doc(report: pipeline.RunReport) -> dict:
-    """The report as JSON; its score rows leave out the diagnostics, which
+    """The report as JSON; its score rows leave out the Fisher blocks, which
     scores.json carries."""
     edges, counts = report.tas_histogram
     return {
         "ablation_mode": report.ablation_mode,
-        "scores": [score_row(replace(r, diagnostics=None)) for r in report.scores],
+        "scores": [score_row(r, with_fisher=False) for r in report.scores],
         "selected_labels": _label_set_doc(report.selected_labels),
         "tas_histogram": {"edges": list(edges), "counts": list(counts)},
         "label_frequency": {str(k): v for k, v in report.label_frequency.items()},
@@ -127,6 +138,18 @@ def _write_ranking(
     _atomic_write(os.path.join(out, "label_freq.csv"), "\n".join(freq) + "\n")
 
 
+def _warn_degenerate(ordered: Sequence[pipeline.RankedTask]) -> None:
+    """One warning line for the source tasks that missed their 1 - epsilon
+    target and the scores that are exactly 0 or 1, when there are any."""
+    missed = sum(not r.record.reached_target for r in ordered)
+    extreme = sum(r.score.value in (0.0, 1.0) for r in ordered)
+    if missed or extreme:
+        log.warning(
+            "%d of %d source tasks missed the 1 - epsilon target%s (--log-level debug lists them)",
+            missed, len(ordered), f"; {extreme} scores are exactly 0 or 1" if extreme else "",
+        )
+
+
 def _echo(job: cfgmod.PipelineJob) -> dict:
     """The config echo of a tas or fewshot job: one flat dict, the pipeline
     settings beside the data and network fields."""
@@ -162,6 +185,7 @@ def cmd_tas(doc: dict, out: str, seed: int | None) -> int:
     t0 = time.perf_counter()
     train, test, spec, cfg = _setup(job)
     _, ordered, _ = pipeline.phases_1_2(train, test, spec, cfg)
+    _warn_degenerate(ordered)
     top = ordered[: cfg.top_r]
     _write_ranking(
         out, run_id, echo, ordered,
@@ -183,6 +207,7 @@ def cmd_fewshot(doc: dict, out: str, seed: int | None, ablation: str) -> int:
     run_id = _run_id("fewshot", echo)
     train, test, spec, cfg = _setup(job)
     report = pipeline.ablation_comparison(train, test, spec, cfg, (ablation,))[ablation]
+    _warn_degenerate(report.scores)
     report_doc = report_to_doc(report)
     report_doc["run_id"] = run_id
     report_doc["config"] = echo

@@ -74,9 +74,3 @@ def tas(f_aa: FisherDiagonal, f_ab: FisherDiagonal) -> AffinityScore:
     _check_pair(f_aa, f_ab)
     d = np.sqrt(f_aa.entries) - np.sqrt(f_ab.entries)
     return AffinityScore(float(np.sqrt(np.sum(d * d)) / np.sqrt(2.0)))
-
-
-def to_doc(f: FisherDiagonal) -> dict:
-    """JSON-able form, used by the verbose debugging output."""
-    return {"entries": f.entries.tolist(), "normalized": f.normalized}
-

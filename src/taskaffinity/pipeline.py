@@ -58,7 +58,7 @@ class PipelineConfig:
     n_eval_episodes: int
     softmax_temperature: float
     master_seed: int
-    verbose_fisher: bool = False  # keep each task's diagnostics on its RankedTask
+    verbose_fisher: bool = False  # keep each task's Fisher diagonals on its RankedTask
 
     def __post_init__(self) -> None:
         if self.s_count < 1:
@@ -76,24 +76,34 @@ class PipelineConfig:
 
 
 @dataclass(frozen=True)
+class EpsApproxRecord:
+    """What the epsilon-approximation fine-tune actually achieved."""
+
+    achieved_epsilon: float
+    epochs_used: int
+    reached_target: bool
+
+
+@dataclass(frozen=True)
 class RankedTask:
-    """One source task's score and class ids.  With verbose_fisher,
-    diagnostics holds the JSON form of its epsilon-approximation record and
-    both unit-trace Fisher diagonals (keys f_aa, f_ab, achieved_epsilon,
-    approx_epochs, reached_target); otherwise it is None."""
+    """One source task's score, class ids and epsilon-approximation record.
+    With verbose_fisher, f_aa and f_ab are its two unit-trace Fisher
+    diagonals (on source query and on target support); otherwise None."""
 
     task_id: int
     score: fisher.AffinityScore
     assignment: matching.Assignment
     class_ids: tuple[int, ...]
-    diagnostics: dict | None = None
+    record: EpsApproxRecord
+    f_aa: fisher.FisherDiagonal | None = None
+    f_ab: fisher.FisherDiagonal | None = None
 
 
 @dataclass(frozen=True)
 class TargetView:
-    """The target task's support rows labelled by class slot, and their class
-    centroids under the whole-classification encoder: the target side of
-    every source task's score."""
+    """Every test row labelled by class slot, and the class centroids under
+    the whole-classification encoder: the target side of every source task's
+    score."""
 
     batch: nnet.Batch
     centroids: np.ndarray
@@ -105,15 +115,6 @@ class RelatedSet:
 
     label_set: tuple[int, ...]
     row_indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class EpsApproxRecord:
-    """What the epsilon-approximation fine-tune actually achieved."""
-
-    achieved_epsilon: float
-    epochs_used: int
-    reached_target: bool
 
 
 @dataclass(frozen=True)
@@ -186,13 +187,12 @@ def build_eps_approx(
     return net, record
 
 
-def view_target(
-    target: tasks.TaskSpec, test_data: tasks.Dataset, whole: nnet.Network, cfg: PipelineConfig
-) -> TargetView:
-    """The target side of mtas, built once for all source tasks."""
-    if len(target.class_ids) != cfg.n_test:
+def view_target(test: tasks.Dataset, whole: nnet.Network, cfg: PipelineConfig) -> TargetView:
+    """The target side of mtas, built once for all source tasks: the target
+    task is the whole test set."""
+    if len(test.class_ids) != cfg.n_test:
         raise ValueError("target must have n_test classes")
-    tgt = tasks.batch_of(test_data, target.support_rows, target.class_ids)
+    tgt = tasks.batch_of(test, range(test.n), test.class_ids)
     cents = matching.class_centroids(nnet.encode(whole, tgt.features), tgt.labels, cfg.n_test)
     return TargetView(tgt, cents)
 
@@ -207,7 +207,7 @@ def mtas(
     """Affinity score of one source task against the target task, whose side
     view_target has built under the same whole network and config.
 
-    With cfg.verbose_fisher the result also carries the task's diagnostics.
+    With cfg.verbose_fisher the result also keeps the two Fisher diagonals.
     """
     if len(source.class_ids) != cfg.n_test:
         raise ValueError("source must have n_test classes")
@@ -253,46 +253,24 @@ def mtas(
     )
 
     # 6. the score
-    diagnostics = None
-    if cfg.verbose_fisher:
-        diagnostics = {
-            "f_aa": fisher.to_doc(f_aa),
-            "f_ab": fisher.to_doc(f_ab),
-            "achieved_epsilon": record.achieved_epsilon,
-            "approx_epochs": record.epochs_used,
-            "reached_target": record.reached_target,
-        }
+    keep = cfg.verbose_fisher
     return RankedTask(
-        source.task_id, fisher.tas(f_aa, f_ab), assignment, source.class_ids, diagnostics
+        source.task_id, fisher.tas(f_aa, f_ab), assignment, source.class_ids, record,
+        f_aa if keep else None, f_ab if keep else None,
     )
-
-
-def prepare_tasks(
-    train: tasks.Dataset, test: tasks.Dataset, cfg: PipelineConfig
-) -> tuple[list[tasks.TaskSpec], tasks.TaskSpec]:
-    """Source tasks (seeded from the master seed) and the target task."""
-    source_tasks = tasks.sample_source_tasks(
-        train, cfg.s_count, cfg.n_test, derive_seed(cfg.master_seed, _STREAM_TASKS)
-    )
-    return source_tasks, tasks.build_target_task(test)
 
 
 def rank_all_sources(
-    source_tasks: list[tasks.TaskSpec],
-    target: tasks.TaskSpec,
-    train_data: tasks.Dataset,
-    test_data: tasks.Dataset,
-    whole: nnet.Network,
-    cfg: PipelineConfig,
+    train: tasks.Dataset, test: tasks.Dataset, whole: nnet.Network, cfg: PipelineConfig
 ) -> list[RankedTask]:
-    """Score every source task, in ascending task_id order."""
-    view = view_target(target, test_data, whole, cfg)
-    results = [mtas(t, view, train_data, whole, cfg) for t in source_tasks]
-    return sorted(results, key=lambda r: r.task_id)
-
-
-def sort_ranked(ranked: list[RankedTask]) -> list[RankedTask]:
-    """Ascending by score; ties broken by task_id for a deterministic order."""
+    """Sample the s_count source tasks (seeded from the master seed), score
+    each against the whole test set, and order them by ascending score, ties
+    by task_id."""
+    sources = tasks.sample_source_tasks(
+        train, cfg.s_count, cfg.n_test, derive_seed(cfg.master_seed, _STREAM_TASKS)
+    )
+    view = view_target(test, whole, cfg)
+    ranked = [mtas(source, view, train, whole, cfg) for source in sources]
     return sorted(ranked, key=lambda r: (r.score.value, r.task_id))
 
 
@@ -406,7 +384,7 @@ def phases_1_2(
 ) -> tuple[nnet.Network, list[RankedTask], dict[str, float]]:
     """Whole-classification training plus the full affinity ranking.
 
-    Returns the whole network, the scores sorted by sort_ranked, and the
+    Returns the whole network, the scores ordered by rank_all_sources, and the
     whole_train_s / rank_s timings.  The target task is every test class, so
     a test set without exactly n_test classes is rejected before training
     starts.
@@ -421,9 +399,7 @@ def phases_1_2(
     timings["whole_train_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    source_tasks, target = prepare_tasks(train, test, cfg)
-    ranked = rank_all_sources(source_tasks, target, train, test, whole, cfg)
-    ordered = sort_ranked(ranked)
+    ordered = rank_all_sources(train, test, whole, cfg)
     timings["rank_s"] = time.perf_counter() - t0
     return whole, ordered, timings
 

@@ -63,11 +63,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """A classification task carved out of a dataset by row indices.
-
-    Source tasks carry disjoint nonempty support and query splits.  The
-    target task built at affinity time has all rows in support and no query.
-    """
+    """A source task carved out of a dataset by row indices, with disjoint
+    support and query splits."""
 
     task_id: int
     class_ids: tuple[int, ...]
@@ -256,12 +253,6 @@ def sample_source_tasks(train: Dataset, s_count: int, n_test: int, seed: int) ->
         ids = [all_ids[int(k)] for k in picked]
         tasks.append(task_from_classes(train, ids, i, derive_seed(task_seed, 1)))
     return tasks
-
-
-def build_target_task(test: Dataset) -> TaskSpec:
-    """The whole test set as one task; support is everything, no query at affinity time."""
-    rows = tuple(range(test.n))
-    return TaskSpec(-1, tuple(test.class_ids), rows, ())
 
 
 def episode_classes(data: Dataset, min_rows: int) -> list[int]:

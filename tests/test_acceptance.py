@@ -117,7 +117,7 @@ def test_criterion_4_label_permutation_invariance():
         n_eval_episodes=10, softmax_temperature=1.0, master_seed=505,
     )
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    target = pipeline.view_target(tasks.build_target_task(test), test, whole, cfg)
+    target = pipeline.view_target(test, whole, cfg)
     ids = [6, 7, 8, 9]
     source = tasks.task_from_classes(train, ids, 0, derive_seed(505, 1))
     base = pipeline.mtas(source, target, train, whole, cfg).score.value
@@ -186,7 +186,7 @@ def test_criterion_6_same_family_scores_lower():
             n_eval_episodes=100, softmax_temperature=1.0, master_seed=m,
         )
         whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-        target = pipeline.view_target(tasks.build_target_task(test), test, whole, cfg)
+        target = pipeline.view_target(test, whole, cfg)
         same = tasks.task_from_classes(train, [0, 1, 2], 100, derive_seed(m, 1, 0))
         disj = tasks.task_from_classes(train, [12, 13, 14], 101, derive_seed(m, 1, 1))
         s_same = pipeline.mtas(same, target, train, whole, cfg).score.value

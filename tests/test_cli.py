@@ -9,7 +9,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from taskaffinity import cli, config as cfgmod, pipeline, tasks, theorem
+from taskaffinity import cli, config as cfgmod, fisher, matching, pipeline, tasks, theorem
 from taskaffinity.seeding import derive_seed
 
 
@@ -349,10 +349,7 @@ def test_tas_command_outputs_and_ranking(tmp_path):
     spec = NetworkSpec(job.layer_widths, len(train.class_ids), job.activation)
     cfgp = job.pipeline
     whole = pipeline.train_whole_classifier(train, spec, cfgp.whole_schedule)
-    source_tasks, target = pipeline.prepare_tasks(train, test, cfgp)
-    ordered = pipeline.sort_ranked(
-        pipeline.rank_all_sources(source_tasks, target, train, test, whole, cfgp)
-    )
+    ordered = pipeline.rank_all_sources(train, test, whole, cfgp)
     assert [r.task_id for r in ordered] == [row["task_id"] for row in doc["scores"]]
     assert [r.score.value for r in ordered] == values
 
@@ -411,6 +408,25 @@ def test_fewshot_verbose_fisher_embeds_diagnostics(tmp_path):
     assert cli.main(["fewshot", "--config", write_config(tmp_path, pipeline_doc(), "p.json"),
                      "--out", plain]) == 0
     assert _read_json(os.path.join(plain, "scores.json"))["scores"] == bare
+
+
+def test_score_row_fisher_block_round_trips():
+    f_aa = fisher.FisherDiagonal(np.array([0.125, 0.875]), normalized=True)
+    f_ab = fisher.FisherDiagonal(np.array([0.5, 0.5]), normalized=True)
+    r = pipeline.RankedTask(
+        3, fisher.AffinityScore(0.25), matching.Assignment((1, 0), 2.0), (4, 7),
+        pipeline.EpsApproxRecord(0.1, 5, True), f_aa, f_ab,
+    )
+    block = json.loads(json.dumps(cli.score_row(r)))["fisher"]
+    assert set(block) == FISHER_KEYS
+    for key, f in (("f_aa", f_aa), ("f_ab", f_ab)):
+        back = fisher.FisherDiagonal(**block[key])
+        assert back.normalized
+        np.testing.assert_array_equal(back.entries, f.entries)
+    assert (block["achieved_epsilon"], block["approx_epochs"], block["reached_target"]) == (
+        0.1, 5, True
+    )
+    assert "fisher" not in cli.score_row(r, with_fisher=False)
 
 
 def test_tas_rerun_is_byte_identical_modulo_timings(tmp_path):
@@ -534,6 +550,43 @@ def test_log_level_debug_reaches_stderr_and_leaves_outputs_unchanged(tmp_path, c
     # the handler is gone once the command returns
     pipeline.log.debug("after the command")
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["tas", "fewshot"])
+def test_degenerate_ranking_is_one_warning_and_leaves_outputs_unchanged(
+    tmp_path, capsys, command
+):
+    # a learning rate of 50 wrecks every eps-approximation: no task reaches
+    # 1 - epsilon and some scores are exactly 0 or 1; the run still exits 0
+    doc = shipped_config("tas.json")
+    doc["pipeline"].update(s_count=10, n_eval_episodes=10, verbose_fisher=True)
+    doc["pipeline"]["approx_schedule"]["learning_rate"] = 50.0
+    doc["pipeline"]["finetune_schedule"]["epochs"] = 5
+    cfg = write_config(tmp_path, doc)
+    loud, quiet = str(tmp_path / "loud"), str(tmp_path / "quiet")
+    assert cli.main([command, "--config", cfg, "--out", loud]) == 0
+    err = capsys.readouterr().err
+    assert cli.main([command, "--config", cfg, "--out", quiet, "--log-level", "error"]) == 0
+    assert capsys.readouterr().err == ""
+
+    scores = _read_json(os.path.join(loud, "scores.json"))["scores"]
+    missed = sum(not row["fisher"]["reached_target"] for row in scores)
+    extreme = sum(row["score"] in (0.0, 1.0) for row in scores)
+    assert missed == 10 and extreme > 0
+    assert err == (
+        f"WARNING taskaffinity.cli: {missed} of 10 source tasks missed the 1 - epsilon "
+        f"target; {extreme} scores are exactly 0 or 1 (--log-level debug lists them)\n"
+    )
+    assert sorted(os.listdir(loud)) == sorted(os.listdir(quiet))
+    for name in os.listdir(loud):
+        with open(os.path.join(loud, name), "rb") as fh:
+            a = fh.read()
+        with open(os.path.join(quiet, name), "rb") as fh:
+            b = fh.read()
+        if name.endswith(".json"):
+            a, b = json.loads(a), json.loads(b)
+            a.pop("timings", None), b.pop("timings", None)
+        assert a == b, name
 
 
 def test_log_level_is_on_every_subcommand_and_checked(capsys):

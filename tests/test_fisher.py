@@ -1,6 +1,5 @@
 """Fisher diagonals and the affinity score against hand-built oracles."""
 
-import json
 import math
 
 import numpy as np
@@ -161,10 +160,3 @@ def test_tas_oracle_and_range_property(seed, n):
     assert abs(s - helpers.frechet_diag_oracle(a, b).value) <= 1e-12
     assert -1e-12 <= s <= 1.0 + 1e-12
     assert fisher.tas(a, a).value <= 1e-12
-
-
-def test_doc_round_trip():
-    f = unit([0.125, 0.875])
-    back = fisher.FisherDiagonal(**json.loads(json.dumps(fisher.to_doc(f))))
-    assert back.normalized
-    np.testing.assert_array_equal(back.entries, f.entries)

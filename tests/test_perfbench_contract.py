@@ -7,8 +7,10 @@ package's contract: `nnet.Batch` and `nnet.Network` are classes with a
 `__post_init__`; `pipeline.build_eps_approx` is public, runs once per source
 task and returns `(network, record)` with `.reached_target` and
 `.epochs_used`; `fisher.empirical_fisher_diag` takes `(net, batch)`
-positionally.  A traced `rank` run that breaks one of them still exits 0,
-but its health check reads no epsilon records.
+positionally; `pipeline.rank_all_sources` is the one ranking call, and its
+span (`pipeline.rank.s`) holds every `pipeline.mtas` span.  A traced `rank`
+run that breaks one of them still exits 0, but its health check reads no
+epsilon records.
 
 The workloads' readers are part of it too: `Ablation.output` reads
 `pipeline.ablation_comparison`'s reports (`score.value`, accuracies, label
@@ -50,6 +52,10 @@ def test_tracer_health_check_sees_every_source_task(tmp_path, monkeypatch):
 
     mtas = span_ids("pipeline.mtas")
     assert mtas.size == perlayer.HEALTH_TASKS
+    # pipeline.rank.s reads the one ranking call, which scores every task
+    rank = span_ids(perlayer.SPAN_OF["pipeline.rank"])
+    assert rank.size == 1
+    assert set(a["parent"][mtas].tolist()) == set(rank.tolist())
     assert span_ids("pipeline.build_eps_approx").size == mtas.size
     fisher_parents = a["parent"][span_ids("fisher.empirical_fisher_diag")]
     assert set(fisher_parents.tolist()) == set(mtas.tolist())

@@ -33,6 +33,12 @@ def tiny():
     return train, test, spec, cfg
 
 
+def sampled_sources(train, cfg):
+    """The source tasks rank_all_sources samples for cfg."""
+    seed = derive_seed(cfg.master_seed, pipeline._STREAM_TASKS)
+    return tasks.sample_source_tasks(train, cfg.s_count, cfg.n_test, seed)
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tiny):
     train, test, spec, cfg = tiny
@@ -151,13 +157,25 @@ def test_build_eps_approx_zero_epochs_keeps_encoder(tiny):
 def test_mtas_requires_matching_class_counts(tiny):
     train, test, spec, cfg = tiny
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    target = tasks.build_target_task(test)
-    view = pipeline.view_target(target, test, whole, cfg)
+    view = pipeline.view_target(test, whole, cfg)
     bad = tasks.task_from_classes(train, [0, 1, 2], 0, seed=5)
     with pytest.raises(ValueError, match="source must have n_test"):
         pipeline.mtas(bad, view, train, whole, cfg)
     with pytest.raises(ValueError, match="target must have n_test"):
-        pipeline.view_target(target, test, whole, replace(cfg, n_test=3))
+        pipeline.view_target(test, whole, replace(cfg, n_test=3))
+
+
+def test_view_target_covers_every_test_row(tiny):
+    # the target task is the whole test set, each row labelled by its
+    # class's slot among the ascending test class ids
+    train, test, spec, cfg = tiny
+    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+    view = pipeline.view_target(test, whole, cfg)
+    np.testing.assert_array_equal(view.batch.features, test.features)
+    np.testing.assert_array_equal(
+        view.batch.labels, np.searchsorted(test.class_ids, test.labels)
+    )
+    assert view.centroids.shape == (cfg.n_test, whole.spec.layer_widths[-1])
 
 
 def test_mtas_rejects_source_class_without_rows(tiny, monkeypatch):
@@ -171,7 +189,7 @@ def test_mtas_rejects_source_class_without_rows(tiny, monkeypatch):
 
     monkeypatch.setattr(pipeline, "build_eps_approx", never)
     with pytest.raises(ValueError, match=r"classes \[1\] have no rows"):
-        view = pipeline.view_target(tasks.build_target_task(test), test, whole, cfg)
+        view = pipeline.view_target(test, whole, cfg)
         pipeline.mtas(empty_class, view, train, whole, cfg)
 
 
@@ -180,8 +198,8 @@ def test_mtas_overflowing_fisher_names_the_task_and_epochs(tiny, monkeypatch):
     # in its Fisher diagonal; the error names the task and its epoch count
     train, test, spec, cfg = tiny
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    source_tasks, target = pipeline.prepare_tasks(train, test, cfg)
-    view = pipeline.view_target(target, test, whole, cfg)
+    source_tasks = sampled_sources(train, cfg)
+    view = pipeline.view_target(test, whole, cfg)
     build = pipeline.build_eps_approx
 
     def diverged(*args, **kwargs):
@@ -212,8 +230,8 @@ def test_mtas_labels_follow_assignment(monkeypatch):
         n_eval_episodes=1, softmax_temperature=1.0, master_seed=707,
     )
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    source_tasks, target = pipeline.prepare_tasks(train, test, cfg)
-    view = pipeline.view_target(target, test, whole, cfg)
+    source_tasks = sampled_sources(train, cfg)
+    view = pipeline.view_target(test, whole, cfg)
     seen = []
     build = pipeline.build_eps_approx
 
@@ -239,29 +257,47 @@ def test_mtas_labels_follow_assignment(monkeypatch):
 def test_mtas_deterministic_and_diagnostics_agree(tiny):
     train, test, spec, cfg = tiny
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    source_tasks, target = pipeline.prepare_tasks(train, test, cfg)
-    view = pipeline.view_target(target, test, whole, cfg)
+    source_tasks = sampled_sources(train, cfg)
+    view = pipeline.view_target(test, whole, cfg)
     a = pipeline.mtas(source_tasks[0], view, train, whole, cfg)
     b = pipeline.mtas(source_tasks[0], view, train, whole, cfg)
     assert a == b
-    assert a.diagnostics is None
+    assert a.f_aa is None and a.f_ab is None
     assert 0.0 <= a.score.value <= 1.0 + 1e-12
     verbose_cfg = replace(cfg, verbose_fisher=True)
-    ranked = pipeline.rank_all_sources(source_tasks, target, train, test, whole, verbose_cfg)
-    assert [r.task_id for r in ranked] == list(range(cfg.s_count))
-    assert replace(ranked[0], diagnostics=None) == a
+    ranked = pipeline.rank_all_sources(train, test, whole, verbose_cfg)
+    assert sorted(r.task_id for r in ranked) == list(range(cfg.s_count))
+    first = next(r for r in ranked if r.task_id == 0)
+    assert replace(first, f_aa=None, f_ab=None) == a
     for r in ranked:
         # the kept unit-trace diagonals give back the very same score
-        f_aa = fisher.FisherDiagonal(r.diagnostics["f_aa"]["entries"], normalized=True)
-        f_ab = fisher.FisherDiagonal(r.diagnostics["f_ab"]["entries"], normalized=True)
-        assert fisher.tas(f_aa, f_ab).value == r.score.value
+        assert r.f_aa.normalized and r.f_ab.normalized
+        assert fisher.tas(r.f_aa, r.f_ab).value == r.score.value
+
+
+def test_every_ranked_task_keeps_its_eps_record(tiny, monkeypatch):
+    train, test, spec, cfg = tiny
+    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+    records = []
+    build = pipeline.build_eps_approx
+
+    def spy(*args, **kwargs):
+        net, record = build(*args, **kwargs)
+        records.append(record)
+        return net, record
+
+    monkeypatch.setattr(pipeline, "build_eps_approx", spy)
+    ranked = pipeline.rank_all_sources(train, test, whole, cfg)
+    assert len(records) == cfg.s_count  # one per source task, in task_id order
+    for r in ranked:
+        assert r.record is records[r.task_id]
+        assert r.f_aa is None and r.f_ab is None
 
 
 def test_rank_all_sources_builds_the_target_once(tiny, monkeypatch):
     train, test, spec, cfg = tiny
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    source_tasks, target = pipeline.prepare_tasks(train, test, cfg)
-    want = pipeline.rank_all_sources(source_tasks, target, train, test, whole, cfg)
+    want = pipeline.rank_all_sources(train, test, whole, cfg)
     gathered = []
     batch_of = tasks.batch_of
 
@@ -270,9 +306,9 @@ def test_rank_all_sources_builds_the_target_once(tiny, monkeypatch):
         return batch_of(data, rows, class_ids)
 
     monkeypatch.setattr(tasks, "batch_of", spy)
-    assert pipeline.rank_all_sources(source_tasks, target, train, test, whole, cfg) == want
-    # the target's support rows are gathered once, then each source task's rows
-    assert gathered == [True] + [False] * len(source_tasks)
+    assert pipeline.rank_all_sources(train, test, whole, cfg) == want
+    # the target's rows are gathered once, then each source task's rows
+    assert gathered == [True] + [False] * cfg.s_count
 
 
 def test_mtas_self_task_scores_low():
@@ -293,11 +329,10 @@ def test_mtas_self_task_scores_low():
     ids = [6, 7, 8]
     source = tasks.task_from_classes(data, ids, 0, derive_seed(606, 1))
     test_data, _ = tasks.subset_by_classes(data, ids)
-    target = pipeline.view_target(tasks.build_target_task(test_data), test_data, whole, cfg)
-    ranked = pipeline.mtas(source, target, data, whole, replace(cfg, verbose_fisher=True))
-    diag = ranked.diagnostics
-    assert diag["reached_target"], "eps-approximation must genuinely reach its target"
-    assert diag["achieved_epsilon"] <= cfg.epsilon
+    target = pipeline.view_target(test_data, whole, cfg)
+    ranked = pipeline.mtas(source, target, data, whole, cfg)
+    assert ranked.record.reached_target, "eps-approximation must genuinely reach its target"
+    assert ranked.record.achieved_epsilon <= cfg.epsilon
     assert ranked.score.value < 0.05
 
 
@@ -315,7 +350,7 @@ def test_mtas_bitwise_invariant_under_class_relabeling():
         n_eval_episodes=10, softmax_temperature=1.0, master_seed=505,
     )
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    target = pipeline.view_target(tasks.build_target_task(test), test, whole, cfg)
+    target = pipeline.view_target(test, whole, cfg)
     ids = [6, 7, 8, 9]
     source = tasks.task_from_classes(train, ids, 0, derive_seed(505, 1))
     base = pipeline.mtas(source, target, train, whole, cfg).score.value
@@ -348,7 +383,7 @@ def test_mtas_same_family_beats_disjoint_family():
             n_eval_episodes=100, softmax_temperature=1.0, master_seed=m,
         )
         whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-        target = pipeline.view_target(tasks.build_target_task(test), test, whole, cfg)
+        target = pipeline.view_target(test, whole, cfg)
         same = tasks.task_from_classes(train, [0, 1, 2], 100, derive_seed(m, 1, 0))
         disj = tasks.task_from_classes(train, [12, 13, 14], 101, derive_seed(m, 1, 1))
         s_same = pipeline.mtas(same, target, train, whole, cfg).score.value
@@ -375,8 +410,8 @@ def test_mtas_is_directional():
     task_b = tasks.task_from_classes(data, ids_b, 1, derive_seed(606, 1))
     sub_a, _ = tasks.subset_by_classes(data, ids_a)
     sub_b, _ = tasks.subset_by_classes(data, ids_b)
-    view_a = pipeline.view_target(tasks.build_target_task(sub_a), sub_a, whole, cfg)
-    view_b = pipeline.view_target(tasks.build_target_task(sub_b), sub_b, whole, cfg)
+    view_a = pipeline.view_target(sub_a, whole, cfg)
+    view_b = pipeline.view_target(sub_b, whole, cfg)
     s_ab = pipeline.mtas(task_a, view_b, data, whole, cfg).score.value
     s_ba = pipeline.mtas(task_b, view_a, data, whole, cfg).score.value
     assert abs(s_ab - s_ba) > 0.01
@@ -389,19 +424,29 @@ def test_mtas_is_directional():
 
 def _rt(task_id, value, class_ids=(0, 1)):
     return pipeline.RankedTask(
-        task_id, fisher.AffinityScore(value), matching.Assignment((0, 1), 0.0), class_ids
+        task_id, fisher.AffinityScore(value), matching.Assignment((0, 1), 0.0), class_ids,
+        pipeline.EpsApproxRecord(0.0, 1, True),
     )
 
 
-def test_rank_sources_lowest_scores_win():
-    ranked = [_rt(0, 0.3), _rt(1, 0.1), _rt(2, 0.2)]
-    top = pipeline.sort_ranked(ranked)[:2]
-    assert [r.task_id for r in top] == [1, 2]
+def _rank_with_scores(tiny, monkeypatch, values):
+    """Task ids in rank_all_sources order, with mtas scoring task i as
+    values[i] and the source tasks sampled in descending task_id order, so
+    only the sort can put them in order."""
+    train, test, _, cfg = tiny
+    sample = tasks.sample_source_tasks
+    monkeypatch.setattr(tasks, "sample_source_tasks", lambda *a: sample(*a)[::-1])
+    monkeypatch.setattr(pipeline, "view_target", lambda *a: None)
+    monkeypatch.setattr(pipeline, "mtas", lambda src, *a: _rt(src.task_id, values[src.task_id]))
+    return [r.task_id for r in pipeline.rank_all_sources(train, test, None, cfg)]
 
 
-def test_rank_sources_tie_breaks_by_task_id():
-    ranked = [_rt(2, 0.5), _rt(0, 0.5), _rt(1, 0.2)]
-    assert [r.task_id for r in pipeline.sort_ranked(ranked)] == [1, 0, 2]
+def test_rank_sources_lowest_scores_win(tiny, monkeypatch):
+    assert _rank_with_scores(tiny, monkeypatch, [0.3, 0.1, 0.2, 0.4])[:2] == [1, 2]
+
+
+def test_rank_sources_tie_breaks_by_task_id(tiny, monkeypatch):
+    assert _rank_with_scores(tiny, monkeypatch, [0.5, 0.2, 0.5, 0.5]) == [1, 0, 2, 3]
 
 
 def test_related_training_set_unions_and_dedupes(tiny):

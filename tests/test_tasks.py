@@ -230,15 +230,6 @@ def test_sample_source_tasks_errors():
         tasks.sample_source_tasks(data, 0, 2, seed=0)
 
 
-def test_build_target_task_covers_everything():
-    data = tasks.make_synthetic(small_cfg())
-    spec = tasks.build_target_task(data)
-    assert spec.task_id == -1
-    assert spec.query_rows == ()
-    assert spec.support_rows == tuple(range(data.n))
-    assert spec.class_ids == tuple(data.class_ids)
-
-
 def test_batch_of_picks_rows():
     data = tasks.make_synthetic(small_cfg())
     rows = [data.class_index[2][0], data.class_index[0][1], data.class_index[2][1]]
