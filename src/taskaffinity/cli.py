@@ -70,22 +70,22 @@ def _load_data(src: cfgmod.DataSource) -> tuple[tasks.Dataset, tasks.Dataset]:
 
 
 def score_row(r: pipeline.RankedTask, with_fisher: bool = True) -> dict:
-    """The JSON row of one score.  When the task kept its Fisher diagonals
-    (verbose_fisher), with_fisher adds them and its epsilon-approximation
-    record under "fisher"."""
+    """The JSON row of one score, with its epsilon-approximation record.
+    When the task kept its Fisher diagonals (verbose_fisher), with_fisher
+    adds them under "fisher"."""
     row = {
         "task_id": r.task_id,
         "score": r.score.value,
         "mapping": list(r.assignment.mapping),
         "total_cost": r.assignment.total_cost,
+        "achieved_epsilon": r.record.achieved_epsilon,
+        "approx_epochs": r.record.epochs_used,
+        "reached_target": r.record.reached_target,
     }
     if with_fisher and r.f_aa is not None:
         row["fisher"] = {
-            "f_aa": {"entries": r.f_aa.entries.tolist(), "normalized": r.f_aa.normalized},
-            "f_ab": {"entries": r.f_ab.entries.tolist(), "normalized": r.f_ab.normalized},
-            "achieved_epsilon": r.record.achieved_epsilon,
-            "approx_epochs": r.record.epochs_used,
-            "reached_target": r.record.reached_target,
+            "f_aa": {"entries": r.f_aa.tolist(), "normalized": True},
+            "f_ab": {"entries": r.f_ab.tolist(), "normalized": True},
         }
     return row
 
@@ -311,14 +311,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "fewshot":
             return cmd_fewshot(doc, args.out, args.seed, args.ablation)
         return cmd_theorem1(doc, args.out, args.seed)
-    except (
-        cfgmod.ConfigError,
-        ValueError,
-        OSError,
-        json.JSONDecodeError,
-        theorem.DivergenceError,
-        theorem.SolverError,
-    ) as exc:
+    # ValueError covers cfgmod.ConfigError and json.JSONDecodeError
+    except (ValueError, OSError, theorem.DivergenceError, theorem.SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

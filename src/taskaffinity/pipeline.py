@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,15 +88,16 @@ class EpsApproxRecord:
 class RankedTask:
     """One source task's score, class ids and epsilon-approximation record.
     With verbose_fisher, f_aa and f_ab are its two unit-trace Fisher
-    diagonals (on source query and on target support); otherwise None."""
+    diagonals (on source query and on target support) as read-only arrays;
+    otherwise None.  Equality leaves them out: they follow from the rest."""
 
     task_id: int
     score: fisher.AffinityScore
     assignment: matching.Assignment
     class_ids: tuple[int, ...]
     record: EpsApproxRecord
-    f_aa: fisher.FisherDiagonal | None = None
-    f_ab: fisher.FisherDiagonal | None = None
+    f_aa: np.ndarray | None = field(default=None, compare=False)
+    f_ab: np.ndarray | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -240,8 +241,8 @@ def mtas(
         except ValueError as exc:
             raise ValueError(f"source task {source.task_id} eps-approximation: {exc}") from None
         try:
-            f_aa = fisher.normalize_unit_trace(fisher.empirical_fisher_diag(approx, qry))
-            f_ab = fisher.normalize_unit_trace(fisher.empirical_fisher_diag(approx, target.batch))
+            f_aa = fisher.unit_trace(fisher.empirical_fisher_diag(approx, qry))
+            f_ab = fisher.unit_trace(fisher.empirical_fisher_diag(approx, target.batch))
         except ValueError as exc:
             raise ValueError(
                 f"source task {source.task_id} Fisher diagonal after "
@@ -253,11 +254,12 @@ def mtas(
     )
 
     # 6. the score
-    keep = cfg.verbose_fisher
-    return RankedTask(
-        source.task_id, fisher.tas(f_aa, f_ab), assignment, source.class_ids, record,
-        f_aa if keep else None, f_ab if keep else None,
-    )
+    score = fisher.AffinityScore(float(fisher.tas(f_aa, f_ab)))
+    if not cfg.verbose_fisher:
+        return RankedTask(source.task_id, score, assignment, source.class_ids, record)
+    f_aa.setflags(write=False)
+    f_ab.setflags(write=False)
+    return RankedTask(source.task_id, score, assignment, source.class_ids, record, f_aa, f_ab)
 
 
 def rank_all_sources(

@@ -152,23 +152,25 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def fisher_diag_at(theta: np.ndarray, data: Batch, l2_lambda: float) -> fisher.FisherDiagonal:
-    """Unit-trace Fisher diagonal of the logistic model at theta over a dataset.
+def fisher_diag_at(theta: np.ndarray, data: Batch, l2_lambda: float) -> np.ndarray:
+    """Unit-trace Fisher diagonals of the logistic model over a dataset, one
+    for each row of a (..., d) stack of parameters.
 
     Sample i's gradient is w_i x_i + 2 lambda theta, so the mean of its square
     is (X*X)^T (w*w) / n + 4 lambda theta * (X^T w) / n + 4 lambda^2 theta*theta;
-    no per-sample gradient is formed.
+    no per-sample gradient is formed.  Each row's products are matrix-vector
+    products on columns, as for a single theta, so it equals that bitwise.
     """
     x = data.features
-    s = _signs(data.labels)
-    w = -s * _sigmoid(-s * (x @ theta))
+    s = _signs(data.labels)[:, None]
+    w = -s * _sigmoid(-s * (x @ theta[..., None]))  # (..., n, 1)
     n = x.shape[0]
     entries = (
-        (x * x).T @ (w * w) / n
-        + 4.0 * l2_lambda * theta * (x.T @ w) / n
+        ((x * x).T @ (w * w))[..., 0] / n
+        + 4.0 * l2_lambda * theta * (x.T @ w)[..., 0] / n
         + 4.0 * l2_lambda * l2_lambda * theta * theta
     )
-    return fisher.normalize_unit_trace(fisher.FisherDiagonal(entries))
+    return fisher.unit_trace(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +298,18 @@ def tas_trajectory(
     checkpoint of noisy_sgd's (S, K, d) block, as an (S, K) array, plus the
     same quantity at the optimum theta_star."""
 
-    def score_at(theta: np.ndarray, where: str) -> float:
-        try:
-            f_a = fisher_diag_at(theta, data_a_query, p.l2_lambda)
-            f_b = fisher_diag_at(theta, data_b_support, p.l2_lambda)
-        except ValueError as exc:
-            raise ValueError(f"degenerate Fisher at {where}: {exc}") from None
-        return fisher.tas(f_a, f_b).value
+    def scores(theta: np.ndarray) -> np.ndarray:
+        f_a = fisher_diag_at(theta, data_a_query, p.l2_lambda)
+        return fisher.tas(f_a, fisher_diag_at(theta, data_b_support, p.l2_lambda))
 
-    values = np.array(
-        [[score_at(tb, f"checkpoint t={int(t)}") for t, tb in zip(times, run)] for run in bars]
-    )
-    return values, score_at(theta_star, "the optimum")
+    try:
+        values, s_star = scores(bars), float(scores(theta_star))
+    except fisher.DegenerateFisherError as exc:
+        where = "the optimum"
+        if exc.row:  # (seed, checkpoint) in the block
+            where = f"checkpoint t={int(times[exc.row[1]])} of seed {exc.row[0]}"
+        raise ValueError(f"degenerate Fisher at {where}: {exc.reason}") from None
+    return values, s_star
 
 
 def convergence_check(times: np.ndarray, gaps: np.ndarray, abs_tol: float) -> ConvergenceReport:

@@ -4,10 +4,11 @@ Reference routes the package itself no longer carries live here: the
 logits, the mean cross-entropy gradient and the encoder pullback of one
 batch, each from nnet's kernels, the brute-force assignment scan, the
 trace-form affinity score, the logistic model's per-sample gradient rows,
-fixed-step descent to the logistic optimum, the per-layer Fisher diagonal loop, the per-minibatch training loop that
-nnet.train must reproduce bit for bit, and the serial phase-3 path (one
-episode at a time, as validated Batches) that the stacked meta-steps must
-reproduce bit for bit.
+the theorem-1 harness's per-checkpoint affinity loop, fixed-step descent to
+the logistic optimum, the per-layer Fisher diagonal loop, the per-minibatch
+training loop that nnet.train must reproduce bit for bit, and the serial
+phase-3 path (one episode at a time, as validated Batches) that the stacked
+meta-steps must reproduce bit for bit.
 
 The forward oracle re-derives the flat parameter layout with plain Python
 loops, so a layout or indexing bug in the production code cannot cancel out.
@@ -283,12 +284,13 @@ def brute_force_assignment(cost):
 
 
 def frechet_diag_oracle(f_a, f_b):
-    """Trace-form route to the affinity score: sqrt(sum(a + b - 2 sqrt(ab)) / 2)."""
-    fisher._check_pair(f_a, f_b)
-    a, b = f_a.entries, f_b.entries
+    """Trace-form route to the affinity score of two unit-trace diagonals:
+    sqrt(sum(a + b - 2 sqrt(ab)) / 2)."""
+    a, b = np.asarray(f_a), np.asarray(f_b)
+    assert a.shape == b.shape
     inner = np.sum(a + b - 2.0 * np.sqrt(a * b))
     # tiny negative residue from rounding would NaN the sqrt
-    return fisher.AffinityScore(float(np.sqrt(max(inner, 0.0)) / np.sqrt(2.0)))
+    return float(np.sqrt(max(inner, 0.0)) / np.sqrt(2.0))
 
 
 def per_sample_gradients(features, labels, theta, l2_lambda):
@@ -297,6 +299,33 @@ def per_sample_gradients(features, labels, theta, l2_lambda):
     s = 2.0 * np.asarray(labels, dtype=np.int64) - 1.0
     w = -s * theorem._sigmoid(-s * (np.asarray(features) @ theta))
     return np.asarray(features) * w[:, None] + 2.0 * l2_lambda * theta[None, :]
+
+
+def serial_fisher_diag_at(theta, data, l2_lambda):
+    """theorem.fisher_diag_at's closed form for one parameter vector, with
+    plain mat-vec products, as it was before it took stacks."""
+    x = data.features
+    s = 2.0 * data.labels - 1.0
+    w = -s * theorem._sigmoid(-s * (x @ theta))
+    n = x.shape[0]
+    entries = (
+        (x * x).T @ (w * w) / n
+        + 4.0 * l2_lambda * theta * (x.T @ w) / n
+        + 4.0 * l2_lambda * l2_lambda * theta * theta
+    )
+    return fisher.unit_trace(entries)
+
+
+def serial_tas_trajectory(bars, theta_star, data_a_query, data_b_support, p):
+    """theorem.tas_trajectory one (seed, checkpoint) at a time, each through
+    serial_fisher_diag_at: the loop the batched scoring must reproduce bit
+    for bit."""
+
+    def score(theta):
+        f_a = serial_fisher_diag_at(theta, data_a_query, p.l2_lambda)
+        return float(fisher.tas(f_a, serial_fisher_diag_at(theta, data_b_support, p.l2_lambda)))
+
+    return np.array([[score(tb) for tb in run] for run in bars]), score(theta_star)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 import helpers
 from taskaffinity import fisher, nnet
+from taskaffinity.seeding import derive_seed
 
 
 def unit(v):
-    return fisher.FisherDiagonal(np.asarray(v, dtype=float), normalized=True)
+    return np.asarray(v, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +26,7 @@ def test_fisher_single_sample_is_squared_gradient():
     one = nnet.Batch(batch.features[:1], batch.labels[:1])
     g = helpers.loss_grad(net, one)
     f = fisher.empirical_fisher_diag(net, one)
-    np.testing.assert_allclose(f.entries, g * g, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(f, g * g, rtol=1e-12, atol=0)
 
 
 def test_fisher_duplicated_batch_identical():
@@ -37,7 +38,7 @@ def test_fisher_duplicated_batch_identical():
     )
     a = fisher.empirical_fisher_diag(net, batch)
     b = fisher.empirical_fisher_diag(net, doubled)
-    np.testing.assert_allclose(a.entries, b.entries, rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-300)
 
 
 def test_fisher_explicit_three_sample_loop():
@@ -49,7 +50,7 @@ def test_fisher_explicit_three_sample_loop():
         gi = helpers.loss_grad(net, nnet.Batch(three.features[i : i + 1], three.labels[i : i + 1]))
         acc += gi * gi
     f = fisher.empirical_fisher_diag(net, three)
-    np.testing.assert_allclose(f.entries, acc / 3.0, rtol=1e-10, atol=1e-300)
+    np.testing.assert_allclose(f, acc / 3.0, rtol=1e-10, atol=1e-300)
 
 
 # The oracle's one-row forward passes round differently from the batched one,
@@ -63,20 +64,50 @@ def test_fisher_equals_mean_of_squared_oracle_rows(seed, n):
     net, batch = helpers.draw_generic_case(np.random.default_rng(seed), n=n)
     rows = helpers.per_sample_grads(net, batch)
     f = fisher.empirical_fisher_diag(net, batch)
-    np.testing.assert_allclose(f.entries, np.mean(rows * rows, axis=0), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(f, np.mean(rows * rows, axis=0), rtol=1e-12, atol=0)
 
 
 def test_diagonal_validation():
-    with pytest.raises(ValueError):
-        fisher.FisherDiagonal(np.array([1.0, -0.5]))
-    with pytest.raises(ValueError):
-        fisher.FisherDiagonal(np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        fisher.FisherDiagonal(np.array([[1.0]]))
-    with pytest.raises(ValueError):
-        fisher.FisherDiagonal(np.array([0.5, 0.4]), normalized=True)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        fisher.unit_trace(np.array([1.0, -0.5]))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        fisher.unit_trace(np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="all-zero"):
+        fisher.unit_trace(np.zeros(2))
     # exact unit trace is fine
-    fisher.FisherDiagonal(np.array([0.5, 0.5]), normalized=True)
+    assert fisher.tas(np.array([0.5, 0.5]), np.array([0.5, 0.5])) == 0.0
+
+
+def test_unit_trace_rejects_an_overflowing_trace():
+    big = np.finfo(np.float64).max
+    with np.errstate(over="ignore"):
+        with pytest.raises(fisher.DegenerateFisherError, match="^the trace overflows$"):
+            fisher.unit_trace(np.array([big, big]))
+
+
+def test_unit_trace_names_the_first_bad_row_in_c_order():
+    f = np.ones((2, 3, 4))
+    f[1, 0] = 0.0
+    f[1, 2, 3] = -1.0
+    with pytest.raises(fisher.DegenerateFisherError, match=r"^row \(1, 0\): .*all-zero") as info:
+        fisher.unit_trace(f)
+    assert info.value.row == (1, 0)
+    with pytest.raises(fisher.DegenerateFisherError, match=r"^row 1: .*nonnegative"):
+        fisher.unit_trace(f[1, 1:])
+
+
+@pytest.mark.parametrize("shape", [(7,), (1, 7), (5, 7), (3, 4, 7)])
+def test_stacked_unit_trace_and_tas_equal_each_row_bitwise(shape):
+    rng = np.random.default_rng(derive_seed(31, len(shape), shape[0]))
+    raw_a = rng.random(shape) ** 3
+    raw_b = rng.random(shape) ** 3
+    u_a, u_b = fisher.unit_trace(raw_a), fisher.unit_trace(raw_b)
+    s = fisher.tas(u_a, u_b)
+    assert u_a.shape == shape and s.shape == shape[:-1]
+    for row in np.ndindex(shape[:-1]):
+        one_a, one_b = fisher.unit_trace(raw_a[row]), fisher.unit_trace(raw_b[row])
+        np.testing.assert_array_equal(u_a[row], one_a)
+        assert s[row] == fisher.tas(one_a, one_b)
 
 
 # ---------------------------------------------------------------------------
@@ -84,20 +115,19 @@ def test_diagonal_validation():
 
 
 def test_normalize_simple_vector():
-    f = fisher.normalize_unit_trace(fisher.FisherDiagonal(np.array([2.0, 3.0, 5.0])))
-    np.testing.assert_allclose(f.entries, [0.2, 0.3, 0.5], rtol=0, atol=1e-16)
-    assert f.normalized
+    f = fisher.unit_trace(np.array([2.0, 3.0, 5.0]))
+    np.testing.assert_allclose(f, [0.2, 0.3, 0.5], rtol=0, atol=1e-16)
 
 
 def test_normalize_idempotent():
-    f = fisher.normalize_unit_trace(fisher.FisherDiagonal(np.array([1.0, 7.0, 0.25])))
-    g = fisher.normalize_unit_trace(f)
-    np.testing.assert_allclose(g.entries, f.entries, rtol=0, atol=1e-15)
+    f = fisher.unit_trace(np.array([1.0, 7.0, 0.25]))
+    g = fisher.unit_trace(f)
+    np.testing.assert_allclose(g, f, rtol=0, atol=1e-15)
 
 
 def test_normalize_all_zero_is_error():
     with pytest.raises(ValueError):
-        fisher.normalize_unit_trace(fisher.FisherDiagonal(np.zeros(5)))
+        fisher.unit_trace(np.zeros(5))
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +136,13 @@ def test_normalize_all_zero_is_error():
 
 def test_tas_identical_is_zero():
     f = unit([0.25, 0.25, 0.5])
-    assert fisher.tas(f, f).value == 0.0
+    assert fisher.tas(f, f) == 0.0
 
 
 def test_tas_disjoint_support_is_one():
     a = unit([1.0, 0.0])
     b = unit([0.0, 1.0])
-    assert fisher.tas(a, b).value == pytest.approx(1.0, abs=1e-12)
+    assert fisher.tas(a, b) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tas_hand_formula():
@@ -120,13 +150,13 @@ def test_tas_hand_formula():
     b = unit([0.5, 0.5])
     # sqrt((1-sqrt(.5))^2 + .5) / sqrt(2)
     expect = math.sqrt((1 - math.sqrt(0.5)) ** 2 + 0.5) / math.sqrt(2)
-    assert fisher.tas(a, b).value == pytest.approx(expect, abs=1e-12)
+    assert fisher.tas(a, b) == pytest.approx(expect, abs=1e-12)
     # and symmetric for this pair
-    assert fisher.tas(b, a).value == pytest.approx(expect, abs=1e-12)
+    assert fisher.tas(b, a) == pytest.approx(expect, abs=1e-12)
 
 
 def test_tas_requires_normalized_and_matching_shape():
-    raw = fisher.FisherDiagonal(np.array([2.0, 3.0]))
+    raw = np.array([2.0, 3.0])
     ok = unit([0.5, 0.5])
     with pytest.raises(ValueError):
         fisher.tas(raw, ok)
@@ -137,7 +167,7 @@ def test_tas_requires_normalized_and_matching_shape():
 def _random_unit(rng, n):
     v = rng.random(n) ** 2
     v[0] += 1e-9  # keep the trace strictly positive
-    return fisher.normalize_unit_trace(fisher.FisherDiagonal(v))
+    return fisher.unit_trace(v)
 
 
 def test_tas_matches_trace_oracle_many_pairs():
@@ -145,8 +175,8 @@ def test_tas_matches_trace_oracle_many_pairs():
     for _ in range(200):
         n = int(rng.integers(2, 40))
         a, b = _random_unit(rng, n), _random_unit(rng, n)
-        s = fisher.tas(a, b).value
-        o = helpers.frechet_diag_oracle(a, b).value
+        s = fisher.tas(a, b)
+        o = helpers.frechet_diag_oracle(a, b)
         assert abs(s - o) <= 1e-12
         assert -1e-12 <= s <= 1.0 + 1e-12
 
@@ -156,7 +186,7 @@ def test_tas_matches_trace_oracle_many_pairs():
 def test_tas_oracle_and_range_property(seed, n):
     rng = np.random.default_rng(seed)
     a, b = _random_unit(rng, n), _random_unit(rng, n)
-    s = fisher.tas(a, b).value
-    assert abs(s - helpers.frechet_diag_oracle(a, b).value) <= 1e-12
+    s = fisher.tas(a, b)
+    assert abs(s - helpers.frechet_diag_oracle(a, b)) <= 1e-12
     assert -1e-12 <= s <= 1.0 + 1e-12
-    assert fisher.tas(a, a).value <= 1e-12
+    assert fisher.tas(a, a) <= 1e-12

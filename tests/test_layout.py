@@ -1,6 +1,6 @@
 """The package holds one copy of each thing a command runs: every public
-function in src/taskaffinity is referenced from the package, the scripts or
-the benchmark, not only from the tests."""
+function and class in src/taskaffinity is referenced from the package, the
+scripts or the benchmark, not only from the tests."""
 
 import ast
 import os
@@ -34,7 +34,9 @@ def _names(node):
     return out
 
 
-def test_every_public_function_has_a_caller_outside_the_tests():
+def _unused(kind):
+    """package:name of each public top-level `kind` node in the package that
+    nothing in CALLERS names, its own body aside."""
     used = Counter()
     for directory in CALLERS:
         for path in _python_files(directory):
@@ -42,8 +44,16 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     unused = []
     for path in _python_files(PACKAGE):
         for node in _parse(path).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                # a function's calls to itself do not count as a caller
+            if isinstance(node, kind) and not node.name.startswith("_"):
+                # a definition's uses of its own name do not count
                 if used[node.name] - _names(node)[node.name] <= 0:
                     unused.append(f"{os.path.basename(path)}:{node.name}")
-    assert unused == []
+    return unused
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    assert _unused(ast.FunctionDef) == []
+
+
+def test_every_public_class_has_a_user_outside_the_tests():
+    assert _unused(ast.ClassDef) == []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import helpers
-from taskaffinity import theorem
+from taskaffinity import fisher, theorem
 from taskaffinity.nnet import Batch
 from taskaffinity.seeding import derive_seed
 
@@ -114,15 +114,14 @@ def test_fisher_diag_at_equals_mean_of_squared_oracle_rows(seed):
     rows = helpers.per_sample_gradients(x, y, theta, lam)
     want = np.mean(rows * rows, axis=0)
     f = theorem.fisher_diag_at(theta, Batch(x, y), lam)
-    np.testing.assert_allclose(f.entries, want / want.sum(), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(f, want / want.sum(), rtol=1e-12, atol=0)
 
 
 def test_fisher_diag_at_is_unit_trace():
     p = tiny_problem(7)
     theta = np.random.default_rng(8).standard_normal(p.dim)
     f = theorem.fisher_diag_at(theta, Batch(p.features, p.labels), p.l2_lambda)
-    assert f.normalized
-    assert f.entries.sum() == pytest.approx(1.0, abs=1e-12)
+    assert f.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +352,32 @@ def test_tas_trajectory_degenerate_fisher_message():
     data = Batch(x, np.array([0, 1, 0, 1]))
     with pytest.raises(ValueError, match="degenerate Fisher at checkpoint t=1"):
         theorem.tas_trajectory(np.array([1]), np.zeros((1, 1, 3)), np.zeros(3), data, data, p)
+    # only theta = 0 is degenerate here: the message names its seed and time
+    bars = np.ones((3, 2, 3))
+    bars[1, 1] = bars[2, 0] = 0.0
+    with pytest.raises(ValueError, match=r"^degenerate Fisher at checkpoint t=5 of seed 1: "):
+        theorem.tas_trajectory(np.array([1, 5]), bars, np.ones(3), data, data, p)
+    with pytest.raises(ValueError, match=r"^degenerate Fisher at the optimum: .*all-zero"):
+        theorem.tas_trajectory(np.array([1, 5]), np.ones((3, 2, 3)), np.zeros(3), data, data, p)
+
+
+@pytest.mark.parametrize("n_seeds,total_steps", [(2, 300), (3, 2000)])
+def test_tas_trajectory_equals_the_serial_loop_bitwise(n_seeds, total_steps, monkeypatch):
+    p, qa, sb = theorem.make_logistic_fixture(10, 200, 200, 0.1, seed=42)  # criterion 5's
+    star = theorem.solve_optimum(p, tol=1e-10)
+    cfg = theorem.NoisySGDConfig(
+        theorem.StepSchedule("polynomial", 0.1, 0.6), 0.1, total_steps, seed=7
+    )
+    times, bars = theorem.noisy_sgd(p, cfg, [derive_seed(7, 15, i) for i in range(n_seeds)])
+    want_values, want_star = helpers.serial_tas_trajectory(bars, star, qa, sb, p)
+    calls = []
+    unit_trace = fisher.unit_trace
+    monkeypatch.setattr(fisher, "unit_trace", lambda f: calls.append(f.shape) or unit_trace(f))
+    values, s_star = theorem.tas_trajectory(times, bars, star, qa, sb, p)
+    np.testing.assert_array_equal(values, want_values)
+    assert s_star == want_star
+    # two diagonals for the whole block and two at the optimum, whatever S and K
+    assert calls == [bars.shape] * 2 + [star.shape] * 2
 
 
 def test_s_star_matches_single_checkpoint_at_optimum():
