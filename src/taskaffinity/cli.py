@@ -237,7 +237,7 @@ def cmd_theorem1(doc: dict, out: str, seed: int | None) -> int:
     theta_star = theorem.solve_optimum(problem, tol=job.optimum_tol)
     seeds = [derive_seed(job.sgd.seed, i) for i in range(job.n_seeds)]
     times, bars = theorem.noisy_sgd(problem, job.sgd, seeds)
-    values, s_star = theorem.tas_trajectory(times, bars, theta_star, a_query, b_support, problem)
+    values, s_star = theorem.tas_trajectory(times, bars, theta_star, a_query, b_support)
     gaps = abs(values - s_star)
     verdict = theorem.convergence_check(times, gaps, job.abs_tol)
 

@@ -420,24 +420,31 @@ def ablation_comparison(
     label set the size of the related one.  Seeds and budgets are shared, so
     a mode's report does not depend on which other modes run.  Unknown modes,
     and test or training sets with fewer than m_way classes that hold an
-    episode's k_shot + q_query rows, fail before any training.
+    episode's k_shot + q_query rows, fail before any training; so does, after
+    ranking and before any fine-tuning, a mode's set with too few such classes.
     """
     for mode in modes:
         if mode not in ABLATION_MODES:
             raise ValueError(f"unknown ablation mode {mode!r}; expected one of {ABLATION_MODES}")
     need = cfg.k_shot + cfg.q_query
-    for split, data in (("test", test), ("training", train)):
-        eligible = len(tasks.episode_classes(data, need))
+
+    def check_episodes(what: str, data: tasks.Dataset, class_ids) -> None:
+        eligible = sum(data.class_index[c].size >= need for c in class_ids)
         if eligible < cfg.m_way:
             raise ValueError(
-                f"insufficient samples: only {eligible} {split} classes have >= {need} rows "
+                f"insufficient samples: only {eligible} {what} have >= {need} rows "
                 f"(k_shot + q_query), need m_way={cfg.m_way}"
             )
+
+    for split, data in (("test", test), ("training", train)):
+        check_episodes(f"{split} classes", data, data.class_ids)
     whole, ordered, shared = phases_1_2(train, test, spec, cfg)
+    sets = {mode: _pick_ablation_set(mode, ordered, train, cfg) for mode in modes}
+    for mode, chosen in sets.items():
+        check_episodes(f"training classes of the {mode} set", train, chosen.label_set)
     reports: dict[str, RunReport] = {}
-    for mode in modes:
+    for mode, chosen in sets.items():
         timings = dict(shared)
-        chosen = _pick_ablation_set(mode, ordered, train, cfg)
 
         t0 = time.perf_counter()
         tuned, _ = episodic_finetune(whole, chosen, train, cfg)

@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from . import fisher
-from .nnet import Batch
 
 GUARD_NORM = 1e8
 MIN_SEEDS = 5  # fewest SGD seeds whose median gap convergence_check trusts
@@ -49,29 +48,25 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ConvexProblem:
-    """Binary logistic regression data with an L2 penalty coefficient."""
+    """Binary logistic regression data with an L2 penalty coefficient.  Each
+    sample (x_i, y_i) is kept as its sign-folded row z_i = (2 y_i - 1) x_i,
+    whose loss is log(1 + exp(-z_i . theta)); no label is kept beside it."""
 
-    features: np.ndarray
-    labels: np.ndarray
+    rows: np.ndarray
     l2_lambda: float
 
     def __post_init__(self) -> None:
-        x = np.ascontiguousarray(self.features, dtype=np.float64)
-        y = np.ascontiguousarray(self.labels, dtype=np.int64)
-        if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0] or x.shape[0] < 1:
-            raise ValueError("features must be (n, d) aligned with 1-D labels")
-        if not set(np.unique(y)) <= {0, 1}:
-            raise ValueError("labels must be binary 0/1")
+        z = np.ascontiguousarray(self.rows, dtype=np.float64)
+        if z.ndim != 2 or z.shape[0] < 1:
+            raise ValueError("rows must be (n, d) with n >= 1")
         if self.l2_lambda <= 0:
             raise ValueError("l2_lambda must be positive (strong convexity)")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "features", x)
-        object.__setattr__(self, "labels", y)
+        z.setflags(write=False)
+        object.__setattr__(self, "rows", z)
 
     @property
     def dim(self) -> int:
-        return self.features.shape[1]
+        return self.rows.shape[1]
 
 
 @dataclass(frozen=True)
@@ -128,19 +123,13 @@ class ConvergenceReport:
 # objective
 
 
-def _signs(labels: np.ndarray) -> np.ndarray:
-    return 2.0 * labels - 1.0
-
-
 def loss_value(p: ConvexProblem, theta: np.ndarray) -> float:
-    margins = _signs(p.labels) * (p.features @ theta)
-    return float(np.mean(np.logaddexp(0.0, -margins)) + p.l2_lambda * theta @ theta)
+    return float(np.mean(np.logaddexp(0.0, -(p.rows @ theta))) + p.l2_lambda * theta @ theta)
 
 
 def gradient(p: ConvexProblem, theta: np.ndarray) -> np.ndarray:
-    s = _signs(p.labels)
-    w = -s * _sigmoid(-s * (p.features @ theta))
-    return p.features.T @ w / p.features.shape[0] + 2.0 * p.l2_lambda * theta
+    w = -_sigmoid(-(p.rows @ theta))
+    return p.rows.T @ w / p.rows.shape[0] + 2.0 * p.l2_lambda * theta
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -152,23 +141,22 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def fisher_diag_at(theta: np.ndarray, data: Batch, l2_lambda: float) -> np.ndarray:
-    """Unit-trace Fisher diagonals of the logistic model over a dataset, one
-    for each row of a (..., d) stack of parameters.
+def fisher_diag_at(theta: np.ndarray, p: ConvexProblem) -> np.ndarray:
+    """Unit-trace Fisher diagonals of the logistic model over a problem's
+    rows, one for each row of a (..., d) stack of parameters.
 
-    Sample i's gradient is w_i x_i + 2 lambda theta, so the mean of its square
-    is (X*X)^T (w*w) / n + 4 lambda theta * (X^T w) / n + 4 lambda^2 theta*theta;
+    Sample i's gradient is w_i z_i + 2 lambda theta, so the mean of its square
+    is (Z*Z)^T (w*w) / n + 4 lambda theta * (Z^T w) / n + 4 lambda^2 theta*theta;
     no per-sample gradient is formed.  Each row's products are matrix-vector
     products on columns, as for a single theta, so it equals that bitwise.
     """
-    x = data.features
-    s = _signs(data.labels)[:, None]
-    w = -s * _sigmoid(-s * (x @ theta[..., None]))  # (..., n, 1)
-    n = x.shape[0]
+    z, lam = p.rows, p.l2_lambda
+    w = -_sigmoid(-(z @ theta[..., None]))  # (..., n, 1)
+    n = z.shape[0]
     entries = (
-        ((x * x).T @ (w * w))[..., 0] / n
-        + 4.0 * l2_lambda * theta * (x.T @ w)[..., 0] / n
-        + 4.0 * l2_lambda * l2_lambda * theta * theta
+        ((z * z).T @ (w * w))[..., 0] / n
+        + 4.0 * lam * theta * (z.T @ w)[..., 0] / n
+        + 4.0 * lam * lam * theta * theta
     )
     return fisher.unit_trace(entries)
 
@@ -181,12 +169,12 @@ def solve_optimum(p: ConvexProblem, tol: float, max_iters: int = _SOLVER_CAP) ->
     """Full-batch gradient descent to gradient norm < tol.
 
     Uses Armijo backtracking, and the step 1/L of the loss's smoothness bound
-    L = ||X||_2^2 / (4n) + 2 lambda once the decrease Armijo asks for is
+    L = ||Z||_2^2 / (4n) + 2 lambda once the decrease Armijo asks for is
     within a few ulps of the loss, where it cannot be resolved.  Raises
     SolverError if the budget runs out.
     """
-    n = p.features.shape[0]
-    smooth_step = 1.0 / (np.linalg.norm(p.features, 2) ** 2 / (4.0 * n) + 2.0 * p.l2_lambda)
+    n = p.rows.shape[0]
+    smooth_step = 1.0 / (np.linalg.norm(p.rows, 2) ** 2 / (4.0 * n) + 2.0 * p.l2_lambda)
     theta = np.zeros(p.dim)
     for _ in range(max_iters):
         g = gradient(p, theta)
@@ -237,12 +225,11 @@ def noisy_sgd(
     rngs = [np.random.default_rng(seed) for seed in seeds]
     if not rngs:
         raise ValueError("noisy_sgd needs at least one seed")
-    n_runs, n = len(rngs), p.features.shape[0]
-    # With sign-folded rows z_i = s_i x_i, grad L = c + tanh(theta @ a) @ h + 2 lambda theta,
-    # from sigmoid(-m) = (1 + tanh(-m / 2)) / 2; tanh needs no sign masks.
-    z = _signs(p.labels)[:, None] * p.features
-    a = np.ascontiguousarray(-0.5 * z.T)
-    h = z / (-2.0 * n)
+    n_runs, n = len(rngs), p.rows.shape[0]
+    # grad L = c + tanh(theta @ a) @ h + 2 lambda theta, from
+    # sigmoid(-m) = (1 + tanh(-m / 2)) / 2; tanh needs no sign masks.
+    a = np.ascontiguousarray(-0.5 * p.rows.T)
+    h = p.rows / (-2.0 * n)
     c = h.sum(axis=0)
     two_lambda = 2.0 * p.l2_lambda
     guard_sq = GUARD_NORM * GUARD_NORM
@@ -290,17 +277,15 @@ def tas_trajectory(
     times: np.ndarray,
     bars: np.ndarray,
     theta_star: np.ndarray,
-    data_a_query: Batch,
-    data_b_support: Batch,
-    p: ConvexProblem,
+    a_query: ConvexProblem,
+    b_support: ConvexProblem,
 ) -> tuple[np.ndarray, float]:
-    """Affinity between the two datasets' Fisher diagonals at each averaged
+    """Affinity between the two problems' Fisher diagonals at each averaged
     checkpoint of noisy_sgd's (S, K, d) block, as an (S, K) array, plus the
     same quantity at the optimum theta_star."""
 
     def scores(theta: np.ndarray) -> np.ndarray:
-        f_a = fisher_diag_at(theta, data_a_query, p.l2_lambda)
-        return fisher.tas(f_a, fisher_diag_at(theta, data_b_support, p.l2_lambda))
+        return fisher.tas(fisher_diag_at(theta, a_query), fisher_diag_at(theta, b_support))
 
     try:
         values, s_star = scores(bars), float(scores(theta_star))
@@ -343,18 +328,16 @@ def make_logistic_fixture(
     n_query: int,
     l2_lambda: float,
     seed: int,
-) -> tuple[ConvexProblem, Batch, Batch]:
-    """(training problem, A-query batch, B-support batch), all drawn from one
-    distribution: x ~ N(0, I), y ~ Bernoulli(sigmoid(x . theta_true))."""
+) -> tuple[ConvexProblem, ConvexProblem, ConvexProblem]:
+    """(training, A-query, B-support) problems, all drawn from one
+    distribution: x ~ N(0, I), y ~ Bernoulli(sigmoid(x . theta_true)), each
+    sample kept as its sign-folded row."""
     rng = np.random.default_rng(seed)
     theta_true = rng.standard_normal(dim) * (2.0 / np.sqrt(dim))
 
-    def draw(n: int) -> tuple[np.ndarray, np.ndarray]:
+    def draw(n: int) -> ConvexProblem:
         x = rng.standard_normal((n, dim))
-        y = (rng.random(n) < _sigmoid(x @ theta_true)).astype(np.int64)
-        return x, y
+        positive = rng.random(n) < _sigmoid(x @ theta_true)
+        return ConvexProblem(np.where(positive[:, None], x, -x), l2_lambda)
 
-    xs, ys = draw(n_support)
-    xa, ya = draw(n_query)
-    xb, yb = draw(n_query)
-    return ConvexProblem(xs, ys, l2_lambda), Batch(xa, ya), Batch(xb, yb)
+    return draw(n_support), draw(n_query), draw(n_query)

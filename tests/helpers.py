@@ -301,11 +301,11 @@ def per_sample_gradients(features, labels, theta, l2_lambda):
     return np.asarray(features) * w[:, None] + 2.0 * l2_lambda * theta[None, :]
 
 
-def serial_fisher_diag_at(theta, data, l2_lambda):
+def serial_fisher_diag_at(theta, features, labels, l2_lambda):
     """theorem.fisher_diag_at's closed form for one parameter vector, with
-    plain mat-vec products, as it was before it took stacks."""
-    x = data.features
-    s = 2.0 * data.labels - 1.0
+    plain mat-vec products, as it was before it took stacks, on (x, y) data."""
+    x = features
+    s = 2.0 * labels - 1.0
     w = -s * theorem._sigmoid(-s * (x @ theta))
     n = x.shape[0]
     entries = (
@@ -316,14 +316,17 @@ def serial_fisher_diag_at(theta, data, l2_lambda):
     return fisher.unit_trace(entries)
 
 
-def serial_tas_trajectory(bars, theta_star, data_a_query, data_b_support, p):
+def serial_tas_trajectory(bars, theta_star, a_query, b_support):
     """theorem.tas_trajectory one (seed, checkpoint) at a time, each through
-    serial_fisher_diag_at: the loop the batched scoring must reproduce bit
-    for bit."""
+    serial_fisher_diag_at on the problems' folded rows with all-one labels
+    (the same logistic problem): the loop the batched scoring must reproduce
+    bit for bit."""
+
+    def diag(theta, p):
+        return serial_fisher_diag_at(theta, p.rows, np.ones(p.rows.shape[0]), p.l2_lambda)
 
     def score(theta):
-        f_a = serial_fisher_diag_at(theta, data_a_query, p.l2_lambda)
-        return float(fisher.tas(f_a, serial_fisher_diag_at(theta, data_b_support, p.l2_lambda)))
+        return float(fisher.tas(diag(theta, a_query), diag(theta, b_support)))
 
     return np.array([[score(tb) for tb in run] for run in bars]), score(theta_star)
 

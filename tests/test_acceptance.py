@@ -152,7 +152,7 @@ def test_criterion_5_averaged_sgd_affinity_converges():
     schedule = theorem.StepSchedule("polynomial", 0.1, 0.6)
     cfg = theorem.NoisySGDConfig(schedule, 0.1, 100_000, 7)
     times, bars = theorem.noisy_sgd(problem, cfg, [derive_seed(7, 15, i) for i in range(20)])
-    values, s_star = theorem.tas_trajectory(times, bars, theta_star, a_query, b_support, problem)
+    values, s_star = theorem.tas_trajectory(times, bars, theta_star, a_query, b_support)
     verdict = theorem.convergence_check(times, np.abs(values - s_star), 1e-2)
     elapsed = time.perf_counter() - t0
     ok = verdict.passed and elapsed < 120.0

@@ -1,6 +1,7 @@
 """The package holds one copy of each thing a command runs: every public
 function and class in src/taskaffinity is referenced from the package, the
-scripts or the benchmark, not only from the tests."""
+scripts or the benchmark, not only from the tests.  Its modules import each
+other only along the edges listed in IMPORTS."""
 
 import ast
 import os
@@ -9,6 +10,22 @@ from collections import Counter
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 PACKAGE = os.path.join(ROOT, "src", "taskaffinity")
 CALLERS = [PACKAGE, os.path.join(ROOT, "scripts"), os.path.join(ROOT, "perfbench")]
+
+# module -> the package modules it imports; an edge not listed here is a new
+# dependency to justify, and a listed edge that is gone should leave the table
+IMPORTS = {
+    "__init__": set(),
+    "__main__": {"cli"},
+    "cli": {"config", "nnet", "pipeline", "seeding", "tasks", "theorem"},
+    "config": {"nnet", "pipeline", "seeding", "tasks", "theorem"},
+    "fisher": {"nnet"},
+    "matching": set(),
+    "nnet": set(),
+    "pipeline": {"fisher", "matching", "nnet", "seeding", "tasks"},
+    "seeding": set(),
+    "tasks": {"nnet", "seeding"},
+    "theorem": {"fisher"},
+}
 
 
 def _parse(path):
@@ -57,3 +74,31 @@ def test_every_public_function_has_a_caller_outside_the_tests():
 
 def test_every_public_class_has_a_user_outside_the_tests():
     assert _unused(ast.ClassDef) == []
+
+
+def _package_imports(tree):
+    """The package modules a module's import statements name, at any depth."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom):
+            if n.level == 0 and (n.module or "").split(".")[0] != "taskaffinity":
+                continue
+            module = n.module if n.level else n.module.partition(".")[2]
+            if module:
+                out.add(module.split(".")[0])
+            else:
+                out.update(alias.name for alias in n.names)
+        elif isinstance(n, ast.Import):
+            for alias in n.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "taskaffinity" and rest:
+                    out.add(rest.split(".")[0])
+    return out
+
+
+def test_package_imports_follow_the_table():
+    graph = {
+        os.path.basename(path)[:-3]: _package_imports(_parse(path))
+        for path in _python_files(PACKAGE)
+    }
+    assert graph == IMPORTS

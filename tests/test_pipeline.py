@@ -801,6 +801,29 @@ def test_ablation_bad_inputs_fail_before_phase_1(
         pipeline.ablation_comparison(train, test, spec, replace(cfg, **change), modes)
 
 
+def test_ablation_short_mode_set_fails_before_any_fine_tune(tiny, monkeypatch):
+    # a one-class random set cannot hold an m_way = 2 episode: the run stops
+    # after ranking, naming the mode, before related is fine-tuned
+    train, test, spec, cfg = tiny
+    pick = pipeline._pick_ablation_set
+
+    def short_random(mode, ordered, train, cfg):
+        chosen = pick(mode, ordered, train, cfg)
+        if mode != "random":
+            return chosen
+        return pipeline._related_set(train, chosen.label_set[:1])
+
+    calls = []
+    finetune = pipeline.episodic_finetune
+    monkeypatch.setattr(pipeline, "_pick_ablation_set", short_random)
+    monkeypatch.setattr(pipeline, "episodic_finetune", lambda *a: calls.append(a) or finetune(*a))
+    with pytest.raises(ValueError, match=(
+        r"^insufficient samples: only 1 training classes of the random set have >= 6 rows"
+    )):
+        pipeline.ablation_comparison(train, test, spec, cfg)
+    assert calls == []
+
+
 def test_ablation_random_mode_is_deterministic_and_sized(tiny):
     train, test, spec, cfg = tiny
     a = pipeline.ablation_comparison(train, test, spec, cfg, ("random",))["random"]

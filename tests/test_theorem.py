@@ -9,17 +9,21 @@ import pytest
 
 import helpers
 from taskaffinity import fisher, theorem
-from taskaffinity.nnet import Batch
 from taskaffinity.seeding import derive_seed
 
 THEOREM_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "theorem1.json")
+
+
+def folded(x, y):
+    """The sign-folded rows (2y - 1) x of samples (x, y)."""
+    return (2.0 * y - 1.0)[:, None] * x
 
 
 def tiny_problem(seed=0, n=40, dim=4, lam=0.2):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, dim))
     y = (rng.random(n) < 0.5).astype(np.int64)
-    return theorem.ConvexProblem(x, y, lam)
+    return theorem.ConvexProblem(folded(x, y), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -27,12 +31,15 @@ def tiny_problem(seed=0, n=40, dim=4, lam=0.2):
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError):
-        theorem.ConvexProblem(np.zeros((3, 2)), np.array([0, 1, 2]), 0.1)
-    with pytest.raises(ValueError):
-        theorem.ConvexProblem(np.zeros((3, 2)), np.array([0, 1, 1]), 0.0)
-    with pytest.raises(ValueError):
-        theorem.ConvexProblem(np.zeros((2, 2)), np.array([0]), 0.1)
+    with pytest.raises(ValueError, match=r"\(n, d\)"):
+        theorem.ConvexProblem(np.zeros(3), 0.1)
+    with pytest.raises(ValueError, match=r"n >= 1"):
+        theorem.ConvexProblem(np.zeros((0, 2)), 0.1)
+    for lam in (0.0, -0.1):
+        with pytest.raises(ValueError, match="l2_lambda"):
+            theorem.ConvexProblem(np.zeros((3, 2)), lam)
+    p = theorem.ConvexProblem([[1, 2], [3, 4]], 0.1)
+    assert p.rows.dtype == np.float64 and not p.rows.flags.writeable
 
 
 def test_step_schedule_validation_and_values():
@@ -96,31 +103,49 @@ def test_strong_convexity_certificate():
 
 
 def test_per_sample_gradients_mean_is_gradient():
+    # folded rows with all-one labels are the same logistic problem
     p = tiny_problem(5)
     theta = np.random.default_rng(6).standard_normal(p.dim)
-    rows = helpers.per_sample_gradients(p.features, p.labels, theta, p.l2_lambda)
-    assert rows.shape == (p.features.shape[0], p.dim)
+    ones = np.ones(p.rows.shape[0], dtype=np.int64)
+    rows = helpers.per_sample_gradients(p.rows, ones, theta, p.l2_lambda)
+    assert rows.shape == (p.rows.shape[0], p.dim)
     np.testing.assert_allclose(rows.mean(axis=0), theorem.gradient(p, theta), rtol=1e-12)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_fisher_diag_at_equals_mean_of_squared_oracle_rows(seed):
+def _random_samples(seed):
+    """(x, y, theta, lambda) of random size, scale and penalty."""
     rng = np.random.default_rng(derive_seed(70, seed))
     n, d = int(rng.integers(1, 200)), int(rng.integers(1, 12))
     x = rng.standard_normal((n, d)) * rng.uniform(0.1, 5.0)
     y = rng.integers(0, 2, size=n)
     theta = rng.standard_normal(d) * rng.uniform(0.0, 3.0)
-    lam = float(rng.uniform(0.01, 1.0))
+    return x, y, theta, float(rng.uniform(0.01, 1.0))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_fisher_diag_at_equals_mean_of_squared_oracle_rows(seed):
+    x, y, theta, lam = _random_samples(seed)
     rows = helpers.per_sample_gradients(x, y, theta, lam)
     want = np.mean(rows * rows, axis=0)
-    f = theorem.fisher_diag_at(theta, Batch(x, y), lam)
+    f = theorem.fisher_diag_at(theta, theorem.ConvexProblem(folded(x, y), lam))
     np.testing.assert_allclose(f, want / want.sum(), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_folded_rows_give_the_unfolded_loss_and_gradient(seed):
+    x, y, theta, lam = _random_samples(seed)
+    p = theorem.ConvexProblem(folded(x, y), lam)
+    margins = (2.0 * y - 1.0) * (x @ theta)
+    want_loss = np.mean(np.logaddexp(0.0, -margins)) + lam * theta @ theta
+    assert theorem.loss_value(p, theta) == pytest.approx(want_loss, rel=1e-12, abs=0)
+    rows = helpers.per_sample_gradients(x, y, theta, lam)
+    np.testing.assert_allclose(theorem.gradient(p, theta), rows.mean(axis=0), rtol=1e-12)
 
 
 def test_fisher_diag_at_is_unit_trace():
     p = tiny_problem(7)
     theta = np.random.default_rng(8).standard_normal(p.dim)
-    f = theorem.fisher_diag_at(theta, Batch(p.features, p.labels), p.l2_lambda)
+    f = theorem.fisher_diag_at(theta, p)
     assert f.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -129,10 +154,10 @@ def test_fisher_diag_at_is_unit_trace():
 
 
 def test_solve_optimum_symmetric_data_gives_origin():
-    # one feature vector with both labels: loss is symmetric around 0 in the
-    # logistic term, and the penalty pins the optimum at the origin
-    x = np.array([[1.0, -2.0], [1.0, -2.0]])
-    p = theorem.ConvexProblem(x, np.array([1, 0]), 0.3)
+    # one feature vector with both labels, so folded rows z and -z: loss is
+    # symmetric around 0 in the logistic term, and the penalty pins the
+    # optimum at the origin
+    p = theorem.ConvexProblem([[1.0, -2.0], [-1.0, 2.0]], 0.3)
     theta = theorem.solve_optimum(p, tol=1e-10)
     np.testing.assert_allclose(theta, np.zeros(2), atol=1e-9)
 
@@ -191,8 +216,7 @@ def test_noisy_sgd_noiseless_average_approaches_optimum():
 
 def test_noisy_sgd_at_optimum_stays_put_when_noiseless():
     # symmetric data puts the optimum at the origin, which is also the start
-    x = np.array([[1.0, -2.0], [1.0, -2.0]])
-    p = theorem.ConvexProblem(x, np.array([1, 0]), 0.3)
+    p = theorem.ConvexProblem([[1.0, -2.0], [-1.0, 2.0]], 0.3)
     cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.1), 0.0, 50, seed=2)
     _, bars = theorem.noisy_sgd(p, cfg, [2])
     np.testing.assert_allclose(bars, 0.0, atol=1e-15)
@@ -323,7 +347,7 @@ def _fixture_series(n_seeds=10, total_steps=2000):
         theorem.StepSchedule("polynomial", 0.1, 0.6), 0.1, total_steps, seed=7
     )
     times, bars = theorem.noisy_sgd(p, cfg, [derive_seed(7, 15, i) for i in range(n_seeds)])
-    return (times, *theorem.tas_trajectory(times, bars, star, qa, sb, p))
+    return (times, *theorem.tas_trajectory(times, bars, star, qa, sb))
 
 
 def test_tas_trajectory_identical_datasets_give_zero():
@@ -331,7 +355,7 @@ def test_tas_trajectory_identical_datasets_give_zero():
     star = theorem.solve_optimum(p, tol=1e-8)
     cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.1), 0.05, 100, seed=4)
     times, bars = theorem.noisy_sgd(p, cfg, [4])
-    values, s_star = theorem.tas_trajectory(times, bars, star, qa, qa, p)
+    values, s_star = theorem.tas_trajectory(times, bars, star, qa, qa)
     assert values.shape == (1, times.size)
     np.testing.assert_allclose(values, 0.0, atol=1e-12)
     assert s_star == pytest.approx(0.0, abs=1e-12)
@@ -345,20 +369,18 @@ def test_tas_trajectory_values_in_range():
 
 
 def test_tas_trajectory_degenerate_fisher_message():
-    # all-zero features make every per-sample gradient the penalty term, and
+    # all-zero rows make every per-sample gradient the penalty term, and
     # at theta = 0 that is identically zero -> unnormalizable diagonal
-    x = np.zeros((4, 3))
-    p = theorem.ConvexProblem(x, np.array([0, 1, 0, 1]), 0.1)
-    data = Batch(x, np.array([0, 1, 0, 1]))
+    p = theorem.ConvexProblem(np.zeros((4, 3)), 0.1)
     with pytest.raises(ValueError, match="degenerate Fisher at checkpoint t=1"):
-        theorem.tas_trajectory(np.array([1]), np.zeros((1, 1, 3)), np.zeros(3), data, data, p)
+        theorem.tas_trajectory(np.array([1]), np.zeros((1, 1, 3)), np.zeros(3), p, p)
     # only theta = 0 is degenerate here: the message names its seed and time
     bars = np.ones((3, 2, 3))
     bars[1, 1] = bars[2, 0] = 0.0
     with pytest.raises(ValueError, match=r"^degenerate Fisher at checkpoint t=5 of seed 1: "):
-        theorem.tas_trajectory(np.array([1, 5]), bars, np.ones(3), data, data, p)
+        theorem.tas_trajectory(np.array([1, 5]), bars, np.ones(3), p, p)
     with pytest.raises(ValueError, match=r"^degenerate Fisher at the optimum: .*all-zero"):
-        theorem.tas_trajectory(np.array([1, 5]), np.ones((3, 2, 3)), np.zeros(3), data, data, p)
+        theorem.tas_trajectory(np.array([1, 5]), np.ones((3, 2, 3)), np.zeros(3), p, p)
 
 
 @pytest.mark.parametrize("n_seeds,total_steps", [(2, 300), (3, 2000)])
@@ -369,11 +391,11 @@ def test_tas_trajectory_equals_the_serial_loop_bitwise(n_seeds, total_steps, mon
         theorem.StepSchedule("polynomial", 0.1, 0.6), 0.1, total_steps, seed=7
     )
     times, bars = theorem.noisy_sgd(p, cfg, [derive_seed(7, 15, i) for i in range(n_seeds)])
-    want_values, want_star = helpers.serial_tas_trajectory(bars, star, qa, sb, p)
+    want_values, want_star = helpers.serial_tas_trajectory(bars, star, qa, sb)
     calls = []
     unit_trace = fisher.unit_trace
     monkeypatch.setattr(fisher, "unit_trace", lambda f: calls.append(f.shape) or unit_trace(f))
-    values, s_star = theorem.tas_trajectory(times, bars, star, qa, sb, p)
+    values, s_star = theorem.tas_trajectory(times, bars, star, qa, sb)
     np.testing.assert_array_equal(values, want_values)
     assert s_star == want_star
     # two diagonals for the whole block and two at the optimum, whatever S and K
@@ -383,7 +405,7 @@ def test_tas_trajectory_equals_the_serial_loop_bitwise(n_seeds, total_steps, mon
 def test_s_star_matches_single_checkpoint_at_optimum():
     p, qa, sb = theorem.make_logistic_fixture(6, 80, 80, 0.1, seed=3)
     star = theorem.solve_optimum(p, tol=1e-10)
-    values, s_star = theorem.tas_trajectory(np.array([1]), star[None, None, :], star, qa, sb, p)
+    values, s_star = theorem.tas_trajectory(np.array([1]), star[None, None, :], star, qa, sb)
     assert values[0, 0] == s_star
 
 
@@ -392,7 +414,7 @@ def test_convergence_check_noiseless_passes_tight():
     star = theorem.solve_optimum(p, tol=1e-12)
     cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", 0.2), 0.0, 3000, seed=0)
     times, bars = theorem.noisy_sgd(p, cfg, range(5))
-    values, s_star = theorem.tas_trajectory(times, bars, star, qa, sb, p)
+    values, s_star = theorem.tas_trajectory(times, bars, star, qa, sb)
     gaps = np.abs(values - s_star)
     report = theorem.convergence_check(times, gaps, abs_tol=1e-3)
     assert report.passed
@@ -459,11 +481,12 @@ def test_gap_shrinks_on_reference_fixture():
 
 def test_fixture_shapes_and_determinism():
     p, qa, sb = theorem.make_logistic_fixture(5, 30, 20, 0.1, seed=11)
-    assert p.features.shape == (30, 5)
-    assert qa.features.shape == (20, 5)
-    assert sb.features.shape == (20, 5)
+    assert p.rows.shape == (30, 5)
+    assert qa.rows.shape == (20, 5)
+    assert sb.rows.shape == (20, 5)
+    assert p.l2_lambda == qa.l2_lambda == sb.l2_lambda == 0.1
     p2, qa2, sb2 = theorem.make_logistic_fixture(5, 30, 20, 0.1, seed=11)
-    np.testing.assert_array_equal(p.features, p2.features)
-    np.testing.assert_array_equal(qa.features, qa2.features)
-    np.testing.assert_array_equal(sb.features, sb2.features)
-    assert not np.array_equal(qa.features, sb.features)
+    np.testing.assert_array_equal(p.rows, p2.rows)
+    np.testing.assert_array_equal(qa.rows, qa2.rows)
+    np.testing.assert_array_equal(sb.rows, sb2.rows)
+    assert not np.array_equal(qa.rows, sb.rows)
