@@ -298,11 +298,14 @@ def episodic_finetune(
     """Encoder-only episodic fine-tuning restricted to the related rows.
 
     Each meta-update averages the loss gradient of finetune_schedule.batch_size
-    episodes, drawn from the related subset of the training data only, one
+    episodes, drawn from the training rows of the related classes only, one
     meta-step at a time; finetune_schedule.epochs counts meta-updates.
     Returns the network and each meta-update's mean loss.
     """
-    sub, _ = tasks.subset_by_classes(train, related.label_set)
+    classes = tasks.episode_classes(
+        train, related.label_set, cfg.m_way, cfg.k_shot, cfg.q_query,
+        "training classes of the related set",
+    )
     sched = cfg.finetune_schedule
 
     def episodes():
@@ -310,8 +313,10 @@ def episodic_finetune(
             seeds = [
                 derive_seed(sched.seed, _STREAM_FINETUNE, step, j) for j in range(sched.batch_size)
             ]
-            sup, qry = tasks.draw_episodes(sub, cfg.m_way, cfg.k_shot, cfg.q_query, seeds)
-            yield sub.features[sup], sub.features[qry]
+            sup, qry = tasks.draw_episodes(
+                train, classes, cfg.m_way, cfg.k_shot, cfg.q_query, seeds
+            )
+            yield train.features[sup], train.features[qry]
 
     try:
         tuned, history = nnet.train_episodic(
@@ -330,12 +335,15 @@ def evaluate_fewshot(
     net: nnet.Network, test: tasks.Dataset, cfg: PipelineConfig
 ) -> tuple[float, float]:
     """Mean hard nearest-centroid accuracy over fresh episodes, with 1.96*sd/sqrt(n)."""
+    classes = tasks.episode_classes(
+        test, test.class_ids, cfg.m_way, cfg.k_shot, cfg.q_query, "test classes"
+    )
     n = cfg.n_eval_episodes
     accs = np.empty(n)
     for lo in range(0, n, EVAL_CHUNK):
         stop = min(lo + EVAL_CHUNK, n)
         seeds = [derive_seed(cfg.master_seed, _STREAM_EVAL, i) for i in range(lo, stop)]
-        sup, qry = tasks.draw_episodes(test, cfg.m_way, cfg.k_shot, cfg.q_query, seeds)
+        sup, qry = tasks.draw_episodes(test, classes, cfg.m_way, cfg.k_shot, cfg.q_query, seeds)
         es = nnet.encode(net, test.features[sup])
         eq = nnet.encode(net, test.features[qry])
         accs[lo:stop] = nnet.nearest_centroid(es, eq, cfg.k_shot, cfg.softmax_temperature)[3]
@@ -388,13 +396,15 @@ def phases_1_2(
 
     Returns the whole network, the scores ordered by rank_all_sources, and the
     whole_train_s / rank_s timings.  The target task is every test class, so
-    a test set without exactly n_test classes is rejected before training
-    starts.
+    a test set without exactly n_test classes, or not spec.input_dim columns
+    wide, is rejected before training starts.
     """
     if len(test.class_ids) != cfg.n_test:
         raise ValueError(
             f"n_test={cfg.n_test} but the test set has {len(test.class_ids)} classes"
         )
+    if test.dim != spec.input_dim:
+        raise ValueError(f"input_dim={spec.input_dim} but the test set has {test.dim} columns")
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     whole = train_whole_classifier(train, spec, cfg.whole_schedule)
@@ -426,22 +436,14 @@ def ablation_comparison(
     for mode in modes:
         if mode not in ABLATION_MODES:
             raise ValueError(f"unknown ablation mode {mode!r}; expected one of {ABLATION_MODES}")
-    need = cfg.k_shot + cfg.q_query
-
-    def check_episodes(what: str, data: tasks.Dataset, class_ids) -> None:
-        eligible = sum(data.class_index[c].size >= need for c in class_ids)
-        if eligible < cfg.m_way:
-            raise ValueError(
-                f"insufficient samples: only {eligible} {what} have >= {need} rows "
-                f"(k_shot + q_query), need m_way={cfg.m_way}"
-            )
-
+    episode = (cfg.m_way, cfg.k_shot, cfg.q_query)
     for split, data in (("test", test), ("training", train)):
-        check_episodes(f"{split} classes", data, data.class_ids)
+        tasks.episode_classes(data, data.class_ids, *episode, f"{split} classes")
     whole, ordered, shared = phases_1_2(train, test, spec, cfg)
     sets = {mode: _pick_ablation_set(mode, ordered, train, cfg) for mode in modes}
     for mode, chosen in sets.items():
-        check_episodes(f"training classes of the {mode} set", train, chosen.label_set)
+        what = f"training classes of the {mode} set"
+        tasks.episode_classes(train, chosen.label_set, *episode, what)
     reports: dict[str, RunReport] = {}
     for mode, chosen in sets.items():
         timings = dict(shared)

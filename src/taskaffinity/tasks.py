@@ -187,6 +187,9 @@ def load_csv(path: str) -> Dataset:
             labels[ln - 2] = int(cells[-1])
         except ValueError as exc:
             raise ValueError(f"line {ln}: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        raise ValueError(f"line {bad[0] + 2}: features must be finite")
     return Dataset.from_arrays(feats, labels)
 
 
@@ -255,62 +258,58 @@ def sample_source_tasks(train: Dataset, s_count: int, n_test: int, seed: int) ->
     return tasks
 
 
-def episode_classes(data: Dataset, min_rows: int) -> list[int]:
-    """Class ids, ascending, with at least min_rows rows: the ones an episode may draw."""
-    return [cid for cid in data.class_ids if data.class_index[cid].size >= min_rows]
+def episode_classes(
+    data: Dataset, class_ids, m_way: int, k_shot: int, q_query: int, what: str
+) -> list[int]:
+    """Those of data's given class ids, ascending, that hold an episode's
+    k_shot + q_query rows: the classes draw_episodes may pick.  It is an error if fewer than
+    m_way qualify; what names the classes in that error."""
+    if min(m_way, k_shot, q_query) < 1:
+        raise ValueError("m_way, k_shot and q_query must be positive")
+    need = k_shot + q_query
+    eligible = sorted(int(c) for c in class_ids if data.class_index[c].size >= need)
+    if len(eligible) < m_way:
+        raise ValueError(
+            f"insufficient samples: only {len(eligible)} {what} have >= {need} rows "
+            f"(k_shot + q_query), need m_way={m_way}"
+        )
+    return eligible
 
 
 def draw_episodes(
-    data: Dataset, m_way: int, k_shot: int, q_query: int, seeds
+    data: Dataset, classes: list[int], m_way: int, k_shot: int, q_query: int, seeds
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row indices of one episode per seed: support (E, m_way * k_shot) and
-    disjoint query (E, m_way * q_query) rows of m_way classes.
+    disjoint query (E, m_way * q_query) rows of m_way of the given classes,
+    which episode_classes has checked.
 
     The chosen classes, sorted ascending, take slots 0..m_way-1 and the rows
     are grouped by slot, so the labels are np.repeat(np.arange(m_way), k_shot)
-    and np.repeat(np.arange(m_way), q_query).  Classes with fewer than
-    k_shot + q_query rows are not eligible; it is an error if fewer than m_way
-    classes qualify.
+    and np.repeat(np.arange(m_way), q_query).
     """
-    if min(m_way, k_shot, q_query) < 1:
-        raise ValueError("m_way, k_shot and q_query must be positive")
-    eligible = episode_classes(data, k_shot + q_query)
-    if len(eligible) < m_way:
-        raise ValueError(
-            f"insufficient samples: only {len(eligible)} classes have "
-            f">= {k_shot + q_query} rows, need {m_way}"
-        )
     n_ep = len(seeds)
     support = np.empty((n_ep, m_way, k_shot), dtype=np.int64)
     query = np.empty((n_ep, m_way, q_query), dtype=np.int64)
     for e, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        picked = sorted(int(k) for k in rng.choice(len(eligible), size=m_way, replace=False))
+        picked = sorted(int(k) for k in rng.choice(len(classes), size=m_way, replace=False))
         for slot, k in enumerate(picked):
-            rows = data.class_index[eligible[k]]
+            rows = data.class_index[classes[k]]
             order = rows[rng.permutation(rows.size)[: k_shot + q_query]]
             support[e, slot] = order[:k_shot]
             query[e, slot] = order[k_shot:]
     return support.reshape(n_ep, m_way * k_shot), query.reshape(n_ep, m_way * q_query)
 
 
-def subset_by_classes(data: Dataset, class_ids) -> tuple[Dataset, np.ndarray]:
-    """Rows of the given classes as a new Dataset, plus their original row indices."""
-    keep = np.flatnonzero(np.isin(data.labels, sorted(int(c) for c in class_ids)))
-    if keep.size == 0:
-        raise ValueError("no rows match the requested classes")
-    return Dataset.from_arrays(data.features[keep], data.labels[keep]), keep
-
-
 def split_classes(data: Dataset, test_class_ids) -> tuple[Dataset, Dataset]:
     """Partition by class id into (train, test) datasets."""
-    test_ids = set(int(c) for c in test_class_ids)
-    train_ids = [c for c in data.class_ids if c not in test_ids]
-    if not train_ids or not test_ids:
+    is_test = np.isin(data.labels, [int(c) for c in test_class_ids])
+    if is_test.all() or not is_test.any():
         raise ValueError("both splits need at least one class")
-    train, _ = subset_by_classes(data, train_ids)
-    test, _ = subset_by_classes(data, sorted(test_ids))
-    return train, test
+    return (
+        Dataset.from_arrays(data.features[~is_test], data.labels[~is_test]),
+        Dataset.from_arrays(data.features[is_test], data.labels[is_test]),
+    )
 
 
 def family_holdout(

@@ -350,7 +350,7 @@ def sample_episode(data, m_way, k_shot, q_query, seed):
     as Batches labelled by the chosen classes' ascending order."""
     if min(m_way, k_shot, q_query) < 1:
         raise ValueError("m_way, k_shot and q_query must be positive")
-    eligible = tasks.episode_classes(data, k_shot + q_query)
+    eligible = [c for c in data.class_ids if data.class_index[c].size >= k_shot + q_query]
     if len(eligible) < m_way:
         raise ValueError(
             f"insufficient samples: only {len(eligible)} classes have "
@@ -419,7 +419,8 @@ def episode_accuracy(net, episode):
 
 def serial_episodic_finetune(whole, related, train, cfg):
     """pipeline.episodic_finetune with one episode per inner iteration."""
-    sub, _ = tasks.subset_by_classes(train, related.label_set)
+    keep = np.isin(train.labels, related.label_set)
+    sub = tasks.Dataset.from_arrays(train.features[keep], train.labels[keep])
     sched = cfg.finetune_schedule
     params = whole.params.copy()
     velocity = np.zeros_like(params)

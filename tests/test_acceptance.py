@@ -13,6 +13,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 import helpers
 from conftest import record_criterion
@@ -221,6 +222,7 @@ def _ablation_setting(s: int):
     return train, test, spec, cfg
 
 
+@pytest.mark.slow
 def test_criterion_7_related_set_wins_the_ablation():
     t0 = time.perf_counter()
     n_seeds = 40

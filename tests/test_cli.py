@@ -653,26 +653,67 @@ def test_ablation_is_a_fewshot_only_flag(tmp_path, command):
     assert exc.value.code == 2
 
 
+def _doc_splits():
+    """The train and test splits pipeline_doc generates."""
+    src = cfgmod.parse_pipeline(pipeline_doc()).data
+    return tasks.family_holdout(src.synthetic, src.target_family, src.n_test_classes)
+
+
+def _csv_config(tmp_path, train, test):
+    """pipeline_doc reading its two splits from the given CSV texts."""
+    data = {}
+    for split, text in (("train", train), ("test", test)):
+        path = str(tmp_path / f"{split}.csv")
+        with open(path, "w") as fh:
+            fh.write(text)
+        data[f"{split}_csv"] = path
+    doc = pipeline_doc()
+    doc["data"] = data
+    return write_config(tmp_path, doc, "csv.json")
+
+
 def test_fewshot_csv_data_variant_matches_synthetic(tmp_path):
     # write the same split to CSVs, run both variants, compare the rankings
-    doc = pipeline_doc()
-    job = cfgmod.parse_pipeline(doc)
-    train, test = tasks.family_holdout(
-        job.data.synthetic, job.data.target_family, job.data.n_test_classes
-    )
-    train_csv, test_csv = str(tmp_path / "train.csv"), str(tmp_path / "test.csv")
-    for data, path in ((train, train_csv), (test, test_csv)):
-        with open(path, "w") as fh:
-            fh.write(tasks.csv_text(data))
-    csv_doc = pipeline_doc()
-    csv_doc["data"] = {"train_csv": train_csv, "test_csv": test_csv}
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert cli.main(["tas", "--config", write_config(tmp_path, doc, "s.json"), "--out", out_a]) == 0
-    assert cli.main(["tas", "--config", write_config(tmp_path, csv_doc, "c.json"), "--out", out_b]) == 0
+    cfg = write_config(tmp_path, pipeline_doc(), "s.json")
+    assert cli.main(["tas", "--config", cfg, "--out", out_a]) == 0
+    train, test = _doc_splits()
+    csv_cfg = _csv_config(tmp_path, tasks.csv_text(train), tasks.csv_text(test))
+    assert cli.main(["tas", "--config", csv_cfg, "--out", out_b]) == 0
     da = _read_json(os.path.join(out_a, "scores.json"))
     db = _read_json(os.path.join(out_b, "scores.json"))
     assert da["scores"] == db["scores"]
     assert da["run_id"] != db["run_id"]  # different configs, honestly different ids
+
+
+def _never_trains(*args):
+    raise AssertionError("whole-classifier training started")
+
+
+@pytest.mark.parametrize("split,value,line", [("train", "nan", 4), ("test", "inf", 3)])
+def test_non_finite_csv_feature_fails_at_load(tmp_path, monkeypatch, capsys, split, value, line):
+    splits = dict(zip(("train", "test"), (tasks.csv_text(d) for d in _doc_splits())))
+    lines = splits[split].splitlines()
+    cells = lines[line - 1].split(",")
+    cells[1] = value
+    lines[line - 1] = ",".join(cells)
+    splits[split] = "\n".join(lines) + "\n"
+    monkeypatch.setattr(pipeline, "train_whole_classifier", _never_trains)
+    cfg = _csv_config(tmp_path, splits["train"], splits["test"])
+    assert cli.main(["tas", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: line {line}: features must be finite\n"
+
+
+def test_narrow_test_split_fails_before_training(tmp_path, monkeypatch, capsys):
+    train, test = _doc_splits()
+    narrow = tasks.Dataset.from_arrays(test.features[:, :-1], test.labels)
+    monkeypatch.setattr(pipeline, "train_whole_classifier", _never_trains)
+    cfg = _csv_config(tmp_path, tasks.csv_text(train), tasks.csv_text(narrow))
+    for command in ("tas", "fewshot"):
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 1
+        assert capsys.readouterr().err == (
+            "error: input_dim=6 but the test set has 5 columns\n"
+        )
 
 
 def test_theorem1_command_passes_and_writes_series(tmp_path):

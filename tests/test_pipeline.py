@@ -328,7 +328,7 @@ def test_mtas_self_task_scores_low():
     whole = pipeline.train_whole_classifier(data, spec, cfg.whole_schedule)
     ids = [6, 7, 8]
     source = tasks.task_from_classes(data, ids, 0, derive_seed(606, 1))
-    test_data, _ = tasks.subset_by_classes(data, ids)
+    _, test_data = tasks.split_classes(data, ids)
     target = pipeline.view_target(test_data, whole, cfg)
     ranked = pipeline.mtas(source, target, data, whole, cfg)
     assert ranked.record.reached_target, "eps-approximation must genuinely reach its target"
@@ -408,8 +408,8 @@ def test_mtas_is_directional():
     ids_a, ids_b = [0, 1, 2], [6, 7, 8]
     task_a = tasks.task_from_classes(data, ids_a, 0, derive_seed(606, 0))
     task_b = tasks.task_from_classes(data, ids_b, 1, derive_seed(606, 1))
-    sub_a, _ = tasks.subset_by_classes(data, ids_a)
-    sub_b, _ = tasks.subset_by_classes(data, ids_b)
+    _, sub_a = tasks.split_classes(data, ids_a)
+    _, sub_b = tasks.split_classes(data, ids_b)
     view_a = pipeline.view_target(sub_a, whole, cfg)
     view_b = pipeline.view_target(sub_b, whole, cfg)
     s_ab = pipeline.mtas(task_a, view_b, data, whole, cfg).score.value
@@ -624,9 +624,9 @@ def test_episodic_finetune_builds_one_network_and_draws_per_meta_step(
         built.append(obj)
         post_init(obj)
 
-    def draw(data, m_way, k_shot, q_query, seeds, original=tasks.draw_episodes):
+    def draw(data, classes, m_way, k_shot, q_query, seeds, original=tasks.draw_episodes):
         drawn.append(len(seeds))
-        return original(data, m_way, k_shot, q_query, seeds)
+        return original(data, classes, m_way, k_shot, q_query, seeds)
 
     monkeypatch.setattr(nnet.Network, "__post_init__", counted)
     monkeypatch.setattr(tasks, "draw_episodes", draw)
@@ -634,6 +634,54 @@ def test_episodic_finetune_builds_one_network_and_draws_per_meta_step(
     assert built == [tuned]
     assert drawn == [cfg.finetune_schedule.batch_size] * meta_steps
     assert len(history) == meta_steps
+
+
+def test_episodic_finetune_copies_no_dataset(overlapping, monkeypatch):
+    train, _, cfg, related = overlapping
+    spec = nnet.NetworkSpec((16, 32, 8), len(train.class_ids), "relu")
+    whole = nnet.init_network(spec, 0)
+    cfg = replace(cfg, finetune_schedule=replace(cfg.finetune_schedule, epochs=2))
+    built = []
+    from_arrays = tasks.Dataset.from_arrays
+    monkeypatch.setattr(
+        tasks.Dataset, "from_arrays", staticmethod(lambda *a: built.append(a) or from_arrays(*a))
+    )
+    pipeline.episodic_finetune(whole, related, train, cfg)
+    assert built == []
+
+
+def test_phase_3_and_evaluation_raise_the_preflight_error(tiny, monkeypatch):
+    # class 1 keeps 5 rows where an episode needs k_shot + q_query = 6, so
+    # only 1 of each two-class set qualifies for m_way = 2
+    train, test, spec, cfg = tiny
+
+    def shorten(data, cid):
+        keep = [data.class_index[c][: 5 if c == cid else None] for c in data.class_ids]
+        rows = np.concatenate(keep)
+        return tasks.Dataset.from_arrays(data.features[rows], data.labels[rows])
+
+    def message(call, *args):
+        with pytest.raises(ValueError, match="^insufficient samples") as exc:
+            call(*args)
+        return str(exc.value)
+
+    short_train, short_test = shorten(train, 1), shorten(test, 5)
+    related = pipeline._related_set(short_train, (0, 1))
+    monkeypatch.setattr(pipeline, "_pick_ablation_set", lambda *a: related)
+    whole = nnet.init_network(spec, 0)
+
+    preflight = message(pipeline.ablation_comparison, short_train, test, spec, cfg, ("related",))
+    assert preflight == (
+        "insufficient samples: only 1 training classes of the related set have >= 6 rows "
+        "(k_shot + q_query), need m_way=2"
+    )
+    assert message(pipeline.episodic_finetune, whole, related, short_train, cfg) == preflight
+
+    preflight = message(pipeline.ablation_comparison, train, short_test, spec, cfg, ("related",))
+    assert preflight == (
+        "insufficient samples: only 1 test classes have >= 6 rows (k_shot + q_query), need m_way=2"
+    )
+    assert message(pipeline.evaluate_fewshot, whole, short_test, cfg) == preflight
 
 
 def test_episodic_finetune_deterministic(tiny):

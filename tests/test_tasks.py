@@ -253,6 +253,12 @@ def test_batch_of_rejects_bad_class_ids():
 # episodes
 
 
+def draw(data, m_way, k_shot, q_query, seeds):
+    """draw_episodes over every class of data that holds an episode."""
+    classes = tasks.episode_classes(data, data.class_ids, m_way, k_shot, q_query, "classes")
+    return tasks.draw_episodes(data, classes, m_way, k_shot, q_query, seeds)
+
+
 def _slot_classes(data, rows, m_way):
     """Each slot's class id, checking every row of a slot carries it."""
     labels = data.labels[rows].reshape(m_way, -1)
@@ -262,7 +268,7 @@ def _slot_classes(data, rows, m_way):
 
 def test_sample_episode_shapes_and_reindexed_labels():
     data = tasks.make_synthetic(small_cfg(samples_per_class=12))
-    sup, qry = tasks.draw_episodes(data, m_way=3, k_shot=4, q_query=5, seeds=[8])
+    sup, qry = draw(data, m_way=3, k_shot=4, q_query=5, seeds=[8])
     assert sup.shape == (1, 12) and qry.shape == (1, 15)
     # rows come grouped by slot, the slots in ascending class id order, so
     # the labels are np.repeat(np.arange(3), 4) and np.repeat(np.arange(3), 5)
@@ -273,7 +279,7 @@ def test_sample_episode_shapes_and_reindexed_labels():
 
 def test_sample_episode_support_query_disjoint_rows():
     data = tasks.make_synthetic(small_cfg(samples_per_class=12, noise_sigma=0.5))
-    sup, qry = tasks.draw_episodes(data, 2, 3, 3, seeds=[1])
+    sup, qry = draw(data, 2, 3, 3, seeds=[1])
     assert not set(sup[0].tolist()) & set(qry[0].tolist())
     assert len(set(sup[0].tolist())) == 6 and len(set(qry[0].tolist())) == 6
     sup_f = {tuple(row) for row in data.features[sup[0]]}
@@ -283,31 +289,45 @@ def test_sample_episode_support_query_disjoint_rows():
 
 def test_sample_episode_minimal_and_deterministic():
     data = tasks.make_synthetic(small_cfg())
-    sup, qry = tasks.draw_episodes(data, 1, 1, 1, seeds=[0])
+    sup, qry = draw(data, 1, 1, 1, seeds=[0])
     assert sup.shape == (1, 1) and qry.shape == (1, 1)
-    a = tasks.draw_episodes(data, 2, 2, 2, seeds=[42])
-    b = tasks.draw_episodes(data, 2, 2, 2, seeds=[42])
+    a = draw(data, 2, 2, 2, seeds=[42])
+    b = draw(data, 2, 2, 2, seeds=[42])
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
     # a stack of seeds draws each episode as that seed alone does
-    both = tasks.draw_episodes(data, 2, 2, 2, seeds=[7, 42])
+    both = draw(data, 2, 2, 2, seeds=[7, 42])
     np.testing.assert_array_equal(both[0][1], a[0][0])
     np.testing.assert_array_equal(both[1][1], a[1][0])
 
 
 def test_sample_episode_insufficient_rows():
     data = tasks.make_synthetic(small_cfg(samples_per_class=4))
-    with pytest.raises(ValueError, match="insufficient"):
-        tasks.draw_episodes(data, 2, 3, 3, seeds=[0])
-    with pytest.raises(ValueError):
-        tasks.draw_episodes(data, 0, 1, 1, seeds=[0])
+    with pytest.raises(ValueError, match=(
+        r"^insufficient samples: only 0 test classes have >= 6 rows "
+        r"\(k_shot \+ q_query\), need m_way=2$"
+    )):
+        tasks.episode_classes(data, data.class_ids, 2, 3, 3, "test classes")
+    for bad in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            tasks.episode_classes(data, data.class_ids, *bad, "classes")
+
+
+def test_episode_classes_keeps_the_classes_that_hold_an_episode_ascending():
+    rng = np.random.default_rng(0)
+    labels = np.repeat(np.arange(5), [3, 9, 5, 8, 6])
+    data = tasks.Dataset.from_arrays(rng.standard_normal((labels.size, 2)), labels)
+    assert tasks.episode_classes(data, [4, 0, 3, 1], 2, 3, 3, "classes") == [1, 3, 4]
+    assert tasks.episode_classes(data, [4, 0, 3, 1], 3, 3, 3, "classes") == [1, 3, 4]
+    with pytest.raises(ValueError, match="only 3 picked classes have >= 6 rows"):
+        tasks.episode_classes(data, [4, 0, 3, 1], 4, 3, 3, "picked classes")
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_sample_episode_never_leaks_support_into_query(seed):
     data = tasks.make_synthetic(small_cfg(samples_per_class=8, seed=3))
-    sup, qry = tasks.draw_episodes(data, 2, 3, 3, seeds=[seed])
+    sup, qry = draw(data, 2, 3, 3, seeds=[seed])
     sup_f = {tuple(row) for row in data.features[sup[0]]}
     for row in data.features[qry[0]]:
         assert tuple(row) not in sup_f
@@ -325,13 +345,14 @@ def test_draw_episodes_returns_the_serial_sampler_rows(seed, m_way, k_shot, q_qu
     rng = np.random.default_rng(5)
     labels = np.repeat(np.arange(5), [3, 9, 5, 8, 6])
     data = tasks.Dataset.from_arrays(rng.standard_normal((labels.size, 3)), labels)
-    if len(tasks.episode_classes(data, k_shot + q_query)) < m_way:
+    eligible = sum(data.class_index[c].size >= k_shot + q_query for c in data.class_ids)
+    if eligible < m_way:
         with pytest.raises(ValueError, match="insufficient"):
-            tasks.draw_episodes(data, m_way, k_shot, q_query, seeds=[seed])
+            draw(data, m_way, k_shot, q_query, seeds=[seed])
         with pytest.raises(ValueError, match="insufficient"):
             helpers.sample_episode(data, m_way, k_shot, q_query, seed)
         return
-    sup, qry = tasks.draw_episodes(data, m_way, k_shot, q_query, seeds=[seed])
+    sup, qry = draw(data, m_way, k_shot, q_query, seeds=[seed])
     ep = helpers.sample_episode(data, m_way, k_shot, q_query, seed)
     np.testing.assert_array_equal(data.features[sup[0]], ep.support.features)
     np.testing.assert_array_equal(data.features[qry[0]], ep.query.features)
@@ -343,24 +364,20 @@ def test_draw_episodes_returns_the_serial_sampler_rows(seed, m_way, k_shot, q_qu
 # splits
 
 
-def test_subset_by_classes_rows_and_indices():
-    data = tasks.make_synthetic(small_cfg())
-    sub, keep = tasks.subset_by_classes(data, [1, 4])
-    assert sub.class_ids == [1, 4]
-    np.testing.assert_array_equal(sub.features, data.features[keep])
-    np.testing.assert_array_equal(data.labels[keep], sub.labels)
-    with pytest.raises(ValueError):
-        tasks.subset_by_classes(data, [99])
-
-
 def test_split_classes_partitions():
     data = tasks.make_synthetic(small_cfg())
-    train, test = tasks.split_classes(data, [0, 5])
+    train, test = tasks.split_classes(data, [5, 0])
     assert test.class_ids == [0, 5]
     assert train.class_ids == [1, 2, 3, 4]
-    assert train.n + test.n == data.n
-    with pytest.raises(ValueError):
-        tasks.split_classes(data, list(range(6)))
+    # each split keeps its rows in their original order
+    is_test = np.isin(data.labels, [0, 5])
+    np.testing.assert_array_equal(test.features, data.features[is_test])
+    np.testing.assert_array_equal(test.labels, data.labels[is_test])
+    np.testing.assert_array_equal(train.features, data.features[~is_test])
+    np.testing.assert_array_equal(train.labels, data.labels[~is_test])
+    for test_ids in (list(range(6)), [99]):
+        with pytest.raises(ValueError, match="both splits need at least one class"):
+            tasks.split_classes(data, test_ids)
 
 
 def test_family_holdout_takes_last_classes_of_family():
@@ -370,8 +387,7 @@ def test_family_holdout_takes_last_classes_of_family():
     assert train.class_ids == [0, 1, 2, 3, 6, 7, 8]
     # same generation as make_synthetic on the full config
     full = tasks.make_synthetic(cfg)
-    sub, _ = tasks.subset_by_classes(full, [4, 5])
-    np.testing.assert_array_equal(test.features, sub.features)
+    np.testing.assert_array_equal(test.features, full.features[np.isin(full.labels, [4, 5])])
 
 
 def test_family_holdout_validation():
