@@ -20,8 +20,11 @@ import os
 import sys
 import tempfile
 import time
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import asdict
+
+import numpy as np
 
 from . import config as cfgmod
 from . import pipeline, tasks, theorem
@@ -29,6 +32,8 @@ from .nnet import NetworkSpec
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
+
+HISTOGRAM_BINS = 20
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -65,8 +70,13 @@ def _load_config(path: str) -> dict:
 def _load_data(src: cfgmod.DataSource) -> tuple[tasks.Dataset, tasks.Dataset]:
     if src.synthetic is not None:
         return tasks.family_holdout(src.synthetic, src.target_family, src.n_test_classes)
-    assert src.train_csv is not None and src.test_csv is not None
-    return tasks.load_csv(src.train_csv), tasks.load_csv(src.test_csv)
+    splits = []
+    for path in (src.train_csv, src.test_csv):
+        try:
+            splits.append(tasks.load_csv(path))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return splits[0], splits[1]
 
 
 def score_row(r: pipeline.RankedTask, with_fisher: bool = True) -> dict:
@@ -94,16 +104,32 @@ def _label_set_doc(chosen: pipeline.RelatedSet) -> dict:
     return {"label_set": list(chosen.label_set), "row_indices": list(chosen.row_indices)}
 
 
-def report_to_doc(report: pipeline.RunReport) -> dict:
-    """The report as JSON; its score rows leave out the Fisher blocks, which
+def tas_histogram(
+    ranked: Sequence[pipeline.RankedTask],
+) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """(bin edges, counts) of the scores over 20 fixed bins on [0, 1]."""
+    vals = np.clip([r.score.value for r in ranked], 0.0, 1.0)
+    counts, edges = np.histogram(vals, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
+    return tuple(float(e) for e in edges), tuple(int(c) for c in counts)
+
+
+def _label_frequency(ordered: Sequence[pipeline.RankedTask], top_r: int) -> dict[int, int]:
+    """How many of the top_r lowest-score tasks hold each class, by class id."""
+    return dict(sorted(Counter(cid for r in ordered[:top_r] for cid in r.class_ids).items()))
+
+
+def report_to_doc(report: pipeline.RunReport, top_r: int) -> dict:
+    """The report as JSON, with the score histogram and the label frequency
+    of its top_r tasks; its score rows leave out the Fisher blocks, which
     scores.json carries."""
-    edges, counts = report.tas_histogram
+    edges, counts = tas_histogram(report.scores)
+    freq = _label_frequency(report.scores, top_r)
     return {
         "ablation_mode": report.ablation_mode,
         "scores": [score_row(r, with_fisher=False) for r in report.scores],
         "selected_labels": _label_set_doc(report.selected_labels),
         "tas_histogram": {"edges": list(edges), "counts": list(counts)},
-        "label_frequency": {str(k): v for k, v in report.label_frequency.items()},
+        "label_frequency": {str(k): v for k, v in freq.items()},
         "fewshot_accuracy_mean": report.fewshot_accuracy_mean,
         "fewshot_ci95": report.fewshot_ci95,
         "timings": dict(report.timings),
@@ -116,11 +142,10 @@ def _write_ranking(
     echo: dict,
     ordered: Sequence[pipeline.RankedTask],
     selected: pipeline.RelatedSet,
-    histogram: tuple[tuple[float, ...], tuple[int, ...]],
-    frequency: dict[int, int],
+    top_r: int,
     timings: dict[str, float] | None = None,
 ) -> None:
-    """scores.json, tas_hist.csv and label_freq.csv of a tas or fewshot run."""
+    """scores.json, tas_hist.csv and label_freq.csv (of the top_r tasks) of a run."""
     doc = {
         "run_id": run_id,
         "config": echo,
@@ -130,11 +155,12 @@ def _write_ranking(
     if timings is not None:
         doc["timings"] = timings
     _write_json(os.path.join(out, "scores.json"), doc)
-    edges, counts = histogram
+    edges, counts = tas_histogram(ordered)
     hist = ["bin_lo,bin_hi,count"]
     hist += [f"{lo!r},{hi!r},{c}" for lo, hi, c in zip(edges[:-1], edges[1:], counts)]
     _atomic_write(os.path.join(out, "tas_hist.csv"), "\n".join(hist) + "\n")
-    freq = ["class_id,count"] + [f"{cid},{frequency[cid]}" for cid in sorted(frequency)]
+    freq = ["class_id,count"]
+    freq += [f"{cid},{n}" for cid, n in _label_frequency(ordered, top_r).items()]
     _atomic_write(os.path.join(out, "label_freq.csv"), "\n".join(freq) + "\n")
 
 
@@ -186,12 +212,9 @@ def cmd_tas(doc: dict, out: str, seed: int | None) -> int:
     train, test, spec, cfg = _setup(job)
     _, ordered, _ = pipeline.phases_1_2(train, test, spec, cfg)
     _warn_degenerate(ordered)
-    top = ordered[: cfg.top_r]
     _write_ranking(
         out, run_id, echo, ordered,
-        pipeline.related_training_set(top, train),
-        pipeline.tas_histogram(ordered),
-        pipeline.label_frequency(top),
+        pipeline.select_labels("related", ordered, train, cfg), cfg.top_r,
         timings={"total_s": time.perf_counter() - t0},
     )
     print(f"wrote scores.json tas_hist.csv label_freq.csv (run {run_id})")
@@ -208,14 +231,11 @@ def cmd_fewshot(doc: dict, out: str, seed: int | None, ablation: str) -> int:
     train, test, spec, cfg = _setup(job)
     report = pipeline.ablation_comparison(train, test, spec, cfg, (ablation,))[ablation]
     _warn_degenerate(report.scores)
-    report_doc = report_to_doc(report)
+    report_doc = report_to_doc(report, cfg.top_r)
     report_doc["run_id"] = run_id
     report_doc["config"] = echo
     _write_json(os.path.join(out, "report.json"), report_doc)
-    _write_ranking(
-        out, run_id, echo, report.scores, report.selected_labels,
-        report.tas_histogram, report.label_frequency,
-    )
+    _write_ranking(out, run_id, echo, report.scores, report.selected_labels, cfg.top_r)
     print(
         f"wrote report.json scores.json tas_hist.csv label_freq.csv "
         f"(run {run_id}, mode {report.ablation_mode}, "

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import logging
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,8 +28,6 @@ from . import fisher, matching, nnet, tasks
 from .seeding import derive_seed
 
 log = logging.getLogger(__name__)
-
-HISTOGRAM_BINS = 20
 
 # substream tags under the master seed
 _STREAM_TASKS = 1
@@ -65,8 +62,10 @@ class PipelineConfig:
             raise ValueError("s_count must be >= 1")
         if not 1 <= self.top_r <= self.s_count:
             raise ValueError("top_r must be in [1, s_count]")
-        if min(self.n_test, self.m_way, self.k_shot, self.q_query) < 1:
-            raise ValueError("n_test, m_way, k_shot, q_query must be positive")
+        if self.n_test < 2:
+            raise ValueError("n_test must be >= 2: a target task has at least two classes")
+        if min(self.m_way, self.k_shot, self.q_query) < 1:
+            raise ValueError("m_way, k_shot, q_query must be positive")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must be in (0, 1)")
         if self.n_eval_episodes < 1:
@@ -122,8 +121,6 @@ class RelatedSet:
 class RunReport:
     scores: tuple[RankedTask, ...]
     selected_labels: RelatedSet
-    tas_histogram: tuple[tuple[float, ...], tuple[int, ...]]  # (bin edges, counts)
-    label_frequency: dict[int, int]
     fewshot_accuracy_mean: float
     fewshot_ci95: float
     timings: dict[str, float]
@@ -276,13 +273,20 @@ def rank_all_sources(
     return sorted(ranked, key=lambda r: (r.score.value, r.task_id))
 
 
-def related_training_set(selected: list[RankedTask], train: tasks.Dataset) -> RelatedSet:
-    """Union of the selected tasks' class labels, with every training row carrying them."""
-    return _related_set(train, {cid for r in selected for cid in r.class_ids})
-
-
-def _related_set(train: tasks.Dataset, ids) -> RelatedSet:
-    """The class ids in ascending order, with every training row carrying one."""
+def select_labels(
+    mode: str, ordered: list[RankedTask], train: tasks.Dataset, cfg: PipelineConfig
+) -> RelatedSet:
+    """The label set a run fine-tunes on, ascending, with every training row
+    carrying one.  related takes the classes of the top_r lowest-score tasks
+    in ordered, non_related those of the top_r highest, random a seeded draw
+    of training classes as many as the related set holds."""
+    top = ordered[-cfg.top_r :] if mode == "non_related" else ordered[: cfg.top_r]
+    ids = {cid for r in top for cid in r.class_ids}
+    if mode == "random":
+        rng = np.random.default_rng(derive_seed(cfg.master_seed, _STREAM_ABLATION))
+        all_ids = train.class_ids
+        picked = rng.choice(len(all_ids), size=min(len(ids), len(all_ids)), replace=False)
+        ids = {all_ids[int(k)] for k in picked}
     label_set = tuple(sorted(ids))
     rows = np.flatnonzero(np.isin(train.labels, label_set))
     return RelatedSet(label_set, tuple(int(r) for r in rows))
@@ -358,34 +362,6 @@ def evaluate_fewshot(
 # full runs
 
 
-def tas_histogram(ranked: list[RankedTask]) -> tuple[tuple[float, ...], tuple[int, ...]]:
-    """Fixed 20-bin histogram of scores over [0, 1]; counts sum to the task count."""
-    vals = np.clip([r.score.value for r in ranked], 0.0, 1.0)
-    counts, edges = np.histogram(vals, bins=HISTOGRAM_BINS, range=(0.0, 1.0))
-    return tuple(float(e) for e in edges), tuple(int(c) for c in counts)
-
-
-def label_frequency(selected: list[RankedTask]) -> dict[int, int]:
-    """How many selected tasks contain each class label."""
-    return dict(sorted(Counter(cid for r in selected for cid in r.class_ids).items()))
-
-
-def _pick_ablation_set(
-    mode: str, ordered: list[RankedTask], train: tasks.Dataset, cfg: PipelineConfig
-) -> RelatedSet:
-    related = related_training_set(ordered[: cfg.top_r], train)
-    if mode == "related":
-        return related
-    if mode == "non_related":
-        return related_training_set(ordered[-cfg.top_r :], train)
-    # random
-    rng = np.random.default_rng(derive_seed(cfg.master_seed, _STREAM_ABLATION))
-    all_ids = train.class_ids
-    size = min(len(related.label_set), len(all_ids))
-    picked = rng.choice(len(all_ids), size=size, replace=False)
-    return _related_set(train, (all_ids[int(k)] for k in picked))
-
-
 def phases_1_2(
     train: tasks.Dataset,
     test: tasks.Dataset,
@@ -396,15 +372,18 @@ def phases_1_2(
 
     Returns the whole network, the scores ordered by rank_all_sources, and the
     whole_train_s / rank_s timings.  The target task is every test class, so
-    a test set without exactly n_test classes, or not spec.input_dim columns
-    wide, is rejected before training starts.
+    a test set without exactly n_test classes is rejected before training
+    starts; so is a training or test set not spec.input_dim columns wide.
     """
     if len(test.class_ids) != cfg.n_test:
         raise ValueError(
             f"n_test={cfg.n_test} but the test set has {len(test.class_ids)} classes"
         )
-    if test.dim != spec.input_dim:
-        raise ValueError(f"input_dim={spec.input_dim} but the test set has {test.dim} columns")
+    for split, data in (("training", train), ("test", test)):
+        if data.dim != spec.input_dim:
+            raise ValueError(
+                f"input_dim={spec.input_dim} but the {split} set has {data.dim} columns"
+            )
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     whole = train_whole_classifier(train, spec, cfg.whole_schedule)
@@ -425,10 +404,9 @@ def ablation_comparison(
 ) -> dict[str, RunReport]:
     """Phases 1-2 once, then phase 3 and evaluation for each mode, in order.
 
-    related fine-tunes on the labels of the top_r lowest-score tasks,
-    non_related on those of the top_r highest-score tasks, random on a drawn
-    label set the size of the related one.  Seeds and budgets are shared, so
-    a mode's report does not depend on which other modes run.  Unknown modes,
+    Each mode fine-tunes on the label set select_labels picks for it.  Seeds
+    and budgets are shared, so a mode's report does not depend on which
+    other modes run.  Unknown modes,
     and test or training sets with fewer than m_way classes that hold an
     episode's k_shot + q_query rows, fail before any training; so does, after
     ranking and before any fine-tuning, a mode's set with too few such classes.
@@ -440,7 +418,7 @@ def ablation_comparison(
     for split, data in (("test", test), ("training", train)):
         tasks.episode_classes(data, data.class_ids, *episode, f"{split} classes")
     whole, ordered, shared = phases_1_2(train, test, spec, cfg)
-    sets = {mode: _pick_ablation_set(mode, ordered, train, cfg) for mode in modes}
+    sets = {mode: select_labels(mode, ordered, train, cfg) for mode in modes}
     for mode, chosen in sets.items():
         what = f"training classes of the {mode} set"
         tasks.episode_classes(train, chosen.label_set, *episode, what)
@@ -459,8 +437,6 @@ def ablation_comparison(
         reports[mode] = RunReport(
             scores=tuple(ordered),
             selected_labels=chosen,
-            tas_histogram=tas_histogram(ordered),
-            label_frequency=label_frequency(ordered[: cfg.top_r]),
             fewshot_accuracy_mean=acc_mean,
             fewshot_ci95=ci95,
             timings=timings,

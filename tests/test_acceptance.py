@@ -261,7 +261,7 @@ def test_criterion_8_score_distribution_has_spread():
     note += " the first ablation seed"
     ranked = _seed_0_reports()["related"].scores
     values = np.array([r.score.value for r in ranked])
-    _, counts = pipeline.tas_histogram(ranked)
+    _, counts = cli.tas_histogram(ranked)
     occupied = int(sum(c > 0 for c in counts))
     std = float(values.std())
     ok = values.size == 200 and std > 0.0 and occupied >= 3

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import warnings
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -185,6 +186,13 @@ def test_parse_pipeline_coerces_int_to_float():
     assert isinstance(job.pipeline.softmax_temperature, float)
 
 
+def test_parse_pipeline_rejects_a_one_class_target():
+    doc = pipeline_doc()
+    doc["pipeline"]["n_test"] = 1
+    with pytest.raises(ValueError, match="^n_test must be >= 2"):
+        cfgmod.parse_pipeline(doc)
+
+
 def test_parse_pipeline_rejects_string_widths():
     doc = pipeline_doc()
     doc["network"]["layer_widths"] = [6, "16", 8]
@@ -353,8 +361,8 @@ def test_tas_command_outputs_and_ranking(tmp_path):
     assert [r.task_id for r in ordered] == [row["task_id"] for row in doc["scores"]]
     assert [r.score.value for r in ordered] == values
 
-    # label_freq matches the library's top-R tally
-    freq = pipeline.label_frequency(ordered[: cfgp.top_r])
+    # label_freq tallies the classes of the top-R tasks
+    freq = Counter(cid for r in ordered[: cfgp.top_r] for cid in r.class_ids)
     with open(os.path.join(out, "label_freq.csv")) as fh:
         freq_rows = fh.read().splitlines()[1:]
     assert {int(r.split(",")[0]): int(r.split(",")[1]) for r in freq_rows} == freq
@@ -701,18 +709,23 @@ def test_non_finite_csv_feature_fails_at_load(tmp_path, monkeypatch, capsys, spl
     monkeypatch.setattr(pipeline, "train_whole_classifier", _never_trains)
     cfg = _csv_config(tmp_path, splits["train"], splits["test"])
     assert cli.main(["tas", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"error: line {line}: features must be finite\n"
+    path = tmp_path / f"{split}.csv"
+    assert capsys.readouterr().err == f"error: {path}: line {line}: features must be finite\n"
 
 
-def test_narrow_test_split_fails_before_training(tmp_path, monkeypatch, capsys):
-    train, test = _doc_splits()
-    narrow = tasks.Dataset.from_arrays(test.features[:, :-1], test.labels)
+@pytest.mark.parametrize(
+    "split,name", [("train", "training"), ("test", "test")], ids=["train", "test"]
+)
+def test_narrow_split_fails_before_training(tmp_path, monkeypatch, capsys, split, name):
+    splits = dict(zip(("train", "test"), _doc_splits()))
+    data = splits[split]
+    splits[split] = tasks.Dataset.from_arrays(data.features[:, :-1], data.labels)
     monkeypatch.setattr(pipeline, "train_whole_classifier", _never_trains)
-    cfg = _csv_config(tmp_path, tasks.csv_text(train), tasks.csv_text(narrow))
+    cfg = _csv_config(tmp_path, *(tasks.csv_text(splits[s]) for s in ("train", "test")))
     for command in ("tas", "fewshot"):
         assert cli.main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 1
         assert capsys.readouterr().err == (
-            "error: input_dim=6 but the test set has 5 columns\n"
+            f"error: input_dim=6 but the {name} set has 5 columns\n"
         )
 
 

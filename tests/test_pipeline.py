@@ -449,30 +449,33 @@ def test_rank_sources_tie_breaks_by_task_id(tiny, monkeypatch):
     assert _rank_with_scores(tiny, monkeypatch, [0.5, 0.2, 0.5, 0.5]) == [1, 0, 2, 3]
 
 
-def test_related_training_set_unions_and_dedupes(tiny):
-    train, _, _, _ = tiny
-    selected = [_rt(0, 0.1, (0, 1)), _rt(1, 0.2, (1, 2))]
-    rel = pipeline.related_training_set(selected, train)
-    assert rel.label_set == (0, 1, 2)
-    expect_rows = np.flatnonzero(np.isin(train.labels, [0, 1, 2]))
-    np.testing.assert_array_equal(np.array(rel.row_indices), expect_rows)
+def test_select_labels_unions_and_dedupes(tiny):
+    # top_r = 2: related unions the first two tasks' classes, non_related the last two
+    train, _, _, cfg = tiny
+    ordered = [_rt(0, 0.1, (0, 1)), _rt(1, 0.2, (1, 2)), _rt(2, 0.3, (2, 3)), _rt(3, 0.4, (0, 3))]
+    for mode, expect in (("related", (0, 1, 2)), ("non_related", (0, 2, 3))):
+        rel = pipeline.select_labels(mode, ordered, train, cfg)
+        assert rel.label_set == expect
+        expect_rows = np.flatnonzero(np.isin(train.labels, expect))
+        np.testing.assert_array_equal(np.array(rel.row_indices), expect_rows)
 
 
 def test_label_frequency_counts_memberships():
-    freq = pipeline.label_frequency([_rt(0, 0.1, (1, 2)), _rt(1, 0.2, (0, 1))])
+    ordered = [_rt(0, 0.1, (1, 2)), _rt(1, 0.2, (0, 1)), _rt(2, 0.3, (3, 4))]
+    freq = cli._label_frequency(ordered, 2)  # task 2 is outside the top 2
     assert freq == {0: 1, 1: 2, 2: 1}
     assert list(freq) == [0, 1, 2]
 
 
 def test_tas_histogram_counts_sum_to_task_count():
     ranked = [_rt(i, v) for i, v in enumerate([0.05, 0.05, 0.33, 0.61, 0.99, 1.0])]
-    edges, counts = pipeline.tas_histogram(ranked)
-    assert len(edges) == pipeline.HISTOGRAM_BINS + 1
-    assert len(counts) == pipeline.HISTOGRAM_BINS
+    edges, counts = cli.tas_histogram(ranked)
+    assert len(edges) == cli.HISTOGRAM_BINS + 1
+    assert len(counts) == cli.HISTOGRAM_BINS
     assert sum(counts) == 6
     assert counts[1] == 2  # both 0.05 values sit in the right-open bin [0.05, 0.1)
     # degenerate: all identical scores occupy exactly one bin
-    edges, counts = pipeline.tas_histogram([_rt(i, 0.5) for i in range(7)])
+    edges, counts = cli.tas_histogram([_rt(i, 0.5) for i in range(7)])
     assert sum(counts) == 7
     assert max(counts) == 7
 
@@ -666,8 +669,9 @@ def test_phase_3_and_evaluation_raise_the_preflight_error(tiny, monkeypatch):
         return str(exc.value)
 
     short_train, short_test = shorten(train, 1), shorten(test, 5)
-    related = pipeline._related_set(short_train, (0, 1))
-    monkeypatch.setattr(pipeline, "_pick_ablation_set", lambda *a: related)
+    rows = np.flatnonzero(short_train.labels < 2)
+    related = pipeline.RelatedSet((0, 1), tuple(int(r) for r in rows))
+    monkeypatch.setattr(pipeline, "select_labels", lambda *a: related)
     whole = nnet.init_network(spec, 0)
 
     preflight = message(pipeline.ablation_comparison, short_train, test, spec, cfg, ("related",))
@@ -792,10 +796,11 @@ def test_run_full_report_structure(tiny, tiny_run):
     values = [r.score.value for r in rep.scores]
     assert values == sorted(values)
     assert all(0.0 <= v <= 1.0 + 1e-12 for v in values)
-    assert sum(rep.tas_histogram[1]) == cfg.s_count
+    doc = cli.report_to_doc(rep, cfg.top_r)
+    assert sum(doc["tas_histogram"]["counts"]) == cfg.s_count
     assert 0.0 <= rep.fewshot_accuracy_mean <= 1.0
     assert rep.fewshot_ci95 >= 0.0
-    assert set(rep.label_frequency) <= set(train.class_ids)
+    assert {int(k) for k in doc["label_frequency"]} <= set(train.class_ids)
     assert set(rep.selected_labels.label_set) <= set(train.class_ids)
     rows = np.array(rep.selected_labels.row_indices)
     np.testing.assert_array_equal(
@@ -818,8 +823,9 @@ def test_ablation_comparison_matches_individual_runs(tiny):
         assert combined[mode].selected_labels == single.selected_labels
         assert combined[mode].fewshot_accuracy_mean == single.fewshot_accuracy_mean
         assert combined[mode].fewshot_ci95 == single.fewshot_ci95
-        assert combined[mode].label_frequency == single.label_frequency
-        assert combined[mode].tas_histogram == single.tas_histogram
+        docs = [cli.report_to_doc(r, cfg.top_r) for r in (combined[mode], single)]
+        for key in ("label_frequency", "tas_histogram"):
+            assert docs[0][key] == docs[1][key]
 
 
 @pytest.mark.parametrize(
@@ -853,17 +859,19 @@ def test_ablation_short_mode_set_fails_before_any_fine_tune(tiny, monkeypatch):
     # a one-class random set cannot hold an m_way = 2 episode: the run stops
     # after ranking, naming the mode, before related is fine-tuned
     train, test, spec, cfg = tiny
-    pick = pipeline._pick_ablation_set
+    pick = pipeline.select_labels
 
     def short_random(mode, ordered, train, cfg):
         chosen = pick(mode, ordered, train, cfg)
         if mode != "random":
             return chosen
-        return pipeline._related_set(train, chosen.label_set[:1])
+        one = chosen.label_set[:1]
+        rows = np.flatnonzero(np.isin(train.labels, one))
+        return pipeline.RelatedSet(one, tuple(int(r) for r in rows))
 
     calls = []
     finetune = pipeline.episodic_finetune
-    monkeypatch.setattr(pipeline, "_pick_ablation_set", short_random)
+    monkeypatch.setattr(pipeline, "select_labels", short_random)
     monkeypatch.setattr(pipeline, "episodic_finetune", lambda *a: calls.append(a) or finetune(*a))
     with pytest.raises(ValueError, match=(
         r"^insufficient samples: only 1 training classes of the random set have >= 6 rows"
@@ -903,8 +911,11 @@ def test_ablation_modes_coincide_when_every_task_uses_all_classes():
         assert combined[mode].scores == ref.scores
 
 
-def test_report_doc_round_trip(tiny_run):
-    doc = cli.report_to_doc(tiny_run)
+def test_report_doc_round_trip(tiny, tiny_run):
+    top_r = tiny[3].top_r
+    doc = cli.report_to_doc(tiny_run, top_r)
+    edges, counts = cli.tas_histogram(tiny_run.scores)
+    freq = cli._label_frequency(tiny_run.scores, top_r)
     wire = json.loads(json.dumps(doc, sort_keys=True))
     assert wire == doc
     # every field of the report, and nothing else, is in its JSON form
@@ -915,11 +926,8 @@ def test_report_doc_round_trip(tiny_run):
             "label_set": list(tiny_run.selected_labels.label_set),
             "row_indices": list(tiny_run.selected_labels.row_indices),
         },
-        "tas_histogram": {
-            "edges": list(tiny_run.tas_histogram[0]),
-            "counts": list(tiny_run.tas_histogram[1]),
-        },
-        "label_frequency": {str(k): v for k, v in tiny_run.label_frequency.items()},
+        "tas_histogram": {"edges": list(edges), "counts": list(counts)},
+        "label_frequency": {str(k): v for k, v in freq.items()},
         "fewshot_accuracy_mean": tiny_run.fewshot_accuracy_mean,
         "fewshot_ci95": tiny_run.fewshot_ci95,
         "timings": tiny_run.timings,
