@@ -7,7 +7,8 @@ re-derives them all from one master value.  Nothing reads the wall clock
 except the timing fields, which deterministic-output comparisons exclude.
 --log-level sends the package's log records at or above that level to
 stderr; it changes no output file.  tas and fewshot log one warning when
-source tasks miss their epsilon-approximation target or score exactly 0 or 1.
+source tasks miss their epsilon-approximation target or score exactly 0 or 1,
+from the same counts they write under "health".
 """
 
 from __future__ import annotations
@@ -80,9 +81,9 @@ def _load_data(src: cfgmod.DataSource) -> tuple[tasks.Dataset, tasks.Dataset]:
 
 
 def score_row(r: pipeline.RankedTask, with_fisher: bool = True) -> dict:
-    """The JSON row of one score, with its epsilon-approximation record.
-    When the task kept its Fisher diagonals (verbose_fisher), with_fisher
-    adds them under "fisher"."""
+    """The JSON row of one score, with its epsilon-approximation record and
+    its two raw Fisher traces.  When the task kept its Fisher diagonals
+    (verbose_fisher), with_fisher adds them under "fisher"."""
     row = {
         "task_id": r.task_id,
         "score": r.score.value,
@@ -91,6 +92,8 @@ def score_row(r: pipeline.RankedTask, with_fisher: bool = True) -> dict:
         "achieved_epsilon": r.record.achieved_epsilon,
         "approx_epochs": r.record.epochs_used,
         "reached_target": r.record.reached_target,
+        "fisher_trace_aa": r.trace_aa,
+        "fisher_trace_ab": r.trace_ab,
     }
     if with_fisher and r.f_aa is not None:
         row["fisher"] = {
@@ -118,10 +121,21 @@ def _label_frequency(ordered: Sequence[pipeline.RankedTask], top_r: int) -> dict
     return dict(sorted(Counter(cid for r in ordered[:top_r] for cid in r.class_ids).items()))
 
 
+def _health(ranked: Sequence[pipeline.RankedTask]) -> dict[str, int]:
+    """Counts that say whether a ranking can be trusted: the source tasks
+    scored, how many reached their 1 - epsilon target, and how many scores
+    are exactly 0 or 1."""
+    return {
+        "source_tasks": len(ranked),
+        "eps_reached": sum(r.record.reached_target for r in ranked),
+        "extreme_scores": sum(r.score.value in (0.0, 1.0) for r in ranked),
+    }
+
+
 def report_to_doc(report: pipeline.RunReport, top_r: int) -> dict:
-    """The report as JSON, with the score histogram and the label frequency
-    of its top_r tasks; its score rows leave out the Fisher blocks, which
-    scores.json carries."""
+    """The report as JSON, with the score histogram, the label frequency of
+    its top_r tasks and the ranking's health counts; its score rows leave out
+    the Fisher blocks, which scores.json carries."""
     edges, counts = tas_histogram(report.scores)
     freq = _label_frequency(report.scores, top_r)
     return {
@@ -130,6 +144,7 @@ def report_to_doc(report: pipeline.RunReport, top_r: int) -> dict:
         "selected_labels": _label_set_doc(report.selected_labels),
         "tas_histogram": {"edges": list(edges), "counts": list(counts)},
         "label_frequency": {str(k): v for k, v in freq.items()},
+        "health": _health(report.scores),
         "fewshot_accuracy_mean": report.fewshot_accuracy_mean,
         "fewshot_ci95": report.fewshot_ci95,
         "timings": dict(report.timings),
@@ -145,12 +160,14 @@ def _write_ranking(
     top_r: int,
     timings: dict[str, float] | None = None,
 ) -> None:
-    """scores.json, tas_hist.csv and label_freq.csv (of the top_r tasks) of a run."""
+    """scores.json (with the health counts), tas_hist.csv and label_freq.csv
+    (of the top_r tasks) of a run."""
     doc = {
         "run_id": run_id,
         "config": echo,
         "scores": [score_row(r) for r in ordered],
         "selected": _label_set_doc(selected),
+        "health": _health(ordered),
     }
     if timings is not None:
         doc["timings"] = timings
@@ -167,8 +184,9 @@ def _write_ranking(
 def _warn_degenerate(ordered: Sequence[pipeline.RankedTask]) -> None:
     """One warning line for the source tasks that missed their 1 - epsilon
     target and the scores that are exactly 0 or 1, when there are any."""
-    missed = sum(not r.record.reached_target for r in ordered)
-    extreme = sum(r.score.value in (0.0, 1.0) for r in ordered)
+    counts = _health(ordered)
+    missed = counts["source_tasks"] - counts["eps_reached"]
+    extreme = counts["extreme_scores"]
     if missed or extreme:
         log.warning(
             "%d of %d source tasks missed the 1 - epsilon target%s (--log-level debug lists them)",

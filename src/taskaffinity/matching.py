@@ -4,17 +4,41 @@ Source classes are matched to target classes by the Hungarian algorithm on
 the Euclidean distance matrix between class centroids in embedding space.
 Classes are named by slot, their index among the task's ascending class ids
 (tasks.batch_of labels rows that way).
-The solver is the O(n^3) potentials formulation; on top of it a
-lexicographic refinement guarantees a canonical answer when several
-assignments tie on total cost (smallest mapping tuple wins).  The tests
-check it against a factorial brute-force scan with the same tie-break.
+
+hungarian returns the minimal row-ordered total, ties resolved to the
+lexicographically smallest mapping tuple, by one of two routes chosen from
+the size n:
+
+- n <= SCAN_MAX_N: an exhaustive scan.  The n! mappings are listed once, in
+  lexicographic order, and one argmin over their row-ordered sums keeps the
+  first minimum, which is the smallest tied mapping.  That is a few numpy
+  calls, where the refinement below makes n(n+1)/2 - 1 Python-level solves.
+- larger n: the O(n^3) potentials formulation, with a lexicographic
+  refinement that re-solves each residual matrix to reach the same
+  canonical answer.  It is the only route that scales.
+
+Both routes compare mappings by their row-ordered sum (the scan's axis-1
+sums are the same reduction, value for value, as total_cost_of) and report
+total_cost_of as the total, so they break ties alike and their totals agree
+bit for bit.  The tests check each route against a factorial brute-force scan
+with the same tie-break.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+# largest n the exhaustive scan takes: 720 mappings of 6 slots
+SCAN_MAX_N = 6
+
+# every mapping of n slots, (n!, n) in lexicographic order, for n = 1..SCAN_MAX_N
+_MAPPINGS = {
+    n: np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    for n in range(1, SCAN_MAX_N + 1)
+}
 
 
 @dataclass(frozen=True)
@@ -111,6 +135,22 @@ def _solve_min_cost(cost: np.ndarray) -> np.ndarray:
 
 def hungarian(cost: np.ndarray) -> Assignment:
     """Minimum-total-cost assignment; ties resolved to the lexicographically smallest mapping.
+
+    Up to SCAN_MAX_N slots every mapping is scored at once and the first
+    minimum in lexicographic order is kept; above it _canonical_hungarian
+    runs.  Either way the total is total_cost_of(mapping).
+    """
+    c = _check_cost(cost)
+    n = c.shape[0]
+    if n > SCAN_MAX_N:
+        return _canonical_hungarian(c)
+    mappings = _MAPPINGS[n]
+    best = mappings[int(np.argmin(c[np.arange(n), mappings].sum(axis=1)))]
+    return Assignment(tuple(int(j) for j in best), total_cost_of(c, best))
+
+
+def _canonical_hungarian(cost: np.ndarray) -> Assignment:
+    """hungarian by repeated Hungarian solves, for any n.
 
     Canonicalization fixes rows top-down: for each row, every still-free
     column is tried with an optimal completion of the residual matrix, and

@@ -86,15 +86,19 @@ class EpsApproxRecord:
 @dataclass(frozen=True)
 class RankedTask:
     """One source task's score, class ids and epsilon-approximation record.
-    With verbose_fisher, f_aa and f_ab are its two unit-trace Fisher
-    diagonals (on source query and on target support) as read-only arrays;
-    otherwise None.  Equality leaves them out: they follow from the rest."""
+    trace_aa and trace_ab are the traces of its two Fisher diagonals (on
+    source query and on target support) before unit-trace scaling.  With
+    verbose_fisher, f_aa and f_ab are the two unit-trace diagonals as
+    read-only arrays; otherwise None.  Equality leaves the diagonals out:
+    they follow from the rest."""
 
     task_id: int
     score: fisher.AffinityScore
     assignment: matching.Assignment
     class_ids: tuple[int, ...]
     record: EpsApproxRecord
+    trace_aa: float
+    trace_ab: float
     f_aa: np.ndarray | None = field(default=None, compare=False)
     f_ab: np.ndarray | None = field(default=None, compare=False)
 
@@ -238,8 +242,10 @@ def mtas(
         except ValueError as exc:
             raise ValueError(f"source task {source.task_id} eps-approximation: {exc}") from None
         try:
-            f_aa = fisher.unit_trace(fisher.empirical_fisher_diag(approx, qry))
-            f_ab = fisher.unit_trace(fisher.empirical_fisher_diag(approx, target.batch))
+            raw_aa = fisher.empirical_fisher_diag(approx, qry)
+            f_aa = fisher.unit_trace(raw_aa)
+            raw_ab = fisher.empirical_fisher_diag(approx, target.batch)
+            f_ab = fisher.unit_trace(raw_ab)
         except ValueError as exc:
             raise ValueError(
                 f"source task {source.task_id} Fisher diagonal after "
@@ -252,11 +258,13 @@ def mtas(
 
     # 6. the score
     score = fisher.AffinityScore(float(fisher.tas(f_aa, f_ab)))
+    head = (source.task_id, score, assignment, source.class_ids, record,
+            float(raw_aa.sum()), float(raw_ab.sum()))
     if not cfg.verbose_fisher:
-        return RankedTask(source.task_id, score, assignment, source.class_ids, record)
+        return RankedTask(*head)
     f_aa.setflags(write=False)
     f_ab.setflags(write=False)
-    return RankedTask(source.task_id, score, assignment, source.class_ids, record, f_aa, f_ab)
+    return RankedTask(*head, f_aa, f_ab)
 
 
 def rank_all_sources(

@@ -386,18 +386,22 @@ def test_tas_and_fewshot_write_the_same_ranking_files(tmp_path):
 
 def test_shipped_tas_rows_carry_every_eps_record(tmp_path, capsys):
     # on configs/tas.json 9 of the 200 source tasks miss 1 - epsilon; every
-    # scores.json row says whether its task did, without verbose_fisher
+    # scores.json row says whether its task did, and gives its raw Fisher
+    # traces, without verbose_fisher; the health block holds the counts
     out = str(tmp_path / "out")
     assert cli.main(["tas", "--config", os.path.join(ROOT, "configs", "tas.json"),
                      "--out", out]) == 0
     err = capsys.readouterr().err
-    scores = _read_json(os.path.join(out, "scores.json"))["scores"]
+    doc = _read_json(os.path.join(out, "scores.json"))
+    scores = doc["scores"]
     assert len(scores) == 200
     for row in scores:
         assert "fisher" not in row
         assert 0.0 <= row["achieved_epsilon"] <= 1.0 and row["approx_epochs"] >= 1
+        assert row["fisher_trace_aa"] > 0 and row["fisher_trace_ab"] > 0
     missed = sum(row["reached_target"] is False for row in scores)
     assert missed == 9
+    assert doc["health"] == {"source_tasks": 200, "eps_reached": 191, "extreme_scores": 0}
     assert err.startswith(f"WARNING taskaffinity.cli: {missed} of 200 source tasks missed ")
 
 
@@ -440,7 +444,7 @@ def test_score_row_fisher_block_round_trips():
     f_ab = fisher.unit_trace(np.array([0.5, 0.5]))
     r = pipeline.RankedTask(
         3, fisher.AffinityScore(0.25), matching.Assignment((1, 0), 2.0), (4, 7),
-        pipeline.EpsApproxRecord(0.1, 5, True), f_aa, f_ab,
+        pipeline.EpsApproxRecord(0.1, 5, True), 8.0, 2.0, f_aa, f_ab,
     )
     row = json.loads(json.dumps(cli.score_row(r)))
     block = row["fisher"]
@@ -451,6 +455,7 @@ def test_score_row_fisher_block_round_trips():
     assert (row["achieved_epsilon"], row["approx_epochs"], row["reached_target"]) == (
         0.1, 5, True
     )
+    assert (row["fisher_trace_aa"], row["fisher_trace_ab"]) == (8.0, 2.0)
     assert "fisher" not in cli.score_row(r, with_fisher=False)
 
 
@@ -598,6 +603,10 @@ def test_degenerate_ranking_is_one_warning_and_leaves_outputs_unchanged(
     missed = sum(not row["reached_target"] for row in scores)
     extreme = sum(row["score"] in (0.0, 1.0) for row in scores)
     assert missed == 10 and extreme > 0
+    health = {"source_tasks": 10, "eps_reached": 0, "extreme_scores": extreme}
+    assert _read_json(os.path.join(loud, "scores.json"))["health"] == health
+    if command == "fewshot":
+        assert _read_json(os.path.join(loud, "report.json"))["health"] == health
     assert err == (
         f"WARNING taskaffinity.cli: {missed} of 10 source tasks missed the 1 - epsilon "
         f"target; {extreme} scores are exactly 0 or 1 (--log-level debug lists them)\n"

@@ -1,4 +1,4 @@
-"""Centroids, cost matrices, and the two Hungarian routes against each other."""
+"""Centroids, cost matrices, and both matching routes against brute force."""
 
 import numpy as np
 import pytest
@@ -94,15 +94,21 @@ def test_hungarian_all_equal_costs_picks_identity():
     assert out.mapping == (0, 1, 2, 3)
 
 
+# hungarian's public route (the exhaustive scan up to SCAN_MAX_N) and the
+# canonical Hungarian route it switches to above; each test checks both
+SOLVERS = (matching.hungarian, matching._canonical_hungarian)
+
+
 def test_hungarian_tie_break_matches_brute_on_integer_costs():
     rng = np.random.default_rng(6)
     for _ in range(120):
         n = int(rng.integers(2, 6))
         cost = rng.integers(0, 3, size=(n, n)).astype(float)  # ties guaranteed
-        h = matching.hungarian(cost)
         b = helpers.brute_force_assignment(cost)
-        assert h.mapping == b.mapping
-        assert h.total_cost == b.total_cost
+        for solve in SOLVERS:
+            h = solve(cost)
+            assert h.mapping == b.mapping
+            assert h.total_cost == b.total_cost
 
 
 def test_hungarian_recovers_permutation():
@@ -112,23 +118,37 @@ def test_hungarian_recovers_permutation():
         pts = rng.standard_normal((n, 5)) * 3
         perm = rng.permutation(n)
         # row i of pts[perm] is pts[perm[i]], so matching it onto pts recovers perm
-        out = matching.hungarian(matching.cost_matrix(pts[perm], pts))
-        assert out.mapping == tuple(int(j) for j in perm)
-        assert out.total_cost == pytest.approx(0.0, abs=1e-12)
+        cost = matching.cost_matrix(pts[perm], pts)
+        for solve in SOLVERS:
+            out = solve(cost)
+            assert out.mapping == tuple(int(j) for j in perm)
+            assert out.total_cost == pytest.approx(0.0, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 5))
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7))
 def test_hungarian_equals_brute_force_property(seed, n):
     cost = np.random.default_rng(seed).random((n, n))
-    h = matching.hungarian(cost)
     b = helpers.brute_force_assignment(cost)
-    assert h.mapping == b.mapping
-    assert h.total_cost == b.total_cost
+    for solve in SOLVERS:
+        h = solve(cost)
+        assert h.mapping == b.mapping
+        assert h.total_cost == b.total_cost
+
+
+@pytest.mark.parametrize("n", range(1, matching.SCAN_MAX_N + 2))
+def test_hungarian_solves_only_above_the_scan_cut_off(monkeypatch, n):
+    calls = []
+    solve = matching._solve_min_cost
+    monkeypatch.setattr(matching, "_solve_min_cost", lambda c: calls.append(1) or solve(c))
+    matching.hungarian(np.random.default_rng(n).random((n, n)))
+    assert (len(calls) > 0) == (n > matching.SCAN_MAX_N)
 
 
 @pytest.mark.parametrize(
-    "solver", [matching.hungarian, helpers.brute_force_assignment], ids=["hungarian", "brute"]
+    "solver",
+    [matching.hungarian, matching._canonical_hungarian, helpers.brute_force_assignment],
+    ids=["hungarian", "canonical", "brute"],
 )
 @pytest.mark.parametrize(
     "cost",

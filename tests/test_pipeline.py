@@ -294,6 +294,28 @@ def test_every_ranked_task_keeps_its_eps_record(tiny, monkeypatch):
         assert r.f_aa is None and r.f_ab is None
 
 
+def test_ranked_task_traces_are_the_raw_fisher_sums(tiny, monkeypatch):
+    train, test, spec, cfg = tiny
+    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+    diags = []
+    diag = fisher.empirical_fisher_diag
+
+    def spy(*args):
+        out = diag(*args)
+        diags.append(out.copy())
+        return out
+
+    monkeypatch.setattr(fisher, "empirical_fisher_diag", spy)
+    ranked = pipeline.rank_all_sources(train, test, whole, cfg)
+    assert len(diags) == 2 * cfg.s_count  # source query, then target, per task_id
+    for r in ranked:
+        raw_aa, raw_ab = diags[2 * r.task_id], diags[2 * r.task_id + 1]
+        assert (r.trace_aa, r.trace_ab) == (float(raw_aa.sum()), float(raw_ab.sum()))
+        assert r.trace_aa > 0 and r.trace_ab > 0
+        # the score is the one the unit-trace diagonals of those sums give
+        assert r.score.value == fisher.tas(fisher.unit_trace(raw_aa), fisher.unit_trace(raw_ab))
+
+
 def test_rank_all_sources_builds_the_target_once(tiny, monkeypatch):
     train, test, spec, cfg = tiny
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
@@ -422,10 +444,10 @@ def test_mtas_is_directional():
 # ranking / selection
 
 
-def _rt(task_id, value, class_ids=(0, 1)):
+def _rt(task_id, value, class_ids=(0, 1), reached=True):
     return pipeline.RankedTask(
         task_id, fisher.AffinityScore(value), matching.Assignment((0, 1), 0.0), class_ids,
-        pipeline.EpsApproxRecord(0.0, 1, True),
+        pipeline.EpsApproxRecord(0.0, 1, reached), 1.0, 1.0,
     )
 
 
@@ -478,6 +500,15 @@ def test_tas_histogram_counts_sum_to_task_count():
     edges, counts = cli.tas_histogram([_rt(i, 0.5) for i in range(7)])
     assert sum(counts) == 7
     assert max(counts) == 7
+
+
+def test_health_counts_eps_misses_and_extreme_scores():
+    ranked = [
+        _rt(0, 0.0), _rt(1, 0.25, reached=False), _rt(2, 0.5),
+        _rt(3, 1.0, reached=False), _rt(4, 1.0 - 1e-16), _rt(5, 1e-300),
+    ]
+    assert cli._health(ranked) == {"source_tasks": 6, "eps_reached": 4, "extreme_scores": 2}
+    assert cli._health([]) == {"source_tasks": 0, "eps_reached": 0, "extreme_scores": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -928,6 +959,7 @@ def test_report_doc_round_trip(tiny, tiny_run):
         },
         "tas_histogram": {"edges": list(edges), "counts": list(counts)},
         "label_frequency": {str(k): v for k, v in freq.items()},
+        "health": cli._health(tiny_run.scores),
         "fewshot_accuracy_mean": tiny_run.fewshot_accuracy_mean,
         "fewshot_ci95": tiny_run.fewshot_ci95,
         "timings": tiny_run.timings,
