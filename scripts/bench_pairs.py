@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts, a parent and a change.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload rank \\
+        --pairs 10 --seconds 36 --seed 7
+
+Runs perfbench/run.py in each checkout in turn, --pairs times, alternating
+which side goes first, each checkout with its own benchmark code and its own
+sources.  For every end-to-end metric it prints each side's runs, median and
+quartiles, and how many pairs the change won.  A gain is claimed only when
+at least ten pairs ran, the change won at least nine tenths of them, ties
+counting for neither side, and the medians differ by more than the distance
+between the parent's quartiles.  The script itself writes no file.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+CLAIM_SHARE = 0.9  # share of the pairs the change must win
+MIN_PAIRS = 10  # fewer pairs support no claim
+
+
+def summarize(parent: list[float], change: list[float], better: str) -> dict:
+    """One metric's paired runs: parent[i] and change[i] ran as pair i, and
+    better is "lower" or "higher".  Returns each side's (q1, median, q3),
+    the pairs the change won, and whether they support a claimed gain."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("parent and change need the same nonzero number of runs")
+    if better not in ("lower", "higher"):
+        raise ValueError(f"better must be 'lower' or 'higher', not {better!r}")
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    p_q = tuple(np.percentile(parent, [25, 50, 75]).tolist())
+    c_q = tuple(np.percentile(change, [25, 50, 75]).tolist())
+    claim = (len(parent) >= MIN_PAIRS and wins >= CLAIM_SHARE * len(parent)
+             and sign * (p_q[1] - c_q[1]) > p_q[2] - p_q[0])
+    return {"parent": p_q, "change": c_q, "wins": wins, "pairs": len(parent), "claim": claim}
+
+
+def run_side(checkout: str, args) -> dict:
+    """One perfbench run in checkout; its closing summary line."""
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        sys.exit(f"{checkout}: perfbench exited {proc.returncode}\n{proc.stderr}")
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not summary["correct"]:
+        sys.exit(f"{checkout}: {summary['failed']} of {summary['attempted']} results failed")
+    return summary["metrics"]
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", help="checkout of the parent commit")
+    ap.add_argument("change", help="checkout of the change")
+    ap.add_argument("--workload", required=True, help="perfbench workload name")
+    ap.add_argument("--pairs", type=int, default=10, help="parent/change pairs to run")
+    ap.add_argument("--seconds", type=float, default=36.0, help="perfbench --seconds")
+    ap.add_argument("--seed", type=int, default=1, help="perfbench workload seed")
+    args = ap.parse_args()
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+    runs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_side(getattr(args, side), args))
+        print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", flush=True)
+
+    print(f"{args.workload}, {args.pairs} pairs, --seconds {args.seconds}, --seed {args.seed}")
+    for name, direction in better.items():
+        parent = [m[name]["value"] for m in runs["parent"]]
+        change = [m[name]["value"] for m in runs["change"]]
+        s = summarize(parent, change, direction)
+        unit = runs["parent"][0][name]["unit"]
+        print(f"{name} ({unit}, {direction} is better)")
+        for side, values in (("parent", parent), ("change", change)):
+            q1, med, q3 = s[side]
+            print(f"  {side:<7} median {med:.6g} (q1 {q1:.6g}, q3 {q3:.6g}); runs "
+                  + " ".join(f"{v:.6g}" for v in values))
+        print(f"  change better in {s['wins']} of {s['pairs']} pairs; "
+              f"{'gain supported' if s['claim'] else 'no gain claimed'}")
+
+
+if __name__ == "__main__":
+    main()

@@ -5,23 +5,24 @@ the Euclidean distance matrix between class centroids in embedding space.
 Classes are named by slot, their index among the task's ascending class ids
 (tasks.batch_of labels rows that way).
 
-hungarian returns the minimal row-ordered total, ties resolved to the
-lexicographically smallest mapping tuple, by one of two routes chosen from
-the size n:
+hungarian solves one (n, n) cost matrix or an (S, n, n) stack: each gets the
+minimal row-ordered total, ties resolved to the lexicographically smallest
+mapping tuple, by one of two routes chosen from the size n:
 
 - n <= SCAN_MAX_N: an exhaustive scan.  The n! mappings are listed once, in
-  lexicographic order, and one argmin over their row-ordered sums keeps the
-  first minimum, which is the smallest tied mapping.  That is a few numpy
-  calls, where the refinement below makes n(n+1)/2 - 1 Python-level solves.
+  lexicographic order, and one argmin over the stack's (S, n!) row-ordered
+  sums keeps each matrix's first minimum, its smallest tied mapping: a few
+  numpy calls, where the refinement below makes n(n+1)/2 - 1 Python-level
+  solves per matrix.
 - larger n: the O(n^3) potentials formulation, with a lexicographic
   refinement that re-solves each residual matrix to reach the same
   canonical answer.  It is the only route that scales.
 
-Both routes compare mappings by their row-ordered sum (the scan's axis-1
+Both routes compare mappings by their row-ordered sum (the scan's last-axis
 sums are the same reduction, value for value, as total_cost_of) and report
-total_cost_of as the total, so they break ties alike and their totals agree
-bit for bit.  The tests check each route against a factorial brute-force scan
-with the same tie-break.
+it as the total, so they break ties alike and their totals agree bit for
+bit.  The tests check each route against a factorial brute-force scan with
+the same tie-break.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ import numpy as np
 
 # largest n the exhaustive scan takes: 720 mappings of 6 slots
 SCAN_MAX_N = 6
+# gathered cost entries per scan call (512 KiB); bounds the memory of a long stack
+SCAN_BLOCK = 1 << 16
 
 # every mapping of n slots, (n!, n) in lexicographic order, for n = 1..SCAN_MAX_N
 _MAPPINGS = {
@@ -55,29 +58,44 @@ class Assignment:
         object.__setattr__(self, "mapping", m)
 
 
-def class_centroids(emb: np.ndarray, slots: np.ndarray, n: int) -> np.ndarray:
-    """Mean embedding of each class slot 0..n-1, shape (n, d).
+class CostError(ValueError):
+    """A cost matrix hungarian cannot solve; .index is its place in a stack, None alone."""
 
-    Every slot needs at least one row; an empty slot's row is NaN, which
-    the solvers reject.
-    """
-    return np.stack([emb[slots == k].mean(axis=0) for k in range(n)])
+    def __init__(self, message: str, index: int | None):
+        super().__init__(message if index is None else f"cost matrix {index}: {message}")
+        self.index = index
+
+
+def class_centroids(emb: np.ndarray, slots: np.ndarray, n: int) -> np.ndarray:
+    """Mean embedding of each class slot 0..n-1, shape (n, d), each slot's
+    rows summed in row order.  An empty slot's row is NaN, which the solvers
+    reject."""
+    sums = np.zeros((n, emb.shape[1]))
+    np.add.at(sums, slots, emb)
+    with np.errstate(invalid="ignore"):
+        return sums / np.bincount(slots, minlength=n)[:, None]
 
 
 def cost_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances between the rows of a and b, shape (len(a), len(b))."""
-    diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    """Pairwise Euclidean distances between the rows of a and b, shape
+    (..., len(a), len(b)); leading axes of a or b index a stack."""
+    diff = a[..., :, None, :] - b[..., None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
 def _check_cost(cost: np.ndarray) -> np.ndarray:
+    """cost as float64: one (n, n) matrix or an (S, n, n) stack, n >= 1."""
     c = np.ascontiguousarray(cost, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != c.shape[1] or c.shape[0] < 1:
-        raise ValueError("cost must be a nonempty square matrix")
-    if np.any(~np.isfinite(c)):
-        raise ValueError("cost entries must be finite")
-    if np.any(c < 0):
-        raise ValueError("cost entries must be nonnegative")
+    where = 0 if c.ndim == 3 else None
+    if c.ndim not in (2, 3) or c.shape[-1] != c.shape[-2] or c.shape[-1] < 1:
+        raise CostError("cost must be a nonempty square matrix", where)
+    flat = c.reshape(-1, c.shape[-1] ** 2)
+    non_finite = ~np.isfinite(flat).all(axis=1)
+    bad = non_finite | (flat < 0).any(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        reason = "finite" if non_finite[k] else "nonnegative"
+        raise CostError(f"cost entries must be {reason}", None if where is None else k)
     return c
 
 
@@ -133,20 +151,27 @@ def _solve_min_cost(cost: np.ndarray) -> np.ndarray:
     return mapping
 
 
-def hungarian(cost: np.ndarray) -> Assignment:
+def hungarian(cost: np.ndarray) -> Assignment | list[Assignment]:
     """Minimum-total-cost assignment; ties resolved to the lexicographically smallest mapping.
 
-    Up to SCAN_MAX_N slots every mapping is scored at once and the first
+    One (n, n) cost matrix gives an Assignment, an (S, n, n) stack a list of
+    S.  Up to SCAN_MAX_N slots every mapping is scored at once and the first
     minimum in lexicographic order is kept; above it _canonical_hungarian
-    runs.  Either way the total is total_cost_of(mapping).
+    runs per matrix.  Either way the total is total_cost_of(mapping).
     """
     c = _check_cost(cost)
-    n = c.shape[0]
+    stack, n = (c if c.ndim == 3 else c[None]), c.shape[-1]
     if n > SCAN_MAX_N:
-        return _canonical_hungarian(c)
-    mappings = _MAPPINGS[n]
-    best = mappings[int(np.argmin(c[np.arange(n), mappings].sum(axis=1)))]
-    return Assignment(tuple(int(j) for j in best), total_cost_of(c, best))
+        out = [_canonical_hungarian(m) for m in stack]
+    else:
+        mappings, out = _MAPPINGS[n], []
+        step = max(1, SCAN_BLOCK // mappings.size)
+        for lo in range(0, len(stack), step):
+            sums = stack[lo : lo + step, np.arange(n), mappings].sum(axis=-1)
+            best = np.argmin(sums, axis=1)
+            totals = sums[np.arange(len(best)), best].tolist()
+            out += [Assignment(tuple(mappings[b].tolist()), t) for b, t in zip(best, totals)]
+    return out if c.ndim == 3 else out[0]
 
 
 def _canonical_hungarian(cost: np.ndarray) -> Assignment:

@@ -201,34 +201,28 @@ def view_target(test: tasks.Dataset, whole: nnet.Network, cfg: PipelineConfig) -
 
 def mtas(
     source: tasks.TaskSpec,
+    assignment: matching.Assignment,
     target: TargetView,
     train_data: tasks.Dataset,
     whole: nnet.Network,
     cfg: PipelineConfig,
 ) -> RankedTask:
-    """Affinity score of one source task against the target task, whose side
-    view_target has built under the same whole network and config.
+    """Affinity score of one source task, its class slots matched onto the
+    target's by assignment, against the target task, whose side view_target
+    has built under the same whole network and config.
 
     With cfg.verbose_fisher the result also keeps the two Fisher diagonals.
     """
-    if len(source.class_ids) != cfg.n_test:
-        raise ValueError("source must have n_test classes")
-
-    # 1. the source rows labelled by class slot, and their class centroids
-    #    under the whole-classification encoder
-    src = tasks.batch_of(train_data, source.support_rows + source.query_rows, source.class_ids)
-    src_cent = matching.class_centroids(nnet.encode(whole, src.features), src.labels, cfg.n_test)
-
-    # 2. minimum-cost matching of source slots onto target slots
-    assignment = matching.hungarian(matching.cost_matrix(src_cent, target.centroids))
-
-    # 3. rewrite source labels into matched target slots
-    labels = np.asarray(assignment.mapping)[src.labels]
+    # 1. source rows, each labelled by the target slot its class matched
+    rows = np.array(source.support_rows + source.query_rows)
+    slots = np.searchsorted(source.class_ids, train_data.labels[rows])
+    labels = np.asarray(assignment.mapping)[slots]
+    features = train_data.features[rows]
     k = len(source.support_rows)
-    sup = nnet.Batch(src.features[:k], labels[:k])
-    qry = nnet.Batch(src.features[k:], labels[k:])
+    sup = nnet.Batch(features[:k], labels[:k])
+    qry = nnet.Batch(features[k:], labels[k:])
 
-    # 4. epsilon-approximation network for the source task, and 5. its
+    # 2. epsilon-approximation network for the source task, and 3. its
     #    unit-trace Fisher diagonals on source query and target support.  A
     #    diverged approximation overflows; the checks, not numpy, report it.
     seed = cfg.approx_schedule.seed
@@ -256,7 +250,7 @@ def mtas(
         source.task_id, record.achieved_epsilon, record.epochs_used, record.reached_target,
     )
 
-    # 6. the score
+    # 4. the score
     score = fisher.AffinityScore(float(fisher.tas(f_aa, f_ab)))
     head = (source.task_id, score, assignment, source.class_ids, record,
             float(raw_aa.sum()), float(raw_ab.sum()))
@@ -267,17 +261,44 @@ def mtas(
     return RankedTask(*head, f_aa, f_ab)
 
 
+ENCODE_CHUNK = 128  # training rows per encode call when matching the source tasks
+MATCH_CHUNK = 16  # source tasks whose rows are gathered at once; bounds that memory
+
+
+def _match_sources(sources, target, train, whole, cfg) -> list[matching.Assignment]:
+    """Each source task's matching of its class centroids onto the target's.
+    The encoder is frozen, so a task's embeddings are rows of one encode of
+    the training set, averaged per class slot, support rows then query rows.
+    A task without n_test classes, or whose rows do not fill them, fails
+    here, before any training."""
+    n = cfg.n_test
+    if any(len(s.class_ids) != n for s in sources):
+        raise ValueError("source must have n_test classes")
+    if not sources:
+        return []
+    emb = np.concatenate([nnet.encode(whole, train.features[lo : lo + ENCODE_CHUNK])
+                          for lo in range(0, train.n, ENCODE_CHUNK)])
+    cents = []
+    for lo in range(0, len(sources), MATCH_CHUNK):
+        block = sources[lo : lo + MATCH_CHUNK]
+        rows, groups = tasks.task_slots(train, block)
+        cents.append(matching.class_centroids(emb[rows], groups, len(block) * n))
+    cents = np.concatenate(cents).reshape(len(sources), n, -1)
+    try:
+        return matching.hungarian(matching.cost_matrix(cents, target.centroids))
+    except matching.CostError as exc:
+        raise ValueError(f"source task {sources[exc.index].task_id} matching: {exc}") from None
+
+
 def rank_all_sources(
-    train: tasks.Dataset, test: tasks.Dataset, whole: nnet.Network, cfg: PipelineConfig
+    sources: list[tasks.TaskSpec], target: TargetView, train: tasks.Dataset,
+    whole: nnet.Network, cfg: PipelineConfig,
 ) -> list[RankedTask]:
-    """Sample the s_count source tasks (seeded from the master seed), score
-    each against the whole test set, and order them by ascending score, ties
-    by task_id."""
-    sources = tasks.sample_source_tasks(
-        train, cfg.s_count, cfg.n_test, derive_seed(cfg.master_seed, _STREAM_TASKS)
-    )
-    view = view_target(test, whole, cfg)
-    ranked = [mtas(source, view, train, whole, cfg) for source in sources]
+    """Score the source tasks against the target view in three stages: match
+    them all at once (_match_sources), score each with mtas, and order them
+    by ascending score, ties by task_id."""
+    assignments = _match_sources(sources, target, train, whole, cfg)
+    ranked = [mtas(s, a, target, train, whole, cfg) for s, a in zip(sources, assignments)]
     return sorted(ranked, key=lambda r: (r.score.value, r.task_id))
 
 
@@ -293,7 +314,7 @@ def select_labels(
     if mode == "random":
         rng = np.random.default_rng(derive_seed(cfg.master_seed, _STREAM_ABLATION))
         all_ids = train.class_ids
-        picked = rng.choice(len(all_ids), size=min(len(ids), len(all_ids)), replace=False)
+        picked = rng.choice(len(all_ids), size=len(ids), replace=False)
         ids = {all_ids[int(k)] for k in picked}
     label_set = tuple(sorted(ids))
     rows = np.flatnonzero(np.isin(train.labels, label_set))
@@ -378,10 +399,11 @@ def phases_1_2(
 ) -> tuple[nnet.Network, list[RankedTask], dict[str, float]]:
     """Whole-classification training plus the full affinity ranking.
 
-    Returns the whole network, the scores ordered by rank_all_sources, and the
-    whole_train_s / rank_s timings.  The target task is every test class, so
-    a test set without exactly n_test classes is rejected before training
-    starts; so is a training or test set not spec.input_dim columns wide.
+    Returns the whole network, the scores of s_count sampled source tasks
+    ordered by rank_all_sources, and the whole_train_s / rank_s timings.  The
+    target task is every test class, so a test set without exactly n_test
+    classes is rejected before training starts; so is a training or test set
+    not spec.input_dim columns wide.
     """
     if len(test.class_ids) != cfg.n_test:
         raise ValueError(
@@ -398,7 +420,9 @@ def phases_1_2(
     timings["whole_train_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    ordered = rank_all_sources(train, test, whole, cfg)
+    seed = derive_seed(cfg.master_seed, _STREAM_TASKS)
+    sources = tasks.sample_source_tasks(train, cfg.s_count, cfg.n_test, seed)
+    ordered = rank_all_sources(sources, view_target(test, whole, cfg), train, whole, cfg)
     timings["rank_s"] = time.perf_counter() - t0
     return whole, ordered, timings
 

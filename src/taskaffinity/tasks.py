@@ -73,11 +73,11 @@ class TaskSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "class_ids", tuple(int(c) for c in self.class_ids))
-        object.__setattr__(self, "support_rows", tuple(int(r) for r in self.support_rows))
-        object.__setattr__(self, "query_rows", tuple(int(r) for r in self.query_rows))
+        object.__setattr__(self, "support_rows", tuple(map(int, self.support_rows)))
+        object.__setattr__(self, "query_rows", tuple(map(int, self.query_rows)))
         if len(self.support_rows) == 0:
             raise ValueError("support_rows must be nonempty")
-        if set(self.support_rows) & set(self.query_rows):
+        if not set(self.support_rows).isdisjoint(self.query_rows):
             raise ValueError("support and query must be disjoint")
 
 
@@ -219,12 +219,33 @@ def batch_of(data: Dataset, rows, class_ids) -> Batch:
     return Batch(data.features[idx], np.searchsorted(ids, labels))
 
 
+def task_slots(data: Dataset, specs: list[TaskSpec]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of every task in specs, support then query, task after task,
+    and each row's group: its task's index times n plus the slot batch_of
+    gives it, for tasks of n classes each.  The first task whose rows
+    batch_of would reject raises batch_of's error."""
+    ids = np.array([s.class_ids for s in specs], dtype=np.int64)
+    sizes = [len(s.support_rows) + len(s.query_rows) for s in specs]
+    rows = np.concatenate([s.support_rows + s.query_rows for s in specs], dtype=np.int64)
+    task = np.repeat(np.arange(len(specs)), sizes)
+    labels = data.labels[rows]
+    hit = ids[task] == labels[:, None]
+    group = task * ids.shape[1] + hit.argmax(axis=1)
+    counts = np.bincount(group[hit.any(axis=1)], minlength=ids.size).reshape(ids.shape)
+    bad = (counts == 0).any(axis=1) | (counts.sum(axis=1) < sizes)
+    bad |= (np.diff(ids, axis=1) <= 0).any(axis=1)
+    if bad.any():  # batch_of raises what is wrong with the first bad task
+        k = int(np.argmax(bad))
+        batch_of(data, rows[task == k], ids[k])
+    return rows, group
+
+
 def task_from_classes(data: Dataset, class_ids, task_id: int, seed: int) -> TaskSpec:
     """Task over the given classes with a per-class seeded 70/30 support/query split."""
     rng = np.random.default_rng(seed)
     ids = sorted(int(c) for c in class_ids)
-    support: list[int] = []
-    query: list[int] = []
+    # start from empty rows, so that no classes at all is TaskSpec's error
+    support, query = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for cid in ids:
         if cid not in data.class_index:
             raise ValueError(f"class {cid} not in dataset")
@@ -232,9 +253,10 @@ def task_from_classes(data: Dataset, class_ids, task_id: int, seed: int) -> Task
         order = rows[rng.permutation(rows.size)]
         n_sup = int(round(SUPPORT_FRACTION * rows.size))
         n_sup = max(1, min(rows.size - 1, n_sup))
-        support.extend(int(r) for r in order[:n_sup])
-        query.extend(int(r) for r in order[n_sup:])
-    return TaskSpec(task_id, tuple(ids), tuple(sorted(support)), tuple(sorted(query)))
+        support.append(order[:n_sup])
+        query.append(order[n_sup:])
+    return TaskSpec(task_id, tuple(ids), np.sort(np.concatenate(support)).tolist(),
+                    np.sort(np.concatenate(query)).tolist())
 
 
 def sample_source_tasks(train: Dataset, s_count: int, n_test: int, seed: int) -> list[TaskSpec]:

@@ -6,9 +6,11 @@ batch, each from nnet's kernels, the brute-force assignment scan, the
 trace-form affinity score, the logistic model's per-sample gradient rows,
 the theorem-1 harness's per-checkpoint affinity loop, fixed-step descent to
 the logistic optimum, the per-layer Fisher diagonal loop, the per-minibatch
-training loop that nnet.train must reproduce bit for bit, and the serial
+training loop that nnet.train must reproduce bit for bit, the serial
 phase-3 path (one episode at a time, as validated Batches) that the stacked
-meta-steps must reproduce bit for bit.
+meta-steps must reproduce bit for bit, and the per-task ranking route (one
+encode, one centroid set and one hungarian call per source task) that the
+blocked ranking must reproduce bit for bit.
 
 The forward oracle re-derives the flat parameter layout with plain Python
 loops, so a layout or indexing bug in the production code cannot cancel out.
@@ -461,3 +463,76 @@ def serial_evaluate_fewshot(net, test, cfg):
         return mean, 0.0
     sd = float(np.std(accs, ddof=1))
     return mean, 1.96 * sd / np.sqrt(cfg.n_eval_episodes)
+
+
+def sampled_sources(train, cfg):
+    """The source tasks phases_1_2 samples for cfg."""
+    seed = derive_seed(cfg.master_seed, pipeline._STREAM_TASKS)
+    return tasks.sample_source_tasks(train, cfg.s_count, cfg.n_test, seed)
+
+
+def rank(train, test, whole, cfg):
+    """The ranking phases_1_2 runs after whole training: its sampled source
+    tasks scored against the whole test set by rank_all_sources."""
+    target = pipeline.view_target(test, whole, cfg)
+    return pipeline.rank_all_sources(sampled_sources(train, cfg), target, train, whole, cfg)
+
+
+def serial_class_centroids(emb, slots, n):
+    """Each slot's mean embedding by one masked mean per slot."""
+    return np.stack([emb[slots == k].mean(axis=0) for k in range(n)])
+
+
+def serial_mtas(source, target, train_data, whole, cfg):
+    """One source task's score by the per-task route: batch_of, encode,
+    centroids, cost_matrix and a one-matrix hungarian, relabel,
+    build_eps_approx, the two Fisher diagonals, unit_trace and tas."""
+    if len(source.class_ids) != cfg.n_test:
+        raise ValueError("source must have n_test classes")
+
+    src = tasks.batch_of(train_data, source.support_rows + source.query_rows, source.class_ids)
+    src_cent = serial_class_centroids(nnet.encode(whole, src.features), src.labels, cfg.n_test)
+
+    assignment = matching.hungarian(matching.cost_matrix(src_cent, target.centroids))
+
+    labels = np.asarray(assignment.mapping)[src.labels]
+    k = len(source.support_rows)
+    sup = nnet.Batch(src.features[:k], labels[:k])
+    qry = nnet.Batch(src.features[k:], labels[k:])
+
+    seed = cfg.approx_schedule.seed
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        approx, record = pipeline.build_eps_approx(
+            whole, sup, qry, cfg,
+            head_seed=derive_seed(seed, pipeline._STREAM_HEAD, source.task_id),
+            train_seed=derive_seed(seed, pipeline._STREAM_APPROX_TRAIN, source.task_id),
+        )
+        raw_aa = fisher.empirical_fisher_diag(approx, qry)
+        f_aa = fisher.unit_trace(raw_aa)
+        raw_ab = fisher.empirical_fisher_diag(approx, target.batch)
+        f_ab = fisher.unit_trace(raw_ab)
+
+    score = fisher.AffinityScore(float(fisher.tas(f_aa, f_ab)))
+    head = (source.task_id, score, assignment, source.class_ids, record,
+            float(raw_aa.sum()), float(raw_ab.sum()))
+    if not cfg.verbose_fisher:
+        return pipeline.RankedTask(*head)
+    return pipeline.RankedTask(*head, f_aa, f_ab)
+
+
+def serial_rank(sources, target, train, whole, cfg):
+    """pipeline.rank_all_sources by serial_mtas, one task at a time."""
+    ranked = [serial_mtas(source, target, train, whole, cfg) for source in sources]
+    return sorted(ranked, key=lambda r: (r.score.value, r.task_id))
+
+
+def ranked_fields(ranked):
+    """Every field of each RankedTask, floats by repr and diagonals by bytes,
+    so that == on two lists is a bitwise comparison."""
+    return [
+        (r.task_id, repr(r.score.value), r.assignment.mapping, repr(r.assignment.total_cost),
+         r.class_ids, r.record, repr(r.trace_aa), repr(r.trace_ab),
+         None if r.f_aa is None else r.f_aa.tobytes(),
+         None if r.f_ab is None else r.f_ab.tobytes())
+        for r in ranked
+    ]

@@ -121,7 +121,7 @@ def test_criterion_4_label_permutation_invariance():
     target = pipeline.view_target(test, whole, cfg)
     ids = [6, 7, 8, 9]
     source = tasks.task_from_classes(train, ids, 0, derive_seed(505, 1))
-    base = pipeline.mtas(source, target, train, whole, cfg).score.value
+    base = pipeline.rank_all_sources([source], target, train, whole, cfg)[0].score.value
 
     rng = np.random.default_rng(derive_seed(505, 8))
     perms = set()
@@ -132,7 +132,7 @@ def test_criterion_4_label_permutation_invariance():
         lut = {ids[k]: ids[perm[k]] for k in range(len(ids))}
         new_labels = np.array([lut.get(int(v), int(v)) for v in train.labels])
         relabeled = tasks.Dataset.from_arrays(train.features, new_labels)
-        score = pipeline.mtas(source, target, relabeled, whole, cfg).score.value
+        score = pipeline.rank_all_sources([source], target, relabeled, whole, cfg)[0].score.value
         exact += score == base
     elapsed = time.perf_counter() - t0
     ok = exact == 20 and elapsed < 120.0
@@ -190,8 +190,8 @@ def test_criterion_6_same_family_scores_lower():
         target = pipeline.view_target(test, whole, cfg)
         same = tasks.task_from_classes(train, [0, 1, 2], 100, derive_seed(m, 1, 0))
         disj = tasks.task_from_classes(train, [12, 13, 14], 101, derive_seed(m, 1, 1))
-        s_same = pipeline.mtas(same, target, train, whole, cfg).score.value
-        s_disj = pipeline.mtas(disj, target, train, whole, cfg).score.value
+        s_same = pipeline.rank_all_sources([same], target, train, whole, cfg)[0].score.value
+        s_disj = pipeline.rank_all_sources([disj], target, train, whole, cfg)[0].score.value
         wins += s_same < s_disj
     elapsed = time.perf_counter() - t0
     ok = wins >= 8 and elapsed < 300.0

@@ -10,6 +10,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import helpers
 from taskaffinity import cli, config as cfgmod, fisher, matching, pipeline, tasks, theorem
 from taskaffinity.seeding import derive_seed
 
@@ -357,7 +358,7 @@ def test_tas_command_outputs_and_ranking(tmp_path):
     spec = NetworkSpec(job.layer_widths, len(train.class_ids), job.activation)
     cfgp = job.pipeline
     whole = pipeline.train_whole_classifier(train, spec, cfgp.whole_schedule)
-    ordered = pipeline.rank_all_sources(train, test, whole, cfgp)
+    ordered = helpers.rank(train, test, whole, cfgp)
     assert [r.task_id for r in ordered] == [row["task_id"] for row in doc["scores"]]
     assert [r.score.value for r in ordered] == values
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import helpers
 from taskaffinity import matching, nnet
+from taskaffinity.seeding import derive_seed
 
 
 def identity_net(d):
@@ -143,6 +144,74 @@ def test_hungarian_solves_only_above_the_scan_cut_off(monkeypatch, n):
     monkeypatch.setattr(matching, "_solve_min_cost", lambda c: calls.append(1) or solve(c))
     matching.hungarian(np.random.default_rng(n).random((n, n)))
     assert (len(calls) > 0) == (n > matching.SCAN_MAX_N)
+
+
+@pytest.mark.parametrize("n", range(1, matching.SCAN_MAX_N + 2))
+def test_hungarian_on_a_stack_equals_per_matrix_solves(n):
+    # random and integer-tie matrices, one stack; totals compared by repr
+    rng = np.random.default_rng(derive_seed(41, n))
+    stack = np.concatenate([
+        rng.random((20, n, n)),
+        rng.integers(0, 3, size=(20, n, n)).astype(float),
+    ])
+    got = matching.hungarian(stack)
+    assert isinstance(got, list) and len(got) == len(stack)
+    for cost, h in zip(stack, got):
+        for want in (matching.hungarian(cost), helpers.brute_force_assignment(cost)):
+            assert h.mapping == want.mapping
+            assert repr(h.total_cost) == repr(want.total_cost)
+
+
+def test_hungarian_scans_a_long_stack_in_blocks(monkeypatch):
+    rng = np.random.default_rng(43)
+    stack = rng.integers(0, 4, size=(37, 3, 3)).astype(float)
+    want = [matching.hungarian(c) for c in stack]
+    monkeypatch.setattr(matching, "SCAN_BLOCK", 5 * 6 * 3)  # five matrices per scan call
+    assert matching.hungarian(stack) == want
+    assert matching.hungarian(stack[:0]) == []
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (lambda c: c.__setitem__((3, 0, 1), np.nan), "cost matrix 3: cost entries must be finite"),
+        (lambda c: c.__setitem__((2, 1, 0), -1.0), "cost matrix 2: cost entries must be nonnegative"),
+        (lambda c: c.__setitem__((4, 2, 2), np.inf), "cost matrix 4: cost entries must be finite"),
+    ],
+    ids=["nan", "negative", "inf"],
+)
+@pytest.mark.parametrize("n", [3, matching.SCAN_MAX_N + 1])
+def test_hungarian_names_the_first_bad_matrix_of_a_stack(bad, message, n):
+    stack = np.random.default_rng(n).random((6, n, n))
+    bad(stack)
+    stack[5, 0, 0] = np.nan  # a later bad matrix is not the one named
+    with pytest.raises(matching.CostError, match=f"^{message}$") as err:
+        matching.hungarian(stack)
+    assert err.value.index == int(message.split()[2][:-1])
+
+
+def test_hungarian_rejects_a_non_square_stack():
+    with pytest.raises(matching.CostError, match="^cost matrix 0: cost must be a nonempty square"):
+        matching.hungarian(np.zeros((3, 2, 4)))
+    with pytest.raises(matching.CostError, match="^cost must be") as err:
+        matching.hungarian(np.zeros((2, 4)))
+    assert err.value.index is None
+
+
+def test_stacked_centroids_and_costs_equal_per_task_ones():
+    # one class_centroids call over S tasks' groups and one stacked
+    # cost_matrix equal the per-task masked means and 2-D costs bitwise
+    rng = np.random.default_rng(44)
+    emb = rng.standard_normal((60, 8))
+    slots = rng.integers(0, 3, size=(4, 60))
+    groups = (np.arange(4)[:, None] * 3 + slots).ravel()
+    cents = matching.class_centroids(np.tile(emb, (4, 1)), groups, 12).reshape(4, 3, 8)
+    target = rng.standard_normal((3, 8))
+    costs = matching.cost_matrix(cents, target)
+    for s in range(4):
+        want = helpers.serial_class_centroids(emb, slots[s], 3)
+        assert cents[s].tobytes() == want.tobytes()
+        assert costs[s].tobytes() == matching.cost_matrix(want, target).tobytes()
 
 
 @pytest.mark.parametrize(

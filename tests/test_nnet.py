@@ -59,6 +59,13 @@ def test_network_copies_and_freezes_params():
         net.params[0] = 1.0
 
 
+@pytest.mark.parametrize("factor", [0.0, 1.5])
+def test_schedule_rejects_a_decay_factor_outside_zero_one(factor):
+    with pytest.raises(ValueError, match=r"lr_decay_factor must be in \(0, 1\]"):
+        nnet.TrainSchedule(0.1, 0.0, 5, 1, (2,), factor, seed=0)
+    assert nnet.TrainSchedule(0.1, 0.0, 5, 1, (2,), 1.0, seed=0).lr_decay_factor == 1.0
+
+
 def test_batch_validation():
     with pytest.raises(ValueError):
         nnet.Batch(np.zeros(3), np.zeros(3, dtype=int))

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import os
 import warnings
 from dataclasses import replace
 
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 
 import helpers
-from taskaffinity import cli, fisher, matching, nnet, pipeline, tasks
+from taskaffinity import cli, config as cfgmod, fisher, matching, nnet, pipeline, tasks
 from taskaffinity.seeding import derive_seed
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
 # ---------------------------------------------------------------------------
@@ -31,12 +34,6 @@ def tiny():
         n_eval_episodes=6, softmax_temperature=2.0, master_seed=1005,
     )
     return train, test, spec, cfg
-
-
-def sampled_sources(train, cfg):
-    """The source tasks rank_all_sources samples for cfg."""
-    seed = derive_seed(cfg.master_seed, pipeline._STREAM_TASKS)
-    return tasks.sample_source_tasks(train, cfg.s_count, cfg.n_test, seed)
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +157,7 @@ def test_mtas_requires_matching_class_counts(tiny):
     view = pipeline.view_target(test, whole, cfg)
     bad = tasks.task_from_classes(train, [0, 1, 2], 0, seed=5)
     with pytest.raises(ValueError, match="source must have n_test"):
-        pipeline.mtas(bad, view, train, whole, cfg)
+        pipeline.rank_all_sources([bad], view, train, whole, cfg)
     with pytest.raises(ValueError, match="target must have n_test"):
         pipeline.view_target(test, whole, replace(cfg, n_test=3))
 
@@ -179,18 +176,39 @@ def test_view_target_covers_every_test_row(tiny):
 
 
 def test_mtas_rejects_source_class_without_rows(tiny, monkeypatch):
+    # bad source rows, or a non-finite centroid, fail in the matching block,
+    # before any task's epsilon-approximation starts
     train, test, spec, cfg = tiny
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+    view = pipeline.view_target(test, whole, cfg)
+    sources = helpers.sampled_sources(train, cfg)[::-1]  # list index != task_id
     rows = train.class_index[0]
-    empty_class = tasks.TaskSpec(0, (0, 1), tuple(rows[:6]), tuple(rows[6:]))
+    empty_class = tasks.TaskSpec(9, (0, 1), tuple(rows[:6]), tuple(rows[6:]))
 
     def never(*args, **kwargs):
         raise AssertionError("epsilon-approximation training started")
 
     monkeypatch.setattr(pipeline, "build_eps_approx", never)
     with pytest.raises(ValueError, match=r"classes \[1\] have no rows"):
-        view = pipeline.view_target(test, whole, cfg)
-        pipeline.mtas(empty_class, view, train, whole, cfg)
+        pipeline.rank_all_sources(sources[:2] + [empty_class], view, train, whole, cfg)
+
+    # one training row embeds to NaN: the first task holding it is named
+    poisoned = train.features[train.class_index[sources[-1].class_ids[0]][0]]
+    named = next(s for s in sources if sources[-1].class_ids[0] in s.class_ids)
+    assert named.task_id != sources.index(named)
+    encode = nnet.encode
+
+    def nan_row(net, x):
+        out = encode(net, x)
+        out[(x == poisoned).all(axis=1)] = np.nan
+        return out
+
+    monkeypatch.setattr(nnet, "encode", nan_row)
+    with pytest.raises(ValueError, match=(
+        rf"^source task {named.task_id} matching: cost matrix {sources.index(named)}: "
+        r"cost entries must be finite$"
+    )):
+        pipeline.rank_all_sources(sources, view, train, whole, cfg)
 
 
 def test_mtas_overflowing_fisher_names_the_task_and_epochs(tiny, monkeypatch):
@@ -198,7 +216,7 @@ def test_mtas_overflowing_fisher_names_the_task_and_epochs(tiny, monkeypatch):
     # in its Fisher diagonal; the error names the task and its epoch count
     train, test, spec, cfg = tiny
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    source_tasks = sampled_sources(train, cfg)
+    source_tasks = helpers.sampled_sources(train, cfg)
     view = pipeline.view_target(test, whole, cfg)
     build = pipeline.build_eps_approx
 
@@ -213,7 +231,7 @@ def test_mtas_overflowing_fisher_names_the_task_and_epochs(tiny, monkeypatch):
             r"^source task 1 Fisher diagonal after \d+ eps-approximation epochs: "
             r"entries must be finite"
         )):
-            pipeline.mtas(source_tasks[1], view, train, whole, cfg)
+            pipeline.rank_all_sources([source_tasks[1]], view, train, whole, cfg)
 
 
 def test_mtas_labels_follow_assignment(monkeypatch):
@@ -230,7 +248,7 @@ def test_mtas_labels_follow_assignment(monkeypatch):
         n_eval_episodes=1, softmax_temperature=1.0, master_seed=707,
     )
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    source_tasks = sampled_sources(train, cfg)
+    source_tasks = helpers.sampled_sources(train, cfg)
     view = pipeline.view_target(test, whole, cfg)
     seen = []
     build = pipeline.build_eps_approx
@@ -240,13 +258,12 @@ def test_mtas_labels_follow_assignment(monkeypatch):
         return build(whole, sup, qry, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "build_eps_approx", spy)
+    ranked = {r.task_id: r for r in pipeline.rank_all_sources(source_tasks, view, train, whole, cfg)}
     mappings = set()
-    for source in source_tasks:
-        ranked = pipeline.mtas(source, view, train, whole, cfg)
-        assert ranked.class_ids == source.class_ids
-        mapping = ranked.assignment.mapping
+    for source, (sup, qry) in zip(source_tasks, seen, strict=True):
+        assert ranked[source.task_id].class_ids == source.class_ids
+        mapping = ranked[source.task_id].assignment.mapping
         mappings.add(mapping)
-        sup, qry = seen.pop()
         for batch, rows in ((sup, source.support_rows), (qry, source.query_rows)):
             want = [mapping[source.class_ids.index(train.labels[r])] for r in rows]
             np.testing.assert_array_equal(batch.labels, want)
@@ -257,15 +274,15 @@ def test_mtas_labels_follow_assignment(monkeypatch):
 def test_mtas_deterministic_and_diagnostics_agree(tiny):
     train, test, spec, cfg = tiny
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    source_tasks = sampled_sources(train, cfg)
+    source_tasks = helpers.sampled_sources(train, cfg)
     view = pipeline.view_target(test, whole, cfg)
-    a = pipeline.mtas(source_tasks[0], view, train, whole, cfg)
-    b = pipeline.mtas(source_tasks[0], view, train, whole, cfg)
+    (a,) = pipeline.rank_all_sources(source_tasks[:1], view, train, whole, cfg)
+    (b,) = pipeline.rank_all_sources(source_tasks[:1], view, train, whole, cfg)
     assert a == b
     assert a.f_aa is None and a.f_ab is None
     assert 0.0 <= a.score.value <= 1.0 + 1e-12
     verbose_cfg = replace(cfg, verbose_fisher=True)
-    ranked = pipeline.rank_all_sources(train, test, whole, verbose_cfg)
+    ranked = helpers.rank(train, test, whole, verbose_cfg)
     assert sorted(r.task_id for r in ranked) == list(range(cfg.s_count))
     first = next(r for r in ranked if r.task_id == 0)
     assert replace(first, f_aa=None, f_ab=None) == a
@@ -287,7 +304,7 @@ def test_every_ranked_task_keeps_its_eps_record(tiny, monkeypatch):
         return net, record
 
     monkeypatch.setattr(pipeline, "build_eps_approx", spy)
-    ranked = pipeline.rank_all_sources(train, test, whole, cfg)
+    ranked = helpers.rank(train, test, whole, cfg)
     assert len(records) == cfg.s_count  # one per source task, in task_id order
     for r in ranked:
         assert r.record is records[r.task_id]
@@ -306,7 +323,7 @@ def test_ranked_task_traces_are_the_raw_fisher_sums(tiny, monkeypatch):
         return out
 
     monkeypatch.setattr(fisher, "empirical_fisher_diag", spy)
-    ranked = pipeline.rank_all_sources(train, test, whole, cfg)
+    ranked = helpers.rank(train, test, whole, cfg)
     assert len(diags) == 2 * cfg.s_count  # source query, then target, per task_id
     for r in ranked:
         raw_aa, raw_ab = diags[2 * r.task_id], diags[2 * r.task_id + 1]
@@ -317,20 +334,75 @@ def test_ranked_task_traces_are_the_raw_fisher_sums(tiny, monkeypatch):
 
 
 def test_rank_all_sources_builds_the_target_once(tiny, monkeypatch):
+    # the target's rows are gathered once; the source tasks' rows are
+    # chunks of one encode of the training set, matched by one hungarian call
     train, test, spec, cfg = tiny
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    want = pipeline.rank_all_sources(train, test, whole, cfg)
-    gathered = []
-    batch_of = tasks.batch_of
+    want = helpers.rank(train, test, whole, cfg)
+    calls = {"batch_of": [], "encode": 0, "hungarian": 0}
+    batch_of, encode, hungarian = tasks.batch_of, nnet.encode, matching.hungarian
 
-    def spy(data, rows, class_ids):
-        gathered.append(data is test)
+    def spy_batch_of(data, rows, class_ids):
+        calls["batch_of"].append(data is test)
         return batch_of(data, rows, class_ids)
 
-    monkeypatch.setattr(tasks, "batch_of", spy)
-    assert pipeline.rank_all_sources(train, test, whole, cfg) == want
-    # the target's rows are gathered once, then each source task's rows
-    assert gathered == [True] + [False] * cfg.s_count
+    def spy_encode(net, x):
+        calls["encode"] += 1
+        return encode(net, x)
+
+    def spy_hungarian(cost):
+        calls["hungarian"] += 1
+        return hungarian(cost)
+
+    monkeypatch.setattr(tasks, "batch_of", spy_batch_of)
+    monkeypatch.setattr(nnet, "encode", spy_encode)
+    monkeypatch.setattr(matching, "hungarian", spy_hungarian)
+    monkeypatch.setattr(pipeline, "ENCODE_CHUNK", 10)
+    assert helpers.rank(train, test, whole, cfg) == want
+    # one encode for the target's rows, one per 10-row chunk of the training set
+    n_chunks = len(range(0, train.n, 10))
+    assert calls == {"batch_of": [True], "encode": 1 + n_chunks, "hungarian": 1}
+
+
+def _tas_json_setting():
+    """configs/tas.json's data, network and pipeline, its whole network
+    trained, with verbose_fisher on so the diagonals are compared too."""
+    with open(os.path.join(ROOT, "configs", "tas.json")) as fh:
+        job = cfgmod.parse_pipeline(json.load(fh))
+    train, test = tasks.family_holdout(
+        job.data.synthetic, job.data.target_family, job.data.n_test_classes
+    )
+    spec = nnet.NetworkSpec(job.layer_widths, len(train.class_ids), job.activation)
+    whole = pipeline.train_whole_classifier(train, spec, job.pipeline.whole_schedule)
+    return train, test, whole, replace(job.pipeline, verbose_fisher=True)
+
+
+@pytest.mark.parametrize("setting", ["tiny", "tas_json"])
+def test_rank_all_sources_equals_serial_oracle_bitwise(tiny, setting):
+    if setting == "tiny":
+        train, test, spec, cfg = tiny
+        cfg = replace(cfg, verbose_fisher=True)
+        whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+    else:
+        train, test, whole, cfg = _tas_json_setting()
+    sources = helpers.sampled_sources(train, cfg)
+    target = pipeline.view_target(test, whole, cfg)
+    got = pipeline.rank_all_sources(sources, target, train, whole, cfg)
+    want = helpers.serial_rank(sources, target, train, whole, cfg)
+    assert len(got) == cfg.s_count
+    assert helpers.ranked_fields(got) == helpers.ranked_fields(want)
+
+
+def test_task_scored_alone_equals_it_scored_in_a_block(tiny):
+    train, test, spec, cfg = tiny
+    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+    target = pipeline.view_target(test, whole, cfg)
+    cfg = replace(cfg, s_count=40, verbose_fisher=True)
+    sources = helpers.sampled_sources(train, cfg)  # more tasks than one MATCH_CHUNK
+    block = {r.task_id: r for r in pipeline.rank_all_sources(sources, target, train, whole, cfg)}
+    for source in (sources[0], sources[17], sources[-1]):
+        alone = pipeline.rank_all_sources([source], target, train, whole, cfg)
+        assert helpers.ranked_fields(alone) == helpers.ranked_fields([block[source.task_id]])
 
 
 def test_mtas_self_task_scores_low():
@@ -352,7 +424,7 @@ def test_mtas_self_task_scores_low():
     source = tasks.task_from_classes(data, ids, 0, derive_seed(606, 1))
     _, test_data = tasks.split_classes(data, ids)
     target = pipeline.view_target(test_data, whole, cfg)
-    ranked = pipeline.mtas(source, target, data, whole, cfg)
+    (ranked,) = pipeline.rank_all_sources([source], target, data, whole, cfg)
     assert ranked.record.reached_target, "eps-approximation must genuinely reach its target"
     assert ranked.record.achieved_epsilon <= cfg.epsilon
     assert ranked.score.value < 0.05
@@ -375,7 +447,7 @@ def test_mtas_bitwise_invariant_under_class_relabeling():
     target = pipeline.view_target(test, whole, cfg)
     ids = [6, 7, 8, 9]
     source = tasks.task_from_classes(train, ids, 0, derive_seed(505, 1))
-    base = pipeline.mtas(source, target, train, whole, cfg).score.value
+    base = pipeline.rank_all_sources([source], target, train, whole, cfg)[0].score.value
 
     rng = np.random.default_rng(derive_seed(505, 8))
     seen = set()
@@ -385,7 +457,7 @@ def test_mtas_bitwise_invariant_under_class_relabeling():
         lut = {ids[k]: ids[perm[k]] for k in range(len(ids))}
         new_labels = np.array([lut.get(int(v), int(v)) for v in train.labels])
         relabeled = tasks.Dataset.from_arrays(train.features, new_labels)
-        score = pipeline.mtas(source, target, relabeled, whole, cfg).score.value
+        score = pipeline.rank_all_sources([source], target, relabeled, whole, cfg)[0].score.value
         assert score == base, f"perm {perm}: {score!r} != {base!r}"
 
 
@@ -408,8 +480,8 @@ def test_mtas_same_family_beats_disjoint_family():
         target = pipeline.view_target(test, whole, cfg)
         same = tasks.task_from_classes(train, [0, 1, 2], 100, derive_seed(m, 1, 0))
         disj = tasks.task_from_classes(train, [12, 13, 14], 101, derive_seed(m, 1, 1))
-        s_same = pipeline.mtas(same, target, train, whole, cfg).score.value
-        s_disj = pipeline.mtas(disj, target, train, whole, cfg).score.value
+        s_same = pipeline.rank_all_sources([same], target, train, whole, cfg)[0].score.value
+        s_disj = pipeline.rank_all_sources([disj], target, train, whole, cfg)[0].score.value
         assert s_same < s_disj, f"trial {trial}: {s_same:.4f} !< {s_disj:.4f}"
 
 
@@ -434,8 +506,8 @@ def test_mtas_is_directional():
     _, sub_b = tasks.split_classes(data, ids_b)
     view_a = pipeline.view_target(sub_a, whole, cfg)
     view_b = pipeline.view_target(sub_b, whole, cfg)
-    s_ab = pipeline.mtas(task_a, view_b, data, whole, cfg).score.value
-    s_ba = pipeline.mtas(task_b, view_a, data, whole, cfg).score.value
+    s_ab = pipeline.rank_all_sources([task_a], view_b, data, whole, cfg)[0].score.value
+    s_ba = pipeline.rank_all_sources([task_b], view_a, data, whole, cfg)[0].score.value
     assert abs(s_ab - s_ba) > 0.01
     assert 0.0 <= s_ab <= 1.0 and 0.0 <= s_ba <= 1.0
 
@@ -453,14 +525,13 @@ def _rt(task_id, value, class_ids=(0, 1), reached=True):
 
 def _rank_with_scores(tiny, monkeypatch, values):
     """Task ids in rank_all_sources order, with mtas scoring task i as
-    values[i] and the source tasks sampled in descending task_id order, so
+    values[i] and the source tasks given in descending task_id order, so
     only the sort can put them in order."""
-    train, test, _, cfg = tiny
-    sample = tasks.sample_source_tasks
-    monkeypatch.setattr(tasks, "sample_source_tasks", lambda *a: sample(*a)[::-1])
-    monkeypatch.setattr(pipeline, "view_target", lambda *a: None)
+    train, _, _, cfg = tiny
+    sources = helpers.sampled_sources(train, cfg)[::-1]
+    monkeypatch.setattr(pipeline, "_match_sources", lambda sources, *a: [None] * len(sources))
     monkeypatch.setattr(pipeline, "mtas", lambda src, *a: _rt(src.task_id, values[src.task_id]))
-    return [r.task_id for r in pipeline.rank_all_sources(train, test, None, cfg)]
+    return [r.task_id for r in pipeline.rank_all_sources(sources, None, train, None, cfg)]
 
 
 def test_rank_sources_lowest_scores_win(tiny, monkeypatch):

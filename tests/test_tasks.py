@@ -191,6 +191,8 @@ def test_task_from_classes_unknown_class():
     data = tasks.make_synthetic(small_cfg())
     with pytest.raises(ValueError):
         tasks.task_from_classes(data, [0, 99], 0, seed=0)
+    with pytest.raises(ValueError, match="support_rows must be nonempty"):
+        tasks.task_from_classes(data, [], 0, seed=0)
 
 
 def test_sample_source_tasks_all_classes_when_n_test_is_everything():
@@ -247,6 +249,35 @@ def test_batch_of_rejects_bad_class_ids():
         tasks.batch_of(data, rows, [0, 1, 2])
     with pytest.raises(ValueError, match="strictly ascending"):
         tasks.batch_of(data, rows, [2, 0])
+
+
+def test_task_slots_label_each_task_as_batch_of_does():
+    data = tasks.make_synthetic(small_cfg())
+    specs = [tasks.task_from_classes(data, ids, i, seed=i)
+             for i, ids in enumerate([[0, 2], [1, 3], [3, 0]])]
+    rows, groups = tasks.task_slots(data, specs)
+    lo = 0
+    for i, spec in enumerate(specs):
+        want = tasks.batch_of(data, spec.support_rows + spec.query_rows, spec.class_ids)
+        hi = lo + len(want.labels)
+        np.testing.assert_array_equal(data.features[rows[lo:hi]], want.features)
+        np.testing.assert_array_equal(groups[lo:hi], i * 2 + want.labels)
+        lo = hi
+    assert lo == len(rows) == len(groups)
+
+
+def test_task_slots_raise_batch_of_error_for_the_first_bad_task():
+    data = tasks.make_synthetic(small_cfg())
+    good = tasks.task_from_classes(data, [0, 1], 0, seed=1)
+    rows = tuple(data.class_index[0].tolist())
+    missing = tasks.TaskSpec(1, (0, 1), rows[:3], rows[3:])
+    unknown = tasks.TaskSpec(2, (0, 2), rows[:3], (int(data.class_index[1][0]),))
+    descending = tasks.TaskSpec(3, (1, 0), good.support_rows, good.query_rows)
+    for bad, message in ((missing, r"classes \[1\] have no rows"),
+                         (unknown, r"row labels \[1\] are not in class_ids"),
+                         (descending, "strictly ascending")):
+        with pytest.raises(ValueError, match=message):
+            tasks.task_slots(data, [good, bad, missing])
 
 
 # ---------------------------------------------------------------------------
