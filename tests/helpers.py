@@ -21,9 +21,12 @@ finite-difference straddle is redrawn -- central differences are only a
 derivative oracle on the smooth region.
 """
 
+import importlib
 import itertools
 import math
+import os
 import platform
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +36,14 @@ from taskaffinity.seeding import derive_seed
 
 FD_STEP = 1e-5
 KINK_GUARD = 10 * FD_STEP
+SCRIPTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "scripts")
+
+
+def script(name):
+    """scripts/<name>.py as a module: the experiment protocols live there once."""
+    if SCRIPTS not in sys.path:
+        sys.path.insert(0, SCRIPTS)
+    return importlib.import_module(name)
 
 
 def unpack_manual(spec, params):

@@ -17,8 +17,11 @@ import pytest
 
 import helpers
 from conftest import record_criterion
-from taskaffinity import cli, fisher, matching, nnet, pipeline, tasks, theorem
+from taskaffinity import cli, fisher, matching, pipeline, tasks, theorem
 from taskaffinity.seeding import derive_seed
+
+ablation_sweep = helpers.script("ablation_sweep")
+relatedness_check = helpers.script("relatedness_check")
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +110,7 @@ def test_criterion_3_matching_is_exactly_optimal():
 
 def test_criterion_4_label_permutation_invariance():
     t0 = time.perf_counter()
-    scfg = tasks.SyntheticConfig(4, 6, 40, 16, 6.0, 1.5, 0.8, seed=derive_seed(505, 9))
-    train, test = tasks.family_holdout(scfg, 0, 4)
-    spec = nnet.NetworkSpec((16, 32, 8), 20, "relu")
-    cfg = pipeline.PipelineConfig(
-        s_count=1, n_test=4, top_r=1, m_way=3, k_shot=5, q_query=5, epsilon=0.2,
-        whole_schedule=nnet.TrainSchedule(0.05, 0.9, 30, 32, (20,), 0.1, seed=derive_seed(505, 0)),
-        approx_schedule=nnet.TrainSchedule(0.02, 0.9, 30, 16, seed=derive_seed(505, 3)),
-        finetune_schedule=nnet.TrainSchedule(0.02, 0.9, 10, 4, seed=derive_seed(505, 4)),
-        n_eval_episodes=10, softmax_temperature=1.0, master_seed=505,
-    )
+    train, test, spec, cfg = relatedness_check.setting(505, 4)
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
     target = pipeline.view_target(test, whole, cfg)
     ids = [6, 7, 8, 9]
@@ -173,26 +167,8 @@ def test_criterion_5_averaged_sgd_affinity_converges():
 
 def test_criterion_6_same_family_scores_lower():
     t0 = time.perf_counter()
-    wins = 0
-    for trial in range(10):
-        m = derive_seed(2024, trial)
-        scfg = tasks.SyntheticConfig(4, 6, 40, 16, 6.0, 1.5, 0.8, seed=derive_seed(m, 9))
-        train, test = tasks.family_holdout(scfg, 0, 3)
-        spec = nnet.NetworkSpec((16, 32, 8), 21, "relu")
-        cfg = pipeline.PipelineConfig(
-            s_count=10, n_test=3, top_r=2, m_way=3, k_shot=5, q_query=5, epsilon=0.2,
-            whole_schedule=nnet.TrainSchedule(0.05, 0.9, 30, 32, (20,), 0.1, seed=derive_seed(m, 0)),
-            approx_schedule=nnet.TrainSchedule(0.02, 0.9, 30, 16, seed=derive_seed(m, 3)),
-            finetune_schedule=nnet.TrainSchedule(0.02, 0.9, 10, 4, seed=derive_seed(m, 4)),
-            n_eval_episodes=100, softmax_temperature=1.0, master_seed=m,
-        )
-        whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-        target = pipeline.view_target(test, whole, cfg)
-        same = tasks.task_from_classes(train, [0, 1, 2], 100, derive_seed(m, 1, 0))
-        disj = tasks.task_from_classes(train, [12, 13, 14], 101, derive_seed(m, 1, 1))
-        s_same = pipeline.rank_all_sources([same], target, train, whole, cfg)[0].score.value
-        s_disj = pipeline.rank_all_sources([disj], target, train, whole, cfg)[0].score.value
-        wins += s_same < s_disj
+    trials = [relatedness_check.trial(2024, k) for k in range(10)]
+    wins = sum(s_same < s_disj for s_same, s_disj in trials)
     elapsed = time.perf_counter() - t0
     ok = wins >= 8 and elapsed < 300.0
     record_criterion(6, ok, f"{wins}/10 trials same-family < disjoint-family, {elapsed:.1f}s")
@@ -207,29 +183,12 @@ def test_criterion_6_same_family_scores_lower():
 _ABLATION_CACHE: dict = {}
 
 
-def _ablation_setting(s: int):
-    m = derive_seed(4242, s)
-    scfg = tasks.SyntheticConfig(8, 6, 40, 16, 6.0, 2.0, 0.7, seed=derive_seed(m, 9))
-    train, test = tasks.family_holdout(scfg, 0, 3)
-    spec = nnet.NetworkSpec((16, 32, 8), 45, "relu")
-    cfg = pipeline.PipelineConfig(
-        s_count=200, n_test=3, top_r=3, m_way=3, k_shot=5, q_query=10, epsilon=0.2,
-        whole_schedule=nnet.TrainSchedule(0.05, 0.9, 6, 32, seed=derive_seed(m, 0)),
-        approx_schedule=nnet.TrainSchedule(0.02, 0.9, 30, 16, seed=derive_seed(m, 3)),
-        finetune_schedule=nnet.TrainSchedule(0.02, 0.9, 600, 4, seed=derive_seed(m, 4)),
-        n_eval_episodes=300, softmax_temperature=4.0, master_seed=m,
-    )
-    return train, test, spec, cfg
-
-
 @pytest.mark.slow
 def test_criterion_7_related_set_wins_the_ablation():
     t0 = time.perf_counter()
     n_seeds = 40
     acc = {mode: [] for mode in pipeline.ABLATION_MODES}
-    for s in range(n_seeds):
-        train, test, spec, cfg = _ablation_setting(s)
-        reports = pipeline.ablation_comparison(train, test, spec, cfg)
+    for s, reports in enumerate(ablation_sweep.sweep(4242, n_seeds)):
         for mode, rep in reports.items():
             acc[mode].append(rep.fewshot_accuracy_mean)
         if s == 0:
@@ -237,13 +196,17 @@ def test_criterion_7_related_set_wins_the_ablation():
     means = {mode: 100.0 * float(np.mean(v)) for mode, v in acc.items()}
     d_rand = means["related"] - means["random"]
     d_non = means["related"] - means["non_related"]
+    # 95 % half-widths of the paired per-seed differences, reported only
+    h_rand = 100.0 * ablation_sweep.paired_difference(acc["related"], acc["random"])[1]
+    h_non = 100.0 * ablation_sweep.paired_difference(acc["related"], acc["non_related"])[1]
     elapsed = time.perf_counter() - t0
     ok = d_rand >= 3.0 and d_non >= 3.0 and elapsed < 900.0
     record_criterion(
         7,
         ok,
         f"{n_seeds} seeds: related {means['related']:.1f}% vs random {means['random']:.1f}% "
-        f"({d_rand:+.1f}) vs non-related {means['non_related']:.1f}% ({d_non:+.1f}), {elapsed:.0f}s",
+        f"({d_rand:+.1f} +/- {h_rand:.1f}) vs non-related {means['non_related']:.1f}% "
+        f"({d_non:+.1f} +/- {h_non:.1f}), {elapsed:.0f}s",
     )
     assert ok
 
@@ -252,7 +215,7 @@ def _seed_0_reports() -> dict:
     """Criterion 7's reports for its first seed: cached when criterion 7 ran,
     rebuilt otherwise."""
     if "reports" not in _ABLATION_CACHE:
-        _ABLATION_CACHE["reports"] = pipeline.ablation_comparison(*_ablation_setting(0))
+        _ABLATION_CACHE["reports"] = pipeline.ablation_comparison(*ablation_sweep.setting(4242, 0))
     return _ABLATION_CACHE["reports"]
 
 
@@ -389,7 +352,7 @@ def shipped_shape_outputs(workdir: str) -> dict:
     The accuracies alone would miss a one-ulp change to phase 3, which
     rarely flips a prediction; the loss history does not."""
     reports = _seed_0_reports()
-    train, _, spec, cfg = _ablation_setting(0)
+    train, _, spec, cfg = ablation_sweep.setting(4242, 0)
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
     _, history = pipeline.episodic_finetune(whole, reports["related"].selected_labels, train, cfg)
     path = os.path.join(workdir, "theorem.json")

@@ -25,6 +25,7 @@ import os
 
 import numpy as np
 
+import helpers
 from taskaffinity import cli, fisher, matching, nnet, pipeline, tasks, theorem
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
@@ -86,6 +87,20 @@ def test_ablation_workload_reads_its_reports(monkeypatch):
     assert sorted(out["phases"]) == ["eval_s", "finetune_s", "rank_s", "whole_train_s"]
     assert all(t > 0.0 for t in out["phases"].values())
     assert workloads.Ablation().check(out, out) == []
+
+
+def test_ablation_workload_setting_is_the_sweep_setting(monkeypatch):
+    # perfbench keeps its own copy of the criterion-7 setting; it must not drift
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    sweep = helpers.script("ablation_sweep")
+    for k in (0, 1):
+        got, want = workloads.ablation_setting(k), sweep.setting(4242, k)
+        assert got[2:] == want[2:]  # spec, cfg
+        for a, b in zip(got[:2], want[:2]):  # train, test
+            assert np.array_equal(a.features, b.features)
+            assert np.array_equal(a.labels, b.labels)
 
 
 def test_theorem1_workload_runs_and_reads_its_report(tmp_path, monkeypatch):

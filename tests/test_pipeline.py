@@ -13,6 +13,9 @@ import helpers
 from taskaffinity import cli, config as cfgmod, fisher, matching, nnet, pipeline, tasks
 from taskaffinity.seeding import derive_seed
 
+ablation_sweep = helpers.script("ablation_sweep")
+relatedness_check = helpers.script("relatedness_check")
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
@@ -430,59 +433,12 @@ def test_mtas_self_task_scores_low():
     assert ranked.score.value < 0.05
 
 
-def test_mtas_bitwise_invariant_under_class_relabeling():
-    # permute which class id each group of rows carries; the task keeps the
-    # same physical rows, so the score must not move by a single bit
-    scfg = tasks.SyntheticConfig(4, 6, 40, 16, 6.0, 1.5, 0.8, seed=derive_seed(505, 9))
-    train, test = tasks.family_holdout(scfg, 0, 4)
-    spec = nnet.NetworkSpec((16, 32, 8), 20, "relu")
-    cfg = pipeline.PipelineConfig(
-        s_count=1, n_test=4, top_r=1, m_way=3, k_shot=5, q_query=5, epsilon=0.2,
-        whole_schedule=nnet.TrainSchedule(0.05, 0.9, 30, 32, (20,), 0.1, seed=derive_seed(505, 0)),
-        approx_schedule=nnet.TrainSchedule(0.02, 0.9, 30, 16, seed=derive_seed(505, 3)),
-        finetune_schedule=nnet.TrainSchedule(0.02, 0.9, 10, 4, seed=derive_seed(505, 4)),
-        n_eval_episodes=10, softmax_temperature=1.0, master_seed=505,
-    )
-    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    target = pipeline.view_target(test, whole, cfg)
-    ids = [6, 7, 8, 9]
-    source = tasks.task_from_classes(train, ids, 0, derive_seed(505, 1))
-    base = pipeline.rank_all_sources([source], target, train, whole, cfg)[0].score.value
-
-    rng = np.random.default_rng(derive_seed(505, 8))
-    seen = set()
-    while len(seen) < 3:
-        seen.add(tuple(int(j) for j in rng.permutation(len(ids))))
-    for perm in sorted(seen):
-        lut = {ids[k]: ids[perm[k]] for k in range(len(ids))}
-        new_labels = np.array([lut.get(int(v), int(v)) for v in train.labels])
-        relabeled = tasks.Dataset.from_arrays(train.features, new_labels)
-        score = pipeline.rank_all_sources([source], target, relabeled, whole, cfg)[0].score.value
-        assert score == base, f"perm {perm}: {score!r} != {base!r}"
-
-
 def test_mtas_same_family_beats_disjoint_family():
     # tasks drawn from the target's own family should score lower (more
-    # related) than tasks from a disjoint family; 3 frozen trials
-    for trial in range(3):
-        m = derive_seed(2024, trial)
-        scfg = tasks.SyntheticConfig(4, 6, 40, 16, 6.0, 1.5, 0.8, seed=derive_seed(m, 9))
-        train, test = tasks.family_holdout(scfg, 0, 3)
-        spec = nnet.NetworkSpec((16, 32, 8), 21, "relu")
-        cfg = pipeline.PipelineConfig(
-            s_count=10, n_test=3, top_r=2, m_way=3, k_shot=5, q_query=5, epsilon=0.2,
-            whole_schedule=nnet.TrainSchedule(0.05, 0.9, 30, 32, (20,), 0.1, seed=derive_seed(m, 0)),
-            approx_schedule=nnet.TrainSchedule(0.02, 0.9, 30, 16, seed=derive_seed(m, 3)),
-            finetune_schedule=nnet.TrainSchedule(0.02, 0.9, 10, 4, seed=derive_seed(m, 4)),
-            n_eval_episodes=100, softmax_temperature=1.0, master_seed=m,
-        )
-        whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-        target = pipeline.view_target(test, whole, cfg)
-        same = tasks.task_from_classes(train, [0, 1, 2], 100, derive_seed(m, 1, 0))
-        disj = tasks.task_from_classes(train, [12, 13, 14], 101, derive_seed(m, 1, 1))
-        s_same = pipeline.rank_all_sources([same], target, train, whole, cfg)[0].score.value
-        s_disj = pipeline.rank_all_sources([disj], target, train, whole, cfg)[0].score.value
-        assert s_same < s_disj, f"trial {trial}: {s_same:.4f} !< {s_disj:.4f}"
+    # related) than tasks from a disjoint family; criterion 6's first 3 trials
+    for k in range(3):
+        s_same, s_disj = relatedness_check.trial(2024, k)
+        assert s_same < s_disj, f"trial {k}: {s_same:.4f} !< {s_disj:.4f}"
 
 
 def test_mtas_is_directional():
@@ -663,16 +619,8 @@ def test_episode_accuracy_perfect_and_tied():
 def overlapping():
     # the criterion-7 data: classes overlap, so the episodic loss and its
     # gradient stay far from zero and every meta-step moves the encoder
-    m = derive_seed(4242, 0)
-    scfg = tasks.SyntheticConfig(8, 6, 40, 16, 6.0, 2.0, 0.7, seed=derive_seed(m, 9))
-    train, test = tasks.family_holdout(scfg, 0, 3)
-    cfg = pipeline.PipelineConfig(
-        s_count=1, n_test=3, top_r=1, m_way=3, k_shot=5, q_query=10, epsilon=0.2,
-        whole_schedule=nnet.TrainSchedule(0.05, 0.9, 6, 32, seed=derive_seed(m, 0)),
-        approx_schedule=nnet.TrainSchedule(0.02, 0.9, 30, 16, seed=derive_seed(m, 3)),
-        finetune_schedule=nnet.TrainSchedule(0.02, 0.9, 20, 4, seed=derive_seed(m, 4)),
-        n_eval_episodes=300, softmax_temperature=4.0, master_seed=m,
-    )
+    train, test, _, cfg = ablation_sweep.setting(4242, 0)
+    cfg = replace(cfg, finetune_schedule=replace(cfg.finetune_schedule, epochs=20))
     labels = (0, 1, 2, 6, 7, 8)
     rows = np.flatnonzero(np.isin(train.labels, labels))
     return train, test, cfg, pipeline.RelatedSet(labels, tuple(int(r) for r in rows))
@@ -806,16 +754,11 @@ def test_episodic_finetune_improves_fewshot_on_target_family():
     # encoder tuned on the target family's training classes should beat the
     # untuned encoder on held-out classes of that family (frozen positive gaps)
     for s in range(3):
-        ms = derive_seed(808, s)
-        scfg = tasks.SyntheticConfig(8, 6, 40, 16, 6.0, 2.0, 0.7, seed=derive_seed(ms, 9))
-        train, test = tasks.family_holdout(scfg, 0, 3)
-        spec = nnet.NetworkSpec((16, 32, 8), 45, "relu")
-        cfg = pipeline.PipelineConfig(
-            s_count=1, n_test=3, top_r=1, m_way=3, k_shot=5, q_query=10, epsilon=0.2,
-            whole_schedule=nnet.TrainSchedule(0.05, 0.9, 6, 32, (), 1.0, seed=derive_seed(ms, 0)),
-            approx_schedule=nnet.TrainSchedule(0.02, 0.9, 30, 16, seed=derive_seed(ms, 3)),
-            finetune_schedule=nnet.TrainSchedule(0.02, 0.9, 300, 4, seed=derive_seed(ms, 4)),
-            n_eval_episodes=100, softmax_temperature=4.0, master_seed=ms,
+        train, test, spec, cfg = ablation_sweep.setting(808, s)
+        cfg = replace(
+            cfg,
+            finetune_schedule=replace(cfg.finetune_schedule, epochs=300),
+            n_eval_episodes=100,
         )
         whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
         related = pipeline.RelatedSet(

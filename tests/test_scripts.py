@@ -7,7 +7,11 @@ import sys
 
 import pytest
 
+import helpers
+
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+ablation_sweep = helpers.script("ablation_sweep")
+bp = helpers.script("bench_pairs")
 
 
 def _run_script(name, *args):
@@ -31,23 +35,37 @@ def test_relatedness_check_runs_one_trial():
 def test_ablation_sweep_runs_one_seed():
     out = _run_script("ablation_sweep.py", "--seeds", "1")
     assert re.search(r"^seed   0: related .*non_related .*random ", out, re.M)
+    for mode in ("related", "non_related", "random"):
+        assert re.search(rf"^{mode} +\d+\.\d\d%  target-family share [01]\.\d{{3}}$", out, re.M)
+    pairs = re.findall(r"^paired (\S+) - (\S+): [+-]\d+\.\d\d \+/- n/a points \(95%\)$", out, re.M)
+    assert pairs == [("related", "non_related"), ("related", "random"), ("non_related", "random")]
     assert re.search(r"^related - random +[+-]\d+\.\d\d points$", out, re.M)
     assert re.search(r"^related - non_related [+-]\d+\.\d\d points$", out, re.M)
     assert re.search(r"^\(1 seeds, \d+s\)$", out, re.M)
 
 
-def _bench_pairs(monkeypatch):
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "scripts"))
-    import bench_pairs
+def test_paired_difference_by_hand():
+    # differences 0.1, 0.2, 0.6: mean 0.3, sd(ddof=1) sqrt(0.07)
+    diff, half = ablation_sweep.paired_difference([0.7, 0.8, 0.9], [0.6, 0.6, 0.3])
+    assert diff == pytest.approx(0.3)
+    assert half == pytest.approx(1.96 * 0.07**0.5 / 3**0.5)
 
-    return bench_pairs
+
+def test_paired_difference_of_one_seed_has_no_interval():
+    assert ablation_sweep.paired_difference([0.7], [0.5]) == (pytest.approx(0.2), None)
+
+
+def test_paired_difference_rejects_unpaired_runs():
+    # one seed against two would broadcast if the lengths went unchecked
+    for a, b in (([0.7, 0.8], [0.5]), ([0.7], [0.5, 0.6]), ([], [])):
+        with pytest.raises(ValueError, match="same nonzero length"):
+            ablation_sweep.paired_difference(a, b)
 
 
 PARENT = [0.70, 0.71, 0.69, 0.72, 0.70, 0.71, 0.70, 0.73, 0.70, 0.71]
 
 
-def test_bench_pairs_claims_nine_wins_past_the_parent_spread(monkeypatch):
-    bp = _bench_pairs(monkeypatch)
+def test_bench_pairs_claims_nine_wins_past_the_parent_spread():
     change = [0.60, 0.61, 0.69, 0.62, 0.60, 0.59, 0.60, 0.61, 0.60, 0.62]  # pair 3 ties
     s = bp.summarize(PARENT, change, "lower")
     assert s["wins"] == 9 and s["pairs"] == 10 and s["claim"]
@@ -58,15 +76,13 @@ def test_bench_pairs_claims_nine_wins_past_the_parent_spread(monkeypatch):
     assert flipped["wins"] == 0 and not flipped["claim"]
 
 
-def test_bench_pairs_needs_nine_tenths_of_the_pairs(monkeypatch):
-    bp = _bench_pairs(monkeypatch)
+def test_bench_pairs_needs_nine_tenths_of_the_pairs():
     change = [0.60, 0.61, 0.75, 0.62, 0.60, 0.59, 0.74, 0.61, 0.60, 0.62]  # two losses
     s = bp.summarize(PARENT, change, "lower")
     assert s["wins"] == 8 and not s["claim"]
 
 
-def test_bench_pairs_needs_medians_apart_by_more_than_the_parent_iqr(monkeypatch):
-    bp = _bench_pairs(monkeypatch)
+def test_bench_pairs_needs_medians_apart_by_more_than_the_parent_iqr():
     change = [p - 0.004 for p in PARENT]  # wins every pair, by less than the 0.01 IQR
     s = bp.summarize(PARENT, change, "lower")
     assert s["wins"] == 10 and not s["claim"]
@@ -78,8 +94,7 @@ def test_bench_pairs_needs_medians_apart_by_more_than_the_parent_iqr(monkeypatch
     assert short["wins"] == 9 and not short["claim"]
 
 
-def test_bench_pairs_rejects_unpaired_runs(monkeypatch):
-    bp = _bench_pairs(monkeypatch)
+def test_bench_pairs_rejects_unpaired_runs():
     with pytest.raises(ValueError, match="same nonzero number"):
         bp.summarize([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError, match="better"):
