@@ -7,10 +7,12 @@
 Runs perfbench/run.py in each checkout in turn, --pairs times, alternating
 which side goes first, each checkout with its own benchmark code and its own
 sources.  For every end-to-end metric it prints each side's runs, median and
-quartiles, and how many pairs the change won.  A gain is claimed only when
-at least ten pairs ran, the change won at least nine tenths of them, ties
-counting for neither side, and the medians differ by more than the distance
-between the parent's quartiles.  The script itself writes no file.
+quartiles, how many pairs the change won, and the change's median relative
+to the parent's beside the metric's bound from BENCHMARK.json.  A gain is
+claimed only when at least ten pairs ran, the change won at least nine
+tenths of them, ties counting for neither side, and the medians differ by
+more than the distance between the parent's quartiles.  The script itself
+writes no file.
 """
 
 import argparse
@@ -28,7 +30,9 @@ MIN_PAIRS = 10  # fewer pairs support no claim
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
     """One metric's paired runs: parent[i] and change[i] ran as pair i, and
     better is "lower" or "higher".  Returns each side's (q1, median, q3),
-    the pairs the change won, and whether they support a claimed gain."""
+    the pairs the change won, whether they support a claimed gain, and the
+    change's median relative to the parent's, (change - parent) / parent,
+    None when the parent's median is 0."""
     if len(parent) != len(change) or not parent:
         raise ValueError("parent and change need the same nonzero number of runs")
     if better not in ("lower", "higher"):
@@ -39,7 +43,9 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     c_q = tuple(np.percentile(change, [25, 50, 75]).tolist())
     claim = (len(parent) >= MIN_PAIRS and wins >= CLAIM_SHARE * len(parent)
              and sign * (p_q[1] - c_q[1]) > p_q[2] - p_q[0])
-    return {"parent": p_q, "change": c_q, "wins": wins, "pairs": len(parent), "claim": claim}
+    rel = (c_q[1] - p_q[1]) / p_q[1] if p_q[1] else None
+    return {"parent": p_q, "change": c_q, "wins": wins, "pairs": len(parent), "claim": claim,
+            "rel_change": rel}
 
 
 def run_side(checkout: str, args) -> dict:
@@ -65,7 +71,7 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1, help="perfbench workload seed")
     args = ap.parse_args()
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = {m["name"]: m for m in json.load(fh)["end_to_end"]}
 
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -75,7 +81,8 @@ def main() -> None:
         print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", flush=True)
 
     print(f"{args.workload}, {args.pairs} pairs, --seconds {args.seconds}, --seed {args.seed}")
-    for name, direction in better.items():
+    for name, metric in end_to_end.items():
+        direction = metric["better"]
         parent = [m[name]["value"] for m in runs["parent"]]
         change = [m[name]["value"] for m in runs["change"]]
         s = summarize(parent, change, direction)
@@ -87,6 +94,13 @@ def main() -> None:
                   + " ".join(f"{v:.6g}" for v in values))
         print(f"  change better in {s['wins']} of {s['pairs']} pairs; "
               f"{'gain supported' if s['claim'] else 'no gain claimed'}")
+        rel, bound = s["rel_change"], metric["bound"]
+        if rel is None:
+            print(f"  median change n/a (parent median 0); bound {bound:.0%}")
+        else:
+            worse = rel > bound if direction == "lower" else rel < -bound
+            print(f"  median change {rel:+.1%} vs parent; bound {bound:.0%}"
+                  + ("; WORSE PAST THE BOUND" if worse else ""))
 
 
 if __name__ == "__main__":

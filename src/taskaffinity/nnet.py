@@ -189,7 +189,7 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
 
 def _act_deriv(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0
     return 1.0 - a * a
 
 
@@ -208,18 +208,18 @@ def _forward(spec: NetworkSpec, layers: _Layers, x: np.ndarray) -> _Pass:
     return pre, acts
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray, per_row: bool = True) -> tuple:
     """Each row's cross-entropy, through log-sum-exp so it is finite for finite
-    logits, and its gradient on the logits, softmax minus one-hot.  logits is
-    (..., n, classes) and labels (n,)."""
-    zmax = logits.max(axis=-1, keepdims=True)
+    logits, or None without per_row, and its gradient on the logits, softmax
+    minus one-hot.  logits is (..., n, classes) and labels (n,)."""
+    zmax = np.maximum.reduce(logits, axis=-1, keepdims=True)
     delta = np.exp(logits - zmax)
-    total = delta.sum(axis=-1, keepdims=True)
-    lse = zmax[..., 0] + np.log(total[..., 0])
-    delta /= total
+    total = np.add.reduce(delta, axis=-1, keepdims=True)
     rows = np.arange(labels.shape[0])
+    losses = zmax[..., 0] + np.log(total[..., 0]) - logits[..., rows, labels] if per_row else None
+    delta /= total
     delta[..., rows, labels] -= 1.0
-    return lse - logits[..., rows, labels], delta
+    return losses, delta
 
 
 def _backward(
@@ -240,48 +240,64 @@ def _backward(
         if li < len(pre):
             g = g * _act_deriv(pre[li], acts[li + 1], spec.activation)
         a, gs = (acts[li] * acts[li], g * g) if square else (acts[li], g)
-        grads[li][0][...] = a.swapaxes(-1, -2) @ gs
-        grads[li][1][...] = gs.sum(axis=-2)
+        np.matmul(a.swapaxes(-1, -2), gs, out=grads[li][0])
+        np.add.reduce(gs, axis=-2, out=grads[li][1])
         if li > 0:
             g = g @ layers[li][0].T
 
 
-def nearest_centroid(
-    es: np.ndarray, eq: np.ndarray, k_shot: int, temperature: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The nearest-centroid head on a stack of episodes: each one's cross-entropy
-    of softmax(-||query - centroid||^2 / temperature), its gradients on es
-    (E, m * k_shot, d) and eq (E, m * q, d), whose rows are grouped by class
-    slot, and its hard accuracy, where distance ties go to the lowest class.
-    """
+def _centroid_distances(es: np.ndarray, eq: np.ndarray, k_shot: int) -> tuple:
+    """The slot centroids (E, m, d) of support embeddings es (E, m * k_shot, d),
+    rows grouped by slot, and the squared distances (E, nq, m) of eq's rows to them."""
     m = es.shape[1] // k_shot
-    nq = eq.shape[1]
-    y = np.repeat(np.arange(m), nq // m)
-    cents = es.reshape(es.shape[0], m, k_shot, -1).mean(axis=2)
+    cents = np.add.reduce(es.reshape(es.shape[0], m, k_shot, -1), axis=2) / k_shot
     diff = eq[:, :, None, :] - cents[:, None, :, :]
-    d2 = np.sum(diff * diff, axis=3)
-    acc = np.mean(np.argmin(d2, axis=2) == y, axis=1)
-    per_query, dlogits = _cross_entropy(-d2 / temperature, y)
-    losses = np.mean(per_query, axis=1)
-    dlogits /= nq
-    dd = -dlogits / temperature
-    g_query = 2.0 * (dd.sum(axis=2, keepdims=True) * eq - dd @ cents)
-    g_cent = -2.0 * (dd.swapaxes(1, 2) @ eq - dd.sum(axis=1)[:, :, None] * cents)
+    diff *= diff
+    return cents, np.add.reduce(diff, axis=3)
+
+
+def centroid_accuracy(es: np.ndarray, eq: np.ndarray, k_shot: int) -> np.ndarray:
+    """Each episode's hard nearest-centroid accuracy (E,), its query rows
+    grouped by slot too; distance ties go to the lowest slot."""
+    d2 = _centroid_distances(es, eq, k_shot)[1]
+    y = np.repeat(np.arange(d2.shape[2]), eq.shape[1] // d2.shape[2])
+    return np.add.reduce(np.argmin(d2, axis=2) == y, axis=1) / eq.shape[1]
+
+
+def _centroid_loss_grads(es: np.ndarray, eq: np.ndarray, k_shot: int, temperature: float,
+                         y: np.ndarray) -> tuple:
+    """The soft nearest-centroid head: each episode's cross-entropy of softmax(-d2 /
+    temperature) for query slots y, d2 as _centroid_distances's, and its gradients on es, eq."""
+    cents, d2 = _centroid_distances(es, eq, k_shot)
+    nq = eq.shape[1]
+    per_query, dd = _cross_entropy(np.divide(d2, -temperature, out=d2), y)
+    losses = np.add.reduce(per_query, axis=1) / nq
+    dd /= nq
+    dd /= -temperature
+    g_query = 2.0 * (np.add.reduce(dd, axis=2, keepdims=True) * eq - dd @ cents)
+    g_cent = -2.0 * (dd.swapaxes(1, 2) @ eq - np.add.reduce(dd, axis=1)[:, :, None] * cents)
     g_support = np.repeat(g_cent, k_shot, axis=1) / k_shot
-    return losses, g_support, g_query, acc
+    return losses, g_support, g_query
 
 
-def _episode_grads(spec: NetworkSpec, params: np.ndarray, xs: np.ndarray, xq: np.ndarray,
-                   k_shot: int, temperature: float) -> tuple[np.ndarray, np.ndarray]:
-    """nearest_centroid's losses (E,) for stacked support and query features,
-    and their gradients on the flat vector (E, P), zero on the head, through
-    one encoder pass per stack whose activations the backward pass reuses."""
-    encoder = _unpack(spec, params)[:-1]
+def _episode_buffers(spec: NetworkSpec, xs: np.ndarray, xq: np.ndarray, k_shot: int) -> tuple:
+    """For stacks shaped like xs and xq, a (2, E, P) gradient buffer, zero on the
+    head, which nothing writes, its halves' encoder views and the query slots."""
+    out, m = np.zeros((2,) + xs.shape[:-2] + (spec.param_count,)), xs.shape[-2] // k_shot
+    y = np.repeat(np.arange(m), xq.shape[-2] // m)
+    return out, _unpack(spec, out[0])[:-1], _unpack(spec, out[1])[:-1], y
+
+
+def _episode_grads(spec: NetworkSpec, encoder: _Layers, xs: np.ndarray, xq: np.ndarray,
+                   k_shot: int, temperature: float, buffers: tuple) -> tuple:
+    """Soft nearest-centroid losses (E,) of stacked support and query features
+    and their flat gradients (E, P), a view into buffers that the next call
+    overwrites; the backward pass reuses one encoder pass per stack."""
+    out, views_s, views_q, y = buffers
     pass_s, pass_q = _forward(spec, encoder, xs), _forward(spec, encoder, xq)
-    losses, g_s, g_q, _ = nearest_centroid(pass_s[1][-1], pass_q[1][-1], k_shot, temperature)
-    out = np.zeros((2,) + xs.shape[:-2] + params.shape)
-    _backward(spec, encoder, *pass_s, g_s, _unpack(spec, out[0]))
-    _backward(spec, encoder, *pass_q, g_q, _unpack(spec, out[1]))
+    losses, g_s, g_q = _centroid_loss_grads(pass_s[1][-1], pass_q[1][-1], k_shot, temperature, y)
+    _backward(spec, encoder, *pass_s, g_s, views_s)
+    _backward(spec, encoder, *pass_q, g_q, views_q)
     out[0] += out[1]
     return losses, out[0]
 
@@ -301,7 +317,7 @@ def _descend(params: np.ndarray, g: np.ndarray, schedule: TrainSchedule, unit: s
                 velocity *= schedule.momentum
                 velocity += g
                 params -= lr * velocity
-        if not np.all(np.isfinite(params)):
+        if not np.logical_and.reduce(np.isfinite(params)):
             raise ValueError(f"training left non-finite parameters in {unit} {epoch}")
         yield
 
@@ -365,10 +381,10 @@ def fisher_diag(net: Network, data: Batch) -> np.ndarray:
     _check_batch(net, data)
     layers = _unpack(net.spec, net.params)
     pre, acts = _forward(net.spec, layers, data.features)
-    delta = _cross_entropy(acts[-1], data.labels)[1]
+    delta = _cross_entropy(acts[-1], data.labels, per_row=False)[1]
     out = np.empty(net.param_count)
     _backward(net.spec, layers, pre, acts, delta, _unpack(net.spec, out), square=True)
-    return out / data.n
+    return np.divide(out, data.n, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +410,8 @@ def train(net: Network, data: Batch, schedule: TrainSchedule) -> Iterator[Networ
         for lo in range(0, data.n, schedule.batch_size):
             idx = order[lo : lo + schedule.batch_size]
             pre, acts = _forward(spec, layers, data.features[idx])
-            delta = _cross_entropy(acts[-1], data.labels[idx])[1] / idx.shape[0]
-            _backward(spec, layers, pre, acts, delta, grads)
+            delta = _cross_entropy(acts[-1], data.labels[idx], per_row=False)[1]
+            _backward(spec, layers, pre, acts, np.divide(delta, idx.shape[0], out=delta), grads)
             yield
 
     for _ in _descend(params, g, schedule, "epoch", minibatches):
@@ -416,13 +432,17 @@ def train_episodic(
     """
     spec, history = net.spec, []
     params, g = net.params.copy(), np.empty(net.param_count)
+    encoder, buffers, shape = _unpack(spec, params)[:-1], None, None
 
     def meta_update():
+        nonlocal buffers, shape
         xs, xq = (_features(spec, x) for x in next(episodes))
-        losses, per_episode = _episode_grads(spec, params, xs, xq, k_shot, temperature)
+        if (xs.shape, xq.shape) != shape:
+            buffers, shape = _episode_buffers(spec, xs, xq, k_shot), (xs.shape, xq.shape)
+        losses, per_episode = _episode_grads(spec, encoder, xs, xq, k_shot, temperature, buffers)
         # numpy sums the leading axis row by row, in episode order
-        np.divide(per_episode.sum(axis=0), len(per_episode), out=g)
-        history.append(float(np.mean(losses)))
+        np.divide(np.add.reduce(per_episode, axis=0), len(per_episode), out=g)
+        history.append(float(np.add.reduce(losses) / losses.shape[0]))
         yield
 
     for _ in _descend(params, g, schedule, "meta-step", meta_update):

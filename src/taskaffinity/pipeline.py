@@ -379,7 +379,7 @@ def evaluate_fewshot(
         sup, qry = tasks.draw_episodes(test, classes, cfg.m_way, cfg.k_shot, cfg.q_query, seeds)
         es = nnet.encode(net, test.features[sup])
         eq = nnet.encode(net, test.features[qry])
-        accs[lo:stop] = nnet.nearest_centroid(es, eq, cfg.k_shot, cfg.softmax_temperature)[3]
+        accs[lo:stop] = nnet.centroid_accuracy(es, eq, cfg.k_shot)
     mean = float(np.mean(accs))
     if n < 2:
         return mean, 0.0

@@ -2,7 +2,7 @@
 
 Reference routes the package itself no longer carries live here: the
 logits, the mean cross-entropy gradient and the encoder pullback of one
-batch, each from nnet's kernels, the brute-force assignment scan, the
+batch, each from plain copies of nnet's kernels, the brute-force assignment scan, the
 trace-form affinity score, the logistic model's per-sample gradient rows,
 the theorem-1 harness's per-checkpoint affinity loop, fixed-step descent to
 the logistic optimum, the per-layer Fisher diagonal loop, the per-minibatch
@@ -103,19 +103,70 @@ def draw_generic_case(rng, n=6):
         return nnet.Network(spec, params), nnet.Batch(x, y)
 
 
+# Plain copies of nnet's forward, cross-entropy and backward kernels: fresh
+# arrays, a float relu mask, results copied into the layer views.  The oracles
+# below run through these, so nnet's in-place kernels are checked bit for bit
+# against arithmetic they do not share.
+
+
+def _act(z, kind):
+    return np.maximum(z, 0.0) if kind == "relu" else np.tanh(z)
+
+
+def _act_deriv(z, a, kind):
+    if kind == "relu":
+        return (z > 0.0).astype(np.float64)
+    return 1.0 - a * a
+
+
+def _forward(spec, layers, x):
+    """Pre-activations of the encoder layers and every layer's input for x."""
+    pre, acts = [], [x]
+    for li, (w, b) in enumerate(layers):
+        z = acts[-1] @ w + b
+        if li < len(spec.layer_widths) - 1:
+            pre.append(z)
+            z = _act(z, spec.activation)
+        acts.append(z)
+    return pre, acts
+
+
+def _cross_entropy(logits, labels):
+    """Each row's cross-entropy through log-sum-exp, and softmax minus one-hot."""
+    zmax = logits.max(axis=-1, keepdims=True)
+    delta = np.exp(logits - zmax)
+    total = delta.sum(axis=-1, keepdims=True)
+    lse = zmax[..., 0] + np.log(total[..., 0])
+    delta /= total
+    rows = np.arange(labels.shape[0])
+    delta[..., rows, labels] -= 1.0
+    return lse - logits[..., rows, labels], delta
+
+
+def _backward(spec, layers, pre, acts, g, grads):
+    """a^T g and the column sums of g into each layer's (W, b) views in grads."""
+    for li in range(len(layers) - 1, -1, -1):
+        if li < len(pre):
+            g = g * _act_deriv(pre[li], acts[li + 1], spec.activation)
+        grads[li][0][...] = acts[li].swapaxes(-1, -2) @ g
+        grads[li][1][...] = g.sum(axis=-2)
+        if li > 0:
+            g = g @ layers[li][0].T
+
+
 def logits(net, features):
     """The head's outputs for features (n x d)."""
-    return nnet._forward(net.spec, nnet._unpack(net.spec, net.params), features)[1][-1]
+    return _forward(net.spec, nnet._unpack(net.spec, net.params), features)[1][-1]
 
 
 def loss_grad(net, batch):
     """Exact gradient of the mean cross-entropy over the batch (flat, length P)."""
     spec = net.spec
     layers = nnet._unpack(spec, net.params)
-    pre, acts = nnet._forward(spec, layers, batch.features)
-    delta = nnet._cross_entropy(acts[-1], batch.labels)[1] / batch.n
+    pre, acts = _forward(spec, layers, batch.features)
+    delta = _cross_entropy(acts[-1], batch.labels)[1] / batch.n
     out = np.empty(net.param_count)
-    nnet._backward(spec, layers, pre, acts, delta, nnet._unpack(spec, out))
+    _backward(spec, layers, pre, acts, delta, nnet._unpack(spec, out))
     return out
 
 
@@ -124,9 +175,9 @@ def encoder_pullback(net, features, grad_embeddings):
     down to the flat vector, (..., P) with zero head entries."""
     spec = net.spec
     encoder = nnet._unpack(spec, net.params)[:-1]
-    pre, acts = nnet._forward(spec, encoder, features)
+    pre, acts = _forward(spec, encoder, features)
     out = np.zeros(grad_embeddings.shape[:-2] + (net.param_count,))
-    nnet._backward(spec, encoder, pre, acts, grad_embeddings, nnet._unpack(spec, out))
+    _backward(spec, encoder, pre, acts, grad_embeddings, nnet._unpack(spec, out))
     return out
 
 
@@ -216,12 +267,12 @@ def layerwise_fisher_diag(net, batch):
     each layer's block by n on its own: the route it replaced, bit for bit."""
     spec = net.spec
     layers = nnet._unpack(spec, net.params)
-    pre, acts = nnet._forward(spec, layers, batch.features)
-    g = nnet._cross_entropy(acts[-1], batch.labels)[1]
+    pre, acts = _forward(spec, layers, batch.features)
+    g = _cross_entropy(acts[-1], batch.labels)[1]
     out = np.empty(net.param_count)
     for li, (gw, gb) in reversed(list(enumerate(nnet._unpack(spec, out)))):
         if li < len(pre):
-            g = g * nnet._act_deriv(pre[li], acts[li + 1], spec.activation)
+            g = g * _act_deriv(pre[li], acts[li + 1], spec.activation)
         gg = g * g
         gw[...] = (acts[li] * acts[li]).T @ gg / batch.n
         gb[...] = gg.sum(axis=0) / batch.n

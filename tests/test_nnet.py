@@ -188,6 +188,10 @@ def test_softmax_rows_are_distributions(seed, n, c):
     z = rng.standard_normal((n, c)) * 50
     labels = rng.integers(0, c, size=n)
     losses, delta = nnet._cross_entropy(z, labels)
+    want_losses, want_delta = helpers._cross_entropy(z, labels)
+    assert np.array_equal(losses, want_losses) and np.array_equal(delta, want_delta)
+    no_losses, same_delta = nnet._cross_entropy(z, labels, per_row=False)
+    assert no_losses is None and np.array_equal(same_delta, delta)
     p = delta.copy()
     p[np.arange(n), labels] += 1.0
     assert np.all(p >= 0)
@@ -336,10 +340,22 @@ def test_train_episodic_rejects_wrong_feature_width():
         nnet.train_episodic(net, episodes, sched, 2, 1.0)
 
 
+def _pullback(net, features, grad_embeddings):
+    """nnet's own encoder pullback: its kernels writing into the views of a
+    zero buffer, (..., P)."""
+    spec = net.spec
+    encoder = nnet._unpack(spec, net.params)[:-1]
+    pre, acts = nnet._forward(spec, encoder, features)
+    out = np.zeros(grad_embeddings.shape[:-2] + (net.param_count,))
+    nnet._backward(spec, encoder, pre, acts, grad_embeddings, nnet._unpack(spec, out))
+    return out
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_stacked_encoder_pass_and_pullback_equal_each_slice_bitwise(seed):
     # a leading stack dimension must reproduce every slice's own 2-D
-    # computation bit for bit: same matmul per slice, same reduction order
+    # computation bit for bit: same matmul per slice, same reduction order;
+    # and writing into the layer views must reproduce the oracle's copies
     rng = np.random.default_rng(seed)
     for _ in range(60):
         widths = tuple(int(w) for w in rng.integers(1, 12, size=int(rng.integers(2, 5))))
@@ -350,11 +366,12 @@ def test_stacked_encoder_pass_and_pullback_equal_each_slice_bitwise(seed):
         x = rng.standard_normal((n_ep, n, widths[0]))
         up = rng.standard_normal((n_ep, n, widths[-1]))
         emb = nnet.encode(net, x)
-        stacked = helpers.encoder_pullback(net, x, up)
+        stacked = _pullback(net, x, up)
         assert stacked.shape == (n_ep, spec.param_count)
+        assert np.array_equal(stacked, helpers.encoder_pullback(net, x, up))
         for e in range(n_ep):
             assert np.array_equal(emb[e], nnet.encode(net, x[e]))
-            assert np.array_equal(stacked[e], helpers.encoder_pullback(net, x[e], up[e]))
+            assert np.array_equal(stacked[e], _pullback(net, x[e], up[e]))
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +457,33 @@ def test_train_builds_no_batch_and_one_network_per_epoch(monkeypatch):
     nets = list(nnet.train(net, batch, nnet.TrainSchedule(0.05, 0.9, 4, 16, seed=3)))
     assert len(nets) == 4  # 5 minibatches per epoch
     assert built == {"Batch": 0, "Network": 4}
+
+
+def test_training_unpacks_the_parameters_per_call_not_per_step(monkeypatch):
+    calls = []
+    unpack = nnet._unpack
+    monkeypatch.setattr(nnet, "_unpack", lambda *a: calls.append(a) or unpack(*a))
+
+    def unpacks(run, steps):
+        calls.clear()
+        run(steps)
+        return len(calls)
+
+    batch = _blob_batch(np.random.default_rng(35))
+    net = nnet.init_network(nnet.NetworkSpec((2, 6, 3), 2), 7)
+
+    def train(epochs):
+        list(nnet.train(net, batch, nnet.TrainSchedule(0.05, 0.9, epochs, 16, seed=3)))
+
+    rng = np.random.default_rng(36)
+    stack = rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 6, 2))  # E=3, m=2, k=2, q=3
+
+    def train_episodic(steps):
+        sched = nnet.TrainSchedule(0.01, 0.9, steps, 3, seed=0)
+        nnet.train_episodic(net, iter([stack] * steps), sched, 2, 1.0)
+
+    assert unpacks(train, 1) == unpacks(train, 5) > 0
+    assert unpacks(train_episodic, 2) == unpacks(train_episodic, 20) > 0
 
 
 def test_learning_rates_decay_from_each_listed_epoch():

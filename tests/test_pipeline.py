@@ -547,6 +547,14 @@ def _toy_stack(rng, dim=4, m=2, k=2, q=3, n_ep=2):
     return rng.standard_normal((n_ep, m * k, dim)), rng.standard_normal((n_ep, m * q, dim))
 
 
+def _episode_grads(spec, params, xs, xq, k, tau):
+    """nnet._episode_grads on fresh encoder views and buffers, its gradients copied out."""
+    encoder = nnet._unpack(spec, params)[:-1]
+    buffers = nnet._episode_buffers(spec, xs, xq, k)
+    losses, g = nnet._episode_grads(spec, encoder, xs, xq, k, tau, buffers)
+    return losses, g.copy()
+
+
 def test_episode_loss_matches_manual_computation():
     rng = np.random.default_rng(70)
     spec = nnet.NetworkSpec((4, 5, 3), 2, activation="tanh")
@@ -554,7 +562,7 @@ def test_episode_loss_matches_manual_computation():
     m, k, q = 2, 2, 3
     xs, xq = _toy_stack(rng, m=m, k=k, q=q)
     tau = 1.7
-    losses, _ = nnet._episode_grads(spec, net.params, xs, xq, k, tau)
+    losses, _ = _episode_grads(spec, net.params, xs, xq, k, tau)
     assert losses.shape == (2,)
 
     y = np.repeat(np.arange(m), q)
@@ -581,16 +589,16 @@ def test_episode_grad_matches_central_differences():
     k = 2
     xs, xq = _toy_stack(rng, dim=3, k=k)
     tau = 2.0
-    losses, g = nnet._episode_grads(spec, net.params, xs, xq, k, tau)
+    losses, g = _episode_grads(spec, net.params, xs, xq, k, tau)
     assert np.all(np.isfinite(losses)) and np.all(losses > 0)
     assert np.all(g[:, nnet.encoder_slice(spec).stop :] == 0.0)
     h = 1e-6
     p = net.params.copy()
     for i in range(p.shape[0]):
         p[i] += h
-        lp, _ = nnet._episode_grads(spec, p, xs, xq, k, tau)
+        lp, _ = _episode_grads(spec, p, xs, xq, k, tau)
         p[i] -= 2 * h
-        lm, _ = nnet._episode_grads(spec, p, xs, xq, k, tau)
+        lm, _ = _episode_grads(spec, p, xs, xq, k, tau)
         p[i] += h
         for e in range(2):
             fd = (lp[e] - lm[e]) / (2 * h)
@@ -607,7 +615,7 @@ def test_episode_accuracy_perfect_and_tied():
     qry = np.array([[[4.0, 0.5], [0.5, 4.0]]])  # slots 0, 1
 
     def accuracy(n):
-        return nnet.nearest_centroid(nnet.encode(n, sup), nnet.encode(n, qry), 2, 1.0)[3][0]
+        return nnet.centroid_accuracy(nnet.encode(n, sup), nnet.encode(n, qry), 2)[0]
 
     assert accuracy(net) == 1.0
     # all-zero params collapse every embedding; ties resolve to class 0

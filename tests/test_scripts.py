@@ -94,6 +94,13 @@ def test_bench_pairs_needs_medians_apart_by_more_than_the_parent_iqr():
     assert short["wins"] == 9 and not short["claim"]
 
 
+def test_bench_pairs_reports_the_median_change_relative_to_the_parent():
+    change = [p * 0.9 for p in PARENT]
+    assert bp.summarize(PARENT, change, "lower")["rel_change"] == pytest.approx(-0.1)
+    assert bp.summarize(PARENT, change, "higher")["rel_change"] == pytest.approx(-0.1)
+    assert bp.summarize([0.0, 0.0], [1.0, 1.0], "lower")["rel_change"] is None
+
+
 def test_bench_pairs_rejects_unpaired_runs():
     with pytest.raises(ValueError, match="same nonzero number"):
         bp.summarize([1.0, 2.0], [1.0], "lower")
