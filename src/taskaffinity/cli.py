@@ -147,6 +147,7 @@ def report_to_doc(report: pipeline.RunReport, top_r: int) -> dict:
         "health": _health(report.scores),
         "fewshot_accuracy_mean": report.fewshot_accuracy_mean,
         "fewshot_ci95": report.fewshot_ci95,
+        "finetune_loss": list(report.finetune_loss),
         "timings": dict(report.timings),
     }
 

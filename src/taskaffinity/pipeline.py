@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fisher, matching, nnet, tasks
-from .seeding import derive_seed
+from .seeding import derive_seed, seed_grid
 
 log = logging.getLogger(__name__)
 
@@ -127,6 +127,7 @@ class RunReport:
     selected_labels: RelatedSet
     fewshot_accuracy_mean: float
     fewshot_ci95: float
+    finetune_loss: tuple[float, ...]  # phase 3's mean episode loss per meta-step
     timings: dict[str, float]
     ablation_mode: str = "related"
 
@@ -325,30 +326,47 @@ def select_labels(
 # phase 3: episodic fine-tuning with a soft nearest-centroid head
 
 
+def _positions(draws: dict | None, data: tasks.Dataset, classes: list[int],
+               cfg: PipelineConfig, seed: int, stream: int, *axes):
+    """The tasks.draw_positions draw over classes, one episode per
+    derive_seed(seed, stream, *cell) of the axes' grid.  Given draws, one
+    dict per config and stream, it keeps each draw under its classes' row
+    counts, the only thing a draw depends on besides the seeds, and hands it
+    out again for classes of the same row counts."""
+    draws = {} if draws is None else draws
+    counts = tuple(data.class_index[c].size for c in classes)
+    if counts not in draws:
+        seeds = seed_grid(seed, (stream,), *axes)
+        draws[counts] = tasks.draw_positions(counts, cfg.m_way, cfg.k_shot + cfg.q_query, seeds)
+    return draws[counts]
+
+
 def episodic_finetune(
-    whole: nnet.Network, related: RelatedSet, train: tasks.Dataset, cfg: PipelineConfig
+    whole: nnet.Network, related: RelatedSet, train: tasks.Dataset, cfg: PipelineConfig,
+    draws: dict | None = None,
 ) -> tuple[nnet.Network, list[float]]:
     """Encoder-only episodic fine-tuning restricted to the related rows.
 
     Each meta-update averages the loss gradient of finetune_schedule.batch_size
-    episodes, drawn from the training rows of the related classes only, one
-    meta-step at a time; finetune_schedule.epochs counts meta-updates.
-    Returns the network and each meta-update's mean loss.
+    episodes, drawn from the training rows of the related classes only;
+    finetune_schedule.epochs counts meta-updates.  Every episode is drawn
+    before the first meta-update, or taken from draws (see _positions), and
+    each meta-update gathers its own rows.  Returns the network and each
+    meta-update's mean loss.
     """
     classes = tasks.episode_classes(
         train, related.label_set, cfg.m_way, cfg.k_shot, cfg.q_query,
         "training classes of the related set",
     )
     sched = cfg.finetune_schedule
+    table = tasks.row_table(train, classes)
+    picks, positions = _positions(draws, train, classes, cfg, sched.seed, _STREAM_FINETUNE,
+                                  range(sched.epochs), range(sched.batch_size))
 
     def episodes():
-        for step in range(sched.epochs):
-            seeds = [
-                derive_seed(sched.seed, _STREAM_FINETUNE, step, j) for j in range(sched.batch_size)
-            ]
-            sup, qry = tasks.draw_episodes(
-                train, classes, cfg.m_way, cfg.k_shot, cfg.q_query, seeds
-            )
+        for lo in range(0, picks.shape[0], sched.batch_size):
+            hi = lo + sched.batch_size
+            sup, qry = tasks.episode_rows(table, picks[lo:hi], positions[lo:hi], cfg.k_shot)
             yield train.features[sup], train.features[qry]
 
     try:
@@ -365,18 +383,23 @@ EVAL_CHUNK = 50  # evaluation episodes per stack; bounds the memory one stack ho
 
 
 def evaluate_fewshot(
-    net: nnet.Network, test: tasks.Dataset, cfg: PipelineConfig
+    net: nnet.Network, test: tasks.Dataset, cfg: PipelineConfig, draws: dict | None = None
 ) -> tuple[float, float]:
-    """Mean hard nearest-centroid accuracy over fresh episodes, with 1.96*sd/sqrt(n)."""
+    """Mean hard nearest-centroid accuracy over fresh episodes, with
+    1.96*sd/sqrt(n).  The episodes are drawn at once, or taken from draws
+    (see _positions)."""
     classes = tasks.episode_classes(
         test, test.class_ids, cfg.m_way, cfg.k_shot, cfg.q_query, "test classes"
     )
     n = cfg.n_eval_episodes
+    table = tasks.row_table(test, classes)
+    picks, positions = _positions(
+        draws, test, classes, cfg, cfg.master_seed, _STREAM_EVAL, range(n)
+    )
     accs = np.empty(n)
     for lo in range(0, n, EVAL_CHUNK):
         stop = min(lo + EVAL_CHUNK, n)
-        seeds = [derive_seed(cfg.master_seed, _STREAM_EVAL, i) for i in range(lo, stop)]
-        sup, qry = tasks.draw_episodes(test, classes, cfg.m_way, cfg.k_shot, cfg.q_query, seeds)
+        sup, qry = tasks.episode_rows(table, picks[lo:stop], positions[lo:stop], cfg.k_shot)
         es = nnet.encode(net, test.features[sup])
         eq = nnet.encode(net, test.features[qry])
         accs[lo:stop] = nnet.centroid_accuracy(es, eq, cfg.k_shot)
@@ -438,7 +461,8 @@ def ablation_comparison(
 
     Each mode fine-tunes on the label set select_labels picks for it.  Seeds
     and budgets are shared, so a mode's report does not depend on which
-    other modes run.  Unknown modes,
+    other modes run; modes whose eligible classes have the same row counts
+    share one fine-tuning draw, and all share one evaluation draw.  Unknown modes,
     and test or training sets with fewer than m_way classes that hold an
     episode's k_shot + q_query rows, fail before any training; so does, after
     ranking and before any fine-tuning, a mode's set with too few such classes.
@@ -454,16 +478,17 @@ def ablation_comparison(
     for mode, chosen in sets.items():
         what = f"training classes of the {mode} set"
         tasks.episode_classes(train, chosen.label_set, *episode, what)
+    finetune_draws, eval_draws = {}, {}
     reports: dict[str, RunReport] = {}
     for mode, chosen in sets.items():
         timings = dict(shared)
 
         t0 = time.perf_counter()
-        tuned, _ = episodic_finetune(whole, chosen, train, cfg)
+        tuned, losses = episodic_finetune(whole, chosen, train, cfg, finetune_draws)
         timings["finetune_s"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        acc_mean, ci95 = evaluate_fewshot(tuned, test, cfg)
+        acc_mean, ci95 = evaluate_fewshot(tuned, test, cfg, eval_draws)
         timings["eval_s"] = time.perf_counter() - t0
 
         reports[mode] = RunReport(
@@ -471,6 +496,7 @@ def ablation_comparison(
             selected_labels=chosen,
             fewshot_accuracy_mean=acc_mean,
             fewshot_ci95=ci95,
+            finetune_loss=tuple(losses),
             timings=timings,
             ablation_mode=mode,
         )

@@ -32,3 +32,14 @@ def derive_seed(master: int, *indices: int) -> int:
     for ix in indices:
         acc = splitmix64(acc ^ splitmix64(ix & _MASK))
     return acc
+
+
+def seed_grid(master: int, prefix: tuple[int, ...], *axes) -> list[int]:
+    """derive_seed(master, *prefix, *cell) for every cell of the grid the
+    axes (sequences of ints) span, in C order: the last axis varies fastest.
+    The prefix is folded once, and each index of an axis is mixed once."""
+    accs = [derive_seed(master, *prefix)]
+    for axis in axes:
+        mixed = [splitmix64(ix & _MASK) for ix in axis]
+        accs = [splitmix64(acc ^ m) for acc in accs for m in mixed]
+    return accs

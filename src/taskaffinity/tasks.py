@@ -284,8 +284,8 @@ def episode_classes(
     data: Dataset, class_ids, m_way: int, k_shot: int, q_query: int, what: str
 ) -> list[int]:
     """Those of data's given class ids, ascending, that hold an episode's
-    k_shot + q_query rows: the classes draw_episodes may pick.  It is an error if fewer than
-    m_way qualify; what names the classes in that error."""
+    k_shot + q_query rows: the classes an episode may take.  It is an error
+    if fewer than m_way qualify; what names the classes in that error."""
     if min(m_way, k_shot, q_query) < 1:
         raise ValueError("m_way, k_shot and q_query must be positive")
     need = k_shot + q_query
@@ -298,29 +298,50 @@ def episode_classes(
     return eligible
 
 
-def draw_episodes(
-    data: Dataset, classes: list[int], m_way: int, k_shot: int, q_query: int, seeds
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices of one episode per seed: support (E, m_way * k_shot) and
-    disjoint query (E, m_way * q_query) rows of m_way of the given classes,
-    which episode_classes has checked.
-
-    The chosen classes, sorted ascending, take slots 0..m_way-1 and the rows
-    are grouped by slot, so the labels are np.repeat(np.arange(m_way), k_shot)
-    and np.repeat(np.arange(m_way), q_query).
-    """
+def draw_positions(counts, m_way: int, size: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Where one episode per seed sits among classes of the given row counts:
+    the positions of its m_way classes, ascending (E, m_way), and of the
+    size rows it takes from each, in slot order (E, m_way, size), both in
+    the smallest unsigned dtype that holds them.  The draw depends on
+    nothing but counts, m_way, size and the seeds; episode_rows turns it
+    into rows."""
     n_ep = len(seeds)
-    support = np.empty((n_ep, m_way, k_shot), dtype=np.int64)
-    query = np.empty((n_ep, m_way, q_query), dtype=np.int64)
+    picks = np.empty((n_ep, m_way), np.min_scalar_type(len(counts) - 1))
+    positions = np.empty((n_ep, m_way, size), np.min_scalar_type(max(counts) - 1))
     for e, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        picked = sorted(int(k) for k in rng.choice(len(classes), size=m_way, replace=False))
+        picked = sorted(rng.choice(len(counts), size=m_way, replace=False).tolist())
+        picks[e] = picked
         for slot, k in enumerate(picked):
-            rows = data.class_index[classes[k]]
-            order = rows[rng.permutation(rows.size)[: k_shot + q_query]]
-            support[e, slot] = order[:k_shot]
-            query[e, slot] = order[k_shot:]
-    return support.reshape(n_ep, m_way * k_shot), query.reshape(n_ep, m_way * q_query)
+            positions[e, slot] = rng.permutation(counts[k])[:size]
+    return picks, positions
+
+
+def row_table(data: Dataset, classes: list[int]) -> np.ndarray:
+    """(len(classes), most rows) table whose row i holds the rows of
+    classes[i], padded with data.n, which indexes no row."""
+    counts = [data.class_index[c].size for c in classes]
+    table = np.full((len(classes), max(counts)), data.n, dtype=np.intp)
+    for i, c in enumerate(classes):
+        table[i, : counts[i]] = data.class_index[c]
+    return table
+
+
+def episode_rows(
+    table: np.ndarray, picks: np.ndarray, positions: np.ndarray, k_shot: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of drawn episodes: support (E, m_way * k_shot) and query
+    (E, m_way * q_query), the first k_shot of each slot's rows and the rest.
+
+    picks and positions are a draw_positions draw over the classes of
+    table's rows, which episode_classes has checked.  The picked classes,
+    ascending, take slots 0..m_way-1 and the rows are grouped by slot, so the
+    labels are np.repeat(np.arange(m_way), k_shot) and
+    np.repeat(np.arange(m_way), q_query).
+    """
+    rows = table[picks[:, :, None], positions]
+    n_ep = rows.shape[0]
+    return rows[:, :, :k_shot].reshape(n_ep, -1), rows[:, :, k_shot:].reshape(n_ep, -1)
 
 
 def split_classes(data: Dataset, test_class_ids) -> tuple[Dataset, Dataset]:

@@ -671,30 +671,59 @@ def test_episodic_finetune_restricted_to_related_labels(tiny):
     assert all(np.isfinite(h) for h in history)
 
 
+def _spy_draws(monkeypatch):
+    """Each tasks.draw_positions call from now on, as (episodes, row counts)."""
+    drawn = []
+
+    def draw(counts, m_way, size, seeds, original=tasks.draw_positions):
+        drawn.append((len(seeds), tuple(counts)))
+        return original(counts, m_way, size, seeds)
+
+    monkeypatch.setattr(tasks, "draw_positions", draw)
+    return drawn
+
+
 @pytest.mark.parametrize("meta_steps", [1, 7])
 def test_episodic_finetune_builds_one_network_and_draws_per_meta_step(
     overlapping, monkeypatch, meta_steps
 ):
+    # the episode positions are drawn once for the whole run; each meta-step
+    # then draws its batch of batch_size episodes out of them with one gather
     train, _, cfg, related = overlapping
     spec = nnet.NetworkSpec((16, 32, 8), len(train.class_ids), "relu")
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
     cfg = replace(cfg, finetune_schedule=replace(cfg.finetune_schedule, epochs=meta_steps))
-    built, drawn = [], []
+    batch_size = cfg.finetune_schedule.batch_size
+    built, gathered = [], []
 
     def counted(obj, post_init=nnet.Network.__post_init__):
         built.append(obj)
         post_init(obj)
 
-    def draw(data, classes, m_way, k_shot, q_query, seeds, original=tasks.draw_episodes):
-        drawn.append(len(seeds))
-        return original(data, classes, m_way, k_shot, q_query, seeds)
+    def gather(table, picks, positions, k_shot, original=tasks.episode_rows):
+        gathered.append(len(picks))
+        return original(table, picks, positions, k_shot)
 
     monkeypatch.setattr(nnet.Network, "__post_init__", counted)
-    monkeypatch.setattr(tasks, "draw_episodes", draw)
+    drawn = _spy_draws(monkeypatch)
+    monkeypatch.setattr(tasks, "episode_rows", gather)
     tuned, history = pipeline.episodic_finetune(whole, related, train, cfg)
     assert built == [tuned]
-    assert drawn == [cfg.finetune_schedule.batch_size] * meta_steps
+    assert drawn == [(meta_steps * batch_size, (40,) * len(related.label_set))]
+    assert gathered == [batch_size] * meta_steps
     assert len(history) == meta_steps
+
+
+def test_ablation_draws_once_per_distinct_row_counts(monkeypatch):
+    # criterion-7 seed 0: related and random both fine-tune over 9 classes of
+    # 40 rows, non_related over 7, and every mode evaluates on the same episodes
+    train, test, spec, cfg = ablation_sweep.setting(4242, 0)
+    drawn = _spy_draws(monkeypatch)
+    reports = pipeline.ablation_comparison(train, test, spec, cfg)
+    sizes = {m: len(r.selected_labels.label_set) for m, r in reports.items()}
+    assert sizes == {"related": 9, "non_related": 7, "random": 9}
+    episodes = cfg.finetune_schedule.epochs * cfg.finetune_schedule.batch_size
+    assert drawn == [(episodes, (40,) * 9), (cfg.n_eval_episodes, (40,) * 3), (episodes, (40,) * 7)]
 
 
 def test_episodic_finetune_copies_no_dataset(overlapping, monkeypatch):
@@ -933,6 +962,43 @@ def test_ablation_short_mode_set_fails_before_any_fine_tune(tiny, monkeypatch):
     assert calls == []
 
 
+def _report_fields(report):
+    """Everything a report holds but its timings."""
+    return replace(report, timings={})
+
+
+def test_ablation_shares_fine_tuning_draws_by_row_counts_not_class_counts(monkeypatch):
+    # CSV-shaped data: classes 1 and 6 keep 20 of their 40 rows.  Each mode
+    # fine-tunes on three classes; related and random have 40, 20 and 40
+    # rows, non_related 20, 40 and 40, so keying the draws by the class count
+    # would gather past class 1's rows
+    train, test, spec, cfg = ablation_sweep.setting(4242, 0)
+    cfg = replace(cfg, s_count=4, top_r=2, n_eval_episodes=30,
+                  finetune_schedule=replace(cfg.finetune_schedule, epochs=5))
+    keep = [train.class_index[c][: 20 if c in (1, 6) else None] for c in train.class_ids]
+    rows = np.concatenate(keep)
+    short = tasks.Dataset.from_arrays(train.features[rows], train.labels[rows])
+    picked = {"related": (0, 1, 2), "non_related": (1, 2, 7), "random": (2, 6, 7)}
+
+    def fixed(mode, ordered, train, cfg):
+        ids = picked[mode]
+        return pipeline.RelatedSet(
+            ids, tuple(int(r) for r in np.flatnonzero(np.isin(train.labels, ids)))
+        )
+
+    monkeypatch.setattr(pipeline, "select_labels", fixed)
+    drawn = _spy_draws(monkeypatch)
+    combined = pipeline.ablation_comparison(short, test, spec, cfg)
+    episodes = cfg.finetune_schedule.epochs * cfg.finetune_schedule.batch_size
+    assert [d for d in drawn if d[0] == episodes] == [(episodes, (40, 20, 40)),
+                                                      (episodes, (20, 40, 40))]
+    for mode in pipeline.ABLATION_MODES:
+        alone = pipeline.ablation_comparison(short, test, spec, cfg, (mode,))[mode]
+        assert _report_fields(combined[mode]) == _report_fields(alone)
+    assert min(combined["related"].finetune_loss) > 0.05  # a live loss
+    assert combined["related"].finetune_loss != combined["random"].finetune_loss
+
+
 def test_ablation_random_mode_is_deterministic_and_sized(tiny):
     train, test, spec, cfg = tiny
     a = pipeline.ablation_comparison(train, test, spec, cfg, ("random",))["random"]
@@ -984,5 +1050,6 @@ def test_report_doc_round_trip(tiny, tiny_run):
         "health": cli._health(tiny_run.scores),
         "fewshot_accuracy_mean": tiny_run.fewshot_accuracy_mean,
         "fewshot_ci95": tiny_run.fewshot_ci95,
+        "finetune_loss": list(tiny_run.finetune_loss),
         "timings": tiny_run.timings,
     }

@@ -1,7 +1,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from taskaffinity.seeding import derive_seed, splitmix64
+from taskaffinity.seeding import derive_seed, seed_grid, splitmix64
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -38,3 +38,17 @@ def test_splitmix_stays_in_range(x):
 @given(U64, st.lists(U64, max_size=4))
 def test_derive_stays_in_range(master, tags):
     assert 0 <= derive_seed(master, *tags) < 2**64
+
+
+def test_seed_grid_is_derive_seed_of_every_cell_in_c_order():
+    axis_a = [0, 3, -1, 2**64, 2**64 + 7, -(2**70)]
+    axis_b = [5, 2**65 - 1, -2]
+    for master, prefix in ((4242, ()), (-3, (4,)), (2**64 + 9, (1, -5, 2**66))):
+        assert seed_grid(master, prefix) == [derive_seed(master, *prefix)]
+        assert seed_grid(master, prefix, axis_a) == [
+            derive_seed(master, *prefix, i) for i in axis_a
+        ]
+        assert seed_grid(master, prefix, axis_a, axis_b) == [
+            derive_seed(master, *prefix, i, j) for i in axis_a for j in axis_b
+        ]
+        assert seed_grid(master, prefix, range(3), [], axis_b) == []

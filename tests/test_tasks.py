@@ -285,9 +285,19 @@ def test_task_slots_raise_batch_of_error_for_the_first_bad_task():
 
 
 def draw(data, m_way, k_shot, q_query, seeds):
-    """draw_episodes over every class of data that holds an episode."""
+    """Support and query rows of one episode per seed over every class of
+    data that holds an episode."""
     classes = tasks.episode_classes(data, data.class_ids, m_way, k_shot, q_query, "classes")
-    return tasks.draw_episodes(data, classes, m_way, k_shot, q_query, seeds)
+    counts = [data.class_index[c].size for c in classes]
+    picks, positions = tasks.draw_positions(counts, m_way, k_shot + q_query, seeds)
+    return tasks.episode_rows(tasks.row_table(data, classes), picks, positions, k_shot)
+
+
+def _uneven(sizes, seed=5):
+    """A CSV-shaped dataset: class c holds sizes[c] rows."""
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    features = np.random.default_rng(seed).standard_normal((labels.size, 3))
+    return tasks.Dataset.from_arrays(features, labels)
 
 
 def _slot_classes(data, rows, m_way):
@@ -373,9 +383,7 @@ def test_sample_episode_never_leaks_support_into_query(seed):
 )
 def test_draw_episodes_returns_the_serial_sampler_rows(seed, m_way, k_shot, q_query):
     # uneven class sizes, so eligibility and the permutation lengths vary
-    rng = np.random.default_rng(5)
-    labels = np.repeat(np.arange(5), [3, 9, 5, 8, 6])
-    data = tasks.Dataset.from_arrays(rng.standard_normal((labels.size, 3)), labels)
+    data = _uneven([3, 9, 5, 8, 6])
     eligible = sum(data.class_index[c].size >= k_shot + q_query for c in data.class_ids)
     if eligible < m_way:
         with pytest.raises(ValueError, match="insufficient"):
@@ -389,6 +397,43 @@ def test_draw_episodes_returns_the_serial_sampler_rows(seed, m_way, k_shot, q_qu
     np.testing.assert_array_equal(data.features[qry[0]], ep.query.features)
     np.testing.assert_array_equal(ep.support.labels, np.repeat(np.arange(m_way), k_shot))
     np.testing.assert_array_equal(ep.query.labels, np.repeat(np.arange(m_way), q_query))
+
+
+def test_a_stack_of_draws_over_uneven_classes_is_the_serial_sampler_row_for_row():
+    data = _uneven([7, 40, 12, 9, 23, 16])
+    seeds = [derive_seed(3, i) for i in range(200)]
+    sup, qry = draw(data, 3, 2, 5, seeds)
+    for e, seed in enumerate(seeds):
+        ep = helpers.sample_episode(data, 3, 2, 5, seed)
+        np.testing.assert_array_equal(data.features[sup[e]], ep.support.features)
+        np.testing.assert_array_equal(data.features[qry[e]], ep.query.features)
+
+
+def test_draws_never_reach_the_row_table_padding():
+    sizes = [7, 40, 12, 9, 23, 16]
+    data = _uneven(sizes)
+    classes = data.class_ids
+    table = tasks.row_table(data, classes)
+    assert table.shape == (6, 40)
+    for i, c in enumerate(classes):
+        np.testing.assert_array_equal(table[i, : sizes[i]], data.class_index[c])
+        assert np.all(table[i, sizes[i] :] == data.n)  # indexes no row
+    picks, positions = tasks.draw_positions(sizes, 4, 7, range(500))
+    assert np.all(np.diff(picks.astype(int), axis=1) > 0)
+    assert np.all(positions < np.asarray(sizes)[picks][:, :, None])
+    sup, qry = tasks.episode_rows(table, picks, positions, 3)
+    rows = np.concatenate([sup.reshape(500, 4, 3), qry.reshape(500, 4, 4)], axis=2)
+    assert np.all(rows < data.n)
+    # every slot's rows are distinct rows of its picked class
+    slot_class = np.asarray(classes)[picks][:, :, None]
+    np.testing.assert_array_equal(data.labels[rows], np.broadcast_to(slot_class, rows.shape))
+    assert all(len(set(slot)) == 7 for slot in rows.reshape(-1, 7).tolist())
+
+
+def test_draw_positions_takes_the_smallest_unsigned_dtype():
+    picks, positions = tasks.draw_positions([300, 2], 2, 2, [1, 2])
+    assert picks.dtype == np.uint8 and positions.dtype == np.uint16
+    assert positions[:, 1].max() < 2  # the 2-row class sits in slot 1
 
 
 # ---------------------------------------------------------------------------
