@@ -22,6 +22,7 @@ parameter buffer through the one momentum-SGD loop, `_descend`, building no
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -62,9 +63,18 @@ class NetworkSpec:
             yield a, b
         yield self.embedding_dim, self.head_classes
 
-    @property
+    @cached_property
     def param_count(self) -> int:
         return sum(a * b + b for a, b in self.layer_shapes())
+
+    @cached_property
+    def _layout(self) -> tuple:
+        """Each layer's (W slice, W shape, b slice) in the flat vector."""
+        out, off = [], 0
+        for a, b in self.layer_shapes():
+            out.append((slice(off, off + a * b), (a, b), slice(off + a * b, off + a * b + b)))
+            off += a * b + b
+        return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,13 +182,8 @@ _Pass = tuple[list[np.ndarray], list[np.ndarray]]  # pre-activations, layer inpu
 def _unpack(spec: NetworkSpec, params: np.ndarray) -> _Layers:
     """Views (W, b) per layer of a (..., P) array, encoder layers first, head
     last; writing to a view writes to params."""
-    out, off = [], 0
-    for fan_in, fan_out in spec.layer_shapes():
-        w = params[..., off : off + fan_in * fan_out].reshape(*params.shape[:-1], fan_in, fan_out)
-        off += fan_in * fan_out
-        out.append((w, params[..., off : off + fan_out]))
-        off += fan_out
-    return out
+    lead = params.shape[:-1]
+    return [(params[..., w].reshape(lead + shape), params[..., b]) for w, shape, b in spec._layout]
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -198,9 +203,10 @@ def _forward(spec: NetworkSpec, layers: _Layers, x: np.ndarray) -> _Pass:
     for x (..., n, input_dim), where each leading index is a batch of its own.
     activations[0] is x and activations[-1] the output: embeddings, or logits
     when layers ends with the head, which applies no activation."""
-    pre, acts = [], [x]
+    mul, pre, acts = np.dot if x.ndim == 2 else np.matmul, [], [x]  # dot: a cheaper gemm call
     for li, (w, b) in enumerate(layers):
-        z = acts[-1] @ w + b
+        z = mul(acts[-1], w)
+        z += b
         if li < len(spec.layer_widths) - 1:
             pre.append(z)
             z = _act(z, spec.activation)
@@ -208,17 +214,23 @@ def _forward(spec: NetworkSpec, layers: _Layers, x: np.ndarray) -> _Pass:
     return pre, acts
 
 
+@lru_cache(maxsize=8)
+def _identity(classes: int) -> np.ndarray:
+    """A shared identity, read-only as a broadcast_to view: its rows are one-hot labels."""
+    return np.broadcast_to(np.eye(classes), (classes, classes))
+
+
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray, per_row: bool = True) -> tuple:
     """Each row's cross-entropy, through log-sum-exp so it is finite for finite
     logits, or None without per_row, and its gradient on the logits, softmax
-    minus one-hot.  logits is (..., n, classes) and labels (n,)."""
+    minus the labels' identity rows.  logits is (..., n, classes), labels (n,)."""
     zmax = np.maximum.reduce(logits, axis=-1, keepdims=True)
     delta = np.exp(logits - zmax)
     total = np.add.reduce(delta, axis=-1, keepdims=True)
-    rows = np.arange(labels.shape[0])
-    losses = zmax[..., 0] + np.log(total[..., 0]) - logits[..., rows, labels] if per_row else None
+    losses = (zmax[..., 0] + np.log(total[..., 0]) - logits[..., np.arange(len(labels)), labels]
+              if per_row else None)
     delta /= total
-    delta[..., rows, labels] -= 1.0
+    delta -= _identity(logits.shape[-1])[labels]  # x - 0.0 is x: only label entries change
     return losses, delta
 
 
@@ -236,14 +248,15 @@ def _backward(
     and the column sums of g*g, each sample's squared gradient summed, since
     a sample's weight gradient is the outer product of its rows of a and g.
     """
+    mul = np.dot if g.ndim == 2 else np.matmul  # as in _forward
     for li in range(len(layers) - 1, -1, -1):
         if li < len(pre):
             g = g * _act_deriv(pre[li], acts[li + 1], spec.activation)
         a, gs = (acts[li] * acts[li], g * g) if square else (acts[li], g)
-        np.matmul(a.swapaxes(-1, -2), gs, out=grads[li][0])
+        mul(a.swapaxes(-1, -2), gs, out=grads[li][0])
         np.add.reduce(gs, axis=-2, out=grads[li][1])
         if li > 0:
-            g = g @ layers[li][0].T
+            g = mul(g, layers[li][0].T)
 
 
 def _centroid_distances(es: np.ndarray, eq: np.ndarray, k_shot: int) -> tuple:
@@ -310,13 +323,13 @@ def _descend(params: np.ndarray, g: np.ndarray, schedule: TrainSchedule, unit: s
     is left to one check after it: an epoch that leaves a non-finite
     parameter raises ValueError, naming the epoch by unit.
     """
-    velocity = np.zeros_like(params)
+    velocity, step = np.zeros_like(params), np.empty_like(params)
     for epoch, lr in enumerate(schedule.learning_rates()):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for _ in updates():
                 velocity *= schedule.momentum
                 velocity += g
-                params -= lr * velocity
+                params -= np.multiply(velocity, lr, out=step)
         if not np.logical_and.reduce(np.isfinite(params)):
             raise ValueError(f"training left non-finite parameters in {unit} {epoch}")
         yield
@@ -328,8 +341,7 @@ def _descend(params: np.ndarray, g: np.ndarray, schedule: TrainSchedule, unit: s
 
 def encoder_slice(spec: NetworkSpec) -> slice:
     """Slice of the flat vector holding encoder parameters (head excluded)."""
-    head_in, head_out = spec.embedding_dim, spec.head_classes
-    return slice(0, spec.param_count - (head_in * head_out + head_out))
+    return slice(0, spec._layout[-1][0].start)
 
 
 def init_network(spec: NetworkSpec, seed: int) -> Network:
@@ -454,7 +466,7 @@ def evaluate(net: Network, data: Batch) -> float:
     """Accuracy under argmax prediction; logit ties go to the lowest class index."""
     _check_batch(net, data)
     preds = np.argmax(_logits(net, data.features), axis=1)
-    return float(np.mean(preds == data.labels))
+    return float(np.count_nonzero(preds == data.labels) / data.n)
 
 
 def replace_head(net: Network, n_classes: int, seed: int) -> Network:

@@ -445,6 +445,45 @@ def test_train_equals_the_per_minibatch_loop_bitwise(act):
     assert not np.array_equal(got[-1].params, net.params)
 
 
+def _shipped_case(head, n, seed):
+    """The shipped 16 -> 32 -> 8 relu encoder under a head of width head, and a
+    random batch of n rows labelled across every class of the head."""
+    rng = np.random.default_rng(seed)
+    net = nnet.init_network(nnet.NetworkSpec((16, 32, 8), head, "relu"), seed)
+    return net, nnet.Batch(rng.standard_normal((n, 16)), rng.integers(0, head, size=n))
+
+
+@pytest.mark.parametrize("head", [3, 45])
+@pytest.mark.parametrize("batch_size,n", [(16, 84), (1, 5)], ids=["short_last", "one_row"])
+def test_train_at_the_shipped_shapes_equals_the_per_minibatch_loop_bitwise(head, batch_size, n):
+    # 84 rows in minibatches of 16 leave a short last one of 4; batch_size 1
+    # trains on one-row minibatches
+    net, batch = _shipped_case(head, n, 37)
+    sched = nnet.TrainSchedule(0.02, 0.9, 3, batch_size, seed=38)
+    got = list(nnet.train(net, batch, sched))
+    want = list(helpers.serial_train(net, batch, sched))
+    assert len(got) == len(want) == 3
+    for a, b in zip(got, want):
+        assert np.array_equal(a.params, b.params)
+    assert not np.array_equal(got[-1].params, net.params)
+
+
+@pytest.mark.parametrize("head", [3, 45])
+@pytest.mark.parametrize("n", [1, 4, 16, 84])
+def test_fisher_encode_and_evaluate_at_the_shipped_shapes_equal_the_oracles_bitwise(head, n):
+    net, batch = _shipped_case(head, n, 39)
+    assert np.array_equal(nnet.fisher_diag(net, batch), helpers.layerwise_fisher_diag(net, batch))
+    encoder = nnet._unpack(net.spec, net.params)[:-1]
+    emb = helpers._forward(net.spec, encoder, batch.features)[1][-1]
+    assert np.array_equal(nnet.encode(net, batch.features), emb)
+    # a stack of three batches encodes each slice as the plain batch alone
+    stack = np.stack([batch.features[::-1], batch.features, 2.0 * batch.features])
+    for got, x in zip(nnet.encode(net, stack), stack):
+        assert np.array_equal(got, helpers._forward(net.spec, encoder, x)[1][-1])
+    hits = np.argmax(helpers.logits(net, batch.features), axis=1) == batch.labels
+    assert nnet.evaluate(net, batch) == float(np.mean(hits))
+
+
 def test_train_builds_no_batch_and_one_network_per_epoch(monkeypatch):
     batch = _blob_batch(np.random.default_rng(34))
     net = nnet.init_network(nnet.NetworkSpec((2, 6), 2), 7)

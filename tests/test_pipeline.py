@@ -653,22 +653,24 @@ def test_stacked_phase_3_equals_serial_oracle_bitwise(overlapping, activation, b
         )
 
 
-def test_episodic_finetune_restricted_to_related_labels(tiny):
-    # rows of the excluded class are poisoned: touching them during episodic
-    # fine-tuning would turn the parameters non-finite
-    train, _, spec, cfg = tiny
+def _overlapping_whole(train, cfg):
+    spec = nnet.NetworkSpec((16, 32, 8), len(train.class_ids), "relu")
+    return pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+
+
+def test_episodic_finetune_restricted_to_related_labels(overlapping):
+    # rows of the classes outside the related set are poisoned: touching them
+    # during episodic fine-tuning would turn the parameters non-finite
+    train, _, cfg, related = overlapping
     feats = train.features.copy()
-    excluded = train.class_index[3]
-    feats[excluded] = np.inf
+    feats[~np.isin(train.labels, related.label_set)] = np.inf
     poisoned = tasks.Dataset.from_arrays(feats, train.labels)
-    related = pipeline.RelatedSet(
-        (0, 1, 2), tuple(int(r) for r in np.flatnonzero(train.labels < 3))
-    )
-    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+    whole = _overlapping_whole(train, cfg)
     tuned, history = pipeline.episodic_finetune(whole, related, poisoned, cfg)
     assert np.all(np.isfinite(tuned.params))
     assert len(history) == cfg.finetune_schedule.epochs
-    assert all(np.isfinite(h) for h in history)
+    assert all(np.isfinite(h) and h > 0.0 for h in history)  # a live loss
+    assert not np.array_equal(tuned.params, whole.params)
 
 
 def _spy_draws(monkeypatch):
@@ -775,14 +777,15 @@ def test_phase_3_and_evaluation_raise_the_preflight_error(tiny, monkeypatch):
     assert message(pipeline.evaluate_fewshot, whole, short_test, cfg) == preflight
 
 
-def test_episodic_finetune_deterministic(tiny):
-    train, _, spec, cfg = tiny
-    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    related = pipeline.RelatedSet(
-        (0, 1), tuple(int(r) for r in np.flatnonzero(train.labels < 2))
-    )
+def test_episodic_finetune_deterministic(overlapping):
+    # the loss is live, so the two runs compare moved networks, not two
+    # untouched copies of the whole network
+    train, _, cfg, related = overlapping
+    whole = _overlapping_whole(train, cfg)
     a, ha = pipeline.episodic_finetune(whole, related, train, cfg)
     b, hb = pipeline.episodic_finetune(whole, related, train, cfg)
+    assert min(ha) > 0.0
+    assert not np.array_equal(a.params, whole.params)
     assert np.array_equal(a.params, b.params)
     assert ha == hb
 
@@ -892,8 +895,16 @@ def test_run_full_report_structure(tiny, tiny_run):
         assert rep.timings[key] >= 0.0
 
 
-def test_ablation_comparison_matches_individual_runs(tiny):
-    train, test, spec, cfg = tiny
+def _short_ablation_setting():
+    """Criterion-7 seed 0 with four source tasks, five meta-steps and 30
+    evaluation episodes: phase 3 moves the network at a small cost."""
+    train, test, spec, cfg = ablation_sweep.setting(4242, 0)
+    return train, test, spec, replace(cfg, s_count=4, top_r=2, n_eval_episodes=30,
+                                      finetune_schedule=replace(cfg.finetune_schedule, epochs=5))
+
+
+def test_ablation_comparison_matches_individual_runs():
+    train, test, spec, cfg = _short_ablation_setting()
     combined = pipeline.ablation_comparison(train, test, spec, cfg)
     assert list(combined) == list(pipeline.ABLATION_MODES)
     for mode in pipeline.ABLATION_MODES:
@@ -905,6 +916,8 @@ def test_ablation_comparison_matches_individual_runs(tiny):
         assert combined[mode].selected_labels == single.selected_labels
         assert combined[mode].fewshot_accuracy_mean == single.fewshot_accuracy_mean
         assert combined[mode].fewshot_ci95 == single.fewshot_ci95
+        assert combined[mode].finetune_loss == single.finetune_loss
+        assert min(single.finetune_loss) > 0.0  # a live loss
         docs = [cli.report_to_doc(r, cfg.top_r) for r in (combined[mode], single)]
         for key in ("label_frequency", "tas_histogram"):
             assert docs[0][key] == docs[1][key]
@@ -972,9 +985,7 @@ def test_ablation_shares_fine_tuning_draws_by_row_counts_not_class_counts(monkey
     # fine-tunes on three classes; related and random have 40, 20 and 40
     # rows, non_related 20, 40 and 40, so keying the draws by the class count
     # would gather past class 1's rows
-    train, test, spec, cfg = ablation_sweep.setting(4242, 0)
-    cfg = replace(cfg, s_count=4, top_r=2, n_eval_episodes=30,
-                  finetune_schedule=replace(cfg.finetune_schedule, epochs=5))
+    train, test, spec, cfg = _short_ablation_setting()
     keep = [train.class_index[c][: 20 if c in (1, 6) else None] for c in train.class_ids]
     rows = np.concatenate(keep)
     short = tasks.Dataset.from_arrays(train.features[rows], train.labels[rows])
@@ -1053,3 +1064,13 @@ def test_report_doc_round_trip(tiny, tiny_run):
         "finetune_loss": list(tiny_run.finetune_loss),
         "timings": tiny_run.timings,
     }
+
+
+def test_the_scalars_that_reach_json_are_python_types(tiny, tiny_run):
+    # an np.float64 accuracy would make reached_target an np.bool_ and the
+    # health sums np.int64, which json cannot write
+    train, _, spec, _ = tiny
+    acc = nnet.evaluate(nnet.init_network(spec, 0), nnet.Batch(train.features, train.labels))
+    assert type(acc) is float
+    assert {type(r.record.reached_target) for r in tiny_run.scores} == {bool}
+    assert [type(v) for v in cli._health(tiny_run.scores).values()] == [int] * 3

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run against the current library API."""
 
+import json
 import os
 import re
 import subprocess
@@ -12,6 +13,7 @@ import helpers
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 ablation_sweep = helpers.script("ablation_sweep")
 bp = helpers.script("bench_pairs")
+same_outputs = helpers.script("same_outputs")
 
 
 def _run_script(name, *args):
@@ -106,3 +108,44 @@ def test_bench_pairs_rejects_unpaired_runs():
         bp.summarize([1.0, 2.0], [1.0], "lower")
     with pytest.raises(ValueError, match="better"):
         bp.summarize([1.0], [1.0], "faster")
+
+
+def test_same_outputs_reports_the_repo_identical_to_itself(tmp_path):
+    # the shipped fewshot config, cut to four source tasks, three meta-steps
+    # and ten evaluation episodes
+    with open(os.path.join(ROOT, "configs", "fewshot.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    pipe = doc["pipeline"]
+    pipe.update(s_count=4, top_r=2, n_eval_episodes=10)
+    pipe["finetune_schedule"]["epochs"] = 3
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(doc))
+    out = _run_script("same_outputs.py", ROOT, ROOT, "--config", str(config))
+    # tas writes 3 files in each of 5 runs, fewshot 4 in each of 3
+    assert out == "identical: 27 files of 8 runs, timings dropped\n"
+
+
+def _outputs(root, accuracy=0.5, total_s=1.0, csv="class_id,count\n0,2\n1,1\n"):
+    run = root / "fewshot-random"
+    run.mkdir(parents=True)
+    report = {"scores": [{"task_id": 3, "score": 0.25}], "fewshot_accuracy_mean": accuracy,
+              "timings": {"total_s": total_s}}
+    (run / "report.json").write_text(json.dumps(report))
+    (run / "label_freq.csv").write_text(csv)
+    return root
+
+
+def test_same_outputs_names_the_first_doctored_key_or_line(tmp_path):
+    parent = _outputs(tmp_path / "parent")
+    assert same_outputs.compare(parent, _outputs(tmp_path / "timed", total_s=9.0)) == (2, None)
+    doctored = _outputs(tmp_path / "doctored", accuracy=0.5000000000000001)
+    assert same_outputs.compare(parent, doctored) == (
+        1, "fewshot-random/report.json: $.fewshot_accuracy_mean")
+    csv = _outputs(tmp_path / "csv", csv="class_id,count\n0,2\n1,2\n")
+    assert same_outputs.compare(parent, csv) == (0, "fewshot-random/label_freq.csv: line 3")
+    extra = _outputs(tmp_path / "extra")
+    (extra / "fewshot-random" / "scores.json").write_text("{}")
+    assert same_outputs.compare(parent, extra) == (
+        2, "fewshot-random/scores.json: written by one side only")
+    assert same_outputs.first_difference({"a": [1, 2]}, {"a": [1, 2.0]}) == "$.a[1]"
+    assert same_outputs.first_difference([1], [1, 2]) == "$ (length 1 against 2)"
