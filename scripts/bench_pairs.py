@@ -8,7 +8,10 @@ Runs perfbench/run.py in each checkout in turn, --pairs times, alternating
 which side goes first, each checkout with its own benchmark code and its own
 sources.  For every end-to-end metric it prints each side's runs, median and
 quartiles, how many pairs the change won, and the change's median relative
-to the parent's beside the metric's bound from BENCHMARK.json.  A gain is
+to the parent's beside the metric's bound from BENCHMARK.json.  Then, for
+each phase that every run reports in its "phase split" line (wall seconds,
+the run's median per result), it prints both sides' medians over the runs,
+the change's relative median and how many pairs it won.  A gain is
 claimed only when at least ten pairs ran, the change won at least nine
 tenths of them, ties counting for neither side, and the medians differ by
 more than the distance between the parent's quartiles.  The script itself
@@ -23,6 +26,8 @@ import sys
 
 import numpy as np
 
+PHASES = ("whole_train_s", "rank_s", "finetune_s", "eval_s")
+PHASE_LINE = "phase split, median per result: "
 CLAIM_SHARE = 0.9  # share of the pairs the change must win
 MIN_PAIRS = 10  # fewer pairs support no claim
 
@@ -48,8 +53,33 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
             "rel_change": rel}
 
 
-def run_side(checkout: str, args) -> dict:
-    """One perfbench run in checkout; its closing summary line."""
+def phase_split(stdout: str) -> dict[str, float]:
+    """Each phase's seconds from a perfbench run's phase split line, whose
+    parts read "name seconds" or "name seconds (Baseline b)"; {} without one."""
+    for line in stdout.splitlines():
+        if line.startswith(PHASE_LINE):
+            parts = (part.split() for part in line[len(PHASE_LINE):].split(", "))
+            return {words[0]: float(words[1]) for words in parts if words[0] in PHASES}
+    return {}
+
+
+def phase_report(parent: list[dict], change: list[dict]) -> list[str]:
+    """One line per phase that every paired run reports: both sides' medians,
+    the change's relative median and the pairs it won."""
+    lines = []
+    for name in PHASES:
+        if not all(name in run for run in parent + change):
+            continue
+        s = summarize([run[name] for run in parent], [run[name] for run in change], "lower")
+        rel = "n/a" if s["rel_change"] is None else f"{s['rel_change']:+.1%}"
+        lines.append(f"  {name:<14} parent {s['parent'][1]:.4g} s, change {s['change'][1]:.4g} s"
+                     f" ({rel}); change better in {s['wins']} of {s['pairs']} pairs")
+    return lines
+
+
+def run_side(checkout: str, args) -> tuple[dict, dict]:
+    """One perfbench run in checkout: the metrics of its closing summary line
+    and its phase split."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
@@ -58,7 +88,7 @@ def run_side(checkout: str, args) -> dict:
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     if not summary["correct"]:
         sys.exit(f"{checkout}: {summary['failed']} of {summary['attempted']} results failed")
-    return summary["metrics"]
+    return summary["metrics"], phase_split(proc.stdout)
 
 
 def main() -> None:
@@ -73,11 +103,13 @@ def main() -> None:
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         end_to_end = {m["name"]: m for m in json.load(fh)["end_to_end"]}
 
-    runs = {"parent": [], "change": []}
+    runs, phases = {"parent": [], "change": []}, {"parent": [], "change": []}
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_side(getattr(args, side), args))
+            metrics, split = run_side(getattr(args, side), args)
+            runs[side].append(metrics)
+            phases[side].append(split)
         print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", flush=True)
 
     print(f"{args.workload}, {args.pairs} pairs, --seconds {args.seconds}, --seed {args.seed}")
@@ -101,6 +133,10 @@ def main() -> None:
             worse = rel > bound if direction == "lower" else rel < -bound
             print(f"  median change {rel:+.1%} vs parent; bound {bound:.0%}"
                   + ("; WORSE PAST THE BOUND" if worse else ""))
+    lines = phase_report(phases["parent"], phases["change"])
+    if lines:
+        print("phase split (wall s, lower is better)")
+        print("\n".join(lines))
 
 
 if __name__ == "__main__":

@@ -13,10 +13,13 @@ layer 1 W then bias, ..., head W (embedding x classes) then head bias.
 Validation happens once, at the boundary: `Network`, `Batch` and the public
 functions check shapes and labels on every call.  The kernels (`_unpack`,
 `_forward`, `_cross_entropy`, `_backward`) and the nearest-centroid head
-work on plain arrays and check nothing.  `train` (under the linear head) and
-`train_episodic` (the encoder under the nearest-centroid head) step one
-parameter buffer through the one momentum-SGD loop, `_descend`, building no
-`Batch` or `Network` per step.
+work on plain arrays and check nothing; `_unpack` views a bias as (..., 1, h),
+so a stack of parameters (M, 1, P) runs M networks against activations
+(M, E, n, d) with each network's arithmetic unchanged.  `train` (under the
+linear head) steps one parameter vector, and `train_episodic` (the encoder
+under the nearest-centroid head) one (M, P) stack of copies in lockstep,
+through the one momentum-SGD loop, `_descend`, building no `Batch` or
+`Network` per step.
 """
 
 from __future__ import annotations
@@ -181,9 +184,12 @@ _Pass = tuple[list[np.ndarray], list[np.ndarray]]  # pre-activations, layer inpu
 
 def _unpack(spec: NetworkSpec, params: np.ndarray) -> _Layers:
     """Views (W, b) per layer of a (..., P) array, encoder layers first, head
-    last; writing to a view writes to params."""
+    last: W (..., fan_in, fan_out) and b (..., 1, fan_out), so a stack of
+    parameters (M, 1, P) broadcasts against activations (M, E, n, d);
+    writing to a view writes to params."""
     lead = params.shape[:-1]
-    return [(params[..., w].reshape(lead + shape), params[..., b]) for w, shape, b in spec._layout]
+    return [(params[..., w].reshape(lead + shape), params[..., b][..., None, :])
+            for w, shape, b in spec._layout]
 
 
 def _act(z: np.ndarray, kind: str) -> np.ndarray:
@@ -254,9 +260,9 @@ def _backward(
             g = g * _act_deriv(pre[li], acts[li + 1], spec.activation)
         a, gs = (acts[li] * acts[li], g * g) if square else (acts[li], g)
         mul(a.swapaxes(-1, -2), gs, out=grads[li][0])
-        np.add.reduce(gs, axis=-2, out=grads[li][1])
+        np.add.reduce(gs, axis=-2, keepdims=True, out=grads[li][1])
         if li > 0:
-            g = mul(g, layers[li][0].T)
+            g = mul(g, layers[li][0].swapaxes(-1, -2))
 
 
 def _centroid_distances(es: np.ndarray, eq: np.ndarray, k_shot: int) -> tuple:
@@ -294,8 +300,8 @@ def _centroid_loss_grads(es: np.ndarray, eq: np.ndarray, k_shot: int, temperatur
 
 
 def _episode_buffers(spec: NetworkSpec, xs: np.ndarray, xq: np.ndarray, k_shot: int) -> tuple:
-    """For stacks shaped like xs and xq, a (2, E, P) gradient buffer, zero on the
-    head, which nothing writes, its halves' encoder views and the query slots."""
+    """For stacks shaped like xs and xq, a (2, ..., E, P) gradient buffer, zero on
+    the head, which nothing writes, its halves' encoder views and the query slots."""
     out, m = np.zeros((2,) + xs.shape[:-2] + (spec.param_count,)), xs.shape[-2] // k_shot
     y = np.repeat(np.arange(m), xq.shape[-2] // m)
     return out, _unpack(spec, out[0])[:-1], _unpack(spec, out[1])[:-1], y
@@ -303,25 +309,37 @@ def _episode_buffers(spec: NetworkSpec, xs: np.ndarray, xq: np.ndarray, k_shot: 
 
 def _episode_grads(spec: NetworkSpec, encoder: _Layers, xs: np.ndarray, xq: np.ndarray,
                    k_shot: int, temperature: float, buffers: tuple) -> tuple:
-    """Soft nearest-centroid losses (E,) of stacked support and query features
-    and their flat gradients (E, P), a view into buffers that the next call
-    overwrites; the backward pass reuses one encoder pass per stack."""
+    """Soft nearest-centroid losses (..., E) of stacked support and query
+    features (..., E, n, d) and their flat gradients (..., E, P), a view into
+    buffers that the next call overwrites; the head runs on the episodes as
+    one flat stack, and the backward pass reuses one encoder pass per stack."""
     out, views_s, views_q, y = buffers
     pass_s, pass_q = _forward(spec, encoder, xs), _forward(spec, encoder, xq)
-    losses, g_s, g_q = _centroid_loss_grads(pass_s[1][-1], pass_q[1][-1], k_shot, temperature, y)
-    _backward(spec, encoder, *pass_s, g_s, views_s)
-    _backward(spec, encoder, *pass_q, g_q, views_q)
+    es, eq = pass_s[1][-1], pass_q[1][-1]
+    losses, g_s, g_q = _centroid_loss_grads(es.reshape((-1,) + es.shape[-2:]),
+                                            eq.reshape((-1,) + eq.shape[-2:]), k_shot, temperature, y)
+    _backward(spec, encoder, *pass_s, g_s.reshape(es.shape), views_s)
+    _backward(spec, encoder, *pass_q, g_q.reshape(eq.shape), views_q)
     out[0] += out[1]
-    return losses, out[0]
+    return losses.reshape(es.shape[:-2]), out[0]
+
+
+class NonFiniteError(ValueError):
+    """Training left a non-finite parameter; .row is the first row of the
+    (..., P) parameters that holds one (0 for a single network)."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
 
 
 def _descend(params: np.ndarray, g: np.ndarray, schedule: TrainSchedule, unit: str, updates):
-    """The one momentum-SGD loop, stepping params in place; yields after each epoch.
+    """The one momentum-SGD loop, stepping params (..., P) in place; yields after each epoch.
 
     In each of the schedule's epochs, updates() yields once per update,
     after writing that update's gradient into g.  Overflow inside an epoch
-    is left to one check after it: an epoch that leaves a non-finite
-    parameter raises ValueError, naming the epoch by unit.
+    is left to one check of the whole stack after it: an epoch that leaves a
+    non-finite parameter raises NonFiniteError, naming the epoch by unit.
     """
     velocity, step = np.zeros_like(params), np.empty_like(params)
     for epoch, lr in enumerate(schedule.learning_rates()):
@@ -330,8 +348,10 @@ def _descend(params: np.ndarray, g: np.ndarray, schedule: TrainSchedule, unit: s
                 velocity *= schedule.momentum
                 velocity += g
                 params -= np.multiply(velocity, lr, out=step)
-        if not np.logical_and.reduce(np.isfinite(params)):
-            raise ValueError(f"training left non-finite parameters in {unit} {epoch}")
+        finite = np.isfinite(params)
+        if not np.logical_and.reduce(finite, axis=None):
+            raise NonFiniteError(f"training left non-finite parameters in {unit} {epoch}",
+                                 int(np.argmin(finite.all(axis=-1))))
         yield
 
 
@@ -431,35 +451,42 @@ def train(net: Network, data: Batch, schedule: TrainSchedule) -> Iterator[Networ
 
 
 def train_episodic(
-    net: Network, episodes: Iterator[tuple[np.ndarray, np.ndarray]], schedule: TrainSchedule,
-    k_shot: int, temperature: float,
-) -> tuple[Network, list[float]]:
-    """Momentum SGD of the encoder under the soft nearest-centroid head.
+    net: Network, copies: int, episodes: Iterator[tuple[np.ndarray, np.ndarray]],
+    schedule: TrainSchedule, k_shot: int, temperature: float,
+) -> tuple[list[Network], list[list[float]]]:
+    """Momentum SGD of the encoder under the soft nearest-centroid head, for
+    copies copies of net in lockstep.
 
     Each of the schedule's epochs is one meta-update on the next item of
-    episodes, support (E, m * k_shot, d) and query (E, m * q, d) features
-    with rows grouped by class slot, and averages the E episodes' gradients.
-    Returns the network and each meta-update's mean loss.  A meta-update
-    that leaves a non-finite parameter raises ValueError.
+    episodes, support (copies, E, m * k_shot, d) and query (copies, E, m * q, d)
+    features with rows grouped by class slot; copy i averages the gradients
+    of its E episodes.  The copies step one (copies, P) parameter buffer, and
+    each copy's arithmetic is what it would be alone.  Returns each copy's
+    network and each of its meta-updates' mean loss.  A meta-update that
+    leaves a non-finite parameter raises NonFiniteError, whose row is the
+    first copy holding one.
     """
     spec, history = net.spec, []
-    params, g = net.params.copy(), np.empty(net.param_count)
-    encoder, buffers, shape = _unpack(spec, params)[:-1], None, None
+    params = np.tile(net.params, (copies, 1))
+    g = np.empty_like(params)
+    encoder, buffers, shape = _unpack(spec, params[:, None])[:-1], None, None
 
     def meta_update():
         nonlocal buffers, shape
         xs, xq = (_features(spec, x) for x in next(episodes))
         if (xs.shape, xq.shape) != shape:
+            if xs.ndim != 4 or xs.shape[:2] != xq.shape[:2] or len(xs) != copies:
+                raise ValueError(f"episodes must be stacks ({copies}, E, n, {spec.input_dim})")
             buffers, shape = _episode_buffers(spec, xs, xq, k_shot), (xs.shape, xq.shape)
         losses, per_episode = _episode_grads(spec, encoder, xs, xq, k_shot, temperature, buffers)
-        # numpy sums the leading axis row by row, in episode order
-        np.divide(np.add.reduce(per_episode, axis=0), len(per_episode), out=g)
-        history.append(float(np.add.reduce(losses) / losses.shape[0]))
+        # numpy sums axis 1 row by row, in episode order
+        np.divide(np.add.reduce(per_episode, axis=1), per_episode.shape[1], out=g)
+        history.append(np.add.reduce(losses, axis=1) / losses.shape[1])
         yield
 
     for _ in _descend(params, g, schedule, "meta-step", meta_update):
         pass
-    return Network(spec, params), history
+    return [Network(spec, p) for p in params], np.reshape(history, (-1, copies)).T.tolist()
 
 
 def evaluate(net: Network, data: Batch) -> float:
@@ -469,9 +496,15 @@ def evaluate(net: Network, data: Batch) -> float:
     return float(np.count_nonzero(preds == data.labels) / data.n)
 
 
+@lru_cache(maxsize=8)
+def _head_spec(spec: NetworkSpec, n_classes: int) -> NetworkSpec:
+    return NetworkSpec(spec.layer_widths, n_classes, spec.activation)
+
+
 def replace_head(net: Network, n_classes: int, seed: int) -> Network:
-    """Copy the encoder verbatim and attach a freshly initialized head."""
-    new_spec = NetworkSpec(net.spec.layer_widths, n_classes, net.spec.activation)
+    """Copy the encoder verbatim and attach a freshly initialized head; every
+    head of one spec and n_classes shares one NetworkSpec."""
+    new_spec = _head_spec(net.spec, n_classes)
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(new_spec.embedding_dim)
     head_w = rng.uniform(-scale, scale, size=new_spec.embedding_dim * n_classes)

@@ -128,6 +128,8 @@ class RunReport:
     fewshot_accuracy_mean: float
     fewshot_ci95: float
     finetune_loss: tuple[float, ...]  # phase 3's mean episode loss per meta-step
+    # whole_train_s, rank_s, finetune_s, eval_s; finetune_s is the lockstep
+    # fine-tune's wall time over the number of modes: their sum is phase 3's
     timings: dict[str, float]
     ablation_mode: str = "related"
 
@@ -342,41 +344,45 @@ def _positions(draws: dict | None, data: tasks.Dataset, classes: list[int],
 
 
 def episodic_finetune(
-    whole: nnet.Network, related: RelatedSet, train: tasks.Dataset, cfg: PipelineConfig,
-    draws: dict | None = None,
-) -> tuple[nnet.Network, list[float]]:
-    """Encoder-only episodic fine-tuning restricted to the related rows.
+    whole: nnet.Network, sets: dict[str, RelatedSet], train: tasks.Dataset, cfg: PipelineConfig,
+) -> dict[str, tuple[nnet.Network, list[float]]]:
+    """Encoder-only episodic fine-tuning of one copy of whole per mode of
+    sets, each restricted to its set's rows, all in lockstep.
 
-    Each meta-update averages the loss gradient of finetune_schedule.batch_size
-    episodes, drawn from the training rows of the related classes only;
-    finetune_schedule.epochs counts meta-updates.  Every episode is drawn
-    before the first meta-update, or taken from draws (see _positions), and
-    each meta-update gathers its own rows.  Returns the network and each
-    meta-update's mean loss.
+    Each meta-update averages, per mode, the loss gradient of
+    finetune_schedule.batch_size episodes drawn from the training rows of
+    its set's classes only; finetune_schedule.epochs counts meta-updates.
+    Every episode is drawn before the first meta-update, one draw per
+    distinct row counts of the modes' classes (see _positions), and each
+    meta-update gathers every mode's rows, then their features once per
+    side.  Returns each mode's network and each of its meta-updates' mean
+    loss, which do not depend on the other modes.
     """
-    classes = tasks.episode_classes(
-        train, related.label_set, cfg.m_way, cfg.k_shot, cfg.q_query,
-        "training classes of the related set",
-    )
-    sched = cfg.finetune_schedule
-    table = tasks.row_table(train, classes)
-    picks, positions = _positions(draws, train, classes, cfg, sched.seed, _STREAM_FINETUNE,
-                                  range(sched.epochs), range(sched.batch_size))
+    sched, draws, plans = cfg.finetune_schedule, {}, []
+    for mode, chosen in sets.items():
+        classes = tasks.episode_classes(
+            train, chosen.label_set, cfg.m_way, cfg.k_shot, cfg.q_query,
+            f"training classes of the {mode} set",
+        )
+        plans.append((tasks.row_table(train, classes), *_positions(
+            draws, train, classes, cfg, sched.seed, _STREAM_FINETUNE,
+            range(sched.epochs), range(sched.batch_size))))
 
     def episodes():
-        for lo in range(0, picks.shape[0], sched.batch_size):
+        for lo in range(0, sched.epochs * sched.batch_size, sched.batch_size):
             hi = lo + sched.batch_size
-            sup, qry = tasks.episode_rows(table, picks[lo:hi], positions[lo:hi], cfg.k_shot)
-            yield train.features[sup], train.features[qry]
+            sup, qry = zip(*(tasks.episode_rows(table, picks[lo:hi], positions[lo:hi], cfg.k_shot)
+                             for table, picks, positions in plans))
+            yield train.features[np.stack(sup)], train.features[np.stack(qry)]
 
     try:
-        tuned, history = nnet.train_episodic(
-            whole, episodes(), sched, cfg.k_shot, cfg.softmax_temperature
+        tuned, histories = nnet.train_episodic(
+            whole, len(sets), episodes(), sched, cfg.k_shot, cfg.softmax_temperature
         )
-    except ValueError as exc:
-        raise ValueError(f"phase-3 fine-tune: {exc}") from None
-    log.debug("episodic fine-tune done, final loss %.4f", history[-1] if history else np.nan)
-    return tuned, history
+    except nnet.NonFiniteError as exc:
+        where = f" of the {list(sets)[exc.row]} set" if len(sets) > 1 else ""
+        raise ValueError(f"phase-3 fine-tune{where}: {exc}") from None
+    return dict(zip(sets, zip(tuned, histories)))
 
 
 EVAL_CHUNK = 50  # evaluation episodes per stack; bounds the memory one stack holds
@@ -457,16 +463,20 @@ def ablation_comparison(
     cfg: PipelineConfig,
     modes: tuple[str, ...] = ABLATION_MODES,
 ) -> dict[str, RunReport]:
-    """Phases 1-2 once, then phase 3 and evaluation for each mode, in order.
+    """Phases 1-2 once, phase 3 for every mode in lockstep, then each mode's
+    evaluation, in order.
 
     Each mode fine-tunes on the label set select_labels picks for it.  Seeds
     and budgets are shared, so a mode's report does not depend on which
     other modes run; modes whose eligible classes have the same row counts
-    share one fine-tuning draw, and all share one evaluation draw.  Unknown modes,
-    and test or training sets with fewer than m_way classes that hold an
-    episode's k_shot + q_query rows, fail before any training; so does, after
-    ranking and before any fine-tuning, a mode's set with too few such classes.
+    share one fine-tuning draw, and all share one evaluation draw.  No mode,
+    unknown modes, and test or training sets with fewer than m_way classes
+    that hold an episode's k_shot + q_query rows fail before any training; so
+    does, after ranking and before any fine-tuning, a mode's set with too few
+    such classes.
     """
+    if not modes:
+        raise ValueError(f"no ablation mode given; expected some of {ABLATION_MODES}")
     for mode in modes:
         if mode not in ABLATION_MODES:
             raise ValueError(f"unknown ablation mode {mode!r}; expected one of {ABLATION_MODES}")
@@ -475,20 +485,16 @@ def ablation_comparison(
         tasks.episode_classes(data, data.class_ids, *episode, f"{split} classes")
     whole, ordered, shared = phases_1_2(train, test, spec, cfg)
     sets = {mode: select_labels(mode, ordered, train, cfg) for mode in modes}
-    for mode, chosen in sets.items():
-        what = f"training classes of the {mode} set"
-        tasks.episode_classes(train, chosen.label_set, *episode, what)
-    finetune_draws, eval_draws = {}, {}
+    t0 = time.perf_counter()
+    tuned = episodic_finetune(whole, sets, train, cfg)
+    shared["finetune_s"] = (time.perf_counter() - t0) / len(sets)
+    eval_draws: dict = {}
     reports: dict[str, RunReport] = {}
     for mode, chosen in sets.items():
         timings = dict(shared)
-
+        net, losses = tuned[mode]
         t0 = time.perf_counter()
-        tuned, losses = episodic_finetune(whole, chosen, train, cfg, finetune_draws)
-        timings["finetune_s"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        acc_mean, ci95 = evaluate_fewshot(tuned, test, cfg, eval_draws)
+        acc_mean, ci95 = evaluate_fewshot(net, test, cfg, eval_draws)
         timings["eval_s"] = time.perf_counter() - t0
 
         reports[mode] = RunReport(

@@ -8,9 +8,10 @@ the theorem-1 harness's per-checkpoint affinity loop, fixed-step descent to
 the logistic optimum, the per-layer Fisher diagonal loop, the per-minibatch
 training loop that nnet.train must reproduce bit for bit, the serial
 phase-3 path (one episode at a time, as validated Batches) that the stacked
-meta-steps must reproduce bit for bit, and the per-task ranking route (one
-encode, one centroid set and one hungarian call per source task) that the
-blocked ranking must reproduce bit for bit.
+meta-steps must reproduce bit for bit, the one-network phase-3 loop that
+each copy of the lockstep loop must reproduce bit for bit, and the per-task
+ranking route (one encode, one centroid set and one hungarian call per
+source task) that the blocked ranking must reproduce bit for bit.
 
 The forward oracle re-derives the flat parameter layout with plain Python
 loops, so a layout or indexing bug in the production code cannot cancel out.
@@ -149,9 +150,9 @@ def _backward(spec, layers, pre, acts, g, grads):
         if li < len(pre):
             g = g * _act_deriv(pre[li], acts[li + 1], spec.activation)
         grads[li][0][...] = acts[li].swapaxes(-1, -2) @ g
-        grads[li][1][...] = g.sum(axis=-2)
+        grads[li][1][...] = g.sum(axis=-2, keepdims=True)
         if li > 0:
-            g = g @ layers[li][0].T
+            g = g @ layers[li][0].swapaxes(-1, -2)
 
 
 def logits(net, features):
@@ -509,6 +510,28 @@ def serial_episodic_finetune(whole, related, train, cfg):
         params = params - lr * velocity
         history.append(float(np.mean(losses)))
     return nnet.Network(whole.spec, params), history
+
+
+def serial_train_episodic(net, episodes, schedule, k_shot, temperature):
+    """nnet.train_episodic of one network, as the loop it replaced: each
+    meta-update's (E, n, d) stacks through nnet's episode kernels on a flat
+    parameter vector, with its own momentum loop and learning-rate decay.
+    Returns the network and each meta-update's mean loss."""
+    spec = net.spec
+    params = net.params.copy()
+    encoder = nnet._unpack(spec, params)[:-1]
+    velocity = np.zeros_like(params)
+    history = []
+    for lr in schedule.learning_rates():
+        xs, xq = next(episodes)
+        buffers = nnet._episode_buffers(spec, xs, xq, k_shot)
+        losses, per_episode = nnet._episode_grads(spec, encoder, xs, xq, k_shot, temperature,
+                                                  buffers)
+        velocity *= schedule.momentum
+        velocity += np.add.reduce(per_episode, axis=0) / len(per_episode)
+        params -= velocity * lr  # in place: the encoder views see the step
+        history.append(float(np.add.reduce(losses) / losses.shape[0]))
+    return nnet.Network(spec, params), history
 
 
 def serial_evaluate_fewshot(net, test, cfg):

@@ -335,9 +335,15 @@ def test_encoder_pullback_matches_central_differences():
 def test_train_episodic_rejects_wrong_feature_width():
     net = nnet.init_network(nnet.NetworkSpec((3, 4), 2), 0)
     sched = nnet.TrainSchedule(0.1, 0.9, 2, 1, seed=0)
-    episodes = iter([(np.zeros((1, 4, 4)), np.zeros((1, 4, 3)))])
+    episodes = iter([(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 4, 3)))])
     with pytest.raises(ValueError, match=r"features must be \(\.\.\., n, 3\)"):
-        nnet.train_episodic(net, episodes, sched, 2, 1.0)
+        nnet.train_episodic(net, 1, episodes, sched, 2, 1.0)
+    # an item must stack one (E, n, d) block per copy, E alike on both sides
+    for xs, xq in [((1, 4, 3), (1, 4, 3)), ((1, 1, 4, 3), (1, 1, 4, 3)),
+                   ((2, 1, 4, 3), (2, 2, 4, 3))]:
+        episodes = iter([(np.zeros(xs), np.zeros(xq))])
+        with pytest.raises(ValueError, match=r"episodes must be stacks \(2, E, n, 3\)"):
+            nnet.train_episodic(net, 2, episodes, sched, 2, 1.0)
 
 
 def _pullback(net, features, grad_embeddings):
@@ -372,6 +378,32 @@ def test_stacked_encoder_pass_and_pullback_equal_each_slice_bitwise(seed):
         for e in range(n_ep):
             assert np.array_equal(emb[e], nnet.encode(net, x[e]))
             assert np.array_equal(stacked[e], _pullback(net, x[e], up[e]))
+
+
+@pytest.mark.parametrize("act", ["relu", "tanh"])
+def test_forward_and_backward_on_a_parameter_stack_equal_each_slice_bitwise(act):
+    # M networks as one (M, 1, P) stack against (M, E, n, d) activations, the
+    # lockstep phase-3 shape: each copy's pass and gradients are its own
+    rng = np.random.default_rng(61)
+    spec = nnet.NetworkSpec((16, 32, 8), 45, act)
+    copies, n_ep, n = 3, 4, 12
+    params = rng.standard_normal((copies, spec.param_count)) * 0.3
+    x = rng.standard_normal((copies, n_ep, n, 16))
+    for top in (-1, None):  # the encoder, then the whole network with its head
+        layers = nnet._unpack(spec, params[:, None])[:top]
+        assert layers[0][1].shape == (copies, 1, 1, 32)
+        pre, acts = nnet._forward(spec, layers, x)
+        up = rng.standard_normal(acts[-1].shape)
+        out = np.zeros((copies, n_ep, spec.param_count))
+        nnet._backward(spec, layers, pre, acts, up, nnet._unpack(spec, out))
+        for i in range(copies):
+            one = nnet._unpack(spec, params[i])[:top]
+            pre_i, acts_i = nnet._forward(spec, one, x[i])
+            assert np.array_equal(acts[-1][i], acts_i[-1])
+            out_i = np.zeros((n_ep, spec.param_count))
+            nnet._backward(spec, one, pre_i, acts_i, up[i], nnet._unpack(spec, out_i))
+            assert np.array_equal(out[i], out_i)
+            assert np.any(out_i != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +547,12 @@ def test_training_unpacks_the_parameters_per_call_not_per_step(monkeypatch):
         list(nnet.train(net, batch, nnet.TrainSchedule(0.05, 0.9, epochs, 16, seed=3)))
 
     rng = np.random.default_rng(36)
-    stack = rng.standard_normal((3, 4, 2)), rng.standard_normal((3, 6, 2))  # E=3, m=2, k=2, q=3
+    # two copies, E=3, m=2, k=2, q=3
+    stack = rng.standard_normal((2, 3, 4, 2)), rng.standard_normal((2, 3, 6, 2))
 
     def train_episodic(steps):
         sched = nnet.TrainSchedule(0.01, 0.9, steps, 3, seed=0)
-        nnet.train_episodic(net, iter([stack] * steps), sched, 2, 1.0)
+        nnet.train_episodic(net, 2, iter([stack] * steps), sched, 2, 1.0)
 
     assert unpacks(train, 1) == unpacks(train, 5) > 0
     assert unpacks(train_episodic, 2) == unpacks(train_episodic, 20) > 0
@@ -584,6 +617,20 @@ def test_replace_head_preserves_encoder_and_embeddings():
     assert np.array_equal(swapped.params[sl], net.params[sl])
     x = rng.standard_normal((6, 4))
     np.testing.assert_array_equal(nnet.encode(swapped, x), nnet.encode(net, x))
+
+
+def test_replace_head_shares_one_spec_per_head_size_and_draws_the_same_head():
+    spec = nnet.NetworkSpec((4, 5, 3), 6, activation="tanh")
+    net = nnet.init_network(spec, 1)
+    a = nnet.replace_head(net, 9, seed=5)
+    b = nnet.replace_head(nnet.init_network(nnet.NetworkSpec((4, 5, 3), 6, "tanh"), 2), 9, seed=6)
+    assert a.spec is b.spec
+    assert a.spec == nnet.NetworkSpec((4, 5, 3), 9, "tanh")
+    assert nnet.replace_head(net, 4, seed=5).spec.head_classes == 4
+    # the head drawn as before: U(-1/sqrt(3), 1/sqrt(3)) from the seed, bias zero
+    head = np.random.default_rng(5).uniform(-1 / np.sqrt(3), 1 / np.sqrt(3), size=3 * 9)
+    want = np.concatenate([net.params[nnet.encoder_slice(spec)], head, np.zeros(9)])
+    assert np.array_equal(a.params, want)
 
 
 def test_replace_head_fresh_head_deterministic_and_bias_zero():

@@ -623,6 +623,11 @@ def test_episode_accuracy_perfect_and_tied():
     assert accuracy(zero) == 0.5  # only the label-0 query counts
 
 
+def _finetune(whole, related, train, cfg):
+    """pipeline.episodic_finetune of one related set: its network and losses."""
+    return pipeline.episodic_finetune(whole, {"related": related}, train, cfg)["related"]
+
+
 @pytest.fixture(scope="module")
 def overlapping():
     # the criterion-7 data: classes overlap, so the episodic loss and its
@@ -641,7 +646,7 @@ def test_stacked_phase_3_equals_serial_oracle_bitwise(overlapping, activation, b
     spec = nnet.NetworkSpec((16, 32, 8), len(train.class_ids), activation)
     cfg = replace(cfg, finetune_schedule=replace(cfg.finetune_schedule, batch_size=batch_size))
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    tuned, history = pipeline.episodic_finetune(whole, related, train, cfg)
+    tuned, history = _finetune(whole, related, train, cfg)
     ref, ref_history = helpers.serial_episodic_finetune(whole, related, train, cfg)
     assert np.mean(history) > 0.05  # a live loss, not a vacuous comparison
     assert np.array_equal(tuned.params, ref.params)
@@ -658,6 +663,70 @@ def _overlapping_whole(train, cfg):
     return pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
 
 
+def _three_sets(train):
+    """Three label sets of the criterion-7 data, one per ablation mode."""
+    picked = {"related": (0, 1, 2, 6, 7, 8), "non_related": (20, 21, 22, 30, 31),
+              "random": (1, 9, 12, 13, 14, 40)}
+    return {mode: pipeline.RelatedSet(ids, tuple(int(r) for r in np.flatnonzero(
+        np.isin(train.labels, ids)))) for mode, ids in picked.items()}
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_lockstep_modes_equal_three_serial_runs_bitwise(overlapping, monkeypatch, activation):
+    # every meta-step's stacked episodes are recorded as pipeline feeds them,
+    # then each mode's slice is replayed through the one-network loop
+    train, _, cfg, _ = overlapping
+    cfg = replace(cfg, finetune_schedule=replace(cfg.finetune_schedule, epochs=8,
+                                                 lr_decay_epochs=(5,), lr_decay_factor=0.5))
+    spec = nnet.NetworkSpec((16, 32, 8), len(train.class_ids), activation)
+    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+    fed = []
+
+    def recording(net, copies, episodes, *rest, original=nnet.train_episodic):
+        return original(net, copies, (fed.append(item) or item for item in episodes), *rest)
+
+    monkeypatch.setattr(nnet, "train_episodic", recording)
+    sets = _three_sets(train)
+    tuned = pipeline.episodic_finetune(whole, sets, train, cfg)
+    assert list(tuned) == list(sets) and len(fed) == 8
+    for i, mode in enumerate(sets):
+        replay = iter([(xs[i], xq[i]) for xs, xq in fed])
+        ref, ref_history = helpers.serial_train_episodic(
+            whole, replay, cfg.finetune_schedule, cfg.k_shot, cfg.softmax_temperature)
+        net, history = tuned[mode]
+        assert np.array_equal(net.params, ref.params)
+        assert history == ref_history
+        assert min(history) > 0.05  # a live loss
+    assert tuned["related"][1] != tuned["random"][1]
+
+
+def test_lockstep_non_finite_names_the_earliest_failing_mode(overlapping):
+    # at learning rate 50 every mode diverges: related and random in
+    # meta-step 6, non_related in meta-step 5
+    train, _, cfg, _ = overlapping
+    cfg = replace(cfg, finetune_schedule=replace(cfg.finetune_schedule, learning_rate=50.0,
+                                                 epochs=8))
+    whole = _overlapping_whole(train, cfg)
+    sets = _three_sets(train)
+
+    def error(chosen):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            with pytest.raises(ValueError) as exc:
+                pipeline.episodic_finetune(whole, chosen, train, cfg)
+        return str(exc.value)
+
+    alone = {mode: error({mode: chosen}).removeprefix("phase-3 fine-tune: ")
+             for mode, chosen in sets.items()}
+    prefix = "training left non-finite parameters in meta-step "
+    steps = {mode: int(msg.removeprefix(prefix)) for mode, msg in alone.items()}
+    assert steps == {"related": 6, "non_related": 5, "random": 6}
+    assert error(sets) == "phase-3 fine-tune of the non_related set: " + alone["non_related"]
+    # a tie at the earliest meta-step goes to the mode listed first
+    tied = {mode: sets[mode] for mode in ("random", "related")}
+    assert error(tied) == "phase-3 fine-tune of the random set: " + alone["random"]
+
+
 def test_episodic_finetune_restricted_to_related_labels(overlapping):
     # rows of the classes outside the related set are poisoned: touching them
     # during episodic fine-tuning would turn the parameters non-finite
@@ -666,7 +735,7 @@ def test_episodic_finetune_restricted_to_related_labels(overlapping):
     feats[~np.isin(train.labels, related.label_set)] = np.inf
     poisoned = tasks.Dataset.from_arrays(feats, train.labels)
     whole = _overlapping_whole(train, cfg)
-    tuned, history = pipeline.episodic_finetune(whole, related, poisoned, cfg)
+    tuned, history = _finetune(whole, related, poisoned, cfg)
     assert np.all(np.isfinite(tuned.params))
     assert len(history) == cfg.finetune_schedule.epochs
     assert all(np.isfinite(h) and h > 0.0 for h in history)  # a live loss
@@ -709,7 +778,7 @@ def test_episodic_finetune_builds_one_network_and_draws_per_meta_step(
     monkeypatch.setattr(nnet.Network, "__post_init__", counted)
     drawn = _spy_draws(monkeypatch)
     monkeypatch.setattr(tasks, "episode_rows", gather)
-    tuned, history = pipeline.episodic_finetune(whole, related, train, cfg)
+    tuned, history = _finetune(whole, related, train, cfg)
     assert built == [tuned]
     assert drawn == [(meta_steps * batch_size, (40,) * len(related.label_set))]
     assert gathered == [batch_size] * meta_steps
@@ -725,7 +794,8 @@ def test_ablation_draws_once_per_distinct_row_counts(monkeypatch):
     sizes = {m: len(r.selected_labels.label_set) for m, r in reports.items()}
     assert sizes == {"related": 9, "non_related": 7, "random": 9}
     episodes = cfg.finetune_schedule.epochs * cfg.finetune_schedule.batch_size
-    assert drawn == [(episodes, (40,) * 9), (cfg.n_eval_episodes, (40,) * 3), (episodes, (40,) * 7)]
+    # the modes fine-tune in lockstep, so both fine-tuning draws come first
+    assert drawn == [(episodes, (40,) * 9), (episodes, (40,) * 7), (cfg.n_eval_episodes, (40,) * 3)]
 
 
 def test_episodic_finetune_copies_no_dataset(overlapping, monkeypatch):
@@ -738,7 +808,7 @@ def test_episodic_finetune_copies_no_dataset(overlapping, monkeypatch):
     monkeypatch.setattr(
         tasks.Dataset, "from_arrays", staticmethod(lambda *a: built.append(a) or from_arrays(*a))
     )
-    pipeline.episodic_finetune(whole, related, train, cfg)
+    _finetune(whole, related, train, cfg)
     assert built == []
 
 
@@ -768,7 +838,7 @@ def test_phase_3_and_evaluation_raise_the_preflight_error(tiny, monkeypatch):
         "insufficient samples: only 1 training classes of the related set have >= 6 rows "
         "(k_shot + q_query), need m_way=2"
     )
-    assert message(pipeline.episodic_finetune, whole, related, short_train, cfg) == preflight
+    assert message(_finetune, whole, related, short_train, cfg) == preflight
 
     preflight = message(pipeline.ablation_comparison, train, short_test, spec, cfg, ("related",))
     assert preflight == (
@@ -782,8 +852,8 @@ def test_episodic_finetune_deterministic(overlapping):
     # untouched copies of the whole network
     train, _, cfg, related = overlapping
     whole = _overlapping_whole(train, cfg)
-    a, ha = pipeline.episodic_finetune(whole, related, train, cfg)
-    b, hb = pipeline.episodic_finetune(whole, related, train, cfg)
+    a, ha = _finetune(whole, related, train, cfg)
+    b, hb = _finetune(whole, related, train, cfg)
     assert min(ha) > 0.0
     assert not np.array_equal(a.params, whole.params)
     assert np.array_equal(a.params, b.params)
@@ -804,7 +874,7 @@ def test_episodic_finetune_improves_fewshot_on_target_family():
         related = pipeline.RelatedSet(
             (0, 1, 2), tuple(int(r) for r in np.flatnonzero(np.isin(train.labels, [0, 1, 2])))
         )
-        tuned, _ = pipeline.episodic_finetune(whole, related, train, cfg)
+        tuned, _ = _finetune(whole, related, train, cfg)
         pre, _ = pipeline.evaluate_fewshot(whole, test, cfg)
         post, _ = pipeline.evaluate_fewshot(tuned, test, cfg)
         assert post > pre, f"seed {s}: fine-tuning hurt ({pre:.4f} -> {post:.4f})"
@@ -927,12 +997,14 @@ def test_ablation_comparison_matches_individual_runs():
     "change,train_rows,modes,match",
     [
         ({}, None, ("related", "shuffled"), "unknown ablation mode 'shuffled'"),
+        ({}, None, (), "no ablation mode given"),
         ({"q_query": 60}, None, ("related",), "insufficient samples"),
         ({"n_test": 3}, None, pipeline.ABLATION_MODES, "n_test=3"),
         # the test split still holds 12 rows per class, phase 3 needs 6
         ({}, 5, ("related",), "only 0 training classes have >= 6 rows"),
     ],
-    ids=["unknown_mode", "oversized_episodes", "wrong_n_test", "short_training_classes"],
+    ids=["unknown_mode", "no_mode", "oversized_episodes", "wrong_n_test",
+         "short_training_classes"],
 )
 def test_ablation_bad_inputs_fail_before_phase_1(
     tiny, monkeypatch, change, train_rows, modes, match
@@ -965,9 +1037,9 @@ def test_ablation_short_mode_set_fails_before_any_fine_tune(tiny, monkeypatch):
         return pipeline.RelatedSet(one, tuple(int(r) for r in rows))
 
     calls = []
-    finetune = pipeline.episodic_finetune
+    finetune = nnet.train_episodic
     monkeypatch.setattr(pipeline, "select_labels", short_random)
-    monkeypatch.setattr(pipeline, "episodic_finetune", lambda *a: calls.append(a) or finetune(*a))
+    monkeypatch.setattr(nnet, "train_episodic", lambda *a: calls.append(a) or finetune(*a))
     with pytest.raises(ValueError, match=(
         r"^insufficient samples: only 1 training classes of the random set have >= 6 rows"
     )):

@@ -110,6 +110,38 @@ def test_bench_pairs_rejects_unpaired_runs():
         bp.summarize([1.0], [1.0], "faster")
 
 
+def _perfbench_stdout(finetune_s, eval_s="0.011 (Baseline 0.09)"):
+    """The closing lines of a perfbench/run.py ablation run."""
+    return (
+        "result_s is the median of 3 results; an item is one episode fine-tuned or evaluated\n"
+        "phase split, median per result: whole_train_s 0.052 (Baseline 0.07), rank_s 0.514 "
+        f"(Baseline 1.23), finetune_s {finetune_s} (Baseline 1.28), eval_s {eval_s}\n"
+        '{"correct": true, "attempted": 3, "failed": 0, "metrics": {}}\n'
+    )
+
+
+def test_bench_pairs_reads_the_phase_split_line():
+    assert bp.phase_split(_perfbench_stdout(0.263)) == {
+        "whole_train_s": 0.052, "rank_s": 0.514, "finetune_s": 0.263, "eval_s": 0.011}
+    assert bp.phase_split(_perfbench_stdout(0.263, eval_s="0.02"))["eval_s"] == 0.02
+    # theorem1 prints no phase split; a phase bench_pairs does not know is skipped
+    assert bp.phase_split('{"correct": true}\n') == {}
+    assert bp.phase_split("phase split, median per result: load_s 1.0, rank_s 0.5") == {
+        "rank_s": 0.5}
+
+
+def test_bench_pairs_reports_each_phase_paired():
+    parent = [bp.phase_split(_perfbench_stdout(p)) for p in PARENT]
+    change = [bp.phase_split(_perfbench_stdout(round(p - 0.1, 3))) for p in PARENT]
+    change[2]["finetune_s"] = 0.75  # the change loses pair 3
+    del parent[5]["eval_s"]  # a phase one run lacks is not reported
+    assert bp.phase_report(parent, change) == [
+        "  whole_train_s  parent 0.052 s, change 0.052 s (+0.0%); change better in 0 of 10 pairs",
+        "  rank_s         parent 0.514 s, change 0.514 s (+0.0%); change better in 0 of 10 pairs",
+        "  finetune_s     parent 0.705 s, change 0.61 s (-13.5%); change better in 9 of 10 pairs",
+    ]
+
+
 def test_same_outputs_reports_the_repo_identical_to_itself(tmp_path):
     # the shipped fewshot config, cut to four source tasks, three meta-steps
     # and ten evaluation episodes
