@@ -7,7 +7,8 @@ selection mode (related / non_related / random) off the shared ranking.
 Prints per-seed accuracies; per mode, the mean accuracy and the share of the
 label set from the target family; per pair of modes, the mean paired
 difference and its 95 % half-width over seeds; and the related-set margins.
-`setting` and `sweep` are criterion 7's protocol, which the tests import.
+`setting`, `sweep` and `target_share` are criterion 7's protocol, which the
+tests import.
 """
 
 import argparse
@@ -49,6 +50,12 @@ def sweep(master: int, n_seeds: int):
         yield pipeline.ablation_comparison(*setting(master, s))
 
 
+def target_share(label_set) -> float:
+    """The share of label_set's classes from the target family."""
+    return float(np.mean([tasks.family_of(c, CLASSES_PER_FAMILY) == TARGET_FAMILY
+                          for c in label_set]))
+
+
 def paired_difference(a, b) -> tuple[float, float | None]:
     """Mean of a - b over paired seeds and its 95 % half-width,
     1.96 * sd(ddof=1) / sqrt(n) as in `evaluate_fewshot`; None for one pair."""
@@ -73,10 +80,7 @@ def main() -> None:
     for s, reports in enumerate(sweep(args.master, args.seeds)):
         for mode in modes:
             acc[mode].append(reports[mode].fewshot_accuracy_mean)
-            labels = reports[mode].selected_labels.label_set
-            share[mode].append(np.mean([
-                tasks.family_of(c, CLASSES_PER_FAMILY) == TARGET_FAMILY for c in labels
-            ]))
+            share[mode].append(target_share(reports[mode].selected_labels.label_set))
         print(f"seed {s:3d}: " + "  ".join(f"{m} {acc[m][-1] * 100:5.1f}%" for m in modes))
 
     means = {m: 100.0 * float(np.mean(v)) for m, v in acc.items()}

@@ -15,18 +15,21 @@ functions check shapes and labels on every call.  The kernels (`_unpack`,
 `_forward`, `_cross_entropy`, `_backward`) and the nearest-centroid head
 work on plain arrays and check nothing; `_unpack` views a bias as (..., 1, h),
 so a stack of parameters (M, 1, P) runs M networks against activations
-(M, E, n, d) with each network's arithmetic unchanged.  `train` (under the
-linear head) steps one parameter vector, and `train_episodic` (the encoder
-under the nearest-centroid head) one (M, P) stack of copies in lockstep,
-through the one momentum-SGD loop, `_descend`, building no `Batch` or
-`Network` per step.
+(M, E, n, d) with each network's arithmetic unchanged.  One momentum-SGD
+epoch, `_descend`, steps every training, building no `Batch` or `Network`
+per step: `train` (under the linear head) one parameter vector;
+`train_episodic` (the encoder under the nearest-centroid head) one (M, P)
+stack of copies in lockstep; and `train_pool` a rolling pool of up to W
+fine-tunes under fresh linear heads, one (W, P) buffer whose rows sit at
+epochs of their own and leave on reaching a target query accuracy.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -229,7 +232,8 @@ def _identity(classes: int) -> np.ndarray:
 def _cross_entropy(logits: np.ndarray, labels: np.ndarray, per_row: bool = True) -> tuple:
     """Each row's cross-entropy, through log-sum-exp so it is finite for finite
     logits, or None without per_row, and its gradient on the logits, softmax
-    minus the labels' identity rows.  logits is (..., n, classes), labels (n,)."""
+    minus the labels' identity rows.  logits is (..., n, classes), labels (n,),
+    or without per_row (..., n), each stack slice's own."""
     zmax = np.maximum.reduce(logits, axis=-1, keepdims=True)
     delta = np.exp(logits - zmax)
     total = np.add.reduce(delta, axis=-1, keepdims=True)
@@ -263,6 +267,13 @@ def _backward(
         np.add.reduce(gs, axis=-2, keepdims=True, out=grads[li][1])
         if li > 0:
             g = mul(g, layers[li][0].swapaxes(-1, -2))
+
+
+def _accuracy(spec: NetworkSpec, layers: _Layers, x: np.ndarray, labels: np.ndarray):
+    """Each network's argmax accuracy on its rows x (..., n, d) labelled by
+    labels (..., n); logit ties go to the lowest class."""
+    hits = np.argmax(_forward(spec, layers, x)[1][-1], axis=-1) == labels
+    return np.count_nonzero(hits, axis=-1) / labels.shape[-1]
 
 
 def _centroid_distances(es: np.ndarray, eq: np.ndarray, k_shot: int) -> tuple:
@@ -325,34 +336,30 @@ def _episode_grads(spec: NetworkSpec, encoder: _Layers, xs: np.ndarray, xq: np.n
 
 
 class NonFiniteError(ValueError):
-    """Training left a non-finite parameter; .row is the first row of the
-    (..., P) parameters that holds one (0 for a single network)."""
+    """Training left a non-finite parameter in epoch (counted in unit); .row
+    is the first row of the (..., P) parameters that holds one (0 for a
+    single network)."""
 
-    def __init__(self, message: str, row: int):
-        super().__init__(message)
+    def __init__(self, unit: str, epoch: int, row: int):
+        super().__init__(f"training left non-finite parameters in {unit} {epoch}")
         self.row = row
 
 
-def _descend(params: np.ndarray, g: np.ndarray, schedule: TrainSchedule, unit: str, updates):
-    """The one momentum-SGD loop, stepping params (..., P) in place; yields after each epoch.
+def _descend(params: np.ndarray, velocity: np.ndarray, g: np.ndarray, lr, momentum: float,
+             updates) -> np.ndarray:
+    """One epoch of the one momentum-SGD loop, stepping params (..., P) and
+    velocity in place; lr is a float or a column (..., 1) of per-row rates.
 
-    In each of the schedule's epochs, updates() yields once per update,
-    after writing that update's gradient into g.  Overflow inside an epoch
-    is left to one check of the whole stack after it: an epoch that leaves a
-    non-finite parameter raises NonFiniteError, naming the epoch by unit.
+    updates yields once per update, after writing that update's gradient
+    into g.  Overflow inside the epoch is left to one check of the whole
+    stack after it: returns whether each row of params is still finite.
     """
-    velocity, step = np.zeros_like(params), np.empty_like(params)
-    for epoch, lr in enumerate(schedule.learning_rates()):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for _ in updates():
-                velocity *= schedule.momentum
-                velocity += g
-                params -= np.multiply(velocity, lr, out=step)
-        finite = np.isfinite(params)
-        if not np.logical_and.reduce(finite, axis=None):
-            raise NonFiniteError(f"training left non-finite parameters in {unit} {epoch}",
-                                 int(np.argmin(finite.all(axis=-1))))
-        yield
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in updates:
+            velocity *= momentum
+            velocity += g
+            params -= np.multiply(velocity, lr, out=g)  # g is spent: its buffer holds the step
+    return np.logical_and.reduce(np.isfinite(params), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +398,6 @@ def _check_batch(net: Network, batch: Batch) -> None:
         )
 
 
-def _logits(net: Network, x: np.ndarray) -> np.ndarray:
-    return _forward(net.spec, _unpack(net.spec, net.params), x)[1][-1]
-
-
 def encode(net: Network, features: np.ndarray) -> np.ndarray:
     """Embeddings: forward through encoder layers only (head untouched)."""
     encoder = _unpack(net.spec, net.params)[:-1]
@@ -404,7 +407,8 @@ def encode(net: Network, features: np.ndarray) -> np.ndarray:
 def loss(net: Network, data: Batch) -> float:
     """Mean cross-entropy over the batch."""
     _check_batch(net, data)
-    return float(np.mean(_cross_entropy(_logits(net, data.features), data.labels)[0]))
+    logits = _forward(net.spec, _unpack(net.spec, net.params), data.features)[1][-1]
+    return float(np.mean(_cross_entropy(logits, data.labels)[0]))
 
 
 def fisher_diag(net: Network, data: Batch) -> np.ndarray:
@@ -420,34 +424,41 @@ def fisher_diag(net: Network, data: Batch) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# training / evaluation
+# training
 
 
-def train(net: Network, data: Batch, schedule: TrainSchedule) -> Iterator[Network]:
-    """Minibatch SGD with momentum on the mean cross-entropy; yields the
-    network after each epoch.
+def _minibatches(spec: NetworkSpec, layers: _Layers, grads: _Layers, features: np.ndarray,
+                 rows: np.ndarray, labels: np.ndarray, batch_size: int):
+    """Yields after writing each minibatch's mean cross-entropy gradient into
+    grads: the rows (..., n) of features batch_size at a time, labelled by
+    labels (..., n), each leading index a network of its own."""
+    for lo in range(0, rows.shape[-1], batch_size):
+        y = labels[..., lo : lo + batch_size]
+        pre, acts = _forward(spec, layers, features[rows[..., lo : lo + batch_size]])
+        delta = _cross_entropy(acts[-1], y, per_row=False)[1]
+        _backward(spec, layers, pre, acts, np.divide(delta, y.shape[-1], out=delta), grads)
+        yield
+
+
+def train(net: Network, data: Batch, schedule: TrainSchedule) -> Network:
+    """Minibatch SGD with momentum on the mean cross-entropy; returns the
+    trained network.
 
     Shuffling uses a generator seeded by schedule.seed and permutes sample
-    indices; labels never influence batch composition.  A caller that stops
-    iterating ends training there (the epsilon-approximation fine-tune does).
-    An epoch that leaves a non-finite parameter raises ValueError.
+    indices; labels never influence batch composition.  An epoch that leaves
+    a non-finite parameter raises NonFiniteError, a ValueError.
     """
     _check_batch(net, data)
     spec, rng = net.spec, np.random.default_rng(schedule.seed)
-    params, g = net.params.copy(), np.empty(net.param_count)
+    params, velocity, g = net.params.copy(), np.zeros(net.param_count), np.empty(net.param_count)
     layers, grads = _unpack(spec, params), _unpack(spec, g)
-
-    def minibatches():
+    for epoch, lr in enumerate(schedule.learning_rates()):
         order = rng.permutation(data.n)
-        for lo in range(0, data.n, schedule.batch_size):
-            idx = order[lo : lo + schedule.batch_size]
-            pre, acts = _forward(spec, layers, data.features[idx])
-            delta = _cross_entropy(acts[-1], data.labels[idx], per_row=False)[1]
-            _backward(spec, layers, pre, acts, np.divide(delta, idx.shape[0], out=delta), grads)
-            yield
-
-    for _ in _descend(params, g, schedule, "epoch", minibatches):
-        yield Network(spec, params)
+        batches = _minibatches(spec, layers, grads, data.features, order, data.labels[order],
+                               schedule.batch_size)
+        if not _descend(params, velocity, g, lr, schedule.momentum, batches):
+            raise NonFiniteError("epoch", epoch, 0)
+    return Network(spec, params)
 
 
 def train_episodic(
@@ -468,7 +479,7 @@ def train_episodic(
     """
     spec, history = net.spec, []
     params = np.tile(net.params, (copies, 1))
-    g = np.empty_like(params)
+    velocity, g = np.zeros_like(params), np.empty_like(params)
     encoder, buffers, shape = _unpack(spec, params[:, None])[:-1], None, None
 
     def meta_update():
@@ -484,16 +495,118 @@ def train_episodic(
         history.append(np.add.reduce(losses, axis=1) / losses.shape[1])
         yield
 
-    for _ in _descend(params, g, schedule, "meta-step", meta_update):
-        pass
+    for step, lr in enumerate(schedule.learning_rates()):
+        finite = _descend(params, velocity, g, lr, schedule.momentum, meta_update())
+        if not finite.all():
+            raise NonFiniteError("meta-step", step, int(np.argmin(finite)))
     return [Network(spec, p) for p in params], np.reshape(history, (-1, copies)).T.tolist()
 
 
-def evaluate(net: Network, data: Batch) -> float:
-    """Accuracy under argmax prediction; logit ties go to the lowest class index."""
-    _check_batch(net, data)
-    preds = np.argmax(_logits(net, data.features), axis=1)
-    return float(np.count_nonzero(preds == data.labels) / data.n)
+@dataclass(frozen=True, eq=False)
+class PoolJob:
+    """One fine-tune for train_pool: the caller's key for it, the seeds of
+    its fresh head and of its minibatch order, and its support and query
+    rows of train_pool's features with their labels."""
+
+    key: int
+    head_seed: int
+    seed: int
+    support_rows: np.ndarray
+    support_labels: np.ndarray
+    query_rows: np.ndarray
+    query_labels: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class PoolExit:
+    """A job as it leaves train_pool: its network's spec and parameters, the
+    epochs it trained and its query accuracy then; or, with error set, what
+    stopped it."""
+
+    job: PoolJob
+    spec: NetworkSpec
+    params: np.ndarray
+    epochs: int
+    accuracy: float
+    error: NonFiniteError | None = None
+
+
+def train_pool(base: Network, n_classes: int, features: np.ndarray, jobs: Iterable[PoolJob],
+               schedule: TrainSchedule, target: float, slots: int) -> Iterator[PoolExit]:
+    """For each job, base under the fresh n_classes head that replace_head
+    draws from the job's head seed, trained as train would train it on the
+    job's support with the job's seed, and stopped after the first epoch
+    whose query accuracy (argmax, logit ties to the lowest class) reaches
+    target, or when the schedule's epochs run out.  Every job's numbers are
+    those it would have alone.
+
+    Up to slots jobs are rows of one (slots, P) buffer.  Each pass runs one
+    epoch of every row, at the learning rate of that row's own epoch, then
+    one stacked forward of the query rows gives every row's accuracy.  A job
+    leaves when it is done, or with a NonFiniteError when its epoch leaves a
+    non-finite parameter; exits come in row order within a pass.  Only then
+    is the next job read from jobs; it takes the freed row with zero
+    velocity.  Every job must have the first's support and query row counts.
+    """
+    if slots < 1:
+        raise ValueError("slots must be >= 1")
+    jobs = iter(jobs)
+    first = next(jobs, None)
+    if first is None:
+        return
+    jobs = itertools.chain([first], jobs)
+    spec = _head_spec(base.spec, n_classes)
+    features = _features(spec, features)
+    rates = np.array(list(schedule.learning_rates()))
+    params, velocity, g = (np.empty((slots, spec.param_count)) for _ in range(3))
+    epochs, rngs, held = np.zeros(slots, np.int64), [None] * slots, [None] * slots
+    # each row's support rows and labels, then its query rows and labels
+    table = [np.empty((slots, len(a)), np.int64) for a in (
+        first.support_rows, first.support_labels, first.query_rows, first.query_labels)]
+
+    def enter(w: int, job: PoolJob | None) -> bool:
+        if job is None:
+            return False
+        arrays = (job.support_rows, job.support_labels, job.query_rows, job.query_labels)
+        if [len(a) for a in arrays] != [t.shape[1] for t in table]:
+            raise ValueError("pool jobs must share their support and query row counts")
+        if any(np.any((a < 0) | (a >= n_classes)) for a in arrays[1::2]):
+            raise ValueError(f"labels must lie in [0, {n_classes})")
+        for t, a in zip(table, arrays):
+            t[w] = a
+        params[w] = replace_head(base, n_classes, job.head_seed).params
+        velocity[w], epochs[w], rngs[w], held[w] = 0.0, 0, np.random.default_rng(job.seed), job
+        return True
+
+    k = 0
+    while k < slots and enter(k, next(jobs, None)):
+        k += 1
+    while k:
+        live, finite = slice(0, k), np.ones(k, bool)
+        s_rows, s_labels, q_rows, q_labels = (t[live] for t in table)
+        if rates.size:
+            perm = (np.arange(k)[:, None],
+                    np.stack([rngs[w].permutation(s_rows.shape[1]) for w in range(k)]))
+            batches = _minibatches(spec, _unpack(spec, params[live]), _unpack(spec, g[live]),
+                                   features, s_rows[perm], s_labels[perm], schedule.batch_size)
+            finite = _descend(params[live], velocity[live], g[live], rates[epochs[live], None],
+                              schedule.momentum, batches)
+            epochs[live] += 1
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            accuracy = _accuracy(spec, _unpack(spec, params[live]), features[q_rows], q_labels)
+        done = ~finite | (accuracy >= target) | (epochs[live] >= rates.size)
+        for w in np.flatnonzero(done):
+            error = None if finite[w] else NonFiniteError("epoch", int(epochs[w]) - 1, int(w))
+            yield PoolExit(held[w], spec, params[w].copy(), int(epochs[w]), float(accuracy[w]),
+                           error)
+        free = [w for w in np.flatnonzero(done) if not enter(w, next(jobs, None))]
+        if free:  # no job left to read: the occupied rows close up
+            keep = np.setdiff1d(np.arange(k), free)
+            for a in (params, velocity, epochs, *table):
+                a[: keep.size] = a[keep]
+            rngs[: keep.size] = [rngs[w] for w in keep]
+            held[: keep.size] = [held[w] for w in keep]
+            k = keep.size
 
 
 @lru_cache(maxsize=8)

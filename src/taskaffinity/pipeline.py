@@ -6,10 +6,14 @@ matched by the Hungarian algorithm, source labels are rewritten into target
 slots, a small clone network is fine-tuned into an epsilon-approximation of
 the source task, and the affinity score is the distance between its Fisher
 diagonal on source query data and on target support data.  Lowest scores
-win.  Phase 3 fine-tunes the encoder episodically, sampling m-way k-shot
-episodes only from rows whose labels appear in the selected related tasks,
-with a soft nearest-centroid head; evaluation uses hard nearest-centroid
-episodes with a normal-approximation confidence interval.
+win.  The epsilon-approximations train in a rolling pool of POOL_SLOTS
+tasks (nnet.train_pool), each task scored as it leaves; every number is the
+one a task trained alone gets, and only the order of the per-task debug
+lines follows the order tasks leave the pool (still deterministic).  Phase 3
+fine-tunes the encoder episodically, sampling m-way k-shot episodes only
+from rows whose labels appear in the selected related tasks, with a soft
+nearest-centroid head; evaluation uses hard nearest-centroid episodes with a
+normal-approximation confidence interval.
 
 Every random stream derives from the master seed and structural indices
 (task index, step index), never from label values; relabeling task classes
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -150,8 +154,7 @@ def train_whole_classifier(
     net = nnet.init_network(spec, derive_seed(schedule.seed, 0))
     batch = tasks.batch_of(train, range(train.n), train.class_ids)
     try:
-        for net in nnet.train(net, batch, schedule):
-            pass
+        net = nnet.train(net, batch, schedule)
     except ValueError as exc:
         raise ValueError(f"whole classifier: {exc}") from None
     if log.isEnabledFor(logging.DEBUG):  # the loss is a full forward pass
@@ -164,32 +167,22 @@ def train_whole_classifier(
 
 
 def build_eps_approx(
-    whole: nnet.Network,
-    remapped_support: nnet.Batch,
-    remapped_query: nnet.Batch,
-    cfg: PipelineConfig,
-    head_seed: int,
-    train_seed: int,
+    slot: nnet.PoolExit, cfg: PipelineConfig
 ) -> tuple[nnet.Network, EpsApproxRecord]:
-    """Clone the encoder, attach a fresh n_test-way head, fine-tune on the
-    remapped support until query accuracy reaches 1 - epsilon or the epoch
-    budget runs out.  Budget exhaustion is not an error; the record says what
-    was reached."""
-    net = nnet.replace_head(whole, cfg.n_test, head_seed)
-    sched = replace(cfg.approx_schedule, seed=train_seed)
-    target_acc = 1.0 - cfg.epsilon
-    accs: list[float] = []
-    for net in nnet.train(net, remapped_support, sched):
-        accs.append(nnet.evaluate(net, remapped_query))
-        if accs[-1] >= target_acc:
-            break
-    final_acc = accs[-1] if accs else nnet.evaluate(net, remapped_query)
+    """One source task's epsilon-approximation network and record, from its
+    slot as it left the pool (see _approximations): the whole network's
+    encoder under a fresh n_test-way head, fine-tuned on the remapped support
+    until query accuracy reached 1 - epsilon or the epoch budget ran out.
+    Budget exhaustion is not an error; the record says what was reached.  A
+    fine-tune that left non-finite parameters raises its error here."""
+    if slot.error is not None:
+        raise slot.error
     record = EpsApproxRecord(
-        achieved_epsilon=1.0 - final_acc,
-        epochs_used=len(accs),
-        reached_target=final_acc >= target_acc,
+        achieved_epsilon=1.0 - slot.accuracy,
+        epochs_used=slot.epochs,
+        reached_target=slot.accuracy >= 1.0 - cfg.epsilon,
     )
-    return net, record
+    return nnet.Network(slot.spec, slot.params), record
 
 
 def view_target(test: tasks.Dataset, whole: nnet.Network, cfg: PipelineConfig) -> TargetView:
@@ -205,37 +198,25 @@ def view_target(test: tasks.Dataset, whole: nnet.Network, cfg: PipelineConfig) -
 def mtas(
     source: tasks.TaskSpec,
     assignment: matching.Assignment,
+    slot: nnet.PoolExit,
     target: TargetView,
-    train_data: tasks.Dataset,
-    whole: nnet.Network,
+    train: tasks.Dataset,
     cfg: PipelineConfig,
 ) -> RankedTask:
     """Affinity score of one source task, its class slots matched onto the
-    target's by assignment, against the target task, whose side view_target
+    target's by assignment and its epsilon-approximation trained in slot
+    (see _approximations), against the target task, whose side view_target
     has built under the same whole network and config.
 
     With cfg.verbose_fisher the result also keeps the two Fisher diagonals.
     """
-    # 1. source rows, each labelled by the target slot its class matched
-    rows = np.array(source.support_rows + source.query_rows)
-    slots = np.searchsorted(source.class_ids, train_data.labels[rows])
-    labels = np.asarray(assignment.mapping)[slots]
-    features = train_data.features[rows]
-    k = len(source.support_rows)
-    sup = nnet.Batch(features[:k], labels[:k])
-    qry = nnet.Batch(features[k:], labels[k:])
-
-    # 2. epsilon-approximation network for the source task, and 3. its
-    #    unit-trace Fisher diagonals on source query and target support.  A
-    #    diverged approximation overflows; the checks, not numpy, report it.
-    seed = cfg.approx_schedule.seed
+    # the epsilon-approximation network, and its unit-trace Fisher diagonals
+    # on source query and target support.  A diverged approximation
+    # overflows; the checks, not numpy, report it.
+    qry = nnet.Batch(train.features[slot.job.query_rows], slot.job.query_labels)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            approx, record = build_eps_approx(
-                whole, sup, qry, cfg,
-                head_seed=derive_seed(seed, _STREAM_HEAD, source.task_id),
-                train_seed=derive_seed(seed, _STREAM_APPROX_TRAIN, source.task_id),
-            )
+            approx, record = build_eps_approx(slot, cfg)
         except ValueError as exc:
             raise ValueError(f"source task {source.task_id} eps-approximation: {exc}") from None
         try:
@@ -253,7 +234,6 @@ def mtas(
         source.task_id, record.achieved_epsilon, record.epochs_used, record.reached_target,
     )
 
-    # 4. the score
     score = fisher.AffinityScore(float(fisher.tas(f_aa, f_ab)))
     head = (source.task_id, score, assignment, source.class_ids, record,
             float(raw_aa.sum()), float(raw_ab.sum()))
@@ -266,6 +246,7 @@ def mtas(
 
 ENCODE_CHUNK = 128  # training rows per encode call when matching the source tasks
 MATCH_CHUNK = 16  # source tasks whose rows are gathered at once; bounds that memory
+POOL_SLOTS = 16  # source tasks whose epsilon-approximations train at once; bounds that memory
 
 
 def _match_sources(sources, target, train, whole, cfg) -> list[matching.Assignment]:
@@ -293,15 +274,52 @@ def _match_sources(sources, target, train, whole, cfg) -> list[matching.Assignme
         raise ValueError(f"source task {sources[exc.index].task_id} matching: {exc}") from None
 
 
+def _approximations(sources, assignments, train, whole, cfg, failed: dict):
+    """Each source task's epsilon-approximation slot, as the task leaves
+    nnet.train_pool: tasks of equal support and query row counts share one
+    pool, entering it in sources order with the head and minibatch seeds of
+    their task ids, their rows labelled by the target slots their classes
+    matched.  No task after the first index in failed enters."""
+    seed = cfg.approx_schedule.seed
+    shapes = [(len(s.support_rows), len(s.query_rows)) for s in sources]
+
+    def jobs(shape):
+        for i, (source, assignment) in enumerate(zip(sources, assignments)):
+            if failed and i > min(failed):
+                return
+            if shapes[i] != shape:
+                continue
+            rows = np.array(source.support_rows + source.query_rows)
+            slots = np.searchsorted(source.class_ids, train.labels[rows])
+            labels, k = np.asarray(assignment.mapping)[slots], shape[0]
+            yield nnet.PoolJob(i, derive_seed(seed, _STREAM_HEAD, source.task_id),
+                               derive_seed(seed, _STREAM_APPROX_TRAIN, source.task_id),
+                               rows[:k], labels[:k], rows[k:], labels[k:])
+
+    for shape in dict.fromkeys(shapes):
+        yield from nnet.train_pool(whole, cfg.n_test, train.features, jobs(shape),
+                                   cfg.approx_schedule, 1.0 - cfg.epsilon, POOL_SLOTS)
+
+
 def rank_all_sources(
     sources: list[tasks.TaskSpec], target: TargetView, train: tasks.Dataset,
     whole: nnet.Network, cfg: PipelineConfig,
 ) -> list[RankedTask]:
     """Score the source tasks against the target view in three stages: match
-    them all at once (_match_sources), score each with mtas, and order them
-    by ascending score, ties by task_id."""
+    them all at once (_match_sources), score each with mtas as its
+    epsilon-approximation leaves the pool (_approximations), and order them
+    by ascending score, ties by task_id.  When tasks fail, the error is the
+    first failing task's in sources order, as if they ran one by one."""
     assignments = _match_sources(sources, target, train, whole, cfg)
-    ranked = [mtas(s, a, target, train, whole, cfg) for s, a in zip(sources, assignments)]
+    ranked, failed = [], {}
+    for slot in _approximations(sources, assignments, train, whole, cfg, failed):
+        i = slot.job.key
+        try:
+            ranked.append(mtas(sources[i], assignments[i], slot, target, train, cfg))
+        except ValueError as exc:
+            failed[i] = exc
+    if failed:
+        raise failed[min(failed)]
     return sorted(ranked, key=lambda r: (r.score.value, r.task_id))
 
 

@@ -9,9 +9,12 @@ the logistic optimum, the per-layer Fisher diagonal loop, the per-minibatch
 training loop that nnet.train must reproduce bit for bit, the serial
 phase-3 path (one episode at a time, as validated Batches) that the stacked
 meta-steps must reproduce bit for bit, the one-network phase-3 loop that
-each copy of the lockstep loop must reproduce bit for bit, and the per-task
+each copy of the lockstep loop must reproduce bit for bit, the per-task
 ranking route (one encode, one centroid set and one hungarian call per
-source task) that the blocked ranking must reproduce bit for bit.
+source task) that the blocked ranking must reproduce bit for bit, and the
+one-task-at-a-time epsilon-approximation loop (serial_train until the query
+accuracy reaches its target) that every row of nnet.train_pool must
+reproduce bit for bit.
 
 The forward oracle re-derives the flat parameter layout with plain Python
 loops, so a layout or indexing bug in the production code cannot cancel out.
@@ -28,7 +31,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -568,10 +571,43 @@ def serial_class_centroids(emb, slots, n):
     return np.stack([emb[slots == k].mean(axis=0) for k in range(n)])
 
 
-def serial_mtas(source, target, train_data, whole, cfg):
+def accuracy(net, batch):
+    """Argmax accuracy on batch, logit ties to the lowest class, from the
+    oracle logits: nnet.evaluate as it was."""
+    hits = np.argmax(logits(net, batch.features), axis=1) == batch.labels
+    return float(np.count_nonzero(hits) / batch.n)
+
+
+def serial_eps_approx(whole, sup, qry, cfg, head_seed, train_seed):
+    """pipeline.build_eps_approx as it was, one task at a time: a fresh head,
+    then serial_train until the query accuracy after an epoch reaches
+    1 - epsilon or the epochs run out; an epoch that leaves a non-finite
+    parameter raises nnet.train's error."""
+    net = nnet.replace_head(whole, cfg.n_test, head_seed)
+    sched = replace(cfg.approx_schedule, seed=train_seed)
+    target_acc = 1.0 - cfg.epsilon
+    accs = []
+    for epoch, net in enumerate(serial_train(net, sup, sched)):
+        if not np.all(np.isfinite(net.params)):
+            raise ValueError(f"training left non-finite parameters in epoch {epoch}")
+        accs.append(accuracy(net, qry))
+        if accs[-1] >= target_acc:
+            break
+    final_acc = accs[-1] if accs else accuracy(net, qry)
+    record = pipeline.EpsApproxRecord(
+        achieved_epsilon=1.0 - final_acc,
+        epochs_used=len(accs),
+        reached_target=final_acc >= target_acc,
+    )
+    return net, record
+
+
+def serial_mtas(source, target, train_data, whole, cfg, approx=None):
     """One source task's score by the per-task route: batch_of, encode,
     centroids, cost_matrix and a one-matrix hungarian, relabel,
-    build_eps_approx, the two Fisher diagonals, unit_trace and tas."""
+    serial_eps_approx, the two Fisher diagonals, unit_trace and tas; a
+    failing task raises the error pipeline.mtas raises for it.  Given a dict
+    approx, it keeps the epsilon-approximation's parameters under the task id."""
     if len(source.class_ids) != cfg.n_test:
         raise ValueError("source must have n_test classes")
 
@@ -587,15 +623,26 @@ def serial_mtas(source, target, train_data, whole, cfg):
 
     seed = cfg.approx_schedule.seed
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        approx, record = pipeline.build_eps_approx(
-            whole, sup, qry, cfg,
-            head_seed=derive_seed(seed, pipeline._STREAM_HEAD, source.task_id),
-            train_seed=derive_seed(seed, pipeline._STREAM_APPROX_TRAIN, source.task_id),
-        )
-        raw_aa = fisher.empirical_fisher_diag(approx, qry)
-        f_aa = fisher.unit_trace(raw_aa)
-        raw_ab = fisher.empirical_fisher_diag(approx, target.batch)
-        f_ab = fisher.unit_trace(raw_ab)
+        try:
+            net, record = serial_eps_approx(
+                whole, sup, qry, cfg,
+                head_seed=derive_seed(seed, pipeline._STREAM_HEAD, source.task_id),
+                train_seed=derive_seed(seed, pipeline._STREAM_APPROX_TRAIN, source.task_id),
+            )
+        except ValueError as exc:
+            raise ValueError(f"source task {source.task_id} eps-approximation: {exc}") from None
+        if approx is not None:
+            approx[source.task_id] = net.params
+        try:
+            raw_aa = fisher.empirical_fisher_diag(net, qry)
+            f_aa = fisher.unit_trace(raw_aa)
+            raw_ab = fisher.empirical_fisher_diag(net, target.batch)
+            f_ab = fisher.unit_trace(raw_ab)
+        except ValueError as exc:
+            raise ValueError(
+                f"source task {source.task_id} Fisher diagonal after "
+                f"{record.epochs_used} eps-approximation epochs: {exc}"
+            ) from None
 
     score = fisher.AffinityScore(float(fisher.tas(f_aa, f_ab)))
     head = (source.task_id, score, assignment, source.class_ids, record,
@@ -605,9 +652,9 @@ def serial_mtas(source, target, train_data, whole, cfg):
     return pipeline.RankedTask(*head, f_aa, f_ab)
 
 
-def serial_rank(sources, target, train, whole, cfg):
+def serial_rank(sources, target, train, whole, cfg, approx=None):
     """pipeline.rank_all_sources by serial_mtas, one task at a time."""
-    ranked = [serial_mtas(source, target, train, whole, cfg) for source in sources]
+    ranked = [serial_mtas(source, target, train, whole, cfg, approx) for source in sources]
     return sorted(ranked, key=lambda r: (r.score.value, r.task_id))
 
 

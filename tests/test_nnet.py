@@ -418,12 +418,18 @@ def _blob_batch(rng, n_per=40):
     return nnet.Batch(x, y)
 
 
+def _evaluate(net, batch):
+    """The argmax accuracy train_pool scores a query with, of one network."""
+    layers = nnet._unpack(net.spec, net.params)
+    return nnet._accuracy(net.spec, layers, batch.features, batch.labels)
+
+
 def test_train_zero_lr_leaves_params_unchanged():
     net = nnet.init_network(nnet.NetworkSpec((2, 4), 2), 1)
     batch = _blob_batch(np.random.default_rng(2))
-    nets = list(nnet.train(net, batch, nnet.TrainSchedule(0.0, 0.9, 3, 16, seed=5)))
-    assert len(nets) == 3  # one network per epoch
-    assert all(np.array_equal(n.params, net.params) for n in nets)
+    for epochs in (1, 3):
+        out = nnet.train(net, batch, nnet.TrainSchedule(0.0, 0.9, epochs, 16, seed=5))
+        assert np.array_equal(out.params, net.params)
 
 
 def test_train_separates_blobs():
@@ -431,8 +437,8 @@ def test_train_separates_blobs():
     batch = _blob_batch(rng)
     net = nnet.init_network(nnet.NetworkSpec((2, 8), 2, activation="tanh"), 3)
     sched = nnet.TrainSchedule(0.1, 0.9, 20, 16, seed=4)
-    *_, out = nnet.train(net, batch, sched)
-    assert nnet.evaluate(out, batch) > 0.95
+    out = nnet.train(net, batch, sched)
+    assert _evaluate(out, batch) > 0.95
     assert nnet.loss(out, batch) < nnet.loss(net, batch)
 
 
@@ -441,24 +447,32 @@ def test_train_same_seed_bitwise_reproducible():
     net = nnet.init_network(nnet.NetworkSpec((2, 6), 2), 7)
     sched = nnet.TrainSchedule(0.05, 0.8, 6, 8, lr_decay_epochs=(3,),
                                lr_decay_factor=0.5, seed=9)
-    a = list(nnet.train(net, batch, sched))
-    b = list(nnet.train(net, batch, sched))
-    assert len(a) == len(b) == 6
-    assert all(np.array_equal(x.params, y.params) for x, y in zip(a, b))
+    a, b = nnet.train(net, batch, sched), nnet.train(net, batch, sched)
+    assert np.array_equal(a.params, b.params)
+    assert not np.array_equal(a.params, net.params)
 
 
 def test_train_stop_fn_halts_early():
-    # a caller that stops iterating after epoch k holds exactly the network a
-    # k-epoch schedule ends with
+    # the network after epoch k of a long schedule, which train_pool keeps when
+    # a job reaches its target then, is exactly the one a k-epoch schedule ends with
     batch = _blob_batch(np.random.default_rng(31))
     net = nnet.init_network(nnet.NetworkSpec((2, 6), 2), 7)
     sched = nnet.TrainSchedule(0.05, 0.9, 50, 16, seed=2)
-    for epoch, stopped in enumerate(nnet.train(net, batch, sched)):
+    for epoch, stopped in enumerate(helpers.serial_train(net, batch, sched)):
         if epoch == 2:
             break
-    *_, short = nnet.train(net, batch, dataclasses.replace(sched, epochs=3))
+    short = nnet.train(net, batch, dataclasses.replace(sched, epochs=3))
     assert np.array_equal(stopped.params, short.params)
     assert not np.array_equal(stopped.params, net.params)
+    # a pool job leaves after the first epoch whose query accuracy reaches
+    # the target, an accuracy equal to it included
+    rows = np.arange(batch.n)
+    job = nnet.PoolJob(0, 7, 2, rows, batch.labels, rows[::5], batch.labels[::5])
+    one = nnet.train(nnet.replace_head(net, 2, 7), batch, dataclasses.replace(sched, epochs=1))
+    reached = _evaluate(one, nnet.Batch(batch.features[::5], batch.labels[::5]))
+    (left,) = nnet.train_pool(net, 2, batch.features, [job], sched, reached, 1)
+    assert (left.epochs, left.accuracy) == (1, reached)
+    assert np.array_equal(left.params, one.params)
 
 
 @pytest.mark.parametrize("act", ["relu", "tanh"])
@@ -469,12 +483,12 @@ def test_train_equals_the_per_minibatch_loop_bitwise(act):
     net = nnet.init_network(nnet.NetworkSpec((2, 6, 4), 2, act), 5)
     sched = nnet.TrainSchedule(0.05, 0.9, 5, 12, lr_decay_epochs=(2,),
                                lr_decay_factor=0.5, seed=8)
-    got = list(nnet.train(net, batch, sched))
     want = list(helpers.serial_train(net, batch, sched))
-    assert len(got) == len(want) == 5
-    for a, b in zip(got, want):
-        assert np.array_equal(a.params, b.params)
-    assert not np.array_equal(got[-1].params, net.params)
+    assert len(want) == 5
+    for epochs in (3, 4, 5):  # the decay at epoch 2 needs at least 3
+        got = nnet.train(net, batch, dataclasses.replace(sched, epochs=epochs))
+        assert np.array_equal(got.params, want[epochs - 1].params)
+    assert not np.array_equal(got.params, net.params)
 
 
 def _shipped_case(head, n, seed):
@@ -492,12 +506,12 @@ def test_train_at_the_shipped_shapes_equals_the_per_minibatch_loop_bitwise(head,
     # trains on one-row minibatches
     net, batch = _shipped_case(head, n, 37)
     sched = nnet.TrainSchedule(0.02, 0.9, 3, batch_size, seed=38)
-    got = list(nnet.train(net, batch, sched))
     want = list(helpers.serial_train(net, batch, sched))
-    assert len(got) == len(want) == 3
-    for a, b in zip(got, want):
-        assert np.array_equal(a.params, b.params)
-    assert not np.array_equal(got[-1].params, net.params)
+    assert len(want) == 3
+    for epochs in (1, 2, 3):
+        got = nnet.train(net, batch, dataclasses.replace(sched, epochs=epochs))
+        assert np.array_equal(got.params, want[epochs - 1].params)
+    assert not np.array_equal(got.params, net.params)
 
 
 @pytest.mark.parametrize("head", [3, 45])
@@ -513,10 +527,10 @@ def test_fisher_encode_and_evaluate_at_the_shipped_shapes_equal_the_oracles_bitw
     for got, x in zip(nnet.encode(net, stack), stack):
         assert np.array_equal(got, helpers._forward(net.spec, encoder, x)[1][-1])
     hits = np.argmax(helpers.logits(net, batch.features), axis=1) == batch.labels
-    assert nnet.evaluate(net, batch) == float(np.mean(hits))
+    assert _evaluate(net, batch) == float(np.mean(hits))
 
 
-def test_train_builds_no_batch_and_one_network_per_epoch(monkeypatch):
+def test_train_builds_no_batch_and_one_network(monkeypatch):
     batch = _blob_batch(np.random.default_rng(34))
     net = nnet.init_network(nnet.NetworkSpec((2, 6), 2), 7)
     built = {"Batch": 0, "Network": 0}
@@ -525,9 +539,8 @@ def test_train_builds_no_batch_and_one_network_per_epoch(monkeypatch):
             built[name] += 1
             post_init(obj)
         monkeypatch.setattr(cls, "__post_init__", counted)
-    nets = list(nnet.train(net, batch, nnet.TrainSchedule(0.05, 0.9, 4, 16, seed=3)))
-    assert len(nets) == 4  # 5 minibatches per epoch
-    assert built == {"Batch": 0, "Network": 4}
+    nnet.train(net, batch, nnet.TrainSchedule(0.05, 0.9, 4, 16, seed=3))  # 5 minibatches an epoch
+    assert built == {"Batch": 0, "Network": 1}
 
 
 def test_training_unpacks_the_parameters_per_call_not_per_step(monkeypatch):
@@ -544,7 +557,7 @@ def test_training_unpacks_the_parameters_per_call_not_per_step(monkeypatch):
     net = nnet.init_network(nnet.NetworkSpec((2, 6, 3), 2), 7)
 
     def train(epochs):
-        list(nnet.train(net, batch, nnet.TrainSchedule(0.05, 0.9, epochs, 16, seed=3)))
+        nnet.train(net, batch, nnet.TrainSchedule(0.05, 0.9, epochs, 16, seed=3))
 
     rng = np.random.default_rng(36)
     # two copies, E=3, m=2, k=2, q=3
@@ -572,7 +585,7 @@ def test_train_non_finite_epoch_is_an_error_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
         with pytest.raises(ValueError, match="non-finite parameters in epoch 0"):
-            list(nnet.train(net, batch, sched))
+            nnet.train(net, batch, sched)
 
 
 def test_evaluate_exact_and_complement():
@@ -582,15 +595,15 @@ def test_evaluate_exact_and_complement():
     params[nnet.encoder_slice(spec).stop :][:9] = np.eye(3).ravel()  # identity head
     net = nnet.Network(spec, params)
     x = np.eye(3) * 5.0
-    assert nnet.evaluate(net, nnet.Batch(x, np.array([0, 1, 2]))) == 1.0
-    assert nnet.evaluate(net, nnet.Batch(x, np.array([1, 2, 0]))) == 0.0
+    assert _evaluate(net, nnet.Batch(x, np.array([0, 1, 2]))) == 1.0
+    assert _evaluate(net, nnet.Batch(x, np.array([1, 2, 0]))) == 0.0
 
 
 def test_evaluate_untrained_near_chance():
     rng = np.random.default_rng(40)
     net = nnet.init_network(nnet.NetworkSpec((6, 8), 4, activation="tanh"), 17)
     batch = nnet.Batch(rng.standard_normal((1000, 6)), rng.integers(0, 4, 1000))
-    acc = nnet.evaluate(net, batch)
+    acc = _evaluate(net, batch)
     assert abs(acc - 0.25) < 0.1
 
 
@@ -599,8 +612,8 @@ def test_evaluate_tie_goes_to_lowest_class():
     net = nnet.Network(spec, np.zeros(spec.param_count))  # all logits zero
     batch0 = nnet.Batch(np.ones((4, 2)), np.zeros(4, dtype=int))
     batch1 = nnet.Batch(np.ones((4, 2)), np.ones(4, dtype=int))
-    assert nnet.evaluate(net, batch0) == 1.0
-    assert nnet.evaluate(net, batch1) == 0.0
+    assert _evaluate(net, batch0) == 1.0
+    assert _evaluate(net, batch1) == 0.0
 
 
 # ---------------------------------------------------------------------------

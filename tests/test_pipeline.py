@@ -88,7 +88,7 @@ def test_train_whole_classifier_fits_and_is_deterministic(tiny):
     a = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
     b = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
     assert np.array_equal(a.params, b.params)
-    acc = nnet.evaluate(a, tasks.batch_of(train, range(train.n), train.class_ids))
+    acc = helpers.accuracy(a, tasks.batch_of(train, range(train.n), train.class_ids))
     assert acc > 0.9, f"whole classifier underfits its own training set: {acc}"
 
 
@@ -126,9 +126,23 @@ def _approx_inputs(tiny):
     return whole, sup, qry, cfg
 
 
+def _eps_approx(whole, sup, qry, cfg, head_seed, train_seed):
+    """pipeline.build_eps_approx of one task, its batches' rows the only rows,
+    trained alone in the pool."""
+    rows = np.arange(sup.n + qry.n)
+    job = nnet.PoolJob(0, head_seed, train_seed, rows[: sup.n], sup.labels, rows[sup.n :],
+                       qry.labels)
+    features = np.concatenate([sup.features, qry.features])
+    (slot,) = nnet.train_pool(whole, cfg.n_test, features, [job], cfg.approx_schedule,
+                              1.0 - cfg.epsilon, 1)
+    return pipeline.build_eps_approx(slot, cfg)
+
+
 def test_build_eps_approx_reaches_target_on_easy_task(tiny):
     whole, sup, qry, cfg = _approx_inputs(tiny)
-    net, record = pipeline.build_eps_approx(whole, sup, qry, cfg, head_seed=1, train_seed=2)
+    net, record = _eps_approx(whole, sup, qry, cfg, head_seed=1, train_seed=2)
+    ref, ref_record = helpers.serial_eps_approx(whole, sup, qry, cfg, head_seed=1, train_seed=2)
+    assert (record, net.spec) == (ref_record, ref.spec) and np.array_equal(net.params, ref.params)
     assert record.reached_target
     assert record.achieved_epsilon <= cfg.epsilon
     assert 1 <= record.epochs_used <= cfg.approx_schedule.epochs
@@ -139,7 +153,7 @@ def test_build_eps_approx_loose_target_stops_after_one_epoch(tiny):
     whole, sup, qry, cfg = _approx_inputs(tiny)
     from dataclasses import replace
     loose = replace(cfg, epsilon=0.99)
-    _, record = pipeline.build_eps_approx(whole, sup, qry, loose, head_seed=1, train_seed=2)
+    _, record = _eps_approx(whole, sup, qry, loose, head_seed=1, train_seed=2)
     assert record.epochs_used == 1
     assert record.reached_target
 
@@ -148,7 +162,7 @@ def test_build_eps_approx_zero_epochs_keeps_encoder(tiny):
     whole, sup, qry, cfg = _approx_inputs(tiny)
     from dataclasses import replace
     frozen = replace(cfg, approx_schedule=replace(cfg.approx_schedule, epochs=0))
-    net, record = pipeline.build_eps_approx(whole, sup, qry, frozen, head_seed=3, train_seed=4)
+    net, record = _eps_approx(whole, sup, qry, frozen, head_seed=3, train_seed=4)
     assert record.epochs_used == 0
     sl = nnet.encoder_slice(whole.spec)
     assert np.array_equal(net.params[sl], whole.params[sl])
@@ -253,24 +267,30 @@ def test_mtas_labels_follow_assignment(monkeypatch):
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
     source_tasks = helpers.sampled_sources(train, cfg)
     view = pipeline.view_target(test, whole, cfg)
-    seen = []
+    seen = {}
     build = pipeline.build_eps_approx
 
-    def spy(whole, sup, qry, *args, **kwargs):
-        seen.append((sup, qry))
-        return build(whole, sup, qry, *args, **kwargs)
+    def spy(slot, *args, **kwargs):
+        # the task's rows as the pool trained and scored them; tasks leave in
+        # the pool's order, so each is keyed by its index in source_tasks
+        assert slot.job.key not in seen
+        seen[slot.job.key] = ((slot.job.support_rows, slot.job.support_labels),
+                              (slot.job.query_rows, slot.job.query_labels))
+        return build(slot, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "build_eps_approx", spy)
     ranked = {r.task_id: r for r in pipeline.rank_all_sources(source_tasks, view, train, whole, cfg)}
+    assert sorted(seen) == list(range(len(source_tasks)))
     mappings = set()
-    for source, (sup, qry) in zip(source_tasks, seen, strict=True):
+    for i, source in enumerate(source_tasks):
         assert ranked[source.task_id].class_ids == source.class_ids
         mapping = ranked[source.task_id].assignment.mapping
         mappings.add(mapping)
-        for batch, rows in ((sup, source.support_rows), (qry, source.query_rows)):
-            want = [mapping[source.class_ids.index(train.labels[r])] for r in rows]
-            np.testing.assert_array_equal(batch.labels, want)
-            np.testing.assert_array_equal(batch.features, train.features[list(rows)])
+        for (rows, labels), want_rows in zip(seen[i], (source.support_rows, source.query_rows)):
+            want = [mapping[source.class_ids.index(train.labels[r])] for r in want_rows]
+            np.testing.assert_array_equal(labels, want)
+            np.testing.assert_array_equal(rows, want_rows)
+            np.testing.assert_array_equal(train.features[rows], train.features[list(want_rows)])
     assert len(mappings) > 1, "every task got the same mapping; the check is too weak"
 
 
@@ -300,15 +320,18 @@ def test_every_ranked_task_keeps_its_eps_record(tiny, monkeypatch):
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
     records = []
     build = pipeline.build_eps_approx
+    sources = helpers.sampled_sources(train, cfg)
 
-    def spy(*args, **kwargs):
-        net, record = build(*args, **kwargs)
-        records.append(record)
+    def spy(slot, *args, **kwargs):
+        net, record = build(slot, *args, **kwargs)
+        records.append((sources[slot.job.key].task_id, record))
         return net, record
 
     monkeypatch.setattr(pipeline, "build_eps_approx", spy)
     ranked = helpers.rank(train, test, whole, cfg)
-    assert len(records) == cfg.s_count  # one per source task, in task_id order
+    # one per source task, in the order tasks leave the pool
+    assert sorted(task_id for task_id, _ in records) == list(range(cfg.s_count))
+    records = dict(records)
     for r in ranked:
         assert r.record is records[r.task_id]
         assert r.f_aa is None and r.f_ab is None
@@ -367,9 +390,12 @@ def test_rank_all_sources_builds_the_target_once(tiny, monkeypatch):
     assert calls == {"batch_of": [True], "encode": 1 + n_chunks, "hungarian": 1}
 
 
-def _tas_json_setting():
-    """configs/tas.json's data, network and pipeline, its whole network
-    trained, with verbose_fisher on so the diagonals are compared too."""
+@pytest.fixture(scope="module")
+def tas_json():
+    """configs/tas.json's data, its whole network trained, its pipeline with
+    verbose_fisher on so the diagonals are compared too, its source tasks and
+    target side, and the serial oracle's ranking and epsilon-approximation
+    parameters by task id."""
     with open(os.path.join(ROOT, "configs", "tas.json")) as fh:
         job = cfgmod.parse_pipeline(json.load(fh))
     train, test = tasks.family_holdout(
@@ -377,23 +403,160 @@ def _tas_json_setting():
     )
     spec = nnet.NetworkSpec(job.layer_widths, len(train.class_ids), job.activation)
     whole = pipeline.train_whole_classifier(train, spec, job.pipeline.whole_schedule)
-    return train, test, whole, replace(job.pipeline, verbose_fisher=True)
+    cfg = replace(job.pipeline, verbose_fisher=True)
+    sources = helpers.sampled_sources(train, cfg)
+    target = pipeline.view_target(test, whole, cfg)
+    params = {}
+    ranked = helpers.serial_rank(sources, target, train, whole, cfg, params)
+    return train, test, whole, cfg, sources, ranked, params
 
 
 @pytest.mark.parametrize("setting", ["tiny", "tas_json"])
-def test_rank_all_sources_equals_serial_oracle_bitwise(tiny, setting):
+def test_rank_all_sources_equals_serial_oracle_bitwise(tiny, setting, request):
     if setting == "tiny":
         train, test, spec, cfg = tiny
         cfg = replace(cfg, verbose_fisher=True)
         whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+        sources = helpers.sampled_sources(train, cfg)
+        want = helpers.serial_rank(sources, pipeline.view_target(test, whole, cfg), train, whole,
+                                   cfg)
     else:
-        train, test, whole, cfg = _tas_json_setting()
-    sources = helpers.sampled_sources(train, cfg)
+        train, test, whole, cfg, sources, want, _ = request.getfixturevalue("tas_json")
     target = pipeline.view_target(test, whole, cfg)
     got = pipeline.rank_all_sources(sources, target, train, whole, cfg)
-    want = helpers.serial_rank(sources, target, train, whole, cfg)
     assert len(got) == cfg.s_count
     assert helpers.ranked_fields(got) == helpers.ranked_fields(want)
+
+
+def _assert_pool_is_serial(monkeypatch, sources, test, train, whole, cfg, slots, want=None):
+    """rank_all_sources with slots pool slots gives the serial oracle's
+    scores, records, diagonals and epsilon-approximation parameters bit for
+    bit (want: the oracle's ranking and parameters by task id, if computed
+    already); returns the ranking."""
+    monkeypatch.setattr(pipeline, "POOL_SLOTS", slots)
+    got_params, build = {}, pipeline.build_eps_approx
+
+    def spy(slot, *args):
+        net, record = build(slot, *args)
+        got_params[sources[slot.job.key].task_id] = net.params
+        return net, record
+
+    monkeypatch.setattr(pipeline, "build_eps_approx", spy)
+    target = pipeline.view_target(test, whole, cfg)
+    got = pipeline.rank_all_sources(sources, target, train, whole, cfg)
+    if want is None:
+        want_params = {}
+        want = helpers.serial_rank(sources, target, train, whole, cfg, want_params), want_params
+    assert helpers.ranked_fields(got) == helpers.ranked_fields(want[0])
+    assert sorted(got_params) == sorted(want[1]) == sorted(s.task_id for s in sources)
+    for task_id, params in want[1].items():
+        assert np.array_equal(got_params[task_id], params), task_id
+    return got
+
+
+@pytest.mark.parametrize("slots", [1, 3, pipeline.POOL_SLOTS])
+def test_pool_equals_serial_eps_approx_on_tas_json_bitwise(tas_json, monkeypatch, slots):
+    train, test, whole, cfg, sources, want, want_params = tas_json
+    got = _assert_pool_is_serial(monkeypatch, sources, test, train, whole, cfg, slots,
+                                 (want, want_params))
+    assert sum(not r.record.reached_target for r in got) == 9  # misses run all 30 epochs
+    assert {r.record.epochs_used for r in got if not r.record.reached_target} == {30}
+
+
+def _tiny_sources(tiny):
+    """Twelve source tasks of the tiny setting, its test set, training set,
+    whole network and config, with verbose_fisher on."""
+    train, test, spec, cfg = tiny
+    cfg = replace(cfg, s_count=12, verbose_fisher=True)
+    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+    return helpers.sampled_sources(train, cfg), test, train, whole, cfg
+
+
+def test_pool_groups_tasks_of_unequal_row_counts_bitwise(tiny, monkeypatch):
+    # every third task one support row short, the next one query row short:
+    # three pools, each refilled through two slots
+    sources, test, train, whole, cfg = _tiny_sources(tiny)
+    sources = [
+        s if i % 3 == 0
+        else replace(s, support_rows=s.support_rows[:-1]) if i % 3 == 1
+        else replace(s, query_rows=s.query_rows[:-1])
+        for i, s in enumerate(sources)
+    ]
+    shapes = {(len(s.support_rows), len(s.query_rows)) for s in sources}
+    assert len(shapes) == 3 and len({n for n, _ in shapes}) == 2
+    _assert_pool_is_serial(monkeypatch, sources, test, train, whole, cfg, 2)
+
+
+def test_pool_with_zero_epochs_scores_the_fresh_heads_bitwise(tiny, monkeypatch):
+    sources, test, train, whole, cfg = _tiny_sources(tiny)
+    cfg = replace(cfg, approx_schedule=replace(cfg.approx_schedule, epochs=0))
+    got = _assert_pool_is_serial(monkeypatch, sources, test, train, whole, cfg, 3)
+    assert {r.record.epochs_used for r in got} == {0}
+
+
+def test_pool_rows_at_different_epochs_keep_their_own_learning_rates(tiny, monkeypatch):
+    sources, test, train, whole, cfg = _tiny_sources(tiny)
+    cfg = replace(cfg, epsilon=0.05, approx_schedule=replace(
+        cfg.approx_schedule, epochs=10, lr_decay_epochs=(1, 3), lr_decay_factor=0.5))
+    rates, descend = [], nnet._descend
+
+    def spy(params, velocity, g, lr, *args):
+        rates.append(np.unique(lr).size)
+        return descend(params, velocity, g, lr, *args)
+
+    monkeypatch.setattr(nnet, "_descend", spy)
+    got = _assert_pool_is_serial(monkeypatch, sources, test, train, whole, cfg, 3)
+    assert max(rates) > 1  # some pass stepped rows at different learning rates
+    assert len({r.record.epochs_used for r in got}) > 1
+
+
+@pytest.mark.parametrize("picked,slots,failing,named", [
+    # task 3's Fisher diagonal fails after one epoch, before task 1's
+    # approximation overflows in its second epoch; alone in one slot, task 1
+    # fails before task 3 enters
+    ((1, 3), 2, [1, 0],
+     "source task 1 eps-approximation: training left non-finite parameters in epoch 1"),
+    ((1, 3), 1, [0],
+     "source task 1 eps-approximation: training left non-finite parameters in epoch 1"),
+    # tasks 3 and 5 fail first; task 2's Fisher diagonal fails after ten epochs
+    ((2, 3, 5), 3, [1, 2, 0], "source task 2 Fisher diagonal after 10 eps-approximation "
+                              "epochs: entries must be finite and nonnegative"),
+])
+def test_pool_failures_name_the_first_failing_task(tiny, monkeypatch, picked, slots, failing,
+                                                   named):
+    sources, test, train, whole, cfg = _tiny_sources(tiny)
+    cfg = replace(cfg, epsilon=0.01,
+                  approx_schedule=replace(cfg.approx_schedule, learning_rate=1e40))
+    sources = [sources[i] for i in picked]
+    target = pipeline.view_target(test, whole, cfg)
+    with pytest.raises(ValueError) as serial:
+        helpers.serial_rank(sources, target, train, whole, cfg)
+    assert str(serial.value) == named
+    events, job, mtas = [], nnet.PoolJob, pipeline.mtas
+
+    def entering(key, *args):
+        events.append(("enter", key))
+        return job(key, *args)
+
+    def leaving(source, assignment, slot, *args):
+        try:
+            return mtas(source, assignment, slot, *args)
+        except ValueError:
+            events.append(("failed", slot.job.key))
+            raise
+
+    monkeypatch.setattr(nnet, "PoolJob", entering)
+    monkeypatch.setattr(pipeline, "mtas", leaving)
+    monkeypatch.setattr(pipeline, "POOL_SLOTS", slots)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the checks report, not numpy
+        with pytest.raises(ValueError) as pooled:
+            pipeline.rank_all_sources(sources, target, train, whole, cfg)
+    assert str(pooled.value) == named
+    assert [key for kind, key in events if kind == "failed"] == failing
+    for i, (kind, key) in enumerate(events):  # no later task enters after a failure
+        if kind == "enter":
+            assert all(key < k for what, k in events[:i] if what == "failed")
 
 
 def test_task_scored_alone_equals_it_scored_in_a_block(tiny):
@@ -486,6 +649,9 @@ def _rank_with_scores(tiny, monkeypatch, values):
     train, _, _, cfg = tiny
     sources = helpers.sampled_sources(train, cfg)[::-1]
     monkeypatch.setattr(pipeline, "_match_sources", lambda sources, *a: [None] * len(sources))
+    monkeypatch.setattr(pipeline, "_approximations", lambda sources, *a: [
+        nnet.PoolExit(nnet.PoolJob(i, 0, 0, *[np.empty(0)] * 4), None, None, 0, 0.0)
+        for i in range(len(sources))])
     monkeypatch.setattr(pipeline, "mtas", lambda src, *a: _rt(src.task_id, values[src.task_id]))
     return [r.task_id for r in pipeline.rank_all_sources(sources, None, train, None, cfg)]
 
@@ -1138,11 +1304,10 @@ def test_report_doc_round_trip(tiny, tiny_run):
     }
 
 
-def test_the_scalars_that_reach_json_are_python_types(tiny, tiny_run):
+def test_the_scalars_that_reach_json_are_python_types(tiny_run):
     # an np.float64 accuracy would make reached_target an np.bool_ and the
     # health sums np.int64, which json cannot write
-    train, _, spec, _ = tiny
-    acc = nnet.evaluate(nnet.init_network(spec, 0), nnet.Batch(train.features, train.labels))
-    assert type(acc) is float
-    assert {type(r.record.reached_target) for r in tiny_run.scores} == {bool}
+    records = [r.record for r in tiny_run.scores]
+    assert {(type(r.achieved_epsilon), type(r.epochs_used)) for r in records} == {(float, int)}
+    assert {type(r.reached_target) for r in records} == {bool}
     assert [type(v) for v in cli._health(tiny_run.scores).values()] == [int] * 3
