@@ -3,10 +3,11 @@
 
     python3 scripts/same_outputs.py PARENT_DIR CHANGE_DIR [--config PATH]
 
-Runs `tas` with no seed and with --seed 0 to 3, and `fewshot` in each
---ablation mode, in each checkout with that checkout's own src/ and its
-shipped configs/tas.json and configs/fewshot.json; --config runs every
-command on that one config instead.  Then compares every output file of
+Runs `tas` with no seed, with --seed 0 to 3 and with the config's
+pipeline.verbose_fisher set to true, and `fewshot` in each --ablation mode,
+in each checkout with that checkout's own src/ and its shipped
+configs/tas.json and configs/fewshot.json; --config runs every command on
+that one config instead.  Then compares every output file of
 each run with `timings` dropped: JSON files value by value, others line by
 line.  Prints the first difference, naming the run, the file and the key or
 line, and exits 1; or prints how many files were equal and exits 0.  A
@@ -21,21 +22,30 @@ import sys
 import tempfile
 
 MODES = ("related", "non_related", "random")  # the fewshot --ablation choices
+# (command, --seed, --ablation, whether the run keeps the Fisher diagonals)
 RUNS = (
-    [("tas", None, None)]
-    + [("tas", seed, None) for seed in range(4)]
-    + [("fewshot", None, mode) for mode in MODES]
+    [("tas", None, None, False)]
+    + [("tas", seed, None, False) for seed in range(4)]
+    + [("tas", None, None, True)]
+    + [("fewshot", None, mode, False) for mode in MODES]
 )
 
 
 def run_all(checkout: str, config: str | None, out_root: str) -> None:
     """Every run of RUNS in checkout, each writing into out_root/<run name>."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
-    for command, seed, mode in RUNS:
-        name = [command, None if seed is None else f"seed{seed}", mode]
+    for command, seed, mode, verbose in RUNS:
+        name = [command, None if seed is None else f"seed{seed}", mode, verbose and "verbose"]
         out = os.path.join(out_root, "-".join(part for part in name if part))
         os.makedirs(out)
         path = config or os.path.join(checkout, "configs", f"{command}.json")
+        if verbose:  # the config beside the run's directory, which compare skips
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            doc["pipeline"]["verbose_fisher"] = True
+            path = out + ".json"
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
         args = [command, "--config", os.path.abspath(path), "--out", out, "--log-level", "error"]
         args += ["--seed", str(seed)] if seed is not None else []
         args += ["--ablation", mode] if mode else []

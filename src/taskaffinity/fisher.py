@@ -1,8 +1,9 @@
 """Empirical Fisher diagonals and the task affinity score (TAS).
 
 The Fisher diagonal of a network on a batch is the per-parameter mean of
-squared per-sample loss gradients.  After normalizing two diagonals to unit
-trace, the affinity score between them is
+squared per-sample loss gradients; nnet.fisher_diag takes it for a stack of
+networks at once.  After normalizing two diagonals to unit trace, the
+affinity score between them is
 
     s = (1/sqrt(2)) * || sqrt(F_aa) - sqrt(F_ab) ||_F
 
@@ -18,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import nnet
 
 _TRACE_TOL = 1e-10
 
@@ -38,11 +37,6 @@ class DegenerateFisherError(ValueError):
     def __init__(self, row: tuple[int, ...], reason: str):
         super().__init__(f"row {row[0] if len(row) == 1 else row}: {reason}" if row else reason)
         self.row, self.reason = row, reason
-
-
-def empirical_fisher_diag(net: nnet.Network, data: nnet.Batch) -> np.ndarray:
-    """Fisher diagonal of a network over a batch; covers all parameters, head included."""
-    return nnet.fisher_diag(net, data)
 
 
 def unit_trace(f: np.ndarray) -> np.ndarray:

@@ -411,16 +411,27 @@ def loss(net: Network, data: Batch) -> float:
     return float(np.mean(_cross_entropy(logits, data.labels)[0]))
 
 
-def fisher_diag(net: Network, data: Batch) -> np.ndarray:
-    """Mean over the batch of each sample's squared loss gradient (flat, length P),
-    from _backward's squares; no per-sample gradient is ever formed."""
-    _check_batch(net, data)
-    layers = _unpack(net.spec, net.params)
-    pre, acts = _forward(net.spec, layers, data.features)
-    delta = _cross_entropy(acts[-1], data.labels, per_row=False)[1]
-    out = np.empty(net.param_count)
-    _backward(net.spec, layers, pre, acts, delta, _unpack(net.spec, out), square=True)
-    return np.divide(out, data.n, out=out)
+def fisher_diag(spec: NetworkSpec, params: np.ndarray, features: np.ndarray,
+                labels: np.ndarray) -> np.ndarray:
+    """Fisher diagonals (..., P) of networks params (..., P): each one's mean
+    over its rows of features (..., n, d), labelled by labels (..., n), of
+    each row's squared loss gradient, from _backward's squares.  Leading
+    dimensions broadcast, so shared rows are given once; a single network is
+    a stack of one, and each network's arithmetic is what it is alone."""
+    params, labels = np.asarray(params, dtype=np.float64), np.asarray(labels)
+    x = _features(spec, features)
+    if (params.shape[-1:] != (spec.param_count,) or labels.shape[-1:] != x.shape[-2:-1]
+            or x.shape[-2] < 1 or np.any((labels < 0) | (labels >= spec.head_classes))):
+        raise ValueError(f"need params (..., {spec.param_count}) and, for each of n >= 1 "
+                         f"feature rows, a label in [0, {spec.head_classes})")
+    lead = np.broadcast_shapes(params.shape[:-1], x.shape[:-2], labels.shape[:-1])
+    x = x.reshape((1,) * (len(lead) + 2 - x.ndim) + x.shape)  # shared rows: a stack of one
+    layers = _unpack(spec, params)
+    pre, acts = _forward(spec, layers, x)
+    delta = _cross_entropy(acts[-1], labels, per_row=False)[1]
+    out = np.empty(lead + (spec.param_count,))
+    _backward(spec, layers, pre, acts, delta, _unpack(spec, out), square=True)
+    return np.divide(out, x.shape[-2], out=out)
 
 
 # ---------------------------------------------------------------------------

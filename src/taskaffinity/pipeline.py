@@ -7,9 +7,11 @@ slots, a small clone network is fine-tuned into an epsilon-approximation of
 the source task, and the affinity score is the distance between its Fisher
 diagonal on source query data and on target support data.  Lowest scores
 win.  The epsilon-approximations train in a rolling pool of POOL_SLOTS
-tasks (nnet.train_pool), each task scored as it leaves; every number is the
-one a task trained alone gets, and only the order of the per-task debug
-lines follows the order tasks leave the pool (still deterministic).  Phase 3
+tasks (nnet.train_pool) and are scored in chunks of up to SCORE_CHUNK as
+they leave it, each chunk's Fisher diagonals in one stacked pass per side;
+every number and every error is the one a task scored alone gets, and only
+the order of the per-task debug lines follows the order tasks leave the
+pool (still deterministic).  Phase 3
 fine-tunes the encoder episodically, sampling m-way k-shot episodes only
 from rows whose labels appear in the selected related tasks, with a soft
 nearest-centroid head; evaluation uses hard nearest-centroid episodes with a
@@ -195,58 +197,64 @@ def view_target(test: tasks.Dataset, whole: nnet.Network, cfg: PipelineConfig) -
     return TargetView(tgt, cents)
 
 
-def mtas(
-    source: tasks.TaskSpec,
-    assignment: matching.Assignment,
-    slot: nnet.PoolExit,
-    target: TargetView,
-    train: tasks.Dataset,
-    cfg: PipelineConfig,
-) -> RankedTask:
-    """Affinity score of one source task, its class slots matched onto the
-    target's by assignment and its epsilon-approximation trained in slot
-    (see _approximations), against the target task, whose side view_target
-    has built under the same whole network and config.
-
-    With cfg.verbose_fisher the result also keeps the two Fisher diagonals.
-    """
-    # the epsilon-approximation network, and its unit-trace Fisher diagonals
-    # on source query and target support.  A diverged approximation
-    # overflows; the checks, not numpy, report it.
-    qry = nnet.Batch(train.features[slot.job.query_rows], slot.job.query_labels)
+def mtas(slots: list[nnet.PoolExit], sources: list[tasks.TaskSpec],
+         assignments: list[matching.Assignment], target: TargetView, train: tasks.Dataset,
+         cfg: PipelineConfig) -> tuple[list[RankedTask], dict[int, ValueError]]:
+    """Affinity scores of a chunk of source tasks against the target task.  A
+    slot is a task's epsilon-approximation as it left the pool (see
+    _approximations), all of one query row count, and slot.job.key the
+    task's index in sources and in assignments, which matched its class
+    slots onto the target's; view_target built the target's side under the
+    same whole network and config.  Each side's Fisher diagonals are one
+    stacked pass.  Returns the scored tasks in slot order and, by index in
+    sources, the error each failing task raises scored alone.  With
+    cfg.verbose_fisher each result keeps its two unit-trace diagonals."""
+    ranked, errors = [], {}
+    built = []  # (slot, network, record) of each task that has a network
+    # a diverged approximation overflows; the checks, not numpy, report it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            approx, record = build_eps_approx(slot, cfg)
-        except ValueError as exc:
-            raise ValueError(f"source task {source.task_id} eps-approximation: {exc}") from None
-        try:
-            raw_aa = fisher.empirical_fisher_diag(approx, qry)
-            f_aa = fisher.unit_trace(raw_aa)
-            raw_ab = fisher.empirical_fisher_diag(approx, target.batch)
-            f_ab = fisher.unit_trace(raw_ab)
-        except ValueError as exc:
-            raise ValueError(
-                f"source task {source.task_id} Fisher diagonal after "
-                f"{record.epochs_used} eps-approximation epochs: {exc}"
-            ) from None
-    log.debug(
-        "task %d eps-approx: achieved_eps=%.3f epochs=%d reached=%s",
-        source.task_id, record.achieved_epsilon, record.epochs_used, record.reached_target,
-    )
+        for slot in slots:
+            try:
+                built.append((slot, *build_eps_approx(slot, cfg)))
+            except ValueError as exc:
+                task_id = sources[slot.job.key].task_id
+                errors[slot.job.key] = ValueError(f"source task {task_id} eps-approximation: {exc}")
+        if not built:
+            return ranked, errors
+        spec, params = built[0][1].spec, np.stack([net.params for _, net, _ in built])
+        rows = np.stack([slot.job.query_rows for slot, _, _ in built])
+        labels = np.stack([slot.job.query_labels for slot, _, _ in built])
+        raw_aa = nnet.fisher_diag(spec, params, train.features[rows], labels)
+        raw_ab = nnet.fisher_diag(spec, params, target.batch.features, target.batch.labels)
+        while True:  # unit_trace names the first degenerate row, source side first
+            try:
+                f_aa, f_ab = fisher.unit_trace(raw_aa), fisher.unit_trace(raw_ab)
+                break
+            except fisher.DegenerateFisherError as exc:
+                slot, _, record = built.pop(exc.row[0])
+                errors[slot.job.key] = ValueError(
+                    f"source task {sources[slot.job.key].task_id} Fisher diagonal after "
+                    f"{record.epochs_used} eps-approximation epochs: {exc.reason}")
+                raw_aa, raw_ab = (np.delete(raw, exc.row[0], axis=0) for raw in (raw_aa, raw_ab))
 
-    score = fisher.AffinityScore(float(fisher.tas(f_aa, f_ab)))
-    head = (source.task_id, score, assignment, source.class_ids, record,
-            float(raw_aa.sum()), float(raw_ab.sum()))
-    if not cfg.verbose_fisher:
-        return RankedTask(*head)
+    scores, traces_aa, traces_ab = fisher.tas(f_aa, f_ab), raw_aa.sum(axis=-1), raw_ab.sum(axis=-1)
     f_aa.setflags(write=False)
     f_ab.setflags(write=False)
-    return RankedTask(*head, f_aa, f_ab)
-
+    for j, (slot, _, record) in enumerate(built):
+        i = slot.job.key
+        log.debug("task %d eps-approx: achieved_eps=%.3f epochs=%d reached=%s",
+                  sources[i].task_id, record.achieved_epsilon, record.epochs_used,
+                  record.reached_target)
+        kept = (f_aa[j], f_ab[j]) if cfg.verbose_fisher else ()
+        ranked.append(RankedTask(sources[i].task_id, fisher.AffinityScore(float(scores[j])),
+                                 assignments[i], sources[i].class_ids, record,
+                                 float(traces_aa[j]), float(traces_ab[j]), *kept))
+    return ranked, errors
 
 ENCODE_CHUNK = 128  # training rows per encode call when matching the source tasks
 MATCH_CHUNK = 16  # source tasks whose rows are gathered at once; bounds that memory
 POOL_SLOTS = 16  # source tasks whose epsilon-approximations train at once; bounds that memory
+SCORE_CHUNK = 8  # source tasks whose Fisher diagonals are taken at once; bounds that memory
 
 
 def _match_sources(sources, target, train, whole, cfg) -> list[matching.Assignment]:
@@ -275,11 +283,14 @@ def _match_sources(sources, target, train, whole, cfg) -> list[matching.Assignme
 
 
 def _approximations(sources, assignments, train, whole, cfg, failed: dict):
-    """Each source task's epsilon-approximation slot, as the task leaves
-    nnet.train_pool: tasks of equal support and query row counts share one
-    pool, entering it in sources order with the head and minibatch seeds of
-    their task ids, their rows labelled by the target slots their classes
-    matched.  No task after the first index in failed enters."""
+    """The source tasks' epsilon-approximation slots, in chunks of up to
+    SCORE_CHUNK as the tasks leave nnet.train_pool: tasks of equal support
+    and query row counts share one pool, entering it in sources order with
+    the head and minibatch seeds of their task ids, their rows labelled by
+    the target slots their classes matched.  A chunk ends early with its
+    pool, and with a task that failed its fine-tune, so that the failure
+    stops later tasks entering at once.  No task after the first index in
+    failed enters."""
     seed = cfg.approx_schedule.seed
     shapes = [(len(s.support_rows), len(s.query_rows)) for s in sources]
 
@@ -297,8 +308,15 @@ def _approximations(sources, assignments, train, whole, cfg, failed: dict):
                                rows[:k], labels[:k], rows[k:], labels[k:])
 
     for shape in dict.fromkeys(shapes):
-        yield from nnet.train_pool(whole, cfg.n_test, train.features, jobs(shape),
-                                   cfg.approx_schedule, 1.0 - cfg.epsilon, POOL_SLOTS)
+        chunk = []
+        for slot in nnet.train_pool(whole, cfg.n_test, train.features, jobs(shape),
+                                    cfg.approx_schedule, 1.0 - cfg.epsilon, POOL_SLOTS):
+            chunk.append(slot)
+            if len(chunk) == SCORE_CHUNK or slot.error is not None:
+                yield chunk
+                chunk = []
+        if chunk:
+            yield chunk
 
 
 def rank_all_sources(
@@ -306,18 +324,16 @@ def rank_all_sources(
     whole: nnet.Network, cfg: PipelineConfig,
 ) -> list[RankedTask]:
     """Score the source tasks against the target view in three stages: match
-    them all at once (_match_sources), score each with mtas as its
-    epsilon-approximation leaves the pool (_approximations), and order them
-    by ascending score, ties by task_id.  When tasks fail, the error is the
-    first failing task's in sources order, as if they ran one by one."""
+    them all at once (_match_sources), score them with mtas in chunks as
+    their epsilon-approximations leave the pool (_approximations), and order
+    them by ascending score, ties by task_id.  When tasks fail, the error is
+    the first failing task's in sources order, as if they ran one by one."""
     assignments = _match_sources(sources, target, train, whole, cfg)
     ranked, failed = [], {}
-    for slot in _approximations(sources, assignments, train, whole, cfg, failed):
-        i = slot.job.key
-        try:
-            ranked.append(mtas(sources[i], assignments[i], slot, target, train, cfg))
-        except ValueError as exc:
-            failed[i] = exc
+    for slots in _approximations(sources, assignments, train, whole, cfg, failed):
+        scored, errors = mtas(slots, sources, assignments, target, train, cfg)
+        ranked += scored
+        failed.update(errors)
     if failed:
         raise failed[min(failed)]
     return sorted(ranked, key=lambda r: (r.score.value, r.task_id))

@@ -11,7 +11,8 @@ phase-3 path (one episode at a time, as validated Batches) that the stacked
 meta-steps must reproduce bit for bit, the one-network phase-3 loop that
 each copy of the lockstep loop must reproduce bit for bit, the per-task
 ranking route (one encode, one centroid set and one hungarian call per
-source task) that the blocked ranking must reproduce bit for bit, and the
+source task, and its Fisher diagonals on a stack of one network) that the
+blocked and chunked ranking must reproduce bit for bit, and the
 one-task-at-a-time epsilon-approximation loop (serial_train until the query
 accuracy reaches its target) that every row of nnet.train_pool must
 reproduce bit for bit.
@@ -264,6 +265,11 @@ def fixed_step_descent(p, step, tol, max_iters=200_000):
             return theta
         theta = theta - step * g
     raise AssertionError(f"fixed-step descent did not reach tol={tol} in {max_iters} steps")
+
+
+def fisher_diag(net, batch):
+    """nnet.fisher_diag of one network on a batch, as a stack of one."""
+    return nnet.fisher_diag(net.spec, net.params[None], batch.features[None], batch.labels[None])[0]
 
 
 def layerwise_fisher_diag(net, batch):
@@ -605,9 +611,10 @@ def serial_eps_approx(whole, sup, qry, cfg, head_seed, train_seed):
 def serial_mtas(source, target, train_data, whole, cfg, approx=None):
     """One source task's score by the per-task route: batch_of, encode,
     centroids, cost_matrix and a one-matrix hungarian, relabel,
-    serial_eps_approx, the two Fisher diagonals, unit_trace and tas; a
-    failing task raises the error pipeline.mtas raises for it.  Given a dict
-    approx, it keeps the epsilon-approximation's parameters under the task id."""
+    serial_eps_approx, the two Fisher diagonals (fisher_diag, a stack of
+    one), unit_trace and tas; a failing task raises the error that
+    pipeline.mtas reports for it.  Given a dict approx, it keeps the
+    epsilon-approximation's parameters under the task id."""
     if len(source.class_ids) != cfg.n_test:
         raise ValueError("source must have n_test classes")
 
@@ -634,9 +641,9 @@ def serial_mtas(source, target, train_data, whole, cfg, approx=None):
         if approx is not None:
             approx[source.task_id] = net.params
         try:
-            raw_aa = fisher.empirical_fisher_diag(net, qry)
+            raw_aa = fisher_diag(net, qry)
             f_aa = fisher.unit_trace(raw_aa)
-            raw_ab = fisher.empirical_fisher_diag(net, target.batch)
+            raw_ab = fisher_diag(net, target.batch)
             f_ab = fisher.unit_trace(raw_ab)
         except ValueError as exc:
             raise ValueError(

@@ -25,7 +25,7 @@ def test_fisher_single_sample_is_squared_gradient():
     net, batch = helpers.draw_generic_case(rng)
     one = nnet.Batch(batch.features[:1], batch.labels[:1])
     g = helpers.loss_grad(net, one)
-    f = fisher.empirical_fisher_diag(net, one)
+    f = helpers.fisher_diag(net, one)
     np.testing.assert_allclose(f, g * g, rtol=1e-12, atol=0)
 
 
@@ -36,8 +36,8 @@ def test_fisher_duplicated_batch_identical():
         np.vstack([batch.features, batch.features]),
         np.concatenate([batch.labels, batch.labels]),
     )
-    a = fisher.empirical_fisher_diag(net, batch)
-    b = fisher.empirical_fisher_diag(net, doubled)
+    a = helpers.fisher_diag(net, batch)
+    b = helpers.fisher_diag(net, doubled)
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-300)
 
 
@@ -49,7 +49,7 @@ def test_fisher_explicit_three_sample_loop():
     for i in range(3):
         gi = helpers.loss_grad(net, nnet.Batch(three.features[i : i + 1], three.labels[i : i + 1]))
         acc += gi * gi
-    f = fisher.empirical_fisher_diag(net, three)
+    f = helpers.fisher_diag(net, three)
     np.testing.assert_allclose(f, acc / 3.0, rtol=1e-10, atol=1e-300)
 
 
@@ -63,7 +63,7 @@ def test_fisher_explicit_three_sample_loop():
 def test_fisher_equals_mean_of_squared_oracle_rows(seed, n):
     net, batch = helpers.draw_generic_case(np.random.default_rng(seed), n=n)
     rows = helpers.per_sample_grads(net, batch)
-    f = fisher.empirical_fisher_diag(net, batch)
+    f = helpers.fisher_diag(net, batch)
     np.testing.assert_allclose(f, np.mean(rows * rows, axis=0), rtol=1e-12, atol=0)
 
 

@@ -291,7 +291,7 @@ def test_fisher_diag_shape_and_oracle_mean():
     assert rows.shape == (batch.n, net.param_count)
     mean = helpers.loss_grad(net, batch)
     np.testing.assert_allclose(rows.mean(axis=0), mean, rtol=1e-10, atol=1e-13)
-    f = nnet.fisher_diag(net, batch)
+    f = helpers.fisher_diag(net, batch)
     assert f.shape == (net.param_count,)
     np.testing.assert_allclose(f, np.mean(rows * rows, axis=0), rtol=1e-12, atol=0)
 
@@ -299,7 +299,8 @@ def test_fisher_diag_shape_and_oracle_mean():
 @pytest.mark.parametrize("seed", [10, 11, 12])
 def test_fisher_diag_equals_the_layerwise_loop_bitwise(seed):
     net, batch = helpers.draw_generic_case(np.random.default_rng(seed))
-    assert np.array_equal(nnet.fisher_diag(net, batch), helpers.layerwise_fisher_diag(net, batch))
+    want = helpers.layerwise_fisher_diag(net, batch)
+    assert np.array_equal(helpers.fisher_diag(net, batch), want)
 
 
 def test_fisher_diag_single_row_is_squared_oracle_row():
@@ -308,7 +309,44 @@ def test_fisher_diag_single_row_is_squared_oracle_row():
     rows = helpers.per_sample_grads(net, batch)
     for i in range(batch.n):
         one = nnet.Batch(batch.features[i : i + 1], batch.labels[i : i + 1])
-        np.testing.assert_allclose(nnet.fisher_diag(net, one), rows[i] * rows[i], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(helpers.fisher_diag(net, one), rows[i] * rows[i],
+                                   rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_fisher_diag_of_a_stack_is_each_network_alone_bitwise(activation):
+    # four networks on rows of their own and on rows they share, given once:
+    # each row of the result is that network's diagonal as a stack of one,
+    # and as a single network with no stack dimension
+    rng = np.random.default_rng(15)
+    spec = nnet.NetworkSpec((6, 9, 5), 3, activation)
+    params = rng.standard_normal((4, spec.param_count)) * 0.7
+    x, y = rng.standard_normal((4, 7, 6)), rng.integers(0, 3, (4, 7))
+    shared = nnet.Batch(rng.standard_normal((11, 6)), rng.integers(0, 3, 11))
+    own = nnet.fisher_diag(spec, params, x, y)
+    common = nnet.fisher_diag(spec, params, shared.features, shared.labels)
+    assert own.shape == common.shape == params.shape
+    for k, p in enumerate(params):
+        net = nnet.Network(spec, p)
+        assert np.array_equal(own[k], helpers.fisher_diag(net, nnet.Batch(x[k], y[k])))
+        assert np.array_equal(common[k], helpers.fisher_diag(net, shared))
+        assert np.array_equal(common[k], nnet.fisher_diag(spec, p, shared.features, shared.labels))
+
+
+def test_fisher_diag_rejects_what_it_cannot_stack():
+    spec = nnet.NetworkSpec((3, 4), 2)
+    p, x, y = np.zeros((2, spec.param_count)), np.zeros((2, 5, 3)), np.zeros((2, 5), np.int64)
+    # short params, a label short, labels out of range below and above, no rows
+    for args in ((p[:, :-1], x, y), (p, x, y[:, :4]), (p, x, y - 1), (p, x, y + 2),
+                 (p, x[:, :0], y[:, :0])):
+        with pytest.raises(ValueError, match=(
+                rf"^need params \(\.\.\., {spec.param_count}\) and, for each of n >= 1 "
+                r"feature rows, a label in \[0, 2\)$")):
+            nnet.fisher_diag(spec, *args)
+    with pytest.raises(ValueError, match=r"features must be \(\.\.\., n, 3\)"):
+        nnet.fisher_diag(spec, p, x[..., :2], y)
+    with pytest.raises(ValueError):  # three networks against two stacks of rows
+        nnet.fisher_diag(spec, np.zeros((3, spec.param_count)), x, y)
 
 
 def test_encoder_pullback_matches_central_differences():
@@ -518,7 +556,8 @@ def test_train_at_the_shipped_shapes_equals_the_per_minibatch_loop_bitwise(head,
 @pytest.mark.parametrize("n", [1, 4, 16, 84])
 def test_fisher_encode_and_evaluate_at_the_shipped_shapes_equal_the_oracles_bitwise(head, n):
     net, batch = _shipped_case(head, n, 39)
-    assert np.array_equal(nnet.fisher_diag(net, batch), helpers.layerwise_fisher_diag(net, batch))
+    want = helpers.layerwise_fisher_diag(net, batch)
+    assert np.array_equal(helpers.fisher_diag(net, batch), want)
     encoder = nnet._unpack(net.spec, net.params)[:-1]
     emb = helpers._forward(net.spec, encoder, batch.features)[1][-1]
     assert np.array_equal(nnet.encode(net, batch.features), emb)

@@ -339,20 +339,30 @@ def test_every_ranked_task_keeps_its_eps_record(tiny, monkeypatch):
 
 def test_ranked_task_traces_are_the_raw_fisher_sums(tiny, monkeypatch):
     train, test, spec, cfg = tiny
+    cfg = replace(cfg, s_count=12)  # two chunks
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    diags = []
-    diag = fisher.empirical_fisher_diag
+    sources = helpers.sampled_sources(train, cfg)
+    chunks, diags = [], []
+    diag, mtas = nnet.fisher_diag, pipeline.mtas
 
-    def spy(*args):
+    def spy_diag(*args):
         out = diag(*args)
         diags.append(out.copy())
         return out
 
-    monkeypatch.setattr(fisher, "empirical_fisher_diag", spy)
+    def spy_mtas(slots, *args):
+        chunks.append([sources[slot.job.key].task_id for slot in slots])
+        return mtas(slots, *args)
+
+    monkeypatch.setattr(nnet, "fisher_diag", spy_diag)
+    monkeypatch.setattr(pipeline, "mtas", spy_mtas)
     ranked = helpers.rank(train, test, whole, cfg)
-    assert len(diags) == 2 * cfg.s_count  # source query, then target, per task_id
+    assert [len(c) for c in chunks] == [pipeline.SCORE_CHUNK, cfg.s_count - pipeline.SCORE_CHUNK]
+    assert len(diags) == 2 * len(chunks)  # source query, then target, per chunk
+    rows = {task_id: (c, j) for c, chunk in enumerate(chunks) for j, task_id in enumerate(chunk)}
     for r in ranked:
-        raw_aa, raw_ab = diags[2 * r.task_id], diags[2 * r.task_id + 1]
+        c, j = rows[r.task_id]
+        raw_aa, raw_ab = diags[2 * c][j], diags[2 * c + 1][j]
         assert (r.trace_aa, r.trace_ab) == (float(raw_aa.sum()), float(raw_ab.sum()))
         assert r.trace_aa > 0 and r.trace_ab > 0
         # the score is the one the unit-trace diagonals of those sums give
@@ -538,12 +548,10 @@ def test_pool_failures_name_the_first_failing_task(tiny, monkeypatch, picked, sl
         events.append(("enter", key))
         return job(key, *args)
 
-    def leaving(source, assignment, slot, *args):
-        try:
-            return mtas(source, assignment, slot, *args)
-        except ValueError:
-            events.append(("failed", slot.job.key))
-            raise
+    def leaving(slots, *args):
+        scored, errors = mtas(slots, *args)
+        events.extend(("failed", slot.job.key) for slot in slots if slot.job.key in errors)
+        return scored, errors
 
     monkeypatch.setattr(nnet, "PoolJob", entering)
     monkeypatch.setattr(pipeline, "mtas", leaving)
@@ -557,6 +565,162 @@ def test_pool_failures_name_the_first_failing_task(tiny, monkeypatch, picked, sl
     for i, (kind, key) in enumerate(events):  # no later task enters after a failure
         if kind == "enter":
             assert all(key < k for what, k in events[:i] if what == "failed")
+
+
+def _chunks_spy(monkeypatch, sources):
+    """Spies on pipeline.mtas: the list it returns gets, per call, the
+    indices in sources of the chunk's tasks, in the order they left the pool."""
+    chunks, mtas = [], pipeline.mtas
+
+    def spy(slots, *args):
+        chunks.append([slot.job.key for slot in slots])
+        return mtas(slots, *args)
+
+    monkeypatch.setattr(pipeline, "mtas", spy)
+    return chunks
+
+
+@pytest.mark.parametrize("verbose", [True, False])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 200])
+def test_chunked_ranking_equals_serial_oracle_bitwise(tas_json, monkeypatch, n, verbose):
+    train, test, whole, cfg, sources, want, _ = tas_json
+    cfg, sources = replace(cfg, verbose_fisher=verbose), sources[:n]
+    ids = {s.task_id for s in sources}
+    want = [r if verbose else replace(r, f_aa=None, f_ab=None) for r in want if r.task_id in ids]
+    chunks = _chunks_spy(monkeypatch, sources)
+    target = pipeline.view_target(test, whole, cfg)
+    got = pipeline.rank_all_sources(sources, target, train, whole, cfg)
+    assert helpers.ranked_fields(got) == helpers.ranked_fields(want)
+    full, rest = divmod(n, pipeline.SCORE_CHUNK)  # one pool: chunks of 8, then the rest
+    assert [len(c) for c in chunks] == [pipeline.SCORE_CHUNK] * full + [rest] * (rest > 0)
+    assert sorted(k for c in chunks for k in c) == list(range(n))
+
+
+def test_no_fisher_pass_stacks_more_than_a_score_chunk(tas_json, monkeypatch):
+    # the memory bound: at most SCORE_CHUNK networks per Fisher pass, and
+    # the target's rows given once, not copied per network
+    train, test, whole, cfg, sources, _, _ = tas_json
+    calls, diag = [], nnet.fisher_diag
+
+    def spy(spec, params, features, labels):
+        calls.append((params.shape[0], features.ndim, labels.ndim))
+        return diag(spec, params, features, labels)
+
+    monkeypatch.setattr(nnet, "fisher_diag", spy)
+    pipeline.rank_all_sources(sources, pipeline.view_target(test, whole, cfg), train, whole, cfg)
+    chunks = -(-len(sources) // pipeline.SCORE_CHUNK)
+    assert len(calls) == 2 * chunks
+    assert max(size for size, _, _ in calls) == pipeline.SCORE_CHUNK
+    assert calls[0::2] == [(size, 3, 2) for size, _, _ in calls[0::2]]  # source query rows
+    assert calls[1::2] == [(size, 2, 1) for size, _, _ in calls[1::2]]  # the shared target
+
+
+def test_tasks_of_different_row_counts_never_share_a_chunk(tiny, monkeypatch):
+    # 27 tasks in three pools of nine: full, one support row short, one query
+    # row short; the first two pools share their query row count, and each
+    # pool's chunks end with it
+    sources, test, train, whole, cfg = _tiny_sources(tiny)
+    sources = helpers.sampled_sources(train, replace(cfg, s_count=27))
+    sources = [
+        s if i % 3 == 0
+        else replace(s, support_rows=s.support_rows[:-1]) if i % 3 == 1
+        else replace(s, query_rows=s.query_rows[:-1])
+        for i, s in enumerate(sources)
+    ]
+    chunks = _chunks_spy(monkeypatch, sources)
+    _assert_pool_is_serial(monkeypatch, sources, test, train, whole, cfg, 3)
+    assert [len(c) for c in chunks] == [pipeline.SCORE_CHUNK, 1] * 3
+    for c in chunks:
+        assert len({(len(sources[k].support_rows), len(sources[k].query_rows)) for k in c}) == 1
+
+
+def _poison_fisher(monkeypatch, params, target_rows, poison):
+    """Makes nnet.fisher_diag degenerate for each (task_id, side) in poison,
+    for the pipeline and the serial oracle alike: on the source query side
+    ("aa") one negative entry, on the target side ("ab") all zeros.  Each
+    network is known by its parameters, params by task id; the target side
+    by its target_rows feature rows."""
+    task_of = {p.tobytes(): task_id for task_id, p in params.items()}
+    diag = nnet.fisher_diag
+
+    def spy(spec, stack, features, labels):
+        out = diag(spec, stack, features, labels)
+        side = "ab" if features.shape[-2] == target_rows else "aa"
+        for k, p in enumerate(stack):
+            if (task_of[p.tobytes()], side) in poison:
+                out[k, : 1 if side == "aa" else None] = -1.0 if side == "aa" else 0.0
+        return out
+
+    monkeypatch.setattr(nnet, "fisher_diag", spy)
+
+
+@pytest.mark.parametrize("late,early", [
+    (("aa",), ("aa",)),  # two tasks failing on the source side
+    (("aa",), ("ab",)),  # source side beside target side, either way round
+    (("ab",), ("aa",)),
+    (("ab",), ("aa", "ab")),  # a task failing on both sides names its source side
+])
+def test_fisher_failures_in_one_chunk_name_the_first_task_in_sources_order(
+        tas_json, monkeypatch, late, early):
+    # two tasks of the first chunk fail, the one later in sources order
+    # leaving the pool first: the error is the earlier one's, as serially
+    train, test, whole, cfg, sources, _, params = tas_json
+    sources = sources[:9]
+    chunks = _chunks_spy(monkeypatch, sources)
+    target = pipeline.view_target(test, whole, cfg)
+    pipeline.rank_all_sources(sources, target, train, whole, cfg)
+    first = chunks[0]
+    hi, lo = next((a, b) for i, a in enumerate(first) for b in first[i + 1 :] if a > b)
+    assert test.n not in {len(s.query_rows) for s in sources}
+    poison = {(sources[hi].task_id, side) for side in late}
+    poison |= {(sources[lo].task_id, side) for side in early}
+    _poison_fisher(monkeypatch, params, test.n, poison)
+    with pytest.raises(ValueError) as serial:
+        helpers.serial_rank(sources, target, train, whole, cfg)
+    reason = ("entries must be finite and nonnegative" if early[0] == "aa"
+              else "cannot normalize an all-zero Fisher diagonal")
+    assert str(serial.value).startswith(f"source task {sources[lo].task_id} Fisher diagonal after ")
+    assert str(serial.value).endswith(f" eps-approximation epochs: {reason}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as chunked:
+            pipeline.rank_all_sources(sources, target, train, whole, cfg)
+    assert str(chunked.value) == str(serial.value)
+
+
+def test_a_fisher_failure_stops_later_tasks_entering_once_its_chunk_is_scored(
+        tas_json, monkeypatch):
+    # 40 tasks share one pool of POOL_SLOTS; the first task to leave fails on
+    # its source side, so once the first chunk is scored no task enters and
+    # the pool drains without the rest of the sources
+    train, test, whole, cfg, sources, _, params = tas_json
+    sources, target = sources[:40], pipeline.view_target(test, whole, cfg)
+    assert len({(len(s.support_rows), len(s.query_rows)) for s in sources}) == 1
+    chunks = _chunks_spy(monkeypatch, sources)
+    pipeline.rank_all_sources(sources, target, train, whole, cfg)
+    bad, clean = chunks[0][0], len(chunks)
+    _poison_fisher(monkeypatch, params, test.n, {(sources[bad].task_id, "aa")})
+    events, job, mtas = [], nnet.PoolJob, pipeline.mtas
+
+    def entering(key, *args):
+        events.append(("enter", key))
+        return job(key, *args)
+
+    def leaving(slots, *args):
+        scored, errors = mtas(slots, *args)
+        events.extend(("failed", key) for key in errors)
+        return scored, errors
+
+    monkeypatch.setattr(nnet, "PoolJob", entering)
+    monkeypatch.setattr(pipeline, "mtas", leaving)
+    with pytest.raises(ValueError) as exc:
+        pipeline.rank_all_sources(sources, target, train, whole, cfg)
+    assert str(exc.value).startswith(f"source task {sources[bad].task_id} Fisher diagonal after ")
+    assert chunks[clean] == chunks[0]  # the poisoned run leaves in the same order
+    failed = events.index(("failed", bad))
+    entered = [key for kind, key in events if kind == "enter"]
+    assert entered == list(range(len(entered))) and len(entered) < len(sources)
+    assert all(kind != "enter" for kind, _ in events[failed:])
 
 
 def test_task_scored_alone_equals_it_scored_in_a_block(tiny):
@@ -649,10 +813,11 @@ def _rank_with_scores(tiny, monkeypatch, values):
     train, _, _, cfg = tiny
     sources = helpers.sampled_sources(train, cfg)[::-1]
     monkeypatch.setattr(pipeline, "_match_sources", lambda sources, *a: [None] * len(sources))
-    monkeypatch.setattr(pipeline, "_approximations", lambda sources, *a: [
+    monkeypatch.setattr(pipeline, "_approximations", lambda sources, *a: [[
         nnet.PoolExit(nnet.PoolJob(i, 0, 0, *[np.empty(0)] * 4), None, None, 0, 0.0)
-        for i in range(len(sources))])
-    monkeypatch.setattr(pipeline, "mtas", lambda src, *a: _rt(src.task_id, values[src.task_id]))
+        for i in range(len(sources))]])
+    monkeypatch.setattr(pipeline, "mtas", lambda slots, sources, *a: ([
+        _rt(sources[s.job.key].task_id, values[sources[s.job.key].task_id]) for s in slots], {}))
     return [r.task_id for r in pipeline.rank_all_sources(sources, None, train, None, cfg)]
 
 

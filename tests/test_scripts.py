@@ -153,8 +153,27 @@ def test_same_outputs_reports_the_repo_identical_to_itself(tmp_path):
     config = tmp_path / "small.json"
     config.write_text(json.dumps(doc))
     out = _run_script("same_outputs.py", ROOT, ROOT, "--config", str(config))
-    # tas writes 3 files in each of 5 runs, fewshot 4 in each of 3
-    assert out == "identical: 27 files of 8 runs, timings dropped\n"
+    # tas writes 3 files in each of 6 runs (one keeping the Fisher
+    # diagonals), fewshot 4 in each of 3
+    assert out == "identical: 30 files of 9 runs, timings dropped\n"
+
+
+def test_same_outputs_verbose_run_writes_the_fisher_diagonals(tmp_path, monkeypatch):
+    # the one run whose scores.json keeps every task's two diagonals
+    with open(os.path.join(ROOT, "configs", "tas.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["pipeline"].update(s_count=4, top_r=2)
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(doc))
+    verbose = [run for run in same_outputs.RUNS if run[3]]
+    assert verbose == [("tas", None, None, True)]
+    monkeypatch.setattr(same_outputs, "RUNS", verbose)
+    same_outputs.run_all(ROOT, str(config), str(tmp_path / "out"))
+    with open(tmp_path / "out" / "tas-verbose" / "scores.json", encoding="utf-8") as fh:
+        rows = json.load(fh)["scores"]
+    assert len(rows) == 4
+    assert all(len(row["fisher"][side]["entries"]) > 0 for row in rows for side in ("f_aa", "f_ab"))
+    assert "verbose_fisher" not in config.read_text()  # the given config is left as it was
 
 
 def _outputs(root, accuracy=0.5, total_s=1.0, csv="class_id,count\n0,2\n1,1\n"):
