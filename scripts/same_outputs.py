@@ -4,10 +4,11 @@
     python3 scripts/same_outputs.py PARENT_DIR CHANGE_DIR [--config PATH]
 
 Runs `tas` with no seed, with --seed 0 to 3 and with the config's
-pipeline.verbose_fisher set to true, and `fewshot` in each --ablation mode,
-in each checkout with that checkout's own src/ and its shipped
-configs/tas.json and configs/fewshot.json; --config runs every command on
-that one config instead.  Then compares every output file of
+pipeline.verbose_fisher set to true, `fewshot` in each --ablation mode, and
+`theorem1` with no seed and with --seed 0, in each checkout with that
+checkout's own src/ and its shipped configs/tas.json, configs/fewshot.json
+and configs/theorem1.json; --config runs every `tas` and `fewshot` command
+on that one config instead.  Then compares every output file of
 each run with `timings` dropped: JSON files value by value, others line by
 line.  Prints the first difference, naming the run, the file and the key or
 line, and exits 1; or prints how many files were equal and exits 0.  A
@@ -28,6 +29,7 @@ RUNS = (
     + [("tas", seed, None, False) for seed in range(4)]
     + [("tas", None, None, True)]
     + [("fewshot", None, mode, False) for mode in MODES]
+    + [("theorem1", None, None, False), ("theorem1", 0, None, False)]
 )
 
 
@@ -38,7 +40,8 @@ def run_all(checkout: str, config: str | None, out_root: str) -> None:
         name = [command, None if seed is None else f"seed{seed}", mode, verbose and "verbose"]
         out = os.path.join(out_root, "-".join(part for part in name if part))
         os.makedirs(out)
-        path = config or os.path.join(checkout, "configs", f"{command}.json")
+        shipped = os.path.join(checkout, "configs", f"{command}.json")
+        path = config if config and command != "theorem1" else shipped
         if verbose:  # the config beside the run's directory, which compare skips
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -123,7 +126,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="checkout of the parent commit")
     ap.add_argument("change", help="checkout of the change")
-    ap.add_argument("--config", help="run every command on this config, not the shipped ones")
+    ap.add_argument("--config", help="run every tas and fewshot command on this config, "
+                    "not the shipped ones")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         roots = [os.path.join(tmp, side) for side in ("parent", "change")]

@@ -9,6 +9,7 @@ be repointed coherently from the command line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from typing import Any, Iterable, Optional, get_type_hints
 
@@ -175,6 +176,9 @@ def parse_theorem(doc: Any) -> TheoremJob:
     _done(d, "")
     if job.n_seeds < MIN_SEEDS:
         raise ConfigError(f"n_seeds must be >= {MIN_SEEDS}")
+    for key in ("abs_tol", "optimum_tol"):
+        if not 0 < getattr(job, key) < math.inf:  # NaN fails too
+            raise ConfigError(f"{key} must be positive and finite")
     return job
 
 

@@ -25,8 +25,8 @@ from . import fisher
 GUARD_NORM = 1e8
 MIN_SEEDS = 5  # fewest SGD seeds whose median gap convergence_check trusts
 _SOLVER_CAP = 200_000
-# Noise vectors (steps x seeds) noisy_sgd draws per chunk: its noise buffer
-# stays at 8192 * d floats however many seeds run.
+# Noise vectors (steps x seeds) noisy_sgd draws per chunk: its path buffer
+# stays at 8192 * d floats plus one (S, d) block however many seeds run.
 _NOISE_CHUNK = 8192
 
 
@@ -59,8 +59,8 @@ class ConvexProblem:
         z = np.ascontiguousarray(self.rows, dtype=np.float64)
         if z.ndim != 2 or z.shape[0] < 1:
             raise ValueError("rows must be (n, d) with n >= 1")
-        if self.l2_lambda <= 0:
-            raise ValueError("l2_lambda must be positive (strong convexity)")
+        if not 0 < self.l2_lambda < np.inf:
+            raise ValueError("l2_lambda must be positive and finite (strong convexity)")
         z.setflags(write=False)
         object.__setattr__(self, "rows", z)
 
@@ -80,7 +80,7 @@ class StepSchedule:
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "polynomial"):
             raise ValueError("kind must be 'constant' or 'polynomial'")
-        if self.eta0 <= 0:
+        if not self.eta0 > 0:
             raise ValueError("eta0 must be positive")
         if self.kind == "polynomial" and not 0.5 < self.exponent < 1:
             raise ValueError("polynomial exponent must be in (0.5, 1)")
@@ -104,7 +104,7 @@ class NoisySGDConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be >= 0")
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
@@ -221,6 +221,12 @@ def noisy_sgd(
     is run i's running mean of its iterates theta_1..theta_t at checkpoint
     time t = times[k].  Raises DivergenceError at the first step where an
     iterate leaves the guard ball, naming the lowest seed index that left it.
+
+    Steps run in chunks of B = _NOISE_CHUNK // S through a (B + 1, S, d)
+    path: rows 1..B hold the chunk's scaled noise, each overwritten by its
+    step's iterate, and row 0 the running sum one accumulate carries on.
+    The guard is checked once per chunk with the per-step semantics above;
+    steps a chunk runs past a divergence are dropped, overflows unreported.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     if not rngs:
@@ -234,42 +240,49 @@ def noisy_sgd(
     two_lambda = 2.0 * p.l2_lambda
     guard_sq = GUARD_NORM * GUARD_NORM
 
-    theta = np.zeros((n_runs, p.dim))
-    flat = theta.reshape(-1)
-    running_sum = np.zeros_like(theta)
+    chunk = max(1, _NOISE_CHUNK // n_runs)
+    path = np.zeros((chunk + 1, n_runs, p.dim))
+    rows = list(path)
+    draw = np.empty((chunk, p.dim))  # one seed's noise, drawn contiguously
+    start = np.zeros((n_runs, p.dim))  # the chunk's first iterate block
     u = np.empty((n_runs, n))
-    g = np.empty_like(theta)
+    g = np.empty_like(start)
+    decay = np.empty_like(start)
     ckpts = checkpoint_times(cfg.total_steps)
     ckpt_list = ckpts.tolist()
     bars = np.empty((n_runs, ckpts.size, p.dim))
     k = 0
-    noise = np.empty((n_runs, max(1, _NOISE_CHUNK // n_runs), p.dim))
     t = 0
     while t < cfg.total_steps:
-        block = min(noise.shape[1], cfg.total_steps - t)
-        for rng, rows in zip(rngs, noise):
-            rng.standard_normal(out=rows[:block])
-        noise[:, :block] *= cfg.noise_sigma
-        etas = cfg.step_schedule.etas(t + 1, block)
-        for b in range(block):
-            t += 1
-            np.matmul(theta, a, out=u)
-            np.tanh(u, out=u)
-            np.matmul(u, h, out=g)
-            g += c
-            g += two_lambda * theta
-            g += noise[:, b]
-            g *= etas[b]
-            theta -= g
-            if flat @ flat > guard_sq:  # the whole block's squared norm bounds each row's
-                sq = np.einsum("ij,ij->i", theta, theta)
-                left = np.flatnonzero(sq > guard_sq)
-                if left.size:
-                    raise DivergenceError(t, int(left[0]), float(np.sqrt(sq[left[0]])))
-            running_sum += theta
-            if k < len(ckpt_list) and t == ckpt_list[k]:
-                np.divide(running_sum, t, out=bars[:, k])
-                k += 1
+        block = min(chunk, cfg.total_steps - t)
+        steps = path[1 : block + 1]
+        for i, rng in enumerate(rngs):
+            rng.standard_normal(out=draw[:block])
+            np.multiply(draw[:block], cfg.noise_sigma, out=steps[:, i])
+        etas = cfg.step_schedule.etas(t + 1, block).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for eta, theta, after in zip(etas, [start] + rows[1:], rows[1:]):
+                np.dot(theta, a, out=u)
+                np.tanh(u, out=u)
+                np.dot(u, h, out=g)
+                g += c
+                np.multiply(theta, two_lambda, out=decay)
+                g += decay
+                g += after  # this step's noise, until the iterate replaces it
+                g *= eta
+                np.subtract(theta, g, out=after)
+            sq = np.einsum("bij,bij->bi", steps, steps)
+        left = np.flatnonzero(sq > guard_sq)  # step-major: the first step, then its lowest seed
+        if left.size:
+            b, i = divmod(int(left[0]), n_runs)
+            raise DivergenceError(t + b + 1, i, float(np.sqrt(sq[b, i])))
+        start[...] = path[block]
+        np.add.accumulate(path[: block + 1], axis=0, out=path[: block + 1])
+        while k < len(ckpt_list) and ckpt_list[k] <= t + block:
+            np.divide(path[ckpt_list[k] - t], ckpt_list[k], out=bars[:, k])
+            k += 1
+        path[0] = path[block]
+        t += block
     return ckpts, bars
 
 

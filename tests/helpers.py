@@ -4,8 +4,9 @@ Reference routes the package itself no longer carries live here: the
 logits, the mean cross-entropy gradient and the encoder pullback of one
 batch, each from plain copies of nnet's kernels, the brute-force assignment scan, the
 trace-form affinity score, the logistic model's per-sample gradient rows,
-the theorem-1 harness's per-checkpoint affinity loop, fixed-step descent to
-the logistic optimum, the per-layer Fisher diagonal loop, the per-minibatch
+the theorem-1 harness's per-checkpoint affinity loop, the step-by-step
+noisy-SGD block loop that the chunked theorem.noisy_sgd must reproduce bit
+for bit, fixed-step descent to the logistic optimum, the per-layer Fisher diagonal loop, the per-minibatch
 training loop that nnet.train must reproduce bit for bit, the serial
 phase-3 path (one episode at a time, as validated Batches) that the stacked
 meta-steps must reproduce bit for bit, the one-network phase-3 loop that
@@ -253,6 +254,61 @@ def serial_noisy_sgd(p, cfg, seed):
                 bars[next_idx] = running_sum / t
                 next_idx += 1
     return ckpts, bars, raw
+
+
+def stacked_noisy_sgd(p, cfg, seeds):
+    """theorem.noisy_sgd's (S, d) block loop one step at a time: the guard
+    checked, the running sum added and the checkpoint tested after every
+    step, and noise drawn into an (S, B, d) buffer of theorem._NOISE_CHUNK
+    values.  noisy_sgd must equal it bit for bit, its DivergenceError too.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    if not rngs:
+        raise ValueError("noisy_sgd needs at least one seed")
+    n_runs, n = len(rngs), p.rows.shape[0]
+    a = np.ascontiguousarray(-0.5 * p.rows.T)
+    h = p.rows / (-2.0 * n)
+    c = h.sum(axis=0)
+    two_lambda = 2.0 * p.l2_lambda
+    guard_sq = theorem.GUARD_NORM * theorem.GUARD_NORM
+
+    theta = np.zeros((n_runs, p.dim))
+    flat = theta.reshape(-1)
+    running_sum = np.zeros_like(theta)
+    u = np.empty((n_runs, n))
+    g = np.empty_like(theta)
+    ckpts = theorem.checkpoint_times(cfg.total_steps)
+    ckpt_list = ckpts.tolist()
+    bars = np.empty((n_runs, ckpts.size, p.dim))
+    k = 0
+    noise = np.empty((n_runs, max(1, theorem._NOISE_CHUNK // n_runs), p.dim))
+    t = 0
+    while t < cfg.total_steps:
+        block = min(noise.shape[1], cfg.total_steps - t)
+        for rng, rows in zip(rngs, noise):
+            rng.standard_normal(out=rows[:block])
+        noise[:, :block] *= cfg.noise_sigma
+        etas = cfg.step_schedule.etas(t + 1, block)
+        for b in range(block):
+            t += 1
+            np.matmul(theta, a, out=u)
+            np.tanh(u, out=u)
+            np.matmul(u, h, out=g)
+            g += c
+            g += two_lambda * theta
+            g += noise[:, b]
+            g *= etas[b]
+            theta -= g
+            if flat @ flat > guard_sq:  # the whole block's squared norm bounds each row's
+                sq = np.einsum("ij,ij->i", theta, theta)
+                left = np.flatnonzero(sq > guard_sq)
+                if left.size:
+                    raise theorem.DivergenceError(t, int(left[0]), float(np.sqrt(sq[left[0]])))
+            running_sum += theta
+            if k < len(ckpt_list) and t == ckpt_list[k]:
+                np.divide(running_sum, t, out=bars[:, k])
+                k += 1
+    return ckpts, bars
 
 
 def fixed_step_descent(p, step, tol, max_iters=200_000):

@@ -807,6 +807,36 @@ def test_theorem1_too_few_seeds_fails_before_sgd(tmp_path, monkeypatch, capsys):
     assert calls == []
 
 
+@pytest.mark.parametrize("path,value", [
+    ("sgd.schedule.eta0", float("nan")),
+    ("sgd.noise_sigma", float("nan")),
+    ("fixture.l2_lambda", float("nan")),
+    ("fixture.l2_lambda", float("inf")),
+    ("optimum_tol", -1.0),
+    ("optimum_tol", float("inf")),
+    ("abs_tol", float("nan")),
+    ("abs_tol", 0.0),
+])
+def test_theorem1_input_that_can_never_pass_fails_before_any_step(
+    tmp_path, monkeypatch, capsys, path, value
+):
+    # each ran every solver or SGD step before failing, or failing to pass
+    calls = []
+    for name in ("solve_optimum", "noisy_sgd"):
+        monkeypatch.setattr(theorem, name, lambda *args, name=name, **kw: calls.append(name))
+    doc = theorem_doc()
+    *parents, key = path.split(".")
+    node = doc
+    for parent in parents:
+        node = node[parent]
+    node[key] = value
+    cfg = write_config(tmp_path, doc)  # json writes NaN and Infinity as such
+    assert cli.main(["theorem1", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be "), err
+    assert calls == []
+
+
 def test_theorem1_rerun_identical_modulo_timings(tmp_path):
     cfg = write_config(tmp_path, theorem_doc(noise=0.1))
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")

@@ -152,10 +152,20 @@ def test_same_outputs_reports_the_repo_identical_to_itself(tmp_path):
     pipe["finetune_schedule"]["epochs"] = 3
     config = tmp_path / "small.json"
     config.write_text(json.dumps(doc))
-    out = _run_script("same_outputs.py", ROOT, ROOT, "--config", str(config))
+    # --config leaves theorem1 on the checkout's own config: a checkout of
+    # this src/ whose configs/theorem1.json runs 3,000 steps of 5 seeds
+    checkout = tmp_path / "checkout"
+    (checkout / "configs").mkdir(parents=True)
+    (checkout / "src").symlink_to(os.path.abspath(os.path.join(ROOT, "src")))
+    with open(os.path.join(ROOT, "configs", "theorem1.json"), encoding="utf-8") as fh:
+        theorem_doc = json.load(fh)
+    theorem_doc["sgd"]["total_steps"] = 3000
+    theorem_doc["n_seeds"] = 5
+    (checkout / "configs" / "theorem1.json").write_text(json.dumps(theorem_doc))
+    out = _run_script("same_outputs.py", str(checkout), str(checkout), "--config", str(config))
     # tas writes 3 files in each of 6 runs (one keeping the Fisher
-    # diagonals), fewshot 4 in each of 3
-    assert out == "identical: 30 files of 9 runs, timings dropped\n"
+    # diagonals), fewshot 4 in each of 3, theorem1 2 in each of 2
+    assert out == "identical: 34 files of 11 runs, timings dropped\n"
 
 
 def test_same_outputs_verbose_run_writes_the_fisher_diagonals(tmp_path, monkeypatch):

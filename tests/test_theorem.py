@@ -35,7 +35,7 @@ def test_problem_validation():
         theorem.ConvexProblem(np.zeros(3), 0.1)
     with pytest.raises(ValueError, match=r"n >= 1"):
         theorem.ConvexProblem(np.zeros((0, 2)), 0.1)
-    for lam in (0.0, -0.1):
+    for lam in (0.0, -0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="l2_lambda"):
             theorem.ConvexProblem(np.zeros((3, 2)), lam)
     p = theorem.ConvexProblem([[1, 2], [3, 4]], 0.1)
@@ -57,14 +57,16 @@ def test_step_schedule_validation_and_values():
         theorem.StepSchedule("polynomial", 0.1, exponent=0.5)
     with pytest.raises(ValueError):
         theorem.StepSchedule("polynomial", 0.1, exponent=1.0)
-    with pytest.raises(ValueError):
-        theorem.StepSchedule("constant", 0.0)
+    for eta0 in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="eta0"):
+            theorem.StepSchedule("constant", eta0)
 
 
 def test_sgd_config_validation():
     sched = theorem.StepSchedule("constant", 0.1)
-    with pytest.raises(ValueError):
-        theorem.NoisySGDConfig(sched, -0.1, 10, 0)
+    for sigma in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            theorem.NoisySGDConfig(sched, sigma, 10, 0)
     with pytest.raises(ValueError):
         theorem.NoisySGDConfig(sched, 0.1, 0, 0)
 
@@ -315,6 +317,54 @@ def test_noisy_sgd_divergence_names_the_earliest_seed():
         theorem.noisy_sgd(p, cfg, seeds[: want + 1] + seeds[want:])
     assert (exc.value.step, exc.value.seed) == (step, want)
     assert f"seed {want}:" in str(exc.value)
+
+
+@pytest.mark.parametrize("n_seeds", [1, 5, 20])
+@pytest.mark.parametrize("schedule", SCHEDULES, ids=["constant", "polynomial"])
+@pytest.mark.parametrize("noise_chunk,total_steps", [(8192, 1), (8192, 1500), (100, 777)])
+def test_noisy_sgd_equals_the_step_by_step_block_loop(
+    noise_chunk, total_steps, schedule, n_seeds, monkeypatch
+):
+    # a 100-value chunk is 100, 20 or 5 steps: 777 steps cross 8 to 156
+    # chunks and end on a short one, and checkpoints 100 and 200 fall on a
+    # chunk's last step
+    monkeypatch.setattr(theorem, "_NOISE_CHUNK", noise_chunk)
+    p, _, _ = theorem.make_logistic_fixture(10, 200, 200, 0.1, seed=42)  # criterion 5's
+    cfg = theorem.NoisySGDConfig(schedule, 0.1, total_steps, seed=7)
+    seeds = [derive_seed(7, 15, i) for i in range(n_seeds)]
+    times, bars = theorem.noisy_sgd(p, cfg, seeds)
+    want_times, want_bars = helpers.stacked_noisy_sgd(p, cfg, seeds)
+    assert np.array_equal(times, want_times)
+    assert np.array_equal(bars, want_bars)
+
+
+# (_NOISE_CHUNK, seeds, eta, sigma, total_steps, the step the guard trips at)
+# on tiny_problem(15, lam=0.5), each read off the step-by-step loop
+DIVERGENCES = {
+    "step 1": (8192, 3, 0.5, 1e9, 60, 1),
+    # noiseless steps of 1e6 overflow long before a 8192-step chunk ends
+    "overflow past it": (8192, 2, 1e6, 0.0, 1000, 2),
+    "mid-chunk": (8192, 6, 0.5, 5e7, 60, 21),
+    "later chunk": (48, 6, 0.5, 5e7, 60, 21),  # 8-step chunks: step 21 is in the third
+    "short final chunk": (48, 6, 0.5, 5e7, 22, 21),  # whose last chunk is steps 17..22
+}
+
+
+@pytest.mark.filterwarnings("error")  # nothing the chunk computes past the guard may warn
+@pytest.mark.parametrize("case", DIVERGENCES.values(), ids=DIVERGENCES.keys())
+def test_noisy_sgd_divergence_equals_the_step_by_step_block_loop(case, monkeypatch):
+    noise_chunk, n_seeds, eta, sigma, total_steps, step = case
+    monkeypatch.setattr(theorem, "_NOISE_CHUNK", noise_chunk)
+    p = tiny_problem(15, lam=0.5)
+    cfg = theorem.NoisySGDConfig(theorem.StepSchedule("constant", eta), sigma, total_steps, 0)
+    seeds = [derive_seed(17, i) for i in range(n_seeds)]
+    errors = []
+    for run in (theorem.noisy_sgd, helpers.stacked_noisy_sgd):
+        with pytest.raises(theorem.DivergenceError) as exc:
+            run(p, cfg, seeds)
+        errors.append((exc.value.step, exc.value.seed, str(exc.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == step
 
 
 def test_noisy_sgd_noise_buffer_stays_small():
