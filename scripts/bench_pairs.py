@@ -11,16 +11,20 @@ quartiles, how many pairs the change won, and the change's median relative
 to the parent's beside the metric's bound from BENCHMARK.json.  Then, for
 each phase that every run reports in its "phase split" line (wall seconds,
 the run's median per result), it prints both sides' medians over the runs,
-the change's relative median and how many pairs it won.  A gain is
-claimed only when at least ten pairs ran, the change won at least nine
-tenths of them, ties counting for neither side, and the medians differ by
-more than the distance between the parent's quartiles.  The script itself
+the change's relative median and how many pairs it won.  Last, the same
+for each run's minor page faults and system CPU seconds, in all and per
+result attempted, from resource.getrusage(RUSAGE_CHILDREN) before and after
+the perfbench process, so they include its set-up probes and imports.  A
+gain is claimed only when at least ten pairs ran, the change won at least
+nine tenths of them, ties counting for neither side, and the medians differ
+by more than the distance between the parent's quartiles.  The script itself
 writes no file.
 """
 
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -63,32 +67,50 @@ def phase_split(stdout: str) -> dict[str, float]:
     return {}
 
 
-def phase_report(parent: list[dict], change: list[dict]) -> list[str]:
-    """One line per phase that every paired run reports: both sides' medians,
-    the change's relative median and the pairs it won."""
+def phase_report(parent: list[dict], change: list[dict], formats: dict | None = None) -> list[str]:
+    """One line per name of formats that every paired run reports, lower
+    being better: both sides' medians, each shown by the name's format, the
+    change's relative median and the pairs it won.  formats defaults to the
+    phases, in seconds."""
     lines = []
-    for name in PHASES:
+    for name, fmt in (formats or dict.fromkeys(PHASES, "{:.4g} s")).items():
         if not all(name in run for run in parent + change):
             continue
         s = summarize([run[name] for run in parent], [run[name] for run in change], "lower")
         rel = "n/a" if s["rel_change"] is None else f"{s['rel_change']:+.1%}"
-        lines.append(f"  {name:<14} parent {s['parent'][1]:.4g} s, change {s['change'][1]:.4g} s"
-                     f" ({rel}); change better in {s['wins']} of {s['pairs']} pairs")
+        lines.append(f"  {name:<14} parent {fmt.format(s['parent'][1])}, change "
+                     f"{fmt.format(s['change'][1])} ({rel}); change better in {s['wins']} of "
+                     f"{s['pairs']} pairs")
     return lines
 
 
-def run_side(checkout: str, args) -> tuple[dict, dict]:
-    """One perfbench run in checkout: the metrics of its closing summary line
-    and its phase split."""
+USAGE = {"minor_faults": "{:.0f}", "faults/result": "{:.0f}", "system_s": "{:.3g} s",
+         "sys_s/result": "{:.3g} s"}
+
+
+def usage(before, after, results: int) -> dict[str, float]:
+    """A perfbench run's minor page faults and system CPU seconds, from the
+    getrusage(RUSAGE_CHILDREN) readings before and after it, in all and per
+    result of the results it attempted."""
+    faults, system_s = after.ru_minflt - before.ru_minflt, after.ru_stime - before.ru_stime
+    return {"minor_faults": faults, "faults/result": faults / results,
+            "system_s": system_s, "sys_s/result": system_s / results}
+
+
+def run_side(checkout: str, args) -> tuple[dict, dict, dict]:
+    """One perfbench run in checkout: the metrics of its closing summary line,
+    its phase split and its usage."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
         sys.exit(f"{checkout}: perfbench exited {proc.returncode}\n{proc.stderr}")
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     if not summary["correct"]:
         sys.exit(f"{checkout}: {summary['failed']} of {summary['attempted']} results failed")
-    return summary["metrics"], phase_split(proc.stdout)
+    return summary["metrics"], phase_split(proc.stdout), usage(before, after, summary["attempted"])
 
 
 def main() -> None:
@@ -103,13 +125,14 @@ def main() -> None:
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
         end_to_end = {m["name"]: m for m in json.load(fh)["end_to_end"]}
 
-    runs, phases = {"parent": [], "change": []}, {"parent": [], "change": []}
+    runs, phases, usages = ({"parent": [], "change": []} for _ in range(3))
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            metrics, split = run_side(getattr(args, side), args)
+            metrics, split, used = run_side(getattr(args, side), args)
             runs[side].append(metrics)
             phases[side].append(split)
+            usages[side].append(used)
         print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", flush=True)
 
     print(f"{args.workload}, {args.pairs} pairs, --seconds {args.seconds}, --seed {args.seed}")
@@ -137,6 +160,8 @@ def main() -> None:
     if lines:
         print("phase split (wall s, lower is better)")
         print("\n".join(lines))
+    print("usage per run (getrusage of the perfbench process, lower is better)")
+    print("\n".join(phase_report(usages["parent"], usages["change"], USAGE)))
 
 
 if __name__ == "__main__":

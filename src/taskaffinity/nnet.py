@@ -13,9 +13,12 @@ layer 1 W then bias, ..., head W (embedding x classes) then head bias.
 Validation happens once, at the boundary: `Network`, `Batch` and the public
 functions check shapes and labels on every call.  The kernels (`_unpack`,
 `_forward`, `_cross_entropy`, `_backward`) and the nearest-centroid head
-work on plain arrays and check nothing; `_unpack` views a bias as (..., 1, h),
-so a stack of parameters (M, 1, P) runs M networks against activations
-(M, E, n, d) with each network's arithmetic unchanged.  One momentum-SGD
+work on plain arrays and check nothing.  `_forward` applies each activation
+in place, and `_backward` reads the derivative from the activation; given a
+work dict, which `fisher_diag`'s caller holds across calls, the two write
+their intermediates into its buffers (`_into`).  `_unpack` views a bias as
+(..., 1, h), so a stack of parameters (M, 1, P) runs M networks against
+activations (M, E, n, d) with each network's arithmetic unchanged.  One momentum-SGD
 epoch, `_descend`, steps every training, building no `Batch` or `Network`
 per step: `train` (under the linear head) one parameter vector;
 `train_episodic` (the encoder under the nearest-centroid head) one (M, P)
@@ -33,7 +36,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-_ACTIVATIONS = ("relu", "tanh")
+# each activation, applied in place
+_ACTIVATIONS = {"relu": lambda z: np.maximum(z, 0.0, out=z), "tanh": lambda z: np.tanh(z, out=z)}
 
 
 @dataclass(frozen=True)
@@ -182,7 +186,7 @@ class TrainSchedule:
 
 
 _Layers = list[tuple[np.ndarray, np.ndarray]]
-_Pass = tuple[list[np.ndarray], list[np.ndarray]]  # pre-activations, layer inputs
+_Pass = list[np.ndarray]  # every layer's input, then the output
 
 
 def _unpack(spec: NetworkSpec, params: np.ndarray) -> _Layers:
@@ -195,32 +199,30 @@ def _unpack(spec: NetworkSpec, params: np.ndarray) -> _Layers:
             for w, shape, b in spec._layout]
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+def _into(work: dict | None, name: str, li: int, op, *args) -> np.ndarray:
+    """op(*args), written into the buffer that work holds for name, layer li
+    and the shapes of args; the first such call's own result becomes that
+    buffer.  Without work, op(*args) as it is."""
+    if work is None:
+        return op(*args)
+    key = (name, li) + tuple(a.shape for a in args)
+    work[key] = op(*args, out=work.get(key))  # out=None: op's own new array
+    return work[key]
 
 
-def _act_deriv(z: np.ndarray, a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return z > 0.0
-    return 1.0 - a * a
-
-
-def _forward(spec: NetworkSpec, layers: _Layers, x: np.ndarray) -> _Pass:
-    """Pre-activations of the encoder layers in layers, and every layer's input
-    for x (..., n, input_dim), where each leading index is a batch of its own.
-    activations[0] is x and activations[-1] the output: embeddings, or logits
-    when layers ends with the head, which applies no activation."""
-    mul, pre, acts = np.dot if x.ndim == 2 else np.matmul, [], [x]  # dot: a cheaper gemm call
+def _forward(spec: NetworkSpec, layers: _Layers, x: np.ndarray, work: dict | None = None) -> _Pass:
+    """Every layer's input for x (..., n, input_dim), each leading index a
+    batch of its own, then the output: embeddings, or logits when layers ends
+    with the head.  Each encoder layer's activation overwrites its
+    pre-activation; given work, a layer's output is a buffer of work's."""
+    mul, acts = np.dot if x.ndim == 2 else np.matmul, [x]  # dot: a cheaper gemm call
     for li, (w, b) in enumerate(layers):
-        z = mul(acts[-1], w)
+        z = _into(work, "z", li, mul, acts[-1], w)
         z += b
         if li < len(spec.layer_widths) - 1:
-            pre.append(z)
-            z = _act(z, spec.activation)
+            _ACTIVATIONS[spec.activation](z)
         acts.append(z)
-    return pre, acts
+    return acts
 
 
 @lru_cache(maxsize=8)
@@ -245,8 +247,8 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray, per_row: bool = True)
 
 
 def _backward(
-    spec: NetworkSpec, layers: _Layers, pre: list[np.ndarray], acts: list[np.ndarray],
-    g: np.ndarray, grads: _Layers, square: bool = False,
+    spec: NetworkSpec, layers: _Layers, acts: _Pass, g: np.ndarray, grads: _Layers,
+    square: bool = False, work: dict | None = None,
 ) -> None:
     """The one backward loop, from the last layer in layers down to layer 0.
 
@@ -257,22 +259,30 @@ def _backward(
     its gradient summed over samples.  With square it writes (a*a)^T (g*g)
     and the column sums of g*g, each sample's squared gradient summed, since
     a sample's weight gradient is the outer product of its rows of a and g.
+    Below the top layer g is the loop's own and the activation's derivative
+    scales it in place; given work, the other arrays are buffers of work's.
     """
     mul = np.dot if g.ndim == 2 else np.matmul  # as in _forward
     for li in range(len(layers) - 1, -1, -1):
-        if li < len(pre):
-            g = g * _act_deriv(pre[li], acts[li + 1], spec.activation)
-        a, gs = (acts[li] * acts[li], g * g) if square else (acts[li], g)
+        if li < len(spec.layer_widths) - 1:
+            a, own = acts[li + 1], g if li < len(layers) - 1 else None
+            if spec.activation == "relu":  # a > 0 exactly where the pre-activation is
+                g = np.multiply(g, a > 0.0, out=own)
+            else:
+                d = _into(work, "d", li, np.multiply, a, a)
+                g = np.multiply(g, np.subtract(1.0, d, out=d), out=own)
+        a, gs = ((_into(work, "a2", li, np.multiply, acts[li], acts[li]),
+                  _into(work, "g2", li, np.multiply, g, g)) if square else (acts[li], g))
         mul(a.swapaxes(-1, -2), gs, out=grads[li][0])
         np.add.reduce(gs, axis=-2, keepdims=True, out=grads[li][1])
         if li > 0:
-            g = mul(g, layers[li][0].swapaxes(-1, -2))
+            g = _into(work, "down", li, mul, g, layers[li][0].swapaxes(-1, -2))
 
 
 def _accuracy(spec: NetworkSpec, layers: _Layers, x: np.ndarray, labels: np.ndarray):
     """Each network's argmax accuracy on its rows x (..., n, d) labelled by
     labels (..., n); logit ties go to the lowest class."""
-    hits = np.argmax(_forward(spec, layers, x)[1][-1], axis=-1) == labels
+    hits = np.argmax(_forward(spec, layers, x)[-1], axis=-1) == labels
     return np.count_nonzero(hits, axis=-1) / labels.shape[-1]
 
 
@@ -326,11 +336,11 @@ def _episode_grads(spec: NetworkSpec, encoder: _Layers, xs: np.ndarray, xq: np.n
     one flat stack, and the backward pass reuses one encoder pass per stack."""
     out, views_s, views_q, y = buffers
     pass_s, pass_q = _forward(spec, encoder, xs), _forward(spec, encoder, xq)
-    es, eq = pass_s[1][-1], pass_q[1][-1]
+    es, eq = pass_s[-1], pass_q[-1]
     losses, g_s, g_q = _centroid_loss_grads(es.reshape((-1,) + es.shape[-2:]),
                                             eq.reshape((-1,) + eq.shape[-2:]), k_shot, temperature, y)
-    _backward(spec, encoder, *pass_s, g_s.reshape(es.shape), views_s)
-    _backward(spec, encoder, *pass_q, g_q.reshape(eq.shape), views_q)
+    _backward(spec, encoder, pass_s, g_s.reshape(es.shape), views_s)
+    _backward(spec, encoder, pass_q, g_q.reshape(eq.shape), views_q)
     out[0] += out[1]
     return losses.reshape(es.shape[:-2]), out[0]
 
@@ -401,23 +411,24 @@ def _check_batch(net: Network, batch: Batch) -> None:
 def encode(net: Network, features: np.ndarray) -> np.ndarray:
     """Embeddings: forward through encoder layers only (head untouched)."""
     encoder = _unpack(net.spec, net.params)[:-1]
-    return _forward(net.spec, encoder, _features(net.spec, features))[1][-1]
+    return _forward(net.spec, encoder, _features(net.spec, features))[-1]
 
 
 def loss(net: Network, data: Batch) -> float:
     """Mean cross-entropy over the batch."""
     _check_batch(net, data)
-    logits = _forward(net.spec, _unpack(net.spec, net.params), data.features)[1][-1]
+    logits = _forward(net.spec, _unpack(net.spec, net.params), data.features)[-1]
     return float(np.mean(_cross_entropy(logits, data.labels)[0]))
 
 
 def fisher_diag(spec: NetworkSpec, params: np.ndarray, features: np.ndarray,
-                labels: np.ndarray) -> np.ndarray:
+                labels: np.ndarray, work: dict | None = None) -> np.ndarray:
     """Fisher diagonals (..., P) of networks params (..., P): each one's mean
     over its rows of features (..., n, d), labelled by labels (..., n), of
     each row's squared loss gradient, from _backward's squares.  Leading
     dimensions broadcast, so shared rows are given once; a single network is
-    a stack of one, and each network's arithmetic is what it is alone."""
+    a stack of one, and each network's arithmetic is what it is alone.  Given
+    work, a dict the caller holds across calls, its intermediates are work's."""
     params, labels = np.asarray(params, dtype=np.float64), np.asarray(labels)
     x = _features(spec, features)
     if (params.shape[-1:] != (spec.param_count,) or labels.shape[-1:] != x.shape[-2:-1]
@@ -427,10 +438,10 @@ def fisher_diag(spec: NetworkSpec, params: np.ndarray, features: np.ndarray,
     lead = np.broadcast_shapes(params.shape[:-1], x.shape[:-2], labels.shape[:-1])
     x = x.reshape((1,) * (len(lead) + 2 - x.ndim) + x.shape)  # shared rows: a stack of one
     layers = _unpack(spec, params)
-    pre, acts = _forward(spec, layers, x)
+    acts = _forward(spec, layers, x, work)
     delta = _cross_entropy(acts[-1], labels, per_row=False)[1]
     out = np.empty(lead + (spec.param_count,))
-    _backward(spec, layers, pre, acts, delta, _unpack(spec, out), square=True)
+    _backward(spec, layers, acts, delta, _unpack(spec, out), square=True, work=work)
     return np.divide(out, x.shape[-2], out=out)
 
 
@@ -445,9 +456,9 @@ def _minibatches(spec: NetworkSpec, layers: _Layers, grads: _Layers, features: n
     labels (..., n), each leading index a network of its own."""
     for lo in range(0, rows.shape[-1], batch_size):
         y = labels[..., lo : lo + batch_size]
-        pre, acts = _forward(spec, layers, features[rows[..., lo : lo + batch_size]])
+        acts = _forward(spec, layers, features[rows[..., lo : lo + batch_size]])
         delta = _cross_entropy(acts[-1], y, per_row=False)[1]
-        _backward(spec, layers, pre, acts, np.divide(delta, y.shape[-1], out=delta), grads)
+        _backward(spec, layers, acts, np.divide(delta, y.shape[-1], out=delta), grads)
         yield
 
 

@@ -199,16 +199,18 @@ def view_target(test: tasks.Dataset, whole: nnet.Network, cfg: PipelineConfig) -
 
 def mtas(slots: list[nnet.PoolExit], sources: list[tasks.TaskSpec],
          assignments: list[matching.Assignment], target: TargetView, train: tasks.Dataset,
-         cfg: PipelineConfig) -> tuple[list[RankedTask], dict[int, ValueError]]:
+         cfg: PipelineConfig, work: dict | None = None,
+         ) -> tuple[list[RankedTask], dict[int, ValueError]]:
     """Affinity scores of a chunk of source tasks against the target task.  A
     slot is a task's epsilon-approximation as it left the pool (see
     _approximations), all of one query row count, and slot.job.key the
     task's index in sources and in assignments, which matched its class
     slots onto the target's; view_target built the target's side under the
     same whole network and config.  Each side's Fisher diagonals are one
-    stacked pass.  Returns the scored tasks in slot order and, by index in
-    sources, the error each failing task raises scored alone.  With
-    cfg.verbose_fisher each result keeps its two unit-trace diagonals."""
+    stacked pass, through work's buffers if given (see nnet.fisher_diag).
+    Returns the scored tasks in slot order and, by index in sources, the
+    error each failing task raises scored alone.  With cfg.verbose_fisher
+    each result keeps its two unit-trace diagonals."""
     ranked, errors = [], {}
     built = []  # (slot, network, record) of each task that has a network
     # a diverged approximation overflows; the checks, not numpy, report it
@@ -224,8 +226,8 @@ def mtas(slots: list[nnet.PoolExit], sources: list[tasks.TaskSpec],
         spec, params = built[0][1].spec, np.stack([net.params for _, net, _ in built])
         rows = np.stack([slot.job.query_rows for slot, _, _ in built])
         labels = np.stack([slot.job.query_labels for slot, _, _ in built])
-        raw_aa = nnet.fisher_diag(spec, params, train.features[rows], labels)
-        raw_ab = nnet.fisher_diag(spec, params, target.batch.features, target.batch.labels)
+        raw_aa = nnet.fisher_diag(spec, params, train.features[rows], labels, work)
+        raw_ab = nnet.fisher_diag(spec, params, target.batch.features, target.batch.labels, work)
         while True:  # unit_trace names the first degenerate row, source side first
             try:
                 f_aa, f_ab = fisher.unit_trace(raw_aa), fisher.unit_trace(raw_ab)
@@ -254,7 +256,8 @@ def mtas(slots: list[nnet.PoolExit], sources: list[tasks.TaskSpec],
 ENCODE_CHUNK = 128  # training rows per encode call when matching the source tasks
 MATCH_CHUNK = 16  # source tasks whose rows are gathered at once; bounds that memory
 POOL_SLOTS = 16  # source tasks whose epsilon-approximations train at once; bounds that memory
-SCORE_CHUNK = 8  # source tasks whose Fisher diagonals are taken at once; bounds that memory
+SCORE_CHUNK = 8  # source tasks whose Fisher diagonals are taken at once; bounds that memory:
+# a chunk's held Fisher buffers take about 1.7 MB for both sides at the shipped shapes
 
 
 def _match_sources(sources, target, train, whole, cfg) -> list[matching.Assignment]:
@@ -329,9 +332,9 @@ def rank_all_sources(
     them by ascending score, ties by task_id.  When tasks fail, the error is
     the first failing task's in sources order, as if they ran one by one."""
     assignments = _match_sources(sources, target, train, whole, cfg)
-    ranked, failed = [], {}
+    ranked, failed, work = [], {}, {}  # work: the Fisher passes' buffers, for this call only
     for slots in _approximations(sources, assignments, train, whole, cfg, failed):
-        scored, errors = mtas(slots, sources, assignments, target, train, cfg)
+        scored, errors = mtas(slots, sources, assignments, target, train, cfg, work)
         ranked += scored
         failed.update(errors)
     if failed:

@@ -389,9 +389,9 @@ def _pullback(net, features, grad_embeddings):
     zero buffer, (..., P)."""
     spec = net.spec
     encoder = nnet._unpack(spec, net.params)[:-1]
-    pre, acts = nnet._forward(spec, encoder, features)
+    acts = nnet._forward(spec, encoder, features)
     out = np.zeros(grad_embeddings.shape[:-2] + (net.param_count,))
-    nnet._backward(spec, encoder, pre, acts, grad_embeddings, nnet._unpack(spec, out))
+    nnet._backward(spec, encoder, acts, grad_embeddings, nnet._unpack(spec, out))
     return out
 
 
@@ -430,18 +430,92 @@ def test_forward_and_backward_on_a_parameter_stack_equal_each_slice_bitwise(act)
     for top in (-1, None):  # the encoder, then the whole network with its head
         layers = nnet._unpack(spec, params[:, None])[:top]
         assert layers[0][1].shape == (copies, 1, 1, 32)
-        pre, acts = nnet._forward(spec, layers, x)
+        acts = nnet._forward(spec, layers, x)
         up = rng.standard_normal(acts[-1].shape)
         out = np.zeros((copies, n_ep, spec.param_count))
-        nnet._backward(spec, layers, pre, acts, up, nnet._unpack(spec, out))
+        nnet._backward(spec, layers, acts, up, nnet._unpack(spec, out))
         for i in range(copies):
             one = nnet._unpack(spec, params[i])[:top]
-            pre_i, acts_i = nnet._forward(spec, one, x[i])
+            acts_i = nnet._forward(spec, one, x[i])
             assert np.array_equal(acts[-1][i], acts_i[-1])
             out_i = np.zeros((n_ep, spec.param_count))
-            nnet._backward(spec, one, pre_i, acts_i, up[i], nnet._unpack(spec, out_i))
+            nnet._backward(spec, one, acts_i, up[i], nnet._unpack(spec, out_i))
             assert np.array_equal(out[i], out_i)
             assert np.any(out_i != 0.0)
+
+
+def test_relu_mask_read_from_the_activation_is_the_pre_activation_mask():
+    # _backward reads the relu mask from a = max(z, 0), which overwrote z:
+    # a > 0 is z > 0 on signed zeros, the smallest subnormals, infinities and NaN
+    tiny = np.nextafter(0.0, 1.0)
+    z = np.array([0.0, -0.0, tiny, -tiny, np.inf, -np.inf, np.nan, -np.nan, 1.5, -1.5])
+    a = z.copy()
+    nnet._ACTIVATIONS["relu"](a)
+    assert np.array_equal(a > 0.0, z > 0.0)
+    # through the kernels: one width-1 layer, W = 1 and b = -0.0, each value
+    # a stacked batch of one row, against the oracle that keeps z
+    spec = nnet.NetworkSpec((1, 1), 2, "relu")
+    params = np.zeros(spec.param_count)
+    params[:2] = 1.0, -0.0
+    encoder, x = nnet._unpack(spec, params)[:-1], z.reshape(-1, 1, 1)
+    acts = nnet._forward(spec, encoder, x)
+    assert np.array_equal(acts[1].ravel() > 0.0, z > 0.0)
+    g = np.full(x.shape, 2.0)
+    out = np.zeros((z.size, spec.param_count))
+    with np.errstate(invalid="ignore"):  # inf * 0 in the weight gradients
+        nnet._backward(spec, encoder, acts, g, nnet._unpack(spec, out))
+        want = helpers.encoder_pullback(nnet.Network(spec, params), x, g)
+    assert np.array_equal(out[:, 1], np.where(z > 0.0, 2.0, 0.0))  # each batch's bias gradient
+    assert np.array_equal(out, want, equal_nan=True)
+    assert np.array_equal(g, np.full(x.shape, 2.0))  # the caller's g is left as it was
+
+
+@pytest.mark.parametrize("act", ["relu", "tanh"])
+def test_forward_keeps_one_array_per_layer(act):
+    # each layer's output is the array its product was written into: the
+    # activation overwrote the pre-activation, and no other array is kept
+    rng = np.random.default_rng(83)
+    spec = nnet.NetworkSpec((4, 6, 5), 3, act)
+    layers = nnet._unpack(spec, rng.standard_normal((2, spec.param_count)))
+    x, work = rng.standard_normal((2, 7, 4)), {}
+    acts = nnet._forward(spec, layers, x, work)
+    assert isinstance(acts, list) and len(acts) == len(layers) + 1 and acts[0] is x
+    assert len(work) == len(layers)
+    for li, (w, _) in enumerate(layers):
+        assert acts[li + 1] is work[("z", li, acts[li].shape, w.shape)]
+    for got, want in zip(acts, helpers._forward(spec, layers, x)[1]):
+        assert np.array_equal(got, want)
+    assert [np.shares_memory(a, b) for a, b in zip(acts, acts[1:])] == [False] * len(layers)
+
+
+@pytest.mark.parametrize("act", ["relu", "tanh"])
+def test_fisher_diag_through_one_held_work_dict_equals_the_allocating_path_bitwise(act):
+    # the shipped shapes, chunks of 8 networks on 36 source rows each and on
+    # 120 shared target rows, then a short chunk of 5, a full one again, a
+    # stack of one and a single network, all through one dict: every result
+    # is the allocating path's, and a buffer, once made, is kept
+    rng = np.random.default_rng(89)
+    spec = nnet.NetworkSpec((16, 32, 8), 3, act)
+    target_x, target_y = rng.standard_normal((120, 16)), rng.integers(0, 3, 120)
+    work, held, per_pass = {}, {}, []
+
+    def check(params, x, y):
+        got = nnet.fisher_diag(spec, params, x, y, work)
+        assert np.array_equal(got, nnet.fisher_diag(spec, params, x, y))
+        assert not any(np.shares_memory(got, buf) for buf in work.values())
+        for key, buf in work.items():
+            assert held.setdefault(key, buf) is buf
+        per_pass.append(len(work))
+
+    for size in (8, 5, 8, 1, None):
+        lead = () if size is None else (size,)
+        params = rng.standard_normal(lead + (spec.param_count,)) * 0.5
+        check(params, rng.standard_normal(lead + (36, 16)), rng.integers(0, 3, lead + (36,)))
+        check(params, target_x, target_y)
+    # a pass makes buffers only when its shapes are new: the full chunk's
+    # second passes make none
+    made = np.diff([0] + per_pass)
+    assert [bool(m) for m in made] == [True] * 4 + [False] * 2 + [True] * 4
 
 
 # ---------------------------------------------------------------------------

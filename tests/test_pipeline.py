@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -602,9 +603,9 @@ def test_no_fisher_pass_stacks_more_than_a_score_chunk(tas_json, monkeypatch):
     train, test, whole, cfg, sources, _, _ = tas_json
     calls, diag = [], nnet.fisher_diag
 
-    def spy(spec, params, features, labels):
+    def spy(spec, params, features, labels, work=None):
         calls.append((params.shape[0], features.ndim, labels.ndim))
-        return diag(spec, params, features, labels)
+        return diag(spec, params, features, labels, work)
 
     monkeypatch.setattr(nnet, "fisher_diag", spy)
     pipeline.rank_all_sources(sources, pipeline.view_target(test, whole, cfg), train, whole, cfg)
@@ -643,8 +644,8 @@ def _poison_fisher(monkeypatch, params, target_rows, poison):
     task_of = {p.tobytes(): task_id for task_id, p in params.items()}
     diag = nnet.fisher_diag
 
-    def spy(spec, stack, features, labels):
-        out = diag(spec, stack, features, labels)
+    def spy(spec, stack, features, labels, work=None):
+        out = diag(spec, stack, features, labels, work)
         side = "ab" if features.shape[-2] == target_rows else "aa"
         for k, p in enumerate(stack):
             if (task_of[p.tobytes()], side) in poison:
@@ -721,6 +722,77 @@ def test_a_fisher_failure_stops_later_tasks_entering_once_its_chunk_is_scored(
     entered = [key for kind, key in events if kind == "enter"]
     assert entered == list(range(len(entered))) and len(entered) < len(sources)
     assert all(kind != "enter" for kind, _ in events[failed:])
+
+
+def test_mtas_through_one_held_work_dict_equals_the_allocating_path(tas_json, monkeypatch):
+    # one dict through a chunk, then through the same chunk with a
+    # degenerate Fisher row, which takes mtas's np.delete retry: the same
+    # scores, diagonals and error as scoring without a dict
+    train, test, whole, cfg, sources, _, params = tas_json
+    sources, target = sources[:pipeline.SCORE_CHUNK], pipeline.view_target(test, whole, cfg)
+    assignments = pipeline._match_sources(sources, target, train, whole, cfg)
+    (slots,) = pipeline._approximations(sources, assignments, train, whole, cfg, {})
+    args, work = (sources, assignments, target, train, cfg), {}
+    for poison in (set(), {(sources[slots[3].job.key].task_id, "aa")}):
+        _poison_fisher(monkeypatch, params, test.n, poison)
+        got, got_errors = pipeline.mtas(slots, *args, work)
+        want, want_errors = pipeline.mtas(slots, *args)
+        assert helpers.ranked_fields(got) == helpers.ranked_fields(want)
+        assert len(got) == len(slots) - len(poison)
+        assert {k: str(e) for k, e in got_errors.items()} == {
+            k: str(e) for k, e in want_errors.items()}
+    assert list(got_errors) == [slots[3].job.key]
+    assert str(got_errors[slots[3].job.key]).startswith(
+        f"source task {sources[slots[3].job.key].task_id} Fisher diagonal after ")
+
+
+def _spy_fisher_work(monkeypatch):
+    """Spies on nnet.fisher_diag.  The list it returns gets, per call, the id
+    of its work dict, its stack size and feature shape, and how many buffers
+    work held before and after it; the dict maps (dict id, key) to a weak
+    reference to work's buffer under key, which must stay the same buffer."""
+    calls, refs, diag = [], {}, nnet.fisher_diag
+
+    def spy(spec, params, features, labels, work=None):
+        before = len(work)
+        out = diag(spec, params, features, labels, work)
+        calls.append((id(work), params.shape[0], features.shape, before, len(work)))
+        for key, buf in work.items():
+            assert refs.setdefault((id(work), key), weakref.ref(buf))() is buf
+        return out
+
+    monkeypatch.setattr(nnet, "fisher_diag", spy)
+    return calls, refs
+
+
+def test_a_ranking_holds_each_fisher_buffer_once_per_chunk_shape(tiny, monkeypatch):
+    # one dict per rank_all_sources call: a pass makes buffers only when its
+    # (chunk, rows) shape is new to the ranking, and none outlives the call
+    train, test, spec, cfg = tiny
+    cfg = replace(cfg, s_count=20)  # chunks of 8, 8 and 4
+    whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+    sources, target = helpers.sampled_sources(train, cfg), pipeline.view_target(test, whole, cfg)
+    calls, refs = _spy_fisher_work(monkeypatch)
+    for _ in range(2):  # and nothing grows across rankings
+        pipeline.rank_all_sources(sources, target, train, whole, cfg)
+        assert len({work for work, *_ in calls}) == 1
+        assert [size for _, size, *_ in calls] == [8, 8, 8, 8, 4, 4]
+        seen = set()
+        for _, size, shape, before, after in calls:
+            assert (after > before) == ((size, shape) not in seen)
+            seen.add((size, shape))
+        assert refs and all(ref() is None for ref in refs.values())
+        calls.clear()
+        refs.clear()
+
+
+def test_ablation_holds_no_fisher_buffer_once_it_returns(monkeypatch):
+    # one ranking for the three modes, and its buffers die with it
+    train, test, spec, cfg = _short_ablation_setting()
+    calls, refs = _spy_fisher_work(monkeypatch)
+    pipeline.ablation_comparison(train, test, spec, cfg)
+    assert calls and len({work for work, *_ in calls}) == 1
+    assert refs and all(ref() is None for ref in refs.values())
 
 
 def test_task_scored_alone_equals_it_scored_in_a_block(tiny):

@@ -142,6 +142,29 @@ def test_bench_pairs_reports_each_phase_paired():
     ]
 
 
+def test_bench_pairs_reports_page_faults_and_system_time_paired():
+    # getrusage readings around each run, 100 results a run: the change
+    # loses pair 3 on system time and wins every pair on faults
+    class Usage:
+        def __init__(self, ru_minflt, ru_stime):
+            self.ru_minflt, self.ru_stime = ru_minflt, ru_stime
+
+    start = Usage(50_000, 2.0)
+    parent = [bp.usage(start, Usage(50_000 + 930_000 + 1000 * i, 2.5 + 0.01 * i), 100)
+              for i in range(10)]
+    change = [bp.usage(start, Usage(50_000 + 11_800 + 10 * i, 3.0 if i == 2 else 2.05), 100)
+              for i in range(10)]
+    assert parent[0] == pytest.approx({"minor_faults": 930_000, "faults/result": 9300,
+                                       "system_s": 0.5, "sys_s/result": 0.005})
+    assert bp.phase_report(parent, change, bp.USAGE) == [
+        "  minor_faults   parent 934500, change 11845 (-98.7%); change better in 10 of 10 pairs",
+        "  faults/result  parent 9345, change 118 (-98.7%); change better in 10 of 10 pairs",
+        "  system_s       parent 0.545 s, change 0.05 s (-90.8%); change better in 9 of 10 pairs",
+        "  sys_s/result   parent 0.00545 s, change 0.0005 s (-90.8%); change better in 9 of 10 "
+        "pairs",
+    ]
+
+
 def test_same_outputs_reports_the_repo_identical_to_itself(tmp_path):
     # the shipped fewshot config, cut to four source tasks, three meta-steps
     # and ten evaluation episodes
