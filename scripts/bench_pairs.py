@@ -11,14 +11,14 @@ quartiles, how many pairs the change won, and the change's median relative
 to the parent's beside the metric's bound from BENCHMARK.json.  Then, for
 each phase that every run reports in its "phase split" line (wall seconds,
 the run's median per result), it prints both sides' medians over the runs,
-the change's relative median and how many pairs it won.  Last, the same
-for each run's minor page faults and system CPU seconds, in all and per
-result attempted, from resource.getrusage(RUSAGE_CHILDREN) before and after
-the perfbench process, so they include its set-up probes and imports.  A
-gain is claimed only when at least ten pairs ran, the change won at least
-nine tenths of them, ties counting for neither side, and the medians differ
-by more than the distance between the parent's quartiles.  The script itself
-writes no file.
+the change's relative median and how many pairs it won, in the order the
+line names them.  Last, the same for each run's minor page faults and
+system CPU seconds, in all and per result attempted, from
+resource.getrusage(RUSAGE_CHILDREN) before and after the perfbench process,
+so they include its set-up probes and imports.  A gain is claimed only
+when at least ten pairs ran, the change won at least nine tenths of them,
+ties counting for neither side, and the medians differ by more than the
+distance between the parent's quartiles.  The script itself writes no file.
 """
 
 import argparse
@@ -30,7 +30,6 @@ import sys
 
 import numpy as np
 
-PHASES = ("whole_train_s", "rank_s", "finetune_s", "eval_s")
 PHASE_LINE = "phase split, median per result: "
 CLAIM_SHARE = 0.9  # share of the pairs the change must win
 MIN_PAIRS = 10  # fewer pairs support no claim
@@ -58,22 +57,24 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
 
 
 def phase_split(stdout: str) -> dict[str, float]:
-    """Each phase's seconds from a perfbench run's phase split line, whose
-    parts read "name seconds" or "name seconds (Baseline b)"; {} without one."""
+    """Each phase's seconds from a perfbench run's phase split line, in the
+    line's order, whose parts read "name seconds" or "name seconds (Baseline
+    b)"; {} without one."""
     for line in stdout.splitlines():
         if line.startswith(PHASE_LINE):
             parts = (part.split() for part in line[len(PHASE_LINE):].split(", "))
-            return {words[0]: float(words[1]) for words in parts if words[0] in PHASES}
+            return {words[0]: float(words[1]) for words in parts}
     return {}
 
 
 def phase_report(parent: list[dict], change: list[dict], formats: dict | None = None) -> list[str]:
     """One line per name of formats that every paired run reports, lower
     being better: both sides' medians, each shown by the name's format, the
-    change's relative median and the pairs it won.  formats defaults to the
-    phases, in seconds."""
+    change's relative median and the pairs it won.  formats defaults to every
+    name the runs report, in seconds, in the order they first appear."""
+    names = (name for run in parent + change for name in run)
     lines = []
-    for name, fmt in (formats or dict.fromkeys(PHASES, "{:.4g} s")).items():
+    for name, fmt in (formats or dict.fromkeys(names, "{:.4g} s")).items():
         if not all(name in run for run in parent + change):
             continue
         s = summarize([run[name] for run in parent], [run[name] for run in change], "lower")

@@ -526,13 +526,13 @@ def train_episodic(
 
 @dataclass(frozen=True, eq=False)
 class PoolJob:
-    """One fine-tune for train_pool: the caller's key for it, the seeds of
-    its fresh head and of its minibatch order, and its support and query
-    rows of train_pool's features with their labels."""
+    """One fine-tune for train_pool: the caller's key for it, the seeds (or
+    Generators made from seeds) of its fresh head and of its minibatch order,
+    and its support and query rows of train_pool's features with labels."""
 
     key: int
-    head_seed: int
-    seed: int
+    head_seed: int | np.random.Generator
+    seed: int | np.random.Generator
     support_rows: np.ndarray
     support_labels: np.ndarray
     query_rows: np.ndarray
@@ -560,7 +560,7 @@ def train_pool(base: Network, n_classes: int, features: np.ndarray, jobs: Iterab
     job's support with the job's seed, and stopped after the first epoch
     whose query accuracy (argmax, logit ties to the lowest class) reaches
     target, or when the schedule's epochs run out.  Every job's numbers are
-    those it would have alone.
+    those it would have alone.  Either seed may be a Generator made from one.
 
     Up to slots jobs are rows of one (slots, P) buffer.  Each pass runs one
     epoch of every row, at the learning rate of that row's own epoch, then
@@ -636,9 +636,9 @@ def _head_spec(spec: NetworkSpec, n_classes: int) -> NetworkSpec:
     return NetworkSpec(spec.layer_widths, n_classes, spec.activation)
 
 
-def replace_head(net: Network, n_classes: int, seed: int) -> Network:
-    """Copy the encoder verbatim and attach a freshly initialized head; every
-    head of one spec and n_classes shares one NetworkSpec."""
+def replace_head(net: Network, n_classes: int, seed: int | np.random.Generator) -> Network:
+    """Copy the encoder verbatim and attach a fresh head drawn from seed, or a
+    Generator made from one; heads of one spec and n_classes share a NetworkSpec."""
     new_spec = _head_spec(net.spec, n_classes)
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(new_spec.embedding_dim)

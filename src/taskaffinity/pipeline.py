@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fisher, matching, nnet, tasks
-from .seeding import derive_seed, seed_grid
+from .seeding import derive_seed, generators, seed_grid
 
 log = logging.getLogger(__name__)
 
@@ -289,26 +289,26 @@ def _approximations(sources, assignments, train, whole, cfg, failed: dict):
     """The source tasks' epsilon-approximation slots, in chunks of up to
     SCORE_CHUNK as the tasks leave nnet.train_pool: tasks of equal support
     and query row counts share one pool, entering it in sources order with
-    the head and minibatch seeds of their task ids, their rows labelled by
-    the target slots their classes matched.  A chunk ends early with its
-    pool, and with a task that failed its fine-tune, so that the failure
-    stops later tasks entering at once.  No task after the first index in
-    failed enters."""
+    the head and minibatch Generators of their task ids, made as they enter,
+    their rows labelled by the target slots their classes matched.  A chunk
+    ends early with its pool, and with a task that failed its fine-tune, so
+    that the failure stops later tasks entering at once.  No task after the
+    first index in failed enters."""
     seed = cfg.approx_schedule.seed
     shapes = [(len(s.support_rows), len(s.query_rows)) for s in sources]
 
     def jobs(shape):
-        for i, (source, assignment) in enumerate(zip(sources, assignments)):
+        picked = [i for i in range(len(sources)) if shapes[i] == shape]
+        ids = [sources[i].task_id for i in picked]
+        for i, head, order in zip(picked, generators(seed_grid(seed, (_STREAM_HEAD,), ids)),
+                                  generators(seed_grid(seed, (_STREAM_APPROX_TRAIN,), ids))):
             if failed and i > min(failed):
                 return
-            if shapes[i] != shape:
-                continue
+            source, assignment = sources[i], assignments[i]
             rows = np.array(source.support_rows + source.query_rows)
             slots = np.searchsorted(source.class_ids, train.labels[rows])
             labels, k = np.asarray(assignment.mapping)[slots], shape[0]
-            yield nnet.PoolJob(i, derive_seed(seed, _STREAM_HEAD, source.task_id),
-                               derive_seed(seed, _STREAM_APPROX_TRAIN, source.task_id),
-                               rows[:k], labels[:k], rows[k:], labels[k:])
+            yield nnet.PoolJob(i, head, order, rows[:k], labels[:k], rows[k:], labels[k:])
 
     for shape in dict.fromkeys(shapes):
         chunk = []

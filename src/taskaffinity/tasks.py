@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nnet import Batch
-from .seeding import derive_seed
+from .seeding import derive_seed, generators, seed_grid
 
 SUPPORT_FRACTION = 0.7
 
@@ -240,8 +240,10 @@ def task_slots(data: Dataset, specs: list[TaskSpec]) -> tuple[np.ndarray, np.nda
     return rows, group
 
 
-def task_from_classes(data: Dataset, class_ids, task_id: int, seed: int) -> TaskSpec:
-    """Task over the given classes with a per-class seeded 70/30 support/query split."""
+def task_from_classes(data: Dataset, class_ids, task_id: int,
+                      seed: int | np.random.Generator) -> TaskSpec:
+    """Task over the given classes with a per-class 70/30 support/query split
+    drawn from seed, a seed or a Generator made from one."""
     rng = np.random.default_rng(seed)
     ids = sorted(int(c) for c in class_ids)
     # start from empty rows, so that no classes at all is TaskSpec's error
@@ -270,13 +272,12 @@ def sample_source_tasks(train: Dataset, s_count: int, n_test: int, seed: int) ->
         raise ValueError(f"n_test={n_test} exceeds the {len(all_ids)} available classes")
     if s_count < 1:
         raise ValueError("s_count must be >= 1")
+    seeds = np.array(seed_grid(seed, (), range(s_count)), np.uint64)
     tasks = []
-    for i in range(s_count):
-        task_seed = derive_seed(seed, i)
-        rng = np.random.default_rng(task_seed)
+    for i, (rng, split) in enumerate(zip(generators(seeds), generators(derive_seed(seeds, 1)))):
         picked = rng.choice(len(all_ids), size=n_test, replace=False)
         ids = [all_ids[int(k)] for k in picked]
-        tasks.append(task_from_classes(train, ids, i, derive_seed(task_seed, 1)))
+        tasks.append(task_from_classes(train, ids, i, split))
     return tasks
 
 
@@ -304,12 +305,11 @@ def draw_positions(counts, m_way: int, size: int, seeds) -> tuple[np.ndarray, np
     size rows it takes from each, in slot order (E, m_way, size), both in
     the smallest unsigned dtype that holds them.  The draw depends on
     nothing but counts, m_way, size and the seeds; episode_rows turns it
-    into rows."""
+    into rows.  Episode e draws from the Generator of seeds[e]."""
     n_ep = len(seeds)
     picks = np.empty((n_ep, m_way), np.min_scalar_type(len(counts) - 1))
     positions = np.empty((n_ep, m_way, size), np.min_scalar_type(max(counts) - 1))
-    for e, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    for e, rng in enumerate(generators(seeds)):
         picked = sorted(rng.choice(len(counts), size=m_way, replace=False).tolist())
         picks[e] = picked
         for slot, k in enumerate(picked):

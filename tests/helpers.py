@@ -16,7 +16,9 @@ source task, and its Fisher diagonals on a stack of one network) that the
 blocked and chunked ranking must reproduce bit for bit, and the
 one-task-at-a-time epsilon-approximation loop (serial_train until the query
 accuracy reaches its target) that every row of nnet.train_pool must
-reproduce bit for bit.
+reproduce bit for bit, and the per-episode and per-task default_rng loops
+that the episode draw and source-task sampling must reproduce bit for bit
+from seeding.generators.
 
 The forward oracle re-derives the flat parameter layout with plain Python
 loops, so a layout or indexing bug in the production code cannot cancel out.
@@ -473,6 +475,34 @@ class Episode:
     k_shot: int
     support: nnet.Batch
     query: nnet.Batch
+
+
+def serial_draw_positions(counts, m_way, size, seeds):
+    """tasks.draw_positions as it was: one np.random.default_rng per seed."""
+    n_ep = len(seeds)
+    picks = np.empty((n_ep, m_way), np.min_scalar_type(len(counts) - 1))
+    positions = np.empty((n_ep, m_way, size), np.min_scalar_type(max(counts) - 1))
+    for e, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        picked = sorted(rng.choice(len(counts), size=m_way, replace=False).tolist())
+        picks[e] = picked
+        for slot, k in enumerate(picked):
+            positions[e, slot] = rng.permutation(counts[k])[:size]
+    return picks, positions
+
+
+def serial_sample_source_tasks(train, s_count, n_test, seed):
+    """tasks.sample_source_tasks as it was: one derive_seed and one
+    np.random.default_rng per task for its classes, and a seed for its split."""
+    all_ids = train.class_ids
+    out = []
+    for i in range(s_count):
+        task_seed = derive_seed(seed, i)
+        rng = np.random.default_rng(task_seed)
+        picked = rng.choice(len(all_ids), size=n_test, replace=False)
+        ids = [all_ids[int(k)] for k in picked]
+        out.append(tasks.task_from_classes(train, ids, i, derive_seed(task_seed, 1)))
+    return out
 
 
 def sample_episode(data, m_way, k_shot, q_query, seed):

@@ -232,6 +232,48 @@ def test_parse_theorem():
     assert job.sgd.step_schedule.exponent == 0.6
 
 
+def set_key(doc, path, value):
+    *parents, last = path.split(".")
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+# every key named seed or ending in _seed, by the command whose config holds it
+SEED_KEYS = [
+    ("synth", "synthetic.seed"),
+    ("tas", "data.synthetic.seed"),
+    ("tas", "pipeline.master_seed"),
+    *(("tas", f"pipeline.{s}.seed")
+      for s in ("whole_schedule", "approx_schedule", "finetune_schedule")),
+    ("theorem1", "fixture.data_seed"),
+    ("theorem1", "sgd.seed"),
+]
+
+
+@pytest.mark.parametrize("value", [-1, 2**64])
+@pytest.mark.parametrize("command,path", SEED_KEYS)
+def test_out_of_range_seed_fails_at_parse_naming_its_key(
+    tmp_path, monkeypatch, capsys, command, path, value
+):
+    make_doc, parse = {"synth": (lambda: {"synthetic": synth_block()}, cfgmod.parse_synth),
+                       "tas": (pipeline_doc, cfgmod.parse_pipeline),
+                       "theorem1": (theorem_doc, cfgmod.parse_theorem)}[command]
+    for edge in (0, 2**64 - 1):  # the range's ends parse
+        doc = make_doc()
+        set_key(doc, path, edge)
+        parse(doc)
+    calls = _spy_whole_training(monkeypatch)
+    made = []
+    monkeypatch.setattr(tasks, "make_synthetic", made.append)
+    doc = make_doc()
+    set_key(doc, path, value)
+    out = str(tmp_path / "out")
+    assert cli.main([command, "--config", write_config(tmp_path, doc), "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {path!r} must be an integer in [0, 2**64)\n"
+    assert calls == [] and made == [] and os.listdir(out) == []
+
+
 # run ids of the shipped configs; the echo is the config document with every
 # default filled in, so a change to the schema or a default shows here
 SHIPPED_RUN_IDS = {

@@ -1157,6 +1157,30 @@ def _spy_draws(monkeypatch):
     return drawn
 
 
+def test_int_seeded_generators_do_not_grow_with_tasks_or_meta_steps(tiny, monkeypatch):
+    # every source task's and episode's Generator comes from one
+    # seeding.generators pass, so no call site hashes one int seed a time
+    train, test, spec, cfg = tiny
+    seeded = []
+
+    def default_rng(seed=None, original=np.random.default_rng):
+        if isinstance(seed, (int, np.integer)):
+            seeded.append(seed)
+        return original(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+
+    def int_seeded(**change):
+        seeded.clear()
+        pipeline.ablation_comparison(train, test, spec, replace(cfg, **change))
+        return len(seeded)
+
+    fine = cfg.finetune_schedule
+    assert int_seeded(s_count=4) == int_seeded(s_count=40) > 0
+    assert (int_seeded(finetune_schedule=replace(fine, epochs=2))
+            == int_seeded(finetune_schedule=replace(fine, epochs=20)))
+
+
 @pytest.mark.parametrize("meta_steps", [1, 7])
 def test_episodic_finetune_builds_one_network_and_draws_per_meta_step(
     overlapping, monkeypatch, meta_steps

@@ -124,10 +124,23 @@ def test_bench_pairs_reads_the_phase_split_line():
     assert bp.phase_split(_perfbench_stdout(0.263)) == {
         "whole_train_s": 0.052, "rank_s": 0.514, "finetune_s": 0.263, "eval_s": 0.011}
     assert bp.phase_split(_perfbench_stdout(0.263, eval_s="0.02"))["eval_s"] == 0.02
-    # theorem1 prints no phase split; a phase bench_pairs does not know is skipped
+    # theorem1 prints no phase split; every phase the line names is kept, in its order
     assert bp.phase_split('{"correct": true}\n') == {}
-    assert bp.phase_split("phase split, median per result: load_s 1.0, rank_s 0.5") == {
-        "rank_s": 0.5}
+    split = bp.phase_split("phase split, median per result: load_s 1.0, rank_s 0.5")
+    assert list(split.items()) == [("load_s", 1.0), ("rank_s", 0.5)]
+
+
+def test_bench_pairs_pairs_the_rank_workload_total():
+    # rank's line names one phase, with no Baseline figure
+    def stdout(total_s):
+        return f"phase split, median per result: tas_total_s {total_s}\n" + '{"correct": true}\n'
+
+    parent = [bp.phase_split(stdout(p)) for p in PARENT]
+    change = [bp.phase_split(stdout(round(p - 0.1, 3))) for p in PARENT]
+    assert parent[0] == {"tas_total_s": PARENT[0]}
+    assert bp.phase_report(parent, change) == [
+        "  tas_total_s    parent 0.705 s, change 0.605 s (-14.2%); change better in 10 of 10 pairs",
+    ]
 
 
 def test_bench_pairs_reports_each_phase_paired():

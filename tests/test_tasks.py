@@ -1,15 +1,20 @@
 """Synthetic benchmark, CSV interchange, and task/episode sampling."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from taskaffinity import tasks
-from taskaffinity.seeding import derive_seed
+from taskaffinity import config as cfgmod, pipeline, tasks
+from taskaffinity.seeding import derive_seed, seed_grid
 
 import helpers
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
 
 def small_cfg(**kw):
@@ -428,6 +433,29 @@ def test_draws_never_reach_the_row_table_padding():
     slot_class = np.asarray(classes)[picks][:, :, None]
     np.testing.assert_array_equal(data.labels[rows], np.broadcast_to(slot_class, rows.shape))
     assert all(len(set(slot)) == 7 for slot in rows.reshape(-1, 7).tolist())
+
+
+@pytest.mark.parametrize("counts", [[40] * 9, [40, 33, 40, 27, 40, 35]])
+def test_draw_positions_is_the_per_episode_default_rng_loop_bitwise(counts):
+    seeds = seed_grid(4242, (4,), range(60), range(4))
+    for m_way, size in ((3, 15), (1, 1), (6, 27)):
+        got = tasks.draw_positions(counts, m_way, size, seeds)
+        want = helpers.serial_draw_positions(counts, m_way, size, seeds)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+
+def test_sample_source_tasks_is_the_per_task_default_rng_loop_on_tas_json():
+    with open(os.path.join(ROOT, "configs", "tas.json")) as fh:
+        job = cfgmod.parse_pipeline(json.load(fh))
+    data = job.data
+    train, _ = tasks.family_holdout(data.synthetic, data.target_family, data.n_test_classes)
+    cfg = job.pipeline
+    seed = derive_seed(cfg.master_seed, pipeline._STREAM_TASKS)
+    got = tasks.sample_source_tasks(train, cfg.s_count, cfg.n_test, seed)
+    assert got == helpers.serial_sample_source_tasks(train, cfg.s_count, cfg.n_test, seed)
+    assert len(got) == cfg.s_count == 200
 
 
 def test_draw_positions_takes_the_smallest_unsigned_dtype():
