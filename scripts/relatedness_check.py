@@ -43,8 +43,8 @@ def trial(master: int, k: int) -> tuple[float, float]:
     target = pipeline.view_target(test, whole, cfg)
     same = tasks.task_from_classes(train, [0, 1, 2], 100, derive_seed(m, 1, 0))
     disj = tasks.task_from_classes(train, [12, 13, 14], 101, derive_seed(m, 1, 1))
-    s_same = pipeline.rank_all_sources([same], target, train, whole, cfg)[0].score.value
-    s_disj = pipeline.rank_all_sources([disj], target, train, whole, cfg)[0].score.value
+    s_same = pipeline.rank_all_sources(same, target, train, whole, cfg)[0].score.value
+    s_disj = pipeline.rank_all_sources(disj, target, train, whole, cfg)[0].score.value
     return s_same, s_disj
 
 

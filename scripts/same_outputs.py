@@ -3,49 +3,83 @@
 
     python3 scripts/same_outputs.py PARENT_DIR CHANGE_DIR [--config PATH]
 
-Runs `tas` with no seed, with --seed 0 to 3 and with the config's
-pipeline.verbose_fisher set to true, `fewshot` in each --ablation mode, and
-`theorem1` with no seed and with --seed 0, in each checkout with that
-checkout's own src/ and its shipped configs/tas.json, configs/fewshot.json
-and configs/theorem1.json; --config runs every `tas` and `fewshot` command
-on that one config instead.  Then compares every output file of
-each run with `timings` dropped: JSON files value by value, others line by
-line.  Prints the first difference, naming the run, the file and the key or
-line, and exits 1; or prints how many files were equal and exits 0.  A
-command that fails exits 2.
+Runs `tas` with no seed, with --seed 0 to 3, with the config's
+pipeline.verbose_fisher set to true and on a CSV pair, `fewshot` in each
+--ablation mode, and `theorem1` with no seed and with --seed 0, in each
+checkout with that checkout's own src/ and its shipped configs/tas.json,
+configs/fewshot.json and configs/theorem1.json; --config runs every `tas`
+and `fewshot` command on that one config instead.  The CSV pair is written
+once, the same bytes for both checkouts, in the shape of the `tas` config
+(the change's, or --config): training classes of unequal sizes, so that
+source tasks fall into many support and query row counts, and
+pipeline.n_test test classes, network.layer_widths[0] columns wide.  Then
+compares every output file of each run with `timings` dropped: JSON files
+value by value, others line by line.  Prints the first difference, naming
+the run, the file and the key or line, and exits 1; or prints how many files
+were equal and exits 0.  A command that fails exits 2.
 """
 
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 
 MODES = ("related", "non_related", "random")  # the fewshot --ablation choices
-# (command, --seed, --ablation, whether the run keeps the Fisher diagonals)
+# (command, --seed, --ablation, the config's variant: None, "verbose" for the
+# run that keeps the Fisher diagonals, "csv" for the run on the CSV pair)
 RUNS = (
-    [("tas", None, None, False)]
-    + [("tas", seed, None, False) for seed in range(4)]
-    + [("tas", None, None, True)]
-    + [("fewshot", None, mode, False) for mode in MODES]
-    + [("theorem1", None, None, False), ("theorem1", 0, None, False)]
+    [("tas", None, None, None)]
+    + [("tas", seed, None, None) for seed in range(4)]
+    + [("tas", None, None, "verbose"), ("tas", None, None, "csv")]
+    + [("fewshot", None, mode, None) for mode in MODES]
+    + [("theorem1", None, None, None), ("theorem1", 0, None, None)]
 )
+CSV_TRAIN_SIZES = (9, 12, 16, 21, 27, 34, 40, 47)  # rows of each training class
+CSV_TEST_ROWS = 20  # rows of each test class
 
 
-def run_all(checkout: str, config: str | None, out_root: str) -> None:
-    """Every run of RUNS in checkout, each writing into out_root/<run name>."""
+def write_csv_pair(config: str, root: str) -> dict:
+    """train.csv and test.csv in root, of fixed seeded Gaussian classes in the
+    width and test class count of the pipeline config; returns the config's
+    "data" object that reads them."""
+    with open(config, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    width, n_test = doc["network"]["layer_widths"][0], doc["pipeline"]["n_test"]
+    rng, label, data = random.Random(0), 0, {}
+    for split, sizes in (("train", CSV_TRAIN_SIZES), ("test", (CSV_TEST_ROWS,) * n_test)):
+        lines = [",".join([f"f{j}" for j in range(width)] + ["label"])]
+        for size in sizes:  # one class, labelled by its place in the pair
+            mean = [rng.gauss(0.0, 3.0) for _ in range(width)]
+            lines += [",".join([repr(m + rng.gauss(0.0, 1.0)) for m in mean] + [str(label)])
+                      for _ in range(size)]
+            label += 1
+        data[f"{split}_csv"] = os.path.join(root, f"{split}.csv")
+        with open(data[f"{split}_csv"], "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    return data
+
+
+def run_all(checkout: str, config: str | None, out_root: str,
+            csv_data: dict | None = None) -> None:
+    """Every run of RUNS in checkout, each writing into out_root/<run name>;
+    csv_data is the "data" object of the CSV run (see write_csv_pair)."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
-    for command, seed, mode, verbose in RUNS:
-        name = [command, None if seed is None else f"seed{seed}", mode, verbose and "verbose"]
+    for command, seed, mode, variant in RUNS:
+        name = [command, None if seed is None else f"seed{seed}", mode, variant]
         out = os.path.join(out_root, "-".join(part for part in name if part))
         os.makedirs(out)
         shipped = os.path.join(checkout, "configs", f"{command}.json")
         path = config if config and command != "theorem1" else shipped
-        if verbose:  # the config beside the run's directory, which compare skips
+        if variant:  # the config beside the run's directory, which compare skips
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
-            doc["pipeline"]["verbose_fisher"] = True
+            if variant == "verbose":
+                doc["pipeline"]["verbose_fisher"] = True
+            else:
+                doc["data"] = csv_data
             path = out + ".json"
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
@@ -130,9 +164,11 @@ def main() -> None:
                     "not the shipped ones")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
+        csv_data = write_csv_pair(
+            args.config or os.path.join(args.change, "configs", "tas.json"), tmp)
         roots = [os.path.join(tmp, side) for side in ("parent", "change")]
         for checkout, root in zip((args.parent, args.change), roots):
-            run_all(checkout, args.config, root)
+            run_all(checkout, args.config, root, csv_data)
         count, found = compare(*roots)
     if found is not None:
         print(f"differ: {found}")

@@ -2,10 +2,10 @@
 
 The schema is the job dataclasses: a key is a field, typed by its annotation
 and optional exactly when the field has a default.  Documents are validated
-before any computation, and unknown keys are rejected.  Every key named seed
-or ending in _seed is an integer in [0, 2**64).  A single --seed
-override re-derives every embedded seed from one master value so a run can
-be repointed coherently from the command line.
+before any computation, and unknown keys are rejected.  Every float is
+finite, and every key named seed or ending in _seed is an integer in
+[0, 2**64).  A single --seed override re-derives every embedded seed from
+one master value so a run can be repointed coherently from the command line.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ def _take(doc: dict, key: str, path: str, kind, default=MISSING):
     bool_where_number = isinstance(val, bool) and kind is not bool
     if wrong_type or bool_where_number:
         raise ConfigError(f"{_ctx(path, key)!r} must be {getattr(kind, '__name__', kind)}")
+    if kind is float and not math.isfinite(val):
+        raise ConfigError(f"{key} must be finite, not {val} (key {_ctx(path, key)!r})")
     if (key == "seed" or key.endswith("_seed")) and not 0 <= val < 2**64:
         raise ConfigError(f"{_ctx(path, key)!r} must be an integer in [0, 2**64)")
     return val

@@ -3,7 +3,7 @@
 Source classes are matched to target classes by the Hungarian algorithm on
 the Euclidean distance matrix between class centroids in embedding space.
 Classes are named by slot, their index among the task's ascending class ids
-(tasks.batch_of labels rows that way).
+(tasks.task_slots labels source rows that way, tasks.batch_of whole sets).
 
 hungarian solves one (n, n) cost matrix or an (S, n, n) stack: each gets the
 minimal row-ordered total, ties resolved to the lexicographically smallest

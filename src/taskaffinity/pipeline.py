@@ -3,19 +3,20 @@
 Phase 1 trains one whole-classification network over every training class.
 Phase 2 scores each candidate source task against the target: centroids are
 matched by the Hungarian algorithm, source labels are rewritten into target
-slots, a small clone network is fine-tuned into an epsilon-approximation of
-the source task, and the affinity score is the distance between its Fisher
-diagonal on source query data and on target support data.  Lowest scores
-win.  The epsilon-approximations train in a rolling pool of POOL_SLOTS
-tasks (nnet.train_pool) and are scored in chunks of up to SCORE_CHUNK as
-they leave it, each chunk's Fisher diagonals in one stacked pass per side;
-every number and every error is the one a task scored alone gets, and only
-the order of the per-task debug lines follows the order tasks leave the
-pool (still deterministic).  Phase 3
-fine-tunes the encoder episodically, sampling m-way k-shot episodes only
-from rows whose labels appear in the selected related tasks, with a soft
-nearest-centroid head; evaluation uses hard nearest-centroid episodes with a
-normal-approximation confidence interval.
+slots (tasks.task_slots finds each row's slot once), a small clone network
+is fine-tuned into an epsilon-approximation of the source task, and the
+affinity score is the distance between its Fisher diagonal on source query
+data and on target support data.  Lowest scores win.  The
+epsilon-approximations train in a rolling pool of POOL_SLOTS tasks
+(nnet.train_pool) and are scored in chunks of up to SCORE_CHUNK as they
+leave it, each chunk's Fisher diagonals in one stacked pass per side; every
+number and every error is the one a task scored alone gets, and only the
+order of the per-task debug lines follows the order tasks leave the pool
+(still deterministic).  Phase 3 fine-tunes the encoder episodically,
+sampling m-way k-shot episodes only from rows whose labels appear in the
+selected related tasks, with a soft nearest-centroid head; evaluation uses
+hard nearest-centroid episodes with a normal-approximation confidence
+interval.
 
 Every random stream derives from the master seed and structural indices
 (task index, step index), never from label values; relabeling task classes
@@ -154,7 +155,7 @@ def train_whole_classifier(
             f"head_classes={spec.head_classes} but the training set has {n_classes} classes"
         )
     net = nnet.init_network(spec, derive_seed(schedule.seed, 0))
-    batch = tasks.batch_of(train, range(train.n), train.class_ids)
+    batch = tasks.batch_of(train)
     try:
         net = nnet.train(net, batch, schedule)
     except ValueError as exc:
@@ -192,12 +193,12 @@ def view_target(test: tasks.Dataset, whole: nnet.Network, cfg: PipelineConfig) -
     task is the whole test set."""
     if len(test.class_ids) != cfg.n_test:
         raise ValueError("target must have n_test classes")
-    tgt = tasks.batch_of(test, range(test.n), test.class_ids)
+    tgt = tasks.batch_of(test)
     cents = matching.class_centroids(nnet.encode(whole, tgt.features), tgt.labels, cfg.n_test)
     return TargetView(tgt, cents)
 
 
-def mtas(slots: list[nnet.PoolExit], sources: list[tasks.TaskSpec],
+def mtas(slots: list[nnet.PoolExit], sources: tasks.TaskBlock,
          assignments: list[matching.Assignment], target: TargetView, train: tasks.Dataset,
          cfg: PipelineConfig, work: dict | None = None,
          ) -> tuple[list[RankedTask], dict[int, ValueError]]:
@@ -219,7 +220,7 @@ def mtas(slots: list[nnet.PoolExit], sources: list[tasks.TaskSpec],
             try:
                 built.append((slot, *build_eps_approx(slot, cfg)))
             except ValueError as exc:
-                task_id = sources[slot.job.key].task_id
+                task_id = sources.task_ids[slot.job.key]
                 errors[slot.job.key] = ValueError(f"source task {task_id} eps-approximation: {exc}")
         if not built:
             return ranked, errors
@@ -235,7 +236,7 @@ def mtas(slots: list[nnet.PoolExit], sources: list[tasks.TaskSpec],
             except fisher.DegenerateFisherError as exc:
                 slot, _, record = built.pop(exc.row[0])
                 errors[slot.job.key] = ValueError(
-                    f"source task {sources[slot.job.key].task_id} Fisher diagonal after "
+                    f"source task {sources.task_ids[slot.job.key]} Fisher diagonal after "
                     f"{record.epochs_used} eps-approximation epochs: {exc.reason}")
                 raw_aa, raw_ab = (np.delete(raw, exc.row[0], axis=0) for raw in (raw_aa, raw_ab))
 
@@ -243,13 +244,12 @@ def mtas(slots: list[nnet.PoolExit], sources: list[tasks.TaskSpec],
     f_aa.setflags(write=False)
     f_ab.setflags(write=False)
     for j, (slot, _, record) in enumerate(built):
-        i = slot.job.key
+        i, task_id = slot.job.key, int(sources.task_ids[slot.job.key])
         log.debug("task %d eps-approx: achieved_eps=%.3f epochs=%d reached=%s",
-                  sources[i].task_id, record.achieved_epsilon, record.epochs_used,
-                  record.reached_target)
+                  task_id, record.achieved_epsilon, record.epochs_used, record.reached_target)
         kept = (f_aa[j], f_ab[j]) if cfg.verbose_fisher else ()
-        ranked.append(RankedTask(sources[i].task_id, fisher.AffinityScore(float(scores[j])),
-                                 assignments[i], sources[i].class_ids, record,
+        ranked.append(RankedTask(task_id, fisher.AffinityScore(float(scores[j])), assignments[i],
+                                 tuple(sources.class_ids[i].tolist()), record,
                                  float(traces_aa[j]), float(traces_ab[j]), *kept))
     return ranked, errors
 
@@ -260,55 +260,53 @@ SCORE_CHUNK = 8  # source tasks whose Fisher diagonals are taken at once; bounds
 # a chunk's held Fisher buffers take about 1.7 MB for both sides at the shipped shapes
 
 
-def _match_sources(sources, target, train, whole, cfg) -> list[matching.Assignment]:
+def _match_sources(sources, groups, target, train, whole, cfg) -> list[matching.Assignment]:
     """Each source task's matching of its class centroids onto the target's.
     The encoder is frozen, so a task's embeddings are rows of one encode of
-    the training set, averaged per class slot, support rows then query rows.
-    A task without n_test classes, or whose rows do not fill them, fails
-    here, before any training."""
+    the training set, averaged per group (see tasks.task_slots), support
+    rows then query rows.  Tasks without n_test classes, or a task whose
+    rows leave a class empty, fail here, before any training."""
     n = cfg.n_test
-    if any(len(s.class_ids) != n for s in sources):
+    if sources.class_ids.shape[1] != n:
         raise ValueError("source must have n_test classes")
-    if not sources:
-        return []
     emb = np.concatenate([nnet.encode(whole, train.features[lo : lo + ENCODE_CHUNK])
                           for lo in range(0, train.n, ENCODE_CHUNK)])
     cents = []
     for lo in range(0, len(sources), MATCH_CHUNK):
-        block = sources[lo : lo + MATCH_CHUNK]
-        rows, groups = tasks.task_slots(train, block)
-        cents.append(matching.class_centroids(emb[rows], groups, len(block) * n))
+        hi = min(lo + MATCH_CHUNK, len(sources))
+        a, b = sources.starts[lo], sources.starts[hi]
+        cents.append(matching.class_centroids(emb[sources.rows[a:b]], groups[a:b] - lo * n,
+                                              (hi - lo) * n))
     cents = np.concatenate(cents).reshape(len(sources), n, -1)
     try:
         return matching.hungarian(matching.cost_matrix(cents, target.centroids))
     except matching.CostError as exc:
-        raise ValueError(f"source task {sources[exc.index].task_id} matching: {exc}") from None
+        raise ValueError(f"source task {sources.task_ids[exc.index]} matching: {exc}") from None
 
 
-def _approximations(sources, assignments, train, whole, cfg, failed: dict):
+def _approximations(sources, groups, assignments, train, whole, cfg, failed: dict):
     """The source tasks' epsilon-approximation slots, in chunks of up to
     SCORE_CHUNK as the tasks leave nnet.train_pool: tasks of equal support
     and query row counts share one pool, entering it in sources order with
     the head and minibatch Generators of their task ids, made as they enter,
-    their rows labelled by the target slots their classes matched.  A chunk
+    their rows labelled by the target slots their groups matched.  A chunk
     ends early with its pool, and with a task that failed its fine-tune, so
     that the failure stops later tasks entering at once.  No task after the
     first index in failed enters."""
-    seed = cfg.approx_schedule.seed
-    shapes = [(len(s.support_rows), len(s.query_rows)) for s in sources]
+    seed, starts, rows = cfg.approx_schedule.seed, sources.starts, sources.rows
+    labels = np.array([a.mapping for a in assignments]).ravel()[groups]
+    shapes = list(zip(sources.n_support.tolist(), (np.diff(starts) - sources.n_support).tolist()))
 
     def jobs(shape):
         picked = [i for i in range(len(sources)) if shapes[i] == shape]
-        ids = [sources[i].task_id for i in picked]
+        ids = sources.task_ids[picked].tolist()
         for i, head, order in zip(picked, generators(seed_grid(seed, (_STREAM_HEAD,), ids)),
                                   generators(seed_grid(seed, (_STREAM_APPROX_TRAIN,), ids))):
             if failed and i > min(failed):
                 return
-            source, assignment = sources[i], assignments[i]
-            rows = np.array(source.support_rows + source.query_rows)
-            slots = np.searchsorted(source.class_ids, train.labels[rows])
-            labels, k = np.asarray(assignment.mapping)[slots], shape[0]
-            yield nnet.PoolJob(i, head, order, rows[:k], labels[:k], rows[k:], labels[k:])
+            lo, mid, hi = starts[i], starts[i] + shape[0], starts[i + 1]
+            yield nnet.PoolJob(i, head, order, rows[lo:mid], labels[lo:mid], rows[mid:hi],
+                               labels[mid:hi])
 
     for shape in dict.fromkeys(shapes):
         chunk = []
@@ -323,7 +321,7 @@ def _approximations(sources, assignments, train, whole, cfg, failed: dict):
 
 
 def rank_all_sources(
-    sources: list[tasks.TaskSpec], target: TargetView, train: tasks.Dataset,
+    sources: tasks.TaskBlock, target: TargetView, train: tasks.Dataset,
     whole: nnet.Network, cfg: PipelineConfig,
 ) -> list[RankedTask]:
     """Score the source tasks against the target view in three stages: match
@@ -331,9 +329,10 @@ def rank_all_sources(
     their epsilon-approximations leave the pool (_approximations), and order
     them by ascending score, ties by task_id.  When tasks fail, the error is
     the first failing task's in sources order, as if they ran one by one."""
-    assignments = _match_sources(sources, target, train, whole, cfg)
+    groups = tasks.task_slots(train, sources)
+    assignments = _match_sources(sources, groups, target, train, whole, cfg)
     ranked, failed, work = [], {}, {}  # work: the Fisher passes' buffers, for this call only
-    for slots in _approximations(sources, assignments, train, whole, cfg, failed):
+    for slots in _approximations(sources, groups, assignments, train, whole, cfg, failed):
         scored, errors = mtas(slots, sources, assignments, target, train, cfg, work)
         ranked += scored
         failed.update(errors)

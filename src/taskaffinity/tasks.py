@@ -61,24 +61,20 @@ class Dataset:
         return sorted(self.class_index)
 
 
-@dataclass(frozen=True)
-class TaskSpec:
-    """A source task carved out of a dataset by row indices, with disjoint
-    support and query splits."""
+@dataclass(frozen=True, eq=False)
+class TaskBlock:
+    """Source tasks as read-only arrays.  Task i has id task_ids[i], the n
+    ascending class ids class_ids[i], and the rows rows[starts[i]:starts[i+1]]:
+    its n_support[i] support rows, then its query rows, each part ascending."""
 
-    task_id: int
-    class_ids: tuple[int, ...]
-    support_rows: tuple[int, ...]
-    query_rows: tuple[int, ...]
+    task_ids: np.ndarray
+    class_ids: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray
+    n_support: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "class_ids", tuple(int(c) for c in self.class_ids))
-        object.__setattr__(self, "support_rows", tuple(map(int, self.support_rows)))
-        object.__setattr__(self, "query_rows", tuple(map(int, self.query_rows)))
-        if len(self.support_rows) == 0:
-            raise ValueError("support_rows must be nonempty")
-        if not set(self.support_rows).isdisjoint(self.query_rows):
-            raise ValueError("support and query must be disjoint")
+    def __len__(self) -> int:
+        return len(self.task_ids)
 
 
 @dataclass(frozen=True)
@@ -197,75 +193,68 @@ def load_csv(path: str) -> Dataset:
 # task construction
 
 
-def batch_of(data: Dataset, rows, class_ids) -> Batch:
-    """The given rows with each label replaced by its class slot.
-
-    A class's slot is its index in class_ids, which must be strictly
-    ascending; every row's label must be one of them and every class must
-    have at least one row.
-    """
-    ids = np.asarray(class_ids, dtype=np.int64)
-    idx = np.asarray(rows, dtype=np.int64)
-    labels = data.labels[idx]
-    present = np.unique(labels)
-    if not np.array_equal(present, ids):
-        unknown = np.setdiff1d(present, ids)
-        if unknown.size:
-            raise ValueError(f"row labels {unknown.tolist()} are not in class_ids")
-        missing = np.setdiff1d(ids, present)
-        if missing.size:
-            raise ValueError(f"classes {missing.tolist()} have no rows")
-        raise ValueError("class_ids must be strictly ascending")
-    return Batch(data.features[idx], np.searchsorted(ids, labels))
+def batch_of(data: Dataset) -> Batch:
+    """Every row of data, each label replaced by its class slot: the class's
+    index among data's ascending class ids."""
+    return Batch(data.features, np.searchsorted(data.class_ids, data.labels))
 
 
-def task_slots(data: Dataset, specs: list[TaskSpec]) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of every task in specs, support then query, task after task,
-    and each row's group: its task's index times n plus the slot batch_of
-    gives it, for tasks of n classes each.  The first task whose rows
-    batch_of would reject raises batch_of's error."""
-    ids = np.array([s.class_ids for s in specs], dtype=np.int64)
-    sizes = [len(s.support_rows) + len(s.query_rows) for s in specs]
-    rows = np.concatenate([s.support_rows + s.query_rows for s in specs], dtype=np.int64)
-    task = np.repeat(np.arange(len(specs)), sizes)
-    labels = data.labels[rows]
-    hit = ids[task] == labels[:, None]
-    group = task * ids.shape[1] + hit.argmax(axis=1)
-    counts = np.bincount(group[hit.any(axis=1)], minlength=ids.size).reshape(ids.shape)
-    bad = (counts == 0).any(axis=1) | (counts.sum(axis=1) < sizes)
-    bad |= (np.diff(ids, axis=1) <= 0).any(axis=1)
-    if bad.any():  # batch_of raises what is wrong with the first bad task
-        k = int(np.argmax(bad))
-        batch_of(data, rows[task == k], ids[k])
-    return rows, group
+def task_slots(data: Dataset, block: TaskBlock) -> np.ndarray:
+    """Each of block's rows' group under data's labels: its task's index
+    times n plus its slot, the index of its label among the task's n class
+    ids.  A row whose label is not one of its task's classes is an error
+    naming the task."""
+    task = np.repeat(np.arange(len(block)), np.diff(block.starts))
+    hit = block.class_ids[task] == data.labels[block.rows][:, None]
+    known = hit.any(axis=1)
+    if not known.all():
+        r = int(np.argmin(known))
+        raise ValueError(f"source task {block.task_ids[task[r]]}: row {block.rows[r]} has "
+                         f"label {data.labels[block.rows[r]]}, not one of its classes")
+    return task * block.class_ids.shape[1] + hit.argmax(axis=1)
 
 
-def task_from_classes(data: Dataset, class_ids, task_id: int,
-                      seed: int | np.random.Generator) -> TaskSpec:
-    """Task over the given classes with a per-class 70/30 support/query split
-    drawn from seed, a seed or a Generator made from one."""
-    rng = np.random.default_rng(seed)
-    ids = sorted(int(c) for c in class_ids)
-    # start from empty rows, so that no classes at all is TaskSpec's error
-    support, query = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+def _split(data: Dataset, ids: list[int], rng: np.random.Generator) -> list[np.ndarray]:
+    """The support and query rows, each ascending, of a task over the
+    ascending class ids: each class's rows split 70/30 by one permutation."""
+    support, query = [], []
     for cid in ids:
         if cid not in data.class_index:
             raise ValueError(f"class {cid} not in dataset")
         rows = data.class_index[cid]
         order = rows[rng.permutation(rows.size)]
-        n_sup = int(round(SUPPORT_FRACTION * rows.size))
-        n_sup = max(1, min(rows.size - 1, n_sup))
+        n_sup = max(1, min(rows.size - 1, int(round(SUPPORT_FRACTION * rows.size))))
         support.append(order[:n_sup])
         query.append(order[n_sup:])
-    return TaskSpec(task_id, tuple(ids), np.sort(np.concatenate(support)).tolist(),
-                    np.sort(np.concatenate(query)).tolist())
+    return [np.sort(np.concatenate(support)), np.sort(np.concatenate(query))]
 
 
-def sample_source_tasks(train: Dataset, s_count: int, n_test: int, seed: int) -> list[TaskSpec]:
+def _block(task_ids, class_ids, splits) -> TaskBlock:
+    """The read-only block of the tasks of the given ids, class ids and splits."""
+    parts = [part for split in splits for part in split]
+    arrays = (np.array(task_ids, np.int64), np.array(class_ids, np.int64), np.concatenate(parts),
+              np.cumsum([0, *map(len, parts)])[::2], np.array([len(s) for s, _ in splits]))
+    for a in arrays:
+        a.setflags(write=False)
+    return TaskBlock(*arrays)
+
+
+def task_from_classes(data: Dataset, class_ids, task_id: int,
+                      seed: int | np.random.Generator) -> TaskBlock:
+    """The block of one task over the given distinct classes, with a per-class
+    70/30 support/query split drawn from seed, a seed or a Generator made
+    from one."""
+    ids = sorted(int(c) for c in class_ids)
+    if not ids or len(set(ids)) < len(ids):
+        raise ValueError(f"a task needs one or more distinct class ids, got {ids}")
+    return _block([task_id], [ids], [_split(data, ids, np.random.default_rng(seed))])
+
+
+def sample_source_tasks(train: Dataset, s_count: int, n_test: int, seed: int) -> TaskBlock:
     """s_count tasks of n_test distinct classes each, classes uniform without replacement.
 
     Task i is driven entirely by derive_seed(seed, i), so tasks are
-    independent and the list is reproducible regardless of evaluation order.
+    independent and the block is reproducible regardless of evaluation order.
     """
     all_ids = train.class_ids
     if n_test > len(all_ids):
@@ -273,12 +262,12 @@ def sample_source_tasks(train: Dataset, s_count: int, n_test: int, seed: int) ->
     if s_count < 1:
         raise ValueError("s_count must be >= 1")
     seeds = np.array(seed_grid(seed, (), range(s_count)), np.uint64)
-    tasks = []
-    for i, (rng, split) in enumerate(zip(generators(seeds), generators(derive_seed(seeds, 1)))):
+    class_ids, splits = [], []
+    for rng, split in zip(generators(seeds), generators(derive_seed(seeds, 1))):
         picked = rng.choice(len(all_ids), size=n_test, replace=False)
-        ids = [all_ids[int(k)] for k in picked]
-        tasks.append(task_from_classes(train, ids, i, split))
-    return tasks
+        class_ids.append(sorted(all_ids[k] for k in picked.tolist()))
+        splits.append(_split(train, class_ids[-1], split))
+    return _block(range(s_count), class_ids, splits)
 
 
 def episode_classes(

@@ -18,7 +18,10 @@ one-task-at-a-time epsilon-approximation loop (serial_train until the query
 accuracy reaches its target) that every row of nnet.train_pool must
 reproduce bit for bit, and the per-episode and per-task default_rng loops
 that the episode draw and source-task sampling must reproduce bit for bit
-from seeding.generators.
+from seeding.generators.  Source tasks one at a time are TaskSpec records,
+the form sampling returned before tasks.TaskBlock; task_records and
+block_of convert between the two, so that tests can reorder, cut or
+hand-build tasks.
 
 The forward oracle re-derives the flat parameter layout with plain Python
 loops, so a layout or indexing bug in the production code cannot cancel out.
@@ -491,9 +494,72 @@ def serial_draw_positions(counts, m_way, size, seeds):
     return picks, positions
 
 
+@dataclass(frozen=True)
+class TaskSpec:
+    """One source task as a record: the oracles' form of a tasks.TaskBlock
+    row, with disjoint support and query rows."""
+
+    task_id: int
+    class_ids: tuple[int, ...]
+    support_rows: tuple[int, ...]
+    query_rows: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "class_ids", tuple(int(c) for c in self.class_ids))
+        object.__setattr__(self, "support_rows", tuple(map(int, self.support_rows)))
+        object.__setattr__(self, "query_rows", tuple(map(int, self.query_rows)))
+        if len(self.support_rows) == 0:
+            raise ValueError("support_rows must be nonempty")
+        if not set(self.support_rows).isdisjoint(self.query_rows):
+            raise ValueError("support and query must be disjoint")
+
+
+def task_records(block):
+    """The tasks of a tasks.TaskBlock as a list of TaskSpec records, in order."""
+    out = []
+    for i in range(len(block)):
+        lo, hi = block.starts[i], block.starts[i + 1]
+        mid = lo + block.n_support[i]
+        out.append(TaskSpec(int(block.task_ids[i]), block.class_ids[i].tolist(),
+                            block.rows[lo:mid].tolist(), block.rows[mid:hi].tolist()))
+    return out
+
+
+def block_of(records):
+    """The tasks.TaskBlock of a list of TaskSpec records, in order."""
+    rows = [r.support_rows + r.query_rows for r in records]
+    return tasks.TaskBlock(
+        np.array([r.task_id for r in records], np.int64),
+        np.array([r.class_ids for r in records], np.int64),
+        np.array([row for task in rows for row in task], np.int64),
+        np.cumsum([0] + [len(task) for task in rows]),
+        np.array([len(r.support_rows) for r in records], np.int64),
+    )
+
+
+def serial_task_from_classes(data, class_ids, task_id, seed):
+    """tasks.task_from_classes as it was: one TaskSpec, each class's rows
+    split 70/30 by a permutation in ascending class order."""
+    rng = np.random.default_rng(seed)
+    ids = sorted(int(c) for c in class_ids)
+    support, query = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for cid in ids:
+        if cid not in data.class_index:
+            raise ValueError(f"class {cid} not in dataset")
+        rows = data.class_index[cid]
+        order = rows[rng.permutation(rows.size)]
+        n_sup = int(round(tasks.SUPPORT_FRACTION * rows.size))
+        n_sup = max(1, min(rows.size - 1, n_sup))
+        support.append(order[:n_sup])
+        query.append(order[n_sup:])
+    return TaskSpec(task_id, tuple(ids), np.sort(np.concatenate(support)).tolist(),
+                    np.sort(np.concatenate(query)).tolist())
+
+
 def serial_sample_source_tasks(train, s_count, n_test, seed):
     """tasks.sample_source_tasks as it was: one derive_seed and one
-    np.random.default_rng per task for its classes, and a seed for its split."""
+    np.random.default_rng per task for its classes, and a seed for its
+    split, as a list of TaskSpec records."""
     all_ids = train.class_ids
     out = []
     for i in range(s_count):
@@ -501,7 +567,7 @@ def serial_sample_source_tasks(train, s_count, n_test, seed):
         rng = np.random.default_rng(task_seed)
         picked = rng.choice(len(all_ids), size=n_test, replace=False)
         ids = [all_ids[int(k)] for k in picked]
-        out.append(tasks.task_from_classes(train, ids, i, derive_seed(task_seed, 1)))
+        out.append(serial_task_from_classes(train, ids, i, derive_seed(task_seed, 1)))
     return out
 
 
@@ -646,16 +712,18 @@ def serial_evaluate_fewshot(net, test, cfg):
 
 
 def sampled_sources(train, cfg):
-    """The source tasks phases_1_2 samples for cfg."""
+    """The source tasks phases_1_2 samples for cfg, as TaskSpec records."""
     seed = derive_seed(cfg.master_seed, pipeline._STREAM_TASKS)
-    return tasks.sample_source_tasks(train, cfg.s_count, cfg.n_test, seed)
+    return task_records(tasks.sample_source_tasks(train, cfg.s_count, cfg.n_test, seed))
 
 
 def rank(train, test, whole, cfg):
     """The ranking phases_1_2 runs after whole training: its sampled source
     tasks scored against the whole test set by rank_all_sources."""
     target = pipeline.view_target(test, whole, cfg)
-    return pipeline.rank_all_sources(sampled_sources(train, cfg), target, train, whole, cfg)
+    seed = derive_seed(cfg.master_seed, pipeline._STREAM_TASKS)
+    sources = tasks.sample_source_tasks(train, cfg.s_count, cfg.n_test, seed)
+    return pipeline.rank_all_sources(sources, target, train, whole, cfg)
 
 
 def serial_class_centroids(emb, slots, n):
@@ -695,7 +763,7 @@ def serial_eps_approx(whole, sup, qry, cfg, head_seed, train_seed):
 
 
 def serial_mtas(source, target, train_data, whole, cfg, approx=None):
-    """One source task's score by the per-task route: batch_of, encode,
+    """One source task's score by the per-task route: slot labels, encode,
     centroids, cost_matrix and a one-matrix hungarian, relabel,
     serial_eps_approx, the two Fisher diagonals (fisher_diag, a stack of
     one), unit_trace and tas; a failing task raises the error that
@@ -704,7 +772,7 @@ def serial_mtas(source, target, train_data, whole, cfg, approx=None):
     if len(source.class_ids) != cfg.n_test:
         raise ValueError("source must have n_test classes")
 
-    src = tasks.batch_of(train_data, source.support_rows + source.query_rows, source.class_ids)
+    src = slot_batch(train_data, source.support_rows + source.query_rows, source.class_ids)
     src_cent = serial_class_centroids(nnet.encode(whole, src.features), src.labels, cfg.n_test)
 
     assignment = matching.hungarian(matching.cost_matrix(src_cent, target.centroids))
@@ -745,8 +813,15 @@ def serial_mtas(source, target, train_data, whole, cfg, approx=None):
     return pipeline.RankedTask(*head, f_aa, f_ab)
 
 
+def slot_batch(data, rows, class_ids):
+    """The given rows of data, each label replaced by its index in the
+    ascending class_ids: a source task's rows as the ranking labels them."""
+    idx = np.asarray(rows, dtype=np.int64)
+    return nnet.Batch(data.features[idx], np.searchsorted(class_ids, data.labels[idx]))
+
+
 def serial_rank(sources, target, train, whole, cfg, approx=None):
-    """pipeline.rank_all_sources by serial_mtas, one task at a time."""
+    """pipeline.rank_all_sources by serial_mtas, one TaskSpec record at a time."""
     ranked = [serial_mtas(source, target, train, whole, cfg, approx) for source in sources]
     return sorted(ranked, key=lambda r: (r.score.value, r.task_id))
 

@@ -115,7 +115,7 @@ def test_criterion_4_label_permutation_invariance():
     target = pipeline.view_target(test, whole, cfg)
     ids = [6, 7, 8, 9]
     source = tasks.task_from_classes(train, ids, 0, derive_seed(505, 1))
-    base = pipeline.rank_all_sources([source], target, train, whole, cfg)[0].score.value
+    base = pipeline.rank_all_sources(source, target, train, whole, cfg)[0].score.value
 
     rng = np.random.default_rng(derive_seed(505, 8))
     perms = set()
@@ -126,7 +126,7 @@ def test_criterion_4_label_permutation_invariance():
         lut = {ids[k]: ids[perm[k]] for k in range(len(ids))}
         new_labels = np.array([lut.get(int(v), int(v)) for v in train.labels])
         relabeled = tasks.Dataset.from_arrays(train.features, new_labels)
-        score = pipeline.rank_all_sources([source], target, relabeled, whole, cfg)[0].score.value
+        score = pipeline.rank_all_sources(source, target, relabeled, whole, cfg)[0].score.value
         exact += score == base
     elapsed = time.perf_counter() - t0
     ok = exact == 20 and elapsed < 120.0

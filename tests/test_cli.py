@@ -274,6 +274,38 @@ def test_out_of_range_seed_fails_at_parse_naming_its_key(
     assert calls == [] and made == [] and os.listdir(out) == []
 
 
+# a float key of each kind, by the command whose config holds it
+FLOAT_KEYS = [
+    ("synth", "synthetic.noise_sigma"),
+    ("fewshot", "pipeline.softmax_temperature"),
+    ("tas", "pipeline.approx_schedule.learning_rate"),
+    ("theorem1", "sgd.noise_sigma"),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command,path", FLOAT_KEYS)
+def test_non_finite_float_fails_at_parse_naming_its_key(
+    tmp_path, monkeypatch, capsys, command, path, value
+):
+    # JSON's NaN and Infinity parse as floats; each fails before any data or training
+    make_doc = {"synth": lambda: {"synthetic": synth_block()}, "fewshot": pipeline_doc,
+                "tas": pipeline_doc, "theorem1": theorem_doc}[command]
+    calls = _spy_whole_training(monkeypatch)
+    made = []
+    monkeypatch.setattr(tasks, "make_synthetic", made.append)
+    doc = make_doc()
+    set_key(doc, path, value)
+    config = write_config(tmp_path, doc)
+    with open(config) as fh:
+        assert ("NaN" if value != value else "Infinity") in fh.read()
+    out = str(tmp_path / "out")
+    assert cli.main([command, "--config", config, "--out", out]) == 1
+    key = path.rsplit(".", 1)[-1]
+    assert capsys.readouterr().err == f"error: {key} must be finite, not {value} (key {path!r})\n"
+    assert calls == [] and made == [] and os.listdir(out) == []
+
+
 # run ids of the shipped configs; the echo is the config document with every
 # default filled in, so a change to the schema or a default shows here
 SHIPPED_RUN_IDS = {

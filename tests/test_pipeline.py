@@ -79,7 +79,7 @@ def test_whole_train_batch_compresses_labels_to_slots():
     data = tasks.Dataset.from_arrays(
         np.zeros((6, 2)), np.array([5, 9, 5, 7, 9, 7])
     )
-    batch = tasks.batch_of(data, range(data.n), data.class_ids)
+    batch = tasks.batch_of(data)
     np.testing.assert_array_equal(batch.labels, [0, 2, 0, 1, 2, 1])
     np.testing.assert_array_equal(batch.features, data.features)
 
@@ -89,7 +89,7 @@ def test_train_whole_classifier_fits_and_is_deterministic(tiny):
     a = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
     b = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
     assert np.array_equal(a.params, b.params)
-    acc = helpers.accuracy(a, tasks.batch_of(train, range(train.n), train.class_ids))
+    acc = helpers.accuracy(a, tasks.batch_of(train))
     assert acc > 0.9, f"whole classifier underfits its own training set: {acc}"
 
 
@@ -121,9 +121,10 @@ def test_train_whole_classifier_head_mismatch(tiny):
 def _approx_inputs(tiny):
     train, test, spec, cfg = tiny
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    task = tasks.task_from_classes(train, [0, 1], 0, seed=derive_seed(1005, 1, 0))
-    sup = tasks.batch_of(train, task.support_rows, task.class_ids)
-    qry = tasks.batch_of(train, task.query_rows, task.class_ids)
+    (task,) = helpers.task_records(
+        tasks.task_from_classes(train, [0, 1], 0, seed=derive_seed(1005, 1, 0)))
+    sup = helpers.slot_batch(train, task.support_rows, task.class_ids)
+    qry = helpers.slot_batch(train, task.query_rows, task.class_ids)
     return whole, sup, qry, cfg
 
 
@@ -175,7 +176,7 @@ def test_mtas_requires_matching_class_counts(tiny):
     view = pipeline.view_target(test, whole, cfg)
     bad = tasks.task_from_classes(train, [0, 1, 2], 0, seed=5)
     with pytest.raises(ValueError, match="source must have n_test"):
-        pipeline.rank_all_sources([bad], view, train, whole, cfg)
+        pipeline.rank_all_sources(bad, view, train, whole, cfg)
     with pytest.raises(ValueError, match="target must have n_test"):
         pipeline.view_target(test, whole, replace(cfg, n_test=3))
 
@@ -201,14 +202,15 @@ def test_mtas_rejects_source_class_without_rows(tiny, monkeypatch):
     view = pipeline.view_target(test, whole, cfg)
     sources = helpers.sampled_sources(train, cfg)[::-1]  # list index != task_id
     rows = train.class_index[0]
-    empty_class = tasks.TaskSpec(9, (0, 1), tuple(rows[:6]), tuple(rows[6:]))
+    empty_class = helpers.TaskSpec(9, (0, 1), tuple(rows[:6]), tuple(rows[6:]))
 
     def never(*args, **kwargs):
         raise AssertionError("epsilon-approximation training started")
 
     monkeypatch.setattr(pipeline, "build_eps_approx", never)
-    with pytest.raises(ValueError, match=r"classes \[1\] have no rows"):
-        pipeline.rank_all_sources(sources[:2] + [empty_class], view, train, whole, cfg)
+    with pytest.raises(ValueError, match=r"^source task 9 matching: "):
+        pipeline.rank_all_sources(helpers.block_of(sources[:2] + [empty_class]), view, train,
+                                  whole, cfg)
 
     # one training row embeds to NaN: the first task holding it is named
     poisoned = train.features[train.class_index[sources[-1].class_ids[0]][0]]
@@ -226,7 +228,7 @@ def test_mtas_rejects_source_class_without_rows(tiny, monkeypatch):
         rf"^source task {named.task_id} matching: cost matrix {sources.index(named)}: "
         r"cost entries must be finite$"
     )):
-        pipeline.rank_all_sources(sources, view, train, whole, cfg)
+        pipeline.rank_all_sources(helpers.block_of(sources), view, train, whole, cfg)
 
 
 def test_mtas_overflowing_fisher_names_the_task_and_epochs(tiny, monkeypatch):
@@ -249,7 +251,8 @@ def test_mtas_overflowing_fisher_names_the_task_and_epochs(tiny, monkeypatch):
             r"^source task 1 Fisher diagonal after \d+ eps-approximation epochs: "
             r"entries must be finite"
         )):
-            pipeline.rank_all_sources([source_tasks[1]], view, train, whole, cfg)
+            pipeline.rank_all_sources(helpers.block_of(source_tasks[1:2]), view, train, whole,
+                                      cfg)
 
 
 def test_mtas_labels_follow_assignment(monkeypatch):
@@ -280,7 +283,8 @@ def test_mtas_labels_follow_assignment(monkeypatch):
         return build(slot, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "build_eps_approx", spy)
-    ranked = {r.task_id: r for r in pipeline.rank_all_sources(source_tasks, view, train, whole, cfg)}
+    block = helpers.block_of(source_tasks)
+    ranked = {r.task_id: r for r in pipeline.rank_all_sources(block, view, train, whole, cfg)}
     assert sorted(seen) == list(range(len(source_tasks)))
     mappings = set()
     for i, source in enumerate(source_tasks):
@@ -300,8 +304,9 @@ def test_mtas_deterministic_and_diagnostics_agree(tiny):
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
     source_tasks = helpers.sampled_sources(train, cfg)
     view = pipeline.view_target(test, whole, cfg)
-    (a,) = pipeline.rank_all_sources(source_tasks[:1], view, train, whole, cfg)
-    (b,) = pipeline.rank_all_sources(source_tasks[:1], view, train, whole, cfg)
+    first = helpers.block_of(source_tasks[:1])
+    (a,) = pipeline.rank_all_sources(first, view, train, whole, cfg)
+    (b,) = pipeline.rank_all_sources(first, view, train, whole, cfg)
     assert a == b
     assert a.f_aa is None and a.f_ab is None
     assert 0.0 <= a.score.value <= 1.0 + 1e-12
@@ -379,9 +384,9 @@ def test_rank_all_sources_builds_the_target_once(tiny, monkeypatch):
     calls = {"batch_of": [], "encode": 0, "hungarian": 0}
     batch_of, encode, hungarian = tasks.batch_of, nnet.encode, matching.hungarian
 
-    def spy_batch_of(data, rows, class_ids):
+    def spy_batch_of(data):
         calls["batch_of"].append(data is test)
-        return batch_of(data, rows, class_ids)
+        return batch_of(data)
 
     def spy_encode(net, x):
         calls["encode"] += 1
@@ -434,7 +439,7 @@ def test_rank_all_sources_equals_serial_oracle_bitwise(tiny, setting, request):
     else:
         train, test, whole, cfg, sources, want, _ = request.getfixturevalue("tas_json")
     target = pipeline.view_target(test, whole, cfg)
-    got = pipeline.rank_all_sources(sources, target, train, whole, cfg)
+    got = pipeline.rank_all_sources(helpers.block_of(sources), target, train, whole, cfg)
     assert len(got) == cfg.s_count
     assert helpers.ranked_fields(got) == helpers.ranked_fields(want)
 
@@ -454,7 +459,7 @@ def _assert_pool_is_serial(monkeypatch, sources, test, train, whole, cfg, slots,
 
     monkeypatch.setattr(pipeline, "build_eps_approx", spy)
     target = pipeline.view_target(test, whole, cfg)
-    got = pipeline.rank_all_sources(sources, target, train, whole, cfg)
+    got = pipeline.rank_all_sources(helpers.block_of(sources), target, train, whole, cfg)
     if want is None:
         want_params = {}
         want = helpers.serial_rank(sources, target, train, whole, cfg, want_params), want_params
@@ -560,7 +565,7 @@ def test_pool_failures_name_the_first_failing_task(tiny, monkeypatch, picked, sl
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the checks report, not numpy
         with pytest.raises(ValueError) as pooled:
-            pipeline.rank_all_sources(sources, target, train, whole, cfg)
+            pipeline.rank_all_sources(helpers.block_of(sources), target, train, whole, cfg)
     assert str(pooled.value) == named
     assert [key for kind, key in events if kind == "failed"] == failing
     for i, (kind, key) in enumerate(events):  # no later task enters after a failure
@@ -590,7 +595,7 @@ def test_chunked_ranking_equals_serial_oracle_bitwise(tas_json, monkeypatch, n, 
     want = [r if verbose else replace(r, f_aa=None, f_ab=None) for r in want if r.task_id in ids]
     chunks = _chunks_spy(monkeypatch, sources)
     target = pipeline.view_target(test, whole, cfg)
-    got = pipeline.rank_all_sources(sources, target, train, whole, cfg)
+    got = pipeline.rank_all_sources(helpers.block_of(sources), target, train, whole, cfg)
     assert helpers.ranked_fields(got) == helpers.ranked_fields(want)
     full, rest = divmod(n, pipeline.SCORE_CHUNK)  # one pool: chunks of 8, then the rest
     assert [len(c) for c in chunks] == [pipeline.SCORE_CHUNK] * full + [rest] * (rest > 0)
@@ -608,7 +613,8 @@ def test_no_fisher_pass_stacks_more_than_a_score_chunk(tas_json, monkeypatch):
         return diag(spec, params, features, labels, work)
 
     monkeypatch.setattr(nnet, "fisher_diag", spy)
-    pipeline.rank_all_sources(sources, pipeline.view_target(test, whole, cfg), train, whole, cfg)
+    target = pipeline.view_target(test, whole, cfg)
+    pipeline.rank_all_sources(helpers.block_of(sources), target, train, whole, cfg)
     chunks = -(-len(sources) // pipeline.SCORE_CHUNK)
     assert len(calls) == 2 * chunks
     assert max(size for size, _, _ in calls) == pipeline.SCORE_CHUNK
@@ -669,7 +675,7 @@ def test_fisher_failures_in_one_chunk_name_the_first_task_in_sources_order(
     sources = sources[:9]
     chunks = _chunks_spy(monkeypatch, sources)
     target = pipeline.view_target(test, whole, cfg)
-    pipeline.rank_all_sources(sources, target, train, whole, cfg)
+    pipeline.rank_all_sources(helpers.block_of(sources), target, train, whole, cfg)
     first = chunks[0]
     hi, lo = next((a, b) for i, a in enumerate(first) for b in first[i + 1 :] if a > b)
     assert test.n not in {len(s.query_rows) for s in sources}
@@ -685,7 +691,7 @@ def test_fisher_failures_in_one_chunk_name_the_first_task_in_sources_order(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as chunked:
-            pipeline.rank_all_sources(sources, target, train, whole, cfg)
+            pipeline.rank_all_sources(helpers.block_of(sources), target, train, whole, cfg)
     assert str(chunked.value) == str(serial.value)
 
 
@@ -698,7 +704,7 @@ def test_a_fisher_failure_stops_later_tasks_entering_once_its_chunk_is_scored(
     sources, target = sources[:40], pipeline.view_target(test, whole, cfg)
     assert len({(len(s.support_rows), len(s.query_rows)) for s in sources}) == 1
     chunks = _chunks_spy(monkeypatch, sources)
-    pipeline.rank_all_sources(sources, target, train, whole, cfg)
+    pipeline.rank_all_sources(helpers.block_of(sources), target, train, whole, cfg)
     bad, clean = chunks[0][0], len(chunks)
     _poison_fisher(monkeypatch, params, test.n, {(sources[bad].task_id, "aa")})
     events, job, mtas = [], nnet.PoolJob, pipeline.mtas
@@ -715,7 +721,7 @@ def test_a_fisher_failure_stops_later_tasks_entering_once_its_chunk_is_scored(
     monkeypatch.setattr(nnet, "PoolJob", entering)
     monkeypatch.setattr(pipeline, "mtas", leaving)
     with pytest.raises(ValueError) as exc:
-        pipeline.rank_all_sources(sources, target, train, whole, cfg)
+        pipeline.rank_all_sources(helpers.block_of(sources), target, train, whole, cfg)
     assert str(exc.value).startswith(f"source task {sources[bad].task_id} Fisher diagonal after ")
     assert chunks[clean] == chunks[0]  # the poisoned run leaves in the same order
     failed = events.index(("failed", bad))
@@ -730,9 +736,11 @@ def test_mtas_through_one_held_work_dict_equals_the_allocating_path(tas_json, mo
     # scores, diagonals and error as scoring without a dict
     train, test, whole, cfg, sources, _, params = tas_json
     sources, target = sources[:pipeline.SCORE_CHUNK], pipeline.view_target(test, whole, cfg)
-    assignments = pipeline._match_sources(sources, target, train, whole, cfg)
-    (slots,) = pipeline._approximations(sources, assignments, train, whole, cfg, {})
-    args, work = (sources, assignments, target, train, cfg), {}
+    block = helpers.block_of(sources)
+    groups = tasks.task_slots(train, block)
+    assignments = pipeline._match_sources(block, groups, target, train, whole, cfg)
+    (slots,) = pipeline._approximations(block, groups, assignments, train, whole, cfg, {})
+    args, work = (block, assignments, target, train, cfg), {}
     for poison in (set(), {(sources[slots[3].job.key].task_id, "aa")}):
         _poison_fisher(monkeypatch, params, test.n, poison)
         got, got_errors = pipeline.mtas(slots, *args, work)
@@ -774,7 +782,7 @@ def test_a_ranking_holds_each_fisher_buffer_once_per_chunk_shape(tiny, monkeypat
     sources, target = helpers.sampled_sources(train, cfg), pipeline.view_target(test, whole, cfg)
     calls, refs = _spy_fisher_work(monkeypatch)
     for _ in range(2):  # and nothing grows across rankings
-        pipeline.rank_all_sources(sources, target, train, whole, cfg)
+        pipeline.rank_all_sources(helpers.block_of(sources), target, train, whole, cfg)
         assert len({work for work, *_ in calls}) == 1
         assert [size for _, size, *_ in calls] == [8, 8, 8, 8, 4, 4]
         seen = set()
@@ -801,9 +809,10 @@ def test_task_scored_alone_equals_it_scored_in_a_block(tiny):
     target = pipeline.view_target(test, whole, cfg)
     cfg = replace(cfg, s_count=40, verbose_fisher=True)
     sources = helpers.sampled_sources(train, cfg)  # more tasks than one MATCH_CHUNK
-    block = {r.task_id: r for r in pipeline.rank_all_sources(sources, target, train, whole, cfg)}
+    ranked = pipeline.rank_all_sources(helpers.block_of(sources), target, train, whole, cfg)
+    block = {r.task_id: r for r in ranked}
     for source in (sources[0], sources[17], sources[-1]):
-        alone = pipeline.rank_all_sources([source], target, train, whole, cfg)
+        alone = pipeline.rank_all_sources(helpers.block_of([source]), target, train, whole, cfg)
         assert helpers.ranked_fields(alone) == helpers.ranked_fields([block[source.task_id]])
 
 
@@ -826,7 +835,7 @@ def test_mtas_self_task_scores_low():
     source = tasks.task_from_classes(data, ids, 0, derive_seed(606, 1))
     _, test_data = tasks.split_classes(data, ids)
     target = pipeline.view_target(test_data, whole, cfg)
-    (ranked,) = pipeline.rank_all_sources([source], target, data, whole, cfg)
+    (ranked,) = pipeline.rank_all_sources(source, target, data, whole, cfg)
     assert ranked.record.reached_target, "eps-approximation must genuinely reach its target"
     assert ranked.record.achieved_epsilon <= cfg.epsilon
     assert ranked.score.value < 0.05
@@ -861,8 +870,8 @@ def test_mtas_is_directional():
     _, sub_b = tasks.split_classes(data, ids_b)
     view_a = pipeline.view_target(sub_a, whole, cfg)
     view_b = pipeline.view_target(sub_b, whole, cfg)
-    s_ab = pipeline.rank_all_sources([task_a], view_b, data, whole, cfg)[0].score.value
-    s_ba = pipeline.rank_all_sources([task_b], view_a, data, whole, cfg)[0].score.value
+    s_ab = pipeline.rank_all_sources(task_a, view_b, data, whole, cfg)[0].score.value
+    s_ba = pipeline.rank_all_sources(task_b, view_a, data, whole, cfg)[0].score.value
     assert abs(s_ab - s_ba) > 0.01
     assert 0.0 <= s_ab <= 1.0 and 0.0 <= s_ba <= 1.0
 
@@ -889,8 +898,10 @@ def _rank_with_scores(tiny, monkeypatch, values):
         nnet.PoolExit(nnet.PoolJob(i, 0, 0, *[np.empty(0)] * 4), None, None, 0, 0.0)
         for i in range(len(sources))]])
     monkeypatch.setattr(pipeline, "mtas", lambda slots, sources, *a: ([
-        _rt(sources[s.job.key].task_id, values[sources[s.job.key].task_id]) for s in slots], {}))
-    return [r.task_id for r in pipeline.rank_all_sources(sources, None, train, None, cfg)]
+        _rt(int(sources.task_ids[s.job.key]), values[sources.task_ids[s.job.key]]) for s in slots],
+        {}))
+    ranked = pipeline.rank_all_sources(helpers.block_of(sources), None, train, None, cfg)
+    return [r.task_id for r in ranked]
 
 
 def test_rank_sources_lowest_scores_win(tiny, monkeypatch):

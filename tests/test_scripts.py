@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import helpers
+from taskaffinity import tasks
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 ablation_sweep = helpers.script("ablation_sweep")
@@ -199,9 +200,10 @@ def test_same_outputs_reports_the_repo_identical_to_itself(tmp_path):
     theorem_doc["n_seeds"] = 5
     (checkout / "configs" / "theorem1.json").write_text(json.dumps(theorem_doc))
     out = _run_script("same_outputs.py", str(checkout), str(checkout), "--config", str(config))
-    # tas writes 3 files in each of 6 runs (one keeping the Fisher
-    # diagonals), fewshot 4 in each of 3, theorem1 2 in each of 2
-    assert out == "identical: 34 files of 11 runs, timings dropped\n"
+    # tas writes 3 files in each of 7 runs (one keeping the Fisher
+    # diagonals, one on the CSV pair), fewshot 4 in each of 3, theorem1 2 in
+    # each of 2
+    assert out == "identical: 37 files of 12 runs, timings dropped\n"
 
 
 def test_same_outputs_verbose_run_writes_the_fisher_diagonals(tmp_path, monkeypatch):
@@ -211,8 +213,8 @@ def test_same_outputs_verbose_run_writes_the_fisher_diagonals(tmp_path, monkeypa
     doc["pipeline"].update(s_count=4, top_r=2)
     config = tmp_path / "small.json"
     config.write_text(json.dumps(doc))
-    verbose = [run for run in same_outputs.RUNS if run[3]]
-    assert verbose == [("tas", None, None, True)]
+    verbose = [run for run in same_outputs.RUNS if run[3] == "verbose"]
+    assert verbose == [("tas", None, None, "verbose")]
     monkeypatch.setattr(same_outputs, "RUNS", verbose)
     same_outputs.run_all(ROOT, str(config), str(tmp_path / "out"))
     with open(tmp_path / "out" / "tas-verbose" / "scores.json", encoding="utf-8") as fh:
@@ -220,6 +222,33 @@ def test_same_outputs_verbose_run_writes_the_fisher_diagonals(tmp_path, monkeypa
     assert len(rows) == 4
     assert all(len(row["fisher"][side]["entries"]) > 0 for row in rows for side in ("f_aa", "f_ab"))
     assert "verbose_fisher" not in config.read_text()  # the given config is left as it was
+
+
+def test_same_outputs_csv_run_ranks_classes_of_unequal_sizes(tmp_path, monkeypatch):
+    # the pair is the same bytes at every write, in the config's shape, and
+    # its training classes differ in size, so the tasks' row counts differ
+    with open(os.path.join(ROOT, "configs", "tas.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["pipeline"].update(s_count=4, top_r=2)
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(doc))
+    pairs = []
+    for root in (tmp_path / "a", tmp_path / "b"):
+        root.mkdir()
+        data = same_outputs.write_csv_pair(str(config), str(root))
+        pairs.append([open(data[key], "rb").read() for key in ("train_csv", "test_csv")])
+    assert pairs[0] == pairs[1]
+    train, test = tasks.load_csv(data["train_csv"]), tasks.load_csv(data["test_csv"])
+    assert [train.class_index[c].size for c in train.class_ids] == list(
+        same_outputs.CSV_TRAIN_SIZES)
+    assert len(test.class_ids) == doc["pipeline"]["n_test"] and train.dim == test.dim == 16
+    csv_runs = [run for run in same_outputs.RUNS if run[3] == "csv"]
+    assert csv_runs == [("tas", None, None, "csv")]
+    monkeypatch.setattr(same_outputs, "RUNS", csv_runs)
+    same_outputs.run_all(ROOT, str(config), str(tmp_path / "out"), data)
+    with open(tmp_path / "out" / "tas-csv" / "scores.json", encoding="utf-8") as fh:
+        assert len(json.load(fh)["scores"]) == 4
+    assert "train_csv" not in config.read_text()  # the given config is left as it was
 
 
 def _outputs(root, accuracy=0.5, total_s=1.0, csv="class_id,count\n0,2\n1,1\n"):

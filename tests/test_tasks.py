@@ -53,9 +53,9 @@ def test_dataset_validation():
 
 def test_task_spec_validation():
     with pytest.raises(ValueError):
-        tasks.TaskSpec(0, (1,), (), (2,))
+        helpers.TaskSpec(0, (1,), (), (2,))
     with pytest.raises(ValueError):
-        tasks.TaskSpec(0, (1,), (2, 3), (3,))
+        helpers.TaskSpec(0, (1,), (2, 3), (3,))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,7 @@ def test_csv_errors_name_the_line(tmp_path):
 
 def test_task_from_classes_split_sizes_and_disjointness():
     data = tasks.make_synthetic(small_cfg(samples_per_class=40))
-    spec = tasks.task_from_classes(data, [1, 3], task_id=5, seed=11)
+    (spec,) = helpers.task_records(tasks.task_from_classes(data, [1, 3], task_id=5, seed=11))
     assert spec.task_id == 5
     assert spec.class_ids == (1, 3)
     assert len(spec.support_rows) == 56  # 28 of each 40-row class
@@ -184,11 +184,11 @@ def test_task_from_classes_split_sizes_and_disjointness():
 
 def test_task_from_classes_deterministic_rows_sorted():
     data = tasks.make_synthetic(small_cfg())
-    a = tasks.task_from_classes(data, [0, 2], 0, seed=3)
-    b = tasks.task_from_classes(data, [2, 0], 0, seed=3)
+    (a,) = helpers.task_records(tasks.task_from_classes(data, [0, 2], 0, seed=3))
+    (b,) = helpers.task_records(tasks.task_from_classes(data, [2, 0], 0, seed=3))
     assert a == b
     assert list(a.support_rows) == sorted(a.support_rows)
-    c = tasks.task_from_classes(data, [0, 2], 0, seed=4)
+    (c,) = helpers.task_records(tasks.task_from_classes(data, [0, 2], 0, seed=4))
     assert a != c
 
 
@@ -196,30 +196,37 @@ def test_task_from_classes_unknown_class():
     data = tasks.make_synthetic(small_cfg())
     with pytest.raises(ValueError):
         tasks.task_from_classes(data, [0, 99], 0, seed=0)
-    with pytest.raises(ValueError, match="support_rows must be nonempty"):
+    with pytest.raises(ValueError, match=r"^a task needs one or more distinct class ids, got \[\]$"):
         tasks.task_from_classes(data, [], 0, seed=0)
+
+
+def test_task_from_classes_rejects_repeated_class_ids():
+    data = tasks.make_synthetic(small_cfg())
+    for ids in ([1, 1], [2, 0, 2]):
+        with pytest.raises(ValueError, match=r"^a task needs one or more distinct class ids, got "):
+            tasks.task_from_classes(data, ids, 0, seed=0)
 
 
 def test_sample_source_tasks_all_classes_when_n_test_is_everything():
     data = tasks.make_synthetic(small_cfg())
-    (spec,) = tasks.sample_source_tasks(data, 1, len(data.class_ids), seed=2)
+    (spec,) = helpers.task_records(tasks.sample_source_tasks(data, 1, len(data.class_ids), seed=2))
     assert spec.class_ids == tuple(data.class_ids)
 
 
 def test_sample_source_tasks_deterministic_and_prefix_stable():
     data = tasks.make_synthetic(small_cfg())
-    a = tasks.sample_source_tasks(data, 6, 3, seed=10)
-    b = tasks.sample_source_tasks(data, 6, 3, seed=10)
+    a = helpers.task_records(tasks.sample_source_tasks(data, 6, 3, seed=10))
+    b = helpers.task_records(tasks.sample_source_tasks(data, 6, 3, seed=10))
     assert a == b
     # adding more tasks never changes the earlier ones
-    c = tasks.sample_source_tasks(data, 9, 3, seed=10)
+    c = helpers.task_records(tasks.sample_source_tasks(data, 9, 3, seed=10))
     assert c[:6] == a
     assert [t.task_id for t in a] == list(range(6))
 
 
 def test_sample_source_tasks_uniform_class_usage():
     data = tasks.make_synthetic(small_cfg())
-    specs = tasks.sample_source_tasks(data, 2000, 2, seed=77)
+    specs = helpers.task_records(tasks.sample_source_tasks(data, 2000, 2, seed=77))
     counts = np.zeros(len(data.class_ids))
     for t in specs:
         for cid in t.class_ids:
@@ -238,51 +245,75 @@ def test_sample_source_tasks_errors():
 
 
 def test_batch_of_picks_rows():
+    # every row of the dataset, labelled by its class's slot among the
+    # ascending class ids
     data = tasks.make_synthetic(small_cfg())
-    rows = [data.class_index[2][0], data.class_index[0][1], data.class_index[2][1]]
-    b = tasks.batch_of(data, rows, [0, 2])
+    rows = [data.class_index[2][0], data.class_index[0][1], data.class_index[2][1],
+            data.class_index[0][0]]
+    b = tasks.batch_of(tasks.Dataset.from_arrays(data.features[rows], data.labels[rows]))
     np.testing.assert_array_equal(b.features, data.features[rows])
-    np.testing.assert_array_equal(b.labels, [1, 0, 1])
-
-
-def test_batch_of_rejects_bad_class_ids():
-    data = tasks.make_synthetic(small_cfg())
-    rows = [data.class_index[0][0], data.class_index[2][0]]
-    with pytest.raises(ValueError, match=r"row labels \[2\] are not in class_ids"):
-        tasks.batch_of(data, rows, [0, 1])
-    with pytest.raises(ValueError, match=r"classes \[1\] have no rows"):
-        tasks.batch_of(data, rows, [0, 1, 2])
-    with pytest.raises(ValueError, match="strictly ascending"):
-        tasks.batch_of(data, rows, [2, 0])
+    np.testing.assert_array_equal(b.labels, [1, 0, 1, 0])
 
 
 def test_task_slots_label_each_task_as_batch_of_does():
     data = tasks.make_synthetic(small_cfg())
-    specs = [tasks.task_from_classes(data, ids, i, seed=i)
+    specs = [helpers.task_records(tasks.task_from_classes(data, ids, i, seed=i))[0]
              for i, ids in enumerate([[0, 2], [1, 3], [3, 0]])]
-    rows, groups = tasks.task_slots(data, specs)
+    block = helpers.block_of(specs)
+    groups = tasks.task_slots(data, block)
     lo = 0
     for i, spec in enumerate(specs):
-        want = tasks.batch_of(data, spec.support_rows + spec.query_rows, spec.class_ids)
+        want = helpers.slot_batch(data, spec.support_rows + spec.query_rows, spec.class_ids)
         hi = lo + len(want.labels)
-        np.testing.assert_array_equal(data.features[rows[lo:hi]], want.features)
+        np.testing.assert_array_equal(data.features[block.rows[lo:hi]], want.features)
         np.testing.assert_array_equal(groups[lo:hi], i * 2 + want.labels)
         lo = hi
-    assert lo == len(rows) == len(groups)
+    assert lo == len(block.rows) == len(groups)
 
 
-def test_task_slots_raise_batch_of_error_for_the_first_bad_task():
+def test_task_slots_name_the_first_task_holding_a_row_of_another_class():
     data = tasks.make_synthetic(small_cfg())
-    good = tasks.task_from_classes(data, [0, 1], 0, seed=1)
+    (good,) = helpers.task_records(tasks.task_from_classes(data, [0, 1], 0, seed=1))
     rows = tuple(data.class_index[0].tolist())
-    missing = tasks.TaskSpec(1, (0, 1), rows[:3], rows[3:])
-    unknown = tasks.TaskSpec(2, (0, 2), rows[:3], (int(data.class_index[1][0]),))
-    descending = tasks.TaskSpec(3, (1, 0), good.support_rows, good.query_rows)
-    for bad, message in ((missing, r"classes \[1\] have no rows"),
-                         (unknown, r"row labels \[1\] are not in class_ids"),
-                         (descending, "strictly ascending")):
-        with pytest.raises(ValueError, match=message):
-            tasks.task_slots(data, [good, bad, missing])
+    stray = int(data.class_index[1][0])
+    unknown = helpers.TaskSpec(2, (0, 2), rows[:3], (stray,))
+    later = helpers.TaskSpec(3, (2, 3), good.support_rows, good.query_rows)
+    with pytest.raises(ValueError, match=(
+            rf"^source task 2: row {stray} has label 1, not one of its classes$")):
+        tasks.task_slots(data, helpers.block_of([good, unknown, later]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(2, 15), min_size=2, max_size=6), st.integers(1, 6),
+       st.integers(1, 8), st.integers(0, 2**64 - 1))
+def test_sampled_block_splits_each_class_and_task_slots_search_its_class_ids(
+        sizes, n_test, s_count, seed):
+    # classes of unequal sizes, with ids apart and rows scattered, so that
+    # a slot is neither a class id nor a row's position
+    n_test = min(n_test, len(sizes))
+    ids = np.arange(len(sizes)) * 3
+    labels = np.random.default_rng(len(sizes)).permutation(np.repeat(ids, sizes))
+    data = tasks.Dataset.from_arrays(np.zeros((labels.size, 1)), labels)
+    block = tasks.sample_source_tasks(data, s_count, n_test, seed)
+    groups = tasks.task_slots(data, block)
+    assert len(block) == s_count and block.class_ids.shape == (s_count, n_test)
+    assert not any(a.flags.writeable for a in vars(block).values())
+    assert block.starts[0] == 0 and block.starts[-1] == len(block.rows) == len(groups)
+    for i, class_ids in enumerate(block.class_ids):
+        lo, hi = block.starts[i], block.starts[i + 1]
+        sup, qry = block.rows[lo : lo + block.n_support[i]], block.rows[lo + block.n_support[i] : hi]
+        assert np.all(np.diff(class_ids) > 0)
+        assert np.all(np.diff(sup) > 0) and np.all(np.diff(qry) > 0)
+        assert np.intersect1d(sup, qry).size == 0
+        np.testing.assert_array_equal(np.sort(block.rows[lo:hi]),
+                                      np.flatnonzero(np.isin(labels, class_ids)))
+        for c in class_ids:
+            size = data.class_index[c].size
+            n_sup = max(1, min(size - 1, int(round(tasks.SUPPORT_FRACTION * size))))
+            assert np.count_nonzero(labels[sup] == c) == n_sup
+            assert np.count_nonzero(labels[qry] == c) == size - n_sup
+        np.testing.assert_array_equal(
+            groups[lo:hi], i * n_test + np.searchsorted(class_ids, labels[block.rows[lo:hi]]))
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +485,8 @@ def test_sample_source_tasks_is_the_per_task_default_rng_loop_on_tas_json():
     cfg = job.pipeline
     seed = derive_seed(cfg.master_seed, pipeline._STREAM_TASKS)
     got = tasks.sample_source_tasks(train, cfg.s_count, cfg.n_test, seed)
-    assert got == helpers.serial_sample_source_tasks(train, cfg.s_count, cfg.n_test, seed)
+    want = helpers.serial_sample_source_tasks(train, cfg.s_count, cfg.n_test, seed)
+    assert helpers.task_records(got) == want
     assert len(got) == cfg.s_count == 200
 
 
@@ -511,4 +543,4 @@ def test_derive_seed_keys_task_stream():
     picked = rng.choice(len(data.class_ids), size=2, replace=False)
     ids = [data.class_ids[int(k)] for k in picked]
     rebuilt = tasks.task_from_classes(data, ids, 3, derive_seed(i3, 1))
-    assert rebuilt == full[3]
+    assert helpers.task_records(rebuilt) == helpers.task_records(full)[3:4]
