@@ -5,14 +5,15 @@
 
 Runs `tas` with no seed, with --seed 0 to 3, with the config's
 pipeline.verbose_fisher set to true and on a CSV pair, `fewshot` in each
---ablation mode, and `theorem1` with no seed and with --seed 0, in each
-checkout with that checkout's own src/ and its shipped configs/tas.json,
-configs/fewshot.json and configs/theorem1.json; --config runs every `tas`
-and `fewshot` command on that one config instead.  The CSV pair is written
-once, the same bytes for both checkouts, in the shape of the `tas` config
-(the change's, or --config): training classes of unequal sizes, so that
-source tasks fall into many support and query row counts, and
-pipeline.n_test test classes, network.layer_widths[0] columns wide.  Then
+--ablation mode, and `theorem1` and `synth` each with no seed and with
+--seed 0, in each checkout with that checkout's own src/ and its shipped
+configs/tas.json, configs/fewshot.json, configs/theorem1.json and
+configs/synth.json; --config runs every `tas` and `fewshot` command on that
+one config instead.  The CSV pair is written once, the same bytes for both
+checkouts, in the shape of the `tas` config (the change's, or --config):
+training classes of unequal sizes, so that source tasks fall into many
+support and query row counts, and pipeline.n_test test classes,
+network.layer_widths[0] columns wide.  Then
 compares every output file of each run with `timings` dropped: JSON files
 value by value, others line by line.  Prints the first difference, naming
 the run, the file and the key or line, and exits 1; or prints how many files
@@ -35,7 +36,7 @@ RUNS = (
     + [("tas", seed, None, None) for seed in range(4)]
     + [("tas", None, None, "verbose"), ("tas", None, None, "csv")]
     + [("fewshot", None, mode, None) for mode in MODES]
-    + [("theorem1", None, None, None), ("theorem1", 0, None, None)]
+    + [(command, seed, None, None) for command in ("theorem1", "synth") for seed in (None, 0)]
 )
 CSV_TRAIN_SIZES = (9, 12, 16, 21, 27, 34, 40, 47)  # rows of each training class
 CSV_TEST_ROWS = 20  # rows of each test class
@@ -72,7 +73,7 @@ def run_all(checkout: str, config: str | None, out_root: str,
         out = os.path.join(out_root, "-".join(part for part in name if part))
         os.makedirs(out)
         shipped = os.path.join(checkout, "configs", f"{command}.json")
-        path = config if config and command != "theorem1" else shipped
+        path = config if config and command in ("tas", "fewshot") else shipped
         if variant:  # the config beside the run's directory, which compare skips
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)

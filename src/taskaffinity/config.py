@@ -1,24 +1,27 @@
 """Strict JSON config parsing for the command-line entry points.
 
 The schema is the job dataclasses: a key is a field, typed by its annotation
-and optional exactly when the field has a default.  Documents are validated
-before any computation, and unknown keys are rejected.  Every float is
-finite, and every key named seed or ending in _seed is an integer in
-[0, 2**64).  A single --seed override re-derives every embedded seed from
-one master value so a run can be repointed coherently from the command line.
+and optional exactly when the field has a default; a field's metadata may
+rename its key ("key") or place it in a nested object ("in").  Documents are
+validated before any computation, and every object rejects unknown keys.
+Every float is finite, and every key named seed or ending in _seed is an
+integer in [0, 2**64).  A single --seed override re-derives every embedded
+seed from one master value so a run can be repointed coherently from the
+command line.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from typing import Any, Iterable, Optional, get_type_hints
+import os
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from typing import Any, Optional, get_type_hints
 
 from .nnet import NetworkSpec
 from .pipeline import PipelineConfig
 from .seeding import derive_seed
 from .tasks import SyntheticConfig
-from .theorem import MIN_SEEDS, NoisySGDConfig, StepSchedule
+from .theorem import MIN_SEEDS, NoisySGDConfig
 
 
 class ConfigError(ValueError):
@@ -53,34 +56,41 @@ def _done(doc: dict, path: str) -> None:
         raise ConfigError(f"unknown keys in {path or 'config'}: {sorted(doc)}")
 
 
-def _fields(cls, d: dict, path: str, names: Iterable[str]) -> dict:
-    """The named fields of dataclass cls, taken from d by their type hints.
+def _fields(cls, d: dict, path: str) -> dict:
+    """Every field of dataclass cls, taken from d by its type hint.
 
     A field with a default is an optional key; a dataclass field is a nested
-    object and a tuple[int, ...] field a list of integers.
+    object (DataSource's through _parse_data) and a tuple[int, ...] field a
+    list of integers.
     """
     hints = get_type_hints(cls)
-    out = {}
+    out, objects = {}, {}
     for f in fields(cls):
-        if f.name not in names:
-            continue
-        kind = hints[f.name]
+        src, where, key, kind = d, path, f.metadata.get("key", f.name), hints[f.name]
+        if "in" in f.metadata:
+            where = _ctx(path, f.metadata["in"])
+            if where not in objects:
+                objects[where] = dict(_take(d, f.metadata["in"], path, dict))
+            src = objects[where]
         if is_dataclass(kind):
-            out[f.name] = _parse(kind, _take(d, f.name, path, dict), _ctx(path, f.name))
+            parse = _parse_data if kind is DataSource else _parse
+            out[f.name] = parse(kind, _take(src, key, where, dict), _ctx(where, key))
         elif kind == tuple[int, ...]:
-            raw = _take(d, f.name, path, list, f.default)
+            raw = _take(src, key, where, list, f.default)
             if any(not isinstance(v, int) or isinstance(v, bool) for v in raw):
-                raise ConfigError(f"{_ctx(path, f.name)!r} must be a list of integers")
+                raise ConfigError(f"{_ctx(where, key)!r} must be a list of integers")
             out[f.name] = tuple(raw)
         else:
-            out[f.name] = _take(d, f.name, path, kind, f.default)
+            out[f.name] = _take(src, key, where, kind, f.default)
+    for where, rest in objects.items():
+        _done(rest, where)
     return out
 
 
 def _parse(cls, doc: dict, path: str):
     """An instance of dataclass cls from the object doc, whose keys are its fields."""
     d = dict(doc)
-    obj = cls(**_fields(cls, d, path, [f.name for f in fields(cls)]))
+    obj = cls(**_fields(cls, d, path))
     _done(d, path)
     return obj
 
@@ -94,7 +104,11 @@ def _object(doc: Any) -> dict:
 @dataclass(frozen=True)
 class SynthJob:
     synthetic: SyntheticConfig
-    filename: str = "dataset.csv"
+    filename: str = "dataset.csv"  # written in the --out directory
+
+    def __post_init__(self) -> None:
+        if self.filename in ("", ".", "..") or os.path.basename(self.filename) != self.filename:
+            raise ConfigError(f"'filename' must be a plain file name, not {self.filename!r}")
 
 
 @dataclass(frozen=True)
@@ -112,79 +126,56 @@ class DataSource:
 class PipelineJob:
     data: DataSource
     pipeline: PipelineConfig
-    layer_widths: tuple[int, ...]  # with activation, the JSON's "network" object
-    activation: str = NetworkSpec.activation
+    layer_widths: tuple[int, ...] = field(metadata={"in": "network"})
+    activation: str = field(default=NetworkSpec.activation, metadata={"in": "network"})
 
 
 @dataclass(frozen=True)
 class TheoremJob:
-    dim: int  # dim .. data_seed are the JSON's "fixture" object
-    n_support: int
-    n_query: int
-    l2_lambda: float
-    data_seed: int
+    dim: int = field(metadata={"in": "fixture"})
+    n_support: int = field(metadata={"in": "fixture"})
+    n_query: int = field(metadata={"in": "fixture"})
+    l2_lambda: float = field(metadata={"in": "fixture"})
+    data_seed: int = field(metadata={"in": "fixture"})
     sgd: NoisySGDConfig
     n_seeds: int
     abs_tol: float
     optimum_tol: float = 1e-10
+
+    def __post_init__(self) -> None:
+        if self.n_seeds < MIN_SEEDS:
+            raise ConfigError(f"n_seeds must be >= {MIN_SEEDS}")
+        for key in ("abs_tol", "optimum_tol"):
+            if not 0 < getattr(self, key) < math.inf:  # NaN fails too
+                raise ConfigError(f"{key} must be positive and finite")
 
 
 def parse_synth(doc: Any) -> SynthJob:
     return _parse(SynthJob, _object(doc), "")
 
 
-def _parse_data(doc: dict) -> DataSource:
+def _parse_data(cls, doc: dict, path: str) -> DataSource:
     d = dict(doc)
     if "synthetic" in d:
-        synthetic = _take(d, "synthetic", "data", dict)
-        src = DataSource(
-            synthetic=_parse(SyntheticConfig, synthetic, "data.synthetic"),
-            target_family=_take(d, "target_family", "data", int),
-            n_test_classes=_take(d, "n_test_classes", "data", int),
+        synthetic = _take(d, "synthetic", path, dict)
+        src = cls(
+            synthetic=_parse(SyntheticConfig, synthetic, _ctx(path, "synthetic")),
+            target_family=_take(d, "target_family", path, int),
+            n_test_classes=_take(d, "n_test_classes", path, int),
         )
     else:
-        src = DataSource(
-            train_csv=_take(d, "train_csv", "data", str),
-            test_csv=_take(d, "test_csv", "data", str),
-        )
-    _done(d, "data")
+        src = cls(train_csv=_take(d, "train_csv", path, str),
+                  test_csv=_take(d, "test_csv", path, str))
+    _done(d, path)
     return src
 
 
 def parse_pipeline(doc: Any) -> PipelineJob:
-    d = _object(doc)
-    data = _parse_data(_take(d, "data", "", dict))
-    nd = dict(_take(d, "network", "", dict))
-    network = _fields(PipelineJob, nd, "network", ("layer_widths", "activation"))
-    _done(nd, "network")
-    job = PipelineJob(data, **_fields(PipelineJob, d, "", ("pipeline",)), **network)
-    _done(d, "")
-    return job
+    return _parse(PipelineJob, _object(doc), "")
 
 
 def parse_theorem(doc: Any) -> TheoremJob:
-    d = _object(doc)
-    fd = dict(_take(d, "fixture", "", dict))
-    sd = dict(_take(d, "sgd", "", dict))
-    schedule = _parse(StepSchedule, _take(sd, "schedule", "sgd", dict), "sgd.schedule")
-    sgd = NoisySGDConfig(
-        schedule, **_fields(NoisySGDConfig, sd, "sgd", ("noise_sigma", "total_steps", "seed"))
-    )
-    _done(sd, "sgd")
-    fixture = ("dim", "n_support", "n_query", "l2_lambda", "data_seed")
-    job = TheoremJob(
-        sgd=sgd,
-        **_fields(TheoremJob, fd, "fixture", fixture),
-        **_fields(TheoremJob, d, "", ("n_seeds", "abs_tol", "optimum_tol")),
-    )
-    _done(fd, "fixture")
-    _done(d, "")
-    if job.n_seeds < MIN_SEEDS:
-        raise ConfigError(f"n_seeds must be >= {MIN_SEEDS}")
-    for key in ("abs_tol", "optimum_tol"):
-        if not 0 < getattr(job, key) < math.inf:  # NaN fails too
-            raise ConfigError(f"{key} must be positive and finite")
-    return job
+    return _parse(TheoremJob, _object(doc), "")
 
 
 # ---------------------------------------------------------------------------

@@ -66,12 +66,14 @@ class CostError(ValueError):
         self.index = index
 
 
-def class_centroids(emb: np.ndarray, slots: np.ndarray, n: int) -> np.ndarray:
-    """Mean embedding of each class slot 0..n-1, shape (n, d), each slot's
-    rows summed in row order.  An empty slot's row is NaN, which the solvers
-    reject."""
-    sums = np.zeros((n, emb.shape[1]))
-    np.add.at(sums, slots, emb)
+def class_centroids(emb: np.ndarray, slots: np.ndarray, n: int,
+                    rows: np.ndarray | None = None) -> np.ndarray:
+    """Mean embedding of each class slot 0..n-1, shape (n, d), of emb's rows
+    or, given rows, of emb[rows], read with no (rows, d) copy; slots names
+    each row's slot.  Each slot's rows are summed in row order (one bincount
+    per column).  An empty slot's row is NaN, which the solvers reject."""
+    sums = np.stack([np.bincount(slots, col if rows is None else col[rows], n)
+                     for col in emb.T], axis=1)
     with np.errstate(invalid="ignore"):
         return sums / np.bincount(slots, minlength=n)[:, None]
 

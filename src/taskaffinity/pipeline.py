@@ -254,7 +254,6 @@ def mtas(slots: list[nnet.PoolExit], sources: tasks.TaskBlock,
     return ranked, errors
 
 ENCODE_CHUNK = 128  # training rows per encode call when matching the source tasks
-MATCH_CHUNK = 16  # source tasks whose rows are gathered at once; bounds that memory
 POOL_SLOTS = 16  # source tasks whose epsilon-approximations train at once; bounds that memory
 SCORE_CHUNK = 8  # source tasks whose Fisher diagonals are taken at once; bounds that memory:
 # a chunk's held Fisher buffers take about 1.7 MB for both sides at the shipped shapes
@@ -271,13 +270,8 @@ def _match_sources(sources, groups, target, train, whole, cfg) -> list[matching.
         raise ValueError("source must have n_test classes")
     emb = np.concatenate([nnet.encode(whole, train.features[lo : lo + ENCODE_CHUNK])
                           for lo in range(0, train.n, ENCODE_CHUNK)])
-    cents = []
-    for lo in range(0, len(sources), MATCH_CHUNK):
-        hi = min(lo + MATCH_CHUNK, len(sources))
-        a, b = sources.starts[lo], sources.starts[hi]
-        cents.append(matching.class_centroids(emb[sources.rows[a:b]], groups[a:b] - lo * n,
-                                              (hi - lo) * n))
-    cents = np.concatenate(cents).reshape(len(sources), n, -1)
+    cents = matching.class_centroids(emb, groups, len(sources) * n, sources.rows)
+    cents = cents.reshape(len(sources), n, -1)
     try:
         return matching.hungarian(matching.cost_matrix(cents, target.centroids))
     except matching.CostError as exc:
@@ -467,13 +461,16 @@ def phases_1_2(
     Returns the whole network, the scores of s_count sampled source tasks
     ordered by rank_all_sources, and the whole_train_s / rank_s timings.  The
     target task is every test class, so a test set without exactly n_test
-    classes is rejected before training starts; so is a training or test set
-    not spec.input_dim columns wide.
+    classes is rejected before training starts; so are a training set of
+    fewer classes and a training or test set not spec.input_dim columns wide.
     """
     if len(test.class_ids) != cfg.n_test:
         raise ValueError(
             f"n_test={cfg.n_test} but the test set has {len(test.class_ids)} classes"
         )
+    if cfg.n_test > len(train.class_ids):
+        raise ValueError(f"n_test={cfg.n_test} exceeds the {len(train.class_ids)} "
+                         "training classes")
     for split, data in (("training", train), ("test", test)):
         if data.dim != spec.input_dim:
             raise ValueError(

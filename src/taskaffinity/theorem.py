@@ -15,7 +15,7 @@ optimum: the gap should shrink toward zero as steps accumulate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -98,7 +98,7 @@ class NoisySGDConfig:
     """One noisy-SGD run's settings.  seed is the master seed a caller derives
     the per-run seeds it passes to noisy_sgd from."""
 
-    step_schedule: StepSchedule
+    step_schedule: StepSchedule = field(metadata={"key": "schedule"})
     noise_sigma: float
     total_steps: int
     seed: int

@@ -1,11 +1,12 @@
 """Config parsing, seed overrides, and end-to-end command-line runs."""
 
 import json
+import math
 import os
 import re
 import warnings
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -232,6 +233,32 @@ def test_parse_theorem():
     assert job.sgd.step_schedule.exponent == 0.6
 
 
+@pytest.mark.parametrize(
+    "mutate,where",
+    [
+        (lambda d: d.update(extra=1), "config"),
+        (lambda d: d["fixture"].update(extra=1), "fixture"),
+        (lambda d: d["sgd"].update(extra=1), "sgd"),
+        (lambda d: d["sgd"]["schedule"].update(extra=1), "sgd.schedule"),
+    ],
+)
+def test_parse_theorem_rejects_unknown_keys(mutate, where):
+    doc = theorem_doc()
+    mutate(doc)
+    with pytest.raises(cfgmod.ConfigError, match=re.escape(f"unknown keys in {where}: ['extra']")):
+        cfgmod.parse_theorem(doc)
+
+
+@pytest.mark.parametrize(
+    "key,value", [("n_seeds", theorem.MIN_SEEDS - 1), ("abs_tol", 0.0), ("optimum_tol", math.inf)]
+)
+def test_theorem_job_checks_its_own_values(key, value):
+    # built directly, not parsed: the job itself holds these checks
+    job = cfgmod.parse_theorem(theorem_doc())
+    with pytest.raises(cfgmod.ConfigError, match=f"^{key} must be"):
+        replace(job, **{key: value})
+
+
 def set_key(doc, path, value):
     *parents, last = path.split(".")
     for key in parents:
@@ -395,6 +422,18 @@ def test_synth_command_writes_expected_csv(tmp_path, capsys):
     expect = tasks.make_synthetic(tasks.SyntheticConfig(**synth_block()))
     np.testing.assert_array_equal(data.features, expect.features)
     np.testing.assert_array_equal(data.labels, expect.labels)
+
+
+@pytest.mark.parametrize("filename", ["../escaped.csv", "sub/x.csv", "", ".", ".."])
+def test_synth_filename_outside_out_fails_at_parse(tmp_path, capsys, filename):
+    cfg = write_config(tmp_path, {"synthetic": synth_block(), "filename": filename})
+    out = tmp_path / "run" / "out"
+    assert cli.main(["synth", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'filename' must be a plain file name") and err.count("\n") == 1
+    assert [(root, files) for root, _, files in os.walk(tmp_path) if files] == [
+        (str(tmp_path), ["cfg.json"])
+    ]
 
 
 def test_synth_seed_override_is_coherent(tmp_path):
@@ -572,6 +611,30 @@ def test_wrong_n_test_fails_before_training(tmp_path, monkeypatch, capsys, comma
     cfg = write_config(tmp_path, doc)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert "n_test=3 but the test set has 2 classes" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["tas", "fewshot"])
+def test_n_test_above_the_training_classes_fails_before_training(
+    tmp_path, monkeypatch, capsys, command
+):
+    # 2 training classes and 3 test classes, n_test 3
+    train, test = _doc_splits()
+    ids = train.class_ids
+    keep = np.isin(train.labels, ids[:2])
+    small = tasks.Dataset.from_arrays(train.features[keep], train.labels[keep])
+    wide = tasks.Dataset.from_arrays(
+        np.concatenate([test.features, train.features[train.labels == ids[2]]]),
+        np.concatenate([test.labels, train.labels[train.labels == ids[2]]]),
+    )
+    cfg = _csv_config(tmp_path, tasks.csv_text(small), tasks.csv_text(wide))
+    with open(cfg) as fh:
+        doc = json.load(fh)
+    doc["pipeline"]["n_test"] = 3
+    cfg = write_config(tmp_path, doc)
+    calls = _spy_whole_training(monkeypatch)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: n_test=3 exceeds the 2 training classes\n"
     assert calls == []
 
 

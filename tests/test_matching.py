@@ -200,18 +200,31 @@ def test_hungarian_rejects_a_non_square_stack():
 
 def test_stacked_centroids_and_costs_equal_per_task_ones():
     # one class_centroids call over S tasks' groups and one stacked
-    # cost_matrix equal the per-task masked means and 2-D costs bitwise
+    # cost_matrix equal the per-task masked means and 2-D costs bitwise, for
+    # four tasks over a tiled copy of all 60 rows, and, given rows, for four
+    # tasks of unequal sizes gathered from emb, the last with slot 2 empty
     rng = np.random.default_rng(44)
     emb = rng.standard_normal((60, 8))
+    target = rng.standard_normal((3, 8))
     slots = rng.integers(0, 3, size=(4, 60))
     groups = (np.arange(4)[:, None] * 3 + slots).ravel()
-    cents = matching.class_centroids(np.tile(emb, (4, 1)), groups, 12).reshape(4, 3, 8)
-    target = rng.standard_normal((3, 8))
-    costs = matching.cost_matrix(cents, target)
-    for s in range(4):
-        want = helpers.serial_class_centroids(emb, slots[s], 3)
-        assert cents[s].tobytes() == want.tobytes()
-        assert costs[s].tobytes() == matching.cost_matrix(want, target).tobytes()
+    tiled = matching.class_centroids(np.tile(emb, (4, 1)), groups, 12)
+    picks = [rng.choice(60, size, replace=False) for size in (12, 21, 35, 7)]
+    parts = [rng.permutation(np.arange(len(p)) % (3 if s < 3 else 2)) for s, p in enumerate(picks)]
+    rows, groups = np.concatenate(picks), np.concatenate([3 * s + p for s, p in enumerate(parts)])
+    gathered = matching.class_centroids(emb, groups, 12, rows)
+    assert np.isnan(gathered[11]).all() and not np.isnan(np.delete(gathered, 11, axis=0)).any()
+    assert gathered.tobytes() == matching.class_centroids(emb[rows], groups, 12).tobytes()
+    for cents, per_task in ((tiled, [(np.arange(60), p) for p in slots]),
+                            (gathered, zip(picks, parts))):
+        cents = cents.reshape(4, 3, 8)
+        costs = matching.cost_matrix(cents, target)
+        for s, (picked, part) in enumerate(per_task):
+            n = len(np.unique(part))
+            want = helpers.serial_class_centroids(emb[picked], part, n)
+            assert cents[s, :n].tobytes() == want.tobytes()
+            if n == 3:
+                assert costs[s].tobytes() == matching.cost_matrix(want, target).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -189,11 +190,13 @@ def test_same_outputs_reports_the_repo_identical_to_itself(tmp_path):
     pipe["finetune_schedule"]["epochs"] = 3
     config = tmp_path / "small.json"
     config.write_text(json.dumps(doc))
-    # --config leaves theorem1 on the checkout's own config: a checkout of
-    # this src/ whose configs/theorem1.json runs 3,000 steps of 5 seeds
+    # --config leaves theorem1 and synth on the checkout's own configs: a
+    # checkout of this src/ whose configs/theorem1.json runs 3,000 steps of
+    # 5 seeds, beside the shipped configs/synth.json
     checkout = tmp_path / "checkout"
     (checkout / "configs").mkdir(parents=True)
     (checkout / "src").symlink_to(os.path.abspath(os.path.join(ROOT, "src")))
+    shutil.copy(os.path.join(ROOT, "configs", "synth.json"), checkout / "configs")
     with open(os.path.join(ROOT, "configs", "theorem1.json"), encoding="utf-8") as fh:
         theorem_doc = json.load(fh)
     theorem_doc["sgd"]["total_steps"] = 3000
@@ -202,8 +205,8 @@ def test_same_outputs_reports_the_repo_identical_to_itself(tmp_path):
     out = _run_script("same_outputs.py", str(checkout), str(checkout), "--config", str(config))
     # tas writes 3 files in each of 7 runs (one keeping the Fisher
     # diagonals, one on the CSV pair), fewshot 4 in each of 3, theorem1 2 in
-    # each of 2
-    assert out == "identical: 37 files of 12 runs, timings dropped\n"
+    # each of 2 and synth 1 in each of 2
+    assert out == "identical: 39 files of 14 runs, timings dropped\n"
 
 
 def test_same_outputs_verbose_run_writes_the_fisher_diagonals(tmp_path, monkeypatch):
