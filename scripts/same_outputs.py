@@ -5,8 +5,10 @@
 
 Runs `tas` with no seed, with --seed 0 to 3, with the config's
 pipeline.verbose_fisher set to true and on a CSV pair, `fewshot` in each
---ablation mode, and `theorem1` and `synth` each with no seed and with
---seed 0, in each checkout with that checkout's own src/ and its shipped
+--ablation mode and once at an off-default shape (tanh, layer_widths
+[width, 24, 9], m_way 2, k_shot 1, q_query 3: odd slot and embedding
+counts), and `theorem1` and `synth` each with no seed and with --seed 0,
+in each checkout with that checkout's own src/ and its shipped
 configs/tas.json, configs/fewshot.json, configs/theorem1.json and
 configs/synth.json; --config runs every `tas` and `fewshot` command on that
 one config instead.  The CSV pair is written once, the same bytes for both
@@ -30,12 +32,13 @@ import tempfile
 
 MODES = ("related", "non_related", "random")  # the fewshot --ablation choices
 # (command, --seed, --ablation, the config's variant: None, "verbose" for the
-# run that keeps the Fisher diagonals, "csv" for the run on the CSV pair)
+# run that keeps the Fisher diagonals, "csv" for the run on the CSV pair,
+# "shape" for the run at the off-default shape)
 RUNS = (
     [("tas", None, None, None)]
     + [("tas", seed, None, None) for seed in range(4)]
     + [("tas", None, None, "verbose"), ("tas", None, None, "csv")]
-    + [("fewshot", None, mode, None) for mode in MODES]
+    + [("fewshot", None, mode, None) for mode in MODES] + [("fewshot", None, None, "shape")]
     + [(command, seed, None, None) for command in ("theorem1", "synth") for seed in (None, 0)]
 )
 CSV_TRAIN_SIZES = (9, 12, 16, 21, 27, 34, 40, 47)  # rows of each training class
@@ -79,6 +82,10 @@ def run_all(checkout: str, config: str | None, out_root: str,
                 doc = json.load(fh)
             if variant == "verbose":
                 doc["pipeline"]["verbose_fisher"] = True
+            elif variant == "shape":  # the input width stays the config's
+                net = doc["network"]
+                net.update(activation="tanh", layer_widths=net["layer_widths"][:1] + [24, 9])
+                doc["pipeline"].update(m_way=2, k_shot=1, q_query=3)
             else:
                 doc["data"] = csv_data
             path = out + ".json"

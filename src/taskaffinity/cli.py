@@ -332,7 +332,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.seed is not None and not 0 <= args.seed < 2**64:  # as config seeds; exits 2
+        parser.error(f"argument --seed: must be an integer in [0, 2**64), got {args.seed}")
     # the package logger reports to stderr for this command only
     logger = logging.getLogger(__package__)
     handler = logging.StreamHandler(sys.stderr)

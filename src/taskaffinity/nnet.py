@@ -21,10 +21,10 @@ their intermediates into its buffers (`_into`).  `_unpack` views a bias as
 activations (M, E, n, d) with each network's arithmetic unchanged.  One momentum-SGD
 epoch, `_descend`, steps every training, building no `Batch` or `Network`
 per step: `train` (under the linear head) one parameter vector;
-`train_episodic` (the encoder under the nearest-centroid head) one (M, P)
-stack of copies in lockstep; and `train_pool` a rolling pool of up to W
-fine-tunes under fresh linear heads, one (W, P) buffer whose rows sit at
-epochs of their own and leave on reaching a target query accuracy.
+`train_episodic` (the encoder under the nearest-centroid head, slot-major)
+one (M, P) stack of copies in lockstep; and `train_pool` a rolling pool of
+up to W fine-tunes under fresh linear heads, one (W, P) buffer whose rows
+sit at epochs of their own and leave on reaching a target query accuracy.
 """
 
 from __future__ import annotations
@@ -286,46 +286,75 @@ def _accuracy(spec: NetworkSpec, layers: _Layers, x: np.ndarray, labels: np.ndar
     return np.count_nonzero(hits, axis=-1) / labels.shape[-1]
 
 
+def _lead_sum(x: np.ndarray) -> np.ndarray:
+    """x summed over its leading axis of n terms, each op over the long
+    trailing axes, as np.add.reduce sums a contiguous last axis: pairwise
+    (below 8 terms one by one; up to 128, 8 running sums of every eighth term,
+    ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), then the rest one by one; above,
+    two halves cut at a multiple of 8) onto 0.0, which only makes -0.0 sums 0.0."""
+    n = len(x)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _lead_sum(x[:half]) + _lead_sum(x[half:])
+    if n < 8:
+        res, tail = x[0] + 0.0, x[1:]  # any partial sum may take the start
+    else:
+        r = sum((x[lo : lo + 8] for lo in range(8, n - n % 8, 8)), x[:8])
+        r = r[0::2] + r[1::2]
+        res, tail = (r[0] + r[1]) + (r[2] + r[3]) + 0.0, x[n - n % 8 :]
+    for row in tail:
+        res += row
+    return res
+
+
 def _centroid_distances(es: np.ndarray, eq: np.ndarray, k_shot: int) -> tuple:
-    """The slot centroids (E, m, d) of support embeddings es (E, m * k_shot, d),
-    rows grouped by slot, and the squared distances (E, nq, m) of eq's rows to them."""
-    m = es.shape[1] // k_shot
-    cents = np.add.reduce(es.reshape(es.shape[0], m, k_shot, -1), axis=2) / k_shot
-    diff = eq[:, :, None, :] - cents[:, None, :, :]
+    """The slot centroids (B, m, d) of support embeddings es (B, m * k_shot, d),
+    rows grouped by slot, and the squared distances (m, B, nq) of eq's rows to
+    them, summed over a (d, m, B, nq) block of differences."""
+    cents = np.add.reduce(es.reshape(es.shape[0], -1, k_shot, es.shape[2]), axis=2) / k_shot
+    diff = np.subtract(eq.transpose(2, 0, 1)[:, None], cents.T[..., None], order="C")
     diff *= diff
-    return cents, np.add.reduce(diff, axis=3)
+    return cents, _lead_sum(diff)
 
 
 def centroid_accuracy(es: np.ndarray, eq: np.ndarray, k_shot: int) -> np.ndarray:
     """Each episode's hard nearest-centroid accuracy (E,), its query rows
     grouped by slot too; distance ties go to the lowest slot."""
     d2 = _centroid_distances(es, eq, k_shot)[1]
-    y = np.repeat(np.arange(d2.shape[2]), eq.shape[1] // d2.shape[2])
-    return np.add.reduce(np.argmin(d2, axis=2) == y, axis=1) / eq.shape[1]
+    y = np.repeat(np.arange(d2.shape[0]), eq.shape[1] // d2.shape[0])
+    return np.add.reduce(np.argmin(d2, axis=0) == y, axis=1) / eq.shape[1]
 
 
-def _centroid_loss_grads(es: np.ndarray, eq: np.ndarray, k_shot: int, temperature: float,
-                         y: np.ndarray) -> tuple:
-    """The soft nearest-centroid head: each episode's cross-entropy of softmax(-d2 /
-    temperature) for query slots y, d2 as _centroid_distances's, and its gradients on es, eq."""
-    cents, d2 = _centroid_distances(es, eq, k_shot)
-    nq = eq.shape[1]
-    per_query, dd = _cross_entropy(np.divide(d2, -temperature, out=d2), y)
-    losses = np.add.reduce(per_query, axis=1) / nq
-    dd /= nq
-    dd /= -temperature
-    g_query = 2.0 * (np.add.reduce(dd, axis=2, keepdims=True) * eq - dd @ cents)
+def _centroid_loss_grads(es: np.ndarray, eq: np.ndarray, k_shot: int, temperature: float) -> tuple:
+    """The soft nearest-centroid head: each episode's cross-entropy (B,) of
+    softmax(-d2 / temperature) over the slots, slot-major like d2, and its
+    gradients on es and eq, from products that take it as (B, nq, m)."""
+    cents, logits = _centroid_distances(es, eq, k_shot)
+    m, nq = logits.shape[0], eq.shape[1]
+    logits /= -temperature
+    zmax = np.maximum.reduce(logits, axis=0)
+    delta = np.exp(np.subtract(logits, zmax))
+    total = _lead_sum(delta)
+    by_slot = logits.reshape(m, -1, m, nq // m)  # [s, b, t, j]: slot s's logit of slot t's query j
+    own = np.diagonal(by_slot, axis1=0, axis2=2).swapaxes(1, 2)
+    per_query = (zmax + np.log(total)).reshape(own.shape) - own
+    losses = np.add.reduce(per_query.reshape(-1, nq), axis=1) / nq
+    delta /= total
+    np.subtract(delta.reshape(by_slot.shape), _identity(m)[:, None, :, None],  # one-hot labels
+                out=delta.reshape(by_slot.shape))
+    delta /= nq
+    delta /= -temperature
+    dd = np.ascontiguousarray(delta.transpose(1, 2, 0))
+    g_query = 2.0 * (_lead_sum(delta)[..., None] * eq - dd @ cents)
     g_cent = -2.0 * (dd.swapaxes(1, 2) @ eq - np.add.reduce(dd, axis=1)[:, :, None] * cents)
-    g_support = np.repeat(g_cent, k_shot, axis=1) / k_shot
-    return losses, g_support, g_query
+    return losses, np.repeat(g_cent, k_shot, axis=1) / k_shot, g_query
 
 
-def _episode_buffers(spec: NetworkSpec, xs: np.ndarray, xq: np.ndarray, k_shot: int) -> tuple:
-    """For stacks shaped like xs and xq, a (2, ..., E, P) gradient buffer, zero on
-    the head, which nothing writes, its halves' encoder views and the query slots."""
-    out, m = np.zeros((2,) + xs.shape[:-2] + (spec.param_count,)), xs.shape[-2] // k_shot
-    y = np.repeat(np.arange(m), xq.shape[-2] // m)
-    return out, _unpack(spec, out[0])[:-1], _unpack(spec, out[1])[:-1], y
+def _episode_buffers(spec: NetworkSpec, xs: np.ndarray) -> tuple:
+    """For stacks shaped like xs, a (2, ..., E, P) gradient buffer, zero on
+    the head, which nothing writes, and its halves' encoder views."""
+    out = np.zeros((2,) + xs.shape[:-2] + (spec.param_count,))
+    return out, _unpack(spec, out[0])[:-1], _unpack(spec, out[1])[:-1]
 
 
 def _episode_grads(spec: NetworkSpec, encoder: _Layers, xs: np.ndarray, xq: np.ndarray,
@@ -334,11 +363,11 @@ def _episode_grads(spec: NetworkSpec, encoder: _Layers, xs: np.ndarray, xq: np.n
     features (..., E, n, d) and their flat gradients (..., E, P), a view into
     buffers that the next call overwrites; the head runs on the episodes as
     one flat stack, and the backward pass reuses one encoder pass per stack."""
-    out, views_s, views_q, y = buffers
+    out, views_s, views_q = buffers
     pass_s, pass_q = _forward(spec, encoder, xs), _forward(spec, encoder, xq)
     es, eq = pass_s[-1], pass_q[-1]
     losses, g_s, g_q = _centroid_loss_grads(es.reshape((-1,) + es.shape[-2:]),
-                                            eq.reshape((-1,) + eq.shape[-2:]), k_shot, temperature, y)
+                                            eq.reshape((-1,) + eq.shape[-2:]), k_shot, temperature)
     _backward(spec, encoder, pass_s, g_s.reshape(es.shape), views_s)
     _backward(spec, encoder, pass_q, g_q.reshape(eq.shape), views_q)
     out[0] += out[1]
@@ -510,7 +539,7 @@ def train_episodic(
         if (xs.shape, xq.shape) != shape:
             if xs.ndim != 4 or xs.shape[:2] != xq.shape[:2] or len(xs) != copies:
                 raise ValueError(f"episodes must be stacks ({copies}, E, n, {spec.input_dim})")
-            buffers, shape = _episode_buffers(spec, xs, xq, k_shot), (xs.shape, xq.shape)
+            buffers, shape = _episode_buffers(spec, xs), (xs.shape, xq.shape)
         losses, per_episode = _episode_grads(spec, encoder, xs, xq, k_shot, temperature, buffers)
         # numpy sums axis 1 row by row, in episode order
         np.divide(np.add.reduce(per_episode, axis=1), per_episode.shape[1], out=g)

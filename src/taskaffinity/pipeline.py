@@ -383,10 +383,10 @@ def episodic_finetune(
     finetune_schedule.batch_size episodes drawn from the training rows of
     its set's classes only; finetune_schedule.epochs counts meta-updates.
     Every episode is drawn before the first meta-update, one draw per
-    distinct row counts of the modes' classes (see _positions), and each
-    meta-update gathers every mode's rows, then their features once per
-    side.  Returns each mode's network and each of its meta-updates' mean
-    loss, which do not depend on the other modes.
+    distinct row counts of the modes' classes (see _positions), made row
+    indices FINETUNE_CHUNK meta-updates at a time; each meta-update gathers
+    every mode's features once per side.  Returns each mode's network and
+    each of its meta-updates' mean loss, which do not depend on the others.
     """
     sched, draws, plans = cfg.finetune_schedule, {}, []
     for mode, chosen in sets.items():
@@ -399,11 +399,14 @@ def episodic_finetune(
             range(sched.epochs), range(sched.batch_size))))
 
     def episodes():
-        for lo in range(0, sched.epochs * sched.batch_size, sched.batch_size):
-            hi = lo + sched.batch_size
-            sup, qry = zip(*(tasks.episode_rows(table, picks[lo:hi], positions[lo:hi], cfg.k_shot)
-                             for table, picks, positions in plans))
-            yield train.features[np.stack(sup)], train.features[np.stack(qry)]
+        size = sched.batch_size
+        for lo in range(0, sched.epochs * size, FINETUNE_CHUNK * size):
+            hi = lo + FINETUNE_CHUNK * size  # the last chunk's slices stop short
+            rows = [tasks.episode_rows(table, picks[lo:hi], positions[lo:hi], cfg.k_shot)
+                    for table, picks, positions in plans]
+            sup, qry = map(np.stack, zip(*rows))  # each (modes, episodes, rows)
+            for at in range(0, sup.shape[1], size):  # one gather per side and meta-step
+                yield train.features[sup[:, at : at + size]], train.features[qry[:, at : at + size]]
 
     try:
         tuned, histories = nnet.train_episodic(
@@ -416,6 +419,7 @@ def episodic_finetune(
 
 
 EVAL_CHUNK = 50  # evaluation episodes per stack; bounds the memory one stack holds
+FINETUNE_CHUNK = 32  # meta-steps whose episode rows are built at once; bounds the index block
 
 
 def evaluate_fewshot(

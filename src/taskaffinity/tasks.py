@@ -204,14 +204,18 @@ def task_slots(data: Dataset, block: TaskBlock) -> np.ndarray:
     times n plus its slot, the index of its label among the task's n class
     ids.  A row whose label is not one of its task's classes is an error
     naming the task."""
+    ids = np.array(data.class_ids)
     task = np.repeat(np.arange(len(block)), np.diff(block.starts))
-    hit = block.class_ids[task] == data.labels[block.rows][:, None]
-    known = hit.any(axis=1)
-    if not known.all():
-        r = int(np.argmin(known))
+    dense = np.searchsorted(ids, block.class_ids).clip(max=ids.size - 1)
+    t, j = np.nonzero(ids[dense] == block.class_ids)  # each task's classes that data has
+    lookup = np.full((len(block), ids.size), -1, np.intp)  # slot by dense class index
+    lookup[t, dense[t, j]] = j
+    slots = lookup[task, np.searchsorted(ids, data.labels[block.rows])]
+    if np.any(slots < 0):
+        r = int(np.argmin(slots >= 0))
         raise ValueError(f"source task {block.task_ids[task[r]]}: row {block.rows[r]} has "
                          f"label {data.labels[block.rows[r]]}, not one of its classes")
-    return task * block.class_ids.shape[1] + hit.argmax(axis=1)
+    return task * block.class_ids.shape[1] + slots
 
 
 def _split(data: Dataset, ids: list[int], rng: np.random.Generator) -> list[np.ndarray]:

@@ -10,7 +10,10 @@ for bit, fixed-step descent to the logistic optimum, the per-layer Fisher diagon
 training loop that nnet.train must reproduce bit for bit, the serial
 phase-3 path (one episode at a time, as validated Batches) that the stacked
 meta-steps must reproduce bit for bit, the one-network phase-3 loop that
-each copy of the lockstep loop must reproduce bit for bit, the per-task
+each copy of the lockstep loop must reproduce bit for bit, through this
+module's forward and backward and the episode-major nearest-centroid head
+(every sum along a contiguous last axis) that nnet's slot-major head
+replaced, the per-task
 ranking route (one encode, one centroid set and one hungarian call per
 source task, and its Fisher diagonals on a stack of one network) that the
 blocked and chunked ranking must reproduce bit for bit, and the
@@ -673,26 +676,69 @@ def serial_episodic_finetune(whole, related, train, cfg):
     return nnet.Network(whole.spec, params), history
 
 
+def centroid_distances(es, eq, k_shot):
+    """nnet._centroid_distances episode-major: slot centroids (E, m, d) of
+    support embeddings es (E, m * k_shot, d), rows grouped by slot, and the
+    squared distances (E, nq, m) of eq's rows to them, summed along a
+    contiguous last axis."""
+    m = es.shape[1] // k_shot
+    cents = np.add.reduce(es.reshape(es.shape[0], m, k_shot, -1), axis=2) / k_shot
+    diff = eq[:, :, None, :] - cents[:, None, :, :]
+    diff *= diff
+    return cents, np.add.reduce(diff, axis=3)
+
+
+def centroid_loss_grads(es, eq, k_shot, temperature):
+    """nnet._centroid_loss_grads episode-major: each episode's loss (E,) and
+    its gradients on es and eq, from (E, nq, m) logits whose sums over the
+    slots run along a contiguous last axis."""
+    cents, d2 = centroid_distances(es, eq, k_shot)
+    nq, m = d2.shape[1:]
+    y = np.repeat(np.arange(m), nq // m)
+    per_query, dd = _cross_entropy(np.divide(d2, -temperature, out=d2), y)
+    losses = np.add.reduce(per_query, axis=1) / nq
+    dd /= nq
+    dd /= -temperature
+    g_query = 2.0 * (np.add.reduce(dd, axis=2, keepdims=True) * eq - dd @ cents)
+    g_cent = -2.0 * (dd.swapaxes(1, 2) @ eq - np.add.reduce(dd, axis=1)[:, :, None] * cents)
+    return losses, np.repeat(g_cent, k_shot, axis=1) / k_shot, g_query
+
+
+def centroid_accuracy(es, eq, k_shot):
+    """nnet.centroid_accuracy from the episode-major distances."""
+    d2 = centroid_distances(es, eq, k_shot)[1]
+    y = np.repeat(np.arange(d2.shape[2]), eq.shape[1] // d2.shape[2])
+    return np.add.reduce(np.argmin(d2, axis=2) == y, axis=1) / eq.shape[1]
+
+
+def episode_grads(spec, params, xs, xq, k_shot, temperature):
+    """nnet._episode_grads for one network's flat params and its episodes'
+    support and query features (E, n, d): the losses (E,) and flat gradients
+    (E, P), through this module's forward and backward, each product one
+    episode's, and the episode-major head."""
+    layers = nnet._unpack(spec, params)[:-1]
+    (pre_s, acts_s), (pre_q, acts_q) = _forward(spec, layers, xs), _forward(spec, layers, xq)
+    losses, g_s, g_q = centroid_loss_grads(acts_s[-1], acts_q[-1], k_shot, temperature)
+    out = np.zeros((2, xs.shape[0], spec.param_count))
+    _backward(spec, layers, pre_s, acts_s, g_s, nnet._unpack(spec, out[0])[:-1])
+    _backward(spec, layers, pre_q, acts_q, g_q, nnet._unpack(spec, out[1])[:-1])
+    return losses, out[0] + out[1]
+
+
 def serial_train_episodic(net, episodes, schedule, k_shot, temperature):
     """nnet.train_episodic of one network, as the loop it replaced: each
-    meta-update's (E, n, d) stacks through nnet's episode kernels on a flat
-    parameter vector, with its own momentum loop and learning-rate decay.
-    Returns the network and each meta-update's mean loss."""
-    spec = net.spec
-    params = net.params.copy()
-    encoder = nnet._unpack(spec, params)[:-1]
-    velocity = np.zeros_like(params)
-    history = []
+    meta-update's (E, n, d) stacks through episode_grads on a flat parameter
+    vector, with its own momentum loop and learning-rate decay.  Returns the
+    network and each meta-update's mean loss."""
+    params, velocity, history = net.params.copy(), np.zeros_like(net.params), []
     for lr in schedule.learning_rates():
         xs, xq = next(episodes)
-        buffers = nnet._episode_buffers(spec, xs, xq, k_shot)
-        losses, per_episode = nnet._episode_grads(spec, encoder, xs, xq, k_shot, temperature,
-                                                  buffers)
+        losses, per_episode = episode_grads(net.spec, params, xs, xq, k_shot, temperature)
         velocity *= schedule.momentum
         velocity += np.add.reduce(per_episode, axis=0) / len(per_episode)
-        params -= velocity * lr  # in place: the encoder views see the step
+        params -= velocity * lr
         history.append(float(np.add.reduce(losses) / losses.shape[0]))
-    return nnet.Network(spec, params), history
+    return nnet.Network(net.spec, params), history
 
 
 def serial_evaluate_fewshot(net, test, cfg):

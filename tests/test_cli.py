@@ -772,6 +772,30 @@ def test_log_level_is_on_every_subcommand_and_checked(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["synth", "tas", "fewshot", "theorem1"])
+@pytest.mark.parametrize("value", ["-1", str(2**64), str(2**70)])
+def test_seed_outside_64_bits_fails_at_parse(tmp_path, capsys, monkeypatch, command, value):
+    # derive_seed reduces mod 2**64, so -1 would run as 2**64 - 1 and 2**64 as 0
+    monkeypatch.setattr(cli, "_load_config", lambda path: pytest.fail("config was read"))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", "c.json", "--out", str(out), "--seed", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: must be an integer in [0, 2**64), got {value}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", str(2**64 - 1)])
+def test_seed_at_either_64_bit_bound_goes_on_to_the_config(capsys, monkeypatch, value):
+    def read(path):
+        raise ValueError(f"read {path}")
+
+    monkeypatch.setattr(cli, "_load_config", read)
+    assert cli.main(["tas", "--config", "c.json", "--seed", value]) == 1
+    assert capsys.readouterr().err == "error: read c.json\n"
+
+
 def test_fewshot_command_report(tmp_path):
     cfg = write_config(tmp_path, pipeline_doc())
     out = str(tmp_path / "out")

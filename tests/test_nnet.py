@@ -384,6 +384,58 @@ def test_train_episodic_rejects_wrong_feature_width():
             nnet.train_episodic(net, 2, episodes, sched, 2, 1.0)
 
 
+def _same_bits(got, want):
+    """Equal bit for bit, each NaN counting as every other NaN: numpy's
+    pairwise loop and a sum of whole arrays may carry different NaN payloads."""
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lead_sum_equals_add_reduce_along_a_last_axis_bitwise(seed):
+    # every branch of numpy's pairwise sum: one by one below 8 terms, 8
+    # running sums with a tail up to 128, halves at a multiple of 8 above;
+    # the start of 0.0 makes a sum of -0.0 terms 0.0
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, 301):
+            x = rng.standard_normal((n, 40)) * 10.0 ** rng.integers(-6, 7, (n, 40))
+            hit = rng.random((n, 40)) < 0.04
+            x[hit] = rng.choice(special, hit.sum())
+            x[:, 0], x[:, 1], x[:, 2] = -0.0, 0.0, np.where(np.arange(n) % 2, -0.0, 0.0)
+            want = np.add.reduce(np.ascontiguousarray(x.T), axis=-1)
+            assert _same_bits(nnet._lead_sum(x), want), n
+
+
+@pytest.mark.parametrize("act", ["relu", "tanh"])
+@pytest.mark.parametrize("d", [1, 5, 8, 9, 130])
+@pytest.mark.parametrize("m,k,q", [(m, k, q) for m in (2, 3, 5) for k in (1, 5) for q in (1, 10)])
+def test_slot_major_head_equals_the_episode_major_oracle_bitwise(m, k, q, d, act):
+    # two stacked networks of three episodes each, as train_episodic runs
+    # them, against each network alone through the per-episode oracle
+    rng = np.random.default_rng(m * 1000 + k * 100 + q * 10 + d)
+    spec = nnet.NetworkSpec((6, 7, d), 2, act)
+    params = rng.standard_normal((2, spec.param_count)) * 0.6
+    xs, xq = rng.standard_normal((2, 3, m * k, 6)), rng.standard_normal((2, 3, m * q, 6))
+    encoder = nnet._unpack(spec, params[:, None])[:-1]
+    buffers = nnet._episode_buffers(spec, xs)
+    losses, grads = nnet._episode_grads(spec, encoder, xs, xq, k, 1.7, buffers)
+    for i in range(2):
+        want_losses, want_grads = helpers.episode_grads(spec, params[i], xs[i], xq[i], k, 1.7)
+        assert losses[i].tobytes() == want_losses.tobytes()
+        assert grads[i].tobytes() == want_grads.tobytes()
+    es, eq = rng.standard_normal((4, m * k, d)), rng.standard_normal((4, m * q, d))
+    es[0], eq[1, 0] = 0.0, es[1, 0]  # ties at every distance; a query on a support row
+    assert (nnet.centroid_accuracy(es, eq, k).tobytes()
+            == helpers.centroid_accuracy(es, eq, k).tobytes())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for got, want in zip(nnet._centroid_loss_grads(es * 1e200, eq, k, 1e-3),
+                             helpers.centroid_loss_grads(es * 1e200, eq, k, 1e-3)):
+            assert _same_bits(got, want)  # overflow to inf and NaN alike
+
+
 def _pullback(net, features, grad_embeddings):
     """nnet's own encoder pullback: its kernels writing into the views of a
     zero buffer, (..., P)."""

@@ -964,7 +964,7 @@ def _toy_stack(rng, dim=4, m=2, k=2, q=3, n_ep=2):
 def _episode_grads(spec, params, xs, xq, k, tau):
     """nnet._episode_grads on fresh encoder views and buffers, its gradients copied out."""
     encoder = nnet._unpack(spec, params)[:-1]
-    buffers = nnet._episode_buffers(spec, xs, xq, k)
+    buffers = nnet._episode_buffers(spec, xs)
     losses, g = nnet._episode_grads(spec, encoder, xs, xq, k, tau, buffers)
     return losses, g.copy()
 
@@ -1141,6 +1141,30 @@ def test_lockstep_non_finite_names_the_earliest_failing_mode(overlapping):
     assert error(tied) == "phase-3 fine-tune of the random set: " + alone["random"]
 
 
+def test_finetune_builds_row_indices_a_chunk_of_meta_steps_at_a_time(overlapping, monkeypatch):
+    # 20 meta-steps in chunks of 6: each mode's index block spans at most 6
+    # meta-steps' episodes, the blocks cover every meta-step once, and the
+    # networks and losses are those of one chunk spanning the whole run
+    train, _, cfg, _ = overlapping
+    whole, sets = _overlapping_whole(train, cfg), _three_sets(train)
+    size = cfg.finetune_schedule.batch_size
+    spans = []
+
+    def spy(table, picks, positions, k_shot, original=tasks.episode_rows):
+        spans.append(len(picks))
+        return original(table, picks, positions, k_shot)
+
+    monkeypatch.setattr(tasks, "episode_rows", spy)
+    monkeypatch.setattr(pipeline, "FINETUNE_CHUNK", 6)
+    chunked = pipeline.episodic_finetune(whole, sets, train, cfg)
+    assert spans == [6 * size] * 9 + [2 * size] * 3  # three modes per chunk
+    monkeypatch.setattr(pipeline, "FINETUNE_CHUNK", cfg.finetune_schedule.epochs)
+    once = pipeline.episodic_finetune(whole, sets, train, cfg)
+    for mode in sets:
+        assert chunked[mode][0].params.tobytes() == once[mode][0].params.tobytes()
+        assert chunked[mode][1] == once[mode][1]
+
+
 def test_episodic_finetune_restricted_to_related_labels(overlapping):
     # rows of the classes outside the related set are poisoned: touching them
     # during episodic fine-tuning would turn the parameters non-finite
@@ -1196,8 +1220,8 @@ def test_int_seeded_generators_do_not_grow_with_tasks_or_meta_steps(tiny, monkey
 def test_episodic_finetune_builds_one_network_and_draws_per_meta_step(
     overlapping, monkeypatch, meta_steps
 ):
-    # the episode positions are drawn once for the whole run; each meta-step
-    # then draws its batch of batch_size episodes out of them with one gather
+    # the episode positions are drawn once for the whole run; their row
+    # indices are built per chunk of FINETUNE_CHUNK meta-steps, here one
     train, _, cfg, related = overlapping
     spec = nnet.NetworkSpec((16, 32, 8), len(train.class_ids), "relu")
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
@@ -1219,7 +1243,7 @@ def test_episodic_finetune_builds_one_network_and_draws_per_meta_step(
     tuned, history = _finetune(whole, related, train, cfg)
     assert built == [tuned]
     assert drawn == [(meta_steps * batch_size, (40,) * len(related.label_set))]
-    assert gathered == [batch_size] * meta_steps
+    assert gathered == [meta_steps * batch_size]
     assert len(history) == meta_steps
 
 

@@ -204,9 +204,9 @@ def test_same_outputs_reports_the_repo_identical_to_itself(tmp_path):
     (checkout / "configs" / "theorem1.json").write_text(json.dumps(theorem_doc))
     out = _run_script("same_outputs.py", str(checkout), str(checkout), "--config", str(config))
     # tas writes 3 files in each of 7 runs (one keeping the Fisher
-    # diagonals, one on the CSV pair), fewshot 4 in each of 3, theorem1 2 in
-    # each of 2 and synth 1 in each of 2
-    assert out == "identical: 39 files of 14 runs, timings dropped\n"
+    # diagonals, one on the CSV pair), fewshot 4 in each of 4 (one at an
+    # off-default shape), theorem1 2 in each of 2 and synth 1 in each of 2
+    assert out == "identical: 43 files of 15 runs, timings dropped\n"
 
 
 def test_same_outputs_verbose_run_writes_the_fisher_diagonals(tmp_path, monkeypatch):
