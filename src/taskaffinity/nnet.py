@@ -12,11 +12,12 @@ layer 1 W then bias, ..., head W (embedding x classes) then head bias.
 
 Validation happens once, at the boundary: `Network`, `Batch` and the public
 functions check shapes and labels on every call.  The kernels (`_unpack`,
-`_forward`, `_cross_entropy`, `_backward`) and the nearest-centroid head
-work on plain arrays and check nothing.  `_forward` applies each activation
-in place, and `_backward` reads the derivative from the activation; given a
-work dict, which `fisher_diag`'s caller holds across calls, the two write
-their intermediates into its buffers (`_into`).  `_unpack` views a bias as
+`_forward`, `_cross_entropy`, which gives the linear head's loss gradient
+and no loss, `_backward`) and the nearest-centroid head work on plain
+arrays and check nothing.  `_forward` applies each activation in place, and
+`_backward` reads the derivative from the activation; given a work dict,
+which `fisher_diag`'s caller holds across calls, the two write their
+intermediates into its buffers (`_into`).  `_unpack` views a bias as
 (..., 1, h), so a stack of parameters (M, 1, P) runs M networks against
 activations (M, E, n, d) with each network's arithmetic unchanged.  One momentum-SGD
 epoch, `_descend`, steps every training, building no `Batch` or `Network`
@@ -231,19 +232,15 @@ def _identity(classes: int) -> np.ndarray:
     return np.broadcast_to(np.eye(classes), (classes, classes))
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray, per_row: bool = True) -> tuple:
-    """Each row's cross-entropy, through log-sum-exp so it is finite for finite
-    logits, or None without per_row, and its gradient on the logits, softmax
-    minus the labels' identity rows.  logits is (..., n, classes), labels (n,),
-    or without per_row (..., n), each stack slice's own."""
-    zmax = np.maximum.reduce(logits, axis=-1, keepdims=True)
-    delta = np.exp(logits - zmax)
-    total = np.add.reduce(delta, axis=-1, keepdims=True)
-    losses = (zmax[..., 0] + np.log(total[..., 0]) - logits[..., np.arange(len(labels)), labels]
-              if per_row else None)
-    delta /= total
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The cross-entropy's gradient on logits (..., n, classes), labelled by
+    labels (..., n), each stack slice's own: softmax minus the labels'
+    identity rows, through the log-sum-exp shift so it is finite for finite
+    logits."""
+    delta = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    delta /= np.add.reduce(delta, axis=-1, keepdims=True)
     delta -= _identity(logits.shape[-1])[labels]  # x - 0.0 is x: only label entries change
-    return losses, delta
+    return delta
 
 
 def _backward(
@@ -428,26 +425,10 @@ def _features(spec: NetworkSpec, features: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_batch(net: Network, batch: Batch) -> None:
-    _features(net.spec, batch.features)
-    if np.any(batch.labels >= net.spec.head_classes):
-        raise ValueError(
-            f"labels must be < head_classes ({net.spec.head_classes}), "
-            f"got max {int(batch.labels.max())}"
-        )
-
-
 def encode(net: Network, features: np.ndarray) -> np.ndarray:
     """Embeddings: forward through encoder layers only (head untouched)."""
     encoder = _unpack(net.spec, net.params)[:-1]
     return _forward(net.spec, encoder, _features(net.spec, features))[-1]
-
-
-def loss(net: Network, data: Batch) -> float:
-    """Mean cross-entropy over the batch."""
-    _check_batch(net, data)
-    logits = _forward(net.spec, _unpack(net.spec, net.params), data.features)[-1]
-    return float(np.mean(_cross_entropy(logits, data.labels)[0]))
 
 
 def fisher_diag(spec: NetworkSpec, params: np.ndarray, features: np.ndarray,
@@ -468,7 +449,7 @@ def fisher_diag(spec: NetworkSpec, params: np.ndarray, features: np.ndarray,
     x = x.reshape((1,) * (len(lead) + 2 - x.ndim) + x.shape)  # shared rows: a stack of one
     layers = _unpack(spec, params)
     acts = _forward(spec, layers, x, work)
-    delta = _cross_entropy(acts[-1], labels, per_row=False)[1]
+    delta = _cross_entropy(acts[-1], labels)
     out = np.empty(lead + (spec.param_count,))
     _backward(spec, layers, acts, delta, _unpack(spec, out), square=True, work=work)
     return np.divide(out, x.shape[-2], out=out)
@@ -486,7 +467,7 @@ def _minibatches(spec: NetworkSpec, layers: _Layers, grads: _Layers, features: n
     for lo in range(0, rows.shape[-1], batch_size):
         y = labels[..., lo : lo + batch_size]
         acts = _forward(spec, layers, features[rows[..., lo : lo + batch_size]])
-        delta = _cross_entropy(acts[-1], y, per_row=False)[1]
+        delta = _cross_entropy(acts[-1], y)
         _backward(spec, layers, acts, np.divide(delta, y.shape[-1], out=delta), grads)
         yield
 
@@ -499,7 +480,10 @@ def train(net: Network, data: Batch, schedule: TrainSchedule) -> Network:
     indices; labels never influence batch composition.  An epoch that leaves
     a non-finite parameter raises NonFiniteError, a ValueError.
     """
-    _check_batch(net, data)
+    _features(net.spec, data.features)
+    if np.any(data.labels >= net.spec.head_classes):
+        raise ValueError(f"labels must be < head_classes ({net.spec.head_classes}), "
+                         f"got max {int(data.labels.max())}")
     spec, rng = net.spec, np.random.default_rng(schedule.seed)
     params, velocity, g = net.params.copy(), np.zeros(net.param_count), np.empty(net.param_count)
     layers, grads = _unpack(spec, params), _unpack(spec, g)

@@ -135,8 +135,9 @@ class RunReport:
     fewshot_accuracy_mean: float
     fewshot_ci95: float
     finetune_loss: tuple[float, ...]  # phase 3's mean episode loss per meta-step
-    # whole_train_s, rank_s, finetune_s, eval_s; finetune_s is the lockstep
-    # fine-tune's wall time over the number of modes: their sum is phase 3's
+    # whole_train_s, rank_s, finetune_s, eval_s; finetune_s and eval_s are the
+    # lockstep fine-tune's and the one evaluation call's wall times over the
+    # number of modes: each stage's sum over the modes is its wall time
     timings: dict[str, float]
     ablation_mode: str = "related"
 
@@ -155,13 +156,11 @@ def train_whole_classifier(
             f"head_classes={spec.head_classes} but the training set has {n_classes} classes"
         )
     net = nnet.init_network(spec, derive_seed(schedule.seed, 0))
-    batch = tasks.batch_of(train)
     try:
-        net = nnet.train(net, batch, schedule)
+        net = nnet.train(net, tasks.batch_of(train), schedule)
     except ValueError as exc:
         raise ValueError(f"whole classifier: {exc}") from None
-    if log.isEnabledFor(logging.DEBUG):  # the loss is a full forward pass
-        log.debug("whole classifier trained, final loss %.4f", nnet.loss(net, batch))
+    log.debug("whole classifier trained")
     return net
 
 
@@ -358,21 +357,6 @@ def select_labels(
 # phase 3: episodic fine-tuning with a soft nearest-centroid head
 
 
-def _positions(draws: dict | None, data: tasks.Dataset, classes: list[int],
-               cfg: PipelineConfig, seed: int, stream: int, *axes):
-    """The tasks.draw_positions draw over classes, one episode per
-    derive_seed(seed, stream, *cell) of the axes' grid.  Given draws, one
-    dict per config and stream, it keeps each draw under its classes' row
-    counts, the only thing a draw depends on besides the seeds, and hands it
-    out again for classes of the same row counts."""
-    draws = {} if draws is None else draws
-    counts = tuple(data.class_index[c].size for c in classes)
-    if counts not in draws:
-        seeds = seed_grid(seed, (stream,), *axes)
-        draws[counts] = tasks.draw_positions(counts, cfg.m_way, cfg.k_shot + cfg.q_query, seeds)
-    return draws[counts]
-
-
 def episodic_finetune(
     whole: nnet.Network, sets: dict[str, RelatedSet], train: tasks.Dataset, cfg: PipelineConfig,
 ) -> dict[str, tuple[nnet.Network, list[float]]]:
@@ -382,21 +366,24 @@ def episodic_finetune(
     Each meta-update averages, per mode, the loss gradient of
     finetune_schedule.batch_size episodes drawn from the training rows of
     its set's classes only; finetune_schedule.epochs counts meta-updates.
-    Every episode is drawn before the first meta-update, one draw per
-    distinct row counts of the modes' classes (see _positions), made row
-    indices FINETUNE_CHUNK meta-updates at a time; each meta-update gathers
-    every mode's features once per side.  Returns each mode's network and
+    Every episode is drawn before the first meta-update, one
+    tasks.draw_positions draw per distinct row counts of the modes' classes
+    (all a draw depends on besides the seeds), made row indices
+    FINETUNE_CHUNK meta-updates at a time; each meta-update gathers every
+    mode's features once per side.  Returns each mode's network and
     each of its meta-updates' mean loss, which do not depend on the others.
     """
     sched, draws, plans = cfg.finetune_schedule, {}, []
+    seeds = seed_grid(sched.seed, (_STREAM_FINETUNE,), range(sched.epochs), range(sched.batch_size))
     for mode, chosen in sets.items():
         classes = tasks.episode_classes(
             train, chosen.label_set, cfg.m_way, cfg.k_shot, cfg.q_query,
             f"training classes of the {mode} set",
         )
-        plans.append((tasks.row_table(train, classes), *_positions(
-            draws, train, classes, cfg, sched.seed, _STREAM_FINETUNE,
-            range(sched.epochs), range(sched.batch_size))))
+        counts = tuple(train.class_index[c].size for c in classes)
+        if counts not in draws:
+            draws[counts] = tasks.draw_positions(counts, cfg.m_way, cfg.k_shot + cfg.q_query, seeds)
+        plans.append((tasks.row_table(train, classes), *draws[counts]))
 
     def episodes():
         size = sched.batch_size
@@ -423,31 +410,30 @@ FINETUNE_CHUNK = 32  # meta-steps whose episode rows are built at once; bounds t
 
 
 def evaluate_fewshot(
-    net: nnet.Network, test: tasks.Dataset, cfg: PipelineConfig, draws: dict | None = None
-) -> tuple[float, float]:
-    """Mean hard nearest-centroid accuracy over fresh episodes, with
-    1.96*sd/sqrt(n).  The episodes are drawn at once, or taken from draws
-    (see _positions)."""
+    nets: list[nnet.Network], test: tasks.Dataset, cfg: PipelineConfig
+) -> list[tuple[float, float]]:
+    """Each network's mean hard nearest-centroid accuracy over one draw of
+    fresh episodes, with 1.96*sd/sqrt(n).  Each EVAL_CHUNK of episodes has
+    its row indices and features gathered once, then encoded by each network."""
     classes = tasks.episode_classes(
         test, test.class_ids, cfg.m_way, cfg.k_shot, cfg.q_query, "test classes"
     )
     n = cfg.n_eval_episodes
     table = tasks.row_table(test, classes)
-    picks, positions = _positions(
-        draws, test, classes, cfg, cfg.master_seed, _STREAM_EVAL, range(n)
-    )
-    accs = np.empty(n)
+    counts = tuple(test.class_index[c].size for c in classes)
+    picks, positions = tasks.draw_positions(counts, cfg.m_way, cfg.k_shot + cfg.q_query,
+                                            seed_grid(cfg.master_seed, (_STREAM_EVAL,), range(n)))
+    accs = np.empty((len(nets), n))
     for lo in range(0, n, EVAL_CHUNK):
         stop = min(lo + EVAL_CHUNK, n)
         sup, qry = tasks.episode_rows(table, picks[lo:stop], positions[lo:stop], cfg.k_shot)
-        es = nnet.encode(net, test.features[sup])
-        eq = nnet.encode(net, test.features[qry])
-        accs[lo:stop] = nnet.centroid_accuracy(es, eq, cfg.k_shot)
-    mean = float(np.mean(accs))
+        xs, xq = test.features[sup], test.features[qry]
+        for acc, net in zip(accs, nets):
+            acc[lo:stop] = nnet.centroid_accuracy(nnet.encode(net, xs), nnet.encode(net, xq),
+                                                  cfg.k_shot)
     if n < 2:
-        return mean, 0.0
-    sd = float(np.std(accs, ddof=1))
-    return mean, 1.96 * sd / np.sqrt(n)
+        return [(float(np.mean(acc)), 0.0) for acc in accs]
+    return [(float(np.mean(acc)), 1.96 * float(np.std(acc, ddof=1)) / np.sqrt(n)) for acc in accs]
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +486,8 @@ def ablation_comparison(
     cfg: PipelineConfig,
     modes: tuple[str, ...] = ABLATION_MODES,
 ) -> dict[str, RunReport]:
-    """Phases 1-2 once, phase 3 for every mode in lockstep, then each mode's
-    evaluation, in order.
+    """Phases 1-2 once, phase 3 for every mode in lockstep, then every mode's
+    evaluation in one call.
 
     Each mode fine-tunes on the label set select_labels picks for it.  Seeds
     and budgets are shared, so a mode's report does not depend on which
@@ -525,22 +511,18 @@ def ablation_comparison(
     t0 = time.perf_counter()
     tuned = episodic_finetune(whole, sets, train, cfg)
     shared["finetune_s"] = (time.perf_counter() - t0) / len(sets)
-    eval_draws: dict = {}
+    t0 = time.perf_counter()
+    evals = evaluate_fewshot([net for net, _ in tuned.values()], test, cfg)
+    shared["eval_s"] = (time.perf_counter() - t0) / len(sets)
     reports: dict[str, RunReport] = {}
-    for mode, chosen in sets.items():
-        timings = dict(shared)
-        net, losses = tuned[mode]
-        t0 = time.perf_counter()
-        acc_mean, ci95 = evaluate_fewshot(net, test, cfg, eval_draws)
-        timings["eval_s"] = time.perf_counter() - t0
-
+    for (mode, chosen), (acc_mean, ci95) in zip(sets.items(), evals):
         reports[mode] = RunReport(
             scores=tuple(ordered),
             selected_labels=chosen,
             fewshot_accuracy_mean=acc_mean,
             fewshot_ci95=ci95,
-            finetune_loss=tuple(losses),
-            timings=timings,
+            finetune_loss=tuple(tuned[mode][1]),
+            timings=dict(shared),
             ablation_mode=mode,
         )
     return reports

@@ -1,7 +1,7 @@
 """Hand-rolled oracles shared by the unit and acceptance suites.
 
 Reference routes the package itself no longer carries live here: the
-logits, the mean cross-entropy gradient and the encoder pullback of one
+logits, the mean cross-entropy, its gradient and the encoder pullback of one
 batch, each from plain copies of nnet's kernels, the brute-force assignment scan, the
 trace-form affinity score, the logistic model's per-sample gradient rows,
 the theorem-1 harness's per-checkpoint affinity loop, the step-by-step
@@ -28,7 +28,7 @@ hand-build tasks.
 
 The forward oracle re-derives the flat parameter layout with plain Python
 loops, so a layout or indexing bug in the production code cannot cancel out.
-The finite-difference harness probes the production loss at generic points:
+The finite-difference harness probes the loss oracle at generic points:
 networks are drawn with fully random parameters, and any relu network whose
 smallest pre-activation magnitude over the probe batch sits within the
 finite-difference straddle is redrawn -- central differences are only a
@@ -39,7 +39,6 @@ import importlib
 import itertools
 import math
 import os
-import platform
 import sys
 from dataclasses import dataclass, replace
 
@@ -173,6 +172,11 @@ def logits(net, features):
     return _forward(net.spec, nnet._unpack(net.spec, net.params), features)[1][-1]
 
 
+def loss(net, batch):
+    """Mean cross-entropy of the head's logits over the batch."""
+    return float(np.mean(_cross_entropy(logits(net, batch.features), batch.labels)[0]))
+
+
 def loss_grad(net, batch):
     """Exact gradient of the mean cross-entropy over the batch (flat, length P)."""
     spec = net.spec
@@ -207,14 +211,14 @@ def per_sample_grads(net, batch):
 
 
 def fd_gradient(net, batch, h=FD_STEP):
-    """Central finite differences of the production loss, one entry at a time."""
+    """Central finite differences of the loss oracle, one entry at a time."""
     p = net.params.copy()
     fd = np.empty(p.shape[0])
     for i in range(p.shape[0]):
         p[i] += h
-        lp = nnet.loss(nnet.Network(net.spec, p), batch)
+        lp = loss(nnet.Network(net.spec, p), batch)
         p[i] -= 2 * h
-        lm = nnet.loss(nnet.Network(net.spec, p), batch)
+        lm = loss(nnet.Network(net.spec, p), batch)
         p[i] += h
         fd[i] = (lp - lm) / (2 * h)
     return fd
@@ -376,24 +380,20 @@ def serial_train(net, data, schedule):
 
 
 def host_signature():
-    """numpy version, BLAS build and CPU of this host: what decides how the
-    pinned outputs round."""
+    """numpy version, BLAS build, the OpenBLAS kernel in use (None where
+    numpy bundles no scipy-openblas) and CPU of this host: what decides how
+    the pinned outputs round."""
     try:
         cfg = np.show_config(mode="dicts")
     except TypeError:  # numpy < 1.26 can only print its config
         cfg = {}
     blas = cfg.get("Build Dependencies", {}).get("blas", {})
-    cpu = platform.processor()
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            names = [ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")]
-        cpu = names[0] if names else cpu
-    except OSError:
-        pass
+    host = script("bench_record")  # the kernel and CPU, read as the benchmark record reads them
     return {
         "numpy": np.__version__,
         "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
-        "cpu": f"{platform.machine()} {cpu}",
+        "blas_core": host.blas_core(),
+        "cpu": host.cpu_model(),
         "simd": cfg.get("SIMD Extensions", {}).get("found", []),
     }
 

@@ -166,8 +166,9 @@ def test_forward_rejects_wrong_input_width():
     net = nnet.init_network(small_spec(), 0)
     with pytest.raises(ValueError):
         nnet.encode(net, np.zeros((2, 5)))
-    with pytest.raises(ValueError):
-        nnet.loss(net, nnet.Batch(np.zeros((2, 5)), np.zeros(2)))
+    with pytest.raises(ValueError, match=r"features must be \(\.\.\., n, 3\)"):
+        nnet.train(net, nnet.Batch(np.zeros((2, 5)), np.zeros(2)),
+                   nnet.TrainSchedule(0.1, 0.0, 1, 2, seed=0))
 
 
 def test_zero_head_gives_zero_logits():
@@ -187,11 +188,9 @@ def test_softmax_rows_are_distributions(seed, n, c):
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, c)) * 50
     labels = rng.integers(0, c, size=n)
-    losses, delta = nnet._cross_entropy(z, labels)
-    want_losses, want_delta = helpers._cross_entropy(z, labels)
-    assert np.array_equal(losses, want_losses) and np.array_equal(delta, want_delta)
-    no_losses, same_delta = nnet._cross_entropy(z, labels, per_row=False)
-    assert no_losses is None and np.array_equal(same_delta, delta)
+    delta = nnet._cross_entropy(z, labels)
+    losses, want_delta = helpers._cross_entropy(z, labels)
+    assert np.array_equal(delta, want_delta)
     p = delta.copy()
     p[np.arange(n), labels] += 1.0
     assert np.all(p >= 0)
@@ -201,7 +200,10 @@ def test_softmax_rows_are_distributions(seed, n, c):
 
 
 def test_softmax_survives_huge_logits():
-    losses, delta = nnet._cross_entropy(np.array([[1e4, 0.0], [-1e4, 0.0]]), np.array([1, 1]))
+    z, labels = np.array([[1e4, 0.0], [-1e4, 0.0]]), np.array([1, 1])
+    delta = nnet._cross_entropy(z, labels)
+    losses, want_delta = helpers._cross_entropy(z, labels)  # the loss oracle's rows
+    assert np.array_equal(delta, want_delta)
     assert np.all(np.isfinite(losses)) and np.all(np.isfinite(delta))
     np.testing.assert_allclose(losses, [1e4, 0.0], atol=1e-12)
     np.testing.assert_allclose(delta, [[1.0, -1.0], [0.0, 0.0]], atol=1e-12)
@@ -209,7 +211,7 @@ def test_softmax_survives_huge_logits():
 
 
 # ---------------------------------------------------------------------------
-# loss
+# the loss oracle that criterion 2 differentiates
 
 
 def test_loss_uniform_logits_is_log_c():
@@ -218,7 +220,7 @@ def test_loss_uniform_logits_is_log_c():
         net = nnet.Network(spec, np.zeros(spec.param_count))
         batch = nnet.Batch(np.random.default_rng(c).standard_normal((5, 3)),
                            np.arange(5) % c)
-        assert nnet.loss(net, batch) == pytest.approx(math.log(c), abs=1e-12)
+        assert helpers.loss(net, batch) == pytest.approx(math.log(c), abs=1e-12)
 
 
 def test_loss_matches_per_sample_log_softmax():
@@ -231,7 +233,7 @@ def test_loss_matches_per_sample_log_softmax():
     for i in range(6):
         row = np.exp(logits[i] - logits[i].max())
         expect += -math.log(row[batch.labels[i]] / row.sum())
-    np.testing.assert_allclose(nnet.loss(net, batch), expect / 6, rtol=1e-12)
+    np.testing.assert_allclose(helpers.loss(net, batch), expect / 6, rtol=1e-12)
 
 
 def test_loss_near_zero_for_strong_margin():
@@ -241,14 +243,7 @@ def test_loss_near_zero_for_strong_margin():
     params[nnet.encoder_slice(spec).stop :][:4] = [50.0, -50.0, -50.0, 50.0]
     net = nnet.Network(spec, params)
     batch = nnet.Batch(np.array([[3.0, 0.0], [0.0, 3.0]]), np.array([0, 1]))
-    assert 0.0 <= nnet.loss(net, batch) < 1e-10
-
-
-def test_loss_rejects_out_of_range_labels():
-    net = nnet.init_network(small_spec(), 0)
-    batch = nnet.Batch(np.zeros((1, 3)), np.array([2]))
-    with pytest.raises(ValueError):
-        nnet.loss(net, batch)
+    assert 0.0 <= helpers.loss(net, batch) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +583,13 @@ def _evaluate(net, batch):
     return nnet._accuracy(net.spec, layers, batch.features, batch.labels)
 
 
+def test_train_rejects_out_of_range_labels():
+    net = nnet.init_network(small_spec(), 0)
+    batch = nnet.Batch(np.zeros((1, 3)), np.array([2]))
+    with pytest.raises(ValueError, match=r"labels must be < head_classes \(2\), got max 2"):
+        nnet.train(net, batch, nnet.TrainSchedule(0.1, 0.0, 1, 1, seed=0))
+
+
 def test_train_zero_lr_leaves_params_unchanged():
     net = nnet.init_network(nnet.NetworkSpec((2, 4), 2), 1)
     batch = _blob_batch(np.random.default_rng(2))
@@ -603,7 +605,7 @@ def test_train_separates_blobs():
     sched = nnet.TrainSchedule(0.1, 0.9, 20, 16, seed=4)
     out = nnet.train(net, batch, sched)
     assert _evaluate(out, batch) > 0.95
-    assert nnet.loss(out, batch) < nnet.loss(net, batch)
+    assert helpers.loss(out, batch) < helpers.loss(net, batch)
 
 
 def test_train_same_seed_bitwise_reproducible():

@@ -1,7 +1,6 @@
 """Three-phase pipeline: affinity scoring, selection, episodic fine-tuning."""
 
 import json
-import logging
 import os
 import warnings
 import weakref
@@ -91,20 +90,6 @@ def test_train_whole_classifier_fits_and_is_deterministic(tiny):
     assert np.array_equal(a.params, b.params)
     acc = helpers.accuracy(a, tasks.batch_of(train))
     assert acc > 0.9, f"whole classifier underfits its own training set: {acc}"
-
-
-def test_train_whole_classifier_skips_the_debug_loss_below_debug(tiny, monkeypatch):
-    # the final-loss line is a full forward pass; it runs only when logged
-    train, _, spec, cfg = tiny
-    expected = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-
-    def never(*args):
-        raise AssertionError("nnet.loss evaluated for a debug line nobody sees")
-
-    monkeypatch.setattr(nnet, "loss", never)
-    assert not pipeline.log.isEnabledFor(logging.DEBUG)
-    net = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    assert np.array_equal(net.params, expected.params)
 
 
 def test_train_whole_classifier_head_mismatch(tiny):
@@ -1067,14 +1052,28 @@ def test_stacked_phase_3_equals_serial_oracle_bitwise(overlapping, activation, b
     assert history == ref_history
     for n_eval in (1, 7, 51):  # 51 spans two evaluation stacks
         ev = replace(cfg, n_eval_episodes=n_eval)
-        assert pipeline.evaluate_fewshot(tuned, test, ev) == helpers.serial_evaluate_fewshot(
-            tuned, test, ev
-        )
+        assert pipeline.evaluate_fewshot([tuned], test, ev) == [
+            helpers.serial_evaluate_fewshot(tuned, test, ev)
+        ]
 
 
 def _overlapping_whole(train, cfg):
     spec = nnet.NetworkSpec((16, 32, 8), len(train.class_ids), "relu")
     return pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
+
+
+@pytest.mark.parametrize("n_eval", [1, 7, 51])  # 51 spans two evaluation stacks
+def test_evaluate_fewshot_of_several_networks_equals_each_alone_bitwise(overlapping, n_eval):
+    # one draw and one gather per stack serve every network; the tuned
+    # network is listed twice, so its second pass reads gathers already encoded
+    train, test, cfg, related = overlapping
+    whole = _overlapping_whole(train, cfg)
+    tuned, _ = _finetune(whole, related, train, cfg)
+    nets = [tuned, whole, tuned, nnet.init_network(whole.spec, 3)]
+    ev = replace(cfg, n_eval_episodes=n_eval)
+    got = pipeline.evaluate_fewshot(nets, test, ev)
+    assert got == [helpers.serial_evaluate_fewshot(net, test, ev) for net in nets]
+    assert n_eval == 1 or len(set(got)) == 3  # the distinct networks score apart
 
 
 def _three_sets(train):
@@ -1306,7 +1305,7 @@ def test_phase_3_and_evaluation_raise_the_preflight_error(tiny, monkeypatch):
     assert preflight == (
         "insufficient samples: only 1 test classes have >= 6 rows (k_shot + q_query), need m_way=2"
     )
-    assert message(pipeline.evaluate_fewshot, whole, short_test, cfg) == preflight
+    assert message(pipeline.evaluate_fewshot, [whole], short_test, cfg) == preflight
 
 
 def test_episodic_finetune_deterministic(overlapping):
@@ -1337,8 +1336,7 @@ def test_episodic_finetune_improves_fewshot_on_target_family():
             (0, 1, 2), tuple(int(r) for r in np.flatnonzero(np.isin(train.labels, [0, 1, 2])))
         )
         tuned, _ = _finetune(whole, related, train, cfg)
-        pre, _ = pipeline.evaluate_fewshot(whole, test, cfg)
-        post, _ = pipeline.evaluate_fewshot(tuned, test, cfg)
+        (pre, _), (post, _) = pipeline.evaluate_fewshot([whole, tuned], test, cfg)
         assert post > pre, f"seed {s}: fine-tuning hurt ({pre:.4f} -> {post:.4f})"
 
 
@@ -1366,7 +1364,7 @@ def test_evaluate_fewshot_perfect_on_separated_clusters():
         finetune_schedule=nnet.TrainSchedule(0.1, 0.0, 1, 8, seed=0),
         n_eval_episodes=8, softmax_temperature=1.0, master_seed=909,
     )
-    mean, ci = pipeline.evaluate_fewshot(net, data, cfg)
+    [(mean, ci)] = pipeline.evaluate_fewshot([net], data, cfg)
     assert mean == 1.0
     assert ci == 0.0
 
@@ -1385,10 +1383,10 @@ def test_evaluate_fewshot_untrained_sits_at_chance():
         finetune_schedule=nnet.TrainSchedule(0.1, 0.0, 1, 8, seed=0),
         n_eval_episodes=500, softmax_temperature=1.0, master_seed=1234,
     )
-    mean, ci = pipeline.evaluate_fewshot(net, data, cfg)
+    [(mean, ci)] = pipeline.evaluate_fewshot([net], data, cfg)
     assert abs(mean - 0.2) < 0.05
     assert 0 < ci < 0.02
-    again, _ = pipeline.evaluate_fewshot(net, data, cfg)
+    [(again, _)] = pipeline.evaluate_fewshot([net], data, cfg)
     assert again == mean
 
 
@@ -1397,7 +1395,7 @@ def test_evaluate_fewshot_single_episode_has_zero_ci(tiny):
     from dataclasses import replace
     one = replace(cfg, n_eval_episodes=1)
     whole = pipeline.train_whole_classifier(train, spec, cfg.whole_schedule)
-    _, ci = pipeline.evaluate_fewshot(whole, test, one)
+    [(_, ci)] = pipeline.evaluate_fewshot([whole], test, one)
     assert ci == 0.0
 
 

@@ -278,3 +278,72 @@ def test_same_outputs_names_the_first_doctored_key_or_line(tmp_path):
         2, "fewshot-random/scores.json: written by one side only")
     assert same_outputs.first_difference({"a": [1, 2]}, {"a": [1, 2.0]}) == "$.a[1]"
     assert same_outputs.first_difference([1], [1, 2]) == "$ (length 1 against 2)"
+
+
+def test_kernel_matrix_runs_one_test_under_one_kernel():
+    small = "tests/test_tasks.py::test_draw_positions_takes_the_smallest_unsigned_dtype"
+    out = _run_script("kernel_matrix.py", "--kernels", "Sandybridge", "--tests", small)
+    assert re.fullmatch(r"Sandybridge \(child runs \S+\): pass; 1 passed in \S+\n", out), out
+    # the failures known to the script are tests of its own list
+    km = helpers.script("kernel_matrix")
+    assert {name for _, name in km.KNOWN} <= {t.split("::")[1] for t in km.TESTS}
+
+
+STUB_RUN = '''import json, sys
+assert sys.argv[1:] == ["--workload", "all"], sys.argv
+print("== rank")
+print("provenance: " + json.dumps({"nproc": 2, "numpy": "9.9", "blas": {"threads": 2},
+                                   "git_sha": None, "git_dirty": None, "src_sha256": "abc123",
+                                   "workload": "rank", "workload_seed": 1, "seconds": 36.0}))
+metrics = {"rank.result_s": {"value": 0.2, "unit": "s"},
+           "rank.items_per_s": {"value": 1000.0, "unit": "1/s"},
+           "theorem1.peak_rss_mb": {"value": 44.0, "unit": "MB"}}
+print(json.dumps({"correct": True, "attempted": 7, "failed": 0, "metrics": metrics}))
+'''
+
+
+def test_bench_record_writes_the_file_and_compares_it_with_the_last_below(tmp_path, capsys):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(STUB_RUN)
+    shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), tmp_path)
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_stub.py").write_text(
+        "def test_ok():\n    pass\n\n\ndef test_bad():\n    assert False\n")
+    bench_record = helpers.script("bench_record")
+    bench_record.record(str(tmp_path), 7, with_tier1=True)
+    assert capsys.readouterr().out.splitlines()[-1] == "no earlier BENCH_*.json to compare with"
+    doc = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert doc["n"] == 7 and doc["src_lines"] == 2 and doc["src_sha256"] == "abc123"
+    assert doc["git_sha"] is None and doc["git_dirty"] is None  # as perfbench printed them
+    assert doc["perfbench"] == {"seed": 1, "seconds": 36.0, "correct": True, "attempted": 7,
+                                "failed": 0}
+    assert doc["metrics"]["rank.result_s"] == {"value": 0.2, "unit": "s"}
+    assert doc["tier1"]["passed"] == 1 and doc["tier1"]["failed"] == 1
+    assert doc["tier1"]["exit_code"] == 1
+    assert doc["host"] == {"cpu": bench_record.cpu_model(), "nproc": 2, "numpy": "9.9",
+                           "blas_core": bench_record.blas_core(), "blas_threads": 2}
+
+    # an earlier record from another CPU and loop length, slower on rank and
+    # leaner on theorem1; BENCH_9 is above n, so it is not the previous file
+    doc.update(n=7, host=dict(doc["host"], cpu="x86_64 other"),
+               perfbench=dict(doc["perfbench"], seconds=12.0), metrics={
+                   "rank.result_s": {"value": 0.25, "unit": "s"},
+                   "rank.items_per_s": {"value": 1000.0, "unit": "1/s"},
+                   "theorem1.peak_rss_mb": {"value": 40.0, "unit": "MB"}})
+    (tmp_path / "BENCH_7.json").write_text(json.dumps(doc))
+    (tmp_path / "BENCH_9.json").write_text("not read")
+    bench_record.record(str(tmp_path), 8, with_tier1=False)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("wrote ") and lines[0].endswith("BENCH_8.json: correct True, "
+                                                             "0 of 7 results failed, src/ 2 lines")
+    assert lines[1] == "against BENCH_7.json (one run each: a trajectory, not a claim)"
+    assert lines[2].startswith("FLAG: host.cpu differs: 'x86_64 other' then, ")
+    assert lines[3:] == [
+        "FLAG: perfbench.seconds differs: 12.0 then, 36.0 now",
+        "  rank.result_s          0.25 -> 0.2 s (-20.0%); bound 25%",
+        "  rank.items_per_s       1000 -> 1000 1/s (+0.0%); bound 25%",
+        "  theorem1.peak_rss_mb   40 -> 44 MB (+10.0%); bound 5%; WORSE PAST THE BOUND",
+    ]
+    assert "tier1" not in json.loads((tmp_path / "BENCH_8.json").read_text())
