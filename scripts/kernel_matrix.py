@@ -9,8 +9,8 @@ alone sets OPENBLAS_CORETYPE to it, and prints the kernel the child reports
 running, then pass, or fail with each failing test id and, for a failure
 listed in KNOWN, its cause.  The default tests are the bitwise oracles,
 criteria 4 and 9, and the reference pin (tests/data/reference_outputs.json,
-which compares by repr on the recording host's kernel and to
-FOREIGN_HOST_TOL on any other).  Exits 1 if any kernel failed a test.
+which compares by repr under the recording's numpy, BLAS build and kernel,
+and to FOREIGN_HOST_TOL under any other).  Exits 1 if any kernel failed a test.
 """
 
 import argparse
@@ -59,7 +59,8 @@ KNOWN = {
     ("Haswell", "test_tasks_of_different_row_counts_never_share_a_chunk"): _CHUNKED_ENCODE,
     ("Prescott", "test_stacked_encoder_pass_and_pullback_equal_each_slice_bitwise"): (
         "seed 3's (1, 1, 11) tanh network: its 1x1 first-layer weight gradient, a 15-term "
-        "inner product, differs by 8.9e-16 between the stacked np.matmul and the 2-D np.dot"),
+        "inner product, differs by 8.9e-16 between the stacked product and the slice's own "
+        "2-D product, whichever of np.matmul and np.dot makes the latter"),
 }
 CORE = ("import sys; sys.path.insert(0, sys.argv[1]); import bench_record; "
         "print(bench_record.blas_core())")

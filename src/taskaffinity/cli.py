@@ -36,6 +36,14 @@ log = logging.getLogger(__name__)
 
 HISTOGRAM_BINS = 20
 
+# each command's job class and help line
+COMMANDS = {
+    "synth": (cfgmod.SynthJob, "generate a synthetic family-benchmark CSV"),
+    "tas": (cfgmod.PipelineJob, "rank source tasks by affinity against the target"),
+    "fewshot": (cfgmod.PipelineJob, "full pipeline: rank, fine-tune on related labels, evaluate"),
+    "theorem1": (cfgmod.TheoremJob, "averaged noisy-SGD affinity convergence harness"),
+}
+
 
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(path) or "."
@@ -195,11 +203,11 @@ def _warn_degenerate(ordered: Sequence[pipeline.RankedTask]) -> None:
         )
 
 
-def _echo(job: cfgmod.PipelineJob) -> dict:
-    """The config echo of a tas or fewshot job: one flat dict, the pipeline
-    settings beside the data and network fields."""
+def _echo(job: cfgmod.PipelineJob | cfgmod.TheoremJob) -> dict:
+    """The config echo of a tas, fewshot or theorem1 job: one flat dict, a
+    pipeline job's settings beside its data and network fields."""
     echo = asdict(job)
-    echo.update(echo.pop("pipeline"))
+    echo.update(echo.pop("pipeline", {}))
     return echo
 
 
@@ -210,10 +218,7 @@ def _setup(job: cfgmod.PipelineJob):
     return train, test, spec, job.pipeline
 
 
-def cmd_synth(doc: dict, out: str, seed: int | None) -> int:
-    job = cfgmod.parse_synth(doc)
-    if seed is not None:
-        job = cfgmod.override_synth_seed(job, seed)
+def cmd_synth(job: cfgmod.SynthJob, out: str) -> int:
     data = tasks.make_synthetic(job.synthetic)
     path = os.path.join(out, job.filename)
     _atomic_write(path, tasks.csv_text(data))
@@ -221,12 +226,7 @@ def cmd_synth(doc: dict, out: str, seed: int | None) -> int:
     return 0
 
 
-def cmd_tas(doc: dict, out: str, seed: int | None) -> int:
-    job = cfgmod.parse_pipeline(doc)
-    if seed is not None:
-        job = cfgmod.override_pipeline_seeds(job, seed)
-    echo = _echo(job)
-    run_id = _run_id("tas", echo)
+def cmd_tas(job: cfgmod.PipelineJob, out: str, echo: dict, run_id: str) -> int:
     t0 = time.perf_counter()
     train, test, spec, cfg = _setup(job)
     _, ordered, _ = pipeline.phases_1_2(train, test, spec, cfg)
@@ -240,13 +240,8 @@ def cmd_tas(doc: dict, out: str, seed: int | None) -> int:
     return 0
 
 
-def cmd_fewshot(doc: dict, out: str, seed: int | None, ablation: str) -> int:
-    job = cfgmod.parse_pipeline(doc)
-    if seed is not None:
-        job = cfgmod.override_pipeline_seeds(job, seed)
-    echo = _echo(job)
-    echo["ablation"] = ablation
-    run_id = _run_id("fewshot", echo)
+def cmd_fewshot(job: cfgmod.PipelineJob, out: str, echo: dict, run_id: str) -> int:
+    ablation = echo["ablation"]
     train, test, spec, cfg = _setup(job)
     report = pipeline.ablation_comparison(train, test, spec, cfg, (ablation,))[ablation]
     _warn_degenerate(report.scores)
@@ -263,12 +258,7 @@ def cmd_fewshot(doc: dict, out: str, seed: int | None, ablation: str) -> int:
     return 0
 
 
-def cmd_theorem1(doc: dict, out: str, seed: int | None) -> int:
-    job = cfgmod.parse_theorem(doc)
-    if seed is not None:
-        job = cfgmod.override_theorem_seeds(job, seed)
-    echo = asdict(job)
-    run_id = _run_id("theorem1", echo)
+def cmd_theorem1(job: cfgmod.TheoremJob, out: str, echo: dict, run_id: str) -> int:
     t0 = time.perf_counter()
     problem, a_query, b_support = theorem.make_logistic_fixture(
         job.dim, job.n_support, job.n_query, job.l2_lambda, job.data_seed
@@ -309,12 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fisher-diagonal task affinity scoring and few-shot fine-tuning",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("synth", "generate a synthetic family-benchmark CSV"),
-        ("tas", "rank source tasks by affinity against the target"),
-        ("fewshot", "full pipeline: rank, fine-tune on related labels, evaluate"),
-        ("theorem1", "averaged noisy-SGD affinity convergence harness"),
-    ]:
+    for name, (_, helptext) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="re-derive all embedded seeds")
@@ -346,13 +331,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         doc = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
+        job = cfgmod.parse(COMMANDS[args.command][0], doc, args.seed)
         if args.command == "synth":
-            return cmd_synth(doc, args.out, args.seed)
-        if args.command == "tas":
-            return cmd_tas(doc, args.out, args.seed)
+            return cmd_synth(job, args.out)
+        echo = _echo(job)
         if args.command == "fewshot":
-            return cmd_fewshot(doc, args.out, args.seed, args.ablation)
-        return cmd_theorem1(doc, args.out, args.seed)
+            echo["ablation"] = args.ablation
+        run = (job, args.out, echo, _run_id(args.command, echo))
+        if args.command == "tas":
+            return cmd_tas(*run)
+        return cmd_fewshot(*run) if args.command == "fewshot" else cmd_theorem1(*run)
     # ValueError covers cfgmod.ConfigError and json.JSONDecodeError
     except (ValueError, OSError, theorem.DivergenceError, theorem.SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -95,12 +95,6 @@ def _parse(cls, doc: dict, path: str):
     return obj
 
 
-def _object(doc: Any) -> dict:
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    return dict(doc)
-
-
 @dataclass(frozen=True)
 class SynthJob:
     synthetic: SyntheticConfig
@@ -150,10 +144,6 @@ class TheoremJob:
                 raise ConfigError(f"{key} must be positive and finite")
 
 
-def parse_synth(doc: Any) -> SynthJob:
-    return _parse(SynthJob, _object(doc), "")
-
-
 def _parse_data(cls, doc: dict, path: str) -> DataSource:
     d = dict(doc)
     if "synthetic" in d:
@@ -170,30 +160,33 @@ def _parse_data(cls, doc: dict, path: str) -> DataSource:
     return src
 
 
-def parse_pipeline(doc: Any) -> PipelineJob:
-    return _parse(PipelineJob, _object(doc), "")
-
-
-def parse_theorem(doc: Any) -> TheoremJob:
-    return _parse(TheoremJob, _object(doc), "")
+def parse(cls, doc: Any, seed: int | None = None):
+    """The cls job (SynthJob, PipelineJob or TheoremJob) of the config
+    document doc; with seed, every seed it embeds re-derived from that one
+    master value by cls's rule."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    job = _parse(cls, doc, "")
+    if seed is None:
+        return job
+    return {SynthJob: _reseed_synth, PipelineJob: _reseed_pipeline,
+            TheoremJob: _reseed_theorem}[cls](job, seed)
 
 
 # ---------------------------------------------------------------------------
 # coherent --seed override: re-derive every embedded seed from one master
 
 
-def override_synth_seed(job: SynthJob, master: int) -> SynthJob:
+def _reseed_synth(job, master: int):
+    """job, a SynthJob or a synthetic DataSource, with its synthetic seed re-derived."""
     return replace(job, synthetic=replace(job.synthetic, seed=derive_seed(master, 10)))
 
 
-def override_pipeline_seeds(job: PipelineJob, master: int) -> PipelineJob:
-    data = job.data
-    if data.synthetic is not None:
-        data = replace(data, synthetic=replace(data.synthetic, seed=derive_seed(master, 10)))
+def _reseed_pipeline(job: PipelineJob, master: int) -> PipelineJob:
     cfg = job.pipeline
     return replace(
         job,
-        data=data,
+        data=job.data if job.data.synthetic is None else _reseed_synth(job.data, master),
         pipeline=replace(
             cfg,
             master_seed=derive_seed(master, 11),
@@ -204,7 +197,7 @@ def override_pipeline_seeds(job: PipelineJob, master: int) -> PipelineJob:
     )
 
 
-def override_theorem_seeds(job: TheoremJob, master: int) -> TheoremJob:
+def _reseed_theorem(job: TheoremJob, master: int) -> TheoremJob:
     return replace(
         job,
         data_seed=derive_seed(master, 15),

@@ -73,6 +73,8 @@ class PipelineConfig:
             raise ValueError("n_test must be >= 2: a target task has at least two classes")
         if min(self.m_way, self.k_shot, self.q_query) < 1:
             raise ValueError("m_way, k_shot, q_query must be positive")
+        if self.m_way < 2:
+            raise ValueError("m_way must be >= 2: an episode tells at least two classes apart")
         if not 0 < self.epsilon < 1:
             raise ValueError("epsilon must be in (0, 1)")
         if self.n_eval_episodes < 1:
@@ -376,14 +378,13 @@ def episodic_finetune(
     sched, draws, plans = cfg.finetune_schedule, {}, []
     seeds = seed_grid(sched.seed, (_STREAM_FINETUNE,), range(sched.epochs), range(sched.batch_size))
     for mode, chosen in sets.items():
-        classes = tasks.episode_classes(
+        table, counts = tasks.episode_table(
             train, chosen.label_set, cfg.m_way, cfg.k_shot, cfg.q_query,
             f"training classes of the {mode} set",
         )
-        counts = tuple(train.class_index[c].size for c in classes)
         if counts not in draws:
             draws[counts] = tasks.draw_positions(counts, cfg.m_way, cfg.k_shot + cfg.q_query, seeds)
-        plans.append((tasks.row_table(train, classes), *draws[counts]))
+        plans.append((table, *draws[counts]))
 
     def episodes():
         size = sched.batch_size
@@ -415,12 +416,10 @@ def evaluate_fewshot(
     """Each network's mean hard nearest-centroid accuracy over one draw of
     fresh episodes, with 1.96*sd/sqrt(n).  Each EVAL_CHUNK of episodes has
     its row indices and features gathered once, then encoded by each network."""
-    classes = tasks.episode_classes(
+    table, counts = tasks.episode_table(
         test, test.class_ids, cfg.m_way, cfg.k_shot, cfg.q_query, "test classes"
     )
     n = cfg.n_eval_episodes
-    table = tasks.row_table(test, classes)
-    counts = tuple(test.class_index[c].size for c in classes)
     picks, positions = tasks.draw_positions(counts, cfg.m_way, cfg.k_shot + cfg.q_query,
                                             seed_grid(cfg.master_seed, (_STREAM_EVAL,), range(n)))
     accs = np.empty((len(nets), n))
@@ -505,7 +504,7 @@ def ablation_comparison(
             raise ValueError(f"unknown ablation mode {mode!r}; expected one of {ABLATION_MODES}")
     episode = (cfg.m_way, cfg.k_shot, cfg.q_query)
     for split, data in (("test", test), ("training", train)):
-        tasks.episode_classes(data, data.class_ids, *episode, f"{split} classes")
+        tasks.episode_table(data, data.class_ids, *episode, f"{split} classes")
     whole, ordered, shared = phases_1_2(train, test, spec, cfg)
     sets = {mode: select_labels(mode, ordered, train, cfg) for mode in modes}
     t0 = time.perf_counter()

@@ -274,22 +274,30 @@ def sample_source_tasks(train: Dataset, s_count: int, n_test: int, seed: int) ->
     return _block(range(s_count), class_ids, splits)
 
 
-def episode_classes(
+def episode_table(
     data: Dataset, class_ids, m_way: int, k_shot: int, q_query: int, what: str
-) -> list[int]:
-    """Those of data's given class ids, ascending, that hold an episode's
-    k_shot + q_query rows: the classes an episode may take.  It is an error
-    if fewer than m_way qualify; what names the classes in that error."""
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The classes an episode may take: those of data's given class ids that
+    hold an episode's k_shot + q_query rows.  Returns their (classes, most
+    rows) table, whose row i holds the rows of the i-th such class in
+    ascending class id order, padded with data.n, which indexes no row; and
+    their row counts.  It is an error if fewer than m_way classes qualify;
+    what names the classes in that error."""
     if min(m_way, k_shot, q_query) < 1:
         raise ValueError("m_way, k_shot and q_query must be positive")
     need = k_shot + q_query
-    eligible = sorted(int(c) for c in class_ids if data.class_index[c].size >= need)
-    if len(eligible) < m_way:
+    rows = [data.class_index[c] for c in sorted(map(int, class_ids))]
+    rows = [r for r in rows if r.size >= need]
+    if len(rows) < m_way:
         raise ValueError(
-            f"insufficient samples: only {len(eligible)} {what} have >= {need} rows "
+            f"insufficient samples: only {len(rows)} {what} have >= {need} rows "
             f"(k_shot + q_query), need m_way={m_way}"
         )
-    return eligible
+    counts = tuple(r.size for r in rows)
+    table = np.full((len(rows), max(counts)), data.n, dtype=np.intp)
+    for i, r in enumerate(rows):
+        table[i, : r.size] = r
+    return table, counts
 
 
 def draw_positions(counts, m_way: int, size: int, seeds) -> tuple[np.ndarray, np.ndarray]:
@@ -310,24 +318,14 @@ def draw_positions(counts, m_way: int, size: int, seeds) -> tuple[np.ndarray, np
     return picks, positions
 
 
-def row_table(data: Dataset, classes: list[int]) -> np.ndarray:
-    """(len(classes), most rows) table whose row i holds the rows of
-    classes[i], padded with data.n, which indexes no row."""
-    counts = [data.class_index[c].size for c in classes]
-    table = np.full((len(classes), max(counts)), data.n, dtype=np.intp)
-    for i, c in enumerate(classes):
-        table[i, : counts[i]] = data.class_index[c]
-    return table
-
-
 def episode_rows(
     table: np.ndarray, picks: np.ndarray, positions: np.ndarray, k_shot: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row indices of drawn episodes: support (E, m_way * k_shot) and query
     (E, m_way * q_query), the first k_shot of each slot's rows and the rest.
 
-    picks and positions are a draw_positions draw over the classes of
-    table's rows, which episode_classes has checked.  The picked classes,
+    picks and positions are a draw_positions draw over the row counts that
+    episode_table returned with table.  The picked classes,
     ascending, take slots 0..m_way-1 and the rows are grouped by slot, so the
     labels are np.repeat(np.arange(m_way), k_shot) and
     np.repeat(np.arange(m_way), q_query).

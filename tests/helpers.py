@@ -380,9 +380,9 @@ def serial_train(net, data, schedule):
 
 
 def host_signature():
-    """numpy version, BLAS build, the OpenBLAS kernel in use (None where
-    numpy bundles no scipy-openblas) and CPU of this host: what decides how
-    the pinned outputs round."""
+    """numpy version, BLAS build and OpenBLAS kernel in use (None where numpy
+    bundles no scipy-openblas) of this host, which decide how the pinned
+    outputs round, and its CPU and simd list, for information."""
     try:
         cfg = np.show_config(mode="dicts")
     except TypeError:  # numpy < 1.26 can only print its config

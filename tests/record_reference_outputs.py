@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/record_reference_outputs.py
 
 The file pins what test_acceptance.shipped_shape_outputs computes, with the
-recording host's numpy, BLAS and CPU.  Re-record only for a change that moves
+recording host's numpy, BLAS build and OpenBLAS kernel.  Re-record only for a change that moves
 these numbers on purpose, and note in CHANGES.md what moved and by how much.
 """
 

@@ -79,7 +79,7 @@ def write_config(tmp_path, doc, name="cfg.json"):
 
 
 def test_parse_pipeline_valid_doc():
-    job = cfgmod.parse_pipeline(pipeline_doc())
+    job = cfgmod.parse(cfgmod.PipelineJob, pipeline_doc())
     assert job.layer_widths == (6, 16, 8)
     assert job.activation == "relu"
     assert job.data.synthetic.n_families == 3
@@ -91,13 +91,13 @@ def test_parse_pipeline_valid_doc():
     assert job.pipeline.approx_schedule.lr_decay_factor == 1.0
     doc = pipeline_doc()
     del doc["network"]["activation"]
-    assert cfgmod.parse_pipeline(doc).activation == "relu"
+    assert cfgmod.parse(cfgmod.PipelineJob, doc).activation == "relu"
 
 
 def test_parse_pipeline_csv_variant():
     doc = pipeline_doc()
     doc["data"] = {"train_csv": "a.csv", "test_csv": "b.csv"}
-    job = cfgmod.parse_pipeline(doc)
+    job = cfgmod.parse(cfgmod.PipelineJob, doc)
     assert job.data.synthetic is None
     assert job.data.train_csv == "a.csv"
     assert job.data.test_csv == "b.csv"
@@ -117,7 +117,7 @@ def test_parse_pipeline_rejects_unknown_keys(mutate, where):
     doc = pipeline_doc()
     mutate(doc)
     with pytest.raises(cfgmod.ConfigError, match="unknown keys"):
-        cfgmod.parse_pipeline(doc)
+        cfgmod.parse(cfgmod.PipelineJob, doc)
 
 
 # Every key a pipeline config must give, written out by hand: a setting that
@@ -147,7 +147,7 @@ def test_parse_pipeline_missing_key_names_path(path):
         doc["data"] = {"train_csv": "a.csv", "test_csv": "b.csv"}
     delete_key(doc, path)
     with pytest.raises(cfgmod.ConfigError, match=re.escape(f"missing key {path!r}")):
-        cfgmod.parse_pipeline(doc)
+        cfgmod.parse(cfgmod.PipelineJob, doc)
 
 
 THEOREM_REQUIRED = [
@@ -163,27 +163,27 @@ def test_parse_theorem_missing_key_names_path(path):
     doc = theorem_doc()
     delete_key(doc, path)
     with pytest.raises(cfgmod.ConfigError, match=re.escape(f"missing key {path!r}")):
-        cfgmod.parse_theorem(doc)
+        cfgmod.parse(cfgmod.TheoremJob, doc)
 
 
 def test_parse_pipeline_rejects_bool_for_int():
     doc = pipeline_doc()
     doc["pipeline"]["s_count"] = True
     with pytest.raises(cfgmod.ConfigError, match="s_count"):
-        cfgmod.parse_pipeline(doc)
+        cfgmod.parse(cfgmod.PipelineJob, doc)
 
 
 def test_parse_pipeline_rejects_non_bool_verbose():
     doc = pipeline_doc()
     doc["pipeline"]["verbose_fisher"] = 1
     with pytest.raises(cfgmod.ConfigError, match="verbose_fisher"):
-        cfgmod.parse_pipeline(doc)
+        cfgmod.parse(cfgmod.PipelineJob, doc)
 
 
 def test_parse_pipeline_coerces_int_to_float():
     doc = pipeline_doc()
     doc["pipeline"]["softmax_temperature"] = 2  # int in JSON, float field
-    job = cfgmod.parse_pipeline(doc)
+    job = cfgmod.parse(cfgmod.PipelineJob, doc)
     assert job.pipeline.softmax_temperature == 2.0
     assert isinstance(job.pipeline.softmax_temperature, float)
 
@@ -192,32 +192,32 @@ def test_parse_pipeline_rejects_a_one_class_target():
     doc = pipeline_doc()
     doc["pipeline"]["n_test"] = 1
     with pytest.raises(ValueError, match="^n_test must be >= 2"):
-        cfgmod.parse_pipeline(doc)
+        cfgmod.parse(cfgmod.PipelineJob, doc)
 
 
 def test_parse_pipeline_rejects_string_widths():
     doc = pipeline_doc()
     doc["network"]["layer_widths"] = [6, "16", 8]
     with pytest.raises(cfgmod.ConfigError, match="layer_widths"):
-        cfgmod.parse_pipeline(doc)
+        cfgmod.parse(cfgmod.PipelineJob, doc)
 
 
 def test_parse_synth():
-    job = cfgmod.parse_synth({"synthetic": synth_block(), "filename": "x.csv"})
+    job = cfgmod.parse(cfgmod.SynthJob, {"synthetic": synth_block(), "filename": "x.csv"})
     assert job.filename == "x.csv"
-    job = cfgmod.parse_synth({"synthetic": synth_block()})
+    job = cfgmod.parse(cfgmod.SynthJob, {"synthetic": synth_block()})
     assert job.filename == "dataset.csv"
     with pytest.raises(cfgmod.ConfigError):
-        cfgmod.parse_synth({"synthetic": synth_block(), "oops": 1})
+        cfgmod.parse(cfgmod.SynthJob, {"synthetic": synth_block(), "oops": 1})
     for path in ("synthetic", "synthetic.seed", "synthetic.noise_sigma"):
         doc = {"synthetic": synth_block()}
         delete_key(doc, path)
         with pytest.raises(cfgmod.ConfigError, match=re.escape(f"missing key {path!r}")):
-            cfgmod.parse_synth(doc)
+            cfgmod.parse(cfgmod.SynthJob, doc)
 
 
 def test_parse_theorem():
-    job = cfgmod.parse_theorem(theorem_doc())
+    job = cfgmod.parse(cfgmod.TheoremJob, theorem_doc())
     assert job.sgd.step_schedule.kind == "constant"
     assert job.sgd.step_schedule.exponent == 0.75  # default kept
     assert job.optimum_tol == 1e-10
@@ -225,11 +225,11 @@ def test_parse_theorem():
         doc = theorem_doc()
         doc["n_seeds"] = n_seeds
         with pytest.raises(cfgmod.ConfigError, match="n_seeds"):
-            cfgmod.parse_theorem(doc)
+            cfgmod.parse(cfgmod.TheoremJob, doc)
     doc = theorem_doc()
     doc["sgd"]["schedule"]["kind"] = "polynomial"
     doc["sgd"]["schedule"]["exponent"] = 0.6
-    job = cfgmod.parse_theorem(doc)
+    job = cfgmod.parse(cfgmod.TheoremJob, doc)
     assert job.sgd.step_schedule.exponent == 0.6
 
 
@@ -246,7 +246,7 @@ def test_parse_theorem_rejects_unknown_keys(mutate, where):
     doc = theorem_doc()
     mutate(doc)
     with pytest.raises(cfgmod.ConfigError, match=re.escape(f"unknown keys in {where}: ['extra']")):
-        cfgmod.parse_theorem(doc)
+        cfgmod.parse(cfgmod.TheoremJob, doc)
 
 
 @pytest.mark.parametrize(
@@ -254,7 +254,7 @@ def test_parse_theorem_rejects_unknown_keys(mutate, where):
 )
 def test_theorem_job_checks_its_own_values(key, value):
     # built directly, not parsed: the job itself holds these checks
-    job = cfgmod.parse_theorem(theorem_doc())
+    job = cfgmod.parse(cfgmod.TheoremJob, theorem_doc())
     with pytest.raises(cfgmod.ConfigError, match=f"^{key} must be"):
         replace(job, **{key: value})
 
@@ -283,13 +283,12 @@ SEED_KEYS = [
 def test_out_of_range_seed_fails_at_parse_naming_its_key(
     tmp_path, monkeypatch, capsys, command, path, value
 ):
-    make_doc, parse = {"synth": (lambda: {"synthetic": synth_block()}, cfgmod.parse_synth),
-                       "tas": (pipeline_doc, cfgmod.parse_pipeline),
-                       "theorem1": (theorem_doc, cfgmod.parse_theorem)}[command]
+    make_doc = {"synth": lambda: {"synthetic": synth_block()}, "tas": pipeline_doc,
+                "theorem1": theorem_doc}[command]
     for edge in (0, 2**64 - 1):  # the range's ends parse
         doc = make_doc()
         set_key(doc, path, edge)
-        parse(doc)
+        cfgmod.parse(cli.COMMANDS[command][0], doc)
     calls = _spy_whole_training(monkeypatch)
     made = []
     monkeypatch.setattr(tasks, "make_synthetic", made.append)
@@ -348,7 +347,7 @@ SHIPPED_RUN_IDS = {
 def test_shipped_configs_keep_their_run_id_and_echo(command, name, ablation):
     doc = shipped_config(name)
     if command == "theorem1":
-        echo = asdict(cfgmod.parse_theorem(doc))
+        echo = cli._echo(cfgmod.parse(cfgmod.TheoremJob, doc))
         sgd = dict(doc["sgd"])
         sgd["step_schedule"] = sgd.pop("schedule")
         expected = {
@@ -356,7 +355,7 @@ def test_shipped_configs_keep_their_run_id_and_echo(command, name, ablation):
             "optimum_tol": 1e-10, "sgd": sgd,
         }
     else:
-        echo = cli._echo(cfgmod.parse_pipeline(doc))
+        echo = cli._echo(cfgmod.parse(cfgmod.PipelineJob, doc))
         defaults = {"lr_decay_epochs": [], "lr_decay_factor": 1.0}
         expected = {
             "data": {**doc["data"], "train_csv": None, "test_csv": None},
@@ -372,9 +371,40 @@ def test_shipped_configs_keep_their_run_id_and_echo(command, name, ablation):
     assert cli._run_id(command, echo) == SHIPPED_RUN_IDS[command, name, ablation]
 
 
+# run ids of the shipped configs under --seed, and the synthetic seed synth
+# writes with --seed 0
+SEEDED_RUNS = {
+    ("tas", "tas.json", 0): "0eec36fffbd4",
+    ("tas", "tas.json", 2**64 - 1): "22afe1365ed5",
+    ("fewshot", "fewshot.json", 0): "542a284fec81",
+    ("fewshot", "fewshot.json", 2**64 - 1): "a5818f0b8b20",
+    ("theorem1", "theorem1.json", 0): "9d1fa815b43d",
+    ("theorem1", "theorem1.json", 2**64 - 1): "03edd9033729",
+    ("synth", "synth.json", 0): 11273843532633116189,
+}
+
+
+@pytest.mark.parametrize("command,name,seed", list(SEEDED_RUNS))
+def test_seeded_shipped_configs_keep_their_run_id(tmp_path, monkeypatch, command, name, seed):
+    # main calls the command through its module attribute, where a tracer's wrapper sits
+    calls = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda *args: calls.append(args) or 0)
+    config = os.path.join(ROOT, "configs", name)
+    assert cli.main([command, "--config", config, "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    [(job, out, *rest)] = calls
+    assert job == cfgmod.parse(cli.COMMANDS[command][0], shipped_config(name), seed)
+    assert out == str(tmp_path)
+    if command == "synth":
+        assert rest == [] and job.synthetic.seed == SEEDED_RUNS[command, name, seed]
+        return
+    echo, run_id = rest
+    assert echo == {**cli._echo(job), **({"ablation": "related"} if command == "fewshot" else {})}
+    assert run_id == SEEDED_RUNS[command, name, seed]
+
+
 def test_shipped_synth_config_parses_to_itself():
     doc = shipped_config("synth.json")
-    assert asdict(cfgmod.parse_synth(doc)) == doc
+    assert asdict(cfgmod.parse(cfgmod.SynthJob, doc)) == doc
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +412,8 @@ def test_shipped_synth_config_parses_to_itself():
 
 
 def test_override_pipeline_seeds_rederives_every_stream():
-    job = cfgmod.parse_pipeline(pipeline_doc())
-    out = cfgmod.override_pipeline_seeds(job, 77)
+    job = cfgmod.parse(cfgmod.PipelineJob, pipeline_doc())
+    out = cfgmod.parse(cfgmod.PipelineJob, pipeline_doc(), seed=77)
     assert out.data.synthetic.seed == derive_seed(77, 10)
     assert out.pipeline.master_seed == derive_seed(77, 11)
     assert out.pipeline.whole_schedule.seed == derive_seed(77, 12)
@@ -392,13 +422,18 @@ def test_override_pipeline_seeds_rederives_every_stream():
     # everything else untouched
     assert out.pipeline.whole_schedule.epochs == job.pipeline.whole_schedule.epochs
     assert out.pipeline.s_count == job.pipeline.s_count
+    # CSV data has no seed to re-derive
+    doc = pipeline_doc()
+    doc["data"] = {"train_csv": "a.csv", "test_csv": "b.csv"}
+    csv = cfgmod.parse(cfgmod.PipelineJob, doc, seed=77)
+    assert csv.data == cfgmod.DataSource(train_csv="a.csv", test_csv="b.csv")
+    assert csv.pipeline == out.pipeline
 
 
 def test_override_synth_and_theorem_seeds():
-    sj = cfgmod.parse_synth({"synthetic": synth_block()})
-    assert cfgmod.override_synth_seed(sj, 5).synthetic.seed == derive_seed(5, 10)
-    tj = cfgmod.parse_theorem(theorem_doc())
-    out = cfgmod.override_theorem_seeds(tj, 5)
+    sj = cfgmod.parse(cfgmod.SynthJob, {"synthetic": synth_block()}, seed=5)
+    assert sj.synthetic.seed == derive_seed(5, 10)
+    out = cfgmod.parse(cfgmod.TheoremJob, theorem_doc(), seed=5)
     assert out.data_seed == derive_seed(5, 15)
     assert out.sgd.seed == derive_seed(5, 16)
 
@@ -452,7 +487,7 @@ def test_tas_command_outputs_and_ranking(tmp_path):
     out = str(tmp_path / "out")
     assert cli.main(["tas", "--config", cfg, "--out", out]) == 0
     doc = _read_json(os.path.join(out, "scores.json"))
-    job = cfgmod.parse_pipeline(pipeline_doc())
+    job = cfgmod.parse(cfgmod.PipelineJob, pipeline_doc())
 
     values = [row["score"] for row in doc["scores"]]
     assert values == sorted(values)
@@ -601,6 +636,18 @@ def _spy_whole_training(monkeypatch):
 
     monkeypatch.setattr(pipeline, "train_whole_classifier", spy)
     return calls
+
+
+def test_fewshot_of_one_way_episodes_fails_before_whole_training(tmp_path, monkeypatch, capsys):
+    # a one-class episode scores 1.0 and a loss of 0 whatever the network
+    calls = _spy_whole_training(monkeypatch)
+    doc = shipped_config("fewshot.json")
+    doc["pipeline"]["m_way"] = 1
+    out = str(tmp_path / "out")
+    assert cli.main(["fewshot", "--config", write_config(tmp_path, doc), "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: m_way must be >= 2: an episode tells at least two classes apart\n"
+    assert calls == [] and os.listdir(out) == []
 
 
 @pytest.mark.parametrize("command", ["tas", "fewshot"])
@@ -834,7 +881,7 @@ def test_ablation_is_a_fewshot_only_flag(tmp_path, command):
 
 def _doc_splits():
     """The train and test splits pipeline_doc generates."""
-    src = cfgmod.parse_pipeline(pipeline_doc()).data
+    src = cfgmod.parse(cfgmod.PipelineJob, pipeline_doc()).data
     return tasks.family_holdout(src.synthetic, src.target_family, src.n_test_classes)
 
 

@@ -68,6 +68,8 @@ def test_pipeline_config_validation(tiny):
         replace(cfg, softmax_temperature=0.0)
     with pytest.raises(ValueError):
         replace(cfg, m_way=0)
+    with pytest.raises(ValueError, match="^m_way must be >= 2: an episode tells"):
+        replace(cfg, m_way=1)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +400,7 @@ def tas_json():
     target side, and the serial oracle's ranking and epsilon-approximation
     parameters by task id."""
     with open(os.path.join(ROOT, "configs", "tas.json")) as fh:
-        job = cfgmod.parse_pipeline(json.load(fh))
+        job = cfgmod.parse(cfgmod.PipelineJob, json.load(fh))
     train, test = tasks.family_holdout(
         job.data.synthetic, job.data.target_family, job.data.n_test_classes
     )

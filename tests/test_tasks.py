@@ -323,10 +323,9 @@ def test_sampled_block_splits_each_class_and_task_slots_search_its_class_ids(
 def draw(data, m_way, k_shot, q_query, seeds):
     """Support and query rows of one episode per seed over every class of
     data that holds an episode."""
-    classes = tasks.episode_classes(data, data.class_ids, m_way, k_shot, q_query, "classes")
-    counts = [data.class_index[c].size for c in classes]
+    table, counts = tasks.episode_table(data, data.class_ids, m_way, k_shot, q_query, "classes")
     picks, positions = tasks.draw_positions(counts, m_way, k_shot + q_query, seeds)
-    return tasks.episode_rows(tasks.row_table(data, classes), picks, positions, k_shot)
+    return tasks.episode_rows(table, picks, positions, k_shot)
 
 
 def _uneven(sizes, seed=5):
@@ -384,20 +383,25 @@ def test_sample_episode_insufficient_rows():
         r"^insufficient samples: only 0 test classes have >= 6 rows "
         r"\(k_shot \+ q_query\), need m_way=2$"
     )):
-        tasks.episode_classes(data, data.class_ids, 2, 3, 3, "test classes")
+        tasks.episode_table(data, data.class_ids, 2, 3, 3, "test classes")
     for bad in ((0, 1, 1), (1, 0, 1), (1, 1, 0)):
         with pytest.raises(ValueError, match="must be positive"):
-            tasks.episode_classes(data, data.class_ids, *bad, "classes")
+            tasks.episode_table(data, data.class_ids, *bad, "classes")
 
 
-def test_episode_classes_keeps_the_classes_that_hold_an_episode_ascending():
+def test_episode_table_keeps_the_classes_that_hold_an_episode_ascending():
     rng = np.random.default_rng(0)
     labels = np.repeat(np.arange(5), [3, 9, 5, 8, 6])
     data = tasks.Dataset.from_arrays(rng.standard_normal((labels.size, 2)), labels)
-    assert tasks.episode_classes(data, [4, 0, 3, 1], 2, 3, 3, "classes") == [1, 3, 4]
-    assert tasks.episode_classes(data, [4, 0, 3, 1], 3, 3, 3, "classes") == [1, 3, 4]
+    for m_way in (2, 3):
+        table, counts = tasks.episode_table(data, [4, 0, 3, 1], m_way, 3, 3, "classes")
+        assert counts == (9, 8, 6)
+        assert table.shape == (3, 9) and table.dtype == np.intp
+        for i, c in enumerate([1, 3, 4]):  # ascending, class 0's 3 rows left out
+            np.testing.assert_array_equal(table[i, : counts[i]], data.class_index[c])
+            assert np.all(table[i, counts[i] :] == data.n)  # indexes no row
     with pytest.raises(ValueError, match="only 3 picked classes have >= 6 rows"):
-        tasks.episode_classes(data, [4, 0, 3, 1], 4, 3, 3, "picked classes")
+        tasks.episode_table(data, [4, 0, 3, 1], 4, 3, 3, "picked classes")
 
 
 @settings(max_examples=25, deadline=None)
@@ -449,8 +453,8 @@ def test_draws_never_reach_the_row_table_padding():
     sizes = [7, 40, 12, 9, 23, 16]
     data = _uneven(sizes)
     classes = data.class_ids
-    table = tasks.row_table(data, classes)
-    assert table.shape == (6, 40)
+    table, counts = tasks.episode_table(data, classes, 4, 3, 4, "classes")
+    assert table.shape == (6, 40) and counts == tuple(sizes)
     for i, c in enumerate(classes):
         np.testing.assert_array_equal(table[i, : sizes[i]], data.class_index[c])
         assert np.all(table[i, sizes[i] :] == data.n)  # indexes no row
@@ -479,7 +483,7 @@ def test_draw_positions_is_the_per_episode_default_rng_loop_bitwise(counts):
 
 def test_sample_source_tasks_is_the_per_task_default_rng_loop_on_tas_json():
     with open(os.path.join(ROOT, "configs", "tas.json")) as fh:
-        job = cfgmod.parse_pipeline(json.load(fh))
+        job = cfgmod.parse(cfgmod.PipelineJob, json.load(fh))
     data = job.data
     train, _ = tasks.family_holdout(data.synthetic, data.target_family, data.n_test_classes)
     cfg = job.pipeline
